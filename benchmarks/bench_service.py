@@ -99,7 +99,7 @@ async def probe(quick: bool) -> dict:
     # -- gate 2: cached queries while a cold sweep runs --------------------
     # a fresh service so the big grid is cold again, with an artificial
     # floor on the cold evaluation so the overlap window is guaranteed
-    def slow_cold(grid, engine="vectorized", ngpc=None, max_workers=None):
+    def slow_cold(grid, engine="vectorized", ngpc=None):
         result = sweep_grid(grid, engine="vectorized", ngpc=ngpc, use_cache=False)
         if grid.size >= cold_grid.size:
             time.sleep(0.5)

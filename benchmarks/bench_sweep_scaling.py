@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Wall-clock scaling of the batched DSE engine vs the naive loop.
 
-Two acceptance gates guard the sweep engine:
+Three acceptance gates guard the sweep engine:
 
 1. On a >= 1000-point (app x scheme x scale x pixels) workload grid the
    vectorized engine must beat the per-point scalar loop by >= 10x
    wall-clock.
 2. On a >= 50k-point grid that also sweeps the architecture axes
-   (clock, grid SRAM, engine count, pipeline batches), the block-sharded
-   ``"process"`` engine must beat the scalar engine by >= 10x, and
+   (clock, grid SRAM, engine count, pipeline batches), the vectorized
+   engine must beat the scalar engine by >= 10x, and
    :func:`repro.core.dse.pareto_front` over 100k points must finish in
    under a second.
 3. On a 9-axis grid — the seed eight plus the registry's
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -50,9 +49,9 @@ from repro.core.emulator import emulate_uncached
 SPEEDUP_FLOOR = 10.0
 #: smoke floor for --quick (smaller grid: fixed per-block overhead weighs more)
 QUICK_SPEEDUP_FLOOR = 5.0
-#: floor for the block-parallel engine over the scalar engine on the
+#: floor for the vectorized engine over the scalar engine on the
 #: >= 50k-point architecture grid (full mode only)
-PROCESS_SPEEDUP_FLOOR = 10.0
+ARCH_SPEEDUP_FLOOR = 10.0
 #: ceiling for a 100k-point Pareto front
 PARETO_100K_CEILING_S = 1.0
 
@@ -192,8 +191,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    n_workers = os.cpu_count() or 1
-    results = {"quick": args.quick, "process_workers": n_workers}
+    results = {"quick": args.quick}
     failures = []
 
     # -- gate 1: vectorized vs naive on the workload grid ------------------
@@ -234,7 +232,7 @@ def main(argv=None) -> int:
             f"vectorized sweep only {speedup:.1f}x faster than naive (< {floor:.0f}x)"
         )
 
-    # -- gate 2: block-parallel vs scalar on the architecture grid ---------
+    # -- gate 2: vectorized vs scalar on the architecture grid ------------
     arch = build_architecture_grid(args.quick)
     if not args.quick and arch.size < 50_000:
         raise AssertionError(
@@ -242,51 +240,36 @@ def main(argv=None) -> int:
         )
     arch_shape = "x".join(str(n) for n in arch.shape)
     print(f"\narchitecture grid: {arch.size} points ({arch_shape})")
-    start = time.perf_counter()
-    arch_result = sweep_grid(arch, engine="vectorized", use_cache=False)
-    vectorized_s = time.perf_counter() - start
-    start = time.perf_counter()
-    proc_result = sweep_grid(arch, engine="process", use_cache=False)
-    process_s = time.perf_counter() - start
-    check_sample_agreement(arch_result)
-    # the timed process run must also be numerically right — a fast but
-    # wrong block reassembly may not clear the gate
-    np.testing.assert_allclose(
-        proc_result.accelerated_ms, arch_result.accelerated_ms,
-        rtol=1e-9, atol=0.0,
-    )
+    vectorized_s = time_engine(arch, "vectorized", repeats=3)
+    check_sample_agreement(sweep_grid(arch, use_cache=False))
     results["architecture_grid"] = {
         "points": arch.size,
         "shape": list(arch.shape),
         "vectorized_s": vectorized_s,
-        "process_s": process_s,
         "vectorized_points_per_sec": arch.size / vectorized_s,
-        "process_points_per_sec": arch.size / process_s,
     }
     print(f"  vectorized           : {vectorized_s * 1e3:9.2f} ms "
           f"({arch.size / vectorized_s / 1e6:7.2f} Mpoints/s)")
-    print(f"  block-parallel       : {process_s * 1e3:9.2f} ms "
-          f"({arch.size / process_s / 1e6:7.2f} Mpoints/s, "
-          f"{n_workers} worker(s))")
     if args.quick:
         print("  scalar engine        : skipped (--quick)")
     else:
         scalar_s = time_engine(arch, "scalar")
-        process_speedup = scalar_s / process_s
+        arch_speedup = scalar_s / vectorized_s
         results["architecture_grid"].update(
             scalar_s=scalar_s,
             scalar_points_per_sec=arch.size / scalar_s,
-            speedup_process_vs_scalar=process_speedup,
-            floor=PROCESS_SPEEDUP_FLOOR,
+            speedup_vectorized_vs_scalar=arch_speedup,
+            floor=ARCH_SPEEDUP_FLOOR,
         )
         print(f"  scalar engine        : {scalar_s * 1e3:9.2f} ms "
               f"({scalar_s / arch.size * 1e6:7.1f} us/point)")
-        print(f"  process vs scalar    : {process_speedup:9.1f}x "
-              f"(floor {PROCESS_SPEEDUP_FLOOR:.0f}x)")
-        if process_speedup < PROCESS_SPEEDUP_FLOOR:
+        print(f"  vectorized vs scalar : {arch_speedup:9.1f}x "
+              f"(floor {ARCH_SPEEDUP_FLOOR:.0f}x)")
+        if arch_speedup < ARCH_SPEEDUP_FLOOR:
             failures.append(
-                f"block-parallel engine only {process_speedup:.1f}x faster than "
-                f"scalar (< {PROCESS_SPEEDUP_FLOOR:.0f}x)"
+                f"vectorized engine only {arch_speedup:.1f}x faster than "
+                f"scalar on the architecture grid "
+                f"(< {ARCH_SPEEDUP_FLOOR:.0f}x)"
             )
 
     # -- gate 3: the 9-axis encoding grid keeps the vectorized fast path ---
@@ -356,16 +339,11 @@ def bench_sweep_scaling(benchmark):
     assert naive_s / time_engine(grid, "vectorized") >= SPEEDUP_FLOOR
 
 
-def bench_block_parallel_architecture_grid(benchmark):
-    """pytest-benchmark hook: the block-parallel engine on the arch grid."""
+def bench_vectorized_architecture_grid(benchmark):
+    """pytest-benchmark hook: the vectorized engine on the arch grid."""
     grid = build_architecture_grid(quick=True)
-    result = benchmark(
-        sweep_grid, grid, engine="process", use_cache=False, max_workers=2
-    )
-    vec = sweep_grid(grid, engine="vectorized", use_cache=False)
-    np.testing.assert_allclose(
-        result.accelerated_ms, vec.accelerated_ms, rtol=1e-9, atol=0.0
-    )
+    result = benchmark(sweep_grid, grid, engine="vectorized", use_cache=False)
+    check_sample_agreement(result)
 
 
 if __name__ == "__main__":

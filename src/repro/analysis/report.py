@@ -180,8 +180,8 @@ def serving_section() -> List[str]:
         "any spelling of the same design space — reordered or repeated",
         "axis values included — maps to one cache entry.  Concurrent",
         "identical requests coalesce into a single in-flight evaluation",
-        "(single-flight futures), and evaluation runs off the event loop",
-        "in the block-sharded process pool, so cached queries answer in",
+        "(single-flight futures), and evaluation runs block by block off",
+        "the event loop on an executor thread, so cached queries answer in",
         "milliseconds while a cold 50k-point sweep is in progress",
         "(`benchmarks/bench_service.py` gates < 50 ms).\n",
         "| endpoint | body | answer |",
@@ -196,7 +196,7 @@ def serving_section() -> List[str]:
         "| `POST /point` | `{\"grid\", \"app\"?, \"scale_factor\"?, ...}` | one emulation record |\n",
         "Example invocations:\n",
         "```",
-        "python -m repro serve --port 8787 --engine auto",
+        "python -m repro serve --port 8787",
         "python -m repro query pareto --sweep clock=0.8:1.2:1.695,sram=256:512:1024",
         "python -m repro query cheapest --app nerf --fps 60",
         "python -m repro query point --app nerf --scale 8",
@@ -238,7 +238,7 @@ def api_section() -> List[str]:
         "```python",
         "from repro.api import Grid, Session",
         "",
-        "session = Session()                        # local, engine='auto'",
+        "session = Session()                        # local, engine='vectorized'",
         "sweep = session.sweep(",
         "    Grid().app('nerf').scale(8, 16, 32, 64).clock(0.8, 1.2, n=5)",
         ")",
@@ -251,7 +251,7 @@ def api_section() -> List[str]:
         "| backend | constructor | evaluation | transport |",
         "|---|---|---|---|",
         "| local | `Session()` / `Session.local(engine=...)` | "
-        "`sweep_grid` (auto vectorized / block-parallel) + memoized scalar "
+        "`sweep_grid` (vectorized) + memoized scalar "
         "emulate | in-process |",
         "| remote | `Session.remote(host, port)` | a running "
         "`python -m repro serve` (coalescing + LRU) | one keep-alive HTTP "

@@ -13,8 +13,7 @@ round-trip via JSON shortest-repr) that the local backend computes
 in-process.
 
 - :class:`LocalBackend` — wraps :func:`~repro.core.dse.sweep_grid`
-  (with the ``"auto"`` engine picking vectorized vs block-parallel by
-  grid size) and the memoized scalar
+  (vectorized by default) and the memoized scalar
   :func:`~repro.core.emulator.emulate` path.  Pass ``store=`` (a
   :class:`~repro.store.ResultStore` or directory path) to evaluate
   through the persistent tier instead: sweeps load memory-mapped from
@@ -37,6 +36,7 @@ in-process.
 from __future__ import annotations
 
 import dataclasses
+import queue
 import threading
 import time
 from dataclasses import replace
@@ -47,38 +47,35 @@ from repro.core.dse import (
     _ENGINES,
     _SWEEP_CACHE,
     _SWEEP_CACHE_MAX_POINTS,
-    _TIMING_FIELDS,
     AmbiguousAxisError,
     EmulationResult,
+    LocalBlockRunner,
     SweepGrid,
     SweepResult,
-    _resolve_engine,
-    assemble_shard_blocks,
-    block_fingerprint,
-    finalize_sweep_result,
-    shard_plan,
-    shard_task_shape,
+    run_plan,
     store_block_plan,
+    stream_plan,
     sweep_fingerprint,
     sweep_grid,
-    task_batch_kwargs,
+    window_major,
 )
-from repro.core.emulator import emulate, emulate_batch, emulate_with_config
+from repro.core.emulator import emulate, emulate_with_config
 from repro.errors import BackendUnavailableError
-from repro.explore import (
-    ClusterBlockRunner,
-    LocalBlockRunner,
-    StoreBlockRunner,
-)
 from repro.service.client import SyncServiceClient
+from repro.service.cluster import ClusterBlockRunner
 from repro.service.errors import ServiceError
 from repro.service.progress import PartialSweep
 from repro.store import (
     STORE_ENGINE,
     ResultStore,
+    StoreBlockRunner,
     new_tier_counters,
     sweep_with_store,
 )
+
+
+class _StreamClosed(Exception):
+    """Raised into a local stream's evaluation when its consumer left."""
 
 
 class Backend:
@@ -146,9 +143,8 @@ class LocalBackend(Backend):
 
     def __init__(
         self,
-        engine: str = "auto",
+        engine: str = "vectorized",
         ngpc: Optional[NGPCConfig] = None,
-        max_workers: Optional[int] = None,
         use_cache: bool = True,
         store: Union[ResultStore, str, None] = None,
     ):
@@ -156,7 +152,6 @@ class LocalBackend(Backend):
             raise ValueError(f"unknown engine {engine!r}; choose from {_ENGINES}")
         self.engine = engine
         self.ngpc = ngpc
-        self.max_workers = max_workers
         self.use_cache = use_cache
         if isinstance(store, str):
             store = ResultStore(store)
@@ -175,11 +170,7 @@ class LocalBackend(Backend):
                 use_cache=self.use_cache,
             )
         return sweep_grid(
-            grid,
-            engine=self.engine,
-            ngpc=self.ngpc,
-            max_workers=self.max_workers,
-            use_cache=self.use_cache,
+            grid, engine=self.engine, ngpc=self.ngpc, use_cache=self.use_cache
         )
 
     def point(
@@ -211,15 +202,16 @@ class LocalBackend(Backend):
         """Blockwise in-process evaluation, yielding events per block.
 
         Without a store, the grid is cut by
-        :func:`~repro.core.dse.shard_plan`; with one, by
+        :func:`~repro.core.dse.stream_plan`; with one, by
         :func:`~repro.core.dse.store_block_plan` so every block rides
         the persistent tier (hits are streamed too — a warm store
         streams its fronts in milliseconds).  Both cuts are walked
-        window-major, so the earliest blocks complete whole
-        configuration windows across every (app, scheme) pair and the
-        first exact partial front appears after a small fraction of the
-        sweep.  The assembled result is bit-identical to
-        :meth:`sweep`'s and rides the same RAM memo.
+        window-major, so the first exact partial front appears after a
+        small fraction of the sweep.  The plan runs through
+        :func:`~repro.core.dse.run_plan` on a helper thread while this
+        generator turns each landed block into events; closing the
+        generator stops the evaluation after the block in flight.  The
+        assembled result is bit-identical to :meth:`sweep`'s.
         """
         resolved = grid.resolve(self.ngpc)
         if scheme is None:
@@ -232,15 +224,12 @@ class LocalBackend(Backend):
         )
         partial = PartialSweep(resolved, self.ngpc)
         partial.validate_selectors(scheme, n_pixels, app, **encoding)
-        engine = (
-            STORE_ENGINE if self.store is not None
-            else _resolve_engine(self.engine, resolved)
-        )
+        engine = STORE_ENGINE if self.store is not None else self.engine
         fingerprint = sweep_fingerprint(resolved, self.ngpc)
         ram_key = (resolved, engine, fingerprint)
         cacheable = self.use_cache and resolved.size <= _SWEEP_CACHE_MAX_POINTS
 
-        def terminal_events(result, cached):
+        def final_events(result, cached, blocks, elapsed_s):
             points = result.pareto_front(
                 scheme, n_pixels=n_pixels, app=app, **encoding
             )
@@ -248,8 +237,8 @@ class LocalBackend(Backend):
                 "event": "progress",
                 "points_done": resolved.size,
                 "points_total": resolved.size,
-                "blocks_done": None, "blocks_total": None,
-                "done": True, "failed": False, "elapsed_s": 0.0,
+                "blocks_done": blocks, "blocks_total": blocks,
+                "done": True, "failed": False, "elapsed_s": elapsed_s,
             }
             yield {"event": "front", "final": True,
                    "points": [p.to_dict() for p in points]}
@@ -260,91 +249,88 @@ class LocalBackend(Backend):
             cached = _SWEEP_CACHE.get(ram_key)
             if cached is not None:
                 self.tier["ram_hits"] += 1
-                yield from terminal_events(cached, True)
+                yield from final_events(cached, True, None, 0.0)
                 return
+        runner = LocalBlockRunner(self.ngpc, self.engine)
         if self.store is not None:
             persisted = self.store.load_sweep(fingerprint)
             if persisted is not None:
                 self.tier["disk_hits"] += 1
                 if cacheable:
                     _SWEEP_CACHE.put(ram_key, persisted)
-                yield from terminal_events(persisted, True)
+                yield from final_events(persisted, True, None, 0.0)
                 return
-            plan = store_block_plan(resolved)
+            plan = window_major(store_block_plan(resolved))
+            runner = StoreBlockRunner(
+                LocalBlockRunner(self.ngpc), self.store, self.ngpc, self.tier
+            )
         else:
-            n_pairs = max(1, len(resolved.apps) * len(resolved.schemes))
-            windows = max(1, min(32, resolved.size // (256 * n_pairs)))
-            plan = shard_plan(resolved, windows * n_pairs)
-        plan = sorted(
-            plan, key=lambda entry: (entry[0][2], entry[0][0], entry[0][1])
-        )
+            plan = stream_plan(resolved)
         self.tier["evaluations"] += 1
-        if self.store is not None:
-            self.tier["blocks_total"] += len(plan)
-        started = time.monotonic()
-        placed = []
-        points_done = 0
-        last_front = None
-        for placement, task in plan:
-            block = None
-            if self.store is not None:
-                key = block_fingerprint(task, self.ngpc)
-                block = self.store.load_block(key, shard_task_shape(placement))
-                if block is not None:
-                    self.tier["blocks_cached"] += 1
-            if block is None:
-                task_app, task_scheme, scales, pixels = task[:4]
-                evaluated = emulate_batch(
-                    task_app, task_scheme, scales, pixels, self.ngpc,
-                    **task_batch_kwargs(task),
+        landed: queue.Queue = queue.Queue()
+        abandoned = threading.Event()
+
+        def deliver(placement, block):
+            if abandoned.is_set():  # the consumer left: stop evaluating
+                raise _StreamClosed
+            landed.put((placement, block))
+
+        def evaluate():
+            try:
+                result = run_plan(
+                    resolved, plan, runner, engine, self.ngpc, deliver
                 )
-                block = {
-                    name: evaluated[name]
-                    for name in _TIMING_FIELDS + ("amdahl_bound",)
-                }
                 if self.store is not None:
-                    self.store.save_block(key, block)
-                    self.tier["blocks_evaluated"] += 1
-            points_done += partial.record(placement, block)
-            placed.append((placement, block))
-            yield {
-                "event": "progress",
-                "points_done": points_done,
-                "points_total": resolved.size,
-                "blocks_done": len(placed), "blocks_total": len(plan),
-                "done": False, "failed": False,
-                "elapsed_s": round(time.monotonic() - started, 6),
-            }
-            front = [
-                p.to_dict()
-                for p in partial.pareto_front(
-                    scheme, n_pixels=n_pixels, app=app, **encoding
-                )
-            ]
-            if front and front != last_front:
-                last_front = front
-                yield {"event": "front", "final": False, "points": front}
-        result = finalize_sweep_result(
-            resolved, engine, self.ngpc, assemble_shard_blocks(resolved, placed)
+                    self.store.save_sweep(fingerprint, result)
+                if cacheable:
+                    _SWEEP_CACHE.put(ram_key, result)
+                landed.put(result)
+            except _StreamClosed:
+                pass
+            except Exception as exc:  # re-raised on the consumer's thread
+                landed.put(exc)
+
+        started = time.monotonic()
+        helper = threading.Thread(
+            target=evaluate, name="repro-local-stream", daemon=True
         )
-        if self.store is not None:
-            self.store.save_sweep(fingerprint, result)
-        if cacheable:
-            _SWEEP_CACHE.put(ram_key, result)
-        yield {
-            "event": "progress",
-            "points_done": resolved.size, "points_total": resolved.size,
-            "blocks_done": len(plan), "blocks_total": len(plan),
-            "done": True, "failed": False,
-            "elapsed_s": round(time.monotonic() - started, 6),
-        }
-        final = result.pareto_front(
-            scheme, n_pixels=n_pixels, app=app, **encoding
+        helper.start()
+        points_done = blocks_done = 0
+        last_front = None
+        try:
+            while True:
+                item = landed.get()
+                if isinstance(item, Exception):
+                    raise item
+                if isinstance(item, SweepResult):
+                    break
+                points_done += partial.record(*item)
+                blocks_done += 1
+                yield {
+                    "event": "progress",
+                    "points_done": points_done,
+                    "points_total": resolved.size,
+                    "blocks_done": blocks_done, "blocks_total": len(plan),
+                    "done": False, "failed": False,
+                    "elapsed_s": round(time.monotonic() - started, 6),
+                }
+                front = [
+                    p.to_dict()
+                    for p in partial.pareto_front(
+                        scheme, n_pixels=n_pixels, app=app, **encoding
+                    )
+                ]
+                if front and front != last_front:
+                    last_front = front
+                    yield {"event": "front", "final": False, "points": front}
+        finally:
+            # joined, so an abandoned stream's evaluation never overlaps
+            # the caller's next call
+            abandoned.set()
+            helper.join()
+        yield from final_events(
+            item, False, len(plan), round(time.monotonic() - started, 6)
         )
-        yield {"event": "front", "final": True,
-               "points": [p.to_dict() for p in final]}
-        yield {"event": "complete", "engine": result.engine,
-               "cached": False, "result_obj": result}
 
     def stats(self) -> Dict:
         stats = {
@@ -480,15 +466,15 @@ class DistributedBackend(Backend):
     ``workers`` local ``repro worker`` subprocesses and accepting any
     remote host that runs ``repro worker --host <host> --port <port>``.
 
-    Evaluation is the ``"process"`` engine's block sharding lifted over
-    HTTP: the grid's contiguous vectorized block tasks are leased to
-    workers (re-leased on worker death or lease timeout), evaluated
-    with calibration installed once per worker generation, and the
-    dense float64 arrays stream back for assembly into one
+    Evaluation is the local block executor
+    (:func:`~repro.core.dse.run_plan`) with the block runner swapped for
+    the cluster's: the grid's contiguous vectorized block tasks are
+    leased to workers (re-leased on worker death or lease timeout),
+    evaluated with calibration installed once per worker generation,
+    and the dense float64 arrays stream back for assembly into one
     :class:`SweepResult` — so results are bit-identical to a local
     evaluation.  Persistent workers amortize interpreter/NumPy startup
-    and calibration pre-warm across sweeps, where every
-    ``sweep_grid(engine="process")`` call pays them anew.
+    across sweeps.
 
     ``lease_timeout_s`` bounds how long a dead worker can strand a
     block; ``block_delay_s`` is the fault-injection knob forwarded to
@@ -521,20 +507,11 @@ class DistributedBackend(Backend):
         self._terminate_workers = terminate_workers
         self.ngpc = ngpc
         self.coordinator = ShardCoordinator(
-            ngpc=ngpc, lease_timeout_s=lease_timeout_s
+            ngpc=ngpc, lease_timeout_s=lease_timeout_s,
+            sweep_timeout_s=sweep_timeout_s,
         )
-        self._sweep_timeout_s = sweep_timeout_s
-
-        def cluster_sweep_fn(
-            grid, engine="cluster", ngpc=None, max_workers=None, on_block=None
-        ):
-            return self.coordinator.sweep_blocking(
-                grid, ngpc=ngpc, timeout_s=self._sweep_timeout_s,
-                on_block=on_block,
-            )
-
         self.service = SweepService(
-            engine="cluster", ngpc=ngpc, sweep_fn=cluster_sweep_fn,
+            engine="cluster", ngpc=ngpc, sweep_fn=self.coordinator.sweep_fn,
             max_cached_sweeps=max_cached_sweeps,
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -630,16 +607,11 @@ class DistributedBackend(Backend):
     def block_runner(self):
         """Adaptive refinement rounds leased to the worker cluster.
 
-        Each round's block tasks go through the coordinator's raw-block
-        path (:meth:`~repro.service.cluster.ShardCoordinator.
-        blocks_blocking`), riding the same lease/expiry machinery as
-        full sweeps — worker deaths re-queue blocks, throughput EWMAs
-        size them.
+        Each round's block tasks become one coordinator job, riding the
+        same lease/expiry machinery as full sweeps — worker deaths
+        re-queue blocks, throughput EWMAs size them.
         """
-        def submit(tasks):
-            return self.coordinator.blocks_blocking(tasks, ngpc=self.ngpc)
-
-        return ClusterBlockRunner(submit)
+        return ClusterBlockRunner(self.coordinator, self.ngpc)
 
     def stream_events(
         self,

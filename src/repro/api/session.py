@@ -5,7 +5,7 @@ service) and exposes the same query surface either way::
 
     from repro.api import Grid, Session
 
-    session = Session()                       # local, engine="auto"
+    session = Session()                       # local, engine="vectorized"
     sweep = session.sweep(
         Grid().app("nerf").scale(8, 16, 32, 64).clock(0.8, 1.2, n=5)
     )
@@ -418,13 +418,12 @@ class Session:
     @classmethod
     def local(
         cls,
-        engine: str = "auto",
+        engine: str = "vectorized",
         ngpc: Optional[NGPCConfig] = None,
-        max_workers: Optional[int] = None,
         use_cache: bool = True,
         store=None,
     ) -> "Session":
-        """An in-process session (engine ``"auto"`` sizes itself).
+        """An in-process session (``engine`` "vectorized" or "scalar").
 
         ``store`` (a :class:`~repro.store.ResultStore` or a directory
         path) routes evaluation through the persistent tier: persisted
@@ -432,8 +431,7 @@ class Session:
         blocks no previous sweep covered.
         """
         return cls(LocalBackend(
-            engine=engine, ngpc=ngpc, max_workers=max_workers,
-            use_cache=use_cache, store=store,
+            engine=engine, ngpc=ngpc, use_cache=use_cache, store=store,
         ))
 
     @classmethod

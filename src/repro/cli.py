@@ -324,6 +324,11 @@ def cmd_dse(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import OpsLayer, ShardCoordinator, SweepService, run_server
 
+    if args.workers is not None and args.engine != "cluster":
+        raise SystemExit(
+            "repro serve: error: --workers spawns shard workers and applies "
+            "to --engine cluster only"
+        )
     ops = OpsLayer(
         tenants_path=args.tenants,
         metrics_enabled=args.metrics,
@@ -356,7 +361,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = SweepService(
         engine=args.engine,
         max_cached_sweeps=args.cache_size,
-        max_workers=args.workers,
         store=args.store,
         explore=args.explore,
     )
@@ -603,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  repro dse --sweep clock=0.8:1.2:1.695,sram=512:1024\n"
             "  repro dse --sweep engines=8:16:32 --sweep batches=4:8:16:32\n"
             "  repro dse --sweep scale=8:16:32:64,clock=1.2:1.695 --fps 60\n"
-            "  repro dse --sweep sram=256:512:1024:2048 --engine auto\n"
+            "  repro dse --sweep sram=256:512:1024:2048 --explore adaptive\n"
             "  repro dse --sweep gridtype=hash:tiled,loghash=14:19:24\n"
         ),
     )
@@ -611,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pixels", type=int, default=FHD_PIXELS)
     p.add_argument("--fps", type=_positive_float, default=None,
                    help="also answer: cheapest config meeting this FPS target")
-    p.add_argument("--engine", choices=("vectorized", "scalar", "process", "auto"),
+    p.add_argument("--engine", choices=("vectorized", "scalar"),
                    default="vectorized")
     p.add_argument("--sweep", action="append", type=_sweep_spec, default=None,
                    metavar="AXIS=V1:V2[,AXIS=...]",
@@ -647,17 +651,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8787,
                    help="TCP port (0 picks an ephemeral port)")
     p.add_argument("--engine",
-                   choices=("vectorized", "scalar", "process", "auto",
-                            "cluster"),
-                   default="auto",
+                   choices=("vectorized", "scalar", "cluster"),
+                   default="vectorized",
                    help="local engines, or 'cluster' to distribute block "
                         "shards over workers (serves /cluster/* on the "
                         "same port for `repro worker` to join)")
     p.add_argument("--cache-size", type=int, default=32,
                    help="max cached SweepResults (LRU)")
     p.add_argument("--workers", type=int, default=None,
-                   help="process-pool workers for the block-sharded engine; "
-                        "with --engine cluster: local shard workers to spawn")
+                   help="with --engine cluster: local shard workers to "
+                        "spawn (remote `repro worker` hosts may join too)")
     p.add_argument("--lease-timeout", type=_positive_float, default=10.0,
                    help="cluster block-lease timeout in seconds (a dead "
                         "worker's blocks are re-leased after this long)")

@@ -12,17 +12,21 @@ query over the full N-dimensional cartesian space of
   batch count — and :func:`sweep_grid` evaluates *all* of it in one
   call, returning a :class:`SweepResult` of dense NumPy arrays shaped
   ``grid.shape``.
-- Four interchangeable engines: ``"vectorized"`` (NumPy broadcasting
-  through the ``*_batch`` fast paths of the core models — the default),
-  ``"scalar"`` (the original one-:func:`~repro.core.emulator.emulate`-
-  per-point loop, memoized), ``"process"`` (the grid is sharded into
-  contiguous vectorized blocks of ~size/(4·workers) points, dispatched
-  to a :mod:`concurrent.futures` process pool whose initializer installs
-  the calibration constants once per worker), and ``"auto"`` (picks
-  vectorized vs block-parallel from the grid size and core count).  All
-  engines produce numerically identical results; the equivalence harness
-  in ``tests/test_sweep_engine.py`` enforces agreement to 1e-9 relative,
-  and ``tests/test_golden_values.py`` pins the absolute values.
+- Two interchangeable engines: ``"vectorized"`` (NumPy broadcasting
+  through the ``*_batch`` fast paths of the core models — the default)
+  and ``"scalar"`` (the original one-:func:`~repro.core.emulator.emulate`-
+  per-point loop, memoized).  Both produce identical results; the
+  equivalence harness in ``tests/test_sweep_engine.py`` enforces it, and
+  ``tests/test_golden_values.py`` pins the absolute values.
+- One block executor.  Every evaluation path — a dense sweep, the
+  streaming service, the result store, the adaptive explorer and the
+  shard cluster — cuts the grid into value-keyed block tasks
+  (:func:`shard_plan`, :func:`store_block_plan`), evaluates them
+  through a block runner (:class:`LocalBlockRunner` in-process, the
+  store's :class:`~repro.store.StoreBlockRunner`, the cluster's
+  :class:`~repro.service.cluster.ClusterBlockRunner`) and assembles and
+  finalizes the result in :func:`run_plan`.  :func:`evaluate_block` is
+  the only place a block meets the batched emulator.
 - Whole-grid memoization keyed on (grid, engine, NGPCConfig, calibration
   fingerprint), so repeated queries — Pareto fronts, FPS constraints,
   report generation — reuse one evaluation.
@@ -40,7 +44,6 @@ run on top of the batched engine.
 from __future__ import annotations
 
 import itertools
-import os
 import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -797,12 +800,7 @@ _SWEEP_CACHE = ModelCache("sweep_grid", maxsize=128)
 #: 100k+-point exploration sweeps)
 _SWEEP_CACHE_MAX_POINTS = 1 << 16
 
-_ENGINES = ("vectorized", "scalar", "process", "auto")
-
-#: the "auto" engine dispatches vectorized blocks to the process pool
-#: once the grid is big enough to amortize worker startup — and only
-#: when there is more than one core to win from
-AUTO_PROCESS_MIN_POINTS = 200_000
+_ENGINES = ("vectorized", "scalar")
 
 _TIMING_FIELDS = (
     "baseline_ms",
@@ -812,6 +810,10 @@ _TIMING_FIELDS = (
     "dma_ms",
     "fused_rest_ms",
 )
+
+#: the arrays of one evaluated block: the timings plus the (app, scheme)
+#: Amdahl bound
+_BLOCK_FIELDS = _TIMING_FIELDS + ("amdahl_bound",)
 
 #: every array field of :class:`SweepResult`, in dataclass order — the
 #: payload schema of :meth:`SweepResult.to_payload`
@@ -955,8 +957,7 @@ def store_block_plan(grid: SweepGrid) -> List[Tuple[Tuple, Tuple]]:
     """Deterministic, value-keyed block partition for the result store.
 
     Same ``(placement, task)`` contract as :func:`shard_plan` — blocks
-    evaluate through :func:`evaluate_shard_task`/
-    :func:`~repro.core.emulator.emulate_batch` and reassemble through
+    evaluate through :func:`evaluate_block` and reassemble through
     :func:`assemble_shard_blocks` — but the cut is chosen for *reuse*
     rather than load balancing: one block per (app, scheme, scale,
     pixel count) carrying the full architecture sub-grid
@@ -984,16 +985,6 @@ def store_block_plan(grid: SweepGrid) -> List[Tuple[Tuple, Tuple]]:
                     task = (app, scheme, (scale,), (n_pixels,)) + arch_axes
                     tasks.append((placement, task))
     return tasks
-
-
-def _resolve_engine(engine: str, grid: SweepGrid) -> str:
-    """Map "auto" onto a concrete engine by grid size and core count."""
-    if engine != "auto":
-        return engine
-    n_cores = os.cpu_count() or 1
-    if grid.size >= AUTO_PROCESS_MIN_POINTS and n_cores > 1:
-        return "process"
-    return "vectorized"
 
 
 def _scalar_result(
@@ -1025,135 +1016,99 @@ def _scalar_result(
     return emulate_with_config(app, scheme, config, n_pixels, encoding)
 
 
-def _batch_kwargs(grid: SweepGrid) -> Dict[str, Tuple]:
-    """The :func:`~repro.core.emulator.emulate_batch` keywords of a grid.
+# -- the block executor ---------------------------------------------------
 
-    One entry per registered keyword axis; extension axes are passed
-    only when actively swept, so non-extended grids drive the exact
-    pre-registry batch call.
+def task_shape(task: Tuple) -> Tuple[int, ...]:
+    """The timing-array shape a task's evaluated block must have."""
+    return tuple(len(axis) for axis in task[2:])
+
+
+def evaluate_block(
+    task: Tuple, ngpc: Optional[NGPCConfig] = None
+) -> Dict[str, np.ndarray]:
+    """Evaluate one block task through the batched emulator.
+
+    ``task`` is a :func:`shard_plan`/:func:`store_block_plan`/
+    :func:`selection_task` work unit: ``(app, scheme, scales, pixels,
+    clocks, srams, engines, batches)``, optionally extended with the
+    three encoding-axis windows.  This is the one place a block meets
+    :func:`~repro.core.emulator.emulate_batch`: in-process runners,
+    the result store and shard-cluster workers all evaluate here.
+    ``task[4:]`` pairs up with :data:`repro.core.axes.TASK_BATCH_KWARGS`
+    in order, so 8-field (seed) and 11-field (extended) tasks route
+    through one code path.
     """
-    kwargs = {}
-    for spec in AXES:
-        if spec.batch_kwarg is None:
-            continue
-        values = getattr(grid, spec.name)
-        if spec.sentinel is not None and not grid.is_extended:
-            values = None
-        kwargs[spec.batch_kwarg] = values
-    return kwargs
-
-
-def _arrays_vectorized(grid: SweepGrid, ngpc: Optional[NGPCConfig]) -> Dict[str, np.ndarray]:
-    shape = grid.shape
-    out = {name: np.empty(shape) for name in _TIMING_FIELDS}
-    out["amdahl_bound"] = np.empty(shape[:2])
-    kwargs = _batch_kwargs(grid)
-    for i, app in enumerate(grid.apps):
-        for j, scheme in enumerate(grid.schemes):
-            block = emulate_batch(
-                app, scheme, grid.scale_factors, grid.pixel_counts, ngpc,
-                **kwargs,
-            )
-            for name in _TIMING_FIELDS:
-                out[name][i, j] = block[name]
-            out["amdahl_bound"][i, j] = block["amdahl_bound"]
-    return out
-
-
-def _arrays_scalar(grid: SweepGrid, ngpc: Optional[NGPCConfig]) -> Dict[str, np.ndarray]:
-    shape = grid.shape
-    out = {name: np.empty(shape) for name in _TIMING_FIELDS}
-    out["amdahl_bound"] = np.empty(shape[:2])
-    config_fields = grid.axis_fields[2:]
-    config_axes = [getattr(grid, name) for name in config_fields]
-    for i, app in enumerate(grid.apps):
-        for j, scheme in enumerate(grid.schemes):
-            for idx in np.ndindex(*shape[2:]):
-                named = {
-                    name: axis[pos]
-                    for name, axis, pos in zip(config_fields, config_axes, idx)
-                }
-                encoding = EncodingVariant(
-                    gridtype=named.get("gridtypes", GRIDTYPE_AUTO),
-                    log2_hashmap_size=named.get(
-                        "log2_hashmap_sizes", LOG2_HASHMAP_INHERIT
-                    ),
-                    per_level_scale=named.get(
-                        "per_level_scales", PER_LEVEL_SCALE_INHERIT
-                    ),
-                )
-                r = _scalar_result(
-                    app, scheme, named["scale_factors"],
-                    named["pixel_counts"], ngpc, named["clocks_ghz"],
-                    named["grid_sram_kb"], named["n_engines"],
-                    named["n_batches"], encoding,
-                )
-                full = (i, j) + idx
-                for name in _TIMING_FIELDS:
-                    out[name][full] = getattr(r, name)
-                out["amdahl_bound"][i, j] = r.amdahl_bound
-    return out
-
-
-# -- block-sharded process engine -------------------------------------------
-
-#: per-worker state installed by the pool initializer (base NGPC config);
-#: the calibration constants are installed directly into
-#: :mod:`repro.calibration.fitted`
-_WORKER_STATE: Dict[str, Optional[NGPCConfig]] = {"ngpc": None}
-
-
-def _init_sweep_worker(
-    calibration: Tuple, ngpc: Optional[NGPCConfig], schemes: Tuple[str, ...]
-) -> None:
-    """Pool initializer: one-time per-worker setup instead of per task.
-
-    Installs the parent's calibration constants (a
-    :func:`calibration_fingerprint` tuple, so workers agree with a
-    perturbed parent even under the spawn start method), stores the
-    shared base config, and pre-warms the calibration caches so the
-    first block does not pay the lane/parallelism solve.
-    """
-    from repro.calibration import fitted
-
-    overheads, fractions, samples, exponent = calibration
-    fitted.BATCH_OVERHEAD_MS_FHD_AT64.clear()
-    fitted.BATCH_OVERHEAD_MS_FHD_AT64.update(dict(overheads))
-    fitted.KERNEL_FRACTIONS.clear()
-    fitted.KERNEL_FRACTIONS.update(dict(fractions))
-    fitted.SAMPLES_PER_PIXEL.clear()
-    fitted.SAMPLES_PER_PIXEL.update(dict(samples))
-    fitted.BATCH_OVERHEAD_SCALE_EXPONENT = exponent
-    _WORKER_STATE["ngpc"] = ngpc
-    from repro.core.encoding_engine import _calibrated_lanes
-    from repro.core.mlp_engine import _calibrated_parallelism
-
-    for scheme in schemes:
-        _calibrated_lanes(scheme)
-        _calibrated_parallelism(scheme)
-
-
-def task_batch_kwargs(task: Tuple) -> Dict[str, Tuple]:
-    """Map a task tuple's trailing axes onto ``emulate_batch`` keywords.
-
-    The shared task-unpacking helper of every evaluation site (process
-    pool, store, cluster workers, explorer): ``task[4:]`` pairs up with
-    :data:`repro.core.axes.TASK_BATCH_KWARGS` in order, so 8-field
-    (seed) and 11-field (extended) tasks route through one code path.
-    """
-    return dict(zip(TASK_BATCH_KWARGS, task[4:]))
-
-
-def _evaluate_block(task: Tuple) -> Dict[str, np.ndarray]:
-    """Process-pool worker: one contiguous vectorized block of the grid."""
     app, scheme, scales, pixels = task[:4]
     block = emulate_batch(
-        app, scheme, scales, pixels, _WORKER_STATE["ngpc"],
-        **task_batch_kwargs(task),
+        app, scheme, scales, pixels, ngpc,
+        **dict(zip(TASK_BATCH_KWARGS, task[4:])),
     )
-    out = {name: block[name] for name in _TIMING_FIELDS}
-    out["amdahl_bound"] = block["amdahl_bound"]
+    return {name: block[name] for name in _BLOCK_FIELDS}
+
+
+def _scalar_block(
+    task: Tuple, ngpc: Optional[NGPCConfig] = None
+) -> Dict[str, np.ndarray]:
+    """Evaluate one block task point by point on the memoized scalar path."""
+    app, scheme = task[:2]
+    axes = task[2:]
+    shape = task_shape(task)
+    out = {name: np.empty(shape) for name in _TIMING_FIELDS}
+    for idx in np.ndindex(*shape):
+        named = {
+            name: axis[pos]
+            for name, axis, pos in zip(CONFIG_AXIS_FIELDS, axes, idx)
+        }
+        encoding = EncodingVariant(
+            gridtype=named.get("gridtypes", GRIDTYPE_AUTO),
+            log2_hashmap_size=named.get(
+                "log2_hashmap_sizes", LOG2_HASHMAP_INHERIT
+            ),
+            per_level_scale=named.get(
+                "per_level_scales", PER_LEVEL_SCALE_INHERIT
+            ),
+        )
+        r = _scalar_result(
+            app, scheme, named["scale_factors"], named["pixel_counts"],
+            ngpc, named["clocks_ghz"], named["grid_sram_kb"],
+            named["n_engines"], named["n_batches"], encoding,
+        )
+        for name in _TIMING_FIELDS:
+            out[name][idx] = getattr(r, name)
+    out["amdahl_bound"] = r.amdahl_bound  # per (app, scheme): any point's
     return out
+
+
+class LocalBlockRunner:
+    """Evaluate block tasks in-process, one after another.
+
+    The inline implementation of the block-runner contract every
+    evaluation path shares: ``evaluate(tasks, on_block=None)`` returns
+    one ``(block, cached)`` pair per task, in task order, and calls
+    ``on_block(index, block)`` as each block lands.  ``engine`` picks
+    the vectorized fast path (:func:`evaluate_block`) or the scalar
+    reference loop.  The store's :class:`~repro.store.StoreBlockRunner`
+    decorates a runner with the persistent tier; the cluster's
+    :class:`~repro.service.cluster.ClusterBlockRunner` leases tasks to
+    workers.
+    """
+
+    def __init__(
+        self, ngpc: Optional[NGPCConfig] = None, engine: str = "vectorized"
+    ):
+        if engine not in _ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; choose from {_ENGINES}")
+        self.ngpc = ngpc
+        self._evaluate = _scalar_block if engine == "scalar" else evaluate_block
+
+    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Tuple[Dict, bool]]:
+        out = []
+        for index, task in enumerate(tasks):
+            block = self._evaluate(task, self.ngpc)
+            if on_block is not None:
+                on_block(index, block)
+            out.append((block, False))
+        return out
 
 
 def shard_plan(grid: SweepGrid, n_blocks: int) -> List[Tuple[Tuple, Tuple]]:
@@ -1167,15 +1122,13 @@ def shard_plan(grid: SweepGrid, n_blocks: int) -> List[Tuple[Tuple, Tuple]]:
     Each entry is ``(placement, task)``: the placement is
     (app index, scheme index, windows) with one (lo, hi) window per
     configuration axis, the task the arguments consumed by
-    :func:`evaluate_shard_task` — plain tuples of strings and numbers,
-    picklable and JSON-safe, so a task can cross process *and* host
-    boundaries unchanged.  This is the shared work-unit contract of the
-    in-process ``"process"`` engine and the multi-host shard cluster
+    :func:`evaluate_block` — plain tuples of strings and numbers,
+    JSON-safe, so a task can cross process *and* host boundaries
+    unchanged.  This is the shared work-unit contract of
+    :func:`run_plan` and the multi-host shard cluster
     (:mod:`repro.service.cluster`); :func:`assemble_shard_blocks` is its
     inverse, scattering evaluated blocks back into dense grid arrays.
     """
-    import itertools
-
     axes = tuple(getattr(grid, name) for name in grid.axis_fields[2:])
     lengths = [len(axis) for axis in axes]
     per_pair = int(np.prod(lengths))
@@ -1211,35 +1164,23 @@ def shard_plan(grid: SweepGrid, n_blocks: int) -> List[Tuple[Tuple, Tuple]]:
     return tasks
 
 
-def shard_task_shape(placement: Tuple) -> Tuple[int, ...]:
-    """The timing-array shape a shard task's evaluated block must have."""
-    _, _, windows = placement
-    return tuple(int(hi) - int(lo) for lo, hi in windows)
+def install_worker_state(calibration: Tuple) -> None:
+    """Install a coordinator's calibration constants into this process.
 
-
-def evaluate_shard_task(task: Tuple) -> Dict[str, np.ndarray]:
-    """Evaluate one :func:`shard_plan` task with the installed worker state.
-
-    The public name of :func:`_evaluate_block`: callers outside the
-    process pool (the shard-cluster workers) evaluate leased blocks
-    through this after installing calibration via
-    :func:`install_worker_state`.
+    ``calibration`` is a :func:`calibration_fingerprint` tuple.
+    Shard-cluster workers call this once per calibration generation so
+    their blocks agree bit-for-bit with the coordinator's.
     """
-    return _evaluate_block(task)
+    from repro.calibration import fitted
 
-
-def install_worker_state(
-    calibration: Tuple, ngpc: Optional[NGPCConfig],
-    schemes: Tuple[str, ...] = (),
-) -> None:
-    """Install calibration constants + base config into this process.
-
-    The public name of the pool initializer
-    (:func:`_init_sweep_worker`): shard-cluster workers call it once per
-    calibration generation so their blocks agree bit-for-bit with the
-    coordinator's, exactly as pool workers do.
-    """
-    _init_sweep_worker(calibration, ngpc, tuple(schemes))
+    overheads, fractions, samples, exponent = calibration
+    fitted.BATCH_OVERHEAD_MS_FHD_AT64.clear()
+    fitted.BATCH_OVERHEAD_MS_FHD_AT64.update(dict(overheads))
+    fitted.KERNEL_FRACTIONS.clear()
+    fitted.KERNEL_FRACTIONS.update(dict(fractions))
+    fitted.SAMPLES_PER_PIXEL.clear()
+    fitted.SAMPLES_PER_PIXEL.update(dict(samples))
+    fitted.BATCH_OVERHEAD_SCALE_EXPONENT = exponent
 
 
 def assemble_shard_blocks(
@@ -1249,7 +1190,7 @@ def assemble_shard_blocks(
 
     ``placed_blocks`` yields ``(placement, block)`` pairs — the
     placement from :func:`shard_plan`, the block from
-    :func:`evaluate_shard_task`.  Every grid point must be covered by
+    :func:`evaluate_block`.  Every grid point must be covered by
     exactly one block (guaranteed when the placements come from one
     plan over the same grid).
     """
@@ -1273,9 +1214,9 @@ def finalize_sweep_result(
     """Attach the cost arrays and freeze a complete :class:`SweepResult`.
 
     The one place the area/power arrays are computed and the result
-    arrays are made read-only — shared by :func:`sweep_grid` and the
-    shard-cluster coordinator so a distributed evaluation finishes
-    through the identical code path as a local one.
+    arrays are made read-only; :func:`run_plan` calls it for every
+    evaluation path, so a distributed or store-assembled sweep finishes
+    through the identical code as a local one.
     """
     cost = ngpc_area_power_batch(
         np.asarray(grid.scale_factors),
@@ -1298,60 +1239,84 @@ def finalize_sweep_result(
     return SweepResult(grid=grid, engine=engine, **arrays)
 
 
-def _arrays_process(
-    grid: SweepGrid, ngpc: Optional[NGPCConfig], max_workers: Optional[int]
-) -> Dict[str, np.ndarray]:
-    """Block-parallel engine: vectorized shards on a process pool.
+def run_plan(
+    grid: SweepGrid,
+    plan: List[Tuple[Tuple, Tuple]],
+    runner,
+    engine: str,
+    ngpc: Optional[NGPCConfig] = None,
+    on_block=None,
+) -> SweepResult:
+    """Evaluate a block plan through ``runner``; assemble and finalize.
 
-    Workers evaluate whole NumPy blocks (not scalar points), so even a
-    single-core pool runs at vectorized speed; extra cores scale the
-    block throughput.  Worker initialization (calibration constants,
-    base config) happens once per worker in the pool initializer rather
-    than being pickled into every task.
+    The one block executor.  ``plan`` is a list of ``(placement, task)``
+    pairs covering ``grid`` exactly once (:func:`shard_plan`,
+    :func:`store_block_plan`); ``runner`` is any block runner — a
+    :class:`LocalBlockRunner`, the store's decorator over one, or the
+    cluster's.  ``on_block(placement, block)`` is called as each block
+    lands, on whatever thread the runner delivers it, which is how
+    streaming progress is fed.  ``engine`` labels the result.
     """
-    import concurrent.futures
-    from concurrent.futures.process import BrokenProcessPool
+    report = None
+    if on_block is not None:
+        def report(index, block):
+            on_block(plan[index][0], block)
 
-    n_workers = max_workers or os.cpu_count() or 1
-    tasks = shard_plan(grid, 4 * n_workers)
-    calibration = calibration_fingerprint()
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_sweep_worker,
-            initargs=(calibration, ngpc, grid.schemes),
-        ) as pool:
-            blocks = list(pool.map(_evaluate_block, [t[1] for t in tasks]))
-    except (OSError, BrokenProcessPool):  # no usable fork/spawn: degrade
-        _init_sweep_worker(calibration, ngpc, ())
-        blocks = [_evaluate_block(t[1]) for t in tasks]
-    return assemble_shard_blocks(
-        grid, zip((t[0] for t in tasks), blocks)
+    evaluated = runner.evaluate([task for _, task in plan], report)
+    placed = [
+        (placement, block)
+        for (placement, _), (block, _) in zip(plan, evaluated)
+    ]
+    return finalize_sweep_result(
+        grid, engine, ngpc, assemble_shard_blocks(grid, placed)
     )
+
+
+#: streamed sweeps cut each (app, scheme) pair into up to this many
+#: windows, but never into blocks smaller than this many points (tiny
+#: grids would otherwise drown in per-block dispatch overhead)
+_STREAM_WINDOWS = 32
+_STREAM_MIN_BLOCK = 256
+
+
+def window_major(plan: List[Tuple[Tuple, Tuple]]) -> List[Tuple[Tuple, Tuple]]:
+    """Order a plan window by window across every (app, scheme) pair.
+
+    The first fully covered configuration windows — and hence the first
+    exact partial Pareto points — then land after ``apps x schemes``
+    blocks rather than at the very end of a streamed sweep.
+    """
+    return sorted(
+        plan, key=lambda entry: (entry[0][2], entry[0][0], entry[0][1])
+    )
+
+
+def stream_plan(grid: SweepGrid) -> List[Tuple[Tuple, Tuple]]:
+    """The window-major :func:`shard_plan` a streamed sweep evaluates."""
+    n_pairs = max(1, len(grid.apps) * len(grid.schemes))
+    windows = max(
+        1, min(_STREAM_WINDOWS, grid.size // (_STREAM_MIN_BLOCK * n_pairs))
+    )
+    return window_major(shard_plan(grid, windows * n_pairs))
 
 
 def sweep_grid(
     grid: Optional[SweepGrid] = None,
     engine: str = "vectorized",
     ngpc: Optional[NGPCConfig] = None,
-    max_workers: Optional[int] = None,
     use_cache: bool = True,
 ) -> SweepResult:
     """Evaluate the full cartesian ``grid`` in one call.
 
-    ``engine`` selects "vectorized" (NumPy broadcasting, default),
-    "scalar" (memoized per-point loop), "process" (block-sharded process
-    pool: contiguous vectorized shards of ~size/(4·workers) points per
-    task) or "auto" (vectorized below :data:`AUTO_PROCESS_MIN_POINTS` or
-    on a single core, block-parallel above).  Results are memoized on
-    (grid, engine, ngpc, calibration fingerprint) for grids up to
+    ``engine`` selects "vectorized" (NumPy broadcasting, default) or
+    "scalar" (memoized per-point loop); either evaluates one block per
+    (app, scheme) pair through :func:`run_plan`.  Results are memoized
+    on (grid, engine, ngpc, calibration fingerprint) for grids up to
     :data:`_SWEEP_CACHE_MAX_POINTS` points; pass ``use_cache=False`` to
     force a fresh evaluation.
     """
     grid = (grid or SweepGrid()).resolve(ngpc)
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {_ENGINES}")
-    engine = _resolve_engine(engine, grid)
+    runner = LocalBlockRunner(ngpc, engine)
     cacheable = use_cache and grid.size <= _SWEEP_CACHE_MAX_POINTS
     # the literal grid keeps the memo axis-order-sensitive (callers index
     # the returned arrays in *their* axis order); the shared fingerprint
@@ -1361,13 +1326,8 @@ def sweep_grid(
         cached = _SWEEP_CACHE.get(key)
         if cached is not None:
             return cached
-    if engine == "vectorized":
-        arrays = _arrays_vectorized(grid, ngpc)
-    elif engine == "scalar":
-        arrays = _arrays_scalar(grid, ngpc)
-    else:
-        arrays = _arrays_process(grid, ngpc, max_workers)
-    result = finalize_sweep_result(grid, engine, ngpc, arrays)
+    plan = shard_plan(grid, len(grid.apps) * len(grid.schemes))
+    result = run_plan(grid, plan, runner, engine, ngpc)
     if cacheable:
         _SWEEP_CACHE.put(key, result)
     return result
@@ -1479,7 +1439,7 @@ def selection_task(
     selection: Tuple[Tuple[int, ...], ...],
     encoding: Optional[Tuple[int, int, int]] = None,
 ) -> Tuple:
-    """Build an :func:`evaluate_shard_task` work unit from axis indices.
+    """Build an :func:`evaluate_block` work unit from axis indices.
 
     ``selection`` holds one sorted index tuple per refinement axis
     (scale, clock, SRAM, engines), plus an optional fifth tuple of batch

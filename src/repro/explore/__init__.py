@@ -5,18 +5,12 @@ from repro.explore.engine import (
     DEFAULT_LEAF_CELLS,
     DEFAULT_SEGMENTS,
     AdaptiveExplorer,
-    ClusterBlockRunner,
     ExplorationStats,
-    LocalBlockRunner,
-    StoreBlockRunner,
 )
 
 __all__ = [
     "AdaptiveExplorer",
-    "ClusterBlockRunner",
     "ExplorationStats",
-    "LocalBlockRunner",
-    "StoreBlockRunner",
     "DEFAULT_COALESCE_CELLS",
     "DEFAULT_LEAF_CELLS",
     "DEFAULT_SEGMENTS",

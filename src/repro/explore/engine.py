@@ -40,12 +40,13 @@ while evaluating a small fraction of the grid:
    point found has been evaluated — which reproduces the exhaustive
    ``argmin`` tie-break verbatim.
 
-Work units are ordinary :func:`~repro.core.dse.evaluate_shard_task`
-tuples (value-keyed, fingerprinted), evaluated through a pluggable
-:class:`BlockRunner`: in-process (:class:`LocalBlockRunner`), through
-the persistent store (:class:`StoreBlockRunner` — re-running a query in
-a fresh process reuses every block for free), or leased across a shard
-cluster (:class:`ClusterBlockRunner`).  Tasks shrink to the cells still
+Work units are ordinary :func:`~repro.core.dse.evaluate_block` tuples
+(value-keyed, fingerprinted), evaluated through any block runner of
+:func:`~repro.core.dse.run_plan`'s contract: in-process
+(:class:`~repro.core.dse.LocalBlockRunner`), through the persistent
+store (:class:`~repro.store.StoreBlockRunner` — re-running a query in a
+fresh process reuses every block for free), or leased across a shard
+cluster (:class:`~repro.service.cluster.ClusterBlockRunner`).  Tasks shrink to the cells still
 missing from the explorer's dense partial arrays before dispatch, so no
 grid cell is ever emulated twice, whatever the rounds or queries do;
 :class:`ExplorationStats` counts rounds, blocks (evaluated / cached /
@@ -57,26 +58,24 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.area_power import ngpc_area_power_batch
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
-    _TIMING_FIELDS,
     TRAIN_STEP_FLOP_FACTOR,
     AmbiguousAxisError,
     DesignPoint,
+    LocalBlockRunner,
     SweepGrid,
-    block_fingerprint,
     dominance_prune,
     pareto_front,
     refinement_plan,
     selection_task,
-    task_batch_kwargs,
 )
-from repro.core.emulator import EmulationResult, emulate_batch
+from repro.core.emulator import EmulationResult
 from repro.errors import NotOnGridError, infeasible_query
 
 #: per-axis segments of the coarse lattice (round 0 evaluates the
@@ -132,88 +131,6 @@ class ExplorationStats:
         )}
         out["points_skipped"] = int(self.points_skipped)
         return out
-
-
-# ---------------------------------------------------------------------------
-# block runners: where tasks evaluate
-# ---------------------------------------------------------------------------
-
-
-class LocalBlockRunner:
-    """Evaluate tasks in-process through the vectorized fast paths."""
-
-    name = "local"
-
-    def __init__(self, ngpc: Optional[NGPCConfig] = None):
-        self.ngpc = ngpc
-
-    def evaluate(self, tasks: List[Tuple]) -> List[Tuple[Dict, bool]]:
-        out = []
-        for task in tasks:
-            app, scheme, scales, pixels = task[:4]
-            block = emulate_batch(
-                app, scheme, scales, pixels, self.ngpc,
-                **task_batch_kwargs(task),
-            )
-            arrays = {name: block[name] for name in _TIMING_FIELDS}
-            arrays["amdahl_bound"] = block["amdahl_bound"]
-            out.append((arrays, False))
-        return out
-
-
-class StoreBlockRunner:
-    """Persistent-store tier over another runner.
-
-    Hits load memory-mapped from the store (flagged cached); misses
-    evaluate through ``inner`` and persist, so re-running the same
-    adaptive query — even in a fresh process — reuses every block.
-    """
-
-    name = "store"
-
-    def __init__(self, inner, store, ngpc: Optional[NGPCConfig] = None):
-        self.inner = inner
-        self.store = store
-        self.ngpc = ngpc
-
-    def evaluate(self, tasks: List[Tuple]) -> List[Tuple[Dict, bool]]:
-        out: List[Optional[Tuple[Dict, bool]]] = [None] * len(tasks)
-        missing = []
-        for idx, task in enumerate(tasks):
-            key = block_fingerprint(task, self.ngpc)
-            shape = tuple(len(axis) for axis in task[2:])
-            block = self.store.load_block(key, shape)
-            if block is not None:
-                out[idx] = (block, True)
-            else:
-                missing.append(idx)
-        if missing:
-            evaluated = self.inner.evaluate([tasks[i] for i in missing])
-            for idx, (block, cached) in zip(missing, evaluated):
-                if not cached:
-                    self.store.save_block(
-                        block_fingerprint(tasks[idx], self.ngpc), block
-                    )
-                out[idx] = (block, cached)
-        return out
-
-
-class ClusterBlockRunner:
-    """Lease tasks to the shard cluster's workers.
-
-    ``submit`` is any callable ``tasks -> blocks`` (in task order); the
-    :class:`~repro.api.backends.DistributedBackend` passes the
-    coordinator's thread-safe
-    :meth:`~repro.service.cluster.ShardCoordinator.blocks_blocking`.
-    """
-
-    name = "cluster"
-
-    def __init__(self, submit: Callable[[List[Tuple]], List[Dict]]):
-        self.submit = submit
-
-    def evaluate(self, tasks: List[Tuple]) -> List[Tuple[Dict, bool]]:
-        return [(block, False) for block in self.submit(tasks)]
 
 
 # ---------------------------------------------------------------------------

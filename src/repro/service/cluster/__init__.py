@@ -1,15 +1,16 @@
 """Distributed multi-host sweep backend: shard coordinator + workers.
 
-The block task tuples of the in-process ``"process"`` engine
-(:func:`repro.core.dse.shard_plan`) are already self-contained,
-value-keyed work units; this package ships them across hosts.  A
-:class:`ShardCoordinator` queues a submitted sweep's blocks and leases
-them over HTTP (``/cluster/*`` endpoints, mounted next to the JSON
+The block task tuples of :func:`repro.core.dse.shard_plan` are
+self-contained, value-keyed work units; this package ships them across
+hosts.  A :class:`ShardCoordinator` queues a sweep's blocks (or an
+adaptive-refinement round's, through a :class:`ClusterBlockRunner`) and
+leases them over HTTP (``/cluster/*`` endpoints, mounted next to the JSON
 service by :mod:`repro.service.http`) to any number of
 ``python -m repro worker`` processes — local or remote — which install
 calibration once per generation, evaluate blocks vectorized, and
-stream the dense arrays back for assembly into one
-:class:`~repro.core.dse.SweepResult`.  Leases expire and re-queue on
+stream the dense arrays back; :func:`repro.core.dse.run_plan` assembles
+them into one :class:`~repro.core.dse.SweepResult` exactly as it does a
+local evaluation.  Leases expire and re-queue on
 worker death, so a sweep survives losing workers mid-flight.  Every
 body on the wire is a versioned binary frame (:mod:`repro.transport`);
 nothing in the protocol pickles received bytes.
@@ -23,6 +24,7 @@ client hosts share one distributed evaluation.
 
 from repro.service.cluster.coordinator import (
     BLOCKS_PER_WORKER,
+    ClusterBlockRunner,
     ShardCoordinator,
 )
 from repro.service.cluster.worker import (
@@ -35,6 +37,7 @@ from repro.transport import FRAME_CONTENT_TYPE, decode_message, encode_message
 
 __all__ = [
     "BLOCKS_PER_WORKER",
+    "ClusterBlockRunner",
     "FRAME_CONTENT_TYPE",
     "ClusterClient",
     "ShardCoordinator",

@@ -1,11 +1,14 @@
 """Shard coordinator: leases sweep blocks to workers across hosts.
 
 :class:`ShardCoordinator` is the server half of the distributed sweep
-engine.  A sweep submitted via :meth:`ShardCoordinator.submit` is cut
-into the same contiguous vectorized block tasks the in-process
-``"process"`` engine dispatches (:func:`repro.core.dse.shard_plan` —
-plain tuples, so a task crosses host boundaries unchanged), queued, and
-handed out to workers over the coordinator's HTTP endpoints:
+engine.  A sweep submitted via :meth:`ShardCoordinator.sweep_blocking` is cut
+into contiguous vectorized block tasks (:func:`repro.core.dse.shard_plan`
+— plain tuples, so a task crosses host boundaries unchanged) and run
+through :func:`repro.core.dse.run_plan` with a
+:class:`ClusterBlockRunner`: the runner's tasks become one job, queued
+and handed out to workers over the coordinator's HTTP endpoints, and
+the evaluated blocks come back in task order for assembly on the
+caller's thread:
 
 ====================== ====================================================
 endpoint               body / result (binary frames, :mod:`repro.transport`)
@@ -17,7 +20,9 @@ endpoint               body / result (binary frames, :mod:`repro.transport`)
                             calibration}``, ``{empty: true}`` (poll
                             timeout, re-poll) or ``{stop: true}``
 ``POST /cluster/complete``  ``{worker_id, job_id, task_id, arrays}``
-                            -> ``{ok: true, accepted: bool}``
+                            -> ``{ok: true, accepted: bool}``; a
+                            ``job_id``/``task_id`` that is not an
+                            in-range int is a structured 400
 ``GET  /cluster/stats``     lease/worker/job counters
 ====================== ====================================================
 
@@ -43,9 +48,8 @@ Lease semantics (the failure model):
 
 Workers evaluate with the coordinator's calibration constants: every
 lease carries the calibration fingerprint and base config the job was
-submitted under, and workers reinstall them only when they change — the
-multi-host equivalent of the process-pool initializer, keeping blocks
-bit-identical to a local evaluation.
+submitted under, and workers reinstall them only when they change,
+keeping blocks bit-identical to a local evaluation.
 
 Bodies and responses are versioned binary frames
 (:mod:`repro.transport`): dense float64 blocks round-trip exactly and
@@ -60,7 +64,6 @@ section and compare equal after a round trip.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import uuid
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -72,17 +75,16 @@ from repro.core.dse import (
     _TIMING_FIELDS,
     SweepGrid,
     SweepResult,
-    assemble_shard_blocks,
-    finalize_sweep_result,
+    run_plan,
     shard_plan,
-    shard_task_shape,
+    task_shape,
 )
 from repro.errors import BackendUnavailableError
 from repro.service.errors import ServiceError, as_service_error
 from repro.transport import FRAME_CONTENT_TYPE, decode_message, encode_message
 
-#: blocks handed to each worker per sweep (bigger blocks than the
-#: in-process pool's 4: HTTP round trips cost more than queue pops)
+#: blocks handed to each worker per cold sweep (few, big blocks: HTTP
+#: round trips cost more than queue pops)
 BLOCKS_PER_WORKER = 2
 
 #: per-block payload ceiling; the shard plan is refined until a block's
@@ -104,51 +106,34 @@ _UNSET_TIMEOUT = object()
 
 
 class _Job:
-    """One submitted work unit: its shard plan and completion state.
+    """One submitted list of block tasks and its completion state.
 
-    Two kinds share the lease/complete machinery unchanged: a full sweep
-    (``grid`` set — blocks scatter into a dense :class:`SweepResult`)
-    and a raw block list (``grid`` None — the adaptive-refinement path,
-    which resolves to the evaluated blocks in task order and does its
-    own scattering).
+    Every job — a full sweep's plan or an adaptive-refinement round —
+    resolves to its evaluated blocks in task order; the caller
+    assembles them.
     """
 
-    def __init__(self, job_id: int, grid: Optional[SweepGrid],
-                 ngpc: Optional[NGPCConfig], calibration: Tuple,
-                 plan: List[Tuple[Tuple, Tuple]],
+    def __init__(self, job_id: int, ngpc: Optional[NGPCConfig],
+                 calibration: Tuple, tasks: List[Tuple],
                  future: asyncio.Future,
                  on_block: Optional[Callable] = None):
         self.job_id = job_id
-        self.grid = grid
         self.ngpc = ngpc
         self.calibration = calibration
-        self.plan = plan
+        self.tasks = tasks
         self.future = future
         self.on_block = on_block
-        self.states = [_PENDING] * len(plan)
-        self.blocks: Dict[int, Dict[str, np.ndarray]] = {}
-        self.remaining = len(plan)
-
-    def assemble(self):
-        if self.grid is None:  # raw block job: blocks in task order
-            return [self.blocks[task_id] for task_id in range(len(self.plan))]
-        placed = (
-            (self.plan[task_id][0], block)
-            for task_id, block in self.blocks.items()
-        )
-        arrays = assemble_shard_blocks(self.grid, placed)
-        return finalize_sweep_result(self.grid, "cluster", self.ngpc, arrays)
+        self.states = [_PENDING] * len(tasks)
+        self.blocks: List[Optional[Dict[str, np.ndarray]]] = [None] * len(tasks)
+        self.remaining = len(tasks)
 
 
-def _block_placement(task: Tuple) -> Tuple:
-    """Synthesized whole-task placement for a raw block job.
-
-    The windows span each task axis fully, so
-    :func:`~repro.core.dse.shard_task_shape` — and with it
-    :meth:`ShardCoordinator._validate_block` — works on raw blocks
-    exactly as on :func:`~repro.core.dse.shard_plan` entries.
-    """
-    return (0, 0, tuple((0, len(axis)) for axis in task[2:]))
+def _is_index(value, limit: Optional[int] = None) -> bool:
+    """Whether ``value`` is a non-negative int (below ``limit``, if given)."""
+    return (
+        isinstance(value, int) and not isinstance(value, bool)
+        and value >= 0 and (limit is None or value < limit)
+    )
 
 
 class _Worker:
@@ -185,10 +170,10 @@ class ShardCoordinator:
 
     Create it, call :meth:`start` on a running loop (done by
     :func:`repro.service.http.start_http_server` when the coordinator is
-    mounted), submit sweeps with :meth:`submit` (from the loop) or
-    :meth:`sweep_blocking` (from any other thread — the
-    ``Session``/``SweepService`` executor path), and :meth:`close` to
-    fail pending jobs and tell polling workers to stop.
+    mounted), run sweeps with :meth:`sweep_blocking` (from any thread but
+    the loop's — the ``Session``/``SweepService`` executor path) or raw
+    block lists through a :class:`ClusterBlockRunner`, and :meth:`close`
+    to fail pending jobs and tell polling workers to stop.
     """
 
     #: content type of every handled body (read by the HTTP layer)
@@ -211,19 +196,12 @@ class ShardCoordinator:
         self.sweep_timeout_s = sweep_timeout_s
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._jobs: Dict[int, _Job] = {}
-        self._job_ids = itertools.count(1)
         self._queue: List[Tuple[int, int]] = []  # FIFO of (job_id, task_id)
         # (job_id, task_id) -> (worker_id, deadline, lease_start)
         self._leases: Dict[Tuple[int, int], Tuple[str, float, float]] = {}
         self._workers: Dict[str, _Worker] = {}
         self._work_cond: Optional[asyncio.Condition] = None
         self._reaper: Optional[asyncio.Task] = None
-        self._assembly_tasks: set = set()
-        # dedicated single thread for result assembly: the loop's default
-        # executor can be fully occupied by sweep_fn calls blocked in
-        # sweep_blocking (the SweepService dispatch path), and assembly
-        # queued behind them would deadlock the very futures they await
-        self._assembly_executor = None
         self._closing = False
         #: the live worker generation.  ``drain()`` bumps it: workers
         #: registered under an older generation get ``{stop: true}`` on
@@ -234,7 +212,7 @@ class ShardCoordinator:
         self.generation = 1
         self.drains = 0
         # counters served at /cluster/stats
-        self.jobs_submitted = 0
+        self.jobs_submitted = 0  # also the next job id
         self.jobs_completed = 0
         self.blocks_dispatched = 0
         self.blocks_completed = 0
@@ -273,9 +251,6 @@ class ShardCoordinator:
         if self._work_cond is not None:
             async with self._work_cond:
                 self._work_cond.notify_all()
-        if self._assembly_executor is not None:
-            self._assembly_executor.shutdown(wait=False)
-            self._assembly_executor = None
 
     # -- submission ----------------------------------------------------------
     @property
@@ -313,70 +288,21 @@ class ShardCoordinator:
 
     async def submit(
         self,
-        grid: SweepGrid,
-        ngpc: Optional[NGPCConfig] = None,
-        timeout_s: Optional[float] = None,
-        on_block: Optional[Callable] = None,
-    ) -> SweepResult:
-        """Distribute one sweep across the registered workers.
-
-        The grid is resolved against the job's base config exactly as
-        :func:`~repro.core.dse.sweep_grid` resolves it; the returned
-        result is assembled from worker blocks and finalized through
-        the same code path as a local evaluation.  ``on_block`` (if
-        given) is called as ``on_block(placement, block)`` on the
-        coordinator loop for every accepted block — the streaming
-        progress hook; listener exceptions never fail the sweep.
-        """
-        if self._closing:
-            raise BackendUnavailableError("shard coordinator is shut down")
-        if self._loop is None:
-            await self.start()
-        ngpc = ngpc if ngpc is not None else self.ngpc
-        resolved = grid.resolve(ngpc)
-        job = _Job(
-            job_id=next(self._job_ids),
-            grid=resolved,
-            ngpc=ngpc,
-            calibration=calibration_fingerprint(),
-            plan=self._plan(resolved),
-            future=self._loop.create_future(),
-            on_block=on_block,
-        )
-        self._jobs[job.job_id] = job
-        self.jobs_submitted += 1
-        self._queue.extend((job.job_id, t) for t in range(len(job.plan)))
-        async with self._work_cond:
-            self._work_cond.notify_all()
-        try:
-            if timeout_s is None:
-                return await job.future
-            return await asyncio.wait_for(job.future, timeout_s)
-        except asyncio.TimeoutError:
-            raise BackendUnavailableError(
-                f"distributed sweep did not complete within {timeout_s:g}s "
-                f"({job.remaining} of {len(job.plan)} blocks outstanding; "
-                f"are any workers alive?)"
-            )
-        finally:
-            self._evict(job)
-
-    async def submit_blocks(
-        self,
         tasks: List[Tuple],
         ngpc: Optional[NGPCConfig] = None,
         timeout_s: Optional[float] = None,
+        on_block: Optional[Callable] = None,
     ) -> List[Dict[str, np.ndarray]]:
-        """Lease a raw list of block tasks; blocks return in task order.
+        """Lease a list of block tasks; the blocks return in task order.
 
-        ``tasks`` are :func:`~repro.core.dse.evaluate_shard_task` work
-        units (e.g. from :func:`~repro.core.dse.selection_task`) — the
-        adaptive-exploration entry: refinement rounds ride the same
-        lease/expiry/validation machinery as full sweeps, so every
-        registered worker pulls refinement blocks too, and a worker
-        death mid-round re-queues its blocks instead of stalling the
-        round.  Lease timings feed the same throughput EWMAs that size
-        full-sweep blocks.
+        ``tasks`` are :func:`~repro.core.dse.evaluate_block` work units —
+        a sweep's :func:`~repro.core.dse.shard_plan` tasks or an adaptive
+        refinement round.  Every registered worker pulls them, a worker
+        death re-queues its blocks, and lease timings feed the
+        throughput EWMAs that size later sweeps.  ``on_block`` (if
+        given) is called as ``on_block(task_id, block)`` on the
+        coordinator loop for every accepted block — the streaming
+        progress hook; listener exceptions never fail the job.
         """
         if self._closing:
             raise BackendUnavailableError("shard coordinator is shut down")
@@ -384,18 +310,17 @@ class ShardCoordinator:
             await self.start()
         if not tasks:
             return []
-        ngpc = ngpc if ngpc is not None else self.ngpc
         job = _Job(
-            job_id=next(self._job_ids),
-            grid=None,
-            ngpc=ngpc,
+            job_id=self.jobs_submitted,
+            ngpc=ngpc if ngpc is not None else self.ngpc,
             calibration=calibration_fingerprint(),
-            plan=[(_block_placement(task), task) for task in tasks],
+            tasks=list(tasks),
             future=self._loop.create_future(),
+            on_block=on_block,
         )
         self._jobs[job.job_id] = job
         self.jobs_submitted += 1
-        self._queue.extend((job.job_id, t) for t in range(len(job.plan)))
+        self._queue.extend((job.job_id, t) for t in range(len(job.tasks)))
         async with self._work_cond:
             self._work_cond.notify_all()
         try:
@@ -404,29 +329,21 @@ class ShardCoordinator:
             return await asyncio.wait_for(job.future, timeout_s)
         except asyncio.TimeoutError:
             raise BackendUnavailableError(
-                f"distributed block round did not complete within "
-                f"{timeout_s:g}s ({job.remaining} of {len(job.plan)} blocks "
-                f"outstanding; are any workers alive?)"
+                f"distributed job did not complete within {timeout_s:g}s "
+                f"({job.remaining} of {len(job.tasks)} blocks outstanding; "
+                f"are any workers alive?)"
             )
         finally:
             self._evict(job)
 
-    def blocks_blocking(
-        self,
-        tasks: List[Tuple],
-        ngpc: Optional[NGPCConfig] = None,
-        timeout_s=_UNSET_TIMEOUT,
-    ) -> List[Dict[str, np.ndarray]]:
-        """Thread-safe blocking :meth:`submit_blocks` (executor-path entry)."""
+    def _call(self, coro_factory):
+        """Run a coroutine on the coordinator loop; block for its result."""
         if self._loop is None:
             raise BackendUnavailableError(
                 "shard coordinator is not started (no event loop)"
             )
-        if timeout_s is _UNSET_TIMEOUT:
-            timeout_s = self.sweep_timeout_s
         return asyncio.run_coroutine_threadsafe(
-            self.submit_blocks(tasks, ngpc=ngpc, timeout_s=timeout_s),
-            self._loop,
+            coro_factory(), self._loop
         ).result()
 
     def _evict(self, job: _Job) -> None:
@@ -443,33 +360,37 @@ class ShardCoordinator:
         timeout_s=_UNSET_TIMEOUT,
         on_block: Optional[Callable] = None,
     ) -> SweepResult:
-        """Thread-safe blocking :meth:`submit` (the executor-path entry).
+        """Distribute one sweep across the workers (the cluster's entry).
 
-        This is the ``sweep_fn`` shape :class:`~repro.service.SweepService`
-        dispatches to from its executor thread, putting the service's
-        single-flight coalescing and LRU in front of the cluster — so
-        identical sweeps issued by many clients (or many hosts, through
-        one ``repro serve``) share one distributed evaluation.  An
-        unspecified ``timeout_s`` falls back to the coordinator's
-        ``sweep_timeout_s``, so a served sweep with no live workers
-        fails structured instead of parking an executor thread forever;
-        pass ``None`` explicitly to wait without bound.
+        Called from any thread but the coordinator loop's — it is the
+        ``sweep_fn`` shape :class:`~repro.service.SweepService` dispatches
+        to from its executor thread, putting the service's single-flight
+        coalescing and LRU in front of the cluster.  The grid is resolved
+        against the job's base config exactly as
+        :func:`~repro.core.dse.sweep_grid` resolves it, planned on the
+        loop from observed worker throughput, and run through
+        :func:`~repro.core.dse.run_plan`, so it is assembled and finalized
+        on this thread by the same code as a local evaluation.
+        ``on_block(placement, block)`` is the streaming progress hook.
+        An unspecified ``timeout_s`` falls back to the coordinator's
+        ``sweep_timeout_s``, so a sweep with no live workers fails
+        structured instead of parking the thread forever; pass ``None``
+        explicitly to wait without bound.
         """
-        if self._loop is None:
-            raise BackendUnavailableError(
-                "shard coordinator is not started (no event loop)"
-            )
-        if timeout_s is _UNSET_TIMEOUT:
-            timeout_s = self.sweep_timeout_s
-        return asyncio.run_coroutine_threadsafe(
-            self.submit(grid, ngpc=ngpc, timeout_s=timeout_s,
-                        on_block=on_block),
-            self._loop,
-        ).result()
+        ngpc = ngpc if ngpc is not None else self.ngpc
+        resolved = grid.resolve(ngpc)
+
+        async def plan():
+            return self._plan(resolved)
+
+        return run_plan(
+            resolved, self._call(plan),
+            ClusterBlockRunner(self, ngpc, timeout_s), "cluster", ngpc,
+            on_block,
+        )
 
     def sweep_fn(self, grid, engine: str = "cluster",
                  ngpc: Optional[NGPCConfig] = None,
-                 max_workers: Optional[int] = None,
                  on_block: Optional[Callable] = None) -> SweepResult:
         """Drop-in ``sweep_fn`` for :class:`SweepService` (engine ignored)."""
         return self.sweep_blocking(grid, ngpc=ngpc, on_block=on_block)
@@ -535,7 +456,7 @@ class ShardCoordinator:
                     return {
                         "job_id": job_id,
                         "task_id": task_id,
-                        "task": job.plan[task_id][1],
+                        "task": job.tasks[task_id],
                         "ngpc": job.ngpc,
                         "calibration": job.calibration,
                     }
@@ -553,7 +474,17 @@ class ShardCoordinator:
             raise ServiceError(404, "unknown-worker", "worker is not registered")
         worker.last_seen = self._loop.time()
         job_id, task_id = payload.get("job_id"), payload.get("task_id")
-        job = self._jobs.get(job_id)
+        issued = _is_index(job_id, self.jobs_submitted)
+        job = self._jobs.get(job_id) if issued else None
+        n_tasks = len(job.tasks) if job is not None else None
+        if not issued or not _is_index(task_id, n_tasks):
+            # a malformed reference must touch no block: it would skip
+            # the lease gate below, or break the job it names
+            raise ServiceError(
+                400, "bad-completion",
+                f"job_id {job_id!r} / task_id {task_id!r} does not name a "
+                f"block of a submitted job",
+            )
         if job is None or job.states[task_id] == _DONE:
             # evicted job or a re-leased block that finished elsewhere
             self.stale_completions += 1
@@ -592,7 +523,7 @@ class ShardCoordinator:
             raise
         self._leases.pop((job_id, task_id), None)
         if lease is not None:  # the gate above ensured it is ours
-            n_points = int(np.prod(shard_task_shape(job.plan[task_id][0])))
+            n_points = int(np.prod(task_shape(job.tasks[task_id])))
             worker.observe(n_points, self._loop.time() - lease[2])
         job.states[task_id] = _DONE
         job.blocks[task_id] = block
@@ -601,40 +532,18 @@ class ShardCoordinator:
         self.blocks_completed += 1
         if job.on_block is not None:
             try:
-                job.on_block(job.plan[task_id][0], block)
+                job.on_block(task_id, block)
             except Exception:
-                pass  # a progress listener must never fail the sweep
+                pass  # a progress listener must never fail the job
         if job.remaining == 0:
             self.jobs_completed += 1
-            # assemble off the loop: scattering + the cost-array batch on
-            # a 50k+-point grid would otherwise stall every lease poll and
-            # JSON query sharing this event loop
-            task = self._loop.create_task(self._finish_job(job))
-            self._assembly_tasks.add(task)
-            task.add_done_callback(self._assembly_tasks.discard)
+            if not job.future.done():
+                job.future.set_result(job.blocks)
         return {"ok": True, "accepted": True}
-
-    async def _finish_job(self, job: _Job) -> None:
-        import concurrent.futures
-
-        if self._assembly_executor is None:
-            self._assembly_executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-cluster-assemble"
-            )
-        try:
-            result = await self._loop.run_in_executor(
-                self._assembly_executor, job.assemble
-            )
-        except Exception as exc:  # assembly bug: fail loudly
-            if not job.future.done():
-                job.future.set_exception(exc)
-        else:
-            if not job.future.done():
-                job.future.set_result(result)
 
     def _validate_block(self, job: _Job, task_id: int, block) -> None:
         """Reject (and re-queue) a malformed block before it poisons a job."""
-        expected = shard_task_shape(job.plan[task_id][0])
+        expected = task_shape(job.tasks[task_id])
         try:
             if not isinstance(block, dict):
                 raise ValueError(f"block must be a dict, got {type(block).__name__}")
@@ -807,3 +716,34 @@ class ShardCoordinator:
             },
             "lease_timeout_s": self.lease_timeout_s,
         }
+
+
+class ClusterBlockRunner:
+    """Lease block tasks to a coordinator's workers.
+
+    The cluster implementation of :func:`~repro.core.dse.run_plan`'s
+    runner contract: ``evaluate(tasks, on_block)`` submits the tasks as
+    one job from the calling thread and blocks until every block is
+    back (in task order), relaying ``on_block(index, block)`` from the
+    coordinator loop as blocks land.  :meth:`ShardCoordinator.
+    sweep_blocking` runs sweeps through it, and the
+    :class:`~repro.api.backends.DistributedBackend` hands one to the
+    adaptive explorer.  ``timeout_s`` left unset falls back to the
+    coordinator's ``sweep_timeout_s``.
+    """
+
+    def __init__(self, coordinator: ShardCoordinator,
+                 ngpc: Optional[NGPCConfig] = None,
+                 timeout_s=_UNSET_TIMEOUT):
+        self.coordinator = coordinator
+        self.ngpc = ngpc
+        self.timeout_s = timeout_s
+
+    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Tuple[Dict, bool]]:
+        timeout_s = self.timeout_s
+        if timeout_s is _UNSET_TIMEOUT:
+            timeout_s = self.coordinator.sweep_timeout_s
+        blocks = self.coordinator._call(lambda: self.coordinator.submit(
+            tasks, ngpc=self.ngpc, timeout_s=timeout_s, on_block=on_block,
+        ))
+        return [(block, False) for block in blocks]

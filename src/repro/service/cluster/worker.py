@@ -5,13 +5,12 @@ connects to a coordinator-serving instance (``repro serve --engine
 cluster`` or an embedded :class:`~repro.api.DistributedBackend`):
 
 1. **register** — receives its worker id plus the coordinator's
-   calibration constants and base config, installed once via
-   :func:`repro.core.dse.install_worker_state` (the multi-host
-   equivalent of the process-pool initializer);
+   calibration constants, installed once via
+   :func:`repro.core.dse.install_worker_state`;
 2. **lease** — long-polls ``/cluster/lease``; an empty poll loops, a
-   task is evaluated with the vectorized block path
-   (:func:`repro.core.dse.evaluate_shard_task`) after reinstalling
-   calibration if the job's generation changed;
+   task is evaluated with the job's base config through the vectorized
+   block path (:func:`repro.core.dse.evaluate_block`) after
+   reinstalling calibration if the job's generation changed;
 3. **complete** — streams the dense float64 block arrays back as one
    binary frame body (:mod:`repro.transport` — zero-copy columns, no
    pickle anywhere on the wire) and immediately polls for the next
@@ -37,7 +36,7 @@ import socket
 import time
 from typing import Dict, Optional
 
-from repro.core.dse import evaluate_shard_task, install_worker_state
+from repro.core.dse import evaluate_block, install_worker_state
 from repro.errors import BackendUnavailableError
 from repro.service.errors import ServiceError
 from repro.transport import FRAME_CONTENT_TYPE, decode_message, encode_message
@@ -122,7 +121,7 @@ def run_worker(
     """
     client = ClusterClient(host, port)
     worker_id = None
-    installed = None  # (calibration, ngpc) currently live in this process
+    installed = None  # the calibration currently live in this process
     idle_since = time.monotonic()
     failures = 0
     blocks = 0
@@ -134,9 +133,8 @@ def run_worker(
                         "host": socket.gethostname(), "pid": os.getpid(),
                     })
                     worker_id = registration["worker_id"]
-                    installed = (registration["calibration"],
-                                 registration["ngpc"])
-                    install_worker_state(*installed)
+                    installed = registration["calibration"]
+                    install_worker_state(installed)
                     log(f"repro worker: registered as {worker_id[:8]} "
                         f"with http://{host}:{port}", flush=True)
                 lease = client.call("/cluster/lease", {"worker_id": worker_id})
@@ -171,13 +169,14 @@ def run_worker(
                 "task_id": lease["task_id"],
             }
             try:
-                generation = (lease["calibration"], lease["ngpc"])
-                if generation != installed:  # new calibration generation
-                    install_worker_state(*generation)
-                    installed = generation
+                if lease["calibration"] != installed:  # new generation
+                    install_worker_state(lease["calibration"])
+                    installed = lease["calibration"]
                 if block_delay_s:
                     time.sleep(block_delay_s)
-                completion["arrays"] = evaluate_shard_task(lease["task"])
+                completion["arrays"] = evaluate_block(
+                    lease["task"], lease["ngpc"]
+                )
             except Exception as exc:
                 # report the failure instead of dying: an unreported crash
                 # would re-lease the same poison block around the cluster

@@ -16,11 +16,12 @@ properties make it safe to put in front of many concurrent users:
   one underlying :func:`~repro.core.dse.sweep_grid` evaluation runs no
   matter how many clients ask (``tests/test_service.py`` asserts 32
   concurrent requests -> 1 evaluation on a 10k-point grid).
-- **Off-loop evaluation.**  The evaluation runs in an executor thread,
-  and with the default ``"auto"``/``"process"`` engines the heavy grid
-  math runs in the existing block-sharded process pool — the event loop
-  keeps serving cached queries (< 50 ms, gated by
-  ``benchmarks/bench_service.py``) while a 50k-point sweep is cold.
+- **Off-loop evaluation.**  The evaluation runs block by block
+  (:func:`~repro.core.dse.run_plan`) in an executor thread — the event
+  loop keeps serving cached queries (< 50 ms, gated by
+  ``benchmarks/bench_service.py``) while a 50k-point sweep is cold, and
+  every landed block feeds the sweep's streaming progress.  More cores
+  and hosts are the shard cluster's job (``sweep_fn``).
 - **Persistent disk tier (optional).**  Pass ``store=`` (a
   :class:`~repro.store.ResultStore` or a directory path) to slot the
   content-addressed persistent store *under* the RAM LRU: a RAM miss
@@ -47,37 +48,29 @@ import inspect
 import threading
 from typing import AsyncIterator, Dict, Hashable, List, Optional, Set, Union
 
-from repro.core.cache import ModelCache, calibration_fingerprint
+from repro.core.cache import ModelCache
 from repro.core.dse import (
     _ENGINES,
     PAYLOAD_SCHEMA_VERSION,
     AmbiguousAxisError,
     DesignPoint,
     EmulationResult,
+    LocalBlockRunner,
     SweepGrid,
     SweepResult,
-    _resolve_engine,
-    _TIMING_FIELDS,
-    assemble_shard_blocks,
-    finalize_sweep_result,
-    shard_plan,
+    run_plan,
+    stream_plan,
     sweep_fingerprint,
     sweep_grid,
-    task_batch_kwargs,
 )
 from repro.core.config import NGPCConfig
-from repro.core.emulator import emulate_batch
 from repro.errors import InfeasibleQueryError
-from repro.explore import (
-    AdaptiveExplorer,
-    ExplorationStats,
-    LocalBlockRunner,
-    StoreBlockRunner,
-)
+from repro.explore import AdaptiveExplorer, ExplorationStats
 from repro.service.errors import ServiceError, as_service_error
 from repro.service.progress import SweepProgress
 from repro.store import (
     ResultStore,
+    StoreBlockRunner,
     evaluate_with_block_cache,
     new_tier_counters,
 )
@@ -86,12 +79,6 @@ GridLike = Union[SweepGrid, Dict, None]
 
 #: finished SweepProgress entries retained for late /stats // long-poll reads
 _PROGRESS_RETAIN = 8
-
-#: blockwise streaming targets: up to this many windows per (app, scheme)
-#: pair, but never blocks smaller than this many points (tiny grids would
-#: otherwise drown in per-block dispatch overhead)
-_STREAM_WINDOWS = 32
-_STREAM_MIN_BLOCK = 256
 
 
 class _Inflight:
@@ -203,10 +190,9 @@ class SweepService:
 
     def __init__(
         self,
-        engine: str = "auto",
+        engine: str = "vectorized",
         ngpc: Optional[NGPCConfig] = None,
         max_cached_sweeps: int = 32,
-        max_workers: Optional[int] = None,
         sweep_fn=None,
         store: Union[ResultStore, str, None] = None,
         explore: str = "exhaustive",
@@ -232,7 +218,6 @@ class SweepService:
         self.explore = explore
         self.engine = engine
         self.ngpc = ngpc
-        self.max_workers = max_workers
         self._sweep_fn = sweep_fn or sweep_grid
         if isinstance(store, str):
             store = ResultStore(store)
@@ -407,12 +392,12 @@ class SweepService:
         persisted whole, so even cluster-evaluated sweeps restart warm).
 
         Every compute path feeds ``progress`` per completed block
-        (``progress.record`` is thread-safe): the store tier through
-        :func:`evaluate_with_block_cache`'s hooks, the built-in local
-        path through :meth:`_sweep_blockwise`, and an injected
-        ``sweep_fn`` whenever it accepts an ``on_block`` keyword (the
-        shard coordinator's does); a sweep_fn without the keyword still
-        works — its sweep just reports no partial progress.
+        (``progress.record`` is thread-safe): the built-in paths run a
+        window-major block plan through :func:`~repro.core.dse.run_plan`
+        (store-tiered when a store is attached), and an injected
+        ``sweep_fn`` reports whenever it accepts an ``on_block`` keyword
+        (the shard coordinator's does); a sweep_fn without the keyword
+        still works — its sweep just reports no partial progress.
         """
         if self.store is not None:
             persisted = self.store.load_sweep(key)
@@ -427,115 +412,21 @@ class SweepService:
                     self.store, grid, ngpc=self.ngpc, counters=self.tier,
                     on_block=progress.record, on_plan=progress.set_plan,
                 )
-            return self._sweep_blockwise(grid, progress)
+            plan = stream_plan(grid)
+            progress.set_plan(len(plan))
+            return run_plan(
+                grid, plan, LocalBlockRunner(self.ngpc, self.engine),
+                self.engine, self.ngpc, on_block=progress.record,
+            )
         kwargs = {}
         if "on_block" in inspect.signature(self._sweep_fn).parameters:
             kwargs["on_block"] = progress.record
         result = self._sweep_fn(
-            grid,
-            engine=self.engine,
-            ngpc=self.ngpc,
-            max_workers=self.max_workers,
-            **kwargs,
+            grid, engine=self.engine, ngpc=self.ngpc, **kwargs
         )
         if self.store is not None:
             self.store.save_sweep(key, result)
         return result
-
-    def _sweep_blockwise(
-        self, grid: SweepGrid, progress: SweepProgress
-    ) -> SweepResult:
-        """Built-in local evaluation with per-block streaming progress.
-
-        Evaluates the same value-keyed blocks the ``"process"`` engine
-        shards (:func:`~repro.core.dse.shard_plan`), ordered
-        window-major — each configuration window across every
-        (app, scheme) pair before the next window — so the first fully
-        covered windows, and hence the first exact partial Pareto
-        points, land after ``apps x schemes`` blocks rather than at the
-        very end.  Assembly and finalization are exactly
-        ``sweep_grid``'s, so the dense result is bit-identical to the
-        unstreamed path; the ``"scalar"`` reference engine (a debugging
-        tool, not a serving engine) falls through to plain
-        ``sweep_grid`` and simply reports no partial progress.
-        """
-        engine = _resolve_engine(self.engine, grid)
-        if engine == "scalar" or grid.size == 0:
-            return sweep_grid(
-                grid, engine=self.engine, ngpc=self.ngpc,
-                max_workers=self.max_workers,
-            )
-        n_pairs = max(1, len(grid.apps) * len(grid.schemes))
-        windows = max(
-            1,
-            min(_STREAM_WINDOWS, grid.size // (_STREAM_MIN_BLOCK * n_pairs)),
-        )
-        plan = sorted(
-            shard_plan(grid, windows * n_pairs),
-            key=lambda entry: (entry[0][2], entry[0][0], entry[0][1]),
-        )
-        progress.set_plan(len(plan))
-        if engine == "process":
-            placed = self._blocks_process(grid, plan, progress)
-        else:
-            placed = []
-            for placement, task in plan:
-                app, scheme, scales, pixels = task[:4]
-                block = emulate_batch(
-                    app, scheme, scales, pixels, self.ngpc,
-                    **task_batch_kwargs(task),
-                )
-                block = {
-                    name: block[name]
-                    for name in _TIMING_FIELDS + ("amdahl_bound",)
-                }
-                progress.record(placement, block)
-                placed.append((placement, block))
-        return finalize_sweep_result(
-            grid, engine, self.ngpc, assemble_shard_blocks(grid, placed)
-        )
-
-    def _blocks_process(
-        self, grid: SweepGrid, plan, progress: SweepProgress
-    ):
-        """The pool variant of the blockwise path (``"process"`` engine).
-
-        Mirrors :func:`~repro.core.dse._arrays_process` — same
-        initializer, same degradation to in-process evaluation when the
-        platform has no usable fork/spawn — but collects blocks
-        ``as_completed`` so progress streams while the pool runs.
-        """
-        import concurrent.futures
-        import os
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.core.dse import _evaluate_block, _init_sweep_worker
-
-        calibration = calibration_fingerprint()
-        placed = []
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers or os.cpu_count() or 1,
-                initializer=_init_sweep_worker,
-                initargs=(calibration, self.ngpc, grid.schemes),
-            ) as pool:
-                futures = {
-                    pool.submit(_evaluate_block, task): placement
-                    for placement, task in plan
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    block = future.result()
-                    placement = futures[future]
-                    progress.record(placement, block)
-                    placed.append((placement, block))
-        except (OSError, BrokenProcessPool):  # no usable fork/spawn: degrade
-            _init_sweep_worker(calibration, self.ngpc, ())
-            placed = []
-            for placement, task in plan:
-                block = _evaluate_block(task)
-                progress.record(placement, block)
-                placed.append((placement, block))
-        return placed
 
     # -- streaming -----------------------------------------------------------
     async def _cached_stream_events(

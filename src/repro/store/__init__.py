@@ -14,6 +14,9 @@ replica mounting one directory:
   :class:`~repro.service.SweepService` via ``SweepService(store=...)``
   and under the local backend via ``Session(store=...)`` /
   ``repro serve --store DIR``.
+- :class:`StoreBlockRunner` — the persistent tier as a block runner
+  (cached blocks are free), decorating the in-process runner for the
+  store ladder and the adaptive explorer.
 
 Wire format and keys are shared with the rest of the stack:
 :func:`~repro.core.dse.sweep_fingerprint` and
@@ -36,6 +39,7 @@ from repro.store.result_store import (
 from repro.store.tiered import (
     STORE_ENGINE,
     TIER_COUNTERS,
+    StoreBlockRunner,
     evaluate_with_block_cache,
     new_tier_counters,
     sweep_with_store,
@@ -45,6 +49,7 @@ __all__ = [
     "BLOCK_ARRAY_FIELDS",
     "ResultStore",
     "STORE_ENGINE",
+    "StoreBlockRunner",
     "StoreCorruptionWarning",
     "StoreIntegrityError",
     "TIER_COUNTERS",

@@ -10,11 +10,10 @@ The evaluation ladder, cheapest rung first:
    :func:`~repro.core.dse.store_block_plan` into value-keyed blocks;
    every block already persisted (by *any* previous sweep whose
    hypercube covers it) is loaded, and only the missing blocks
-   evaluate, vectorized, before
-   :func:`~repro.core.dse.finalize_sweep_result` assembles the dense
-   result — bit-identical to a from-scratch evaluation, because block
-   arithmetic is the same elementwise NumPy broadcasting on the same
-   values.
+   evaluate, vectorized, before :func:`~repro.core.dse.run_plan`
+   assembles the dense result — bit-identical to a from-scratch
+   evaluation, because block arithmetic is the same elementwise NumPy
+   broadcasting on the same values.
 4. **Evaluate** — a fully cold grid evaluates block by block (so the
    *next* overlapping sweep starts at rung 3) and the assembled sweep
    is persisted whole (so an identical sweep restarts at rung 2).
@@ -27,24 +26,22 @@ granularity) — the numbers behind the service's tiered ``/stats``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
     _SWEEP_CACHE,
     _SWEEP_CACHE_MAX_POINTS,
-    _TIMING_FIELDS,
+    LocalBlockRunner,
     SweepGrid,
     SweepResult,
-    assemble_shard_blocks,
     block_fingerprint,
-    finalize_sweep_result,
-    shard_task_shape,
+    run_plan,
     store_block_plan,
     sweep_fingerprint,
-    task_batch_kwargs,
+    task_shape,
+    window_major,
 )
-from repro.core.emulator import emulate_batch
 from repro.store.result_store import ResultStore
 
 #: engine label stamped on results assembled through the store tier
@@ -71,6 +68,57 @@ def _bump(counters: Optional[Dict[str, int]], name: str, n: int = 1) -> None:
         counters[name] = counters.get(name, 0) + n
 
 
+class StoreBlockRunner:
+    """Persistent-store tier over another block runner.
+
+    Hits load memory-mapped from the store (flagged cached, reported
+    first); misses evaluate through ``inner`` and are persisted as each
+    one lands, so a crash mid-sweep still banks the blocks already
+    evaluated and re-running the same work — even in a fresh process —
+    reuses every block.  ``counters`` (optional) accumulates the
+    ``blocks_total``/``blocks_cached``/``blocks_evaluated`` tier
+    counters.
+    """
+
+    def __init__(self, inner, store: ResultStore,
+                 ngpc: Optional[NGPCConfig] = None,
+                 counters: Optional[Dict[str, int]] = None):
+        self.inner = inner
+        self.store = store
+        self.ngpc = ngpc
+        self.counters = counters
+
+    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Tuple[Dict, bool]]:
+        out: List[Optional[Tuple[Dict, bool]]] = [None] * len(tasks)
+        keys = [block_fingerprint(task, self.ngpc) for task in tasks]
+        missing = []
+        for index, task in enumerate(tasks):
+            block = self.store.load_block(keys[index], task_shape(task))
+            if block is None:
+                missing.append(index)
+                continue
+            out[index] = (block, True)
+            if on_block is not None:
+                on_block(index, block)
+        _bump(self.counters, "blocks_total", len(tasks))
+        _bump(self.counters, "blocks_cached", len(tasks) - len(missing))
+
+        def landed(k, block):
+            index = missing[k]
+            self.store.save_block(keys[index], block)
+            _bump(self.counters, "blocks_evaluated")
+            if on_block is not None:
+                on_block(index, block)
+
+        if missing:
+            evaluated = self.inner.evaluate(
+                [tasks[index] for index in missing], landed
+            )
+            for index, result in zip(missing, evaluated):
+                out[index] = result
+        return out
+
+
 def evaluate_with_block_cache(
     store: ResultStore,
     grid: SweepGrid,
@@ -81,53 +129,28 @@ def evaluate_with_block_cache(
 ) -> SweepResult:
     """Evaluate ``grid`` reusing persisted blocks; persist the delta.
 
-    ``grid`` must be resolved.  Cached blocks are loaded memory-mapped;
-    missing blocks evaluate vectorized in-process (one
-    :func:`~repro.core.emulator.emulate_batch` call each) and are
-    persisted before assembly, so a crash mid-sweep still banks the
-    blocks already evaluated.  The assembled sweep is persisted whole
-    under its sweep fingerprint.
+    ``grid`` must be resolved.  The :func:`~repro.core.dse.store_block_plan`
+    runs through a :class:`StoreBlockRunner` over the in-process runner:
+    cached blocks load memory-mapped, missing blocks evaluate vectorized
+    and are persisted as they land.  The assembled sweep is persisted
+    whole under its sweep fingerprint.
 
     ``on_plan(n_blocks)`` / ``on_block(placement, block)`` are optional
     streaming hooks: the plan size is announced up front, then every
     block — cached or freshly evaluated — is reported as it lands, which
     is what feeds a service's partial-front stream.  With ``on_block``
-    set, blocks are processed window-major (each configuration window
-    across all (app, scheme) pairs before the next window), so the first
-    fully covered windows — and hence the first exact partial Pareto
-    points — arrive as early as possible; the value-keyed store makes
-    the order otherwise irrelevant.
+    set, the plan is walked window-major
+    (:func:`~repro.core.dse.window_major`) so the first exact partial
+    Pareto points arrive as early as possible; the value-keyed store
+    makes the order otherwise irrelevant.
     """
     plan = store_block_plan(grid)
     if on_block is not None:
-        plan = sorted(
-            plan, key=lambda entry: (entry[0][2], entry[0][0], entry[0][1])
-        )
+        plan = window_major(plan)
     if on_plan is not None:
         on_plan(len(plan))
-    _bump(counters, "blocks_total", len(plan))
-    placed = []
-    for placement, task in plan:
-        key = block_fingerprint(task, ngpc)
-        block = store.load_block(key, shard_task_shape(placement))
-        if block is not None:
-            _bump(counters, "blocks_cached")
-        else:
-            app, scheme, scales, pixels = task[:4]
-            evaluated = emulate_batch(
-                app, scheme, scales, pixels, ngpc,
-                **task_batch_kwargs(task),
-            )
-            block = {name: evaluated[name] for name in _TIMING_FIELDS}
-            block["amdahl_bound"] = evaluated["amdahl_bound"]
-            store.save_block(key, block)
-            _bump(counters, "blocks_evaluated")
-        placed.append((placement, block))
-        if on_block is not None:
-            on_block(placement, block)
-    result = finalize_sweep_result(
-        grid, STORE_ENGINE, ngpc, assemble_shard_blocks(grid, placed)
-    )
+    runner = StoreBlockRunner(LocalBlockRunner(ngpc), store, ngpc, counters)
+    result = run_plan(grid, plan, runner, STORE_ENGINE, ngpc, on_block)
     store.save_sweep(sweep_fingerprint(grid, ngpc), result)
     return result
 

@@ -48,8 +48,15 @@ class TestDseCommand:
         assert "engine=scalar" in capsys.readouterr().out
 
     def test_rejects_bad_engine(self):
-        with pytest.raises(SystemExit):
-            main(["dse", "--engine", "gpu"])
+        # the removed pool engines are as unknown as a made-up one
+        for engine in ("gpu", "process", "auto"):
+            with pytest.raises(SystemExit):
+                main(["dse", "--engine", engine])
+            with pytest.raises(SystemExit):
+                main(["serve", "--engine", engine])
+        # --workers used to size the pool; it now only spawns cluster workers
+        with pytest.raises(SystemExit, match="--engine cluster only"):
+            main(["serve", "--workers", "2"])
 
     @pytest.mark.parametrize("fps", ("0", "-5"))
     def test_rejects_non_positive_fps(self, fps):

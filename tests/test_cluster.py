@@ -44,6 +44,28 @@ CLUSTER_GRID = SweepGrid(
 )
 
 
+def _submit_plan(coordinator, grid):
+    """Queue ``grid``'s shard plan as one job (call on the loop).
+
+    Returns ``(plan, job)``; the job resolves to the blocks in plan
+    order, which :func:`_assemble` scatters into dense arrays.
+    """
+    plan = coordinator._plan(grid.resolve())
+    job = asyncio.ensure_future(
+        coordinator.submit([task for _, task in plan])
+    )
+    return plan, job
+
+
+def _assemble(grid, plan, blocks):
+    from repro.core.dse import assemble_shard_blocks
+
+    return assemble_shard_blocks(
+        grid.resolve(),
+        [(placement, block) for (placement, _), block in zip(plan, blocks)],
+    )
+
+
 @pytest.fixture(scope="module")
 def cluster_backend():
     """One live 2-worker cluster shared by the read-only tests."""
@@ -276,10 +298,11 @@ class TestRejectedBlocks:
         """A shape-drifted completion must not stall the sweep: the block
         goes back on the queue and parked long-pollers wake immediately
         (not after their poll timeout)."""
-        from repro.core.dse import evaluate_shard_task, install_worker_state
-        from repro.core.cache import calibration_fingerprint
+        from repro.core.dse import evaluate_block
         from repro.service.cluster import ShardCoordinator
         from repro.service.errors import ServiceError
+
+        grid = SweepGrid(apps=("nerf",), scale_factors=(8, 16))
 
         async def run():
             # long poll_timeout: if the wake-on-requeue notify were
@@ -288,14 +311,11 @@ class TestRejectedBlocks:
             await coordinator.start()
             good = coordinator._register({})["worker_id"]
             bad = coordinator._register({})["worker_id"]
-            install_worker_state(calibration_fingerprint(), None)
-            job = asyncio.ensure_future(coordinator.submit(
-                SweepGrid(apps=("nerf",), scale_factors=(8, 16))
-            ))
+            plan, job = _submit_plan(coordinator, grid)
             await asyncio.sleep(0)
             lease = await coordinator._lease({"worker_id": bad})
             with pytest.raises(ServiceError, match="rejected block"):
-                arrays = evaluate_shard_task(lease["task"])
+                arrays = evaluate_block(lease["task"])
                 del arrays["accelerated_ms"]  # schema drift
                 await coordinator._complete({
                     "worker_id": bad, "job_id": lease["job_id"],
@@ -311,26 +331,23 @@ class TestRejectedBlocks:
                     await coordinator._complete({
                         "worker_id": good, "job_id": lease["job_id"],
                         "task_id": lease["task_id"],
-                        "arrays": evaluate_shard_task(lease["task"]),
+                        "arrays": evaluate_block(lease["task"]),
                     })
             drainer = asyncio.ensure_future(drain())
-            result = await asyncio.wait_for(job, timeout=10.0)
+            blocks = await asyncio.wait_for(job, timeout=10.0)
             drainer.cancel()
             try:
                 await drainer
             except asyncio.CancelledError:
                 pass
             await coordinator.close()
-            return result, coordinator.stats()
+            return _assemble(grid, plan, blocks), coordinator.stats()
 
-        result, stats = asyncio.run(run())
-        assert result.engine == "cluster"
+        arrays, stats = asyncio.run(run())
         assert stats["jobs"]["completed"] == 1
-        local = Session.local(engine="vectorized").sweep(
-            SweepGrid(apps=("nerf",), scale_factors=(8, 16))
-        ).result
-        np.testing.assert_allclose(
-            result.accelerated_ms, local.accelerated_ms, rtol=RTOL, atol=0.0
+        local = Session.local(engine="vectorized").sweep(grid).result
+        np.testing.assert_array_equal(
+            arrays["accelerated_ms"], local.accelerated_ms
         )
 
 
@@ -340,8 +357,7 @@ class TestLateCompletions:
         not double-count the block, clobber the new holder's lease, or —
         for a late *error* report — poison the job.  Both late shapes are
         counted no-ops (``late_completions``); the current holder wins."""
-        from repro.core.dse import evaluate_shard_task, install_worker_state
-        from repro.core.cache import calibration_fingerprint
+        from repro.core.dse import evaluate_block
         from repro.service.cluster import ShardCoordinator
 
         grid = SweepGrid(apps=("nerf",), scale_factors=(8,))
@@ -353,15 +369,14 @@ class TestLateCompletions:
             await coordinator.start()
             slow = coordinator._register({})["worker_id"]
             fast = coordinator._register({})["worker_id"]
-            install_worker_state(calibration_fingerprint(), None)
-            job = asyncio.ensure_future(coordinator.submit(grid))
+            plan, job = _submit_plan(coordinator, grid)
             await asyncio.sleep(0)
 
             # the slow worker takes the (single) block, then stalls past
             # the lease timeout; the reaper re-queues the block
             stalled = await coordinator._lease({"worker_id": slow})
             assert "task" in stalled
-            arrays = evaluate_shard_task(stalled["task"])
+            arrays = evaluate_block(stalled["task"])
             deadline = asyncio.get_running_loop().time() + 5.0
             release = None
             while release is None or "task" not in release:
@@ -395,16 +410,15 @@ class TestLateCompletions:
             reply = await coordinator._complete({
                 "worker_id": fast, "job_id": release["job_id"],
                 "task_id": release["task_id"],
-                "arrays": evaluate_shard_task(release["task"]),
+                "arrays": evaluate_block(release["task"]),
             })
             assert reply["accepted"] is True
-            result = await asyncio.wait_for(job, timeout=10.0)
+            blocks = await asyncio.wait_for(job, timeout=10.0)
             stats = coordinator.stats()
             await coordinator.close()
-            return result, stats
+            return _assemble(grid, plan, blocks), stats
 
-        result, stats = asyncio.run(run())
-        assert result.engine == "cluster"
+        arrays, stats = asyncio.run(run())
         blocks = stats["blocks"]
         assert blocks["late_completions"] == 2
         assert blocks["completed"] == 1
@@ -412,8 +426,76 @@ class TestLateCompletions:
         assert stats["jobs"]["completed"] == 1
         local = Session.local(engine="vectorized").sweep(grid).result
         np.testing.assert_array_equal(
-            result.accelerated_ms, local.accelerated_ms
+            arrays["accelerated_ms"], local.accelerated_ms
         )
+
+
+class TestCompletionReferences:
+    @pytest.mark.parametrize("field", ("task_id", "job_id"))
+    def test_out_of_range_reference_is_a_structured_400(self, field):
+        """A completion naming no block of the job (``-1``, one past the
+        end, ``None``) is rejected with a structured 400 before it can
+        mark a block done, skip the lease gate or break the job — and the
+        job still finishes bit-identically afterwards."""
+        from repro.core.dse import evaluate_block, shard_plan
+        from repro.service.cluster import ShardCoordinator
+        from repro.transport import decode_message, encode_message
+
+        grid = SweepGrid(apps=("nerf",), scale_factors=(8, 16)).resolve()
+        plan = shard_plan(grid, 2)
+        tasks = [task for _, task in plan]
+        assert len(tasks) == 2
+
+        async def run():
+            coordinator = ShardCoordinator(poll_timeout_s=1.0)
+            await coordinator.start()
+            worker = coordinator._register({})["worker_id"]
+            job = asyncio.ensure_future(coordinator.submit(tasks))
+            await asyncio.sleep(0)
+            lease = await coordinator._lease({"worker_id": worker})
+            arrays = evaluate_block(lease["task"])
+            rejected = []
+            for bad in (-1, len(tasks), None):
+                completion = {
+                    "worker_id": worker, "job_id": lease["job_id"],
+                    "task_id": lease["task_id"], "arrays": arrays,
+                }
+                completion[field] = bad
+                status, body = await coordinator.handle_http(
+                    "POST", "/cluster/complete", encode_message(completion)
+                )
+                rejected.append((status, decode_message(body)))
+            stats = coordinator.stats()
+            # the genuine completions still land and finish the job
+            while not job.done():
+                lease = await coordinator._lease({"worker_id": worker})
+                if "task" not in lease:
+                    continue
+                reply = await coordinator._complete({
+                    "worker_id": worker, "job_id": lease["job_id"],
+                    "task_id": lease["task_id"],
+                    "arrays": evaluate_block(lease["task"]),
+                })
+                assert reply == {"ok": True, "accepted": True}
+            blocks = await asyncio.wait_for(job, timeout=10.0)
+            final = coordinator.stats()
+            await coordinator.close()
+            return rejected, stats, blocks, final
+
+        rejected, stats, blocks, final = asyncio.run(run())
+        for status, body in rejected:
+            assert status == 400, body
+            assert body["ok"] is False
+            assert body["error"]["code"] == "bad-completion"
+        assert stats["blocks"]["completed"] == 0
+        assert stats["blocks"]["stale_completions"] == 0
+        assert stats["blocks"]["late_completions"] == 0
+        assert final["blocks"]["completed"] == 2
+        assert final["jobs"]["completed"] == 1
+        for task, block in zip(tasks, blocks):
+            expected = evaluate_block(task)
+            for name, array in expected.items():
+                np.testing.assert_array_equal(block[name], array)
 
 
 class TestWorkerReportedFailures:
@@ -428,9 +510,9 @@ class TestWorkerReportedFailures:
             coordinator = ShardCoordinator(poll_timeout_s=1.0)
             await coordinator.start()
             worker = coordinator._register({})["worker_id"]
-            job = asyncio.ensure_future(coordinator.submit(
-                SweepGrid(apps=("nerf",), scale_factors=(8,))
-            ))
+            _, job = _submit_plan(
+                coordinator, SweepGrid(apps=("nerf",), scale_factors=(8,))
+            )
             await asyncio.sleep(0)
             lease = await coordinator._lease({"worker_id": worker})
             reply = await coordinator._complete({
@@ -454,7 +536,7 @@ class TestShardPlanning:
     def test_coordinator_caps_block_payload_size(self):
         from repro.service.cluster.coordinator import MAX_BLOCK_BYTES
         from repro.service.cluster import ShardCoordinator
-        from repro.core.dse import _TIMING_FIELDS, shard_task_shape
+        from repro.core.dse import _TIMING_FIELDS, task_shape
 
         coordinator = ShardCoordinator()
         grid = SweepGrid(
@@ -466,8 +548,8 @@ class TestShardPlanning:
         ).resolve()
         plan = coordinator._plan(grid)
         point_bytes = 8 * len(_TIMING_FIELDS)
-        for placement, _ in plan:
-            block_points = int(np.prod(shard_task_shape(placement)))
+        for _, task in plan:
+            block_points = int(np.prod(task_shape(task)))
             assert block_points * point_bytes <= MAX_BLOCK_BYTES
 
     def test_plan_covers_the_grid_exactly_once(self):

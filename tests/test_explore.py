@@ -26,8 +26,9 @@ import pytest
 
 from repro.api import InfeasibleQueryError, Session, SweepGrid
 from repro.api.session import ADAPTIVE_MIN_POINTS
-from repro.core.dse import finalize_sweep_result, sweep_grid
-from repro.explore import AdaptiveExplorer, LocalBlockRunner, StoreBlockRunner
+from repro.core.dse import LocalBlockRunner, finalize_sweep_result, sweep_grid
+from repro.explore import AdaptiveExplorer
+from repro.store import StoreBlockRunner
 
 #: multi-app, multi-scheme, tie-rich: every query kind has something to
 #: bite, yet small enough to evaluate exhaustively for the golden answers

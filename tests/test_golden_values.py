@@ -382,9 +382,21 @@ class TestArchitectureGridGoldens:
                             block["accelerated_ms"][0, 0, c, g, e, b]
                         ) == pytest.approx(golden, rel=RTOL), (clock, sram, engines, batches)
 
-    @pytest.mark.parametrize("engine", ("vectorized", "scalar", "process"))
-    def test_sweep_grid_pinned(self, engine):
-        from repro.core.dse import SweepGrid, sweep_grid
+    @pytest.mark.parametrize(
+        "engine", ("vectorized", "scalar", "windowed", "store")
+    )
+    def test_sweep_grid_pinned(self, engine, tmp_path):
+        """Every way a grid is evaluated: both engines, a multi-block
+        windowed plan through the inline runner (block assembly), and
+        the store runner's plan (cold blocks persisted, then assembled)."""
+        from repro.core.dse import (
+            LocalBlockRunner,
+            SweepGrid,
+            run_plan,
+            shard_plan,
+            sweep_grid,
+        )
+        from repro.store import ResultStore, sweep_with_store
 
         grid = SweepGrid(
             apps=("nerf",),
@@ -394,10 +406,17 @@ class TestArchitectureGridGoldens:
             grid_sram_kb=_ARCH_SRAMS,
             n_engines=_ARCH_ENGINES,
             n_batches=_ARCH_BATCHES,
-        )
-        result = sweep_grid(
-            grid, engine=engine, max_workers=2, use_cache=False
-        )
+        ).resolve()
+        if engine == "windowed":
+            plan = shard_plan(grid, 8)
+            assert len(plan) >= 4
+            result = run_plan(grid, plan, LocalBlockRunner(), engine)
+        elif engine == "store":
+            result = sweep_with_store(
+                ResultStore(str(tmp_path)), grid, use_cache=False
+            )
+        else:
+            result = sweep_grid(grid, engine=engine, use_cache=False)
         for (clock, sram, engines, batches), golden in GOLDEN_ARCH_GRID.items():
             point = result.point(
                 "nerf", "multi_res_hashgrid", 8, 1920 * 1080,

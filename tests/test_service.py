@@ -72,7 +72,7 @@ class CountingSweep:
         self.delay = delay
         self._lock = threading.Lock()
 
-    def __call__(self, grid, engine="vectorized", ngpc=None, max_workers=None):
+    def __call__(self, grid, engine="vectorized", ngpc=None):
         with self._lock:
             self.calls += 1
         if self.delay:
@@ -172,7 +172,7 @@ class TestCoalescing:
 
         calls = []
 
-        def flaky(grid, engine="vectorized", ngpc=None, max_workers=None):
+        def flaky(grid, engine="vectorized", ngpc=None):
             calls.append(1)
             if len(calls) == 1:
                 time.sleep(0.05)
@@ -207,7 +207,7 @@ class TestCoalescing:
         class Boom(RuntimeError):
             pass
 
-        def failing(grid, engine="vectorized", ngpc=None, max_workers=None):
+        def failing(grid, engine="vectorized", ngpc=None):
             time.sleep(0.15)
             raise Boom("sweep failed with nobody watching")
 
@@ -254,7 +254,7 @@ class TestCoalescing:
 
 class TestResponsiveness:
     def test_cached_pareto_query_under_50ms_while_cold_sweep_runs(self):
-        def slow_for_big(grid, engine="vectorized", ngpc=None, max_workers=None):
+        def slow_for_big(grid, engine="vectorized", ngpc=None):
             if grid.size >= 1000:  # the cold sweep, not the warm-up
                 time.sleep(0.6)
             return sweep_grid(grid, engine="vectorized", ngpc=ngpc)

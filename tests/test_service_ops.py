@@ -502,7 +502,7 @@ class TestQuotaFairness:
             for i in range(3)
         ]
 
-        def slow_cold(grid, engine="vectorized", ngpc=None, max_workers=None):
+        def slow_cold(grid, engine="vectorized", ngpc=None):
             result = sweep_grid(grid, engine="vectorized", ngpc=ngpc,
                                 use_cache=False)
             time.sleep(0.4)
@@ -566,8 +566,7 @@ class TestDrainGenerations:
         """The lease/complete contract across a drain: an old-generation
         worker's in-flight completion still counts (no lost block), its
         next poll says stop, and a new registration joins generation 2."""
-        from repro.core.cache import calibration_fingerprint
-        from repro.core.dse import evaluate_shard_task, install_worker_state
+        from repro.core.dse import assemble_shard_blocks, evaluate_block
         from repro.service.cluster import ShardCoordinator
 
         grid = SweepGrid(apps=("nerf",), scale_factors=(8, 16))
@@ -576,8 +575,10 @@ class TestDrainGenerations:
             coordinator = ShardCoordinator(poll_timeout_s=5.0)
             await coordinator.start()
             old = coordinator._register({})["worker_id"]
-            install_worker_state(calibration_fingerprint(), None)
-            job = asyncio.ensure_future(coordinator.submit(grid))
+            plan = coordinator._plan(grid.resolve())
+            job = asyncio.ensure_future(
+                coordinator.submit([task for _, task in plan])
+            )
             await asyncio.sleep(0)
             lease = await coordinator._lease({"worker_id": old})
             assert "task" in lease
@@ -592,7 +593,7 @@ class TestDrainGenerations:
             reply = await coordinator._complete({
                 "worker_id": old, "job_id": lease["job_id"],
                 "task_id": lease["task_id"],
-                "arrays": evaluate_shard_task(lease["task"]),
+                "arrays": evaluate_block(lease["task"]),
             })
             assert reply["accepted"] is True
             # ... and the drained worker's next poll is a stop
@@ -610,21 +611,25 @@ class TestDrainGenerations:
                 await coordinator._complete({
                     "worker_id": fresh, "job_id": lease["job_id"],
                     "task_id": lease["task_id"],
-                    "arrays": evaluate_shard_task(lease["task"]),
+                    "arrays": evaluate_block(lease["task"]),
                 })
-            result = await job
+            blocks = await job
             stats = coordinator.stats()
             await coordinator.close()
-            return result, stats
+            return plan, blocks, stats
 
-        result, stats = asyncio.run(run())
+        plan, blocks, stats = asyncio.run(run())
         assert stats["generation"] == 2 and stats["drains"] == 1
         assert stats["jobs"]["completed"] == 1
         assert stats["blocks"]["completed"] >= 2
-        direct = sweep_grid(grid.resolve().normalized(), engine="vectorized",
+        arrays = assemble_shard_blocks(
+            grid.resolve(),
+            [(placement, block) for (placement, _), block in zip(plan, blocks)],
+        )
+        direct = sweep_grid(grid.resolve(), engine="vectorized",
                             use_cache=False)
         np.testing.assert_array_equal(
-            result.accelerated_ms, direct.accelerated_ms
+            arrays["accelerated_ms"], direct.accelerated_ms
         )
 
     def test_drain_wakes_parked_long_pollers(self):
@@ -648,6 +653,22 @@ class TestDrainGenerations:
 
         lease = asyncio.run(run())
         assert lease == {"stop": True, "reason": "drained"}
+
+
+def _coordinator_stats(backend):
+    """Coordinator stats read on its event loop (no cross-thread race)."""
+    async def collect():
+        return backend.coordinator.stats()
+
+    return backend._run(collect)
+
+
+def _wait_for(backend, condition, timeout_s=30.0):
+    """Poll the coordinator's block counters until ``condition`` holds."""
+    deadline = time.monotonic() + timeout_s
+    while not condition(_coordinator_stats(backend)["blocks"]):
+        assert time.monotonic() < deadline, _coordinator_stats(backend)
+        time.sleep(0.01)
 
 
 class TestRollingRestartEndToEnd:
@@ -679,7 +700,13 @@ class TestRollingRestartEndToEnd:
                 )
             )
             thread.start()
-            time.sleep(0.3)  # both workers hold leased blocks now
+            # drain only once both workers hold a lease and blocks are
+            # still queued for the replacements to take over
+            _wait_for(backend, lambda blocks: (
+                blocks["leased"] == 2 and blocks["queued"] > 0
+            ))
+            before = set(_coordinator_stats(backend)["workers"]
+                         ["blocks_completed"])
 
             status, body = request_json(
                 "127.0.0.1", backend.port, "POST", "/cluster/drain"
@@ -712,13 +739,17 @@ class TestRollingRestartEndToEnd:
                 time.sleep(0.1)
             assert [p.poll() for p in old_workers] == [0, 0]
 
-            stats = backend.coordinator.stats()
+            stats = _coordinator_stats(backend)
             assert stats["generation"] == 2
             assert stats["drains"] == 1
             assert stats["jobs"]["completed"] == 1
             assert stats["jobs"]["inflight"] == 0
-            # replacements did real work after the handover
-            assert stats["workers"]["current_generation"] >= 2
+            # a worker registered after the drain did real work
+            completed = stats["workers"]["blocks_completed"]
+            assert any(
+                n >= 1 for worker, n in completed.items()
+                if worker not in before
+            ), completed
         finally:
             terminate_workers(replacements)
             backend.close()

@@ -31,10 +31,10 @@ from repro.core.dse import (
     RESULT_ARRAY_FIELDS,
     SweepGrid,
     block_fingerprint,
-    shard_task_shape,
     store_block_plan,
     sweep_fingerprint,
     sweep_grid,
+    task_shape,
 )
 from repro.service import SweepService
 from repro.store import (
@@ -191,9 +191,9 @@ class TestDeltaEvaluation:
         grid = _resolved()
         plan = store_block_plan(grid)
         sweep_with_store(store, grid, use_cache=False)
-        for placement, task in plan:
+        for _, task in plan:
             key = block_fingerprint(task)
-            block = store.load_block(key, shard_task_shape(placement))
+            block = store.load_block(key, task_shape(task))
             assert block is not None
             assert set(block) == set(BLOCK_ARRAY_FIELDS)
 

@@ -33,6 +33,7 @@ from repro.core.dse import (
     finalize_sweep_result,
     shard_plan,
     sweep_grid,
+    window_major,
 )
 from repro.core.emulator import emulate_batch
 from repro.service import (
@@ -61,12 +62,6 @@ GRID_JSON = {
 }
 
 
-def window_major(plan):
-    """The streaming block order: same window across (app, scheme) pairs."""
-    return sorted(plan, key=lambda entry: (entry[0][2], entry[0][0],
-                                           entry[0][1]))
-
-
 class BlockwiseSweep:
     """An injected ``sweep_fn`` that reports blocks through ``on_block``.
 
@@ -84,8 +79,7 @@ class BlockwiseSweep:
         self.release.set()  # default: run freely
         self._lock = threading.Lock()
 
-    def __call__(self, grid, engine="vectorized", ngpc=None,
-                 max_workers=None, on_block=None):
+    def __call__(self, grid, engine="vectorized", ngpc=None, on_block=None):
         with self._lock:
             self.calls += 1
         resolved = grid.resolve(ngpc)
@@ -273,6 +267,53 @@ class TestWatch:
         sweep = session.sweep(GRID)
         fronts = list(sweep.watch(scheme=SCHEME))
         assert len(fronts) == 1
+
+    def test_closed_local_stream_stops_evaluating(self, monkeypatch):
+        """The local stream evaluates on a helper thread: closing the
+        generator stops that evaluation after the block in flight —
+        nothing more is evaluated, nothing lands in the memo — and leaves
+        no thread behind."""
+        from repro.api.backends import LocalBackend
+        from repro.core.dse import _SWEEP_CACHE, stream_plan, sweep_fingerprint
+
+        calls = []
+
+        def held(*args, **kwargs):
+            # hold every block after the first, so the consumer's close
+            # lands while the second block is in flight
+            calls.append(1)
+            if len(calls) > 1:
+                time.sleep(1.0)
+            return emulate_batch(*args, **kwargs)
+
+        monkeypatch.setattr("repro.core.dse.emulate_batch", held)
+        grid = SweepGrid(
+            schemes=(SCHEME,), scale_factors=(8, 16, 32, 64),
+            clocks_ghz=(0.9, 1.1, 1.3, 1.5), grid_sram_kb=(256, 512, 1024),
+            n_batches=(4, 8, 16, 32),
+        ).resolve()
+        assert len(stream_plan(grid)) > 2
+        backend = LocalBackend(engine="vectorized")
+        stream = backend.stream_events(grid, scheme=SCHEME)
+        assert next(stream)["event"] == "progress"
+        stream.close()
+        assert len(calls) == 2
+        assert not any(
+            t.name == "repro-local-stream" for t in threading.enumerate()
+        )
+        key = (grid, "vectorized", sweep_fingerprint(grid))
+        assert _SWEEP_CACHE.get(key) is None
+
+    def test_local_stream_reraises_evaluation_errors(self, monkeypatch):
+        from repro.api.backends import LocalBackend
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr("repro.core.dse.emulate_batch", broken)
+        backend = LocalBackend(engine="vectorized", use_cache=False)
+        with pytest.raises(RuntimeError, match="kernel exploded"):
+            list(backend.stream_events(GRID, scheme=SCHEME))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The batched NumPy paths must be numerically identical to the scalar
 emulator over the whole (app, scheme, scale, pixels) space; hypothesis
 draws the sample.  Also covered here: the hardware ``shift_modulo``
-against true ``%``, Pareto-front invariants, the memoization layer, the
-process-pool engine, and the new power-of-two configuration validation.
+against true ``%``, Pareto-front invariants, the memoization layer,
+multi-block plans through the block executor, and the new power-of-two
+configuration validation.
 """
 
 import numpy as np
@@ -18,9 +19,12 @@ from repro.core.axes import AXES
 from repro.core.cache import cache_stats, clear_model_caches
 from repro.core.config import NFPConfig, NGPCConfig, SCALE_FACTORS
 from repro.core.dse import (
+    LocalBlockRunner,
     SweepGrid,
     cheapest_meeting_fps,
     pareto_front,
+    run_plan,
+    shard_plan,
     smallest_scale_for_fps,
     sweep_grid,
 )
@@ -44,6 +48,14 @@ _FIELDS = (
     "dma_ms",
     "fused_rest_ms",
 )
+
+
+def _multi_block(grid: SweepGrid):
+    """``grid`` evaluated as a multi-block windowed plan (block assembly)."""
+    resolved = grid.resolve()
+    plan = shard_plan(resolved, 4 * resolved.size)  # as small as they get
+    assert len(plan) > len(resolved.apps) * len(resolved.schemes)
+    return run_plan(resolved, plan, LocalBlockRunner(), "vectorized")
 
 
 class TestBatchedEqualsScalar:
@@ -120,7 +132,7 @@ class TestBatchedEqualsScalar:
         with pytest.raises(ValueError):
             result.accelerated_ms[0, 0, 0, 0] = 0.0
 
-    def test_process_engine_agrees(self):
+    def test_block_plan_agrees(self):
         grid = SweepGrid(
             apps=("gia", "nvr"),
             schemes=("multi_res_hashgrid",),
@@ -128,10 +140,10 @@ class TestBatchedEqualsScalar:
             pixel_counts=(2_073_600,),
         )
         vec = sweep_grid(grid, engine="vectorized", use_cache=False)
-        proc = sweep_grid(grid, engine="process", max_workers=2, use_cache=False)
+        blocks = _multi_block(grid)
         for name in _FIELDS:
-            np.testing.assert_allclose(
-                getattr(vec, name), getattr(proc, name), rtol=RTOL, atol=0.0
+            np.testing.assert_array_equal(
+                getattr(vec, name), getattr(blocks, name), err_msg=name
             )
 
     def test_full_sweep_batched_matches_generator(self):
@@ -218,14 +230,14 @@ class TestArchitectureAxes:
         )
         vec = sweep_grid(grid, engine="vectorized", use_cache=False)
         scal = sweep_grid(grid, engine="scalar", use_cache=False)
-        proc = sweep_grid(grid, engine="process", max_workers=2, use_cache=False)
+        blocks = _multi_block(grid)
         assert vec.accelerated_ms.shape == grid.shape
         for name in _FIELDS + ("amdahl_bound",):
             np.testing.assert_array_equal(
                 getattr(vec, name), getattr(scal, name), err_msg=name
             )
             np.testing.assert_array_equal(
-                getattr(vec, name), getattr(proc, name), err_msg=name
+                getattr(vec, name), getattr(blocks, name), err_msg=name
             )
 
     def test_cost_arrays_span_architecture_axes(self):
@@ -281,16 +293,32 @@ class TestArchitectureAxes:
                 clock_ghz=1.0, n_batches=4,
             )
 
-    def test_auto_engine_matches_vectorized(self):
-        from repro.core.dse import _resolve_engine
+    def test_windowed_plan_matches_vectorized(self):
+        from repro.core.dse import LocalBlockRunner, run_plan, stream_plan
 
-        grid = SweepGrid(apps=("gia",), scale_factors=(8, 64))
-        auto = sweep_grid(grid, engine="auto", use_cache=False)
+        grid = SweepGrid(
+            apps=("gia", "nerf"), scale_factors=(8, 16, 32, 64),
+            clocks_ghz=(0.8, 1.0, 1.2, 1.4, 1.695),
+            grid_sram_kb=(256, 512, 1024), n_engines=(4, 8, 16),
+            n_batches=(1, 2, 4, 8, 16, 32),
+        ).resolve()
+        plan = stream_plan(grid)
+        assert len(plan) > 2 * len(grid.apps)  # several windows per pair
+        landed = []
+        windowed = run_plan(
+            grid, plan, LocalBlockRunner(), "vectorized",
+            on_block=lambda placement, block: landed.append(placement),
+        )
+        assert landed == [placement for placement, _ in plan]
         vec = sweep_grid(grid, engine="vectorized", use_cache=False)
-        assert auto.engine in ("vectorized", "process")
-        np.testing.assert_array_equal(auto.accelerated_ms, vec.accelerated_ms)
-        # small grids always stay in-process
-        assert _resolve_engine("auto", grid.resolve()) == "vectorized"
+        for name in _FIELDS + ("amdahl_bound", "area_overhead_pct"):
+            np.testing.assert_array_equal(
+                getattr(windowed, name), getattr(vec, name), err_msg=name
+            )
+        # the removed pool engines are refused like any unknown name
+        for engine in ("process", "auto"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                sweep_grid(grid, engine=engine, use_cache=False)
 
     def test_block_tasks_tile_the_grid_exactly(self):
         from repro.core.dse import shard_plan

@@ -2,9 +2,11 @@
 # Tier-1 gate: the full pytest suite plus a smoke run of the
 # sweep-scaling benchmark (the >= 10x batched-DSE acceptance check runs
 # in --quick mode here; run the benchmark without --quick for the full
-# 1000-point vectorized gate and the >= 50k-point block-parallel gate),
-# a 2-worker block-parallel engine smoke so the process-pool path is
-# exercised on every push, the service latency/coalescing gates
+# 1000-point gate and the >= 50k-point vectorized-vs-scalar gate), a
+# one-block-path grep gate (no process pool anywhere under src/repro;
+# exactly one block-level `emulate_batch(` call and one
+# `finalize_sweep_result(` call — every evaluation path runs through
+# repro.core.dse.run_plan), the service latency/coalescing gates
 # (bench_service --quick), the Session facade overhead gate
 # (bench_api --quick), and a black-box sweep-service smoke: start
 # `repro serve` as a subprocess, run one sweep and one pareto query over
@@ -13,9 +15,9 @@
 # SIGINT shutdown.  The distributed layer gets two gates of its own: a
 # 2-worker shard-cluster smoke (coordinator + real `repro worker`
 # subprocesses, one sweep via DistributedBackend, parity vs vectorized,
-# clean shutdown) and the cluster speedup benchmark
-# (bench_cluster --quick, >= 2x over the single-host process engine,
-# emitting BENCH_cluster.json).  The persistent result store gets its
+# clean shutdown) and the cluster overhead benchmark
+# (bench_cluster --quick: a ceiling on cluster wall time over the
+# vectorized baseline plus bit-identity, emitting BENCH_cluster.json).  The persistent result store gets its
 # own section: the store test suite runs standalone (warm restart,
 # block-delta evaluation, corruption quarantine) and the store
 # benchmark gates (warm load >= 50x re-evaluation, overlap evaluates
@@ -65,26 +67,25 @@ echo "== sweep-scaling benchmark (smoke) =="
 python benchmarks/bench_sweep_scaling.py --quick
 
 echo
-echo "== block-parallel engine (2 workers, tiny grid) =="
-python - <<'PY'
-import numpy as np
-
-from repro.core.dse import SweepGrid, sweep_grid
-
-grid = SweepGrid(
-    apps=("nerf", "gia"),
-    scale_factors=(8, 64),
-    clocks_ghz=(1.2, 1.695),
-    n_batches=(8, 16),
-)
-proc = sweep_grid(grid, engine="process", max_workers=2, use_cache=False)
-vec = sweep_grid(grid, engine="vectorized", use_cache=False)
-np.testing.assert_allclose(
-    proc.accelerated_ms, vec.accelerated_ms, rtol=1e-9, atol=0.0
-)
-print(f"process engine ok on a {proc.grid.size}-point grid "
-      f"(block-sharded, 2 workers)")
-PY
+echo "== one block-execution path (grep gate) =="
+if grep -rn --include='*.py' 'ProcessPoolExecutor' src/repro; then
+    echo "FAIL: a process pool is back under src/repro (the cluster owns" \
+         "multi-core and multi-host evaluation)" >&2
+    exit 1
+fi
+# block-level kernel calls: core/energy.py's per-frame energy model
+# calls emulate_batch for its own (non-block) purpose
+kernel_calls=$(grep -rn --include='*.py' 'emulate_batch(' src/repro \
+    | grep -v 'def emulate_batch(' | grep -v '^src/repro/core/energy\.py:')
+finalize_calls=$(grep -rn --include='*.py' 'finalize_sweep_result(' src/repro \
+    | grep -v 'def finalize_sweep_result(')
+if [ "$(printf '%s\n' "$kernel_calls" | grep -c .)" != 1 ] \
+   || [ "$(printf '%s\n' "$finalize_calls" | grep -c .)" != 1 ]; then
+    printf 'FAIL: want exactly one block-level emulate_batch( call and one finalize_sweep_result( call, found:\n%s\n%s\n' \
+        "$kernel_calls" "$finalize_calls" >&2
+    exit 1
+fi
+echo "one block executor: $kernel_calls"
 
 echo
 echo "== shard cluster smoke (2 workers, sweep via DistributedBackend) =="
@@ -121,7 +122,7 @@ print(f"cluster smoke ok: {result.grid.size}-point sweep over 2 workers "
 PY
 
 echo
-echo "== cluster speedup gate (smoke) =="
+echo "== cluster overhead gate (smoke) =="
 python benchmarks/bench_cluster.py --quick
 
 echo
