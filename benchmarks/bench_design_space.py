@@ -1,17 +1,14 @@
 """Design-space exploration: the architect's read of Figs. 12 + 15."""
 
 from repro.analysis import format_table
+from repro.api import Session, SweepGrid
 from repro.calibration import paper
-from repro.core.dse import (
-    design_space,
-    efficiency_sweet_spot,
-    pareto_frontier,
-    smallest_scale_for_fps,
-)
+from repro.core.dse import cheapest_meeting_fps, efficiency_sweet_spot
 
 
 def bench_design_space_pareto(benchmark):
-    points = benchmark(design_space, "multi_res_hashgrid")
+    grid = SweepGrid(schemes=("multi_res_hashgrid",))
+    points = benchmark(lambda: Session().sweep(grid).pareto())
     rows = [
         [f"NGPC-{p.scale_factor}", f"{p.area_overhead_pct:.2f}%",
          f"{p.average_speedup:.1f}x", f"{p.speedup_per_area_pct:.2f}"]
@@ -23,30 +20,25 @@ def bench_design_space_pareto(benchmark):
         title="NGPC design space (hashgrid)",
     ))
     # every scale trades more area for more speed: all Pareto-optimal
-    assert len(pareto_frontier(points)) == 4
+    assert [p.scale_factor for p in points] == [8, 16, 32, 64]
     # the marginal return shrinks: NGPC-8 is the efficiency sweet spot
     assert efficiency_sweet_spot(points).scale_factor == 8
-    speeds = [p.average_speedup for p in points]
-    assert speeds == sorted(speeds)
 
 
 def bench_smallest_scale_targets(benchmark):
     """What does each Fig. 14 capability actually cost?"""
 
+    def smallest(app, res, fps):
+        hit = cheapest_meeting_fps(app, fps, paper.RESOLUTIONS[res])
+        return hit.scale_factor if hit else None
+
     def sweep():
         return {
-            ("nerf", "4k", 30): smallest_scale_for_fps(
-                "nerf", 30, paper.RESOLUTIONS["4k"]
-            ),
-            ("gia", "8k", 120): smallest_scale_for_fps(
-                "gia", 120, paper.RESOLUTIONS["8k"]
-            ),
-            ("nvr", "8k", 120): smallest_scale_for_fps(
-                "nvr", 120, paper.RESOLUTIONS["8k"]
-            ),
-            ("nerf", "8k", 120): smallest_scale_for_fps(
-                "nerf", 120, paper.RESOLUTIONS["8k"]
-            ),
+            target: smallest(*target)
+            for target in (
+                ("nerf", "4k", 30), ("gia", "8k", 120),
+                ("nvr", "8k", 120), ("nerf", "8k", 120),
+            )
         }
 
     results = benchmark(sweep)

@@ -206,7 +206,9 @@ def serving_section() -> List[str]:
         "A scalar query against a swept axis without an explicit selector",
         "returns a structured 400 whose payload names the ambiguous axis",
         "(`error.code == \"ambiguous-axis\"`, `error.axis`,",
-        "`error.values`).  The report itself can render from a served",
+        "`error.values`); a selector value absent from the grid is a 404",
+        "(`error.code == \"not-on-grid\"`) carrying the same two fields.",
+        "The report itself can render from a served",
         "result: fetch `POST /result`, rebuild it with",
         "`SweepResult.from_payload`, and pass it to",
         "`design_space_section(result=...)`.\n",
@@ -263,10 +265,6 @@ def api_section() -> List[str]:
         "scalar query), `NotOnGridError` (selector value absent from the",
         "grid), `ServiceError` (structured service failure),",
         "`BackendUnavailableError` (nothing listening).\n",
-        "Deprecated entry points, kept as thin shims: `design_space()`,",
-        "`pareto_frontier()` (now delegating to the index-based",
-        "`pareto_front`) and `smallest_scale_for_fps()` — all emit",
-        "`DeprecationWarning` and forward to the Session path.",
     ]
 
 

@@ -1,10 +1,9 @@
 """``repro.api`` — the one typed entry point over every execution path.
 
-The reproduction grew four ways to ask the same design-space question:
-the scalar :func:`~repro.core.emulator.emulate` loop, the legacy
-:func:`~repro.core.dse.design_space` list, the batched
-:func:`~repro.core.dse.sweep_grid` engine, and the HTTP sweep service.
-This package is the stable facade over all of them:
+The reproduction grew several ways to ask the same design-space
+question: the scalar :func:`~repro.core.emulator.emulate` loop, the
+batched :func:`~repro.core.dse.sweep_grid` engine, and the HTTP sweep
+service.  This package is the stable facade over all of them:
 
 - :class:`Session` — binds a backend and exposes ``sweep`` / ``point``
   / ``stats`` / ``health``; :meth:`Session.remote` swaps in-process

@@ -47,7 +47,6 @@ from repro.core.dse import (
     _ENGINES,
     _SWEEP_CACHE,
     _SWEEP_CACHE_MAX_POINTS,
-    AmbiguousAxisError,
     EmulationResult,
     LocalBlockRunner,
     SweepGrid,
@@ -214,10 +213,6 @@ class LocalBackend(Backend):
         assembled result is bit-identical to :meth:`sweep`'s.
         """
         resolved = grid.resolve(self.ngpc)
-        if scheme is None:
-            if len(resolved.schemes) != 1:
-                raise AmbiguousAxisError("scheme", resolved.schemes)
-            scheme = resolved.schemes[0]
         encoding = dict(
             gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
             per_level_scale=per_level_scale,

@@ -38,17 +38,14 @@ from repro.api.backends import (
 from repro.api.grid import Grid, as_sweep_grid
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
-    AmbiguousAxisError,
     DesignPoint,
     EmulationResult,
     SweepResult,
+    axis_index,
+    query_slice,
     sweep_fingerprint,
 )
-from repro.errors import (
-    NotOnGridError,
-    infeasible_query,
-    infeasible_train_query,
-)
+from repro.errors import infeasible_query, infeasible_train_query
 from repro.service.errors import ServiceError
 from repro.explore import AdaptiveExplorer
 from repro.gpu.baseline import FHD_PIXELS
@@ -59,25 +56,6 @@ from repro.gpu.baseline import FHD_PIXELS
 ADAPTIVE_MIN_POINTS = 1 << 17
 
 _EXPLORE_MODES = ("auto", "adaptive", "exhaustive")
-
-
-def _pick(axis: str, values, value):
-    """The facade-wide singleton rule for optional selectors.
-
-    An unset selector resolves only when its axis holds exactly one
-    value; otherwise the query is ambiguous and the error names the
-    axis (the same rule the service's 400s encode).  A value absent
-    from the grid is a :class:`NotOnGridError` — structured, inside the
-    :class:`~repro.errors.ReproError` hierarchy, mapped to a 404 by the
-    service layer.
-    """
-    if value is not None:
-        if value not in values:
-            raise NotOnGridError(f"{axis}={value!r} not on the grid")
-        return value
-    if len(values) == 1:
-        return values[0]
-    raise AmbiguousAxisError(axis, values)
 
 
 class Sweep:
@@ -173,15 +151,13 @@ class Sweep:
     ) -> List[DesignPoint]:
         """Non-dominated (area cost, speedup benefit) configurations.
 
-        ``scheme``/``n_pixels`` follow the singleton rule; ``app=None``
-        ranks by the all-apps average speedup.  On grids that sweep the
-        encoding axes (``gridtype``/``log2_hashmap_size``/
-        ``per_level_scale``), those selectors follow the same singleton
-        rule and pin the front to one encoding variant.
+        ``scheme``/``n_pixels`` follow the singleton rule
+        (:func:`~repro.core.dse.axis_index`); ``app=None`` ranks by the
+        all-apps average speedup.  On grids that sweep the encoding axes
+        (``gridtype``/``log2_hashmap_size``/``per_level_scale``), those
+        selectors follow the same rule and pin the front to one encoding
+        variant.
         """
-        scheme = _pick("scheme", self.grid.schemes, scheme)
-        if app is not None and app not in self.grid.apps:
-            raise NotOnGridError(f"app={app!r} not on the grid")
         target = (
             self._explorer.pareto if self._explorer is not None
             else self.result.pareto_front
@@ -221,7 +197,7 @@ class Sweep:
             raise ValueError(
                 "name one target: fps= or train_steps_per_s=, not both"
             )
-        app = _pick("app", self.grid.apps, app)
+        app = self.grid.apps[axis_index("app", app, self.grid.apps)]
         encoding = dict(
             gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
             per_level_scale=per_level_scale,
@@ -242,16 +218,11 @@ class Sweep:
         if hit is not None:
             return hit
         grid = self.grid
-        i = grid.apps.index(app)
-        j = result._axis_index("scheme", scheme, grid.schemes)
-        l = result._axis_index("n_pixels", n_pixels, grid.pixel_counts)
-        acc = result.accelerated_ms[i, j, :, l]
-        enc = result._encoding_slice(**encoding)
-        if enc:
-            acc = acc[..., enc[0], enc[1], enc[2]]
-        best_fps = float(1000.0 / acc.min())
+        query = query_slice(grid, scheme, n_pixels, **encoding)
+        acc = result.accelerated_ms[query.index][grid.apps.index(app)]
         raise infeasible_query(
-            app, fps, grid.pixel_counts[l], grid.schemes[j], best_fps
+            app, fps, grid.pixel_counts[query.pixels],
+            grid.schemes[query.scheme], float(1000.0 / acc.min()),
         )
 
     def _cheapest_train(
@@ -276,18 +247,12 @@ class Sweep:
             )
         if hit is not None:
             return hit
-        result = self.result
         grid = self.grid
-        i = grid.apps.index(app)
-        j = result._axis_index("scheme", scheme, grid.schemes)
-        l = result._axis_index("n_pixels", n_pixels, grid.pixel_counts)
-        rates = result.train_steps_per_s[i, j, :, l]
-        enc = result._encoding_slice(**encoding)
-        if enc:
-            rates = rates[..., enc[0], enc[1], enc[2]]
+        query = query_slice(grid, scheme, n_pixels, **encoding)
+        rates = self.result.train_steps_per_s[query.index][grid.apps.index(app)]
         raise infeasible_train_query(
-            app, steps_per_s, grid.pixel_counts[l], grid.schemes[j],
-            float(rates.max()),
+            app, steps_per_s, grid.pixel_counts[query.pixels],
+            grid.schemes[query.scheme], float(rates.max()),
         )
 
     def point(
@@ -307,10 +272,7 @@ class Sweep:
         """One grid point; every selector follows the singleton rule."""
         target = self._explorer if self._explorer is not None else self.result
         return target.point(
-            _pick("app", self.grid.apps, app),
-            _pick("scheme", self.grid.schemes, scheme),
-            _pick("scale_factor", self.grid.scale_factors, scale_factor),
-            _pick("n_pixels", self.grid.pixel_counts, n_pixels),
+            app, scheme, scale_factor, n_pixels,
             clock_ghz=clock_ghz,
             grid_sram_kb=grid_sram_kb,
             n_engines=n_engines,
@@ -346,27 +308,27 @@ class Sweep:
         last event (local backends) or stays server-side (remote), so
         fully consuming ``watch()`` never evaluates the grid twice.
         """
-        selected = _pick("scheme", self.grid.schemes, scheme)
-        if app is not None and app not in self.grid.apps:
-            raise NotOnGridError(f"app={app!r} not on the grid")
+        axis_index("scheme", scheme, self.grid.schemes)
+        if app is not None:
+            axis_index("app", app, self.grid.apps)
         encoding = dict(
             gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
             per_level_scale=per_level_scale,
         )
         if self._result is not None or self._explorer is not None:
             yield self.pareto(
-                scheme=selected, n_pixels=n_pixels, app=app, **encoding
+                scheme=scheme, n_pixels=n_pixels, app=app, **encoding
             )
             return
         stream = None
         if self._backend_obj is not None:
             stream = self._backend_obj.stream_events(
-                self._grid, scheme=selected, n_pixels=n_pixels, app=app,
+                self._grid, scheme=scheme, n_pixels=n_pixels, app=app,
                 **encoding,
             )
         if stream is None:
             yield self.pareto(
-                scheme=selected, n_pixels=n_pixels, app=app, **encoding
+                scheme=scheme, n_pixels=n_pixels, app=app, **encoding
             )
             return
         for event in stream:

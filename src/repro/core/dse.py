@@ -35,18 +35,21 @@ query over the full N-dimensional cartesian space of
   milliseconds) and :func:`cheapest_meeting_fps` (the smallest
   configuration hitting a frame-rate target), both exposed through the
   CLI (``python -m repro dse``) and :mod:`repro.analysis.report`.
-
-The legacy Fig. 12 + Fig. 15 helpers (:func:`design_space`,
-:func:`pareto_frontier`, :func:`smallest_scale_for_fps`) remain and now
-run on top of the batched engine.
+- One query kernel.  The selector rule (:func:`axis_index`,
+  :func:`encoding_slice`, :func:`query_slice`), the masked front
+  (:func:`front`) and the :class:`DesignPoint` builder
+  (:func:`design_point`, :func:`config_axes`) are shared by the dense
+  :class:`SweepResult`, the streamed
+  :class:`~repro.service.progress.PartialSweep` and the adaptive
+  :class:`~repro.explore.AdaptiveExplorer`, so every path answers with
+  the same arithmetic and the same errors.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -415,44 +418,6 @@ class SweepResult:
         return train_steps_per_s_batch(self.grid, self.accelerated_ms)
 
     # -- indexing -----------------------------------------------------------
-    def _axis_index(self, axis_name: str, value, values: Tuple) -> int:
-        if value is None:
-            if len(values) == 1:
-                return 0
-            raise AmbiguousAxisError(axis_name, values)
-        try:
-            return values.index(value)
-        except ValueError as exc:
-            raise NotOnGridError(f"{axis_name}={value!r} not on the grid") from exc
-
-    def _encoding_slice(
-        self,
-        gridtype: Optional[str],
-        log2_hashmap_size: Optional[int],
-        per_level_scale: Optional[float],
-    ) -> Tuple[int, ...]:
-        """Trailing array indices selected by the encoding-axis selectors.
-
-        ``()`` for non-extended grids (after validating that any named
-        selector is actually on the grid — its resolved sentinel axis);
-        a ``(t, h, r)`` triple for extended grids, applying the same
-        ambiguity rule as every other axis.
-        """
-        selectors = (
-            ("gridtype", gridtype, self.grid.gridtypes),
-            ("log2_hashmap_size", log2_hashmap_size, self.grid.log2_hashmap_sizes),
-            ("per_level_scale", per_level_scale, self.grid.per_level_scales),
-        )
-        if not self.grid.is_extended:
-            for name, value, values in selectors:
-                if value is not None:
-                    self._axis_index(name, value, values or ())
-            return ()
-        return tuple(
-            self._axis_index(name, value, values)
-            for name, value, values in selectors
-        )
-
     def index(
         self,
         app: str,
@@ -467,23 +432,14 @@ class SweepResult:
         log2_hashmap_size: Optional[int] = None,
         per_level_scale: Optional[float] = None,
     ) -> Tuple[int, ...]:
-        try:
-            base = (
-                self.grid.apps.index(app),
-                self.grid.schemes.index(scheme),
-                self.grid.scale_factors.index(scale_factor),
-                self.grid.pixel_counts.index(n_pixels),
-            )
-        except ValueError as exc:
-            raise NotOnGridError(
-                f"({app}, {scheme}, {scale_factor}, {n_pixels}) not on the grid"
-            ) from exc
-        return base + (
-            self._axis_index("clock_ghz", clock_ghz, self.grid.clocks_ghz),
-            self._axis_index("grid_sram_kb", grid_sram_kb, self.grid.grid_sram_kb),
-            self._axis_index("n_engines", n_engines, self.grid.n_engines),
-            self._axis_index("n_batches", n_batches, self.grid.n_batches),
-        ) + self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
+        """Array index of one grid point (selectors follow :func:`axis_index`)."""
+        return point_index(
+            self.grid, app=app, scheme=scheme, scale_factor=scale_factor,
+            n_pixels=n_pixels, clock_ghz=clock_ghz, grid_sram_kb=grid_sram_kb,
+            n_engines=n_engines, n_batches=n_batches, gridtype=gridtype,
+            log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
+        )
 
     def point(
         self,
@@ -505,11 +461,12 @@ class SweepResult:
             clock_ghz, grid_sram_kb, n_engines, n_batches,
             gridtype, log2_hashmap_size, per_level_scale,
         )
+        grid = self.grid
         return EmulationResult(
-            app=app,
-            scheme=scheme,
-            scale_factor=scale_factor,
-            n_pixels=n_pixels,
+            app=grid.apps[idx[0]],
+            scheme=grid.schemes[idx[1]],
+            scale_factor=grid.scale_factors[idx[2]],
+            n_pixels=grid.pixel_counts[idx[3]],
             baseline_ms=float(self.baseline_ms[idx]),
             accelerated_ms=float(self.accelerated_ms[idx]),
             encoding_engine_ms=float(self.encoding_engine_ms[idx]),
@@ -606,33 +563,6 @@ class SweepResult:
         return cls(grid=grid, engine=str(payload.get("engine", "served")), **arrays)
 
     # -- queries ------------------------------------------------------------
-    def _config_axes(self, c: int, g: int, e: int, b: int, enc: Tuple = ()) -> Tuple:
-        """(name, value) pairs for the swept (non-singleton) config axes.
-
-        ``enc`` is the encoding-axis index triple of the queried slice
-        (empty for non-extended grids); its values are recorded so a
-        point's provenance survives serialization even though the
-        encoding axes were sliced away before the front was computed.
-        """
-        out = []
-        if len(self.grid.clocks_ghz) > 1:
-            out.append(("clock_ghz", self.grid.clocks_ghz[c]))
-        if len(self.grid.grid_sram_kb) > 1:
-            out.append(("grid_sram_kb", self.grid.grid_sram_kb[g]))
-        if len(self.grid.n_engines) > 1:
-            out.append(("n_engines", self.grid.n_engines[e]))
-        if len(self.grid.n_batches) > 1:
-            out.append(("n_batches", self.grid.n_batches[b]))
-        if enc:
-            t, h, r = enc
-            if len(self.grid.gridtypes) > 1:
-                out.append(("gridtype", self.grid.gridtypes[t]))
-            if len(self.grid.log2_hashmap_sizes) > 1:
-                out.append(("log2_hashmap_size", self.grid.log2_hashmap_sizes[h]))
-            if len(self.grid.per_level_scales) > 1:
-                out.append(("per_level_scale", self.grid.per_level_scales[r]))
-        return tuple(out)
-
     def pareto_front(
         self,
         scheme: str,
@@ -647,74 +577,40 @@ class SweepResult:
         Every (scale, clock, SRAM, engines, batches) combination on the
         grid is a candidate; the front is sorted by ascending area.
         Benefit is the speedup of ``app``, or the all-apps average when
-        ``app`` is None (the Fig. 12 "average" bars).  When the grid
-        sweeps several pixel counts, ``n_pixels`` must name the slice to
-        query (mirroring :meth:`index`'s ambiguity rule) — likewise the
-        encoding selectors on extended grids.
+        ``app`` is None (the Fig. 12 "average" bars).  ``scheme``,
+        ``n_pixels`` and the encoding selectors follow
+        :func:`axis_index`'s rule; :func:`front_points` ranks the plane
+        they pick.
         """
-        j = self.grid.schemes.index(scheme)
-        l = self._axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
-        enc = self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
-        speedup = self.speedup
-        plane = speedup[:, j, :, l]  # (A, K, C, G, E, B[, T, H, R])
-        if enc:
-            plane = plane[..., enc[0], enc[1], enc[2]]
-        if app is None:
-            benefit = plane.mean(axis=0)  # (K, C, G, E, B)
-        else:
-            benefit = plane[self.grid.apps.index(app)]
-        cost = np.broadcast_to(self.area_overhead_pct[..., None], benefit.shape)
-        keep = pareto_front(cost.reshape(-1), benefit.reshape(-1))
-        points = []
-        for flat in keep:
-            k, c, g, e, b = np.unravel_index(flat, benefit.shape)
-            speedups = {
-                a: float(speedup[(i, j, k, l, c, g, e, b) + enc])
-                for i, a in enumerate(self.grid.apps)
-            }
-            points.append(
-                DesignPoint(
-                    scale_factor=self.grid.scale_factors[k],
-                    area_overhead_pct=float(self.area_overhead_pct[k, c, g, e]),
-                    power_overhead_pct=float(self.power_overhead_pct[k, c, g, e]),
-                    speedups=speedups,
-                    config_axes=self._config_axes(c, g, e, b, enc),
-                )
-            )
-        return points
+        query = query_slice(
+            self.grid, scheme, n_pixels, gridtype=gridtype,
+            log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
+        )
+        return front_points(
+            self.grid, self.area_overhead_pct, self.power_overhead_pct,
+            self.speedup[query.index], query.enc, app,
+        )
 
     def _cheapest_point(
-        self,
-        app: str,
-        feasible_of,  # callable: (K, C, G, E, B)-shaped metric slice -> bool mask
-        metric: np.ndarray,
-        n_pixels: Optional[int],
-        scheme: Optional[str],
-        enc: Tuple[int, ...],
+        self, app, feasible_of, metric: np.ndarray, query: QuerySlice
     ) -> Optional[DesignPoint]:
-        """Shared cheapest-area search under a feasibility predicate."""
-        i = self.grid.apps.index(app)
-        j = self._axis_index("scheme", scheme, self.grid.schemes)
-        l = self._axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
-        values = metric[i, j, :, l]  # (K, C, G, E, B[, T, H, R])
-        if enc:
-            values = values[..., enc[0], enc[1], enc[2]]
+        """Cheapest-area cell of ``app`` whose ``metric`` is feasible.
+
+        ``feasible_of`` maps the (K, C, G, E, B) metric slice to a bool
+        mask; ties resolve to the lowest flat index (``np.argmin``).
+        """
+        values = metric[query.index][axis_index("app", app, self.grid.apps)]
         feasible = feasible_of(values)
         if not feasible.any():
             return None
         cost = np.broadcast_to(self.area_overhead_pct[..., None], values.shape)
-        flat = int(np.argmin(np.where(feasible, cost, np.inf)))
-        k, c, g, e, b = np.unravel_index(flat, values.shape)
-        speedup = self.speedup
-        return DesignPoint(
-            scale_factor=self.grid.scale_factors[k],
-            area_overhead_pct=float(self.area_overhead_pct[k, c, g, e]),
-            power_overhead_pct=float(self.power_overhead_pct[k, c, g, e]),
-            speedups={
-                a: float(speedup[(ia, j, k, l, c, g, e, b) + enc])
-                for ia, a in enumerate(self.grid.apps)
-            },
-            config_axes=self._config_axes(c, g, e, b, enc),
+        cell = np.unravel_index(
+            int(np.argmin(np.where(feasible, cost, np.inf))), values.shape
+        )
+        return design_point(
+            self.grid, self.area_overhead_pct, self.power_overhead_pct,
+            cell + query.enc, self.speedup[query.index][(slice(None),) + cell],
         )
 
     def cheapest_point_meeting_fps(
@@ -733,16 +629,19 @@ class SweepResult:
         combination; the returned :class:`DesignPoint` carries the
         winning architecture-axis values in ``config_axes``.  When the
         grid sweeps several schemes, pixel counts or encoding-axis
-        values, the ambiguous axis must be named explicitly (mirroring
-        :meth:`index`'s rule).
+        values, the ambiguous axis must be named explicitly
+        (:func:`axis_index`'s rule).
         """
         if fps <= 0:
             raise ValueError("fps must be positive")
         budget_ms = 1000.0 / fps
-        enc = self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
+        query = query_slice(
+            self.grid, scheme, n_pixels, gridtype=gridtype,
+            log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
+        )
         return self._cheapest_point(
-            app, lambda ms: ms <= budget_ms, self.accelerated_ms,
-            n_pixels, scheme, enc,
+            app, lambda ms: ms <= budget_ms, self.accelerated_ms, query
         )
 
     def cheapest_point_meeting_train_rate(
@@ -764,10 +663,14 @@ class SweepResult:
         """
         if steps_per_s <= 0:
             raise ValueError("steps_per_s must be positive")
-        enc = self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
+        query = query_slice(
+            self.grid, scheme, n_pixels, gridtype=gridtype,
+            log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
+        )
         return self._cheapest_point(
             app, lambda rate: rate >= steps_per_s, self.train_steps_per_s,
-            n_pixels, scheme, enc,
+            query,
         )
 
     def cheapest_meeting_fps(
@@ -1371,6 +1274,190 @@ def pareto_front(costs, values) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
+# the query kernel: one selector rule, one masked front, one point builder
+# ---------------------------------------------------------------------------
+
+#: the axes of a query cell after its scale factor, in array order: the
+#: architecture axes, then (on extended grids) the encoding axes
+_CELL_AXES = tuple(spec for spec in AXES if spec.kind in ("arch", "encoding"))
+
+
+def axis_index(axis: str, value, values: Tuple) -> int:
+    """Position of selector ``value`` on one grid axis: the selector rule.
+
+    An unset selector (None) resolves only on a singleton axis; on a
+    swept one it raises :class:`AmbiguousAxisError`.  A value absent
+    from the axis raises :class:`~repro.errors.NotOnGridError` carrying
+    the axis name and its values.  Every query path (dense, streamed,
+    adaptive, the Session facade and the sweep service) applies it.
+    """
+    if value is None:
+        if len(values) == 1:
+            return 0
+        raise AmbiguousAxisError(axis, values)
+    try:
+        return values.index(value)
+    except ValueError:
+        raise NotOnGridError(
+            f"{axis}={value!r} not on the grid", axis=axis, values=values
+        ) from None
+
+
+def encoding_slice(grid: SweepGrid, **selectors) -> Tuple[int, ...]:
+    """Trailing array indices picked by the encoding-axis selectors.
+
+    ``selectors`` are keyed by the query names of
+    :data:`~repro.core.axes.EXTENSION_AXES` (``gridtype``,
+    ``log2_hashmap_size``, ``per_level_scale``).  Returns ``()`` on a
+    grid that does not sweep the encoding axes, after checking any named
+    selector against its resolved sentinel axis, and one index per
+    encoding axis under :func:`axis_index` otherwise.
+    """
+    extended = grid.is_extended
+    enc = tuple(
+        axis_index(
+            spec.query_name, selectors.get(spec.query_name),
+            getattr(grid, spec.name) or (),
+        )
+        for spec in EXTENSION_AXES
+        if extended or selectors.get(spec.query_name) is not None
+    )
+    return enc if extended else ()
+
+
+class QuerySlice(NamedTuple):
+    """Grid positions of one (scheme, pixel count, encoding) query plane."""
+
+    scheme: int
+    pixels: int
+    enc: Tuple[int, ...]
+
+    @property
+    def index(self) -> Tuple:
+        """``array[index]`` is the (apps, scale, clock, SRAM, engines,
+        batches) plane of any ``grid.shape`` array."""
+        return (
+            slice(None), self.scheme, slice(None), self.pixels, Ellipsis,
+        ) + self.enc
+
+
+def query_slice(
+    grid: SweepGrid, scheme=None, n_pixels=None, **encoding
+) -> QuerySlice:
+    """The plane a front or cheapest-point query ranks.
+
+    ``scheme`` and ``n_pixels`` follow :func:`axis_index`, the encoding
+    selectors :func:`encoding_slice`.
+    """
+    return QuerySlice(
+        axis_index("scheme", scheme, grid.schemes),
+        axis_index("n_pixels", n_pixels, grid.pixel_counts),
+        encoding_slice(grid, **encoding),
+    )
+
+
+def point_index(grid: SweepGrid, **selectors) -> Tuple[int, ...]:
+    """Full array index of one grid point, selectors keyed by query name.
+
+    Each seed axis (``app``, ``scheme``, ``scale_factor``, ``n_pixels``,
+    ``clock_ghz``, ...) follows :func:`axis_index`; the remaining
+    selectors go to :func:`encoding_slice`.
+    """
+    seed = tuple(
+        axis_index(
+            spec.query_name, selectors.pop(spec.query_name, None),
+            getattr(grid, spec.name),
+        )
+        for spec in AXES
+        if spec.legacy
+    )
+    return seed + encoding_slice(grid, **selectors)
+
+
+def config_axes(grid: SweepGrid, cell: Tuple) -> Tuple[Tuple[str, object], ...]:
+    """(selector, value) pairs of the swept axes at a query cell.
+
+    ``cell`` is the (scale, clock, SRAM, engines, batches) index tuple,
+    followed by the encoding indices on extended grids.  Only axes
+    holding more than one value are recorded, so a point's provenance
+    survives serialization even though the encoding axes were sliced
+    away before the front was computed.
+    """
+    return tuple(
+        (spec.query_name, getattr(grid, spec.name)[pos])
+        for spec, pos in zip(_CELL_AXES, cell[1:])
+        if len(getattr(grid, spec.name)) > 1
+    )
+
+
+def design_point(
+    grid: SweepGrid, area4: np.ndarray, power4: np.ndarray, cell: Tuple,
+    speedups,
+) -> DesignPoint:
+    """The :class:`DesignPoint` of a query cell.
+
+    ``area4``/``power4`` are the (scale, clock, SRAM, engines) overhead
+    arrays, ``cell`` as in :func:`config_axes`, and ``speedups`` holds
+    every app's speedup at the cell, in grid app order.
+    """
+    k, c, g, e = cell[:4]
+    return DesignPoint(
+        scale_factor=grid.scale_factors[k],
+        area_overhead_pct=float(area4[k, c, g, e]),
+        power_overhead_pct=float(power4[k, c, g, e]),
+        speedups={app: float(s) for app, s in zip(grid.apps, speedups)},
+        config_axes=config_axes(grid, cell),
+    )
+
+
+def front(area4: np.ndarray, benefit: np.ndarray, valid=None) -> List[Tuple]:
+    """Cells of the exact (min area, max benefit) Pareto front.
+
+    ``benefit`` holds one value per (scale, clock, SRAM, engines,
+    batches) cell; the cost of a cell is its batch-independent ``area4``
+    entry.  ``valid`` (benefit-shaped, or None for all) masks the cells
+    allowed to compete, so a dense sweep and a partially evaluated one
+    share this code.  The ranking is :func:`pareto_front`'s, including
+    its lowest-flat-index tie-break; cells come back in front order.
+    """
+    costs = np.broadcast_to(area4[..., None], benefit.shape).reshape(-1)
+    values = benefit.reshape(-1)
+    if valid is None or valid.all():
+        keep = pareto_front(costs, values)
+    else:
+        index_map = np.flatnonzero(valid.reshape(-1))
+        keep = index_map[pareto_front(costs[index_map], values[index_map])]
+    return [np.unravel_index(int(flat), benefit.shape) for flat in keep]
+
+
+def front_points(
+    grid: SweepGrid, area4: np.ndarray, power4: np.ndarray,
+    speedup: np.ndarray, enc: Tuple = (), app: Optional[str] = None,
+    valid=None,
+) -> List[DesignPoint]:
+    """The Pareto front of one :class:`QuerySlice` plane, as design points.
+
+    ``speedup`` is the (apps, scale, clock, SRAM, engines, batches)
+    plane and ``enc`` its encoding indices.  Benefit is ``app``'s
+    speedup, or the all-apps mean when ``app`` is None.  ``valid``
+    (speedup-shaped) marks the evaluated entries of a partial sweep: a
+    cell competes once every app's entry there is evaluated.
+    """
+    a = None if app is None else axis_index("app", app, grid.apps)
+    if valid is not None:
+        valid = valid.all(axis=0)
+        if not valid.any():
+            return []
+    benefit = speedup.mean(axis=0) if a is None else speedup[a]
+    return [
+        design_point(
+            grid, area4, power4, cell + enc, speedup[(slice(None),) + cell]
+        )
+        for cell in front(area4, benefit, valid)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # adaptive refinement planner (consumed by repro.explore)
 # ---------------------------------------------------------------------------
 
@@ -1548,10 +1635,21 @@ def train_steps_per_s_batch(
             config = get_config(app, scheme)
             for l, n_pixels in enumerate(grid.pixel_counts):
                 samples = samples_per_frame(config, n_pixels)
-                out[i, j, :, l] = (
-                    samples / accelerated_ms[i, j, :, l]
-                ) * 1000.0 / (batch * TRAIN_STEP_FLOP_FACTOR)
+                out[i, j, :, l] = train_rate(
+                    samples, accelerated_ms[i, j, :, l], batch
+                )
     return out
+
+
+def train_rate(samples, accelerated_ms, batch: int):
+    """Optimizer steps/s of ``batch``-sample steps at a frame time.
+
+    ``samples`` are the samples of one frame and ``accelerated_ms`` its
+    accelerated time; see :func:`train_steps_per_s_batch` for the model.
+    The one spelling of the expression, so the dense metric and the
+    explorer's feasibility predicate agree bit for bit.
+    """
+    return (samples / accelerated_ms) * 1000.0 / (batch * TRAIN_STEP_FLOP_FACTOR)
 
 
 def cheapest_meeting_fps(
@@ -1576,105 +1674,7 @@ def cheapest_meeting_fps(
         pixel_counts=(n_pixels,),
     )
     result = sweep_grid(grid, engine=engine)
-    scale = result.cheapest_meeting_fps(app, fps, n_pixels, scheme)
-    if scale is None:
-        return None
-    k = result.grid.scale_factors.index(scale)
-    return DesignPoint(
-        scale_factor=scale,
-        area_overhead_pct=float(result.area_overhead_pct[k, 0, 0, 0]),
-        power_overhead_pct=float(result.power_overhead_pct[k, 0, 0, 0]),
-        speedups={app: float(result.speedup[0, 0, k, 0, 0, 0, 0, 0])},
-    )
-
-
-# ---------------------------------------------------------------------------
-# legacy Fig. 12 + Fig. 15 view — deprecated shims over the Session facade
-# ---------------------------------------------------------------------------
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} from the repro.api Session facade",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def design_space(
-    scheme: str = "multi_res_hashgrid",
-    n_pixels: int = FHD_PIXELS,
-    scales=SCALE_FACTORS,
-    engine: str = "vectorized",
-) -> List[DesignPoint]:
-    """Evaluate every scaling factor: cost (Fig. 15) x benefit (Fig. 12).
-
-    .. deprecated:: the :class:`repro.api.Session` facade supersedes
-       this; ``Session().sweep(grid)`` returns a handle answering the
-       same queries over any backend.
-    """
-    _warn_deprecated("design_space()", "Session().sweep(...)")
-    from repro.api import Session
-
-    grid = SweepGrid(
-        apps=APP_NAMES,
-        schemes=(scheme,),
-        scale_factors=tuple(scales),
-        pixel_counts=(n_pixels,),
-    )
-    result = Session.local(engine=engine).sweep(grid).result
-    points = []
-    # look up by name against the *result's* (normalized) grid, but
-    # emit points in the caller's scale order — the session
-    # canonicalizes axis order, the legacy contract does not
-    for scale in (int(s) for s in scales):
-        k = result.grid.scale_factors.index(scale)
-        speedups = {
-            app: result.point(app, scheme, scale, n_pixels).speedup
-            for app in grid.apps
-        }
-        points.append(
-            DesignPoint(
-                scale_factor=scale,
-                area_overhead_pct=float(result.area_overhead_pct[k, 0, 0, 0]),
-                power_overhead_pct=float(result.power_overhead_pct[k, 0, 0, 0]),
-                speedups=speedups,
-            )
-        )
-    return points
-
-
-def pareto_frontier(points: List[DesignPoint]) -> List[DesignPoint]:
-    """Points not dominated in (smaller area, larger average speedup).
-
-    .. deprecated:: a thin wrapper over the index-based
-       :func:`pareto_front` (the one Pareto implementation); call that,
-       or query a front straight off ``Session().sweep(...).pareto()``.
-    """
-    _warn_deprecated("pareto_frontier()", "pareto_front() / Sweep.pareto()")
-    if not points:
-        return []
-    keep = pareto_front(
-        [p.area_overhead_pct for p in points],
-        [p.average_speedup for p in points],
-    )
-    return [points[i] for i in sorted(keep, key=lambda i: points[i].area_overhead_pct)]
-
-
-def smallest_scale_for_fps(
-    app: str,
-    fps: float,
-    n_pixels: int,
-    scheme: str = "multi_res_hashgrid",
-    scales=SCALE_FACTORS,
-) -> Optional[int]:
-    """Smallest scaling factor hitting ``fps`` at ``n_pixels``, or None.
-
-    .. deprecated:: use ``Session().sweep(grid).cheapest(app=..., fps=...)``.
-    """
-    _warn_deprecated("smallest_scale_for_fps()", "Sweep.cheapest()")
-    hit = cheapest_meeting_fps(app, fps, n_pixels, scheme, tuple(sorted(scales)))
-    return hit.scale_factor if hit else None
+    return result.cheapest_point_meeting_fps(app, fps, n_pixels, scheme)
 
 
 def efficiency_sweet_spot(points: List[DesignPoint]) -> DesignPoint:

@@ -24,6 +24,8 @@ facade (which imports them).
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 
 class ReproError(Exception):
     """Base class of every error the ``repro.api`` facade raises.
@@ -55,8 +57,16 @@ class NotOnGridError(ReproError, KeyError):
 
     Also a :class:`KeyError`, so pre-facade callers that caught the old
     bare error keep working; the service layer maps it to a structured
-    404 (``error.code == "not-on-grid"``).
+    404 (``error.code == "not-on-grid"``).  ``axis`` and ``values``
+    name the offending axis and the values it does hold, when known;
+    the 404 forwards them as details.
     """
+
+    def __init__(self, message: str, axis: Optional[str] = None,
+                 values: Optional[Tuple] = None):
+        super().__init__(message)
+        self.axis = axis
+        self.values = None if values is None else tuple(values)
 
     def __str__(self) -> str:  # KeyError repr-quotes its payload; don't
         return str(self.args[0]) if self.args else ""

@@ -65,18 +65,21 @@ import numpy as np
 from repro.core.area_power import ngpc_area_power_batch
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
-    TRAIN_STEP_FLOP_FACTOR,
-    AmbiguousAxisError,
     DesignPoint,
     LocalBlockRunner,
     SweepGrid,
+    axis_index,
+    design_point,
     dominance_prune,
     pareto_front,
+    point_index,
+    query_slice,
     refinement_plan,
     selection_task,
+    train_rate,
 )
 from repro.core.emulator import EmulationResult
-from repro.errors import NotOnGridError, infeasible_query
+from repro.errors import infeasible_query
 
 #: per-axis segments of the coarse lattice (round 0 evaluates the
 #: lattice cross product at the last batch cell)
@@ -192,45 +195,6 @@ class AdaptiveExplorer:
         self._slices: Dict[Tuple[str, int], Dict[str, np.ndarray]] = {}
 
     # -- shared plumbing -----------------------------------------------------
-    def _axis_index(self, axis_name: str, value, values: Tuple) -> int:
-        if value is None:
-            if len(values) == 1:
-                return 0
-            raise AmbiguousAxisError(axis_name, values)
-        try:
-            return values.index(value)
-        except ValueError as exc:
-            raise NotOnGridError(f"{axis_name}={value!r} not on the grid") from exc
-
-    def _encoding_index(
-        self,
-        gridtype: Optional[str],
-        log2_hashmap_size: Optional[int],
-        per_level_scale: Optional[float],
-    ) -> Tuple[int, ...]:
-        """Encoding-axis indices of the queried slice.
-
-        Mirrors :meth:`SweepResult._encoding_slice` exactly: ``()`` for
-        non-extended grids (validating any named selector against the
-        resolved sentinel axis), a ``(t, h, r)`` triple otherwise —
-        the explorer keeps one dense partial slice per encoding point.
-        """
-        selectors = (
-            ("gridtype", gridtype, self.grid.gridtypes),
-            ("log2_hashmap_size", log2_hashmap_size,
-             self.grid.log2_hashmap_sizes),
-            ("per_level_scale", per_level_scale, self.grid.per_level_scales),
-        )
-        if not self.grid.is_extended:
-            for name, value, values in selectors:
-                if value is not None:
-                    self._axis_index(name, value, values or ())
-            return ()
-        return tuple(
-            self._axis_index(name, value, values)
-            for name, value, values in selectors
-        )
-
     def _slice_state(
         self, scheme: str, n_pixels: int, enc: Tuple[int, ...] = ()
     ) -> Dict[str, np.ndarray]:
@@ -310,9 +274,9 @@ class AdaptiveExplorer:
     def _benefit_at(self, state, app_idxs, mean_mode, index):
         """Benefit (speedup / mean speedup) at an index expression.
 
-        The arithmetic mirrors :meth:`SweepResult.pareto_front` exactly
-        — elementwise ``baseline / accelerated`` then a mean over the
-        app axis — so values are bit-identical to the exhaustive path.
+        The arithmetic is :func:`~repro.core.dse.front_points`' —
+        elementwise ``baseline / accelerated`` then a mean over the app
+        axis — so values are bit-identical to the exhaustive path.
         """
         if mean_mode:
             base = state["baseline"][(slice(None),) + index]
@@ -472,16 +436,16 @@ class AdaptiveExplorer:
     ) -> List[DesignPoint]:
         """Adaptive :meth:`SweepResult.pareto_front` — identical answer.
 
-        On extended grids the encoding selectors name the slice to
-        query, with the same ambiguity rule as the exhaustive path.
+        Selectors follow :func:`~repro.core.dse.query_slice`, exactly
+        as on the exhaustive path, and are checked before anything is
+        evaluated.
         """
         with self._lock:
-            return self._pareto(
-                scheme, n_pixels, app,
-                self._encoding_index(
-                    gridtype, log2_hashmap_size, per_level_scale
-                ),
-            )
+            return self._pareto(app, query_slice(
+                self.grid, scheme, n_pixels, gridtype=gridtype,
+                log2_hashmap_size=log2_hashmap_size,
+                per_level_scale=per_level_scale,
+            ))
 
     def _full_selection(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(tuple(range(n)) for n in self._slice_shape)
@@ -495,16 +459,15 @@ class AdaptiveExplorer:
         )
         return [int(flat[i]) for i in pareto_front(costs, values)]
 
-    def _pareto(self, scheme, n_pixels, app, enc=()):
-        self.grid.schemes.index(scheme)  # same ValueError as exhaustive
-        l = self._axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
-        pixels = self.grid.pixel_counts[l]
+    def _pareto(self, app, query):
+        scheme = self.grid.schemes[query.scheme]
+        pixels = self.grid.pixel_counts[query.pixels]
         mean_mode = app is None
         if mean_mode:
             app_idxs = list(range(len(self.grid.apps)))
         else:
-            app_idxs = [self.grid.apps.index(app)]
-        state = self._slice_state(scheme, pixels, enc)
+            app_idxs = [axis_index("app", app, self.grid.apps)]
+        state = self._slice_state(scheme, pixels, query.enc)
         front_flat = self._pareto_front_flat(
             state, scheme, pixels, app_idxs, mean_mode
         )
@@ -675,46 +638,13 @@ class AdaptiveExplorer:
         keep = pareto_front(costs[first], values[first])
         return [int(flat[i]) for i in keep]
 
-    def _config_axes(self, c: int, g: int, e: int, b: int, enc: Tuple = ()) -> Tuple:
-        out = []
-        if len(self.grid.clocks_ghz) > 1:
-            out.append(("clock_ghz", self.grid.clocks_ghz[c]))
-        if len(self.grid.grid_sram_kb) > 1:
-            out.append(("grid_sram_kb", self.grid.grid_sram_kb[g]))
-        if len(self.grid.n_engines) > 1:
-            out.append(("n_engines", self.grid.n_engines[e]))
-        if len(self.grid.n_batches) > 1:
-            out.append(("n_batches", self.grid.n_batches[b]))
-        if enc:
-            t, h, r = enc
-            if len(self.grid.gridtypes) > 1:
-                out.append(("gridtype", self.grid.gridtypes[t]))
-            if len(self.grid.log2_hashmap_sizes) > 1:
-                out.append(
-                    ("log2_hashmap_size", self.grid.log2_hashmap_sizes[h])
-                )
-            if len(self.grid.per_level_scales) > 1:
-                out.append(("per_level_scale", self.grid.per_level_scales[r]))
-        return tuple(out)
-
     def _design_point(self, state, flat) -> DesignPoint:
-        """Build the exhaustive-identical payload for an evaluated cell."""
-        k, c, g, e, b = (
-            int(v) for v in np.unravel_index(flat, self._slice_shape)
-        )
-        speedups = {
-            a: float(
-                state["baseline"][i, k, c, g, e, b]
-                / state["accelerated"][i, k, c, g, e, b]
-            )
-            for i, a in enumerate(self.grid.apps)
-        }
-        return DesignPoint(
-            scale_factor=self.grid.scale_factors[k],
-            area_overhead_pct=float(self._area4[k, c, g, e]),
-            power_overhead_pct=float(self._power4[k, c, g, e]),
-            speedups=speedups,
-            config_axes=self._config_axes(c, g, e, b, state["enc"]),
+        """The exhaustive-identical :func:`~repro.core.dse.design_point`."""
+        cell = np.unravel_index(flat, self._slice_shape)
+        at = (slice(None),) + cell
+        return design_point(
+            self.grid, self._area4, self._power4, cell + state["enc"],
+            state["baseline"][at] / state["accelerated"][at],
         )
 
     # -- cheapest ------------------------------------------------------------
@@ -739,14 +669,15 @@ class AdaptiveExplorer:
             raise ValueError("fps must be positive")
         budget_ms = 1000.0 / fps
         with self._lock:
-            point = self._cheapest(
-                app, lambda ms: ms <= budget_ms, n_pixels, scheme,
-                self._encoding_index(
-                    gridtype, log2_hashmap_size, per_level_scale
+            return self._cheapest(
+                app, lambda ms: ms <= budget_ms,
+                query_slice(
+                    self.grid, scheme, n_pixels, gridtype=gridtype,
+                    log2_hashmap_size=log2_hashmap_size,
+                    per_level_scale=per_level_scale,
                 ),
                 infeasible_fps=fps,
             )
-        return point
 
     def cheapest_train(
         self,
@@ -774,37 +705,28 @@ class AdaptiveExplorer:
         from repro.gpu.kernels import samples_per_frame
 
         with self._lock:
-            j = self._axis_index("scheme", scheme, self.grid.schemes)
-            l = self._axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
+            query = query_slice(
+                self.grid, scheme, n_pixels, gridtype=gridtype,
+                log2_hashmap_size=log2_hashmap_size,
+                per_level_scale=per_level_scale,
+            )
+            app = self.grid.apps[axis_index("app", app, self.grid.apps)]
             samples = samples_per_frame(
-                get_config(app, self.grid.schemes[j]),
-                self.grid.pixel_counts[l],
+                get_config(app, self.grid.schemes[query.scheme]),
+                self.grid.pixel_counts[query.pixels],
             )
             batch = TrainerConfig().batch_size
-
-            def feasible_of(acc_ms):
-                # same expression (and evaluation order) as
-                # train_steps_per_s_batch, for bit-identical boundaries
-                rate = (samples / acc_ms) * 1000.0 / (
-                    batch * TRAIN_STEP_FLOP_FACTOR
-                )
-                return rate >= steps_per_s
-
             return self._cheapest(
-                app, feasible_of, n_pixels, scheme,
-                self._encoding_index(
-                    gridtype, log2_hashmap_size, per_level_scale
-                ),
+                app,
+                lambda acc_ms: train_rate(samples, acc_ms, batch) >= steps_per_s,
+                query,
             )
 
-    def _cheapest(self, app, feasible_of, n_pixels, scheme, enc,
-                  infeasible_fps=None):
-        i = self.grid.apps.index(app)
-        j = self._axis_index("scheme", scheme, self.grid.schemes)
-        l = self._axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
-        scheme_v = self.grid.schemes[j]
-        pixels = self.grid.pixel_counts[l]
-        state = self._slice_state(scheme_v, pixels, enc)
+    def _cheapest(self, app, feasible_of, query, infeasible_fps=None):
+        i = axis_index("app", app, self.grid.apps)
+        scheme_v = self.grid.schemes[query.scheme]
+        pixels = self.grid.pixel_counts[query.pixels]
+        state = self._slice_state(scheme_v, pixels, query.enc)
         acc_app = state["accelerated"][i]
         last_b = self._n_b - 1
 
@@ -854,7 +776,7 @@ class AdaptiveExplorer:
                 return None
             best_fps = float(1000.0 / np.nanmin(acc_app))
             raise infeasible_query(
-                app, infeasible_fps, pixels, scheme_v, best_fps
+                self.grid.apps[i], infeasible_fps, pixels, scheme_v, best_fps
             )
         # materialize the full batch columns of the cost-tied feasible
         # columns: the exhaustive argmin resolves ties by first flat
@@ -911,25 +833,16 @@ class AdaptiveExplorer:
         """Adaptive :meth:`SweepResult.point`: evaluates one grid cell."""
         with self._lock:
             grid = self.grid
-            try:
-                i = grid.apps.index(app)
-                grid.schemes.index(scheme)
-                k = grid.scale_factors.index(scale_factor)
-                l = grid.pixel_counts.index(n_pixels)
-            except ValueError as exc:
-                raise NotOnGridError(
-                    f"({app}, {scheme}, {scale_factor}, {n_pixels}) "
-                    f"not on the grid"
-                ) from exc
-            c = self._axis_index("clock_ghz", clock_ghz, grid.clocks_ghz)
-            g = self._axis_index(
-                "grid_sram_kb", grid_sram_kb, grid.grid_sram_kb
+            i, j, k, l, c, g, e, b, *enc = point_index(
+                grid, app=app, scheme=scheme, scale_factor=scale_factor,
+                n_pixels=n_pixels, clock_ghz=clock_ghz,
+                grid_sram_kb=grid_sram_kb, n_engines=n_engines,
+                n_batches=n_batches, gridtype=gridtype,
+                log2_hashmap_size=log2_hashmap_size,
+                per_level_scale=per_level_scale,
             )
-            e = self._axis_index("n_engines", n_engines, grid.n_engines)
-            b = self._axis_index("n_batches", n_batches, grid.n_batches)
-            enc = self._encoding_index(
-                gridtype, log2_hashmap_size, per_level_scale
-            )
+            enc = tuple(enc)
+            app, scheme = grid.apps[i], grid.schemes[j]
             pixels = grid.pixel_counts[l]
             sel = ((k,), (c,), (g,), (e,), (b,))
             # evaluate through the runner directly: the dense state only
@@ -948,7 +861,7 @@ class AdaptiveExplorer:
             return EmulationResult(
                 app=app,
                 scheme=scheme,
-                scale_factor=scale_factor,
+                scale_factor=grid.scale_factors[k],
                 n_pixels=pixels,
                 baseline_ms=float(block["baseline_ms"][idx]),
                 accelerated_ms=float(block["accelerated_ms"][idx]),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.core.dse import AmbiguousAxisError
-from repro.errors import InfeasibleQueryError, ReproError
+from repro.errors import InfeasibleQueryError, NotOnGridError, ReproError
 from repro.transport import FrameError
 
 
@@ -73,6 +73,13 @@ def as_service_error(exc: BaseException) -> ServiceError:
         # a malformed/corrupt binary frame body (checked before FrameError's
         # ValueError base so the code names the transport, not the request)
         return ServiceError(400, "bad-frame", str(exc))
+    if isinstance(exc, NotOnGridError):
+        details = {}
+        if exc.axis is not None:
+            details["axis"] = exc.axis
+        if exc.values is not None:
+            details["values"] = list(exc.values)
+        return ServiceError(404, "not-on-grid", str(exc), **details)
     if isinstance(exc, KeyError):
         # KeyError str() repr-quotes its single argument; unwrap it
         message = str(exc.args[0]) if exc.args else str(exc)

@@ -8,13 +8,16 @@ whatever thread completes a block; the serving side subscribes from the
 event loop and turns ticks into ``/sweep/stream`` events.
 
 :class:`PartialSweep` holds dense speedup arrays that blocks scatter
-into (gated by a validity mask — unevaluated entries are never read),
-and computes **exact partial Pareto fronts**: only grid points whose
-every app slice is evaluated are candidates, and the math mirrors
-:meth:`repro.core.dse.SweepResult.pareto_front` operation for
-operation, so the moment the last block lands the partial front is
-bit-identical to the dense result's front.  Fronts only ever refine —
-each is exact over the evaluated subset, never an estimate.
+into, plus a validity mask of the evaluated entries, and answers
+**exact partial Pareto fronts** through the query kernel of
+:mod:`repro.core.dse`: :func:`~repro.core.dse.query_slice` applies the
+selector rule and :func:`~repro.core.dse.front_points` ranks the plane
+with the mask as :func:`~repro.core.dse.front`'s ``valid`` argument.  A
+grid point competes only once every app's entry at it is evaluated, so
+each front is exact over the evaluated subset, fronts only ever refine,
+and the moment the last block lands the partial front is the dense
+result's front bit for bit (a dense sweep is the all-valid case of the
+same code).
 """
 
 from __future__ import annotations
@@ -27,27 +30,15 @@ import numpy as np
 
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
-    AmbiguousAxisError,
     DesignPoint,
-    NotOnGridError,
     SweepGrid,
-    pareto_front,
+    axis_index,
+    front_points,
+    query_slice,
 )
 from repro.core.area_power import ngpc_area_power_batch
 
 __all__ = ["PartialSweep", "SweepProgress"]
-
-
-def _axis_index(axis_name: str, value, values: Tuple) -> int:
-    """Mirror of ``SweepResult._axis_index`` (same ambiguity rule)."""
-    if value is None:
-        if len(values) == 1:
-            return 0
-        raise AmbiguousAxisError(axis_name, values)
-    try:
-        return values.index(value)
-    except ValueError as exc:
-        raise NotOnGridError(f"{axis_name}={value!r} not on the grid") from exc
 
 
 class PartialSweep:
@@ -89,29 +80,6 @@ class PartialSweep:
             self._valid[dest] = True
         return fresh
 
-    def _encoding_slice(
-        self,
-        gridtype=None,
-        log2_hashmap_size=None,
-        per_level_scale=None,
-    ) -> Tuple:
-        """Mirror of ``SweepResult._encoding_slice`` (same rules)."""
-        grid = self.grid
-        selectors = (
-            ("gridtype", gridtype, grid.gridtypes),
-            ("log2_hashmap_size", log2_hashmap_size, grid.log2_hashmap_sizes),
-            ("per_level_scale", per_level_scale, grid.per_level_scales),
-        )
-        if not grid.is_extended:
-            for name, value, values in selectors:
-                if value is not None:
-                    _axis_index(name, value, values or ())
-            return ()
-        return tuple(
-            _axis_index(name, value, values)
-            for name, value, values in selectors
-        )
-
     def validate_selectors(
         self,
         scheme: str,
@@ -122,12 +90,13 @@ class PartialSweep:
         per_level_scale=None,
     ) -> None:
         """Raise the same structured errors a dense front query would."""
-        if scheme not in self.grid.schemes:
-            raise NotOnGridError(f"scheme={scheme!r} not on the grid")
-        _axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
-        if app is not None and app not in self.grid.apps:
-            raise NotOnGridError(f"app={app!r} not on the grid")
-        self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
+        query_slice(
+            self.grid, scheme, n_pixels, gridtype=gridtype,
+            log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
+        )
+        if app is not None:
+            axis_index("app", app, self.grid.apps)
 
     def pareto_front(
         self,
@@ -142,90 +111,21 @@ class PartialSweep:
 
         A point is a candidate once *every* app's slice at its
         configuration is evaluated (the returned ``speedups`` dict must
-        be complete).  Mirrors
-        :meth:`repro.core.dse.SweepResult.pareto_front` op for op, so
-        with every block recorded the output is bit-identical to the
-        dense front.
+        be complete).  Same selectors, arithmetic and tie-breaks as
+        :meth:`repro.core.dse.SweepResult.pareto_front`, so with every
+        block recorded the output is bit-identical to the dense front.
         """
-        grid = self.grid
-        j = grid.schemes.index(scheme)
-        l = _axis_index("n_pixels", n_pixels, grid.pixel_counts)
-        enc = self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
+        query = query_slice(
+            self.grid, scheme, n_pixels, gridtype=gridtype,
+            log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
+        )
         with self._lock:
-            valid_plane = self._valid[:, j, :, l]
-            speedup_plane = self._speedup[:, j, :, l]
-            if enc:
-                valid_plane = valid_plane[..., enc[0], enc[1], enc[2]]
-                speedup_plane = speedup_plane[..., enc[0], enc[1], enc[2]]
-            valid = valid_plane.all(axis=0)  # (K, C, G, E, B)
-            if not valid.any():
-                return []
-            speedup = self._speedup
-            if app is None:
-                benefit = speedup_plane.mean(axis=0)
-            else:
-                benefit = speedup_plane[grid.apps.index(app)]
-            cost = np.broadcast_to(
-                self.area_overhead_pct[..., None], benefit.shape
+            return front_points(
+                self.grid, self.area_overhead_pct, self.power_overhead_pct,
+                self._speedup[query.index], query.enc, app,
+                valid=self._valid[query.index],
             )
-            flat_cost = cost.reshape(-1)
-            flat_benefit = benefit.reshape(-1)
-            if valid.all():
-                index_map = None
-                keep = pareto_front(flat_cost, flat_benefit)
-            else:
-                index_map = np.flatnonzero(valid.reshape(-1))
-                keep = pareto_front(
-                    flat_cost[index_map], flat_benefit[index_map]
-                )
-            points = []
-            for pos in keep:
-                flat = int(pos) if index_map is None else int(index_map[pos])
-                k, c, g, e, b = np.unravel_index(flat, benefit.shape)
-                speedups = {
-                    a: float(speedup[(ia, j, k, l, c, g, e, b) + enc])
-                    for ia, a in enumerate(grid.apps)
-                }
-                points.append(
-                    DesignPoint(
-                        scale_factor=grid.scale_factors[k],
-                        area_overhead_pct=float(
-                            self.area_overhead_pct[k, c, g, e]
-                        ),
-                        power_overhead_pct=float(
-                            self.power_overhead_pct[k, c, g, e]
-                        ),
-                        speedups=speedups,
-                        config_axes=self._config_axes(c, g, e, b, enc),
-                    )
-                )
-        return points
-
-    def _config_axes(
-        self, c: int, g: int, e: int, b: int, enc: Tuple = ()
-    ) -> Tuple:
-        """Mirror of ``SweepResult._config_axes`` (non-singleton axes)."""
-        grid = self.grid
-        out = []
-        if len(grid.clocks_ghz) > 1:
-            out.append(("clock_ghz", grid.clocks_ghz[c]))
-        if len(grid.grid_sram_kb) > 1:
-            out.append(("grid_sram_kb", grid.grid_sram_kb[g]))
-        if len(grid.n_engines) > 1:
-            out.append(("n_engines", grid.n_engines[e]))
-        if len(grid.n_batches) > 1:
-            out.append(("n_batches", grid.n_batches[b]))
-        if enc:
-            t, h, r = enc
-            if len(grid.gridtypes) > 1:
-                out.append(("gridtype", grid.gridtypes[t]))
-            if len(grid.log2_hashmap_sizes) > 1:
-                out.append(
-                    ("log2_hashmap_size", grid.log2_hashmap_sizes[h])
-                )
-            if len(grid.per_level_scales) > 1:
-                out.append(("per_level_scale", grid.per_level_scales[r]))
-        return tuple(out)
 
 
 class SweepProgress:

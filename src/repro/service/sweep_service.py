@@ -52,21 +52,22 @@ from repro.core.cache import ModelCache
 from repro.core.dse import (
     _ENGINES,
     PAYLOAD_SCHEMA_VERSION,
-    AmbiguousAxisError,
     DesignPoint,
     EmulationResult,
     LocalBlockRunner,
     SweepGrid,
     SweepResult,
+    axis_index,
+    query_slice,
     run_plan,
     stream_plan,
     sweep_fingerprint,
     sweep_grid,
 )
 from repro.core.config import NGPCConfig
-from repro.errors import InfeasibleQueryError
+from repro.errors import InfeasibleQueryError, NotOnGridError
 from repro.explore import AdaptiveExplorer, ExplorationStats
-from repro.service.errors import ServiceError, as_service_error
+from repro.service.errors import as_service_error
 from repro.service.progress import SweepProgress
 from repro.store import (
     ResultStore,
@@ -115,52 +116,6 @@ def _as_grid(grid: GridLike) -> SweepGrid:
     if isinstance(grid, SweepGrid):
         return grid
     return SweepGrid.from_dict(grid)
-
-
-def _pick(axis: str, values, value):
-    """Resolve an optional selector against a grid axis.
-
-    Mirrors :meth:`SweepResult._axis_index`'s ambiguity rule at the
-    service boundary: an unset selector is fine only when the axis is a
-    singleton.
-    """
-    if value is not None:
-        if value not in values:
-            raise ServiceError(
-                404, "not-on-grid", f"{axis}={value!r} not on the grid",
-                axis=axis, values=list(values),
-            )
-        return value
-    if len(values) == 1:
-        return values[0]
-    raise AmbiguousAxisError(axis, values)
-
-
-def _pick_encoding(grid, gridtype, log2_hashmap_size, per_level_scale):
-    """Validate the encoding-axis selectors against ``grid`` up front.
-
-    Returns the selector kwargs to forward to the result/partial query
-    (the queries re-apply the exact ambiguity rule themselves); raises
-    the same structured 400/404 as :func:`_pick` so a stream fails
-    before any evaluation starts.
-    """
-    selectors = (
-        ("gridtype", grid.gridtypes, gridtype),
-        ("log2_hashmap_size", grid.log2_hashmap_sizes, log2_hashmap_size),
-        ("per_level_scale", grid.per_level_scales, per_level_scale),
-    )
-    encoding = {}
-    for axis, values, value in selectors:
-        if grid.is_extended:
-            _pick(axis, values, value)
-        elif value is not None and value not in (values or ()):
-            raise ServiceError(
-                404, "not-on-grid", f"{axis}={value!r} not on the grid",
-                axis=axis, values=list(values or ()),
-            )
-        if value is not None:
-            encoding[axis] = value
-    return encoding
 
 
 class SweepService:
@@ -491,16 +446,16 @@ class SweepService:
         lands in the cache.
         """
         resolved = _as_grid(grid).resolve(self.ngpc).normalized()
-        scheme = _pick("scheme", resolved.schemes, scheme)
-        n_pixels = _pick("n_pixels", resolved.pixel_counts, n_pixels)
-        if app is not None and app not in resolved.apps:
-            raise ServiceError(
-                404, "not-on-grid", f"app={app!r} not on the grid",
-                axis="app", values=list(resolved.apps),
-            )
-        encoding = _pick_encoding(
-            resolved, gridtype, log2_hashmap_size, per_level_scale
+        encoding = dict(
+            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
         )
+        try:  # fail before any event, as a plain structured error
+            query_slice(resolved, scheme, n_pixels, **encoding)
+            if app is not None:
+                axis_index("app", app, resolved.apps)
+        except NotOnGridError as exc:
+            raise as_service_error(exc) from None
         key = sweep_fingerprint(resolved, self.ngpc)
         loop = asyncio.get_running_loop()
         if key not in self._inflight:
@@ -644,32 +599,16 @@ class SweepService:
         per_level_scale: Optional[float] = None,
     ) -> List[DesignPoint]:
         """Non-dominated (area, speedup) configurations of the grid."""
+        encoding = dict(
+            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
+        )
         if self.explore == "adaptive":
-            explorer = self._explorer_for(grid)
-            g = explorer.grid
-            scheme = _pick("scheme", g.schemes, scheme)
-            if app is not None and app not in g.apps:
-                raise ServiceError(
-                    404, "not-on-grid", f"app={app!r} not on the grid",
-                    axis="app", values=list(g.apps),
-                )
-            encoding = _pick_encoding(
-                g, gridtype, log2_hashmap_size, per_level_scale
-            )
             return await self._explore(
-                explorer.pareto, scheme, n_pixels=n_pixels, app=app,
-                **encoding,
+                self._explorer_for(grid).pareto, scheme, n_pixels=n_pixels,
+                app=app, **encoding,
             )
         result = await self.sweep(grid)
-        scheme = _pick("scheme", result.grid.schemes, scheme)
-        if app is not None and app not in result.grid.apps:
-            raise ServiceError(
-                404, "not-on-grid", f"app={app!r} not on the grid",
-                axis="app", values=list(result.grid.apps),
-            )
-        encoding = _pick_encoding(
-            result.grid, gridtype, log2_hashmap_size, per_level_scale
-        )
         return result.pareto_front(
             scheme, n_pixels=n_pixels, app=app, **encoding
         )
@@ -693,24 +632,19 @@ class SweepService:
         the client-side facade, which reconstructs the structured error
         from the dense result it fetched.
         """
+        encoding = dict(
+            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
+        )
         if self.explore == "adaptive":
-            explorer = self._explorer_for(grid)
-            app = _pick("app", explorer.grid.apps, app)
-            encoding = _pick_encoding(
-                explorer.grid, gridtype, log2_hashmap_size, per_level_scale
-            )
             try:
                 return await self._explore(
-                    explorer.cheapest, app, fps,
+                    self._explorer_for(grid).cheapest, app, fps,
                     n_pixels=n_pixels, scheme=scheme, **encoding,
                 )
             except InfeasibleQueryError:
                 return None
         result = await self.sweep(grid)
-        app = _pick("app", result.grid.apps, app)
-        encoding = _pick_encoding(
-            result.grid, gridtype, log2_hashmap_size, per_level_scale
-        )
         return result.cheapest_point_meeting_fps(
             app, fps, n_pixels=n_pixels, scheme=scheme, **encoding
         )
@@ -732,21 +666,16 @@ class SweepService:
         :meth:`cheapest_point_meeting_fps`, with the same
         None-on-infeasible wire contract.
         """
+        encoding = dict(
+            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
+        )
         if self.explore == "adaptive":
-            explorer = self._explorer_for(grid)
-            app = _pick("app", explorer.grid.apps, app)
-            encoding = _pick_encoding(
-                explorer.grid, gridtype, log2_hashmap_size, per_level_scale
-            )
             return await self._explore(
-                explorer.cheapest_train, app, steps_per_s,
+                self._explorer_for(grid).cheapest_train, app, steps_per_s,
                 n_pixels=n_pixels, scheme=scheme, **encoding,
             )
         result = await self.sweep(grid)
-        app = _pick("app", result.grid.apps, app)
-        encoding = _pick_encoding(
-            result.grid, gridtype, log2_hashmap_size, per_level_scale
-        )
         return result.cheapest_point_meeting_train_rate(
             app, steps_per_s, n_pixels=n_pixels, scheme=scheme, **encoding
         )
@@ -771,40 +700,19 @@ class SweepService:
         Every selector follows the ambiguity rule: optional when its
         axis is a singleton, a structured 400 naming the axis otherwise.
         """
+        selectors = dict(
+            clock_ghz=clock_ghz, grid_sram_kb=grid_sram_kb,
+            n_engines=n_engines, n_batches=n_batches, gridtype=gridtype,
+            log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
+        )
         if self.explore == "adaptive":
-            explorer = self._explorer_for(grid)
-            g = explorer.grid
-            encoding = _pick_encoding(
-                g, gridtype, log2_hashmap_size, per_level_scale
-            )
             return await self._explore(
-                explorer.point,
-                _pick("app", g.apps, app),
-                _pick("scheme", g.schemes, scheme),
-                _pick("scale_factor", g.scale_factors, scale_factor),
-                _pick("n_pixels", g.pixel_counts, n_pixels),
-                clock_ghz=clock_ghz,
-                grid_sram_kb=grid_sram_kb,
-                n_engines=n_engines,
-                n_batches=n_batches,
-                **encoding,
+                self._explorer_for(grid).point,
+                app, scheme, scale_factor, n_pixels, **selectors,
             )
         result = await self.sweep(grid)
-        g = result.grid
-        encoding = _pick_encoding(
-            g, gridtype, log2_hashmap_size, per_level_scale
-        )
-        return result.point(
-            _pick("app", g.apps, app),
-            _pick("scheme", g.schemes, scheme),
-            _pick("scale_factor", g.scale_factors, scale_factor),
-            _pick("n_pixels", g.pixel_counts, n_pixels),
-            clock_ghz=clock_ghz,
-            grid_sram_kb=grid_sram_kb,
-            n_engines=n_engines,
-            n_batches=n_batches,
-            **encoding,
-        )
+        return result.point(app, scheme, scale_factor, n_pixels, **selectors)
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> Dict:

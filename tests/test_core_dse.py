@@ -1,20 +1,38 @@
-"""Tests for the design-space exploration utilities."""
+"""Design-space properties of the NGPC (Figs. 12 + 15), read off the
+``repro.api`` Session and the :func:`cheapest_meeting_fps` query."""
 
 import pytest
 
+from repro.api import Session, SweepGrid
 from repro.calibration import paper
 from repro.core.dse import (
     DesignPoint,
-    design_space,
+    cheapest_meeting_fps,
     efficiency_sweet_spot,
-    pareto_frontier,
-    smallest_scale_for_fps,
+    pareto_front,
 )
 
 
 @pytest.fixture(scope="module")
-def points():
-    return design_space("multi_res_hashgrid")
+def sweep():
+    return Session().sweep(SweepGrid(schemes=("multi_res_hashgrid",)))
+
+
+@pytest.fixture(scope="module")
+def points(sweep):
+    """One design point per scale factor: cost (Fig. 15) x benefit (Fig. 12)."""
+    out = []
+    for k, scale in enumerate(sweep.grid.scale_factors):
+        out.append(DesignPoint(
+            scale_factor=scale,
+            area_overhead_pct=float(sweep.result.area_overhead_pct[k, 0, 0, 0]),
+            power_overhead_pct=float(sweep.result.power_overhead_pct[k, 0, 0, 0]),
+            speedups={
+                app: sweep.point(app=app, scale_factor=scale).speedup
+                for app in sweep.grid.apps
+            },
+        ))
+    return out
 
 
 class TestDesignSpace:
@@ -45,33 +63,33 @@ class TestDesignSpace:
 
 
 class TestParetoFrontier:
-    def test_all_scales_on_frontier(self, points):
+    def test_all_scales_on_frontier(self, sweep, points):
         """Bigger always costs more AND helps more here, so none dominate."""
-        frontier = pareto_frontier(points)
-        assert len(frontier) == len(points)
+        front = sweep.pareto()
+        assert [p.scale_factor for p in front] == [8, 16, 32, 64]
+        assert [p.to_dict() for p in front] == [p.to_dict() for p in points]
 
     def test_dominated_point_removed(self):
-        a = DesignPoint(8, 5.0, 3.0, {"nerf": 10.0})
-        b = DesignPoint(16, 10.0, 6.0, {"nerf": 8.0})  # dominated by a
-        frontier = pareto_frontier([a, b])
-        assert frontier == [a]
+        # (area, speedup): the second point costs more and helps less
+        assert pareto_front([5.0, 10.0], [10.0, 8.0]) == [0]
 
 
 class TestSmallestScale:
     def test_nerf_4k30_needs_more_than_minimum(self):
         """NGPC-8 cannot hit NeRF 4K@30; a mid-size cluster can."""
-        scale = smallest_scale_for_fps("nerf", 30, paper.RESOLUTIONS["4k"])
-        assert scale in (16, 32, 64)
-        assert smallest_scale_for_fps(
+        hit = cheapest_meeting_fps("nerf", 30, paper.RESOLUTIONS["4k"])
+        assert hit.scale_factor in (16, 32, 64)
+        assert cheapest_meeting_fps(
             "nerf", 30, paper.RESOLUTIONS["4k"], scales=(8,)
         ) is None
 
     def test_gia_fhd_needs_smallest(self):
-        assert smallest_scale_for_fps("gia", 60, paper.RESOLUTIONS["fhd"]) == 8
+        hit = cheapest_meeting_fps("gia", 60, paper.RESOLUTIONS["fhd"])
+        assert hit.scale_factor == 8
 
     def test_unreachable_target_returns_none(self):
-        assert smallest_scale_for_fps("nerf", 240, paper.RESOLUTIONS["8k"]) is None
+        assert cheapest_meeting_fps("nerf", 240, paper.RESOLUTIONS["8k"]) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            smallest_scale_for_fps("nerf", 0, 10**6)
+            cheapest_meeting_fps("nerf", 0, 10**6)

@@ -27,7 +27,9 @@ import pytest
 from repro.api import InfeasibleQueryError, Session, SweepGrid
 from repro.api.session import ADAPTIVE_MIN_POINTS
 from repro.core.dse import LocalBlockRunner, finalize_sweep_result, sweep_grid
+from repro.errors import NotOnGridError
 from repro.explore import AdaptiveExplorer
+from repro.service.progress import PartialSweep
 from repro.store import StoreBlockRunner
 
 #: multi-app, multi-scheme, tie-rich: every query kind has something to
@@ -152,6 +154,52 @@ class TestGoldenEquality:
 # ---------------------------------------------------------------------------
 # the Session facade: explore= modes
 # ---------------------------------------------------------------------------
+
+
+HASHGRID = "multi_res_hashgrid"
+
+#: (path, query, args, kwargs, axis): one off-grid selector per case, on
+#: the dense, streamed (partial) and adaptive query paths
+OFF_GRID_QUERIES = [
+    ("dense", "pareto_front", ("bogus",), {}, "scheme"),
+    ("dense", "pareto_front", (HASHGRID,), {"app": "bogus"}, "app"),
+    ("dense", "pareto_front", (HASHGRID,), {"n_pixels": 7}, "n_pixels"),
+    ("dense", "cheapest_point_meeting_fps", ("bogus", 60.0),
+     {"scheme": HASHGRID}, "app"),
+    ("partial", "pareto_front", ("bogus",), {}, "scheme"),
+    ("partial", "pareto_front", (HASHGRID,), {"app": "bogus"}, "app"),
+    ("partial", "validate_selectors", (HASHGRID,), {"n_pixels": 7},
+     "n_pixels"),
+    ("adaptive", "pareto", ("bogus",), {}, "scheme"),
+    ("adaptive", "pareto", (HASHGRID,), {"app": "bogus"}, "app"),
+    ("adaptive", "pareto", (HASHGRID,), {"n_pixels": 7}, "n_pixels"),
+    ("adaptive", "cheapest", ("bogus", 60.0), {"scheme": HASHGRID}, "app"),
+]
+
+
+class TestOffGridSelectors:
+    @pytest.mark.parametrize(
+        "path, query, args, kwargs, axis", OFF_GRID_QUERIES,
+        ids=[f"{c[0]}-{c[1]}-{c[4]}" for c in OFF_GRID_QUERIES],
+    )
+    def test_structured_not_on_grid_error(self, path, query, args, kwargs,
+                                          axis):
+        grid = GOLDEN_GRID.resolve()
+        target = {
+            "dense": lambda: sweep_grid(grid),
+            "partial": lambda: PartialSweep(grid, None),
+            "adaptive": lambda: AdaptiveExplorer(grid),
+        }[path]()
+        with pytest.raises(NotOnGridError) as err:
+            getattr(target, query)(*args, **kwargs)
+        assert err.value.axis == axis
+        assert err.value.values == {
+            "scheme": grid.schemes, "app": grid.apps,
+            "n_pixels": grid.pixel_counts,
+        }[axis]
+        assert str(err.value).startswith(f"{axis}=")
+        if path == "adaptive":  # rejected before anything evaluates
+            assert target.stats.points_evaluated == 0
 
 
 class TestSessionExploreModes:

@@ -37,11 +37,13 @@ from repro.core.dse import (
     sweep_fingerprint,
     sweep_grid,
 )
+from repro.errors import NotOnGridError
 from repro.gpu.baseline import FHD_PIXELS
 from repro.service import (
     ServiceClient,
     ServiceError,
     SweepService,
+    as_service_error,
     request_json,
     start_http_server,
 )
@@ -397,6 +399,14 @@ class TestStructuredErrors:
         assert error.code == "ambiguous-axis"
         assert error.details["axis"] == "clock_ghz"
         assert error.details["values"] == list(BIG_GRID.clocks_ghz)
+
+    def test_not_on_grid_error_details_are_forwarded(self):
+        err = as_service_error(NotOnGridError(
+            "app='bogus' not on the grid", axis="app", values=("gia", "nerf")
+        ))
+        assert (err.status, err.code) == (404, "not-on-grid")
+        assert err.details == {"axis": "app", "values": ["gia", "nerf"]}
+        assert as_service_error(NotOnGridError("bare")).details == {}
 
     def test_not_on_grid_and_unknown_endpoint(self):
         async def run():

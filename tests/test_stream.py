@@ -30,12 +30,15 @@ from repro.core.dse import (
     SweepGrid,
     _TIMING_FIELDS,
     assemble_shard_blocks,
+    evaluate_block,
     finalize_sweep_result,
+    pareto_front,
     shard_plan,
     sweep_grid,
     window_major,
 )
 from repro.core.emulator import emulate_batch
+from repro.errors import NotOnGridError
 from repro.service import (
     ServiceError,
     SweepService,
@@ -52,6 +55,18 @@ GRID = SweepGrid(
     scale_factors=(8, 16, 32, 64),
     clocks_ghz=(1.0, 1.695),
     grid_sram_kb=(512, 1024),
+)
+
+#: a grid sweeping two of the hash-grid encoding axes: its partial
+#: fronts slice the trailing (gridtype, log2_hashmap_size,
+#: per_level_scale) array axes
+EXTENDED_GRID = SweepGrid(
+    apps=("nerf", "gia"),
+    schemes=(SCHEME,),
+    scale_factors=(8, 16, 32),
+    clocks_ghz=(0.8, 1.2),
+    gridtypes=("hash", "tiled"),
+    log2_hashmap_sizes=(14, 19),
 )
 
 GRID_JSON = {
@@ -157,12 +172,75 @@ class TestPartialSweep:
                 assert front, f"no front after {i + 1} blocks"
         assert covered == resolved.size
 
+    @pytest.mark.parametrize("grid, encoding", [
+        (GRID, {}),
+        (EXTENDED_GRID, {"gridtype": "hash", "log2_hashmap_size": 19}),
+        (EXTENDED_GRID, {"gridtype": "tiled", "log2_hashmap_size": 14}),
+    ], ids=["seed", "extended-hash-19", "extended-tiled-14"])
+    def test_every_partial_front_is_the_restricted_dense_front(
+        self, grid, encoding
+    ):
+        """After each block: the front over the fully evaluated cells."""
+        resolved = grid.resolve()
+        dense = sweep_grid(resolved, engine="vectorized", use_cache=False)
+        partial = PartialSweep(resolved, None)
+        covered = np.zeros(resolved.shape, dtype=bool)
+        for placement, task in window_major(shard_plan(resolved, 8)):
+            partial.record(placement, evaluate_block(task))
+            i, j, windows = placement
+            covered[(i, j) + tuple(slice(lo, hi) for lo, hi in windows)] = True
+            for app in (None, "gia"):
+                streamed = [
+                    (p.scale_factor, p.area_overhead_pct,
+                     p.power_overhead_pct, p.speedups)
+                    for p in partial.pareto_front(SCHEME, app=app, **encoding)
+                ]
+                assert streamed == _restricted_front(
+                    dense, covered, app, encoding
+                )
+        assert covered.all()
+
     def test_selector_validation(self):
         partial = PartialSweep(GRID.resolve(), None)
-        with pytest.raises(Exception):
+        with pytest.raises(NotOnGridError):
             partial.validate_selectors("not-a-scheme")
-        with pytest.raises(Exception):
+        with pytest.raises(NotOnGridError):
             partial.validate_selectors(SCHEME, app="not-an-app")
+
+
+def _restricted_front(dense, covered, app, encoding):
+    """``pareto_front`` over the cells of ``dense`` every app has in
+    ``covered``, as (scale, area, power, speedups) tuples."""
+    grid = dense.grid
+    speedup = dense.speedup[:, 0, :, 0]  # one scheme, one pixel count
+    valid = covered[:, 0, :, 0]
+    if grid.is_extended:
+        enc = (
+            grid.gridtypes.index(encoding["gridtype"]),
+            grid.log2_hashmap_sizes.index(encoding["log2_hashmap_size"]),
+            0,
+        )
+        speedup = speedup[(Ellipsis,) + enc]
+        valid = valid[(Ellipsis,) + enc]
+    valid = valid.all(axis=0)
+    benefit = (
+        speedup.mean(axis=0) if app is None
+        else speedup[grid.apps.index(app)]
+    )
+    cost = np.broadcast_to(dense.area_overhead_pct[..., None], benefit.shape)
+    cells = np.flatnonzero(valid)
+    keep = pareto_front(cost.reshape(-1)[cells], benefit.reshape(-1)[cells])
+    out = []
+    for pos in keep:
+        cell = np.unravel_index(cells[pos], benefit.shape)
+        k, c, g, e = cell[:4]
+        out.append((
+            grid.scale_factors[k],
+            float(dense.area_overhead_pct[k, c, g, e]),
+            float(dense.power_overhead_pct[k, c, g, e]),
+            {a: float(speedup[(i,) + cell]) for i, a in enumerate(grid.apps)},
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------

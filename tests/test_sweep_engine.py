@@ -25,7 +25,6 @@ from repro.core.dse import (
     pareto_front,
     run_plan,
     shard_plan,
-    smallest_scale_for_fps,
     sweep_grid,
 )
 from repro.core.emulator import emulate, emulate_batch, emulate_uncached
@@ -559,10 +558,19 @@ class TestParetoFront:
 
 class TestConstraintQueries:
     def test_cheapest_matches_legacy_smallest_scale(self):
+        """The batched query agrees with the per-scale scalar loop."""
+        n_pixels = 3840 * 2160
         for app in APP_NAMES:
             for fps in (30.0, 60.0, 240.0):
-                legacy = smallest_scale_for_fps(app, fps, 3840 * 2160)
-                hit = cheapest_meeting_fps(app, fps, 3840 * 2160)
+                legacy = next(
+                    (
+                        scale for scale in sorted(SCALE_FACTORS)
+                        if emulate(app, "multi_res_hashgrid", scale, n_pixels)
+                        .accelerated_ms <= 1000.0 / fps
+                    ),
+                    None,
+                )
+                hit = cheapest_meeting_fps(app, fps, n_pixels)
                 assert (hit.scale_factor if hit else None) == legacy
 
     def test_unreachable_returns_none(self):

@@ -43,35 +43,50 @@
 # auth-enabled black-box smoke starts `repro serve --tenants FILE`,
 # requires the 401/200 split over raw HTTP, runs `repro query
 # --api-key` and `repro admin ops --api-key` through the CLI, and
-# requires a clean SIGINT shutdown.
+# requires a clean SIGINT shutdown.  A second grep gate keeps one query
+# kernel: no private selector/encoding-slice/config-axes helper
+# (`_axis_index`, `_encoding_slice`, `_encoding_index`, `_config_axes`,
+# `_pick`, `_pick_encoding`) is defined under src/repro, and
+# `DesignPoint(` is constructed in exactly one place.
+#
+# Every section runs even when an earlier one fails; each failing
+# section is recorded, and the script exits non-zero at the end with
+# the list of failures.
 #
 # Usage:  bash tools/run_checks.sh
-set -euo pipefail
+set -uo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== tier-1 tests =="
-python -m pytest -x -q
+failures=()
+current=""
+section() {
+    echo
+    echo "== $1 =="
+    current="$1"
+}
+fail() {
+    failures+=("$current")
+}
 
-echo
-echo "== result store suite (warm restart, delta, corruption) =="
-python -m pytest tests/test_store.py tests/test_model_cache.py -q
+section "tier-1 tests"
+python -m pytest -x -q || fail
 
-echo
-echo "== result store gates (smoke) =="
-python benchmarks/bench_store.py --quick
+section "result store suite (warm restart, delta, corruption)"
+python -m pytest tests/test_store.py tests/test_model_cache.py -q || fail
 
-echo
-echo "== sweep-scaling benchmark (smoke) =="
-python benchmarks/bench_sweep_scaling.py --quick
+section "result store gates (smoke)"
+python benchmarks/bench_store.py --quick || fail
 
-echo
-echo "== one block-execution path (grep gate) =="
+section "sweep-scaling benchmark (smoke)"
+python benchmarks/bench_sweep_scaling.py --quick || fail
+
+section "one block-execution path (grep gate)"
 if grep -rn --include='*.py' 'ProcessPoolExecutor' src/repro; then
     echo "FAIL: a process pool is back under src/repro (the cluster owns" \
          "multi-core and multi-host evaluation)" >&2
-    exit 1
+    fail
 fi
 # block-level kernel calls: core/energy.py's per-frame energy model
 # calls emulate_batch for its own (non-block) purpose
@@ -83,13 +98,33 @@ if [ "$(printf '%s\n' "$kernel_calls" | grep -c .)" != 1 ] \
    || [ "$(printf '%s\n' "$finalize_calls" | grep -c .)" != 1 ]; then
     printf 'FAIL: want exactly one block-level emulate_batch( call and one finalize_sweep_result( call, found:\n%s\n%s\n' \
         "$kernel_calls" "$finalize_calls" >&2
-    exit 1
+    fail
+else
+    echo "one block executor: $kernel_calls"
 fi
-echo "one block executor: $kernel_calls"
 
-echo
-echo "== shard cluster smoke (2 workers, sweep via DistributedBackend) =="
-python - <<'PY'
+section "one query kernel (grep gate)"
+# the selector rule, the encoding slice, the swept-axis list and the
+# DesignPoint builder are defined once, in repro.core.dse; dense,
+# streamed and adaptive queries, the Session facade and the service
+# all call them
+if grep -rnE --include='*.py' \
+    'def (_axis_index|_encoding_slice|_encoding_index|_config_axes|_pick|_pick_encoding)\(' \
+    src/repro; then
+    echo "FAIL: a private copy of a query helper is back under src/repro" >&2
+    fail
+fi
+point_sites=$(grep -rn --include='*.py' 'DesignPoint(' src/repro)
+if [ "$(printf '%s\n' "$point_sites" | grep -c .)" != 1 ]; then
+    printf 'FAIL: want exactly one DesignPoint( construction site, found:\n%s\n' \
+        "$point_sites" >&2
+    fail
+else
+    echo "one query kernel: $point_sites"
+fi
+
+section "shard cluster smoke (2 workers, sweep via DistributedBackend)"
+python - <<'PY' || fail
 import numpy as np
 
 from repro.api import DistributedBackend, SweepGrid
@@ -121,21 +156,17 @@ print(f"cluster smoke ok: {result.grid.size}-point sweep over 2 workers "
       f"clean shutdown")
 PY
 
-echo
-echo "== cluster overhead gate (smoke) =="
-python benchmarks/bench_cluster.py --quick
+section "cluster overhead gate (smoke)"
+python benchmarks/bench_cluster.py --quick || fail
 
-echo
-echo "== service latency + coalescing gates (smoke) =="
-python benchmarks/bench_service.py --quick
+section "service latency + coalescing gates (smoke)"
+python benchmarks/bench_service.py --quick || fail
 
-echo
-echo "== Session facade overhead gate (smoke) =="
-python benchmarks/bench_api.py --quick
+section "Session facade overhead gate (smoke)"
+python benchmarks/bench_api.py --quick || fail
 
-echo
-echo "== adaptive exploration smoke (parity + structured infeasible) =="
-python - <<'PY'
+section "adaptive exploration smoke (parity + structured infeasible)"
+python - <<'PY' || fail
 from repro.api import InfeasibleQueryError, Session, SweepGrid
 
 grid = SweepGrid(
@@ -171,19 +202,19 @@ print(f"adaptive smoke ok: parity on {adaptive.size} points "
       f"rounds), structured infeasible error identical across modes")
 PY
 
-echo
-echo "== CLI adaptive exploration smoke (repro dse --explore adaptive) =="
-python -m repro dse --explore adaptive \
+section "CLI adaptive exploration smoke (repro dse --explore adaptive)"
+if python -m repro dse --explore adaptive \
     --sweep scale=8:16:32:64,clock=0.8:1.2:1.695,batches=8:16 \
-    --fps 60 > /dev/null
-echo "repro dse --explore adaptive ok"
+    --fps 60 > /dev/null; then
+    echo "repro dse --explore adaptive ok"
+else
+    fail
+fi
 
-echo
-echo "== adaptive exploration gates (smoke) =="
-python benchmarks/bench_adaptive.py --quick
+section "adaptive exploration gates (smoke)"
+python benchmarks/bench_adaptive.py --quick || fail
 
-echo
-echo "== axis-registry gate (no private axis tuples) =="
+section "axis-registry gate (no private axis tuples)"
 # every axis list must derive from repro.core.axes: two adjacent
 # axis-name string literals on one line is the AXIS_FIELDS-style
 # hard-coded tuple this refactor retired
@@ -193,13 +224,13 @@ if grep -rnE --include='*.py' \
     src/repro benchmarks tools \
     | grep -v '^src/repro/core/axes\.py:'; then
     echo "FAIL: literal axis-name tuple found outside src/repro/core/axes.py" >&2
-    exit 1
+    fail
+else
+    echo "axis lists derive from repro.core.axes only"
 fi
-echo "axis lists derive from repro.core.axes only"
 
-echo
-echo "== hash-grid axes parity (local / store / cluster / adaptive) =="
-python - <<'PY'
+section "hash-grid axes parity (local / store / cluster / adaptive)"
+python - <<'PY' || fail
 import tempfile
 
 import numpy as np
@@ -248,21 +279,19 @@ print(f"hash-grid parity ok: {grid.size}-point extended sweep bit-identical "
       f"across local, store-backed, cluster and adaptive paths")
 PY
 
-echo
-echo "== pickle ban (the frame transport owns the wire) =="
+section "pickle ban (the frame transport owns the wire)"
 if grep -rnE '^\s*(import pickle|from pickle)|pickle\.' src/repro/service/ --include='*.py'; then
     echo "FAIL: pickle import/call found under src/repro/service" >&2
-    exit 1
+    fail
+else
+    echo "no pickle imports or calls under src/repro/service"
 fi
-echo "no pickle imports or calls under src/repro/service"
 
-echo
-echo "== streaming gates (smoke) =="
-python benchmarks/bench_stream.py --quick
+section "streaming gates (smoke)"
+python benchmarks/bench_stream.py --quick || fail
 
-echo
-echo "== sweep service smoke (serve + query + clean shutdown) =="
-python - <<'PY'
+section "sweep service smoke (serve + query + clean shutdown)"
+python - <<'PY' || fail
 import json, re, signal, subprocess, sys, http.client
 
 proc = subprocess.Popen(
@@ -337,17 +366,14 @@ finally:
         proc.kill()
 PY
 
-echo
-echo "== service ops suite (auth, quotas, metrics, drain) =="
-python -m pytest tests/test_service_ops.py -q
+section "service ops suite (auth, quotas, metrics, drain)"
+python -m pytest tests/test_service_ops.py -q || fail
 
-echo
-echo "== service ops quota-isolation gates (smoke) =="
-python benchmarks/bench_service_ops.py --quick
+section "service ops quota-isolation gates (smoke)"
+python benchmarks/bench_service_ops.py --quick || fail
 
-echo
-echo "== authenticated service smoke (tenants file + CLI key flow) =="
-python - <<'PY'
+section "authenticated service smoke (tenants file + CLI key flow)"
+python - <<'PY' || fail
 import json, os, re, signal, subprocess, sys, tempfile, http.client
 
 tenants = {"tenants": [
@@ -424,3 +450,11 @@ finally:
     if proc.poll() is None:
         proc.kill()
 PY
+
+echo
+if [ "${#failures[@]}" -gt 0 ]; then
+    echo "FAILED sections:" >&2
+    printf '  - %s\n' "${failures[@]}" | uniq >&2
+    exit 1
+fi
+echo "all sections passed"
