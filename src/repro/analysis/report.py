@@ -207,7 +207,12 @@ def serving_section() -> List[str]:
         "returns a structured 400 whose payload names the ambiguous axis",
         "(`error.code == \"ambiguous-axis\"`, `error.axis`,",
         "`error.values`); a selector value absent from the grid is a 404",
-        "(`error.code == \"not-on-grid\"`) carrying the same two fields.",
+        "(`error.code == \"not-on-grid\"`) carrying the same two fields;",
+        "a selector name the query does not accept (selectors are keyed",
+        "by the axis registry's query names: the encoding axes on",
+        "`/pareto`, `/cheapest` and `/sweep/stream`, every axis on",
+        "`/point`) is a 400 (`error.code == \"unknown-axis\"`) carrying",
+        "`error.name` and the did-you-mean `error.suggestion`.",
         "The report itself can render from a served",
         "result: fetch `POST /result`, rebuild it with",
         "`SweepResult.from_payload`, and pass it to",
@@ -263,7 +268,8 @@ def api_section() -> List[str]:
         "entry on every backend.  Failures raise one hierarchy rooted at",
         "`repro.errors.ReproError`: `AmbiguousAxisError` (underspecified",
         "scalar query), `NotOnGridError` (selector value absent from the",
-        "grid), `ServiceError` (structured service failure),",
+        "grid), `UnknownAxisError` (selector name the query does not",
+        "accept), `ServiceError` (structured service failure),",
         "`BackendUnavailableError` (nothing listening).\n",
     ]
 

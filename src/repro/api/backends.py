@@ -110,9 +110,7 @@ class Backend:
         scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ):
         """Progress + refining-Pareto-front events for one sweep, or None.
 
@@ -194,9 +192,7 @@ class LocalBackend(Backend):
         scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ):
         """Blockwise in-process evaluation, yielding events per block.
 
@@ -213,12 +209,8 @@ class LocalBackend(Backend):
         assembled result is bit-identical to :meth:`sweep`'s.
         """
         resolved = grid.resolve(self.ngpc)
-        encoding = dict(
-            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
         partial = PartialSweep(resolved, self.ngpc)
-        partial.validate_selectors(scheme, n_pixels, app, **encoding)
+        partial.validate_selectors(scheme, n_pixels, app, **selectors)
         engine = STORE_ENGINE if self.store is not None else self.engine
         fingerprint = sweep_fingerprint(resolved, self.ngpc)
         ram_key = (resolved, engine, fingerprint)
@@ -226,7 +218,7 @@ class LocalBackend(Backend):
 
         def final_events(result, cached, blocks, elapsed_s):
             points = result.pareto_front(
-                scheme, n_pixels=n_pixels, app=app, **encoding
+                scheme, n_pixels=n_pixels, app=app, **selectors
             )
             yield {
                 "event": "progress",
@@ -312,7 +304,7 @@ class LocalBackend(Backend):
                 front = [
                     p.to_dict()
                     for p in partial.pareto_front(
-                        scheme, n_pixels=n_pixels, app=app, **encoding
+                        scheme, n_pixels=n_pixels, app=app, **selectors
                     )
                 ]
                 if front and front != last_front:
@@ -398,9 +390,7 @@ class RemoteBackend(Backend):
         scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ):
         """The server's ``/sweep/stream`` ndjson events, as received.
 
@@ -411,8 +401,7 @@ class RemoteBackend(Backend):
         """
         return self._client.stream_pareto(
             grid.to_dict(), scheme=scheme, n_pixels=n_pixels, app=app,
-            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
+            **selectors,
         )
 
     def stats(self) -> Dict:
@@ -614,9 +603,7 @@ class DistributedBackend(Backend):
         scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ):
         """The embedded service's stream, bridged off its loop thread.
 
@@ -641,9 +628,7 @@ class DistributedBackend(Backend):
             try:
                 async for event in self.service.sweep_stream(
                     grid, scheme=scheme, n_pixels=n_pixels, app=app,
-                    gridtype=gridtype,
-                    log2_hashmap_size=log2_hashmap_size,
-                    per_level_scale=per_level_scale,
+                    **selectors,
                 ):
                     events.put(event)
             except BaseException as exc:

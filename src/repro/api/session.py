@@ -145,28 +145,23 @@ class Sweep:
         scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> List[DesignPoint]:
         """Non-dominated (area cost, speedup benefit) configurations.
 
         ``scheme``/``n_pixels`` follow the singleton rule
         (:func:`~repro.core.dse.axis_index`); ``app=None`` ranks by the
-        all-apps average speedup.  On grids that sweep the encoding axes
-        (``gridtype``/``log2_hashmap_size``/``per_level_scale``), those
-        selectors follow the same rule and pin the front to one encoding
-        variant.
+        all-apps average speedup.  ``selectors`` are keyed by the query
+        names of the registry's encoding axes
+        (:data:`~repro.core.axes.EXTENSION_AXES`); they follow the same
+        rule and pin the front to one encoding variant.  Any other name
+        raises :class:`~repro.errors.UnknownAxisError`.
         """
         target = (
             self._explorer.pareto if self._explorer is not None
             else self.result.pareto_front
         )
-        return target(
-            scheme, n_pixels=n_pixels, app=app, gridtype=gridtype,
-            log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
+        return target(scheme, n_pixels=n_pixels, app=app, **selectors)
 
     def cheapest(
         self,
@@ -175,9 +170,7 @@ class Sweep:
         n_pixels: Optional[int] = None,
         scheme: Optional[str] = None,
         train_steps_per_s: Optional[float] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> DesignPoint:
         """Cheapest-area configuration hitting a throughput target.
 
@@ -186,6 +179,7 @@ class Sweep:
         queries over the derived
         :attr:`~repro.core.dse.SweepResult.train_steps_per_s` metric);
         naming both is ambiguous and raises :class:`ValueError`.
+        ``selectors`` are the encoding-axis selectors of :meth:`pareto`.
 
         Raises :class:`~repro.errors.InfeasibleQueryError` when no
         point on the grid reaches the target — the identical structured
@@ -198,27 +192,23 @@ class Sweep:
                 "name one target: fps= or train_steps_per_s=, not both"
             )
         app = self.grid.apps[axis_index("app", app, self.grid.apps)]
-        encoding = dict(
-            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
         if train_steps_per_s is not None:
             return self._cheapest_train(
-                app, train_steps_per_s, n_pixels, scheme, encoding
+                app, train_steps_per_s, n_pixels, scheme, selectors
             )
         fps = 60.0 if fps is None else fps
         if self._explorer is not None:
             return self._explorer.cheapest(
-                app, fps, n_pixels=n_pixels, scheme=scheme, **encoding
+                app, fps, n_pixels=n_pixels, scheme=scheme, **selectors
             )
         result = self.result
         hit = result.cheapest_point_meeting_fps(
-            app, fps, n_pixels=n_pixels, scheme=scheme, **encoding
+            app, fps, n_pixels=n_pixels, scheme=scheme, **selectors
         )
         if hit is not None:
             return hit
         grid = self.grid
-        query = query_slice(grid, scheme, n_pixels, **encoding)
+        query = query_slice(grid, scheme, n_pixels, **selectors)
         acc = result.accelerated_ms[query.index][grid.apps.index(app)]
         raise infeasible_query(
             app, fps, grid.pixel_counts[query.pixels],
@@ -226,7 +216,7 @@ class Sweep:
         )
 
     def _cheapest_train(
-        self, app, steps_per_s, n_pixels, scheme, encoding
+        self, app, steps_per_s, n_pixels, scheme, selectors
     ) -> DesignPoint:
         """Cheapest config training at ``steps_per_s``; raises infeasible.
 
@@ -238,17 +228,17 @@ class Sweep:
         if self._explorer is not None:
             hit = self._explorer.cheapest_train(
                 app, steps_per_s, n_pixels=n_pixels, scheme=scheme,
-                **encoding,
+                **selectors,
             )
         else:
             hit = self.result.cheapest_point_meeting_train_rate(
                 app, steps_per_s, n_pixels=n_pixels, scheme=scheme,
-                **encoding,
+                **selectors,
             )
         if hit is not None:
             return hit
         grid = self.grid
-        query = query_slice(grid, scheme, n_pixels, **encoding)
+        query = query_slice(grid, scheme, n_pixels, **selectors)
         rates = self.result.train_steps_per_s[query.index][grid.apps.index(app)]
         raise infeasible_train_query(
             app, steps_per_s, grid.pixel_counts[query.pixels],
@@ -261,35 +251,25 @@ class Sweep:
         scheme: Optional[str] = None,
         scale_factor: Optional[int] = None,
         n_pixels: Optional[int] = None,
-        clock_ghz: Optional[float] = None,
-        grid_sram_kb: Optional[int] = None,
-        n_engines: Optional[int] = None,
-        n_batches: Optional[int] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> EmulationResult:
-        """One grid point; every selector follows the singleton rule."""
+        """One grid point.
+
+        ``selectors`` may name any registered axis by its query name
+        (:data:`~repro.core.axes.AXES`: the architecture and encoding
+        axes after the four leading ones).  Every selector follows the
+        singleton rule; an unregistered name raises
+        :class:`~repro.errors.UnknownAxisError`.
+        """
         target = self._explorer if self._explorer is not None else self.result
-        return target.point(
-            app, scheme, scale_factor, n_pixels,
-            clock_ghz=clock_ghz,
-            grid_sram_kb=grid_sram_kb,
-            n_engines=n_engines,
-            n_batches=n_batches,
-            gridtype=gridtype,
-            log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
+        return target.point(app, scheme, scale_factor, n_pixels, **selectors)
 
     def watch(
         self,
         scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ):
         """Yield refining Pareto fronts while the sweep evaluates.
 
@@ -297,7 +277,8 @@ class Sweep:
         *exact* over the grid points evaluated so far (never an
         estimate — see :class:`repro.service.progress.PartialSweep`),
         and the last one is the dense result's front, bit-identical to
-        :meth:`pareto` with the same selectors.  On a sweep that is
+        :meth:`pareto` with the same arguments (``selectors`` as there,
+        checked before anything evaluates).  On a sweep that is
         already evaluated (or an adaptive one), the final front is
         yielded once.  Backends that cannot stream fall back to one
         dense evaluation and a single yield.  Abandoning the generator
@@ -311,24 +292,20 @@ class Sweep:
         axis_index("scheme", scheme, self.grid.schemes)
         if app is not None:
             axis_index("app", app, self.grid.apps)
-        encoding = dict(
-            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
         if self._result is not None or self._explorer is not None:
             yield self.pareto(
-                scheme=scheme, n_pixels=n_pixels, app=app, **encoding
+                scheme=scheme, n_pixels=n_pixels, app=app, **selectors
             )
             return
         stream = None
         if self._backend_obj is not None:
             stream = self._backend_obj.stream_events(
                 self._grid, scheme=scheme, n_pixels=n_pixels, app=app,
-                **encoding,
+                **selectors,
             )
         if stream is None:
             yield self.pareto(
-                scheme=scheme, n_pixels=n_pixels, app=app, **encoding
+                scheme=scheme, n_pixels=n_pixels, app=app, **selectors
             )
             return
         for event in stream:

@@ -42,11 +42,15 @@ query over the full N-dimensional cartesian space of
   :class:`SweepResult`, the streamed
   :class:`~repro.service.progress.PartialSweep` and the adaptive
   :class:`~repro.explore.AdaptiveExplorer`, so every path answers with
-  the same arithmetic and the same errors.
+  the same arithmetic and the same errors.  Selectors arrive as keyword
+  arguments keyed by the registry's query names and are read only here;
+  a name the query does not accept raises
+  :class:`~repro.errors.UnknownAxisError`.
 """
 
 from __future__ import annotations
 
+import difflib
 import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -54,7 +58,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
-from repro.errors import NotOnGridError, ReproError
+from repro.errors import NotOnGridError, ReproError, UnknownAxisError
 from repro.core.area_power import ngpc_area_power_batch
 from repro.core.axes import (
     AXES,
@@ -424,21 +428,12 @@ class SweepResult:
         scheme: str,
         scale_factor: int,
         n_pixels: int,
-        clock_ghz: Optional[float] = None,
-        grid_sram_kb: Optional[int] = None,
-        n_engines: Optional[int] = None,
-        n_batches: Optional[int] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> Tuple[int, ...]:
-        """Array index of one grid point (selectors follow :func:`axis_index`)."""
+        """Array index of one grid point (selectors follow :func:`point_index`)."""
         return point_index(
             self.grid, app=app, scheme=scheme, scale_factor=scale_factor,
-            n_pixels=n_pixels, clock_ghz=clock_ghz, grid_sram_kb=grid_sram_kb,
-            n_engines=n_engines, n_batches=n_batches, gridtype=gridtype,
-            log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
+            n_pixels=n_pixels, **selectors,
         )
 
     def point(
@@ -447,20 +442,10 @@ class SweepResult:
         scheme: str,
         scale_factor: int,
         n_pixels: int,
-        clock_ghz: Optional[float] = None,
-        grid_sram_kb: Optional[int] = None,
-        n_engines: Optional[int] = None,
-        n_batches: Optional[int] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> EmulationResult:
         """The :class:`EmulationResult` of one grid point."""
-        idx = self.index(
-            app, scheme, scale_factor, n_pixels,
-            clock_ghz, grid_sram_kb, n_engines, n_batches,
-            gridtype, log2_hashmap_size, per_level_scale,
-        )
+        idx = self.index(app, scheme, scale_factor, n_pixels, **selectors)
         grid = self.grid
         return EmulationResult(
             app=grid.apps[idx[0]],
@@ -568,9 +553,7 @@ class SweepResult:
         scheme: str,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> List[DesignPoint]:
         """Non-dominated (area cost, speedup benefit) configurations.
 
@@ -578,15 +561,10 @@ class SweepResult:
         grid is a candidate; the front is sorted by ascending area.
         Benefit is the speedup of ``app``, or the all-apps average when
         ``app`` is None (the Fig. 12 "average" bars).  ``scheme``,
-        ``n_pixels`` and the encoding selectors follow
-        :func:`axis_index`'s rule; :func:`front_points` ranks the plane
-        they pick.
+        ``n_pixels`` and the encoding-axis ``selectors`` pick the plane
+        (:func:`query_slice`); :func:`front_points` ranks it.
         """
-        query = query_slice(
-            self.grid, scheme, n_pixels, gridtype=gridtype,
-            log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
+        query = query_slice(self.grid, scheme, n_pixels, **selectors)
         return front_points(
             self.grid, self.area_overhead_pct, self.power_overhead_pct,
             self.speedup[query.index], query.enc, app,
@@ -619,9 +597,7 @@ class SweepResult:
         fps: float,
         n_pixels: Optional[int] = None,
         scheme: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> Optional[DesignPoint]:
         """Cheapest-area configuration on the grid hitting ``fps``, or None.
 
@@ -635,11 +611,7 @@ class SweepResult:
         if fps <= 0:
             raise ValueError("fps must be positive")
         budget_ms = 1000.0 / fps
-        query = query_slice(
-            self.grid, scheme, n_pixels, gridtype=gridtype,
-            log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
+        query = query_slice(self.grid, scheme, n_pixels, **selectors)
         return self._cheapest_point(
             app, lambda ms: ms <= budget_ms, self.accelerated_ms, query
         )
@@ -650,9 +622,7 @@ class SweepResult:
         steps_per_s: float,
         n_pixels: Optional[int] = None,
         scheme: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> Optional[DesignPoint]:
         """Cheapest-area configuration training at >= ``steps_per_s``.
 
@@ -663,11 +633,7 @@ class SweepResult:
         """
         if steps_per_s <= 0:
             raise ValueError("steps_per_s must be positive")
-        query = query_slice(
-            self.grid, scheme, n_pixels, gridtype=gridtype,
-            log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
+        query = query_slice(self.grid, scheme, n_pixels, **selectors)
         return self._cheapest_point(
             app, lambda rate: rate >= steps_per_s, self.train_steps_per_s,
             query,
@@ -1303,16 +1269,38 @@ def axis_index(axis: str, value, values: Tuple) -> int:
         ) from None
 
 
+#: the selector names a query accepts: a plane query (front, cheapest)
+#: the encoding axes' query names, a point query every registered axis's
+_ENCODING_SELECTORS = tuple(spec.query_name for spec in EXTENSION_AXES)
+_POINT_SELECTORS = tuple(spec.query_name for spec in AXES)
+
+
+def _reject_unknown(selectors, accepted: Tuple[str, ...]) -> None:
+    """Raise :class:`~repro.errors.UnknownAxisError` for a selector name
+    outside ``accepted``, suggesting the closest accepted spelling."""
+    for name in selectors:
+        if name not in accepted:
+            close = difflib.get_close_matches(name, accepted, n=1, cutoff=0.5)
+            suggestion = close[0] if close else ""
+            hint = f"; did you mean {suggestion!r}?" if suggestion else ""
+            raise UnknownAxisError(
+                f"unknown selector {name!r}{hint} (this query accepts: "
+                + ", ".join(accepted) + ")",
+                name=name, suggestion=suggestion,
+            )
+
+
 def encoding_slice(grid: SweepGrid, **selectors) -> Tuple[int, ...]:
     """Trailing array indices picked by the encoding-axis selectors.
 
     ``selectors`` are keyed by the query names of
-    :data:`~repro.core.axes.EXTENSION_AXES` (``gridtype``,
-    ``log2_hashmap_size``, ``per_level_scale``).  Returns ``()`` on a
-    grid that does not sweep the encoding axes, after checking any named
+    :data:`~repro.core.axes.EXTENSION_AXES`; any other name raises
+    :class:`~repro.errors.UnknownAxisError`.  Returns ``()`` on a grid
+    that does not sweep the encoding axes, after checking any named
     selector against its resolved sentinel axis, and one index per
     encoding axis under :func:`axis_index` otherwise.
     """
+    _reject_unknown(selectors, _ENCODING_SELECTORS)
     extended = grid.is_extended
     enc = tuple(
         axis_index(
@@ -1342,7 +1330,7 @@ class QuerySlice(NamedTuple):
 
 
 def query_slice(
-    grid: SweepGrid, scheme=None, n_pixels=None, **encoding
+    grid: SweepGrid, scheme=None, n_pixels=None, **selectors
 ) -> QuerySlice:
     """The plane a front or cheapest-point query ranks.
 
@@ -1352,17 +1340,20 @@ def query_slice(
     return QuerySlice(
         axis_index("scheme", scheme, grid.schemes),
         axis_index("n_pixels", n_pixels, grid.pixel_counts),
-        encoding_slice(grid, **encoding),
+        encoding_slice(grid, **selectors),
     )
 
 
 def point_index(grid: SweepGrid, **selectors) -> Tuple[int, ...]:
     """Full array index of one grid point, selectors keyed by query name.
 
-    Each seed axis (``app``, ``scheme``, ``scale_factor``, ``n_pixels``,
-    ``clock_ghz``, ...) follows :func:`axis_index`; the remaining
+    Every registered axis's query name is accepted; any other name
+    raises :class:`~repro.errors.UnknownAxisError`.  Each seed axis
+    (``app``, ``scheme``, ``scale_factor``, ``n_pixels``, the
+    architecture axes) follows :func:`axis_index`; the remaining
     selectors go to :func:`encoding_slice`.
     """
+    _reject_unknown(selectors, _POINT_SELECTORS)
     seed = tuple(
         axis_index(
             spec.query_name, selectors.pop(spec.query_name, None),

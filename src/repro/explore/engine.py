@@ -430,9 +430,7 @@ class AdaptiveExplorer:
         scheme: str,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> List[DesignPoint]:
         """Adaptive :meth:`SweepResult.pareto_front` — identical answer.
 
@@ -441,11 +439,9 @@ class AdaptiveExplorer:
         evaluated.
         """
         with self._lock:
-            return self._pareto(app, query_slice(
-                self.grid, scheme, n_pixels, gridtype=gridtype,
-                log2_hashmap_size=log2_hashmap_size,
-                per_level_scale=per_level_scale,
-            ))
+            return self._pareto(
+                app, query_slice(self.grid, scheme, n_pixels, **selectors)
+            )
 
     def _full_selection(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(tuple(range(n)) for n in self._slice_shape)
@@ -654,9 +650,7 @@ class AdaptiveExplorer:
         fps: float,
         n_pixels: Optional[int] = None,
         scheme: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> DesignPoint:
         """Adaptive :meth:`SweepResult.cheapest_point_meeting_fps`.
 
@@ -671,11 +665,7 @@ class AdaptiveExplorer:
         with self._lock:
             return self._cheapest(
                 app, lambda ms: ms <= budget_ms,
-                query_slice(
-                    self.grid, scheme, n_pixels, gridtype=gridtype,
-                    log2_hashmap_size=log2_hashmap_size,
-                    per_level_scale=per_level_scale,
-                ),
+                query_slice(self.grid, scheme, n_pixels, **selectors),
                 infeasible_fps=fps,
             )
 
@@ -685,9 +675,7 @@ class AdaptiveExplorer:
         steps_per_s: float,
         n_pixels: Optional[int] = None,
         scheme: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> Optional[DesignPoint]:
         """Adaptive :meth:`SweepResult.cheapest_point_meeting_train_rate`.
 
@@ -705,11 +693,7 @@ class AdaptiveExplorer:
         from repro.gpu.kernels import samples_per_frame
 
         with self._lock:
-            query = query_slice(
-                self.grid, scheme, n_pixels, gridtype=gridtype,
-                log2_hashmap_size=log2_hashmap_size,
-                per_level_scale=per_level_scale,
-            )
+            query = query_slice(self.grid, scheme, n_pixels, **selectors)
             app = self.grid.apps[axis_index("app", app, self.grid.apps)]
             samples = samples_per_frame(
                 get_config(app, self.grid.schemes[query.scheme]),
@@ -822,24 +806,14 @@ class AdaptiveExplorer:
         scheme: str,
         scale_factor: int,
         n_pixels: int,
-        clock_ghz: Optional[float] = None,
-        grid_sram_kb: Optional[int] = None,
-        n_engines: Optional[int] = None,
-        n_batches: Optional[int] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> EmulationResult:
         """Adaptive :meth:`SweepResult.point`: evaluates one grid cell."""
         with self._lock:
             grid = self.grid
             i, j, k, l, c, g, e, b, *enc = point_index(
                 grid, app=app, scheme=scheme, scale_factor=scale_factor,
-                n_pixels=n_pixels, clock_ghz=clock_ghz,
-                grid_sram_kb=grid_sram_kb, n_engines=n_engines,
-                n_batches=n_batches, gridtype=gridtype,
-                log2_hashmap_size=log2_hashmap_size,
-                per_level_scale=per_level_scale,
+                n_pixels=n_pixels, **selectors,
             )
             enc = tuple(enc)
             app, scheme = grid.apps[i], grid.schemes[j]

@@ -263,7 +263,7 @@ class SyncServiceClient:
                       scheme: Optional[str] = None,
                       n_pixels: Optional[int] = None,
                       app: Optional[str] = None,
-                      **encoding):
+                      **selectors):
         """Stream ``/sweep/stream`` events; a generator of event dicts.
 
         Yields the server's ndjson events in order — ``progress``
@@ -275,7 +275,9 @@ class SyncServiceClient:
         generator early closes the connection, which cancels the
         server-side subscription without disturbing the sweep.
         """
-        body = _stream_request_body(grid, scheme, n_pixels, app, **encoding)
+        body = _stream_request_body(
+            grid, scheme=scheme, n_pixels=n_pixels, app=app, **selectors
+        )
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
@@ -329,21 +331,12 @@ class SyncServiceClient:
             connection.close()
 
 
-def _stream_request_body(grid: Optional[Dict], scheme: Optional[str],
-                         n_pixels: Optional[int],
-                         app: Optional[str],
-                         gridtype: Optional[str] = None,
-                         log2_hashmap_size: Optional[int] = None,
-                         per_level_scale: Optional[float] = None) -> bytes:
+def _stream_request_body(grid: Optional[Dict], **query) -> bytes:
     """The negotiated JSON body both ``stream_pareto`` flavours POST."""
-    query: Dict[str, Any] = {"grid": grid or {}}
-    for name, value in (("scheme", scheme), ("n_pixels", n_pixels),
-                        ("app", app), ("gridtype", gridtype),
-                        ("log2_hashmap_size", log2_hashmap_size),
-                        ("per_level_scale", per_level_scale)):
-        if value is not None:
-            query[name] = value
-    return json.dumps(_negotiated(query)).encode("utf-8")
+    body: Dict[str, Any] = {"grid": grid or {}}
+    body.update((name, value) for name, value in query.items()
+                if value is not None)
+    return json.dumps(_negotiated(body)).encode("utf-8")
 
 
 class ServiceClient:
@@ -558,7 +551,7 @@ class ServiceClient:
                             scheme: Optional[str] = None,
                             n_pixels: Optional[int] = None,
                             app: Optional[str] = None,
-                            **encoding):
+                            **selectors):
         """Stream ``/sweep/stream`` events; an async generator of dicts.
 
         Same contract as :meth:`SyncServiceClient.stream_pareto`: the
@@ -568,7 +561,9 @@ class ServiceClient:
         and an abandoned generator closing the socket to cancel the
         server-side subscription.
         """
-        body = _stream_request_body(grid, scheme, n_pixels, app, **encoding)
+        body = _stream_request_body(
+            grid, scheme=scheme, n_pixels=n_pixels, app=app, **selectors
+        )
         try:
             reader, writer = await asyncio.open_connection(self.host, self.port)
         except (ConnectionError, OSError) as exc:

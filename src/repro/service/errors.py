@@ -3,12 +3,15 @@
 Every failure a client can trigger maps to a :class:`ServiceError`
 carrying an HTTP-style status, a stable machine-readable ``code`` and
 arbitrary structured ``details`` — the HTTP layer serializes it
-verbatim, the in-process client raises it.  The one domain error with
-dedicated structure is the ambiguous-axis case
+verbatim, the in-process client raises it.  Two domain errors carry
+dedicated structure.  The ambiguous-axis case
 (:class:`repro.core.dse.AmbiguousAxisError`): a scalar query against a
 swept axis without an explicit selector is a client mistake, and the
 400 payload names the offending axis and its values so the caller can
-repair the request programmatically.
+repair the request programmatically.  The unknown-axis case
+(:class:`repro.errors.UnknownAxisError`): a selector name the query
+does not accept is a 400 carrying that ``name`` and the closest
+accepted spelling as ``suggestion``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,12 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.core.dse import AmbiguousAxisError
-from repro.errors import InfeasibleQueryError, NotOnGridError, ReproError
+from repro.errors import (
+    InfeasibleQueryError,
+    NotOnGridError,
+    ReproError,
+    UnknownAxisError,
+)
 from repro.transport import FrameError
 
 
@@ -57,6 +65,15 @@ def as_service_error(exc: BaseException) -> ServiceError:
             str(exc),
             axis=exc.axis,
             values=list(exc.values),
+        )
+    if isinstance(exc, UnknownAxisError):
+        # also an AttributeError, which no later branch maps
+        return ServiceError(
+            400,
+            "unknown-axis",
+            str(exc),
+            name=exc.name,
+            suggestion=exc.suggestion,
         )
     if isinstance(exc, InfeasibleQueryError):
         return ServiceError(

@@ -26,15 +26,22 @@ endpoint              body / result
 ``POST /records``     ``{"grid": {...}, "limit": n?}`` -> flat per-point
                       records
 ``POST /pareto``      ``{"grid", "scheme"?, "n_pixels"?, "app"?,
-                      "gridtype"?, "log2_hashmap_size"?,
-                      "per_level_scale"?}`` -> list of design points
+                      encoding selectors?}`` -> list of design points
 ``POST /cheapest``    ``{"grid", "app", "fps" | "train_steps_per_s",
                       "n_pixels"?, "scheme"?, encoding selectors?}``
                       -> design point or null
 ``POST /point``       ``{"grid", "app"?, "scheme"?, "scale_factor"?,
-                      "n_pixels"?, "clock_ghz"?, ...}`` -> one
-                      emulation record
+                      "n_pixels"?, axis selectors?}`` -> one emulation
+                      record
 ====================  =====================================================
+
+Selectors are keyed by the axis registry's query names
+(:mod:`repro.core.axes`): the *encoding selectors* are those of the
+encoding axes, the *axis selectors* of ``/point`` those of every
+registered axis (architecture and encoding).  A handler passes every
+body field it does not own (``grid``, ``fps``, ``train_steps_per_s``)
+to the query as a keyword, so the next registered axis needs no handler
+edit, and a misspelled one is rejected by the query kernel.
 
 Two endpoints stream instead of answering once:
 
@@ -51,7 +58,9 @@ Two endpoints stream instead of answering once:
 
 Failures are structured: a scalar query against a swept axis without a
 selector returns HTTP 400 with ``error.code == "ambiguous-axis"`` and
-``error.axis`` naming the offending axis (see
+``error.axis`` naming the offending axis, and a selector name the query
+does not accept returns HTTP 400 with ``error.code == "unknown-axis"``,
+``error.name`` and a did-you-mean ``error.suggestion`` (see
 :mod:`repro.service.errors`).  Request bodies over the server's
 ``max_body_bytes`` (default 64 MiB, configurable per server) are
 rejected with a structured 413 *before* the body is read.
@@ -142,23 +151,8 @@ async def _handle_records(service: SweepService, payload: Dict) -> list:
     return result.to_records(limit=limit)
 
 
-def _encoding_selectors(payload: Dict) -> Dict:
-    """The optional encoding-axis selectors of a query body."""
-    return {
-        "gridtype": payload.get("gridtype"),
-        "log2_hashmap_size": payload.get("log2_hashmap_size"),
-        "per_level_scale": payload.get("per_level_scale"),
-    }
-
-
 async def _handle_pareto(service: SweepService, payload: Dict) -> list:
-    points = await service.pareto_front(
-        payload.get("grid"),
-        scheme=payload.get("scheme"),
-        n_pixels=payload.get("n_pixels"),
-        app=payload.get("app"),
-        **_encoding_selectors(payload),
-    )
+    points = await service.pareto_front(payload.pop("grid", None), **payload)
     return [point.to_dict() for point in points]
 
 
@@ -168,40 +162,23 @@ async def _handle_cheapest(service: SweepService, payload: Dict):
             400, "bad-request",
             "body must name a target 'fps' or 'train_steps_per_s'",
         )
+    grid = payload.pop("grid", None)
+    fps = payload.pop("fps", None)
+    payload.setdefault("app", None)  # unnamed: the ambiguity rule decides
     if "train_steps_per_s" in payload:
         point = await service.cheapest_point_meeting_train_rate(
-            payload.get("grid"),
-            app=payload.get("app"),
-            steps_per_s=float(payload["train_steps_per_s"]),
-            n_pixels=payload.get("n_pixels"),
-            scheme=payload.get("scheme"),
-            **_encoding_selectors(payload),
+            grid, steps_per_s=float(payload.pop("train_steps_per_s")),
+            **payload,
         )
     else:
         point = await service.cheapest_point_meeting_fps(
-            payload.get("grid"),
-            app=payload.get("app"),
-            fps=float(payload["fps"]),
-            n_pixels=payload.get("n_pixels"),
-            scheme=payload.get("scheme"),
-            **_encoding_selectors(payload),
+            grid, fps=float(fps), **payload
         )
     return None if point is None else point.to_dict()
 
 
 async def _handle_point(service: SweepService, payload: Dict) -> Dict:
-    result = await service.point(
-        payload.get("grid"),
-        app=payload.get("app"),
-        scheme=payload.get("scheme"),
-        scale_factor=payload.get("scale_factor"),
-        n_pixels=payload.get("n_pixels"),
-        clock_ghz=payload.get("clock_ghz"),
-        grid_sram_kb=payload.get("grid_sram_kb"),
-        n_engines=payload.get("n_engines"),
-        n_batches=payload.get("n_batches"),
-        **_encoding_selectors(payload),
-    )
+    result = await service.point(payload.pop("grid", None), **payload)
     return _emulation_record(result)
 
 
@@ -462,13 +439,7 @@ async def _serve_stream(
                 405, "method-not-allowed", f"{method} /sweep/stream not allowed"
             )
         payload = _parse_payload(body)
-        stream = service.sweep_stream(
-            payload.get("grid"),
-            scheme=payload.get("scheme"),
-            n_pixels=payload.get("n_pixels"),
-            app=payload.get("app"),
-            **_encoding_selectors(payload),
-        )
+        stream = service.sweep_stream(payload.pop("grid", None), **payload)
         # the generator body runs on the first pull: selector validation
         # errors surface here, while a plain pre-stream response is
         # still possible

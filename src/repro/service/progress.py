@@ -85,16 +85,10 @@ class PartialSweep:
         scheme: str,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype=None,
-        log2_hashmap_size=None,
-        per_level_scale=None,
+        **selectors,
     ) -> None:
         """Raise the same structured errors a dense front query would."""
-        query_slice(
-            self.grid, scheme, n_pixels, gridtype=gridtype,
-            log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
+        query_slice(self.grid, scheme, n_pixels, **selectors)
         if app is not None:
             axis_index("app", app, self.grid.apps)
 
@@ -103,9 +97,7 @@ class PartialSweep:
         scheme: str,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype=None,
-        log2_hashmap_size=None,
-        per_level_scale=None,
+        **selectors,
     ) -> List[DesignPoint]:
         """Exact Pareto front over the fully evaluated grid points.
 
@@ -115,11 +107,7 @@ class PartialSweep:
         :meth:`repro.core.dse.SweepResult.pareto_front`, so with every
         block recorded the output is bit-identical to the dense front.
         """
-        query = query_slice(
-            self.grid, scheme, n_pixels, gridtype=gridtype,
-            log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
+        query = query_slice(self.grid, scheme, n_pixels, **selectors)
         with self._lock:
             return front_points(
                 self.grid, self.area_overhead_pct, self.power_overhead_pct,

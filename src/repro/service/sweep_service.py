@@ -65,7 +65,7 @@ from repro.core.dse import (
     sweep_grid,
 )
 from repro.core.config import NGPCConfig
-from repro.errors import InfeasibleQueryError, NotOnGridError
+from repro.errors import InfeasibleQueryError
 from repro.explore import AdaptiveExplorer, ExplorationStats
 from repro.service.errors import as_service_error
 from repro.service.progress import SweepProgress
@@ -385,14 +385,14 @@ class SweepService:
 
     # -- streaming -----------------------------------------------------------
     async def _cached_stream_events(
-        self, cached, resolved, scheme, n_pixels, app, loop, encoding=None
+        self, cached, resolved, scheme, n_pixels, app, loop, selectors
     ) -> list:
         """The terminal event triple a stream over a finished sweep emits."""
         points = await loop.run_in_executor(
             None,
             functools.partial(
                 cached.pareto_front, scheme, n_pixels=n_pixels, app=app,
-                **(encoding or {}),
+                **selectors,
             ),
         )
         return [
@@ -417,9 +417,7 @@ class SweepService:
         scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> AsyncIterator[Dict]:
         """Evaluate ``grid`` and stream progress + refining Pareto fronts.
 
@@ -446,16 +444,11 @@ class SweepService:
         lands in the cache.
         """
         resolved = _as_grid(grid).resolve(self.ngpc).normalized()
-        encoding = dict(
-            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
-        try:  # fail before any event, as a plain structured error
-            query_slice(resolved, scheme, n_pixels, **encoding)
-            if app is not None:
-                axis_index("app", app, resolved.apps)
-        except NotOnGridError as exc:
-            raise as_service_error(exc) from None
+        # fail before any event: the HTTP layer ships a pre-stream
+        # error as a plain structured response
+        query_slice(resolved, scheme, n_pixels, **selectors)
+        if app is not None:
+            axis_index("app", app, resolved.apps)
         key = sweep_fingerprint(resolved, self.ngpc)
         loop = asyncio.get_running_loop()
         if key not in self._inflight:
@@ -463,8 +456,7 @@ class SweepService:
             if cached is not None:  # finished sweep: emit the terminal events
                 self.tier["ram_hits"] += 1
                 for event in await self._cached_stream_events(
-                    cached, resolved, scheme, n_pixels, app, loop,
-                    encoding=encoding,
+                    cached, resolved, scheme, n_pixels, app, loop, selectors,
                 ):
                     yield event
                 return
@@ -483,7 +475,7 @@ class SweepService:
                     self.tier["ram_hits"] += 1
                     for event in await self._cached_stream_events(
                         recheck, resolved, scheme, n_pixels, app, loop,
-                        encoding=encoding,
+                        selectors,
                     ):
                         yield event
                     return
@@ -512,7 +504,7 @@ class SweepService:
                         None,
                         functools.partial(
                             result.pareto_front, scheme,
-                            n_pixels=n_pixels, app=app, **encoding,
+                            n_pixels=n_pixels, app=app, **selectors,
                         ),
                     )
                     yield {
@@ -529,7 +521,7 @@ class SweepService:
                         None,
                         functools.partial(
                             progress.partial.pareto_front, scheme,
-                            n_pixels=n_pixels, app=app, **encoding,
+                            n_pixels=n_pixels, app=app, **selectors,
                         ),
                     )
                     front = [p.to_dict() for p in points]
@@ -594,23 +586,17 @@ class SweepService:
         scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> List[DesignPoint]:
         """Non-dominated (area, speedup) configurations of the grid."""
-        encoding = dict(
-            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
         if self.explore == "adaptive":
             return await self._explore(
                 self._explorer_for(grid).pareto, scheme, n_pixels=n_pixels,
-                app=app, **encoding,
+                app=app, **selectors,
             )
         result = await self.sweep(grid)
         return result.pareto_front(
-            scheme, n_pixels=n_pixels, app=app, **encoding
+            scheme, n_pixels=n_pixels, app=app, **selectors
         )
 
     async def cheapest_point_meeting_fps(
@@ -620,9 +606,7 @@ class SweepService:
         fps: float,
         n_pixels: Optional[int] = None,
         scheme: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> Optional[DesignPoint]:
         """Cheapest-area configuration hitting ``fps``, or None.
 
@@ -632,21 +616,17 @@ class SweepService:
         the client-side facade, which reconstructs the structured error
         from the dense result it fetched.
         """
-        encoding = dict(
-            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
         if self.explore == "adaptive":
             try:
                 return await self._explore(
                     self._explorer_for(grid).cheapest, app, fps,
-                    n_pixels=n_pixels, scheme=scheme, **encoding,
+                    n_pixels=n_pixels, scheme=scheme, **selectors,
                 )
             except InfeasibleQueryError:
                 return None
         result = await self.sweep(grid)
         return result.cheapest_point_meeting_fps(
-            app, fps, n_pixels=n_pixels, scheme=scheme, **encoding
+            app, fps, n_pixels=n_pixels, scheme=scheme, **selectors
         )
 
     async def cheapest_point_meeting_train_rate(
@@ -656,9 +636,7 @@ class SweepService:
         steps_per_s: float,
         n_pixels: Optional[int] = None,
         scheme: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> Optional[DesignPoint]:
         """Cheapest-area configuration training at ``steps_per_s``, or None.
 
@@ -666,18 +644,14 @@ class SweepService:
         :meth:`cheapest_point_meeting_fps`, with the same
         None-on-infeasible wire contract.
         """
-        encoding = dict(
-            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
         if self.explore == "adaptive":
             return await self._explore(
                 self._explorer_for(grid).cheapest_train, app, steps_per_s,
-                n_pixels=n_pixels, scheme=scheme, **encoding,
+                n_pixels=n_pixels, scheme=scheme, **selectors,
             )
         result = await self.sweep(grid)
         return result.cheapest_point_meeting_train_rate(
-            app, steps_per_s, n_pixels=n_pixels, scheme=scheme, **encoding
+            app, steps_per_s, n_pixels=n_pixels, scheme=scheme, **selectors
         )
 
     async def point(
@@ -687,25 +661,13 @@ class SweepService:
         scheme: Optional[str] = None,
         scale_factor: Optional[int] = None,
         n_pixels: Optional[int] = None,
-        clock_ghz: Optional[float] = None,
-        grid_sram_kb: Optional[int] = None,
-        n_engines: Optional[int] = None,
-        n_batches: Optional[int] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **selectors,
     ) -> EmulationResult:
         """One grid point's :class:`EmulationResult`.
 
         Every selector follows the ambiguity rule: optional when its
         axis is a singleton, a structured 400 naming the axis otherwise.
         """
-        selectors = dict(
-            clock_ghz=clock_ghz, grid_sram_kb=grid_sram_kb,
-            n_engines=n_engines, n_batches=n_batches, gridtype=gridtype,
-            log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
         if self.explore == "adaptive":
             return await self._explore(
                 self._explorer_for(grid).point,

@@ -154,11 +154,31 @@ class TestCrossClientCoalescing:
                    for r in results[1:])
 
 
+def _lease_age_s(backend, pid):
+    """Seconds since worker ``pid`` took its newest lease, or None.
+
+    Read on the coordinator's event loop, where its worker and lease
+    dicts mutate, so the snapshot cannot race a lease or a reap.
+    """
+    async def collect():
+        coordinator = backend.coordinator
+        now = coordinator._loop.time()
+        ages = [
+            now - start
+            for worker_id, _deadline, start in coordinator._leases.values()
+            if getattr(coordinator._workers.get(worker_id), "pid", None) == pid
+        ]
+        return min(ages) if ages else None
+
+    return backend._run(collect)
+
+
 class TestFaultTolerance:
     def test_killed_worker_blocks_are_re_leased_and_sweep_completes(self):
         """SIGKILL one of two workers mid-sweep: the sweep still finishes."""
+        block_delay_s = 0.4
         backend = DistributedBackend(
-            workers=2, lease_timeout_s=1.0, block_delay_s=0.4
+            workers=2, lease_timeout_s=1.0, block_delay_s=block_delay_s
         )
         try:
             holder = {}
@@ -168,8 +188,16 @@ class TestFaultTolerance:
                 )
             )
             thread.start()
-            time.sleep(0.3)  # both workers now hold leased blocks
             victim = backend._workers[0]
+            # kill only while the victim holds a fresh lease: the block
+            # is still in its hands, so the kill must cost a re-lease
+            deadline = time.monotonic() + 30.0
+            while True:
+                age = _lease_age_s(backend, victim.pid)
+                if age is not None and age < block_delay_s / 2:
+                    break
+                assert time.monotonic() < deadline, "victim never leased"
+                time.sleep(0.01)
             victim.send_signal(signal.SIGKILL)
             thread.join(timeout=60)
             assert not thread.is_alive(), "sweep did not complete after kill"

@@ -12,7 +12,9 @@ The acceptance surface of the serving layer:
   spellings of one design space share a key; any single-axis
   perturbation, base-config change or calibration change splits it.
 - **Structured errors**: a served scalar query against a swept axis
-  without a selector is a 400 whose payload names the ambiguous axis.
+  without a selector is a 400 whose payload names the ambiguous axis;
+  a misspelled selector raises ``UnknownAxisError`` on every query path
+  and is a 400 ``unknown-axis`` with a did-you-mean suggestion over HTTP.
 
 No pytest-asyncio in the image: each test drives its own event loop via
 ``asyncio.run``, which also proves the service survives loop turnover
@@ -28,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.calibration import fitted
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
@@ -37,7 +40,8 @@ from repro.core.dse import (
     sweep_fingerprint,
     sweep_grid,
 )
-from repro.errors import NotOnGridError
+from repro.errors import NotOnGridError, UnknownAxisError
+from repro.explore import AdaptiveExplorer
 from repro.gpu.baseline import FHD_PIXELS
 from repro.service import (
     ServiceClient,
@@ -47,6 +51,7 @@ from repro.service import (
     request_json,
     start_http_server,
 )
+from repro.service.progress import PartialSweep
 
 RTOL = 1e-9
 
@@ -433,6 +438,82 @@ class TestStructuredErrors:
         assert unknown.status == 404
         assert bad_grid.status == 400
         assert "bogus_axis" in bad_grid.message
+
+
+#: a misspelled encoding selector on a plane query and a misspelled
+#: architecture selector on a point query
+PLANE_TYPO = {"gridtyp": "hash"}
+POINT_TYPO = {"app": "nerf", "scale_factor": 8, "clock_gz": 1.0}
+
+
+def _over_http(query):
+    """Run ``query(client)`` against a fresh served ``SweepService``."""
+    async def run():
+        server = await start_http_server(
+            SweepService(engine="vectorized"), "127.0.0.1", 0
+        )
+        client = ServiceClient("127.0.0.1", server.port)
+        try:
+            await query(client)
+        finally:
+            await client.close()
+            await server.close()
+
+    asyncio.run(run())
+
+
+#: (path, query kind) -> a call carrying one misspelled selector
+MISSPELLED_QUERIES = {
+    ("dense", "plane"): lambda g: sweep_grid(g).pareto_front(
+        SCHEME, **PLANE_TYPO),
+    ("dense", "point"): lambda g: sweep_grid(g).point(
+        "nerf", SCHEME, 8, FHD_PIXELS, clock_gz=1.0),
+    ("partial", "plane"): lambda g: PartialSweep(g, None).pareto_front(
+        SCHEME, **PLANE_TYPO),
+    ("adaptive", "plane"): lambda g: AdaptiveExplorer(g).pareto(
+        SCHEME, **PLANE_TYPO),
+    ("adaptive", "point"): lambda g: AdaptiveExplorer(g).point(
+        "nerf", SCHEME, 8, FHD_PIXELS, clock_gz=1.0),
+    ("session", "plane"): lambda g: Session.local().sweep(g).pareto(
+        **PLANE_TYPO),
+    ("session", "point"): lambda g: Session.local().sweep(g).point(
+        **POINT_TYPO),
+    ("session-watch", "plane"): lambda g: next(
+        Session.local().sweep(g, lazy=True).watch(**PLANE_TYPO)),
+    ("service", "plane"): lambda g: asyncio.run(
+        SweepService().pareto_front(g, **PLANE_TYPO)),
+    ("service", "point"): lambda g: asyncio.run(
+        SweepService().point(g, **POINT_TYPO)),
+    ("http", "plane"): lambda g: _over_http(
+        lambda client: client.pareto_front(g.to_dict(), **PLANE_TYPO)),
+    ("http", "point"): lambda g: _over_http(
+        lambda client: client.point(g.to_dict(), **POINT_TYPO)),
+}
+
+
+class TestUnknownSelectors:
+    @pytest.mark.parametrize(
+        "path, kind", list(MISSPELLED_QUERIES),
+        ids=[f"{path}-{kind}" for path, kind in MISSPELLED_QUERIES],
+    )
+    def test_misspelled_selector_is_rejected_with_a_suggestion(
+        self, path, kind
+    ):
+        grid = SMALL_GRID.resolve()
+        with pytest.raises((UnknownAxisError, ServiceError)) as excinfo:
+            MISSPELLED_QUERIES[path, kind](grid)
+        error = excinfo.value
+        if path == "http":
+            assert isinstance(error, ServiceError)
+            assert (error.status, error.code) == (400, "unknown-axis")
+            name, suggestion = error.details["name"], error.details["suggestion"]
+        else:
+            assert isinstance(error, UnknownAxisError)
+            name, suggestion = error.name, error.suggestion
+        assert (name, suggestion) == {
+            "plane": ("gridtyp", "gridtype"),
+            "point": ("clock_gz", "clock_ghz"),
+        }[kind]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from repro.core.dse import (
 from repro.core.emulator import emulate_batch
 from repro.errors import NotOnGridError
 from repro.service import (
-    ServiceError,
     SweepService,
     request_json,
     start_http_server,
@@ -305,9 +304,9 @@ class TestSweepStream:
         assert [e["event"] for e in second][-1] == "complete"
 
     def test_bad_selector_raises_before_any_event(self):
-        # pre-stream validation raises the structured error directly:
-        # the HTTP layer ships it as an ordinary JSON error response
-        # instead of opening a chunked stream
+        # pre-stream validation raises the query kernel's own error, as
+        # a dense pareto_front would; the HTTP layer maps it to an
+        # ordinary JSON error response instead of opening a stream
         service = SweepService()
 
         async def run():
@@ -315,9 +314,43 @@ class TestSweepStream:
                 e async for e in service.sweep_stream(GRID_JSON, app="nope")
             ]
 
-        with pytest.raises(ServiceError) as err:
+        with pytest.raises(NotOnGridError) as err:
             asyncio.run(run())
-        assert err.value.status == 404
+        assert err.value.axis == "app"
+
+    def test_bad_selector_over_http_is_a_plain_json_404(self):
+        service = SweepService()
+
+        def post_stream(port):
+            connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                    timeout=30)
+            try:
+                connection.request(
+                    "POST", "/sweep/stream",
+                    body=json.dumps({"grid": GRID_JSON, "app": "nope"}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                return (response.status,
+                        response.getheader("Transfer-Encoding"),
+                        response.getheader("Content-Type"),
+                        json.loads(response.read()))
+            finally:
+                connection.close()
+
+        async def run():
+            server = await start_http_server(service, "127.0.0.1", 0)
+            try:
+                return await asyncio.to_thread(post_stream, server.port)
+            finally:
+                await server.close()
+
+        status, transfer, content_type, body = asyncio.run(run())
+        assert status == 404
+        assert transfer is None  # no chunk was ever sent
+        assert content_type.startswith("application/json")
+        assert body["error"]["code"] == "not-on-grid"
+        assert body["error"]["axis"] == "app"
 
 
 # ---------------------------------------------------------------------------

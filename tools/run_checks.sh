@@ -47,7 +47,11 @@
 # kernel: no private selector/encoding-slice/config-axes helper
 # (`_axis_index`, `_encoding_slice`, `_encoding_index`, `_config_axes`,
 # `_pick`, `_pick_encoding`) is defined under src/repro, and
-# `DesignPoint(` is constructed in exactly one place.
+# `DesignPoint(` is constructed in exactly one place.  A third keeps one
+# selector mapping: no encoding selector name (`gridtype`,
+# `log2_hashmap_size`, `per_level_scale`) appears in the Session, the
+# backends, the service or the explorer — they forward selectors as
+# keywords to the query kernel.
 #
 # Every section runs even when an earlier one fails; each failing
 # section is recorded, and the script exits non-zero at the end with
@@ -121,6 +125,21 @@ if [ "$(printf '%s\n' "$point_sites" | grep -c .)" != 1 ]; then
     fail
 else
     echo "one query kernel: $point_sites"
+fi
+
+section "one selector mapping (grep gate)"
+# query selectors travel as one keyword mapping keyed by the axis
+# registry's query names, from the HTTP/Session edge down to the query
+# kernel in repro.core.dse (query_slice, point_index, encoding_slice);
+# no layer above it spells an encoding selector out (the Grid.gridtype
+# builder in api/grid.py is a grid axis, not a selector, and not scanned)
+if grep -rnwE --include='*.py' 'gridtype|log2_hashmap_size|per_level_scale' \
+    src/repro/api/session.py src/repro/api/backends.py \
+    src/repro/service/ src/repro/explore/; then
+    echo "FAIL: a hand-threaded encoding selector is back above the query kernel" >&2
+    fail
+else
+    echo "selectors reach the query kernel as one keyword mapping"
 fi
 
 section "shard cluster smoke (2 workers, sweep via DistributedBackend)"
