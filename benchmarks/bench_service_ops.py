@@ -97,7 +97,7 @@ async def probe(quick: bool, tenants_path: str) -> dict:
     n_flood = 120 if quick else 400
     n_steady = 40 if quick else 100
 
-    def slow_cold(grid, engine="vectorized", ngpc=None):
+    def slow_cold(grid, engine="vectorized", ngpc=None, on_block=None):
         result = sweep_grid(grid, engine="vectorized", ngpc=ngpc,
                             use_cache=False)
         time.sleep(COLD_FLOOR_S)

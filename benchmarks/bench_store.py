@@ -49,7 +49,7 @@ from repro.core.dse import (
     sweep_grid,
 )
 from repro.gpu.baseline import FHD_PIXELS
-from repro.store import ResultStore, new_tier_counters, sweep_with_store
+from repro.store import ResultStore, new_tier_counters, tiered_sweep
 
 #: the acceptance floor: warm load vs cold re-evaluation
 WARM_RESTART_SPEEDUP_FLOOR = 50.0
@@ -139,11 +139,11 @@ def probe(quick: bool) -> dict:
         out["overlap_superset_points"] = superset.size
 
         first = new_tier_counters()
-        sweep_with_store(ResultStore(root), subset, counters=first, use_cache=False)
+        tiered_sweep(subset, store=ResultStore(root), counters=first)
         second = new_tier_counters()
         start = time.perf_counter()
-        overlap = sweep_with_store(
-            ResultStore(root), superset, counters=second, use_cache=False
+        overlap = tiered_sweep(
+            superset, store=ResultStore(root), counters=second
         )
         out["overlap_sweep_s"] = time.perf_counter() - start
         out["first_counters"] = first

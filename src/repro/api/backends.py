@@ -12,31 +12,36 @@ backends bit-identical by construction: the remote backend ships the
 round-trip via JSON shortest-repr) that the local backend computes
 in-process.
 
-- :class:`LocalBackend` — wraps :func:`~repro.core.dse.sweep_grid`
-  (vectorized by default) and the memoized scalar
+- :class:`LocalBackend` — evaluates in-process: the process-wide sweep
+  memo, then :func:`~repro.store.tiered_sweep` (the one tier ladder
+  every backend runs), plus the memoized scalar
   :func:`~repro.core.emulator.emulate` path.  Pass ``store=`` (a
-  :class:`~repro.store.ResultStore` or directory path) to evaluate
-  through the persistent tier instead: sweeps load memory-mapped from
-  disk when previously persisted — by this process, an earlier run, or
-  a service replica sharing the directory — and cold grids reuse every
-  persisted block, evaluating only the missing slices.
+  :class:`~repro.store.ResultStore` or directory path) to give the
+  ladder its disk rungs: sweeps load memory-mapped from disk when
+  previously persisted — by this process, an earlier run, or a service
+  replica sharing the directory — and cold grids reuse every persisted
+  block, evaluating only the missing slices.
 - :class:`RemoteBackend` — wraps
   :class:`~repro.service.client.SyncServiceClient`, one keep-alive
   connection reused across every call; an unreachable service raises
   :class:`~repro.errors.BackendUnavailableError`.
-- :class:`DistributedBackend` — the roadmap's "distribute block shards
-  across machines" item: embeds a
+- :class:`DistributedBackend` — embeds a
   :class:`~repro.service.cluster.ShardCoordinator` (plus optionally
-  spawned local worker processes) and evaluates sweeps by leasing the
-  grid's contiguous vectorized blocks to every worker that joins —
+  spawned local worker processes) behind a
+  :class:`~repro.service.SweepService`, and evaluates sweeps by leasing
+  the grid's contiguous vectorized blocks to every worker that joins —
   local subprocesses and remote ``repro worker`` hosts alike — behind
   the same four methods.
+
+Streams share one schema too: every backend that streams emits the
+events of :func:`~repro.service.progress.progress_events` — built on the
+caller's thread from a local helper thread's or the embedded service's
+progress, and as received over ``/sweep/stream`` for the remote one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import queue
 import threading
 import time
 from dataclasses import replace
@@ -51,30 +56,51 @@ from repro.core.dse import (
     LocalBlockRunner,
     SweepGrid,
     SweepResult,
-    run_plan,
-    store_block_plan,
-    stream_plan,
     sweep_fingerprint,
-    sweep_grid,
-    window_major,
+    validate_selectors,
 )
 from repro.core.emulator import emulate, emulate_with_config
 from repro.errors import BackendUnavailableError
 from repro.service.client import SyncServiceClient
 from repro.service.cluster import ClusterBlockRunner
 from repro.service.errors import ServiceError
-from repro.service.progress import PartialSweep
+from repro.service.progress import SweepProgress, progress_events
 from repro.store import (
     STORE_ENGINE,
     ResultStore,
     StoreBlockRunner,
     new_tier_counters,
-    sweep_with_store,
+    tiered_sweep,
 )
 
 
 class _StreamClosed(Exception):
     """Raised into a local stream's evaluation when its consumer left."""
+
+
+def _follow(progress: SweepProgress, ticks, scheme, n_pixels, app, selectors):
+    """Stream a subscribed progress's events, built on this thread.
+
+    Blocks on ``ticks`` (the progress's wake-up queue) while the sweep
+    runs, coalescing bursts, and asks the one event builder for each
+    state; a failed sweep's error is re-raised here.  Unsubscribes when
+    done or abandoned.
+    """
+    events = progress_events(
+        progress, scheme, n_pixels=n_pixels, app=app, **selectors
+    )
+    try:
+        while True:
+            if progress.state() == (None, None):
+                ticks.get()
+                while not ticks.empty():
+                    ticks.get_nowait()
+            batch = next(events)
+            yield from batch
+            if batch[-1]["event"] == "complete":
+                return
+    finally:
+        progress.unsubscribe(ticks)
 
 
 class Backend:
@@ -115,11 +141,11 @@ class Backend:
         """Progress + refining-Pareto-front events for one sweep, or None.
 
         Backends that can stream return a plain (sync) generator of the
-        service's stream event dicts (``progress`` / ``front`` /
-        ``complete`` / ``error`` — see
-        :meth:`repro.service.SweepService.sweep_stream`); in-process
-        backends additionally put the dense :class:`SweepResult` under
-        ``"result_obj"`` in the ``complete`` event so
+        event dicts :func:`~repro.service.progress.progress_events`
+        builds (``progress`` / ``front`` / ``complete``; a failed sweep
+        raises out of the generator); in-process backends keep the dense
+        :class:`SweepResult` under ``"result_obj"`` in the ``complete``
+        event so
         :meth:`~repro.api.session.Sweep.watch` materializes it without a
         second evaluation.  ``None`` means streaming is unsupported and
         the caller should fall back to one dense sweep.
@@ -134,7 +160,14 @@ class Backend:
 
 
 class LocalBackend(Backend):
-    """In-process evaluation: the batched engines + the scalar memo."""
+    """In-process evaluation: sweep memo -> tier ladder, + the scalar memo.
+
+    :meth:`sweep` and :meth:`stream_events` run one path — the
+    process-wide sweep memo, then :func:`~repro.store.tiered_sweep`
+    with the in-process block runner (store-tiered when ``store`` is
+    given) — and differ only in whether a
+    :class:`~repro.service.progress.SweepProgress` watches the blocks.
+    """
 
     name = "local"
 
@@ -156,19 +189,26 @@ class LocalBackend(Backend):
         self.tier = new_tier_counters()
 
     def sweep(self, grid: SweepGrid) -> SweepResult:
-        if self.store is not None:
-            # the tiered ladder: RAM memo -> persisted sweep -> persisted
-            # blocks -> evaluate the delta (vectorized, block by block)
-            return sweep_with_store(
-                self.store,
-                grid.resolve(self.ngpc),
-                ngpc=self.ngpc,
-                counters=self.tier,
-                use_cache=self.use_cache,
-            )
-        return sweep_grid(
-            grid, engine=self.engine, ngpc=self.ngpc, use_cache=self.use_cache
+        return self._sweep(grid.resolve(self.ngpc))
+
+    def _sweep(self, grid: SweepGrid, on_plan=None, on_block=None) -> SweepResult:
+        """The RAM rung — the process-wide sweep memo, keyed and sized as
+        in :func:`~repro.core.dse.sweep_grid` — then the tier ladder."""
+        engine = STORE_ENGINE if self.store is not None else self.engine
+        cacheable = self.use_cache and grid.size <= _SWEEP_CACHE_MAX_POINTS
+        if cacheable:
+            key = (grid, engine, sweep_fingerprint(grid, self.ngpc))
+            cached = _SWEEP_CACHE.get(key)
+            if cached is not None:
+                self.tier["ram_hits"] += 1
+                return cached
+        result = tiered_sweep(
+            grid, self.ngpc, self.store, self.tier, on_plan, on_block,
+            engine=self.engine,
         )
+        if cacheable:
+            _SWEEP_CACHE.put(key, result)
+        return result
 
     def point(
         self, app: str, scheme: str, scale_factor: int, n_pixels: int
@@ -194,130 +234,44 @@ class LocalBackend(Backend):
         app: Optional[str] = None,
         **selectors,
     ):
-        """Blockwise in-process evaluation, yielding events per block.
+        """:meth:`sweep`'s path on a helper thread, followed as it lands.
 
-        Without a store, the grid is cut by
-        :func:`~repro.core.dse.stream_plan`; with one, by
-        :func:`~repro.core.dse.store_block_plan` so every block rides
-        the persistent tier (hits are streamed too — a warm store
-        streams its fronts in milliseconds).  Both cuts are walked
-        window-major, so the first exact partial front appears after a
-        small fraction of the sweep.  The plan runs through
-        :func:`~repro.core.dse.run_plan` on a helper thread while this
-        generator turns each landed block into events; closing the
-        generator stops the evaluation after the block in flight.  The
-        assembled result is bit-identical to :meth:`sweep`'s.
+        Blocks run window-major (stream plan, or the store's block plan
+        with persisted blocks streamed too), so the first exact partial
+        front lands early; a memoized or persisted sweep streams just
+        the terminal events.  Closing the generator stops the evaluation
+        after the block in flight; evaluation errors re-raise here.
         """
-        resolved = grid.resolve(self.ngpc)
-        partial = PartialSweep(resolved, self.ngpc)
-        partial.validate_selectors(scheme, n_pixels, app, **selectors)
-        engine = STORE_ENGINE if self.store is not None else self.engine
-        fingerprint = sweep_fingerprint(resolved, self.ngpc)
-        ram_key = (resolved, engine, fingerprint)
-        cacheable = self.use_cache and resolved.size <= _SWEEP_CACHE_MAX_POINTS
-
-        def final_events(result, cached, blocks, elapsed_s):
-            points = result.pareto_front(
-                scheme, n_pixels=n_pixels, app=app, **selectors
-            )
-            yield {
-                "event": "progress",
-                "points_done": resolved.size,
-                "points_total": resolved.size,
-                "blocks_done": blocks, "blocks_total": blocks,
-                "done": True, "failed": False, "elapsed_s": elapsed_s,
-            }
-            yield {"event": "front", "final": True,
-                   "points": [p.to_dict() for p in points]}
-            yield {"event": "complete", "engine": result.engine,
-                   "cached": cached, "result_obj": result}
-
-        if cacheable:
-            cached = _SWEEP_CACHE.get(ram_key)
-            if cached is not None:
-                self.tier["ram_hits"] += 1
-                yield from final_events(cached, True, None, 0.0)
-                return
-        runner = LocalBlockRunner(self.ngpc, self.engine)
-        if self.store is not None:
-            persisted = self.store.load_sweep(fingerprint)
-            if persisted is not None:
-                self.tier["disk_hits"] += 1
-                if cacheable:
-                    _SWEEP_CACHE.put(ram_key, persisted)
-                yield from final_events(persisted, True, None, 0.0)
-                return
-            plan = window_major(store_block_plan(resolved))
-            runner = StoreBlockRunner(
-                LocalBlockRunner(self.ngpc), self.store, self.ngpc, self.tier
-            )
-        else:
-            plan = stream_plan(resolved)
-        self.tier["evaluations"] += 1
-        landed: queue.Queue = queue.Queue()
+        grid = grid.resolve(self.ngpc)
+        validate_selectors(grid, scheme, n_pixels, app, **selectors)
+        progress = SweepProgress(grid, self.ngpc)
         abandoned = threading.Event()
 
-        def deliver(placement, block):
+        def on_block(placement, block):
             if abandoned.is_set():  # the consumer left: stop evaluating
                 raise _StreamClosed
-            landed.put((placement, block))
+            progress.record(placement, block)
 
         def evaluate():
             try:
-                result = run_plan(
-                    resolved, plan, runner, engine, self.ngpc, deliver
-                )
-                if self.store is not None:
-                    self.store.save_sweep(fingerprint, result)
-                if cacheable:
-                    _SWEEP_CACHE.put(ram_key, result)
-                landed.put(result)
+                progress.finish(self._sweep(grid, progress.set_plan, on_block))
             except _StreamClosed:
                 pass
             except Exception as exc:  # re-raised on the consumer's thread
-                landed.put(exc)
+                progress.fail(exc)
 
-        started = time.monotonic()
+        ticks = progress.subscribe()
         helper = threading.Thread(
             target=evaluate, name="repro-local-stream", daemon=True
         )
         helper.start()
-        points_done = blocks_done = 0
-        last_front = None
         try:
-            while True:
-                item = landed.get()
-                if isinstance(item, Exception):
-                    raise item
-                if isinstance(item, SweepResult):
-                    break
-                points_done += partial.record(*item)
-                blocks_done += 1
-                yield {
-                    "event": "progress",
-                    "points_done": points_done,
-                    "points_total": resolved.size,
-                    "blocks_done": blocks_done, "blocks_total": len(plan),
-                    "done": False, "failed": False,
-                    "elapsed_s": round(time.monotonic() - started, 6),
-                }
-                front = [
-                    p.to_dict()
-                    for p in partial.pareto_front(
-                        scheme, n_pixels=n_pixels, app=app, **selectors
-                    )
-                ]
-                if front and front != last_front:
-                    last_front = front
-                    yield {"event": "front", "final": False, "points": front}
+            yield from _follow(progress, ticks, scheme, n_pixels, app, selectors)
         finally:
             # joined, so an abandoned stream's evaluation never overlaps
             # the caller's next call
             abandoned.set()
             helper.join()
-        yield from final_events(
-            item, False, len(plan), round(time.monotonic() - started, 6)
-        )
 
     def stats(self) -> Dict:
         stats = {
@@ -450,15 +404,19 @@ class DistributedBackend(Backend):
     ``workers`` local ``repro worker`` subprocesses and accepting any
     remote host that runs ``repro worker --host <host> --port <port>``.
 
-    Evaluation is the local block executor
-    (:func:`~repro.core.dse.run_plan`) with the block runner swapped for
-    the cluster's: the grid's contiguous vectorized block tasks are
-    leased to workers (re-leased on worker death or lease timeout),
-    evaluated with calibration installed once per worker generation,
-    and the dense float64 arrays stream back for assembly into one
-    :class:`SweepResult` — so results are bit-identical to a local
-    evaluation.  Persistent workers amortize interpreter/NumPy startup
-    across sweeps.
+    Evaluation is the service's tier ladder
+    (:func:`~repro.store.tiered_sweep`) with the coordinator's
+    ``sweep_fn`` at its evaluate rung, which runs the local block
+    executor (:func:`~repro.core.dse.run_plan`) with the block runner
+    swapped for the cluster's: the grid's contiguous vectorized block
+    tasks are leased to workers (re-leased on worker death or lease
+    timeout), evaluated with calibration installed once per worker
+    generation, and the dense float64 arrays stream back for assembly
+    into one :class:`SweepResult` — so results are bit-identical to a
+    local evaluation.  Persistent workers amortize interpreter/NumPy
+    startup across sweeps.  Streams follow the service's
+    :class:`~repro.service.progress.SweepProgress`, so they carry the
+    same events as a local or remote stream.
 
     ``lease_timeout_s`` bounds how long a dead worker can strand a
     block; ``block_delay_s`` is the fault-injection knob forwarded to
@@ -605,49 +563,23 @@ class DistributedBackend(Backend):
         app: Optional[str] = None,
         **selectors,
     ):
-        """The embedded service's stream, bridged off its loop thread.
+        """The embedded service's sweep, streamed on the caller's thread.
 
-        Workers complete blocks on the coordinator loop; the service's
-        ``sweep_stream`` turns them into events there, and a pump
-        coroutine relays each event into a thread-safe queue this sync
-        generator drains.  Abandoning the generator cancels the pump —
-        which unsubscribes — while the sweep itself keeps running to
-        completion (it lands in the service LRU for the next call).
+        The service joins or starts the sweep on its loop (coalescing
+        with every other request for it, or finished at once when
+        cached); its :class:`~repro.service.progress.SweepProgress` —
+        fed by workers' blocks on the coordinator loop — is then followed
+        here exactly as a local stream follows its helper thread's.
+        Abandoning the generator only unsubscribes: the sweep keeps
+        running to completion and lands in the service LRU.
         """
-        import asyncio
-        import queue as queue_module
-
-        if self._closed or self._loop is None:
-            raise BackendUnavailableError(
-                "distributed backend is closed", host=self.host, port=self.port
-            )
-        events: queue_module.Queue = queue_module.Queue()
-        sentinel = object()
-
-        async def pump():
-            try:
-                async for event in self.service.sweep_stream(
-                    grid, scheme=scheme, n_pixels=n_pixels, app=app,
-                    **selectors,
-                ):
-                    events.put(event)
-            except BaseException as exc:
-                events.put(exc)
-                raise
-            finally:
-                events.put(sentinel)
-
-        future = asyncio.run_coroutine_threadsafe(pump(), self._loop)
-        try:
-            while True:
-                item = events.get()
-                if item is sentinel:
-                    break
-                if isinstance(item, BaseException):
-                    raise item
-                yield item
-        finally:
-            future.cancel()
+        validate_selectors(
+            grid.resolve(self.ngpc), scheme, n_pixels, app, **selectors
+        )
+        progress = self._run(lambda: self.service.sweep_progress(grid))
+        yield from _follow(
+            progress, progress.subscribe(), scheme, n_pixels, app, selectors
+        )
 
     def point(
         self, app: str, scheme: str, scale_factor: int, n_pixels: int
@@ -682,11 +614,7 @@ class DistributedBackend(Backend):
     def health(self) -> Dict:
         if self._closed or self._loop is None:
             return {"ok": False, "backend": self.name, "workers_alive": 0}
-
-        async def collect():
-            return self.coordinator.n_alive_workers
-
-        alive = self._run(collect)
+        alive = self._alive_workers()
         return {
             "ok": alive > 0,
             "backend": self.name,

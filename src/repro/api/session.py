@@ -44,9 +44,9 @@ from repro.core.dse import (
     axis_index,
     query_slice,
     sweep_fingerprint,
+    validate_selectors,
 )
 from repro.errors import infeasible_query, infeasible_train_query
-from repro.service.errors import ServiceError
 from repro.explore import AdaptiveExplorer
 from repro.gpu.baseline import FHD_PIXELS
 
@@ -286,19 +286,13 @@ class Sweep:
         keeps evaluating for its other subscribers.
 
         On streaming backends the dense result rides along with the
-        last event (local backends) or stays server-side (remote), so
-        fully consuming ``watch()`` never evaluates the grid twice.
+        last event (in-process backends) or stays server-side (remote),
+        so fully consuming ``watch()`` never evaluates the grid twice.
         """
-        axis_index("scheme", scheme, self.grid.schemes)
-        if app is not None:
-            axis_index("app", app, self.grid.apps)
-        if self._result is not None or self._explorer is not None:
-            yield self.pareto(
-                scheme=scheme, n_pixels=n_pixels, app=app, **selectors
-            )
-            return
+        validate_selectors(self.grid, scheme, n_pixels, app, **selectors)
         stream = None
-        if self._backend_obj is not None:
+        if self._result is None and self._explorer is None \
+                and self._backend_obj is not None:
             stream = self._backend_obj.stream_events(
                 self._grid, scheme=scheme, n_pixels=n_pixels, app=app,
                 **selectors,
@@ -308,15 +302,13 @@ class Sweep:
                 scheme=scheme, n_pixels=n_pixels, app=app, **selectors
             )
             return
+        # a failed sweep raises out of the stream (the remote client
+        # rebuilds the served error event as a ServiceError)
         for event in stream:
-            kind = event.get("event")
+            kind = event["event"]
             if kind == "front":
                 yield [DesignPoint.from_dict(p) for p in event["points"]]
-            elif kind == "error":
-                raise ServiceError.from_payload(
-                    {"ok": False, "error": event["error"]}
-                )
-            elif kind == "complete" and event.get("result_obj") is not None:
+            elif kind == "complete" and "result_obj" in event:
                 self._result = event["result_obj"]
 
     def records(self, limit: Optional[int] = None) -> List[Dict]:

@@ -1344,6 +1344,20 @@ def query_slice(
     )
 
 
+def validate_selectors(
+    grid: SweepGrid, scheme=None, n_pixels=None, app=None, **selectors
+) -> None:
+    """Raise the error a front or cheapest query on ``grid`` would raise.
+
+    The check every exhaustive, streamed and served query runs *before*
+    anything evaluates: :func:`query_slice` for the plane selectors and
+    :func:`axis_index` for ``app`` when one is named.
+    """
+    query_slice(grid, scheme, n_pixels, **selectors)
+    if app is not None:
+        axis_index("app", app, grid.apps)
+
+
 def point_index(grid: SweepGrid, **selectors) -> Tuple[int, ...]:
     """Full array index of one grid point, selectors keyed by query name.
 

@@ -275,9 +275,10 @@ class SyncServiceClient:
         generator early closes the connection, which cancels the
         server-side subscription without disturbing the sweep.
         """
-        body = _stream_request_body(
-            grid, scheme=scheme, n_pixels=n_pixels, app=app, **selectors
-        )
+        fields = dict(scheme=scheme, n_pixels=n_pixels, app=app, **selectors)
+        payload: Dict[str, Any] = {"grid": grid or {}}
+        payload.update((k, v) for k, v in fields.items() if v is not None)
+        body = json.dumps(_negotiated(payload)).encode("utf-8")
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
@@ -331,16 +332,12 @@ class SyncServiceClient:
             connection.close()
 
 
-def _stream_request_body(grid: Optional[Dict], **query) -> bytes:
-    """The negotiated JSON body both ``stream_pareto`` flavours POST."""
-    body: Dict[str, Any] = {"grid": grid or {}}
-    body.update((name, value) for name, value in query.items()
-                if value is not None)
-    return json.dumps(_negotiated(body)).encode("utf-8")
-
-
 class ServiceClient:
-    """Asyncio client mirroring the service's endpoint surface.
+    """Asyncio client mirroring the service's request/response endpoints.
+
+    ``/sweep/stream`` has one client-side reader,
+    :meth:`SyncServiceClient.stream_pareto` (what the remote backend's
+    ``Sweep.watch()`` runs).
 
     Keep-alive: one ``asyncio.open_connection`` stream is reused across
     requests until the server closes it (then the next request
@@ -546,108 +543,3 @@ class ServiceClient:
         return await self.request(
             "POST", f"/result?wait={wait_s:g}", {"grid": grid or {}}
         )
-
-    async def stream_pareto(self, grid: Optional[Dict] = None,
-                            scheme: Optional[str] = None,
-                            n_pixels: Optional[int] = None,
-                            app: Optional[str] = None,
-                            **selectors):
-        """Stream ``/sweep/stream`` events; an async generator of dicts.
-
-        Same contract as :meth:`SyncServiceClient.stream_pareto`: the
-        server's ndjson events in arrival order over a dedicated
-        ``Connection: close`` stream (the keep-alive request connection
-        stays free), ``error`` events raised as :class:`ServiceError`,
-        and an abandoned generator closing the socket to cancel the
-        server-side subscription.
-        """
-        body = _stream_request_body(
-            grid, scheme=scheme, n_pixels=n_pixels, app=app, **selectors
-        )
-        try:
-            reader, writer = await asyncio.open_connection(self.host, self.port)
-        except (ConnectionError, OSError) as exc:
-            raise BackendUnavailableError(
-                f"sweep service at {self.host}:{self.port} "
-                f"unavailable ({exc})",
-                host=self.host, port=self.port,
-            ) from exc
-        try:
-            head = (
-                f"POST /sweep/stream HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n"
-            )
-            if self.api_key is not None:
-                head += f"Authorization: Bearer {self.api_key}\r\n"
-            head += "\r\n"
-            try:
-                writer.write(head.encode("latin-1") + body)
-                await writer.drain()
-                status_line = await reader.readline()
-                if not status_line:
-                    raise ConnectionResetError("connection closed before "
-                                               "a response arrived")
-                parts = status_line.decode("latin-1").split()
-                if len(parts) < 2:
-                    raise ServiceError(502, "bad-response",
-                                       "malformed status line")
-                status = int(parts[1])
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                if headers.get("transfer-encoding", "").lower() != "chunked":
-                    # pre-stream failure: ordinary structured JSON response
-                    length = int(headers.get("content-length") or 0)
-                    data = await reader.readexactly(length) if length else b""
-                    decoded = json.loads(data or b"{}")
-                    _check_response_schema(decoded)
-                    _raise_for_error(status, decoded)
-                    raise ServiceError(
-                        502, "bad-response",
-                        "expected a chunked ndjson stream from /sweep/stream",
-                    )
-                buffer = b""
-                while True:
-                    size_line = await reader.readline()
-                    try:
-                        size = int(size_line.strip() or b"0", 16)
-                    except ValueError:
-                        raise ServiceError(
-                            502, "bad-response",
-                            "malformed chunk size in stream",
-                        ) from None
-                    if size == 0:
-                        await reader.readline()  # trailing CRLF
-                        break
-                    buffer += await reader.readexactly(size)
-                    await reader.readexactly(2)  # CRLF closing the chunk
-                    while b"\n" in buffer:
-                        line, buffer = buffer.split(b"\n", 1)
-                        if not line.strip():
-                            continue
-                        event = json.loads(line)
-                        if event.get("event") == "error":
-                            raise ServiceError.from_payload(
-                                {"ok": False, "error": event["error"]}
-                            )
-                        yield event
-            except (ConnectionError, asyncio.IncompleteReadError,
-                    OSError) as exc:
-                raise BackendUnavailableError(
-                    f"sweep service at {self.host}:{self.port} dropped "
-                    f"the stream ({exc})",
-                    host=self.host, port=self.port,
-                ) from exc
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass

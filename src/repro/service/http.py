@@ -50,10 +50,13 @@ Two endpoints stream instead of answering once:
   ``{"ok": true, "pending": true, "progress": {...}}`` — the sweep
   keeps evaluating, so polling again eventually returns 200.
 - ``POST /sweep/stream`` (same body as ``/pareto``) answers with a
-  chunked ``application/x-ndjson`` response: one JSON event per line —
-  ``progress`` counters, exact partial ``front`` refinements, and a
-  final ``front`` + ``complete`` (or an in-band ``error`` event).  A
-  client that disconnects mid-stream only unsubscribes; the sweep keeps
+  chunked ``application/x-ndjson`` response, one JSON event per line:
+  the events every backend streams
+  (:func:`~repro.service.progress.progress_events` — ``progress``
+  snapshots, partial ``front`` refinements, then the finished
+  ``progress``, the final ``front`` and ``complete``, without the
+  in-process ``result_obj``), or an in-band ``error`` event.  A client
+  that disconnects mid-stream only unsubscribes; the sweep keeps
   running for every other subscriber and still lands in the cache.
 
 Failures are structured: a scalar query against a swept axis without a
@@ -444,8 +447,6 @@ async def _serve_stream(
         # errors surface here, while a plain pre-stream response is
         # still possible
         first = await stream.__anext__()
-    except StopAsyncIteration:  # pragma: no cover - streams always emit
-        first = None
     except Exception as exc:
         if stream is not None:
             await stream.aclose()
@@ -463,6 +464,7 @@ async def _serve_stream(
         )
 
         async def send_event(event: Dict) -> None:
+            event = {k: v for k, v in event.items() if k != "result_obj"}
             data = json.dumps(event).encode("utf-8") + b"\n"
             writer.write(b"%x\r\n%s\r\n" % (len(data), data))
             await writer.drain()

@@ -1,11 +1,14 @@
 """Per-sweep streaming progress: partial arrays, fronts, subscribers.
 
-One :class:`SweepProgress` exists per in-flight (or recently finished)
-sweep in a :class:`~repro.service.sweep_service.SweepService`.  The
-evaluation side — the local blockwise path, the store's block loop, or
-the shard coordinator's ``on_block`` hook — calls :meth:`record` from
-whatever thread completes a block; the serving side subscribes from the
-event loop and turns ticks into ``/sweep/stream`` events.
+One :class:`SweepProgress` exists per streamed sweep — in flight in a
+:class:`~repro.service.sweep_service.SweepService` or on a local
+backend's helper thread, or already finished (a cached result is
+simply a finished progress).  The evaluation side — any block runner
+under :func:`~repro.store.tiered_sweep`, or the shard coordinator's
+``on_block`` hook — calls :meth:`SweepProgress.record` from whatever
+thread completes a block; a streaming consumer subscribes, and on each
+tick asks :func:`progress_events`, the one event builder, for the
+events of the current state.
 
 :class:`PartialSweep` holds dense speedup arrays that blocks scatter
 into, plus a validity mask of the evaluated entries, and answers
@@ -22,9 +25,11 @@ same code).
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from queue import Queue
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,13 +37,13 @@ from repro.core.config import NGPCConfig
 from repro.core.dse import (
     DesignPoint,
     SweepGrid,
-    axis_index,
     front_points,
     query_slice,
+    validate_selectors,
 )
 from repro.core.area_power import ngpc_area_power_batch
 
-__all__ = ["PartialSweep", "SweepProgress"]
+__all__ = ["PartialSweep", "SweepProgress", "progress_events"]
 
 
 class PartialSweep:
@@ -88,9 +93,7 @@ class PartialSweep:
         **selectors,
     ) -> None:
         """Raise the same structured errors a dense front query would."""
-        query_slice(self.grid, scheme, n_pixels, **selectors)
-        if app is not None:
-            axis_index("app", app, self.grid.apps)
+        validate_selectors(self.grid, scheme, n_pixels, app, **selectors)
 
     def pareto_front(
         self,
@@ -120,9 +123,10 @@ class SweepProgress:
     """Progress counters + pub/sub hub for one in-flight sweep.
 
     Thread-safe on the producer side (:meth:`record` / :meth:`finish` /
-    :meth:`fail` run on executor threads or the coordinator loop);
-    subscribers are :class:`asyncio.Queue` objects living on the
-    service's event loop, woken via ``call_soon_threadsafe``.  Ticks
+    :meth:`fail` run on executor threads or the coordinator loop).
+    Subscribers on the service's event loop (``loop``) get
+    :class:`asyncio.Queue` objects woken via ``call_soon_threadsafe``;
+    any other thread gets a :class:`queue.Queue` woken directly.  Ticks
     are cheap notifications — subscribers read counters through
     :meth:`snapshot` and compute fronts from :attr:`partial` at their
     own pace, so a slow consumer coalesces ticks instead of queueing
@@ -145,9 +149,9 @@ class SweepProgress:
 
     # -- producer side -------------------------------------------------------
     def set_plan(self, n_blocks: int) -> None:
+        # no tick: the plan size rides along with the first block's
         with self._lock:
             self.blocks_total = int(n_blocks)
-        self._publish()
 
     def record(self, placement: Tuple, block: Dict[str, np.ndarray]) -> None:
         fresh = self.partial.record(placement, block)
@@ -160,8 +164,8 @@ class SweepProgress:
         with self._lock:
             self.result = result
             self.points_done = self.points_total
-            if self.blocks_total is not None:
-                self.blocks_done = self.blocks_total
+            # a whole-sweep cache hit finishes at 0 of 0 blocks
+            self.blocks_total = self.blocks_done
         self._publish()
 
     def fail(self, error: BaseException) -> None:
@@ -171,21 +175,26 @@ class SweepProgress:
 
     def _publish(self) -> None:
         with self._lock:
-            loop, queues = self._loop, list(self._queues)
-        if loop is None:
-            return
+            queues = list(self._queues)
         for queue in queues:
+            if not isinstance(queue, asyncio.Queue):
+                queue.put_nowait(True)  # thread-safe
+                continue
             try:
-                loop.call_soon_threadsafe(queue.put_nowait, True)
+                self._loop.call_soon_threadsafe(queue.put_nowait, True)
             except RuntimeError:
                 pass  # loop already closed mid-shutdown
 
     # -- consumer side -------------------------------------------------------
     def subscribe(self):
-        """Register one wake-up queue (call from the service loop)."""
-        import asyncio
-
-        queue = asyncio.Queue()
+        """Register one wake-up queue: an :class:`asyncio.Queue` when
+        called on the progress's event loop, else a :class:`queue.Queue`
+        for a consumer blocking on its own thread."""
+        try:
+            on_loop = asyncio.get_running_loop() is self._loop
+        except RuntimeError:  # no loop running on this thread
+            on_loop = False
+        queue = asyncio.Queue() if on_loop else Queue()
         with self._lock:
             self._queues.add(queue)
         return queue
@@ -193,11 +202,6 @@ class SweepProgress:
     def unsubscribe(self, queue) -> None:
         with self._lock:
             self._queues.discard(queue)
-
-    @property
-    def n_subscribers(self) -> int:
-        with self._lock:
-            return len(self._queues)
 
     def state(self) -> Tuple:
         """Atomic (result, error) pair."""
@@ -217,3 +221,54 @@ class SweepProgress:
                 "subscribers": len(self._queues),
                 "elapsed_s": round(time.monotonic() - self.started_at, 6),
             }
+
+
+def progress_events(
+    progress: SweepProgress,
+    scheme: Optional[str] = None,
+    n_pixels: Optional[int] = None,
+    app: Optional[str] = None,
+    **selectors,
+) -> Iterator[List[Dict]]:
+    """The stream events of one sweep, one list per ``next()``.
+
+    The one event builder every streaming backend runs: each call reads
+    ``progress`` once, on the calling thread, and returns a ``progress``
+    snapshot event, plus a ``front`` (``final: False``) when the exact
+    partial front is non-empty and changed.  Once the sweep is done it
+    returns the terminal triple — the finished snapshot, the dense
+    front (``final: True``) and ``complete`` (``engine``, ``cached`` =
+    no block ran, ``elapsed_s``, and the dense ``result_obj`` for
+    in-process consumers) — and stops.  A failed sweep raises its error.
+    """
+    last_front = None
+    while True:
+        snapshot = progress.snapshot()
+        result, error = progress.state()
+        if snapshot["failed"]:
+            raise error
+        events = [{"event": "progress", **snapshot}]
+        if snapshot["done"]:
+            points = result.pareto_front(
+                scheme, n_pixels=n_pixels, app=app, **selectors
+            )
+            events.append({"event": "front", "final": True,
+                           "points": [p.to_dict() for p in points]})
+            events.append({"event": "complete", "engine": result.engine,
+                           "cached": snapshot["blocks_total"] == 0,
+                           "elapsed_s": snapshot["elapsed_s"],
+                           "result_obj": result})
+            yield events
+            return
+        if snapshot["points_done"]:
+            front = [
+                p.to_dict()
+                for p in progress.partial.pareto_front(
+                    scheme, n_pixels=n_pixels, app=app, **selectors
+                )
+            ]
+            if front and front != last_front:
+                last_front = front
+                events.append({"event": "front", "final": False,
+                               "points": front})
+        yield events

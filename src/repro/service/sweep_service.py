@@ -1,7 +1,7 @@
 """Asyncio query service over the batched DSE engine.
 
 :class:`SweepService` is the in-process async API the HTTP layer
-(:mod:`repro.service.http`) and any embedding application share.  Three
+(:mod:`repro.service.http`) and any embedding application share.  These
 properties make it safe to put in front of many concurrent users:
 
 - **LRU result cache.**  Completed :class:`~repro.core.dse.SweepResult`s
@@ -12,19 +12,20 @@ properties make it safe to put in front of many concurrent users:
   instance-owned (``register=False``): it lives and dies with its
   service rather than being pinned by the global cache registry.
 - **Single-flight coalescing.**  Concurrent requests for the same
-  fingerprint attach to one in-flight :class:`asyncio.Future`; exactly
-  one underlying :func:`~repro.core.dse.sweep_grid` evaluation runs no
-  matter how many clients ask (``tests/test_service.py`` asserts 32
-  concurrent requests -> 1 evaluation on a 10k-point grid).
-- **Off-loop evaluation.**  The evaluation runs block by block
-  (:func:`~repro.core.dse.run_plan`) in an executor thread — the event
-  loop keeps serving cached queries (< 50 ms, gated by
-  ``benchmarks/bench_service.py``) while a 50k-point sweep is cold, and
-  every landed block feeds the sweep's streaming progress.  More cores
-  and hosts are the shard cluster's job (``sweep_fn``).
+  fingerprint — dense or streamed — attach to one in-flight
+  :class:`asyncio.Future`; exactly one evaluation runs no matter how
+  many clients ask (``tests/test_service.py`` asserts 32 concurrent
+  requests -> 1 evaluation on a 10k-point grid).
+- **Off-loop evaluation down the one tier ladder.**  A RAM miss runs
+  :func:`~repro.store.tiered_sweep` — the ladder every backend shares —
+  in an executor thread: the event loop keeps serving cached queries
+  (< 50 ms, gated by ``benchmarks/bench_service.py``) while a 50k-point
+  sweep is cold, and every landed block feeds the sweep's
+  :class:`~repro.service.progress.SweepProgress` for streams.  More
+  cores and hosts are the shard cluster's job (``sweep_fn``).
 - **Persistent disk tier (optional).**  Pass ``store=`` (a
   :class:`~repro.store.ResultStore` or a directory path) to slot the
-  content-addressed persistent store *under* the RAM LRU: a RAM miss
+  content-addressed persistent store *under* the RAM LRU: the ladder
   first probes the store (memory-mapped load, milliseconds) before
   evaluating, evaluations reuse persisted blocks and only compute the
   missing hypercube slices, and completed sweeps are persisted — so a
@@ -44,7 +45,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import hashlib
-import inspect
 import threading
 from typing import AsyncIterator, Dict, Hashable, List, Optional, Set, Union
 
@@ -57,23 +57,20 @@ from repro.core.dse import (
     LocalBlockRunner,
     SweepGrid,
     SweepResult,
-    axis_index,
-    query_slice,
-    run_plan,
-    stream_plan,
+    point_index,
     sweep_fingerprint,
-    sweep_grid,
+    validate_selectors,
 )
 from repro.core.config import NGPCConfig
 from repro.errors import InfeasibleQueryError
 from repro.explore import AdaptiveExplorer, ExplorationStats
 from repro.service.errors import as_service_error
-from repro.service.progress import SweepProgress
+from repro.service.progress import SweepProgress, progress_events
 from repro.store import (
     ResultStore,
     StoreBlockRunner,
-    evaluate_with_block_cache,
     new_tier_counters,
+    tiered_sweep,
 )
 
 GridLike = Union[SweepGrid, Dict, None]
@@ -95,10 +92,12 @@ class _Inflight:
     retrieved.
     """
 
-    __slots__ = ("future", "waiters")
+    __slots__ = ("future", "progress", "waiters")
 
-    def __init__(self, future: asyncio.Future):
+    def __init__(self, future: asyncio.Future, progress: SweepProgress):
         self.future = future
+        #: the evaluation's streaming progress (what streams subscribe to)
+        self.progress = progress
         self.waiters = 0
 
     def mark_retrieved_if_abandoned(self) -> None:
@@ -121,13 +120,14 @@ def _as_grid(grid: GridLike) -> SweepGrid:
 class SweepService:
     """Async, coalescing, LRU-cached front end of the DSE engine.
 
-    All public query methods are coroutines; each first ensures the
-    named grid is evaluated (``await self.sweep(grid)``) and then
-    answers from the dense result.  Counters:
+    All public query methods are coroutines; each validates its
+    selectors, then ensures the named grid is evaluated
+    (``await self.sweep(grid)``) and answers from the dense result.
+    Counters:
 
-    - ``evaluations``: underlying ``sweep_fn`` executions (the number
-      that must stay 1 under request coalescing; a disk-tier hit is
-      *not* an evaluation),
+    - ``evaluations``: sweeps that reached the evaluate rung of the
+      ladder (the number that must stay 1 under request coalescing; a
+      disk-tier hit is *not* an evaluation),
     - ``coalesced``: requests that attached to an in-flight evaluation,
     - cache ``hits``/``misses``: requests served from / admitted to the
       completed-result LRU (coalesced requests count as neither),
@@ -135,12 +135,14 @@ class SweepService:
       ``blocks_*`` triple) in ``stats()["cache"]`` and
       ``stats()["store"]`` whenever a ``store`` is attached.
 
-    ``sweep_fn`` is injectable for tests (a counting or artificially
-    slow wrapper around :func:`~repro.core.dse.sweep_grid`).  With a
-    ``store``, a sweep that misses both cache tiers still evaluates
-    through ``sweep_fn`` when one is injected (so counting wrappers and
-    the shard cluster keep their contract); only the built-in path uses
-    block-level reuse.
+    ``sweep_fn`` replaces the ladder's in-process block plan — the
+    shard cluster's :meth:`~repro.service.cluster.ShardCoordinator.sweep_fn`,
+    or a counting or artificially slow test wrapper.  It is called as
+    ``sweep_fn(grid, engine=, ngpc=, on_block=)`` and must report every
+    landed block to ``on_block(placement, block)`` (that is what streams
+    see).  With a ``store`` it keeps the disk tiers: a persisted sweep
+    never reaches it, and its result is persisted whole; only the
+    built-in plan reuses persisted blocks.
     """
 
     def __init__(
@@ -173,7 +175,7 @@ class SweepService:
         self.explore = explore
         self.engine = engine
         self.ngpc = ngpc
-        self._sweep_fn = sweep_fn or sweep_grid
+        self._sweep_fn = sweep_fn
         if isinstance(store, str):
             store = ResultStore(store)
         self.store: Optional[ResultStore] = store
@@ -195,7 +197,6 @@ class SweepService:
         self._explorers: Dict[Hashable, AdaptiveExplorer] = {}
         self._explorers_lock = threading.Lock()
         self._tasks: Set[asyncio.Task] = set()
-        self.evaluations = 0
         self.coalesced = 0
         # filled in by the HTTP layer: keep-alive connection accounting
         # ("reused" counts requests served on an already-open connection)
@@ -210,6 +211,11 @@ class SweepService:
         #: flat while one tenant floods the grid.
         self.admission = None
 
+    @property
+    def evaluations(self) -> int:
+        """Sweeps evaluated (not served by a cache tier) so far."""
+        return self.tier["evaluations"]
+
     # -- sweeps --------------------------------------------------------------
     async def sweep(self, grid: GridLike = None) -> SweepResult:
         """Evaluate ``grid`` (cached, coalesced); return the dense result.
@@ -219,63 +225,74 @@ class SweepService:
         fingerprinting, so every spelling of the same design space maps
         to one cache entry and one in-flight evaluation.
         """
-        resolved = _as_grid(grid).resolve(self.ngpc).normalized()
-        key = sweep_fingerprint(resolved, self.ngpc)
+        joined = await self._join_or_start(grid)
+        if isinstance(joined, _Inflight):
+            return await self._await_inflight(joined)
+        return joined
+
+    async def sweep_progress(self, grid: GridLike = None) -> SweepProgress:
+        """The :class:`SweepProgress` of ``grid``'s sweep, joining or
+        starting it as :meth:`sweep` does; a cached result's progress is
+        simply already finished.  What every stream subscribes to."""
+        joined = await self._join_or_start(grid)
+        if isinstance(joined, _Inflight):
+            return joined.progress
+        progress = SweepProgress(
+            joined.grid, self.ngpc, loop=asyncio.get_running_loop()
+        )
+        progress.finish(joined)
+        return progress
+
+    async def _join_or_start(self, grid: GridLike):
+        """The cached result, or the in-flight evaluation to attach to.
+
+        Coalesces onto an in-flight evaluation of ``grid`` (``coalesced``),
+        serves a completed one from the LRU (``ram_hits``), or takes a
+        cold slot and starts one.  A slot wait that yielded to the loop
+        re-checks both, so a queued duplicate never burns a second slot.
+        """
+        grid = _as_grid(grid).resolve(self.ngpc).normalized()
+        key = sweep_fingerprint(grid, self.ngpc)
         inflight = self._inflight.get(key)
-        if inflight is not None:
-            self.coalesced += 1
-            return await self._await_inflight(inflight)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.tier["ram_hits"] += 1
-            return cached
-        release = await self._admit_cold()
-        if release is not None and getattr(release, "queued", False):
-            # the slot wait yielded to the loop: an identical sweep may
-            # have started (or finished) meanwhile — re-check both tiers
-            # so a queued duplicate never burns a second slot
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                release()
-                self.coalesced += 1
-                return await self._await_inflight(inflight)
+        if inflight is None:
             cached = self._cache.get(key)
             if cached is not None:
+                self.tier["ram_hits"] += 1
+                return cached
+            # a cold slot from the mounted admission controller (a
+            # structured 429 when its cap and queue are full); the
+            # uncontended acquire never yields to the loop, so the checks
+            # above hold unless ``release.queued`` says it waited
+            release = None
+            if self.admission is not None:
+                release = await self.admission.acquire_cold()
+            if release is None or not getattr(release, "queued", False):
+                return self._start_evaluation(key, grid, release=release)
+            inflight = self._inflight.get(key)
+            if inflight is None:
+                cached = self._cache.get(key)
+                if cached is None:
+                    return self._start_evaluation(key, grid, release=release)
                 release()
                 self.tier["ram_hits"] += 1
                 return cached
-        return await self._await_inflight(
-            self._start_evaluation(key, resolved, release=release)
-        )
-
-    async def _admit_cold(self):
-        """One cold-evaluation slot from the mounted admission controller.
-
-        Returns the controller's release callable (``None`` when no
-        controller is mounted); raises its structured 429 when the
-        global cold cap and its queue are both full.  The fast
-        (uncontended) acquire never yields to the event loop, so the
-        caller's earlier inflight/cache checks are still authoritative
-        unless ``release.queued`` says the acquire waited.
-        """
-        if self.admission is None:
-            return None
-        return await self.admission.acquire_cold()
+            release()
+        self.coalesced += 1
+        return inflight
 
     def _start_evaluation(
         self, key: Hashable, grid: SweepGrid, release=None
     ) -> _Inflight:
-        """Launch one evaluation task with its streaming progress entry.
+        """Launch one evaluation task; its progress rides on the entry.
 
         Must run on the service loop with no in-flight entry under
-        ``key``.  The :class:`SweepProgress` is registered *before* the
-        task starts, so a streamer subscribing right after coalescing
-        onto the returned in-flight future can never miss the entry.
+        ``key``.  The progress is also kept (with a short tail of
+        finished ones) for ``/stats`` and long-poll 202 bodies.
         """
         loop = asyncio.get_running_loop()
-        inflight = _Inflight(loop.create_future())
-        self._inflight[key] = inflight
         progress = SweepProgress(grid, self.ngpc, loop=loop)
+        inflight = _Inflight(loop.create_future(), progress)
+        self._inflight[key] = inflight
         with self._progress_lock:
             self._progress[key] = progress
             finished = [
@@ -284,9 +301,7 @@ class SweepService:
             ]
             for stale in finished[: max(0, len(finished) - _PROGRESS_RETAIN)]:
                 del self._progress[stale]
-        task = loop.create_task(
-            self._evaluate(key, grid, inflight, progress, release)
-        )
+        task = loop.create_task(self._evaluate(key, grid, inflight, release))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         return inflight
@@ -306,15 +321,19 @@ class SweepService:
         key: Hashable,
         grid: SweepGrid,
         inflight: _Inflight,
-        progress: SweepProgress,
         release=None,
     ) -> None:
+        """Run the tier ladder in an executor thread, feeding progress."""
         loop = asyncio.get_running_loop()
-        future = inflight.future
+        future, progress = inflight.future, inflight.progress
         try:
             result = await loop.run_in_executor(
                 None,
-                functools.partial(self._evaluate_sync, key, grid, progress),
+                functools.partial(
+                    tiered_sweep, grid, self.ngpc, self.store, self.tier,
+                    progress.set_plan, progress.record, engine=self.engine,
+                    sweep_fn=self._sweep_fn,
+                ),
             )
         except Exception as exc:  # served to every coalesced awaiter
             progress.fail(exc)
@@ -334,83 +353,7 @@ class SweepService:
             if release is not None:
                 release()  # give the cold slot back (success or failure)
 
-    def _evaluate_sync(
-        self, key: Hashable, grid: SweepGrid, progress: SweepProgress
-    ) -> SweepResult:
-        """The executor-side tiered evaluation: disk, then compute.
-
-        Runs in a worker thread.  With a store attached, a persisted
-        sweep is served memory-mapped without touching ``sweep_fn``; a
-        true miss evaluates — block-by-block against the store when the
-        service runs the built-in :func:`~repro.core.dse.sweep_grid`,
-        through the injected ``sweep_fn`` otherwise (its result is then
-        persisted whole, so even cluster-evaluated sweeps restart warm).
-
-        Every compute path feeds ``progress`` per completed block
-        (``progress.record`` is thread-safe): the built-in paths run a
-        window-major block plan through :func:`~repro.core.dse.run_plan`
-        (store-tiered when a store is attached), and an injected
-        ``sweep_fn`` reports whenever it accepts an ``on_block`` keyword
-        (the shard coordinator's does); a sweep_fn without the keyword
-        still works — its sweep just reports no partial progress.
-        """
-        if self.store is not None:
-            persisted = self.store.load_sweep(key)
-            if persisted is not None:
-                self.tier["disk_hits"] += 1
-                return persisted
-        self.evaluations += 1
-        self.tier["evaluations"] += 1
-        if self._sweep_fn is sweep_grid:
-            if self.store is not None:
-                return evaluate_with_block_cache(
-                    self.store, grid, ngpc=self.ngpc, counters=self.tier,
-                    on_block=progress.record, on_plan=progress.set_plan,
-                )
-            plan = stream_plan(grid)
-            progress.set_plan(len(plan))
-            return run_plan(
-                grid, plan, LocalBlockRunner(self.ngpc, self.engine),
-                self.engine, self.ngpc, on_block=progress.record,
-            )
-        kwargs = {}
-        if "on_block" in inspect.signature(self._sweep_fn).parameters:
-            kwargs["on_block"] = progress.record
-        result = self._sweep_fn(
-            grid, engine=self.engine, ngpc=self.ngpc, **kwargs
-        )
-        if self.store is not None:
-            self.store.save_sweep(key, result)
-        return result
-
     # -- streaming -----------------------------------------------------------
-    async def _cached_stream_events(
-        self, cached, resolved, scheme, n_pixels, app, loop, selectors
-    ) -> list:
-        """The terminal event triple a stream over a finished sweep emits."""
-        points = await loop.run_in_executor(
-            None,
-            functools.partial(
-                cached.pareto_front, scheme, n_pixels=n_pixels, app=app,
-                **selectors,
-            ),
-        )
-        return [
-            {
-                "event": "progress",
-                "points_done": resolved.size,
-                "points_total": resolved.size,
-                "blocks_done": None, "blocks_total": None,
-                "done": True, "failed": False,
-                "subscribers": 0, "elapsed_s": 0.0,
-            },
-            {
-                "event": "front", "final": True,
-                "points": [p.to_dict() for p in points],
-            },
-            {"event": "complete", "engine": cached.engine, "cached": True},
-        ]
-
     async def sweep_stream(
         self,
         grid: GridLike = None,
@@ -421,114 +364,39 @@ class SweepService:
     ) -> AsyncIterator[Dict]:
         """Evaluate ``grid`` and stream progress + refining Pareto fronts.
 
-        An async generator of JSON-safe event dicts (the bodies of the
-        ``/sweep/stream`` ndjson chunks):
-
-        - ``{"event": "progress", ...}`` — counter snapshot (points /
-          blocks done and total, elapsed seconds),
-        - ``{"event": "front", "final": false, "points": [...]}`` — an
-          *exact* partial Pareto front over the evaluated subset,
-          emitted whenever it changed since the last one,
-        - ``{"event": "front", "final": true, ...}`` then
-          ``{"event": "complete", ...}`` — the dense result's front
-          (bit-identical to ``/pareto`` on the same selectors),
-        - ``{"event": "error", "error": {...}}`` — the structured error
-          a plain request would have gotten as its JSON body.
-
-        Selectors follow the usual ambiguity rule and are validated
-        *before* any evaluation starts.  Streams attach to the same
-        single-flight machinery as :meth:`sweep`: a stream over an
-        already in-flight sweep coalesces onto it, and abandoning the
-        generator (client disconnect) only unsubscribes — the
-        evaluation keeps running for every other subscriber and still
-        lands in the cache.
+        An async generator of the
+        :func:`~repro.service.progress.progress_events` events, built in
+        the executor on every tick; the final front is bit-identical to
+        ``/pareto`` on the same selectors.  A failed evaluation ends the
+        stream with ``{"event": "error", "error": {...}}``, the body a
+        plain request would have gotten.  Selectors are validated before
+        anything evaluates, and the sweep is joined or started as by
+        :meth:`sweep` — a cached one streams just the terminal triple.
+        Abandoning the generator (client disconnect) only unsubscribes:
+        the evaluation keeps running for every other subscriber and
+        still lands in the cache.
         """
-        resolved = _as_grid(grid).resolve(self.ngpc).normalized()
         # fail before any event: the HTTP layer ships a pre-stream
         # error as a plain structured response
-        query_slice(resolved, scheme, n_pixels, **selectors)
-        if app is not None:
-            axis_index("app", app, resolved.apps)
-        key = sweep_fingerprint(resolved, self.ngpc)
+        grid = self._validated(grid, scheme, n_pixels, app, **selectors)
+        progress = await self.sweep_progress(grid)
         loop = asyncio.get_running_loop()
-        if key not in self._inflight:
-            cached = self._cache.get(key)
-            if cached is not None:  # finished sweep: emit the terminal events
-                self.tier["ram_hits"] += 1
-                for event in await self._cached_stream_events(
-                    cached, resolved, scheme, n_pixels, app, loop, selectors,
-                ):
-                    yield event
-                return
-            release = await self._admit_cold()
-            if key in self._inflight:
-                # the slot wait let an identical sweep start: coalesce
-                if release is not None:
-                    release()
-                self.coalesced += 1
-            else:
-                recheck = None
-                if release is not None and getattr(release, "queued", False):
-                    recheck = self._cache.get(key)
-                if recheck is not None:  # finished while we queued
-                    release()
-                    self.tier["ram_hits"] += 1
-                    for event in await self._cached_stream_events(
-                        recheck, resolved, scheme, n_pixels, app, loop,
-                        selectors,
-                    ):
-                        yield event
-                    return
-                self._start_evaluation(key, resolved, release=release)
-        else:
-            self.coalesced += 1
-        with self._progress_lock:
-            progress = self._progress.get(key)
-        if progress is None:  # pragma: no cover - start registers first
-            result = await self.sweep(resolved)
-            progress = SweepProgress(resolved, self.ngpc, loop=loop)
-            progress.finish(result)
         queue = progress.subscribe()
+        events = progress_events(
+            progress, scheme, n_pixels=n_pixels, app=app, **selectors
+        )
         try:
-            last_front = None
             while True:
-                result, error = progress.state()
-                if error is not None:
-                    payload = as_service_error(error).to_payload()
+                try:
+                    batch = await loop.run_in_executor(None, next, events)
+                except Exception as exc:
+                    payload = as_service_error(exc).to_payload()
                     yield {"event": "error", "error": payload["error"]}
                     return
-                snapshot = progress.snapshot()
-                yield {"event": "progress", **snapshot}
-                if result is not None:
-                    points = await loop.run_in_executor(
-                        None,
-                        functools.partial(
-                            result.pareto_front, scheme,
-                            n_pixels=n_pixels, app=app, **selectors,
-                        ),
-                    )
-                    yield {
-                        "event": "front", "final": True,
-                        "points": [p.to_dict() for p in points],
-                    }
-                    yield {
-                        "event": "complete", "engine": result.engine,
-                        "cached": False, "elapsed_s": snapshot["elapsed_s"],
-                    }
+                for event in batch:
+                    yield event
+                if batch[-1]["event"] == "complete":
                     return
-                if snapshot["points_done"]:
-                    points = await loop.run_in_executor(
-                        None,
-                        functools.partial(
-                            progress.partial.pareto_front, scheme,
-                            n_pixels=n_pixels, app=app, **selectors,
-                        ),
-                    )
-                    front = [p.to_dict() for p in points]
-                    if front and front != last_front:
-                        last_front = front
-                        yield {"event": "front", "final": False,
-                               "points": front}
                 # block for the next tick, then drain the burst — a slow
                 # consumer coalesces ticks instead of falling behind
                 await queue.get()
@@ -580,6 +448,12 @@ class SweepService:
         )
 
     # -- queries -------------------------------------------------------------
+    def _validated(self, grid: GridLike, scheme, n_pixels, app, **selectors):
+        """The normalized grid, once :func:`validate_selectors` passed."""
+        resolved = _as_grid(grid).resolve(self.ngpc).normalized()
+        validate_selectors(resolved, scheme, n_pixels, app, **selectors)
+        return resolved
+
     async def pareto_front(
         self,
         grid: GridLike = None,
@@ -594,6 +468,7 @@ class SweepService:
                 self._explorer_for(grid).pareto, scheme, n_pixels=n_pixels,
                 app=app, **selectors,
             )
+        grid = self._validated(grid, scheme, n_pixels, app, **selectors)
         result = await self.sweep(grid)
         return result.pareto_front(
             scheme, n_pixels=n_pixels, app=app, **selectors
@@ -624,6 +499,7 @@ class SweepService:
                 )
             except InfeasibleQueryError:
                 return None
+        grid = self._validated(grid, scheme, n_pixels, app, **selectors)
         result = await self.sweep(grid)
         return result.cheapest_point_meeting_fps(
             app, fps, n_pixels=n_pixels, scheme=scheme, **selectors
@@ -649,6 +525,7 @@ class SweepService:
                 self._explorer_for(grid).cheapest_train, app, steps_per_s,
                 n_pixels=n_pixels, scheme=scheme, **selectors,
             )
+        grid = self._validated(grid, scheme, n_pixels, app, **selectors)
         result = await self.sweep(grid)
         return result.cheapest_point_meeting_train_rate(
             app, steps_per_s, n_pixels=n_pixels, scheme=scheme, **selectors
@@ -673,6 +550,11 @@ class SweepService:
                 self._explorer_for(grid).point,
                 app, scheme, scale_factor, n_pixels, **selectors,
             )
+        grid = _as_grid(grid).resolve(self.ngpc).normalized()
+        point_index(
+            grid, app=app, scheme=scheme, scale_factor=scale_factor,
+            n_pixels=n_pixels, **selectors,
+        )
         result = await self.sweep(grid)
         return result.point(app, scheme, scale_factor, n_pixels, **selectors)
 

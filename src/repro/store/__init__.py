@@ -8,12 +8,11 @@ replica mounting one directory:
 - :class:`ResultStore` — sqlite catalogue + npz columnar arrays,
   memory-mapped on load, atomic ``os.replace`` writes, corrupt entries
   quarantined with a :class:`StoreCorruptionWarning` and re-evaluated.
-- :func:`sweep_with_store` / :func:`evaluate_with_block_cache` — the
-  tiered evaluation ladder (RAM -> whole-sweep disk -> block-level disk
-  -> evaluate the delta), slotted under
-  :class:`~repro.service.SweepService` via ``SweepService(store=...)``
-  and under the local backend via ``Session(store=...)`` /
-  ``repro serve --store DIR``.
+- :func:`tiered_sweep` — the one evaluation ladder under every RAM
+  tier (whole-sweep disk -> block-level disk -> evaluate the delta),
+  run by :class:`~repro.service.SweepService` (``SweepService(store=...)``,
+  ``repro serve --store DIR``) and the local backend
+  (``Session(store=...)``) alike.
 - :class:`StoreBlockRunner` — the persistent tier as a block runner
   (cached blocks are free), decorating the in-process runner for the
   store ladder and the adaptive explorer.
@@ -40,9 +39,8 @@ from repro.store.tiered import (
     STORE_ENGINE,
     TIER_COUNTERS,
     StoreBlockRunner,
-    evaluate_with_block_cache,
     new_tier_counters,
-    sweep_with_store,
+    tiered_sweep,
 )
 
 __all__ = [
@@ -53,10 +51,9 @@ __all__ = [
     "StoreCorruptionWarning",
     "StoreIntegrityError",
     "TIER_COUNTERS",
-    "evaluate_with_block_cache",
     "fingerprint_digest",
     "new_tier_counters",
     "read_arrays",
-    "sweep_with_store",
+    "tiered_sweep",
     "write_arrays_atomic",
 ]

@@ -1,11 +1,15 @@
-"""Tiered sweep evaluation over a :class:`~repro.store.ResultStore`.
+"""The one tier ladder every backend evaluates a sweep through.
 
-The evaluation ladder, cheapest rung first:
+:func:`tiered_sweep` is shared by the local backend, the sweep service
+(and through it the HTTP and distributed backends); they differ only in
+the block runner and the transport.  Cheapest rung first:
 
-1. **RAM** — the process-wide sweep memo
-   (:data:`~repro.core.dse._SWEEP_CACHE`), microseconds.
+1. **RAM** — owned by the caller, keyed on the sweep fingerprint: the
+   service's LRU or the local backend's process-wide sweep memo
+   (:data:`~repro.core.dse._SWEEP_CACHE`); a hit never reaches
+   :func:`tiered_sweep` (``ram_hits``).
 2. **Disk, whole sweep** — a persisted :class:`SweepResult` under the
-   sweep fingerprint, memory-mapped in milliseconds.
+   sweep fingerprint, memory-mapped in milliseconds (``disk_hits``).
 3. **Disk, blocks** — the grid is cut by
    :func:`~repro.core.dse.store_block_plan` into value-keyed blocks;
    every block already persisted (by *any* previous sweep whose
@@ -17,6 +21,9 @@ The evaluation ladder, cheapest rung first:
 4. **Evaluate** — a fully cold grid evaluates block by block (so the
    *next* overlapping sweep starts at rung 3) and the assembled sweep
    is persisted whole (so an identical sweep restarts at rung 2).
+   Without a store, rungs 2–3 are skipped; an injected ``sweep_fn``
+   (the shard cluster) replaces the in-process block plan at rung 4
+   but keeps rung 2 and the persist step.
 
 ``counters`` is a caller-owned dict accumulating
 ``ram_hits``/``disk_hits``/``evaluations`` (sweep granularity) and
@@ -30,14 +37,14 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
-    _SWEEP_CACHE,
-    _SWEEP_CACHE_MAX_POINTS,
     LocalBlockRunner,
     SweepGrid,
     SweepResult,
     block_fingerprint,
     run_plan,
+    shard_plan,
     store_block_plan,
+    stream_plan,
     sweep_fingerprint,
     task_shape,
     window_major,
@@ -119,74 +126,55 @@ class StoreBlockRunner:
         return out
 
 
-def evaluate_with_block_cache(
-    store: ResultStore,
+def tiered_sweep(
     grid: SweepGrid,
     ngpc: Optional[NGPCConfig] = None,
+    store: Optional[ResultStore] = None,
     counters: Optional[Dict[str, int]] = None,
-    on_block=None,
     on_plan=None,
+    on_block=None,
+    *,
+    engine: str = "vectorized",
+    sweep_fn=None,
 ) -> SweepResult:
-    """Evaluate ``grid`` reusing persisted blocks; persist the delta.
+    """Evaluate a resolved ``grid`` down the ladder below the RAM rung.
 
-    ``grid`` must be resolved.  The :func:`~repro.core.dse.store_block_plan`
-    runs through a :class:`StoreBlockRunner` over the in-process runner:
-    cached blocks load memory-mapped, missing blocks evaluate vectorized
-    and are persisted as they land.  The assembled sweep is persisted
-    whole under its sweep fingerprint.
-
-    ``on_plan(n_blocks)`` / ``on_block(placement, block)`` are optional
-    streaming hooks: the plan size is announced up front, then every
-    block — cached or freshly evaluated — is reported as it lands, which
-    is what feeds a service's partial-front stream.  With ``on_block``
-    set, the plan is walked window-major
-    (:func:`~repro.core.dse.window_major`) so the first exact partial
-    Pareto points arrive as early as possible; the value-keyed store
-    makes the order otherwise irrelevant.
+    With a ``store``: the persisted sweep, else the window-major
+    :func:`~repro.core.dse.store_block_plan` through a
+    :class:`StoreBlockRunner`, persisted whole.  Without one: the
+    window-major :func:`~repro.core.dse.stream_plan` when blocks are
+    watched, one block per (app, scheme) pair when not.  An injected
+    ``sweep_fn`` (the shard cluster, test fakes) replaces the block
+    plan and is called as ``sweep_fn(grid, engine=, ngpc=, on_block=)``.
+    ``on_plan(n_blocks)`` announces a built-in plan's size and
+    ``on_block(placement, block)`` reports every landed block, cached
+    or evaluated, on the thread that delivers it.
     """
-    plan = store_block_plan(grid)
-    if on_block is not None:
-        plan = window_major(plan)
-    if on_plan is not None:
-        on_plan(len(plan))
-    runner = StoreBlockRunner(LocalBlockRunner(ngpc), store, ngpc, counters)
-    result = run_plan(grid, plan, runner, STORE_ENGINE, ngpc, on_block)
-    store.save_sweep(sweep_fingerprint(grid, ngpc), result)
-    return result
-
-
-def sweep_with_store(
-    store: ResultStore,
-    grid: Optional[SweepGrid] = None,
-    ngpc: Optional[NGPCConfig] = None,
-    counters: Optional[Dict[str, int]] = None,
-    use_cache: bool = True,
-) -> SweepResult:
-    """Tiered :func:`~repro.core.dse.sweep_grid`: RAM, disk, blocks, eval.
-
-    The drop-in evaluation path of a store-backed
-    :class:`~repro.api.backends.LocalBackend`.  The RAM rung reuses the
-    process-wide sweep memo (same size policy as ``sweep_grid``); pass
-    ``use_cache=False`` to skip it (the disk tiers still apply — the
-    store *is* the cache being exercised).
-    """
-    resolved = (grid or SweepGrid()).resolve(ngpc)
-    fingerprint = sweep_fingerprint(resolved, ngpc)
-    ram_key = (resolved, STORE_ENGINE, fingerprint)
-    cacheable = use_cache and resolved.size <= _SWEEP_CACHE_MAX_POINTS
-    if cacheable:
-        cached = _SWEEP_CACHE.get(ram_key)
-        if cached is not None:
-            _bump(counters, "ram_hits")
-            return cached
-    result = store.load_sweep(fingerprint)
-    if result is not None:
-        _bump(counters, "disk_hits")
+    if store is not None:
+        fingerprint = sweep_fingerprint(grid, ngpc)
+        result = store.load_sweep(fingerprint)
+        if result is not None:
+            _bump(counters, "disk_hits")
+            return result
+    _bump(counters, "evaluations")
+    if sweep_fn is not None:
+        result = sweep_fn(grid, engine=engine, ngpc=ngpc, on_block=on_block)
     else:
-        _bump(counters, "evaluations")
-        result = evaluate_with_block_cache(
-            store, resolved, ngpc=ngpc, counters=counters
-        )
-    if cacheable:
-        _SWEEP_CACHE.put(ram_key, result)
+        if store is not None:
+            plan = window_major(store_block_plan(grid))
+            runner = StoreBlockRunner(
+                LocalBlockRunner(ngpc), store, ngpc, counters
+            )
+            engine = STORE_ENGINE
+        else:
+            plan = (
+                stream_plan(grid) if on_block is not None
+                else shard_plan(grid, len(grid.apps) * len(grid.schemes))
+            )
+            runner = LocalBlockRunner(ngpc, engine)
+        if on_plan is not None:
+            on_plan(len(plan))
+        result = run_plan(grid, plan, runner, engine, ngpc, on_block)
+    if store is not None:
+        store.save_sweep(fingerprint, result)
     return result

@@ -396,7 +396,7 @@ class TestArchitectureGridGoldens:
             shard_plan,
             sweep_grid,
         )
-        from repro.store import ResultStore, sweep_with_store
+        from repro.store import ResultStore, tiered_sweep
 
         grid = SweepGrid(
             apps=("nerf",),
@@ -412,9 +412,7 @@ class TestArchitectureGridGoldens:
             assert len(plan) >= 4
             result = run_plan(grid, plan, LocalBlockRunner(), engine)
         elif engine == "store":
-            result = sweep_with_store(
-                ResultStore(str(tmp_path)), grid, use_cache=False
-            )
+            result = tiered_sweep(grid, store=ResultStore(str(tmp_path)))
         else:
             result = sweep_grid(grid, engine=engine, use_cache=False)
         for (clock, sram, engines, batches), golden in GOLDEN_ARCH_GRID.items():

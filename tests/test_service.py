@@ -79,7 +79,7 @@ class CountingSweep:
         self.delay = delay
         self._lock = threading.Lock()
 
-    def __call__(self, grid, engine="vectorized", ngpc=None):
+    def __call__(self, grid, engine="vectorized", ngpc=None, on_block=None):
         with self._lock:
             self.calls += 1
         if self.delay:
@@ -179,7 +179,7 @@ class TestCoalescing:
 
         calls = []
 
-        def flaky(grid, engine="vectorized", ngpc=None):
+        def flaky(grid, engine="vectorized", ngpc=None, on_block=None):
             calls.append(1)
             if len(calls) == 1:
                 time.sleep(0.05)
@@ -214,7 +214,7 @@ class TestCoalescing:
         class Boom(RuntimeError):
             pass
 
-        def failing(grid, engine="vectorized", ngpc=None):
+        def failing(grid, engine="vectorized", ngpc=None, on_block=None):
             time.sleep(0.15)
             raise Boom("sweep failed with nobody watching")
 
@@ -261,8 +261,11 @@ class TestCoalescing:
 
 class TestResponsiveness:
     def test_cached_pareto_query_under_50ms_while_cold_sweep_runs(self):
-        def slow_for_big(grid, engine="vectorized", ngpc=None):
+        entered = threading.Event()
+
+        def slow_for_big(grid, engine="vectorized", ngpc=None, on_block=None):
             if grid.size >= 1000:  # the cold sweep, not the warm-up
+                entered.set()
                 time.sleep(0.6)
             return sweep_grid(grid, engine="vectorized", ngpc=ngpc)
 
@@ -271,7 +274,10 @@ class TestResponsiveness:
         async def run():
             await service.sweep(SMALL_GRID)  # warm the cache
             cold = asyncio.ensure_future(service.sweep(BIG_GRID))
-            await asyncio.sleep(0.1)  # cold sweep is now inside the executor
+            # wait (off the loop) until the cold sweep is inside the executor
+            assert await asyncio.get_running_loop().run_in_executor(
+                None, entered.wait, 10.0
+            )
             start = time.perf_counter()
             front = await service.pareto_front(SMALL_GRID, scheme=SCHEME)
             elapsed = time.perf_counter() - start
@@ -514,6 +520,32 @@ class TestUnknownSelectors:
             "plane": ("gridtyp", "gridtype"),
             "point": ("clock_gz", "clock_ghz"),
         }[kind]
+
+
+class TestSelectorsBeforeSweep:
+    """Exhaustive queries answer a bad selector before evaluating."""
+
+    @pytest.mark.parametrize("query, error", [
+        (lambda s, g: s.pareto_front(g, gridtyp="hash"), UnknownAxisError),
+        (lambda s, g: s.pareto_front(g, scheme=SCHEME, app="bogus"),
+         NotOnGridError),
+        (lambda s, g: s.cheapest_point_meeting_fps(g, "bogus", 60.0,
+                                                   scheme=SCHEME),
+         NotOnGridError),
+        (lambda s, g: s.cheapest_point_meeting_train_rate(
+            g, "nerf", 1.0, scheme=SCHEME, n_pixels=7), NotOnGridError),
+        (lambda s, g: s.point(g, app="nerf", scheme=SCHEME, scale_factor=7),
+         NotOnGridError),
+        (lambda s, g: s.point(g, app="nerf", scheme=SCHEME, clock_gz=1.0),
+         UnknownAxisError),
+    ], ids=["typo", "off-grid-app", "cheapest-app", "train-pixels",
+            "point-scale", "point-typo"])
+    def test_no_evaluation_on_a_bad_selector(self, query, error):
+        service = SweepService()
+        with pytest.raises(error):
+            asyncio.run(query(service, SMALL_GRID))
+        assert service.evaluations == 0
+        assert service.stats()["inflight"] == 0
 
 
 # ---------------------------------------------------------------------------

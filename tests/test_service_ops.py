@@ -502,7 +502,7 @@ class TestQuotaFairness:
             for i in range(3)
         ]
 
-        def slow_cold(grid, engine="vectorized", ngpc=None):
+        def slow_cold(grid, engine="vectorized", ngpc=None, on_block=None):
             result = sweep_grid(grid, engine="vectorized", ngpc=ngpc,
                                 use_cache=False)
             time.sleep(0.4)

@@ -45,7 +45,7 @@ from repro.store import (
     fingerprint_digest,
     new_tier_counters,
     read_arrays,
-    sweep_with_store,
+    tiered_sweep,
     write_arrays_atomic,
 )
 from tests.test_service import CountingSweep
@@ -136,7 +136,7 @@ class TestDeltaEvaluation:
         store = ResultStore(str(tmp_path / "store"))
         subset = _resolved()
         first = new_tier_counters()
-        sweep_with_store(store, subset, counters=first, use_cache=False)
+        tiered_sweep(subset, store=store, counters=first)
         assert first["blocks_cached"] == 0
         assert first["blocks_evaluated"] == first["blocks_total"] > 0
 
@@ -150,7 +150,7 @@ class TestDeltaEvaluation:
             )
         )
         second = new_tier_counters()
-        result = sweep_with_store(store, superset, counters=second, use_cache=False)
+        result = tiered_sweep(superset, store=store, counters=second)
         assert second["blocks_cached"] == first["blocks_total"]
         assert second["blocks_evaluated"] == (
             second["blocks_total"] - second["blocks_cached"]
@@ -161,9 +161,9 @@ class TestDeltaEvaluation:
     def test_identical_grid_is_a_whole_sweep_disk_hit(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         grid = _resolved()
-        sweep_with_store(store, grid, use_cache=False)
+        tiered_sweep(grid, store=store)
         counters = new_tier_counters()
-        sweep_with_store(store, grid, counters=counters, use_cache=False)
+        tiered_sweep(grid, store=store, counters=counters)
         assert counters["disk_hits"] == 1
         assert counters["evaluations"] == 0
         assert counters["blocks_evaluated"] == 0
@@ -173,7 +173,7 @@ class TestDeltaEvaluation:
         # changes the block content (a documented non-goal of reuse)
         store = ResultStore(str(tmp_path / "store"))
         first = new_tier_counters()
-        sweep_with_store(store, _resolved(), counters=first, use_cache=False)
+        tiered_sweep(_resolved(), store=store, counters=first)
         wider = _resolved(
             SweepGrid(
                 apps=GRID.apps, scale_factors=GRID.scale_factors,
@@ -181,7 +181,7 @@ class TestDeltaEvaluation:
             )
         )
         second = new_tier_counters()
-        result = sweep_with_store(store, wider, counters=second, use_cache=False)
+        result = tiered_sweep(wider, store=store, counters=second)
         assert second["blocks_cached"] == 0
         reference = sweep_grid(wider, engine="vectorized", use_cache=False)
         assert_bit_identical(result, reference)
@@ -190,7 +190,7 @@ class TestDeltaEvaluation:
         store = ResultStore(str(tmp_path / "store"))
         grid = _resolved()
         plan = store_block_plan(grid)
-        sweep_with_store(store, grid, use_cache=False)
+        tiered_sweep(grid, store=store)
         for _, task in plan:
             key = block_fingerprint(task)
             block = store.load_block(key, task_shape(task))
@@ -233,9 +233,8 @@ class TestPreRegistryStoreCompatibility:
     def test_whole_sweep_is_a_disk_hit(self, tmp_path):
         store = ResultStore(self._copy(tmp_path))
         counters = new_tier_counters()
-        result = sweep_with_store(
-            store, _resolved(PRE_REGISTRY_GRID), counters=counters,
-            use_cache=False,
+        result = tiered_sweep(
+            _resolved(PRE_REGISTRY_GRID), store=store, counters=counters
         )
         assert counters["disk_hits"] == 1
         assert counters["evaluations"] == 0
@@ -255,9 +254,8 @@ class TestPreRegistryStoreCompatibility:
         shutil.rmtree(os.path.join(root, "sweeps"))
         store = ResultStore(root)
         counters = new_tier_counters()
-        result = sweep_with_store(
-            store, _resolved(PRE_REGISTRY_GRID), counters=counters,
-            use_cache=False,
+        result = tiered_sweep(
+            _resolved(PRE_REGISTRY_GRID), store=store, counters=counters
         )
         assert counters["blocks_total"] > 0
         assert counters["blocks_cached"] == counters["blocks_total"]
@@ -291,9 +289,7 @@ class TestPreRegistryStoreCompatibility:
         )
         store = ResultStore(self._copy(tmp_path))
         counters = new_tier_counters()
-        sweep_with_store(
-            store, _resolved(spelled), counters=counters, use_cache=False
-        )
+        tiered_sweep(_resolved(spelled), store=store, counters=counters)
         assert counters["disk_hits"] == 1
         assert counters["blocks_evaluated"] == 0
 
@@ -311,16 +307,14 @@ class TestCorruption:
     def test_truncated_sweep_entry_degrades_to_re_evaluation(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         grid = _resolved()
-        sweep_with_store(store, grid, use_cache=False)
+        tiered_sweep(grid, store=store)
         path = _sweep_entry_path(store, grid)
         with open(path, "r+b") as f:
             f.truncate(os.path.getsize(path) // 2)
 
         counters = new_tier_counters()
         with pytest.warns(StoreCorruptionWarning):
-            result = sweep_with_store(
-                store, grid, counters=counters, use_cache=False
-            )
+            result = tiered_sweep(grid, store=store, counters=counters)
         # the corrupt whole-sweep entry missed, but the blocks survived:
         # re-assembly is pure reuse, and the result is still correct
         assert counters["disk_hits"] == 0
@@ -336,7 +330,7 @@ class TestCorruption:
     def test_garbage_sweep_entry_degrades(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         grid = _resolved()
-        sweep_with_store(store, grid, use_cache=False)
+        tiered_sweep(grid, store=store)
         path = _sweep_entry_path(store, grid)
         with open(path, "wb") as f:
             f.write(b"not an npz at all")
@@ -346,7 +340,7 @@ class TestCorruption:
     def test_corrupt_block_is_quarantined_and_re_evaluated(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         grid = _resolved()
-        sweep_with_store(store, grid, use_cache=False)
+        tiered_sweep(grid, store=store)
         placement, task = store_block_plan(grid)[0]
         block_path = os.path.join(
             str(tmp_path / "store"), "blocks",
@@ -359,9 +353,7 @@ class TestCorruption:
 
         counters = new_tier_counters()
         with pytest.warns(StoreCorruptionWarning):
-            result = sweep_with_store(
-                store, grid, counters=counters, use_cache=False
-            )
+            result = tiered_sweep(grid, store=store, counters=counters)
         assert counters["blocks_evaluated"] == 1  # only the corrupt one
         assert counters["blocks_cached"] == counters["blocks_total"] - 1
         reference = sweep_grid(grid, engine="vectorized", use_cache=False)
@@ -371,7 +363,7 @@ class TestCorruption:
         root = str(tmp_path / "store")
         store = ResultStore(root)
         grid = _resolved()
-        sweep_with_store(store, grid, use_cache=False)
+        tiered_sweep(grid, store=store)
         n_blocks = store.stats()["blocks"]["count"]
         store.close()
         with open(os.path.join(root, "index.db"), "wb") as f:
@@ -388,7 +380,7 @@ class TestCorruption:
         root = str(tmp_path / "store")
         store = ResultStore(root)
         grid = _resolved()
-        sweep_with_store(store, grid, use_cache=False)
+        tiered_sweep(grid, store=store)
         store._forget("sweep", fingerprint_digest(sweep_fingerprint(grid, None)))
         assert store.stats()["sweeps"]["count"] == 0
         assert store.load_sweep(sweep_fingerprint(grid, None)) is not None
@@ -411,12 +403,12 @@ class TestContentAddressing:
     def test_calibration_perturbation_misses_the_store(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         grid = _resolved()
-        sweep_with_store(store, grid, use_cache=False)
+        tiered_sweep(grid, store=store)
         original = fitted.BATCH_OVERHEAD_SCALE_EXPONENT
         try:
             fitted.BATCH_OVERHEAD_SCALE_EXPONENT = original + 0.125
             counters = new_tier_counters()
-            sweep_with_store(store, grid, counters=counters, use_cache=False)
+            tiered_sweep(grid, store=store, counters=counters)
             # nothing persisted under the nominal calibration is
             # addressable: the perturbed run evaluates everything
             assert counters["disk_hits"] == 0
@@ -426,7 +418,7 @@ class TestContentAddressing:
             fitted.BATCH_OVERHEAD_SCALE_EXPONENT = original
         # and the nominal entries are still there, untouched
         counters = new_tier_counters()
-        sweep_with_store(store, grid, counters=counters, use_cache=False)
+        tiered_sweep(grid, store=store, counters=counters)
         assert counters["disk_hits"] == 1
 
     def test_save_is_idempotent(self, tmp_path):
@@ -490,7 +482,7 @@ class TestNpzIO:
 class TestStats:
     def test_store_stats_shape(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
-        sweep_with_store(store, _resolved(), use_cache=False)
+        tiered_sweep(_resolved(), store=store)
         stats = store.stats()
         assert stats["sweeps"]["count"] == 1
         assert stats["sweeps"]["bytes"] > 0

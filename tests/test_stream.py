@@ -599,3 +599,124 @@ class TestMidStreamDisconnect:
         assert fronts[-1]["points"] == [
             p.to_dict() for p in dense.pareto_front(SCHEME)
         ]
+
+
+# ---------------------------------------------------------------------------
+# one event schema across the local, distributed and HTTP streams
+# ---------------------------------------------------------------------------
+
+#: one (app, scheme) pair of 512 points: the local stream plan cuts it
+#: into two windows, exactly the cold static cut of a one-worker cluster
+#: (BLOCKS_PER_WORKER blocks), so block counters are comparable too
+SCHEMA_GRID = SweepGrid(
+    apps=("nerf",),
+    schemes=(SCHEME,),
+    scale_factors=(8, 16, 32, 64),
+    clocks_ghz=(0.813, 1.017, 1.219, 1.423),
+    grid_sram_kb=(256, 512, 1024, 2048),
+    n_engines=(8, 16),
+    n_batches=(4, 8, 16, 32),
+).resolve().normalized()
+
+
+def _wire(event):
+    """An event as a JSON client sees it (no in-process ``result_obj``)."""
+    return json.loads(json.dumps(
+        {k: v for k, v in event.items() if k != "result_obj"}
+    ))
+
+
+def _terminal(events):
+    """The terminal progress/front/complete triple, timings removed."""
+    return [{k: v for k, v in e.items() if k != "elapsed_s"}
+            for e in events[-3:]]
+
+
+def _key_sets(events):
+    """Every key set each event kind arrives with (one per kind)."""
+    kinds = {}
+    for event in events:
+        kinds.setdefault(event["event"], set()).add(frozenset(event))
+    assert all(len(variants) == 1 for variants in kinds.values()), kinds
+    return kinds
+
+
+class TestOneEventSchema:
+    def test_local_distributed_and_http_streams_agree(self):
+        from repro.api import DistributedBackend, LocalBackend, RemoteBackend
+        from repro.core.cache import clear_model_caches
+        from repro.core.dse import stream_plan
+        from repro.service.cluster.coordinator import BLOCKS_PER_WORKER
+
+        plan = stream_plan(SCHEMA_GRID)
+        assert len(plan) == BLOCKS_PER_WORKER
+        # the exact partial fronts after each prefix of the plan
+        partial = PartialSweep(SCHEMA_GRID, None)
+        prefix_fronts = []
+        for placement, task in plan:
+            partial.record(placement, evaluate_block(task))
+            prefix_fronts.append(_wire({"points": [
+                p.to_dict() for p in partial.pareto_front(SCHEME)
+            ]})["points"])
+
+        def cold_then_cached(backend):
+            return [
+                [_wire(e) for e in backend.stream_events(
+                    SCHEMA_GRID, scheme=SCHEME
+                )]
+                for _ in range(2)
+            ]
+
+        clear_model_caches()
+        streams = {"local": cold_then_cached(LocalBackend())}
+        distributed = DistributedBackend(workers=1)
+        try:
+            streams["distributed"] = cold_then_cached(distributed)
+        finally:
+            distributed.close()
+
+        async def over_http():
+            server = await start_http_server(SweepService(), "127.0.0.1", 0)
+            remote = RemoteBackend(port=server.port)
+            try:
+                return await asyncio.to_thread(cold_then_cached, remote)
+            finally:
+                remote.close()
+                await server.close()
+
+        streams["http"] = asyncio.run(over_http())
+
+        reference = streams["local"]
+        for name, (cold, cached) in streams.items():
+            for events, ref in zip((cold, cached), reference):
+                assert _key_sets(events) == _key_sets(ref), name
+                terminal = _terminal(events)
+                if name == "distributed":
+                    # the result names the engine that produced it
+                    assert terminal[-1]["engine"] == "cluster"
+                    terminal[-1]["engine"] = ref[-1]["engine"]
+                assert terminal == _terminal(ref), name
+
+        dense = [
+            p.to_dict() for p in sweep_grid(
+                SCHEMA_GRID, engine="vectorized", use_cache=False
+            ).pareto_front(SCHEME)
+        ]
+        for name, (cold, cached) in streams.items():
+            for events in (cold, cached):
+                assert [e["event"] for e in events[-3:]] == [
+                    "progress", "front", "complete"
+                ], name
+                assert events[-2]["final"]
+                assert events[-2]["points"] == _wire({"points": dense})["points"]
+                for event in events[:-3]:
+                    if event["event"] == "front":
+                        assert not event["final"]
+                        assert event["points"] in prefix_fronts, name
+            assert cold[-1]["cached"] is False, name
+            assert cold[-3]["blocks_total"] == len(plan), name
+            # a cached sweep is a finished progress: the triple alone
+            assert [e["event"] for e in cached] == [
+                "progress", "front", "complete"
+            ], name
+            assert cached[-1]["cached"] is True, name

@@ -51,7 +51,10 @@
 # selector mapping: no encoding selector name (`gridtype`,
 # `log2_hashmap_size`, `per_level_scale`) appears in the Session, the
 # backends, the service or the explorer — they forward selectors as
-# keywords to the query kernel.
+# keywords to the query kernel.  A fourth keeps one tier ladder and one
+# stream-event builder: `.load_sweep(`/`.save_sweep(` are called only
+# in src/repro/store/tiered.py (once each, by `tiered_sweep`), and the
+# literal `"event": "complete"` appears exactly once under src/repro.
 #
 # Every section runs even when an earlier one fails; each failing
 # section is recorded, and the script exits non-zero at the end with
@@ -140,6 +143,23 @@ if grep -rnwE --include='*.py' 'gridtype|log2_hashmap_size|per_level_scale' \
     fail
 else
     echo "selectors reach the query kernel as one keyword mapping"
+fi
+
+section "one tier ladder (grep gate)"
+# the persisted-sweep rungs are read and written only by the ladder
+# (repro.store.tiered_sweep) every backend runs, and the stream events
+# are built only by repro.service.progress.progress_events
+ladder_calls=$(grep -rnE --include='*.py' '\.(load|save)_sweep\(' src/repro \
+    | grep -v '^src/repro/store/tiered\.py:')
+complete_sites=$(grep -rn --include='*.py' '"event": "complete"' src/repro)
+if [ -n "$ladder_calls" ] \
+   || [ "$(grep -cE '\.(load|save)_sweep\(' src/repro/store/tiered.py)" != 2 ] \
+   || [ "$(printf '%s\n' "$complete_sites" | grep -c .)" != 1 ]; then
+    printf 'FAIL: want .load_sweep(/.save_sweep( only in store/tiered.py (once each) and one "event": "complete" site, found:\n%s\n%s\n' \
+        "$ladder_calls" "$complete_sites" >&2
+    fail
+else
+    echo "one tier ladder, one event builder: $complete_sites"
 fi
 
 section "shard cluster smoke (2 workers, sweep via DistributedBackend)"
@@ -256,7 +276,7 @@ import numpy as np
 
 from repro.api import DistributedBackend, Session, SweepGrid
 from repro.core.dse import sweep_grid
-from repro.store import ResultStore, sweep_with_store
+from repro.store import ResultStore, tiered_sweep
 
 grid = SweepGrid(
     apps=("nerf", "gia"),
@@ -268,9 +288,7 @@ grid = SweepGrid(
 vec = sweep_grid(grid, engine="vectorized", use_cache=False)
 assert vec.accelerated_ms.ndim == 11, vec.accelerated_ms.shape
 
-stored = sweep_with_store(
-    ResultStore(tempfile.mkdtemp()), grid, use_cache=False
-)
+stored = tiered_sweep(grid, store=ResultStore(tempfile.mkdtemp()))
 np.testing.assert_array_equal(stored.accelerated_ms, vec.accelerated_ms)
 
 session = Session.local(engine="vectorized")
