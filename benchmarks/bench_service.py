@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Latency probe of the async DSE query service: cold sweep vs cached query.
 
-Three gates guard the serving layer (the PR-3 acceptance bar):
+Four gates guard the serving layer:
 
 1. **Coalescing**: 32 concurrent identical sweep requests against a
    >= 10k-point grid must trigger exactly one underlying grid
@@ -12,10 +12,18 @@ Three gates guard the serving layer (the PR-3 acceptance bar):
    service, not an idle one.
 3. **Cache speedup**: a cached sweep request must be far cheaper than
    the cold evaluation it memoized (sanity floor, not a tight gate).
+4. **Served-result wire**: on the 10,240-point grid, a cached
+   ``/result`` fetched over real keep-alive HTTP as a binary frame
+   (``SyncServiceClient.fetch_result``) must be >= 10x faster than the
+   same result as JSON (``json.loads`` + ``SweepResult.from_payload``),
+   as the median of per-pair speedups over interleaved frame/JSON round
+   trips that alternate which runs first — with bit-identical arrays in
+   every pair.
 
 Results are written to ``BENCH_service.json`` (cold/cached latencies,
-grid sizes, coalescing counters) and uploaded as a CI artifact so the
-serving-latency trajectory stays machine-readable across PRs.
+grid sizes, coalescing counters, the wire pairs and their quartiles)
+and uploaded as a CI artifact so the serving-latency trajectory stays
+machine-readable across PRs.
 
 Run as a script:
 
@@ -29,19 +37,28 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
+import http.client
 import json
 import statistics
 import sys
 import time
 
-from repro.core.dse import SweepGrid, sweep_grid
+import numpy as np
+
+from repro.core.dse import RESULT_ARRAY_FIELDS, SweepGrid, SweepResult, sweep_grid
 from repro.gpu.baseline import FHD_PIXELS
-from repro.service import SweepService
+from repro.service import SweepService, start_http_server
+from repro.service.client import SyncServiceClient
 
 #: the acceptance ceiling for a cached pareto_front query under load
 CACHED_QUERY_CEILING_S = 0.050
 #: concurrent identical requests that must coalesce into one evaluation
 N_CONCURRENT = 32
+#: the floor on the median per-pair JSON/frame time ratio of /result
+WIRE_SPEEDUP_FLOOR = 10.0
+#: interleaved frame/JSON round-trip pairs timed by the wire gate
+WIRE_PAIRS = 10
 
 
 def build_query_grid(quick: bool) -> SweepGrid:
@@ -71,6 +88,70 @@ def build_cold_grid(quick: bool) -> SweepGrid:
         n_engines=(4, 8, 16, 32),
         n_batches=(4, 8, 16, 32),
     )
+
+
+def time_wire_pairs(port: int, grid: dict, pairs: int) -> dict:
+    """Interleaved JSON/frame ``/result`` round trips over keep-alive HTTP.
+
+    Each side holds one open connection; the pairs alternate which side
+    goes first.  Returns the (json_s, frame_s) pairs and whether every
+    pair decoded bit-identical arrays.
+    """
+    body = json.dumps({"grid": grid})
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+
+    def via_json() -> SweepResult:
+        connection.request("POST", "/result", body,
+                           {"Content-Type": "application/json"})
+        payload = json.loads(connection.getresponse().read())["result"]
+        return SweepResult.from_payload(payload)
+
+    out, identical = [], True
+    with SyncServiceClient(port=port) as client, contextlib.closing(connection):
+        sides = {"json": via_json, "frame": lambda: client.fetch_result(grid)}
+        for fetch in sides.values():  # open both connections untimed
+            fetch()
+        for i in range(pairs):
+            seconds, results = {}, {}
+            for name in (("json", "frame") if i % 2 == 0 else ("frame", "json")):
+                start = time.perf_counter()
+                results[name] = sides[name]()
+                seconds[name] = time.perf_counter() - start
+            identical &= all(
+                np.array_equal(getattr(results["json"], field),
+                               getattr(results["frame"], field))
+                for field in RESULT_ARRAY_FIELDS
+            )
+            out.append((seconds["json"], seconds["frame"]))
+    return {"pairs": out, "identical": identical}
+
+
+def quartiles(values) -> list:
+    return [float(q) for q in statistics.quantiles(values, n=4)]
+
+
+async def probe_wire(grid: SweepGrid) -> dict:
+    """Gate 4: the cached served result, as JSON and as a frame."""
+    service = SweepService(engine="vectorized")
+    server = await start_http_server(service, "127.0.0.1", 0)
+    try:
+        await service.sweep(grid)  # cached: the trips time the wire alone
+        timed = await asyncio.to_thread(
+            time_wire_pairs, server.port, grid.to_dict(), WIRE_PAIRS
+        )
+    finally:
+        await server.close()
+    pairs = timed["pairs"]
+    speedups = [json_s / frame_s for json_s, frame_s in pairs]
+    return {
+        "wire_grid_points": grid.size,
+        "wire_pairs_json_frame_s": pairs,
+        "wire_json_s_quartiles": quartiles([j for j, _ in pairs]),
+        "wire_frame_s_quartiles": quartiles([f for _, f in pairs]),
+        "wire_speedup_quartiles": quartiles(speedups),
+        "wire_speedup_median": statistics.median(speedups),
+        "wire_bit_identical": timed["identical"],
+    }
 
 
 async def probe(quick: bool) -> dict:
@@ -121,7 +202,11 @@ async def probe(quick: bool) -> dict:
     await cold_task
     cached_query_s = statistics.median(latencies)
 
+    # -- gate 4: the served-result wire (always the 10,240-point grid) ------
+    wire = await probe_wire(build_query_grid(quick=False))
+
     return {
+        **wire,
         "query_grid_points": query_grid.size,
         "cold_grid_points": cold_grid.size,
         "n_concurrent": N_CONCURRENT,
@@ -157,6 +242,15 @@ def main() -> int:
           f"{results['cached_query_s_p50'] * 1000:.2f} ms p50 "
           f"(max {results['cached_query_s_max'] * 1000:.2f} ms, "
           f"overlap={results['queries_overlapped_cold_sweep']})")
+    json_q, frame_q = (results["wire_json_s_quartiles"],
+                       results["wire_frame_s_quartiles"])
+    print(f"/result wire, {results['wire_grid_points']:,} points, "
+          f"{len(results['wire_pairs_json_frame_s'])} pairs: JSON "
+          f"{json_q[1] * 1000:.1f} ms (IQR {json_q[0] * 1000:.1f}-"
+          f"{json_q[2] * 1000:.1f}), frame {frame_q[1] * 1000:.2f} ms (IQR "
+          f"{frame_q[0] * 1000:.2f}-{frame_q[2] * 1000:.2f}); median "
+          f"per-pair speedup {results['wire_speedup_median']:.1f}x, "
+          f"bit-identical={results['wire_bit_identical']}")
 
     failures = []
     if results["evaluations"] != 1:
@@ -176,6 +270,14 @@ def main() -> int:
         failures.append("cold sweep finished before the cached queries ran")
     if results["cached_sweep_s"] >= results["cold_sweep_s"]:
         failures.append("cached sweep not faster than the cold evaluation")
+    if not results["wire_bit_identical"]:
+        failures.append("wire gate: frame and JSON /result arrays differ")
+    if results["wire_speedup_median"] < WIRE_SPEEDUP_FLOOR:
+        failures.append(
+            f"wire gate: frame /result only "
+            f"{results['wire_speedup_median']:.1f}x faster than JSON "
+            f"(floor {WIRE_SPEEDUP_FLOOR:.0f}x)"
+        )
     results["failures"] = failures
 
     with open(args.output, "w") as f:

@@ -8,9 +8,9 @@ Everything richer (Pareto fronts, FPS constraints, records) is computed
 on the returned :class:`SweepResult` by the
 :class:`~repro.api.session.Sweep` handle, which is what makes the
 backends bit-identical by construction: the remote backend ships the
-*same dense arrays* over HTTP (``POST /result``, exact float
-round-trip via JSON shortest-repr) that the local backend computes
-in-process.
+*same dense arrays* over HTTP (``POST /result``, as one binary
+:mod:`repro.transport` frame of the raw float64 columns) that the local
+backend computes in-process.
 
 - :class:`LocalBackend` — evaluates in-process: the process-wide sweep
   memo, then :func:`~repro.store.tiered_sweep` (the one tier ladder
@@ -289,9 +289,12 @@ class RemoteBackend(Backend):
     """Evaluation delegated to a running ``python -m repro serve``.
 
     The service evaluates (and caches, and coalesces) the sweep; the
-    full dense result ships back over one keep-alive connection and is
-    rebuilt with :meth:`SweepResult.from_payload`, so every downstream
-    query runs on numbers identical to the local backend's.
+    full dense result ships back over one keep-alive connection — the
+    client asks ``/result`` (JSON by default) for a binary frame of the
+    raw float64 arrays — and is rebuilt with
+    :meth:`SweepResult.from_payload`, the validation a JSON payload
+    gets, so every downstream query runs on numbers identical to the
+    local backend's.
     """
 
     name = "remote"
@@ -311,8 +314,7 @@ class RemoteBackend(Backend):
         )
 
     def sweep(self, grid: SweepGrid) -> SweepResult:
-        payload = self._client.result_payload(grid.to_dict())
-        return SweepResult.from_payload(payload)
+        return self._client.fetch_result(grid.to_dict())
 
     def point(
         self, app: str, scheme: str, scale_factor: int, n_pixels: int

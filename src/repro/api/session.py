@@ -459,7 +459,10 @@ class Session:
             raise ValueError(
                 f"explore must be one of {_EXPLORE_MODES}, got {explore!r}"
             )
-        normalized = as_sweep_grid(grid).normalized()
+        # the grid the backend sweeps: resolved against the backend's base
+        # config once that is known, never for a remote request (the
+        # service resolves against its own)
+        target = as_sweep_grid(grid).normalized()
         if explore != "exhaustive":
             runner = self.backend.block_runner()
             if runner is None:
@@ -472,9 +475,9 @@ class Session:
                     )
             else:
                 ngpc = getattr(self.backend, "ngpc", None)
-                resolved = normalized.resolve(ngpc).normalized()
-                if explore == "adaptive" or resolved.size >= ADAPTIVE_MIN_POINTS:
-                    explorer = self._explorer_for(resolved, runner, ngpc)
+                target = target.resolve(ngpc).normalized()
+                if explore == "adaptive" or target.size >= ADAPTIVE_MIN_POINTS:
+                    explorer = self._explorer_for(target, runner, ngpc)
                     return Sweep(
                         None,
                         self.backend.name,
@@ -487,10 +490,10 @@ class Session:
             return Sweep(
                 None,
                 self.backend.name,
-                grid=normalized.resolve(ngpc).normalized(),
+                grid=target.resolve(ngpc).normalized(),
                 backend_obj=self.backend,
             )
-        result = self.backend.sweep(normalized)
+        result = self.backend.sweep(target)
         return Sweep(result, backend=self.backend.name)
 
     def _explorer_for(self, resolved, runner, ngpc) -> AdaptiveExplorer:

@@ -1,4 +1,4 @@
-"""Clients for the sweep service's HTTP JSON API.
+"""Clients for the sweep service's HTTP API (JSON, plus result frames).
 
 Three flavours, all stdlib-only, all keep-alive:
 
@@ -9,7 +9,8 @@ Three flavours, all stdlib-only, all keep-alive:
 - :class:`SyncServiceClient` — synchronous twin over
   :mod:`http.client`, with the same persistent-connection semantics;
   powers :class:`repro.api.RemoteBackend` and therefore the
-  ``python -m repro query`` subcommand and the CI smoke.
+  ``python -m repro query`` subcommand and the CI smoke; it asks for a
+  finished ``/result`` as one binary :mod:`repro.transport` frame.
 - :func:`request_json` — one-shot synchronous helper (opens and closes
   a connection per call) for fire-and-forget scripts.
 
@@ -46,12 +47,7 @@ from repro.core.dse import (
 )
 from repro.errors import BackendUnavailableError
 from repro.service.errors import ServiceError
-
-
-def _raise_for_error(status: int, payload: Dict[str, Any]) -> None:
-    if 200 <= status < 300 and payload.get("ok", True):
-        return
-    raise ServiceError.from_payload(payload)
+from repro.transport import FRAME_CONTENT_TYPE, FrameError, decode_frame
 
 
 def _check_response_schema(payload: Dict[str, Any]) -> None:
@@ -60,6 +56,26 @@ def _check_response_schema(payload: Dict[str, Any]) -> None:
         check_schema_version(payload.get("schema_version"))
     except ValueError as exc:
         raise ServiceError(502, "unsupported-schema", str(exc))
+
+
+def _decoded(status: int, data: bytes) -> Dict[str, Any]:
+    """A JSON response's envelope; a non-2xx one raises its error."""
+    payload = json.loads(data or b"{}")
+    _check_response_schema(payload)
+    if 200 <= status < 300 and payload.get("ok", True):
+        return payload
+    raise ServiceError.from_payload(payload)
+
+
+def _frame_result(data: bytes) -> SweepResult:
+    """A ``/result`` frame as a :class:`SweepResult`, validated exactly as
+    a JSON payload is; a corrupt frame is a 502 ``bad-frame``."""
+    try:
+        meta, columns = decode_frame(data)
+    except FrameError as exc:
+        raise ServiceError(502, "bad-frame", str(exc))
+    _check_response_schema(meta)
+    return SweepResult.from_payload(dict(meta, **columns))
 
 
 def _negotiated(payload: Optional[Dict]) -> Dict:
@@ -149,9 +165,15 @@ class SyncServiceClient:
     def request(
         self, method: str, path: str, payload: Optional[Dict] = None
     ) -> Dict[str, Any]:
-        """One JSON round trip; raises :class:`ServiceError` on failure."""
+        """One round trip; raises :class:`ServiceError` on failure.
+
+        Returns the JSON envelope — ``{"ok": true, "result":
+        SweepResult}`` when the server answered a frame (a finished
+        ``/result``: this client accepts them).
+        """
         body = None if payload is None else json.dumps(_negotiated(payload))
         headers = {"Content-Type": "application/json",
+                   "Accept": f"{FRAME_CONTENT_TYPE}, application/json",
                    "Connection": "keep-alive"}
         if self.api_key is not None:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -197,10 +219,9 @@ class SyncServiceClient:
                 self.connections_opened += 1
             if response.will_close:
                 self.close()
-            decoded = json.loads(data or b"{}")
-            _check_response_schema(decoded)
-            _raise_for_error(response.status, decoded)
-            return decoded
+            if response.getheader("Content-Type") == FRAME_CONTENT_TYPE:
+                return {"ok": True, "result": _frame_result(data)}
+            return _decoded(response.status, data)
         raise AssertionError("unreachable")  # pragma: no cover
 
     # -- endpoint wrappers ---------------------------------------------------
@@ -213,8 +234,12 @@ class SyncServiceClient:
     def sweep_summary(self, grid: Optional[Dict] = None) -> Dict:
         return self.request("POST", "/sweep", {"grid": grid or {}})["result"]
 
-    def result_payload(self, grid: Optional[Dict] = None) -> Dict:
-        return self.request("POST", "/result", {"grid": grid or {}})["result"]
+    def fetch_result(self, grid: Optional[Dict] = None) -> SweepResult:
+        """The served :class:`SweepResult`: one binary frame, or the JSON
+        payload from a server that does not send frames."""
+        result = self.request("POST", "/result", {"grid": grid or {}})["result"]
+        return (result if isinstance(result, SweepResult)
+                else SweepResult.from_payload(result))
 
     def records(self, grid: Optional[Dict] = None,
                 limit: Optional[int] = None) -> list:
@@ -251,9 +276,9 @@ class SyncServiceClient:
                     wait_s: float = 0.0) -> Dict:
         """Long-poll ``/result?wait=``; returns the full envelope.
 
-        ``{"ok": true, "result": {...}}`` when the sweep finished inside
-        the wait window, ``{"ok": true, "pending": true, "progress":
-        {...}}`` (HTTP 202) when it is still evaluating.
+        ``{"ok": true, "result": SweepResult}`` when the sweep finished
+        inside the wait window, ``{"ok": true, "pending": true,
+        "progress": {...}}`` (HTTP 202) when it is still evaluating.
         """
         return self.request(
             "POST", f"/result?wait={wait_s:g}", {"grid": grid or {}}
@@ -302,10 +327,7 @@ class SyncServiceClient:
             encoding = (response.getheader("Transfer-Encoding") or "").lower()
             if encoding != "chunked":
                 # pre-stream failure: an ordinary structured JSON response
-                data = response.read()
-                decoded = json.loads(data or b"{}")
-                _check_response_schema(decoded)
-                _raise_for_error(response.status, decoded)
+                _decoded(response.status, response.read())
                 raise ServiceError(
                     502, "bad-response",
                     "expected a chunked ndjson stream from /sweep/stream",
@@ -487,10 +509,7 @@ class ServiceClient:
                 self.reuses += 1
             if not server_keeps:
                 await self.close()
-            decoded = json.loads(data or b"{}")
-            _check_response_schema(decoded)
-            _raise_for_error(status, decoded)
-            return decoded
+            return _decoded(status, data)
         raise AssertionError("unreachable")  # pragma: no cover
 
     # -- endpoint wrappers ---------------------------------------------------

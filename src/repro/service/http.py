@@ -4,7 +4,8 @@ No third-party server framework: requests are parsed straight off
 :func:`asyncio.start_server` streams, which keeps the service runnable
 anywhere the repo's baked-in toolchain runs.  The protocol surface is a
 small JSON-over-POST API (every body is a JSON object, every response a
-JSON object with ``"ok"``):
+JSON object with ``"ok"`` — except a finished ``/result`` sent to a
+client that asked for a binary frame):
 
 ====================  =====================================================
 endpoint              body / result
@@ -21,8 +22,13 @@ endpoint              body / result
                       (rolling restart); admin tenants only
 ``POST /sweep``       ``{"grid": {...}}`` -> evaluation summary (shape,
                       size, engine, resolved grid)
-``POST /result``      ``{"grid": {...}}`` -> full ``SweepResult`` payload
-                      (:meth:`~repro.core.dse.SweepResult.to_payload`)
+``POST /result``      ``{"grid": {...}}`` -> full ``SweepResult``: JSON
+                      by default
+                      (:meth:`~repro.core.dse.SweepResult.to_payload`);
+                      with ``Accept: application/x-repro-frame`` one
+                      :mod:`repro.transport` frame (meta
+                      ``schema_version``/``grid``/``engine``, one column
+                      per result array)
 ``POST /records``     ``{"grid": {...}, "limit": n?}`` -> flat per-point
                       records
 ``POST /pareto``      ``{"grid", "scheme"?, "n_pixels"?, "app"?,
@@ -45,8 +51,9 @@ edit, and a misspelled one is rejected by the query kernel.
 
 Two endpoints stream instead of answering once:
 
-- ``POST /result?wait=SECONDS`` long-polls: the full payload when the
-  sweep finishes within the window, else HTTP **202** with
+- ``POST /result?wait=SECONDS`` long-polls: the full result (JSON, or
+  a frame when asked for one) when the sweep finishes within the
+  window, else HTTP **202** with the JSON
   ``{"ok": true, "pending": true, "progress": {...}}`` — the sweep
   keeps evaluating, so polling again eventually returns 200.
 - ``POST /sweep/stream`` (same body as ``/pareto``) answers with a
@@ -90,12 +97,15 @@ from typing import Dict, Optional, Set, Tuple
 from repro._version import __version__
 from repro.core.dse import (
     PAYLOAD_SCHEMA_VERSION,
+    RESULT_ARRAY_FIELDS,
     SUPPORTED_SCHEMA_VERSIONS,
+    SweepResult,
     check_schema_version,
 )
 from repro.service.errors import ServiceError, as_service_error
 from repro.service.ops import ANONYMOUS, CURRENT_TENANT, METRICS_CONTENT_TYPE, OpsLayer
 from repro.service.sweep_service import SweepService
+from repro.transport import FRAME_CONTENT_TYPE, encode_frame
 
 #: default request-body cap; grid specs are tiny, but cluster workers
 #: POST dense block arrays on the same port, so the ceiling is generous.
@@ -136,9 +146,21 @@ async def _handle_sweep(service: SweepService, payload: Dict) -> Dict:
     }
 
 
-async def _handle_result(service: SweepService, payload: Dict) -> Dict:
-    result = await service.sweep(payload.get("grid"))
-    return result.to_payload()
+async def _handle_result(service: SweepService, payload: Dict) -> SweepResult:
+    return await service.sweep(payload.get("grid"))
+
+
+def _result_body(result: SweepResult, frame: bool):
+    """A finished sweep's 200 body: a binary frame when the client asked
+    for one (``Accept: application/x-repro-frame``), else the JSON
+    envelope around :meth:`~repro.core.dse.SweepResult.to_payload`."""
+    if not frame:
+        return {"ok": True, "result": result.to_payload()}
+    meta = {"schema_version": PAYLOAD_SCHEMA_VERSION,
+            "grid": result.grid.to_dict(), "engine": result.engine}
+    return encode_frame(
+        meta, [(name, getattr(result, name)) for name in RESULT_ARRAY_FIELDS]
+    )
 
 
 async def _handle_records(service: SweepService, payload: Dict) -> list:
@@ -327,15 +349,16 @@ def _parse_payload(body: bytes) -> Dict:
 
 
 async def _handle_result_wait(
-    service: SweepService, payload: Dict, wait: str
+    service: SweepService, payload: Dict, wait: str, frame: bool
 ):
     """The ``/result?wait=SECONDS`` long-poll.
 
-    Awaits the (cached, coalesced) sweep up to the window; on timeout
-    the evaluation keeps running — the waiter is shielded off a task —
-    and the reply is a 202 carrying the live progress counters, so a
-    client can poll ``/result?wait=`` in a loop and watch ``points_done``
-    climb until the 200 with the full payload.
+    Follows the (cached, coalesced) sweep's progress up to the window —
+    a sweep it starts is a watched one, so its blocks are counted as
+    they land; on timeout the evaluation keeps running and the reply is
+    a 202 carrying the live progress counters, so a client can poll
+    ``/result?wait=`` in a loop and watch ``points_done`` climb until
+    the 200 with the full result.
     """
     try:
         wait_s = float(wait)
@@ -345,21 +368,16 @@ async def _handle_result_wait(
         )
     if wait_s < 0:
         raise ServiceError(400, "bad-request", "wait must be non-negative")
-    task = asyncio.ensure_future(service.sweep(payload.get("grid")))
-    # a failure after the window closed was still handled by design
-    # (the next poll re-raises it); silence the never-retrieved warning
-    task.add_done_callback(
-        lambda t: t.exception() if not t.cancelled() else None
-    )
+    progress = await service.sweep_progress(payload.get("grid"))
     try:
-        result = await asyncio.wait_for(asyncio.shield(task), wait_s)
+        result = await asyncio.wait_for(progress.wait(), wait_s)
     except asyncio.TimeoutError:
         return 202, {
             "ok": True,
             "pending": True,
-            "progress": service.progress_snapshot(payload.get("grid")),
+            "progress": progress.snapshot(),
         }
-    return 200, {"ok": True, "result": result.to_payload()}
+    return 200, _result_body(result, frame)
 
 
 async def _dispatch(
@@ -370,8 +388,13 @@ async def _dispatch(
     query: Optional[Dict[str, str]] = None,
     ops: Optional[OpsLayer] = None,
     cluster=None,
+    frame: bool = False,
 ):
-    """Route one request; returns (status, json body)."""
+    """Route one request; returns (status, body).
+
+    The body is a JSON envelope, or the encoded frame of a finished
+    ``/result`` when ``frame`` (the client accepts frames).
+    """
     query = query or {}
     if method == "GET" and path == "/healthz":
         # liveness by default; ``?ready=1`` makes it a readiness probe
@@ -410,8 +433,10 @@ async def _dispatch(
         raise ServiceError(405, "method-not-allowed", f"{method} {path} not allowed")
     payload = _parse_payload(body)
     if path == "/result" and query.get("wait") is not None:
-        return await _handle_result_wait(service, payload, query["wait"])
+        return await _handle_result_wait(service, payload, query["wait"], frame)
     result = await handler(service, payload)
+    if path == "/result":
+        return 200, _result_body(result, frame)
     return 200, {"ok": True, "result": result}
 
 
@@ -656,15 +681,22 @@ async def _handle_connection(
                     status, response = await _dispatch(
                         service, method, path, body, query,
                         ops=ops, cluster=cluster,
+                        frame=FRAME_CONTENT_TYPE in headers.get("accept", ""),
                     )
                 except Exception as exc:  # every failure ships as structured JSON
                     error = as_service_error(exc)
                     status, response = error.status, error.to_payload()
                     err_code = error.code
                     extra_headers = _error_headers(error)
-                sent = await send(_encode_response(
-                    status, response, keep_alive, extra_headers
-                ))
+                if isinstance(response, bytes):
+                    encoded = _encode_raw_response(
+                        status, FRAME_CONTENT_TYPE, response, keep_alive
+                    )
+                else:
+                    encoded = _encode_response(
+                        status, response, keep_alive, extra_headers
+                    )
+                sent = await send(encoded)
                 if ops is not None:
                     ops.observe(
                         tenant, method, path, status,

@@ -164,8 +164,12 @@ class SweepProgress:
         with self._lock:
             self.result = result
             self.points_done = self.points_total
-            # a whole-sweep cache hit finishes at 0 of 0 blocks
-            self.blocks_total = self.blocks_done
+            # every announced block ran, reported or not (an unwatched
+            # sweep announces its plan only); with no plan announced the
+            # reported blocks are the plan — 0 of 0 for a cache hit
+            if self.blocks_total is None:
+                self.blocks_total = self.blocks_done
+            self.blocks_done = self.blocks_total
         self._publish()
 
     def fail(self, error: BaseException) -> None:
@@ -202,6 +206,24 @@ class SweepProgress:
     def unsubscribe(self, queue) -> None:
         with self._lock:
             self._queues.discard(queue)
+
+    async def wait(self):
+        """The finished result, awaited on the progress's event loop.
+
+        A failed sweep raises its error.  Cancelling the wait (a
+        long-poll window closing) only unsubscribes.
+        """
+        queue = self.subscribe()
+        try:
+            while True:
+                result, error = self.state()
+                if error is not None:
+                    raise error
+                if result is not None:
+                    return result
+                await queue.get()
+        finally:
+            self.unsubscribe(queue)
 
     def state(self) -> Tuple:
         """Atomic (result, error) pair."""

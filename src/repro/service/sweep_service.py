@@ -20,9 +20,10 @@ properties make it safe to put in front of many concurrent users:
   :func:`~repro.store.tiered_sweep` — the ladder every backend shares —
   in an executor thread: the event loop keeps serving cached queries
   (< 50 ms, gated by ``benchmarks/bench_service.py``) while a 50k-point
-  sweep is cold, and every landed block feeds the sweep's
-  :class:`~repro.service.progress.SweepProgress` for streams.  More
-  cores and hosts are the shard cluster's job (``sweep_fn``).
+  sweep is cold; only a sweep a stream or long-poll started feeds its
+  blocks to a :class:`~repro.service.progress.SweepProgress` (see
+  :class:`SweepService`).  More cores and hosts are the shard
+  cluster's job (``sweep_fn``).
 - **Persistent disk tier (optional).**  Pass ``store=`` (a
   :class:`~repro.store.ResultStore` or a directory path) to slot the
   content-addressed persistent store *under* the RAM LRU: the ladder
@@ -135,14 +136,26 @@ class SweepService:
       ``blocks_*`` triple) in ``stats()["cache"]`` and
       ``stats()["store"]`` whenever a ``store`` is attached.
 
+    When a sweep uses the stream plan: a sweep *started* by
+    :meth:`sweep_progress` (a stream, ``Sweep.watch()``, a
+    ``/result?wait=`` long-poll) is watched — the ladder runs the
+    window-major stream plan and every landed block is scattered into
+    its :class:`~repro.service.progress.SweepProgress`.  A sweep started
+    by :meth:`sweep` or any query on it (``/sweep``, ``/result``,
+    ``/records``, ``/pareto``, ``/cheapest``, ``/point``, a distributed
+    backend's ``sweep``) is not: it runs one block per (app, scheme)
+    pair and reports only its plan size.  A stream that joins an
+    unwatched sweep still gets progress snapshots and the exact terminal
+    events, just no partial fronts.
+
     ``sweep_fn`` replaces the ladder's in-process block plan — the
     shard cluster's :meth:`~repro.service.cluster.ShardCoordinator.sweep_fn`,
     or a counting or artificially slow test wrapper.  It is called as
     ``sweep_fn(grid, engine=, ngpc=, on_block=)`` and must report every
-    landed block to ``on_block(placement, block)`` (that is what streams
-    see).  With a ``store`` it keeps the disk tiers: a persisted sweep
-    never reaches it, and its result is persisted whole; only the
-    built-in plan reuses persisted blocks.
+    landed block to ``on_block(placement, block)`` when one is given
+    (that is what streams see).  With a ``store`` it keeps the disk
+    tiers: a persisted sweep never reaches it, and its result is
+    persisted whole; only the built-in plan reuses persisted blocks.
     """
 
     def __init__(
@@ -225,7 +238,7 @@ class SweepService:
         fingerprinting, so every spelling of the same design space maps
         to one cache entry and one in-flight evaluation.
         """
-        joined = await self._join_or_start(grid)
+        joined = await self._join_or_start(grid, watched=False)
         if isinstance(joined, _Inflight):
             return await self._await_inflight(joined)
         return joined
@@ -233,8 +246,9 @@ class SweepService:
     async def sweep_progress(self, grid: GridLike = None) -> SweepProgress:
         """The :class:`SweepProgress` of ``grid``'s sweep, joining or
         starting it as :meth:`sweep` does; a cached result's progress is
-        simply already finished.  What every stream subscribes to."""
-        joined = await self._join_or_start(grid)
+        simply already finished.  What every stream and long-poll
+        follows; a sweep started here is watched."""
+        joined = await self._join_or_start(grid, watched=True)
         if isinstance(joined, _Inflight):
             return joined.progress
         progress = SweepProgress(
@@ -243,13 +257,14 @@ class SweepService:
         progress.finish(joined)
         return progress
 
-    async def _join_or_start(self, grid: GridLike):
+    async def _join_or_start(self, grid: GridLike, watched: bool):
         """The cached result, or the in-flight evaluation to attach to.
 
         Coalesces onto an in-flight evaluation of ``grid`` (``coalesced``),
         serves a completed one from the LRU (``ram_hits``), or takes a
-        cold slot and starts one.  A slot wait that yielded to the loop
-        re-checks both, so a queued duplicate never burns a second slot.
+        cold slot and starts one, ``watched`` or not.  A slot wait that
+        yielded to the loop re-checks both, so a queued duplicate never
+        burns a second slot.
         """
         grid = _as_grid(grid).resolve(self.ngpc).normalized()
         key = sweep_fingerprint(grid, self.ngpc)
@@ -267,12 +282,12 @@ class SweepService:
             if self.admission is not None:
                 release = await self.admission.acquire_cold()
             if release is None or not getattr(release, "queued", False):
-                return self._start_evaluation(key, grid, release=release)
+                return self._start_evaluation(key, grid, release, watched)
             inflight = self._inflight.get(key)
             if inflight is None:
                 cached = self._cache.get(key)
                 if cached is None:
-                    return self._start_evaluation(key, grid, release=release)
+                    return self._start_evaluation(key, grid, release, watched)
                 release()
                 self.tier["ram_hits"] += 1
                 return cached
@@ -281,7 +296,7 @@ class SweepService:
         return inflight
 
     def _start_evaluation(
-        self, key: Hashable, grid: SweepGrid, release=None
+        self, key: Hashable, grid: SweepGrid, release, watched: bool
     ) -> _Inflight:
         """Launch one evaluation task; its progress rides on the entry.
 
@@ -301,7 +316,9 @@ class SweepService:
             ]
             for stale in finished[: max(0, len(finished) - _PROGRESS_RETAIN)]:
                 del self._progress[stale]
-        task = loop.create_task(self._evaluate(key, grid, inflight, release))
+        task = loop.create_task(
+            self._evaluate(key, grid, inflight, release, watched)
+        )
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         return inflight
@@ -321,9 +338,15 @@ class SweepService:
         key: Hashable,
         grid: SweepGrid,
         inflight: _Inflight,
-        release=None,
+        release,
+        watched: bool,
     ) -> None:
-        """Run the tier ladder in an executor thread, feeding progress."""
+        """Run the tier ladder in an executor thread.
+
+        Only a watched sweep reports its blocks (the ladder then runs the
+        stream plan); a built-in plan always announces its size, so a
+        stream that joins an unwatched sweep ends on the true count.
+        """
         loop = asyncio.get_running_loop()
         future, progress = inflight.future, inflight.progress
         try:
@@ -331,8 +354,8 @@ class SweepService:
                 None,
                 functools.partial(
                     tiered_sweep, grid, self.ngpc, self.store, self.tier,
-                    progress.set_plan, progress.record, engine=self.engine,
-                    sweep_fn=self._sweep_fn,
+                    progress.set_plan, progress.record if watched else None,
+                    engine=self.engine, sweep_fn=self._sweep_fn,
                 ),
             )
         except Exception as exc:  # served to every coalesced awaiter
@@ -404,18 +427,6 @@ class SweepService:
                     queue.get_nowait()
         finally:
             progress.unsubscribe(queue)
-
-    def progress_snapshot(self, grid: GridLike = None) -> Optional[Dict]:
-        """Counters for ``grid``'s sweep, or None if never started.
-
-        The body of a ``/result?wait=`` 202 and the per-sweep section
-        of ``/stats``; purely observational (never starts a sweep).
-        """
-        resolved = _as_grid(grid).resolve(self.ngpc).normalized()
-        key = sweep_fingerprint(resolved, self.ngpc)
-        with self._progress_lock:
-            progress = self._progress.get(key)
-        return None if progress is None else progress.snapshot()
 
     # -- adaptive exploration ------------------------------------------------
     def _explorer_for(self, grid: GridLike) -> AdaptiveExplorer:

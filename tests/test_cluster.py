@@ -140,7 +140,7 @@ class TestCrossClientCoalescing:
 
         def query():
             with SyncServiceClient(port=cluster_backend.port) as client:
-                results.append(client.result_payload(grid))
+                results.append(client.fetch_result(grid))
 
         threads = [threading.Thread(target=query) for _ in range(4)]
         for thread in threads:
@@ -150,7 +150,7 @@ class TestCrossClientCoalescing:
         assert len(results) == 4
         assert cluster_backend.service.evaluations == before + 1
         first = results[0]
-        assert all(r["accelerated_ms"] == first["accelerated_ms"]
+        assert all(np.array_equal(r.accelerated_ms, first.accelerated_ms)
                    for r in results[1:])
 
 

@@ -22,6 +22,8 @@ No pytest-asyncio in the image: each test drives its own event loop via
 """
 
 import asyncio
+import http.client
+import json
 import threading
 import time
 
@@ -34,6 +36,8 @@ from repro.api import Session
 from repro.calibration import fitted
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
+    PAYLOAD_SCHEMA_VERSION,
+    RESULT_ARRAY_FIELDS,
     AmbiguousAxisError,
     SweepGrid,
     SweepResult,
@@ -51,7 +55,10 @@ from repro.service import (
     request_json,
     start_http_server,
 )
+from repro.service.client import SyncServiceClient
+from repro.service.ops import OpsLayer
 from repro.service.progress import PartialSweep
+from repro.transport import FRAME_CONTENT_TYPE, decode_frame
 
 RTOL = 1e-9
 
@@ -656,6 +663,237 @@ class TestHTTPEndToEnd:
             holder["loop"].call_soon_threadsafe(holder["stop"].set)
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# /result content negotiation: JSON by default, a binary frame on request
+# ---------------------------------------------------------------------------
+
+#: the Session parity design space (tests/test_api_session.py)
+PARITY_GRID = SweepGrid(
+    apps=("nerf", "gia"),
+    scale_factors=(8, 16, 32, 64),
+    clocks_ghz=(0.8, 1.2, 1.695),
+    grid_sram_kb=(512, 1024),
+    n_batches=(8, 16),
+)
+
+#: every hash-grid encoding axis swept: 11-dimensional result arrays
+HASHGRID_GRID = SweepGrid(
+    apps=("nerf", "gia"),
+    scale_factors=(8, 16, 32, 64),
+    gridtypes=("hash", "tiled"),
+    log2_hashmap_sizes=(14, 19),
+    per_level_scales=(1.5, 2.0),
+)
+
+
+def post(port, path, payload, accept=None, api_key=None):
+    """One raw POST; returns (status, Content-Type, body bytes)."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    headers = {"Content-Type": "application/json"}
+    if accept is not None:
+        headers["Accept"] = accept
+    if api_key is not None:
+        headers["Authorization"] = f"Bearer {api_key}"
+    try:
+        connection.request("POST", path, json.dumps(payload), headers)
+        response = connection.getresponse()
+        return (response.status, response.getheader("Content-Type"),
+                response.read())
+    finally:
+        connection.close()
+
+
+def serve_and(fn, service=None, ops=None):
+    """Run ``fn(port)`` on a worker thread against a live HTTP server."""
+
+    async def run():
+        server = await start_http_server(
+            service or SweepService(), "127.0.0.1", 0, ops=ops
+        )
+        try:
+            return await asyncio.to_thread(fn, server.port)
+        finally:
+            await server.close()
+
+    return asyncio.run(run())
+
+
+class GatedSweep(CountingSweep):
+    """A counting ``sweep_fn`` held until ``release`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.release = threading.Event()
+
+    def __call__(self, grid, engine="vectorized", ngpc=None, on_block=None):
+        assert self.release.wait(timeout=60)
+        return super().__call__(grid, engine, ngpc, on_block)
+
+
+class TestResultFrames:
+    @pytest.mark.parametrize("grid", [PARITY_GRID, HASHGRID_GRID],
+                             ids=["parity", "hashgrid"])
+    def test_frame_and_json_arrays_are_bit_identical(self, grid):
+        def fetch(port):
+            status, content_type, body = post(
+                port, "/result", {"grid": grid.to_dict()}
+            )
+            assert status == 200 and content_type == "application/json"
+            with SyncServiceClient(port=port) as client:
+                return (SweepResult.from_payload(json.loads(body)["result"]),
+                        client.fetch_result(grid.to_dict()))
+
+        from_json, from_frame = serve_and(fetch)
+        assert from_frame.grid == from_json.grid
+        assert from_frame.engine == from_json.engine
+        if grid is HASHGRID_GRID:
+            assert from_frame.accelerated_ms.ndim == 11
+        for name in RESULT_ARRAY_FIELDS:
+            assert np.array_equal(
+                getattr(from_frame, name), getattr(from_json, name)
+            ), name
+
+    def test_server_without_frames_still_yields_a_sweep_result(
+        self, monkeypatch
+    ):
+        from repro.service import http as service_http
+
+        # a server that never matches the frame type answers JSON
+        monkeypatch.setattr(service_http, "FRAME_CONTENT_TYPE", "x/none")
+
+        def fetch(port):
+            with SyncServiceClient(port=port) as client:
+                return client.fetch_result(SMALL_GRID.to_dict())
+
+        served = serve_and(fetch)
+        expected = sweep_grid(SMALL_GRID.resolve().normalized())
+        assert np.array_equal(served.accelerated_ms, expected.accelerated_ms)
+
+    def test_json_body_without_accept_is_unchanged(self):
+        grid = SMALL_GRID.to_dict()
+        status, content_type, body = serve_and(
+            lambda port: post(port, "/result", {"grid": grid})
+        )
+        expected = sweep_grid(SMALL_GRID.resolve().normalized())
+        assert status == 200 and content_type == "application/json"
+        # the envelope byte for byte as it was before frames existed
+        assert body == json.dumps({
+            "ok": True, "result": expected.to_payload(),
+            "schema_version": PAYLOAD_SCHEMA_VERSION,
+        }).encode("utf-8")
+
+    def test_frame_reply_carries_the_payload_meta(self):
+        status, content_type, body = serve_and(lambda port: post(
+            port, "/result", {"grid": SMALL_GRID.to_dict()},
+            accept=FRAME_CONTENT_TYPE,
+        ))
+        assert status == 200 and content_type == FRAME_CONTENT_TYPE
+        meta, columns = decode_frame(body)
+        assert meta == {
+            "schema_version": PAYLOAD_SCHEMA_VERSION,
+            "grid": SMALL_GRID.resolve().normalized().to_dict(),
+            "engine": "vectorized",
+        }
+        assert tuple(columns) == RESULT_ARRAY_FIELDS
+
+    def test_errors_stay_structured_json_for_frame_requests(self):
+        grid = PARITY_GRID.to_dict()
+        requests = [
+            ("/result", {"grid": {"clock_ghz": [1.0]}}),  # misspelled axis
+            ("/point", {"grid": grid, "app": "nope"}),  # off the grid
+            ("/pareto", {"grid": grid, "gridtyp": "hash"}),  # misspelled
+        ]
+
+        def run(port):
+            raw = [post(port, path, body, accept=FRAME_CONTENT_TYPE)
+                   for path, body in requests]
+            with SyncServiceClient(port=port) as client:
+                raised = []
+                for path, body in requests:
+                    with pytest.raises(ServiceError) as err:
+                        client.request("POST", path, body)
+                    raised.append(err.value)
+            return raw, raised
+
+        raw, raised = serve_and(run)
+        codes = []
+        for (status, content_type, body), error in zip(raw, raised):
+            assert content_type == "application/json"
+            payload = json.loads(body)
+            assert payload.pop("schema_version") == PAYLOAD_SCHEMA_VERSION
+            assert (error.status, error.to_payload()) == (status, payload)
+            codes.append(payload["error"]["code"])
+        assert codes == ["bad-request", "not-on-grid", "unknown-axis"]
+
+    def test_429_stays_structured_json_for_frame_requests(self, tmp_path):
+        tenants = tmp_path / "tenants.json"
+        tenants.write_text(json.dumps({"tenants": [
+            {"name": "slow", "key": "ak-slow", "rate_per_s": 0.001,
+             "burst": 1},
+        ]}))
+        grid = SMALL_GRID.to_dict()
+
+        def run(port):
+            with SyncServiceClient(port=port, api_key="ak-slow") as client:
+                first = client.fetch_result(grid)
+                with pytest.raises(ServiceError) as err:
+                    client.fetch_result(grid)
+            raw = post(port, "/result", {"grid": grid},
+                       accept=FRAME_CONTENT_TYPE, api_key="ak-slow")
+            return first, err.value, raw
+
+        first, error, (status, content_type, body) = serve_and(
+            run, ops=OpsLayer(tenants_path=str(tenants))
+        )
+        assert first.grid.size == SMALL_GRID.size
+        assert status == 429 and content_type == "application/json"
+        assert error.status == 429 and error.code == "rate-limited"
+        assert json.loads(body)["error"]["code"] == "rate-limited"
+
+    def test_long_poll_answers_frame_on_200_and_json_on_202(self):
+        gated = GatedSweep()
+        grid = SMALL_GRID.to_dict()
+
+        def run(port):
+            pending = post(port, "/result?wait=0.01", {"grid": grid},
+                           accept=FRAME_CONTENT_TYPE)
+            gated.release.set()
+            finished = post(port, "/result?wait=60", {"grid": grid},
+                            accept=FRAME_CONTENT_TYPE)
+            return pending, finished
+
+        pending, finished = serve_and(run, SweepService(sweep_fn=gated))
+        status, content_type, body = pending
+        assert status == 202 and content_type == "application/json"
+        payload = json.loads(body)
+        assert payload["pending"] and not payload["progress"]["done"]
+        status, content_type, body = finished
+        assert status == 200 and content_type == FRAME_CONTENT_TYPE
+        assert decode_frame(body)[1]["accelerated_ms"].size == SMALL_GRID.size
+        assert gated.calls == 1
+
+    def test_flipped_byte_is_a_502_bad_frame(self, monkeypatch):
+        from repro.service import http as service_http
+
+        real = service_http.encode_frame
+
+        def corrupted(meta, columns):
+            frame = bytearray(real(meta, columns))
+            frame[-1] ^= 0x01
+            return bytes(frame)
+
+        monkeypatch.setattr(service_http, "encode_frame", corrupted)
+
+        def run(port):
+            with SyncServiceClient(port=port) as client:
+                with pytest.raises(ServiceError) as err:
+                    client.fetch_result(SMALL_GRID.to_dict())
+            return err.value
+
+        error = serve_and(run)
+        assert (error.status, error.code) == (502, "bad-frame")
 
 
 # ---------------------------------------------------------------------------

@@ -482,6 +482,115 @@ class TestResultLongPoll:
 
 
 # ---------------------------------------------------------------------------
+# unwatched service sweeps: one block per (app, scheme) pair
+# ---------------------------------------------------------------------------
+
+#: 10,240 points over four (app, scheme) pairs: the stream plan cuts it
+#: into ten windows per pair
+SERVED_GRID = SweepGrid(
+    schemes=(SCHEME,),
+    scale_factors=(8, 16, 32, 64),
+    pixel_counts=(1920 * 1080, 3840 * 2160),
+    clocks_ghz=(0.8, 1.0, 1.2, 1.4, 1.695),
+    grid_sram_kb=(256, 512, 1024, 2048),
+    n_engines=(4, 8, 16, 32),
+    n_batches=(4, 8, 16, 32),
+)
+
+
+def kernel_calls(monkeypatch, gate=None):
+    """Count (and optionally hold) every block-level kernel call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        if gate is not None:
+            gate()
+        return emulate_batch(*args, **kwargs)
+
+    monkeypatch.setattr("repro.core.dse.emulate_batch", counted)
+    return calls
+
+
+class TestUnwatchedSweeps:
+    def test_cold_service_sweep_runs_one_block_per_pair(self, monkeypatch):
+        from repro.core.dse import stream_plan
+
+        calls = kernel_calls(monkeypatch)
+        asyncio.run(SweepService().sweep(SERVED_GRID))
+        grid = SERVED_GRID.resolve()
+        assert len(calls) == len(grid.apps) * len(grid.schemes)
+
+        # a sweep a stream starts keeps the window-major stream plan
+        del calls[:]
+
+        async def drain():
+            service = SweepService()
+            return [e async for e in service.sweep_stream(
+                SERVED_GRID, n_pixels=1920 * 1080
+            )]
+
+        events = asyncio.run(drain())
+        plan = stream_plan(grid.normalized())
+        assert len(plan) == 10 * len(grid.apps)
+        assert len(calls) == events[-3]["blocks_total"] == len(plan)
+
+    def test_stream_joining_an_inflight_result_sweep_ends_like_a_cold_one(
+        self, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            entered.set()
+            assert release.wait(timeout=60)
+
+        calls = kernel_calls(monkeypatch, gate=hold)
+        service = SweepService()
+
+        def follow(port, on_event=None):
+            with SyncServiceClient("127.0.0.1", port) as client:
+                events = []
+                for event in client.stream_pareto(GRID_JSON, scheme=SCHEME):
+                    events.append(event)
+                    if on_event is not None:
+                        on_event()  # an event means the stream has joined
+                return events
+
+        async def run():
+            server = await start_http_server(service, "127.0.0.1", 0)
+            cold_server = await start_http_server(
+                SweepService(), "127.0.0.1", 0
+            )
+            try:
+                fetched = asyncio.ensure_future(asyncio.to_thread(
+                    request_json, "127.0.0.1", server.port, "POST",
+                    "/result", {"grid": GRID_JSON},
+                ))
+                assert await asyncio.to_thread(entered.wait, 60)
+                joined = await asyncio.to_thread(
+                    follow, server.port, release.set
+                )
+                status, body = await fetched
+                cold = await asyncio.to_thread(follow, cold_server.port)
+            finally:
+                await server.close()
+                await cold_server.close()
+            return joined, (status, body), cold
+
+        joined, (status, body), cold = asyncio.run(run())
+        assert status == 200 and body["ok"]
+        assert service.coalesced == 1 and service.evaluations == 1
+        grid = GRID.resolve()
+        pairs = len(grid.apps) * len(grid.schemes)
+        # the /result sweep ran unwatched (one block per pair) and the
+        # stream, joining it, saw no partial front — only the final one
+        assert len(calls) == 2 * pairs  # the joined sweep + the cold one
+        assert [e["final"] for e in joined if e["event"] == "front"] == [True]
+        assert joined[-1]["cached"] is False
+        assert _terminal(joined) == _terminal(cold)
+
+
+# ---------------------------------------------------------------------------
 # configurable request-body cap (structured 413)
 # ---------------------------------------------------------------------------
 

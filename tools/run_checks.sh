@@ -7,15 +7,18 @@
 # exactly one block-level `emulate_batch(` call and one
 # `finalize_sweep_result(` call — every evaluation path runs through
 # repro.core.dse.run_plan), the service latency/coalescing gates
-# (bench_service --quick), the Session facade overhead gate
+# (bench_service --quick, including the served-result wire gate: a
+# framed /result >= 10x faster than JSON), the Session facade overhead gate
 # (bench_api --quick), and a black-box sweep-service smoke: start
 # `repro serve` as a subprocess, run one sweep and one pareto query over
 # raw HTTP plus a remote-backend repro.api Session round trip (keep-alive
-# reuse counted, local/remote parity asserted), and require a clean
-# SIGINT shutdown.  The distributed layer gets two gates of its own: a
-# 2-worker shard-cluster smoke (coordinator + real `repro worker`
-# subprocesses, one sweep via DistributedBackend, parity vs vectorized,
-# clean shutdown) and the cluster overhead benchmark
+# reuse counted, local/remote parity asserted, and a RemoteBackend sweep
+# — its /result shipped as a binary frame — equal to the local result
+# bit for bit), and require a clean SIGINT shutdown.  The distributed
+# layer gets two gates of its own: a 2-worker shard-cluster smoke
+# (coordinator + real `repro worker` subprocesses, one sweep via
+# DistributedBackend, parity vs vectorized, clean shutdown) and the
+# cluster overhead benchmark
 # (bench_cluster --quick: a ceiling on cluster wall time over the
 # vectorized baseline plus bit-identity, emitting BENCH_cluster.json).  The persistent result store gets its
 # own section: the store test suite runs standalone (warm restart,
@@ -379,6 +382,16 @@ try:
     )
     assert [p.to_dict() for p in remote_sweep.pareto()] == \
            [p.to_dict() for p in local_sweep.pareto()]
+    # the served result arrives as one binary frame (RemoteBackend asks
+    # /result for it) and must equal the local result bit for bit
+    from repro.api import RemoteBackend
+    from repro.core.dse import RESULT_ARRAY_FIELDS
+    backend = RemoteBackend(host=host, port=port)
+    framed = backend.sweep(api_grid.resolve().normalized())
+    backend.close()
+    for name in RESULT_ARRAY_FIELDS:
+        assert np.array_equal(getattr(framed, name),
+                              getattr(local_sweep.result, name)), name
     hit = remote_sweep.cheapest(app="nerf", fps=30.0)
     try:
         remote_sweep.cheapest(app="nerf", fps=10.0**9)
@@ -395,7 +408,8 @@ try:
     assert code == 0, f"server exited with {code}"
     print(f"service smoke ok: swept {sweep['result']['size']} points, "
           f"pareto front of {len(front['result'])} configs, "
-          f"Session parity on {remote_sweep.size} points "
+          f"Session parity on {remote_sweep.size} points, "
+          f"RemoteBackend frame bit-identical to local "
           f"(cheapest@30fps={hit.describe()}, infeasible raises, "
           f"{stats['http']['reused']} keep-alive reuses), clean shutdown")
 finally:
