@@ -3,7 +3,11 @@
 Programmatic generation of the paper-vs-measured record consumed by
 ``tools/generate_experiments_md.py`` and the ``python -m repro report``
 command: experiment tables, the sensitivity summary and the design-space
-view, as one self-contained markdown document.
+view, as one self-contained markdown document.  The documentation of
+the query stack (the Session facade, serving, streaming, the cluster,
+the store, the explorer, the axis registry and operations) is written
+here too, as static sections, so EXPERIMENTS.md has one source: it is
+exactly what the generator writes.
 """
 
 from __future__ import annotations
@@ -164,114 +168,653 @@ def architecture_sweep_section() -> List[str]:
     return lines
 
 
-def serving_section() -> List[str]:
-    """How to serve sweeps: endpoints, clients, cache semantics.
+_API_DOC = """
+## API — the `repro.api` Session facade
 
-    Static documentation (no evaluation behind it) so the generated
-    EXPERIMENTS.md carries the service's contract next to the numbers
-    it serves.
-    """
-    return [
-        "\n## Serving sweeps\n",
-        "`python -m repro serve --port 8787` runs the asyncio DSE query",
-        "service: an HTTP JSON API over the batched sweep engine.  Results",
-        "are cached in an LRU keyed on the canonical grid + config +",
-        "calibration fingerprint (`repro.core.dse.sweep_fingerprint`), so",
-        "any spelling of the same design space — reordered or repeated",
-        "axis values included — maps to one cache entry.  Concurrent",
-        "identical requests coalesce into a single in-flight evaluation",
-        "(single-flight futures), and evaluation runs block by block off",
-        "the event loop on an executor thread, so cached queries answer in",
-        "milliseconds while a cold 50k-point sweep is in progress",
-        "(`benchmarks/bench_service.py` gates < 50 ms).\n",
-        "| endpoint | body | answer |",
-        "|---|---|---|",
-        "| `GET /healthz` | — | liveness |",
-        "| `GET /stats` | — | cache hits/misses, coalesced, evaluations |",
-        "| `POST /sweep` | `{\"grid\": {...}}` | evaluation summary |",
-        "| `POST /result` | `{\"grid\": {...}}` | full SweepResult payload |",
-        "| `POST /records` | `{\"grid\", \"limit\"?}` | flat per-point records |",
-        "| `POST /pareto` | `{\"grid\", \"scheme\"?, \"n_pixels\"?, \"app\"?}` | Pareto front |",
-        "| `POST /cheapest` | `{\"grid\", \"app\", \"fps\", ...}` | cheapest config meeting FPS |",
-        "| `POST /point` | `{\"grid\", \"app\"?, \"scale_factor\"?, ...}` | one emulation record |\n",
-        "Example invocations:\n",
-        "```",
-        "python -m repro serve --port 8787",
-        "python -m repro query pareto --sweep clock=0.8:1.2:1.695,sram=256:512:1024",
-        "python -m repro query cheapest --app nerf --fps 60",
-        "python -m repro query point --app nerf --scale 8",
-        'curl -s localhost:8787/pareto -d \'{"grid": {"scale_factors": [8, 16, 32, 64]}}\'',
-        "curl -s localhost:8787/stats",
-        "```\n",
-        "A scalar query against a swept axis without an explicit selector",
-        "returns a structured 400 whose payload names the ambiguous axis",
-        "(`error.code == \"ambiguous-axis\"`, `error.axis`,",
-        "`error.values`); a selector value absent from the grid is a 404",
-        "(`error.code == \"not-on-grid\"`) carrying the same two fields;",
-        "a selector name the query does not accept (selectors are keyed",
-        "by the axis registry's query names: the encoding axes on",
-        "`/pareto`, `/cheapest` and `/sweep/stream`, every axis on",
-        "`/point`) is a 400 (`error.code == \"unknown-axis\"`) carrying",
-        "`error.name` and the did-you-mean `error.suggestion`.",
-        "The report itself can render from a served",
-        "result: fetch `POST /result`, rebuild it with",
-        "`SweepResult.from_payload`, and pass it to",
-        "`design_space_section(result=...)`.\n",
-        "Connections are keep-alive: clients (the `repro.api` remote",
-        "backend, `repro query`) reuse one socket across requests, and",
-        "`/stats` counts `http.connections` / `http.requests` /",
-        "`http.reused`.  Payloads are versioned: every response envelope",
-        "carries `schema_version`, clients advertise the version they",
-        "speak in each request body, and an unsupported version is a",
-        "structured 400 (`error.code == \"unsupported-schema\"`).",
-    ]
+One typed entry point answers every design-space question over
+any execution path.  A `Session` binds a backend; the returned
+`Sweep` handle is backed by the same dense `SweepResult` either
+way, so queries are bit-identical in-process and over HTTP
+(`tests/test_api_session.py` holds the parity to 1e-9, and
+`benchmarks/bench_api.py` gates the facade overhead < 5 %).
+
+```python
+from repro.api import Grid, Session
+
+session = Session()                        # local, engine='vectorized'
+sweep = session.sweep(
+    Grid().app('nerf').scale(8, 16, 32, 64).clock(0.8, 1.2, n=5)
+)
+front = sweep.pareto()                     # non-dominated configs
+hit = sweep.cheapest(app='nerf', fps=60)   # cheapest config @ 60 FPS
+r = sweep.point(app='nerf', scale_factor=8, clock_ghz=0.8)
+
+remote = Session.remote(port=8787)         # same calls, over HTTP
+```
+
+| backend | constructor | evaluation | transport |
+|---|---|---|---|
+| local | `Session()` / `Session.local(engine=...)` | `sweep_grid` (vectorized) + memoized scalar emulate | in-process |
+| remote | `Session.remote(host, port)` | a running `python -m repro serve` (coalescing + LRU) | one keep-alive HTTP connection, `schema_version`-negotiated; the result arrays arrive as one binary frame |
+| distributed | `Session.distributed(workers=N)` | block shards leased to persistent workers (local subprocesses + any `repro worker` host) | embedded coordinator; binary-frame `/cluster/*` leases over keep-alive HTTP |
+
+Grids normalize (axis values sorted, de-duplicated) before
+evaluation, so every spelling of a design space shares one cache
+entry on every backend.  Failures raise one hierarchy rooted at
+`repro.errors.ReproError`: `AmbiguousAxisError` (underspecified
+scalar query), `NotOnGridError` (selector value absent from the
+grid), `UnknownAxisError` (selector name the query does not
+accept), `ServiceError` (structured service failure),
+`BackendUnavailableError` (nothing listening)."""
 
 
-def api_section() -> List[str]:
-    """The ``repro.api`` Session quickstart and the backend matrix.
+_SERVING_DOC = """
+## Serving sweeps
 
-    Static documentation (no evaluation behind it) so the generated
-    EXPERIMENTS.md carries the facade's contract — the one entry point
-    every consumer (CLI, report, workloads, examples) goes through.
-    """
-    return [
-        "\n## API — the `repro.api` Session facade\n",
-        "One typed entry point answers every design-space question over",
-        "any execution path.  A `Session` binds a backend; the returned",
-        "`Sweep` handle is backed by the same dense `SweepResult` either",
-        "way, so queries are bit-identical in-process and over HTTP",
-        "(`tests/test_api_session.py` holds the parity to 1e-9, and",
-        "`benchmarks/bench_api.py` gates the facade overhead < 5 %).\n",
-        "```python",
-        "from repro.api import Grid, Session",
-        "",
-        "session = Session()                        # local, engine='vectorized'",
-        "sweep = session.sweep(",
-        "    Grid().app('nerf').scale(8, 16, 32, 64).clock(0.8, 1.2, n=5)",
-        ")",
-        "front = sweep.pareto()                     # non-dominated configs",
-        "hit = sweep.cheapest(app='nerf', fps=60)   # cheapest config @ 60 FPS",
-        "r = sweep.point(app='nerf', scale_factor=8, clock_ghz=0.8)",
-        "",
-        "remote = Session.remote(port=8787)         # same calls, over HTTP",
-        "```\n",
-        "| backend | constructor | evaluation | transport |",
-        "|---|---|---|---|",
-        "| local | `Session()` / `Session.local(engine=...)` | "
-        "`sweep_grid` (vectorized) + memoized scalar "
-        "emulate | in-process |",
-        "| remote | `Session.remote(host, port)` | a running "
-        "`python -m repro serve` (coalescing + LRU) | one keep-alive HTTP "
-        "connection, `schema_version`-negotiated |\n",
-        "Grids normalize (axis values sorted, de-duplicated) before",
-        "evaluation, so every spelling of a design space shares one cache",
-        "entry on every backend.  Failures raise one hierarchy rooted at",
-        "`repro.errors.ReproError`: `AmbiguousAxisError` (underspecified",
-        "scalar query), `NotOnGridError` (selector value absent from the",
-        "grid), `UnknownAxisError` (selector name the query does not",
-        "accept), `ServiceError` (structured service failure),",
-        "`BackendUnavailableError` (nothing listening).\n",
-    ]
+`python -m repro serve --port 8787` runs the asyncio DSE query
+service: an HTTP JSON API over the batched sweep engine.  Results
+are cached in an LRU keyed on the canonical grid + config +
+calibration fingerprint (`repro.core.dse.sweep_fingerprint`), so
+any spelling of the same design space — reordered or repeated
+axis values included — maps to one cache entry.  Concurrent
+identical requests coalesce into a single in-flight evaluation
+(single-flight futures), and evaluation runs off the event loop
+on an executor thread, so cached queries answer in milliseconds
+while a cold 50k-point sweep is in progress
+(`benchmarks/bench_service.py` gates < 50 ms).  A sweep started by
+a stream or a `/result?wait=` long-poll runs the window-major
+stream plan and reports every block as it lands; any other sweep
+runs one block per (app, scheme) pair.
+
+`/result` is JSON by default and a binary frame on request.  A
+client sending `Accept: application/x-repro-frame` gets a finished
+result as one CRC-checked `repro.transport` frame of the raw
+float64 arrays; without the header (curl, the async
+`ServiceClient`, `request_json`) the JSON body is unchanged.
+Errors and 202 long-poll bodies are JSON either way.  The
+`repro.api` remote backend (and so `repro query`) asks for frames:
+on the 10,240-point grid of `bench_service.py`'s wire gate a
+cached `/result` takes ~100 ms as JSON (`.tolist()`, `json.dumps`,
+`json.loads`, `from_payload`) and ~1-2 ms as a frame, with
+bit-identical arrays.  A corrupt frame raises `ServiceError` 502
+`bad-frame`, never wrong numbers.
+
+| endpoint | body | answer |
+|---|---|---|
+| `GET /healthz` | — | liveness: `version`, `uptime_s`, `ready`; `?ready=1` turns it into a readiness probe (503 until the engine can serve) |
+| `GET /metrics` | — | Prometheus text metrics (see "Operating the service") |
+| `GET /stats` | — | cache hits/misses, coalesced, evaluations, `ops` section |
+| `POST /sweep` | `{"grid": {...}}` | evaluation summary |
+| `POST /result` | `{"grid": {...}}` | full SweepResult: the JSON payload by default; one binary `repro.transport` frame (meta `schema_version`/`grid`/`engine`, one column per array) with `Accept: application/x-repro-frame` |
+| `POST /records` | `{"grid", "limit"?}` | flat per-point records |
+| `POST /pareto` | `{"grid", "scheme"?, "n_pixels"?, "app"?}` | Pareto front |
+| `POST /cheapest` | `{"grid", "app", "fps", ...}` | cheapest config meeting FPS |
+| `POST /point` | `{"grid", "app"?, "scale_factor"?, ...}` | one emulation record |
+| `POST /sweep/stream` | `{"grid", "scheme"?, "n_pixels"?, "app"?}` | chunked ndjson event stream (see "Streaming sweeps") |
+| `POST /result?wait=S` | `{"grid": {...}}` | long-poll: result (JSON, or a frame on request), or a JSON 202 + progress after S seconds |
+| `POST /cluster/drain` | — | rolling worker restart (admin tenants only; see "Operating the service") |
+
+Example invocations:
+
+```
+python -m repro serve --port 8787
+python -m repro query pareto --sweep clock=0.8:1.2:1.695,sram=256:512:1024
+python -m repro query cheapest --app nerf --fps 60
+python -m repro query point --app nerf --scale 8
+curl -s localhost:8787/pareto -d '{"grid": {"scale_factors": [8, 16, 32, 64]}}'
+curl -s localhost:8787/stats
+```
+
+A scalar query against a swept axis without an explicit selector
+returns a structured 400 whose payload names the ambiguous axis
+(`error.code == "ambiguous-axis"`, `error.axis`,
+`error.values`); a selector value absent from the grid is a 404
+(`error.code == "not-on-grid"`) carrying the same two fields;
+a selector name the query does not accept (selectors are keyed
+by the axis registry's query names: the encoding axes on
+`/pareto`, `/cheapest` and `/sweep/stream`, every axis on
+`/point`) is a 400 (`error.code == "unknown-axis"`) carrying
+`error.name` and the did-you-mean `error.suggestion`.
+The report itself can render from a served
+result: fetch `POST /result`, rebuild it with
+`SweepResult.from_payload` (or take `SyncServiceClient.fetch_result`,
+which does it from a frame), and pass it to
+`design_space_section(result=...)`.
+
+Connections are keep-alive: clients (the `repro.api` remote
+backend, `repro query`) reuse one socket across requests, and
+`/stats` counts `http.connections` / `http.requests` /
+`http.reused`.  Payloads are versioned: every response envelope
+carries `schema_version`, clients advertise the version they
+speak in each request body, and an unsupported version is a
+structured 400 (`error.code == "unsupported-schema"`).  Request
+bodies are capped (`repro serve --max-body-mb`, default 64 MiB);
+an oversized body gets a structured 413
+(`error.code == "payload-too-large"`, with `limit_bytes` and the
+offending `content_length`) before a byte of it is read."""
+
+
+_STREAMING_DOC = """
+## Streaming sweeps
+
+A sweep request no longer has to block until the whole grid
+finishes.  The evaluation side is blockwise (every path runs a
+block plan through `repro.core.dse.run_plan` — in-process, through
+the store, or leased to the cluster); streaming taps that seam: each
+completed block is scattered into a `PartialSweep` (dense arrays +
+a validity mask) and every subscriber is woken.  Because every
+streamed plan is served **window-major** — the local stream plan, the
+store's block plan and the shard cluster's leases alike, every
+(app, scheme) pair of one resolution window back to back — full app
+coverage lands after the first `apps × schemes` blocks, and from that
+moment on the service can compute **exact partial Pareto fronts**:
+only grid points whose every app slice is evaluated are candidates,
+and the math mirrors the dense `pareto_front` operation for
+operation.  Fronts only ever refine; the last one is bit-identical to
+the dense result's front.
+
+Partial fronts are merged, not recomputed: front(A ∪ B) =
+front(front(A) ∪ B).  Each stream keeps its running front, and on
+every tick gathers only the cells that became complete since the last
+one (O(block) under the `PartialSweep` lock), reduces them over the
+batch axis and merges them into the running front with
+`pareto_front`, outside the lock, so a producer recording a block
+never waits behind a ranking.  The dense front reduces before it
+sorts too: area cost has no batch axis, so `repro.core.dse.front`
+keeps each cost cell's first best batch and ranks |B|x fewer keys,
+with the same lowest-flat-index tie-break.  On `bench_adaptive`'s
+4,194,304-point grid `SweepResult.pareto_front` takes ~13 ms against
+~148 ms unreduced.  `SweepResult.speedup`, `fps` and
+`train_steps_per_s` are computed once per result and are read-only.
+
+Every streaming path emits one event schema, built by one function,
+`repro.service.progress.progress_events`, over the sweep's
+`SweepProgress`: the local backend builds it on the caller's thread
+while a helper thread evaluates, the distributed backend builds it on
+the caller's thread from the embedded service's progress, and the
+service builds it in its executor for `POST /sweep/stream`, which
+answers with a chunked newline-delimited JSON stream of those events
+(`Connection: close` — the stream owns its socket; the keep-alive
+JSON connection is untouched):
+
+```
+{"event": "progress", "points_done": ..., "points_total": ..., "blocks_done": ..., "blocks_total": ...,
+ "done": false, "failed": false, "subscribers": 1, "elapsed_s": ...}
+{"event": "front", "final": false, "points": [...]}       # exact over the evaluated subset
+{"event": "progress", ..., "done": true, ...}              # the terminal triple: finished counters,
+{"event": "front", "final": true,  "points": [...]}       # == the dense front, bit for bit,
+```
+
+and the triple ends with a `complete` event carrying `engine` (the
+producing engine, e.g. `"vectorized"`), `cached` (false when any block
+ran) and `elapsed_s`.  A served stream that fails mid-way ends instead
+with one `error` event whose `error` object is the structured error a
+plain request would have got.
+
+In-process streams also carry the dense `SweepResult` as
+`result_obj` in `complete` (so `Sweep.watch()` keeps it without a
+second evaluation); the wire drops it, and an in-process stream
+re-raises an evaluation error instead of sending `error`.  A cached
+sweep is simply a progress that is already finished: a re-stream
+yields exactly `progress → front → complete` with `"cached": true`
+(no block ran: `blocks_done == blocks_total == 0`) and no
+re-evaluation; a stream that joins a sweep already running unwatched
+(a `/result`, a distributed backend's `sweep`) gets no partial fronts
+but ends on that sweep's real block count with `"cached": false`;
+concurrent subscribers to the same grid share one evaluation (the
+single-flight keying sits in front); a subscriber
+that disconnects mid-stream releases its subscription immediately
+while the sweep keeps running for everyone else.  Selector errors
+(unknown scheme/app, ambiguous `n_pixels`, a misspelled encoding
+selector) fail the request with the usual structured JSON *before*
+the first chunk — and the dense `/pareto`, `/cheapest` and `/point`
+queries likewise answer them before evaluating anything.
+`tests/test_stream.py::TestOneEventSchema` streams one grid cold and
+cached through the local, distributed and HTTP paths and requires the
+same key set per event kind and the same terminal triple.
+
+Consumers, highest level first:
+
+```python
+sweep = session.sweep(grid, lazy=True)
+for front in sweep.watch(scheme="multi_res_hashgrid"):   # Session facade
+    ...                                                  # refining exact fronts
+
+for event in session.backend.stream_events(grid, scheme=...):  # any backend
+    ...
+for event in client.stream_pareto(grid):                 # SyncServiceClient generator
+    ...
+```
+
+```
+python -m repro dse --follow --sweep clock=0.6:1.7@24,sram=64:...   # CLI
+  [   0.31s] front #1: 14 points (cheapest +0.62% area)
+  [   0.58s] front #2: 17 points (cheapest +0.41% area)
+  ...
+```
+
+`POST /result?wait=S` long-polls the same machinery: it returns
+the full result as soon as the sweep lands, or — after `S`
+seconds — a 202 whose body carries the per-sweep progress
+counters (`points_done/points_total`, `blocks_done/blocks_total`,
+`subscribers`, `elapsed_s`; the same counters appear per in-flight
+sweep under `/stats` as `progress`).  A sweep the long-poll starts
+is watched like a stream's, so `points_done` climbs block by block.
+Both clients wrap it as `result_wait(grid, wait_s=...)`.
+
+`benchmarks/bench_stream.py` gates the two acceptance bars (CI
+runs `--quick`; `BENCH_stream.json` is an artifact): on a
+3,276,800-point grid the first exact partial front must arrive in
+**< 10%** of the dense vectorized wall, and a representative cluster
+message round-tripped through the frame transport (below) is
+**bit-identical** to the retired pickle path.  The first-front gate is
+timed as interleaved dense/stream pairs on fresh grids, alternating
+which side runs first, and reads the median per-pair fraction; every
+pair is printed.  Measured that way on a shared 2-vCPU host the gate
+still misses, narrowly: three `--quick` runs read a median first front
+of 4.6-5.2 ms against a ~40 ms dense sweep (10.7-12.2%), against
+5.6-6.3 ms (11.7-14.6%) before partial fronts were merged instead of
+recomputed.  The first front needs four ~0.5 ms blocks, one per app,
+plus ~1 ms of set-up and ~1 ms to merge and build the front.  The
+same merge is what makes streaming the whole grid cheap: the run to
+completion that checks the final front takes ~0.10 s against ~0.87 s
+when every tick re-ranked the whole partial grid (medians of three
+alternating runs)."""
+
+
+_CLUSTER_DOC = """
+## Distributed sweeps — the shard cluster
+
+The block task tuples of `repro.core.dse.shard_plan` are
+self-contained, JSON-safe work units; the cluster in
+`repro.service.cluster` ships them across machines, and
+`repro.core.dse.run_plan` assembles the leased blocks exactly as it
+does local ones (the cluster is just another block runner).
+Topology:
+
+- **Coordinator** — one per cluster, owned by a `repro serve
+  --engine cluster` process or embedded in a
+  `DistributedBackend`/`Session.distributed(...)`.  It cuts every
+  submitted sweep into contiguous vectorized blocks (about
+  2 per worker, capped so one block's arrays stay under ~4 MB),
+  queues them window-major — one window of every (app, scheme)
+  pair after another, so a streamed cluster sweep's first exact
+  partial front lands after `apps × schemes` blocks — and serves
+  the pull-based lease protocol on the
+  *same* HTTP port as the JSON API: `POST /cluster/register`,
+  `POST /cluster/lease` (long-poll), `POST /cluster/complete`,
+  `GET /cluster/stats`.  Bodies are **versioned binary columnar
+  frames** (`repro.transport`, `application/x-repro-frame`): a
+  fixed struct header (magic, version, CRC-32 over meta+payload),
+  a JSON meta/column table, and 8-byte-aligned little-endian
+  array columns decoded as zero-copy read-only NumPy views —
+  dense float64 blocks round-trip bit-identically to the pickle
+  protocol the frames replaced, but decoding is pure data: no
+  code execution, numeric dtypes only, every truncation or
+  flipped bit rejected by CRC (`tests/test_transport.py`).
+  `import pickle` is banned from `src/repro/service` (grep gate
+  in `tools/run_checks.sh`).
+- **Workers** — any number of `python -m repro worker --host H
+  --port P` processes, on any machine that can reach the
+  coordinator.  A worker registers (receiving the coordinator's
+  calibration constants, installed once per generation, keeping
+  blocks bit-identical to local evaluation), long-polls for
+  leases, evaluates blocks (with the job's base config) through
+  the vectorized batch path, and streams the arrays back.
+- **Lease semantics / failure handling** — work is pull-based,
+  so nothing is ever assigned to a dead worker; a leased block
+  whose deadline (`--lease-timeout`, default 10 s) passes is
+  re-queued and its worker marked dead, so SIGKILLing a worker
+  mid-sweep delays its blocks by at most one lease timeout
+  (`tests/test_cluster.py` kills one of two workers and asserts
+  the sweep completes bit-identically).  A completion whose lease
+  expired and moved to another worker — a late result *or* a late
+  error report — is a counted no-op (`late_completions` /
+  `stale_completions` in `/cluster/stats`): it neither
+  double-counts the block nor clobbers or poisons the current
+  holder's lease.  A sweep with no live workers fails structured
+  after the backend's `sweep_timeout_s`.
+
+The sweep service's single-flight keying sits in front of the
+coordinator, so identical sweeps issued by many client hosts
+against one `repro serve --engine cluster` share a single
+distributed evaluation, and repeated sweeps hit the LRU.
+
+```
+# host A: coordinator + 2 local workers, port 8787
+python -m repro serve --engine cluster --workers 2 --port 8787
+
+# hosts B, C: join the same cluster
+python -m repro worker --host A --port 8787
+
+# any host: query it like any served instance
+python -m repro query pareto --host A --sweep clock=0.8:1.2:1.695
+```
+
+`benchmarks/bench_cluster.py` measures the cluster against the
+fastest single-process path, the vectorized `sweep_grid` engine, on
+the same distinct cold 51,200-point grids.  On one 2-vCPU host the
+4-worker cluster takes 3.4-5.3x the vectorized wall time (best of
+seven, five runs; 3.5-6.5x in `--quick`): every block pays a lease,
+a frame and an HTTP round trip, and one process already runs the
+whole grid at NumPy speed.  The gate is therefore a ceiling — the
+cluster must stay within 10x of vectorized — plus bit-identity of
+the arrays.  `BENCH_cluster.json` is a CI artifact."""
+
+
+_STORE_DOC = """
+## The persistent result store — the disk tier
+
+The service's LRU and the process-wide sweep memo die with their
+process; the store in `repro.store` is the tier under them.  One
+directory — local, or a volume shared by N service replicas — holds
+every evaluated sweep and block, content-addressed:
+
+```
+<root>/
+  index.db                sqlite catalogue (rebuildable; stats/listing)
+  sweeps/<digest>.npz     one whole SweepResult per entry
+  blocks/<digest>.npz     one vectorized block per entry
+```
+
+`<digest>` is the SHA-256 of the canonical fingerprint
+(`sweep_fingerprint` for sweeps, `block_fingerprint` for blocks),
+which hashes the normalized grid axes, the base `NGPCConfig`, **and
+the calibration constants** — so invalidation is content addressing:
+perturbing `repro.calibration.fitted` changes every fingerprint, and
+stale entries are simply never addressed again (the nominal entries
+remain, still valid, for the nominal configuration).  Entries are
+written with a same-directory temp file + fsync + atomic `os.replace`
+and skipped when already present, so replicas racing to persist the
+same sweep converge harmlessly.  Loads are genuinely memory-mapped
+(the store parses the zip/npy headers itself and hands back
+`np.memmap` views — NumPy's `np.load` ignores `mmap_mode` for zips),
+so serving a 50 MB persisted sweep costs milliseconds of header
+parsing, not an array copy.
+
+Attach the tier anywhere an evaluation path exists:
+
+```
+python -m repro serve --port 8787 --store /var/lib/repro-store
+python -m repro dse --sweep clock=0.8:1.2:1.695 --store ~/.cache/repro
+```
+
+```python
+from repro.api import Session
+
+session = Session(store="results/")        # or Session.local(store=...)
+sweep = session.sweep(...)                 # tiered evaluation ladder
+```
+
+The ladder, cheapest rung first: **RAM** (LRU / sweep memo) → **disk,
+whole sweep** (persisted result under the sweep fingerprint) →
+**disk, blocks** → **evaluate**.  Below the RAM rung it is one
+function, `repro.store.tiered_sweep(grid, ngpc, store, counters,
+on_plan, on_block)`, which every backend runs — the local backend
+after its sweep memo, the service (and through it the HTTP and
+distributed backends) after its LRU, the shard cluster as the
+injected `sweep_fn` at its evaluate rung (persisted sweeps never reach
+it, and its result is persisted whole); the backends differ only in
+their block runner and transport.  The block rung is what makes
+incremental grid refinement nearly free: `store_block_plan` cuts every
+grid into value-keyed blocks — one per (app, scheme, scale, pixels)
+carrying the full architecture sub-grid — so a sweep that overlaps a
+previously evaluated hypercube loads the covered blocks and evaluates
+only the missing ones before `finalize_sweep_result` assembles a
+result **bit-identical** to a from-scratch evaluation (extending an
+*architecture* axis changes block content and re-evaluates; extending
+workload axes reuses the overlap).  Crash mid-sweep and the blocks
+already evaluated are banked.
+
+`/stats` tells the truth about the tiers: `cache` carries
+`ram_hits`/`disk_hits`/`evaluations` next to the LRU's own counters,
+and `store` carries the catalogue (entry counts and bytes by kind) and
+block-reuse counters.  Corruption degrades instead of failing: a
+truncated or garbage entry (or a corrupt `index.db`) emits a
+`StoreCorruptionWarning`, is quarantined to `*.corrupt`, and the
+caller re-evaluates and re-persists a clean copy — the filesystem is
+the source of truth and the sqlite index is repaired or rebuilt from a
+directory scan.
+
+`benchmarks/bench_store.py` gates the tier: a warm restart (fresh
+store instance over a persisted ~1M-point sweep) must load ≥ 50x
+faster than re-evaluation — ~350x measured here — and an
+overlapping-grid sweep must evaluate exactly the missing blocks, both
+bit-identical to fresh evaluations.  `BENCH_store.json` is a CI
+artifact."""
+
+
+_ADAPTIVE_DOC = """
+## Adaptive exploration — exact answers from a fraction of the grid
+
+`pareto()` and `cheapest(app, fps=...)` don't need every point of a
+million-point hypercube — they need the constraint surface and the
+front.  `repro.explore.AdaptiveExplorer` answers them exactly while
+evaluating a few percent of the grid, behind the same `Session` API:
+
+```python
+from repro.api import Grid, InfeasibleQueryError, Session
+
+session = Session()
+sweep = session.sweep(big_grid, explore="adaptive")   # lazy: nothing evaluated yet
+front = sweep.pareto()                    # identical to the exhaustive front
+hit = sweep.cheapest(app="nerf", fps=60)  # identical cheapest point
+sweep.explore_stats                       # points/blocks evaluated, rounds, ...
+dense = sweep.result                      # forces the dense sweep if you truly need arrays
+```
+
+`explore=` takes `"auto"` (default: adaptive at ≥ 131072 points,
+exhaustive below), `"adaptive"`, or `"exhaustive"`.  The CLI mirrors
+it: `repro dse --explore adaptive` prints the same tables plus an
+exploration-stats line, and `repro serve --explore adaptive` explores
+server-side (`/stats` gains an `explore` block with summed counters;
+the wire contracts are unchanged — `/cheapest` still answers
+`result: null` when the target is unreachable).
+
+How it stays exact: per (scheme, n_pixels) slice the explorer probes a
+coarse lattice spanning every axis end to end, prunes value-keyed
+blocks that the lattice corners prove dominated (speedup is
+nondecreasing along each architecture axis, and block cost — exact
+area from the analytical model — is free), then successively halves
+the surviving windows through the one block-runner contract
+(`repro.core.dse.LocalBlockRunner`, the store-backed
+`repro.store.StoreBlockRunner`, or the cluster's
+`repro.service.cluster.ClusterBlockRunner` — the same runners every
+dense sweep runs its plan through, so
+store-cached blocks cost nothing and no block is ever evaluated
+twice).  Every evaluated selection is checked against the
+monotone-benefit bound; any violation increments
+`bound_violations` and falls back to evaluating that slice
+exhaustively, so answers are **always** identical to the dense
+engine — the assumption only buys speed, never correctness
+(`tests/test_explore.py` pins this on a deliberately non-monotone
+fake surface).  `cheapest()` walks configurations in exact cost order
+and needs no benefit monotonicity at all.  An unreachable fps target
+raises the same structured `InfeasibleQueryError`
+(app/fps/n_pixels/scheme/best_fps) on local, remote, and distributed
+backends alike.
+
+`benchmarks/bench_adaptive.py` gates the engine: every query on a
+golden grid must match the dense result exactly, and on a
+4,194,304-point grid the Pareto + cheapest battery must touch ≤ 10%
+of the hypercube (4.4% measured) and beat the cold dense sweep by
+≥ 5x.  That floor misses: once the dense front reduced over the
+batch axis before sorting, the dense battery on that grid took 84 ms
+against 101 ms adaptive (0.8x) in a `--quick` run on a shared 2-vCPU
+host, where the same run at the earlier dense front read 320 ms
+against 116 ms (2.8x).  `BENCH_adaptive.json` is a CI artifact."""
+
+
+_AXIS_REGISTRY_DOC = """
+## Adding an axis — the registry contract
+
+Every sweep axis is one declarative `AxisSpec` entry in
+`src/repro/core/axes.py` — the **only** place an axis list lives.
+`SweepGrid`/`SweepResult` array layout, fingerprints, store block
+plans, the adaptive explorer's pruning, the transport payload schema,
+the `Grid()` fluent builder and the CLI `--sweep` parser all derive
+from the registry (`tools/run_checks.sh` greps the tree to keep
+private axis tuples from creeping back).  To add an axis, append one
+spec and wire its physics:
+
+```python
+AxisSpec(
+    name="log2_hashmap_sizes",     # SweepGrid field (plural, array order)
+    query_name="log2_hashmap_size",# point()/cheapest() selector keyword
+    kind="encoding",               # workload | arch | encoding
+    canon=int,                     # canonicalizer applied per value
+    validate=_validate_log2_hashmap,
+    inherit=lambda base: LOG2_HASHMAP_INHERIT,  # value when unset
+    sentinel=LOG2_HASHMAP_INHERIT, # "inactive" marker (see below)
+    legacy=False,                  # False for every post-seed axis
+    batch_kwarg="log2_hashmap_sizes",  # emulate_batch keyword
+    builder="hashmap",             # Grid().hashmap(...) method
+    cli="loghash",                 # dse --sweep loghash=14:19
+    cli_cast=int,
+    description="log2 hash-table entries T (0 = inherit Table I)",
+)
+```
+
+**Fingerprint-compatibility rules.**  Warm stores and remote caches
+must survive the registration, so a new axis must obey:
+
+- `legacy=False` and a `sentinel`: the axis is *active* only when its
+  values differ from `(sentinel,)`.  Inactive grids keep the seed
+  8-dimensional arrays, `sweep/v1` fingerprints and schema-v1 payloads
+  bit for bit — a store written before the axis existed reads back hit
+  for hit (`tests/test_store.py::TestPreRegistryStoreCompatibility`
+  pins this against a committed pre-registry fixture).
+- Active grids gain a trailing array dimension per active extension
+  axis and fingerprint under versioned tags (`sweep/v2`, `block/v2`),
+  so new-axis results can never collide with seed-axis entries.
+- Never reorder or rename the seed eight specs — their names double as
+  fingerprint salts.
+- Add a value pool to `_AXIS_VALUE_POOLS` in
+  `tests/test_sweep_engine.py`; the registry-driven hypothesis harness
+  fails loudly on a registered axis without coverage, then sweeps it
+  generically through the vectorized-vs-scalar parity net.
+
+The proof-of-life is the hash-grid trio — `gridtype` (hash|tiled),
+`log2_hashmap_size` (T), `per_level_scale` (b) — which reaches the
+encoding-engine spill model and the SRAM-cost model
+(`hashmap_sram_kb` prices each table size in die area), plus the
+derived `train_steps_per_s` metric, so `cheapest()` can target
+training throughput: `sweep.cheapest(app="nerf",
+train_steps_per_s=1.0, log2_hashmap_size=19, ...)` (HTTP: `POST
+/cheapest` with `"train_steps_per_s"` instead of `"fps"`).  The worked
+quality-vs-area Pareto example is
+`examples/hashgrid_quality_pareto.py`: collision-rate quality
+(`hash_collision_rate_batch`) against hash-table silicon cost
+(`hashgrid_area_power_batch`), swept and queried through one
+`Session` sweep."""
+
+
+_OPERATIONS_DOC = """
+## Operating the service — tenants, quotas, metrics, rolling restarts
+
+`repro serve` ships with an operations layer that is on for every
+server: structured JSON logs on stdout (one object per line; the
+startup record's `message` keeps the `listening on http://host:port`
+text for humans and init scripts), `GET /healthz` liveness with
+`version`/`uptime_s`/`ready` (add `?ready=1` for a readiness probe
+that 503s until the engine — and, with `--engine cluster`, the
+coordinator — can actually serve), Prometheus metrics at
+`GET /metrics`, and an `ops` section under `/stats`.  Without a
+tenants file every request runs as the `anonymous` admin tenant —
+the zero-config dev workflow is unchanged.
+
+**Tenants.**  `repro serve --tenants tenants.json` turns on bearer
+auth.  The file is a JSON object:
+
+```json
+{
+  "tenants": [
+    {"name": "acme", "key": "ak-acme-Fz31", "rate_per_s": 20, "burst": 40},
+    {"name": "ops",  "key": "ak-ops-9a0c", "admin": true}
+  ],
+  "limits": {"max_cold_sweeps": 2, "cold_queue_depth": 8}
+}
+```
+
+Clients send `Authorization: Bearer <key>` (`repro query --api-key`,
+`Session.remote(..., api_key=...)`, every service client).  A missing
+key is a structured 401 (`error.code == "unauthenticated"`, with
+`WWW-Authenticate: Bearer`); an unknown key is a 403 (`"forbidden"`).
+`/healthz` is always open, `/metrics` is open by default
+(in-perimeter scrapers), and the `/cluster/*` worker wire protocol is
+exempt except for `/cluster/drain`.  The file **hot-reloads**: an
+mtime change is picked up within a second on the request path, and
+`SIGHUP` forces an immediate re-read.  A malformed edit keeps the
+previous config live (counted as `load_errors` in `/stats`) — a
+fat-fingered rotation never takes auth down.
+
+**Quotas.**  Two mechanisms guard two resources.  Per-tenant token
+buckets (`rate_per_s`/`burst`) debit one token per request; an empty
+bucket answers 429 with `error.code == "rate-limited"`, a computed
+`retry_after_s`, and a `Retry-After` header.  Globally,
+`--max-cold-sweeps N` caps concurrently *evaluating* cold sweeps
+(cached reads, coalesced joins, and streams over in-flight sweeps
+never touch the cap); excess cold sweeps queue FIFO up to
+`--cold-queue-depth` and beyond that get 429 `"overloaded"`.  The
+tenants file's `limits` section overrides both caps and hot-reloads
+with the file.  `benchmarks/bench_service_ops.py` gates the isolation
+property: one tenant flooding hundreds of concurrent cold sweeps
+cannot move a second tenant's cached-query p99, every rejection
+carries a retry hint, and `BENCH_service_ops.json` is a CI artifact.
+
+**Metrics.**  `GET /metrics` renders Prometheus text 0.0.4:
+`repro_http_requests_total{tenant,status}`,
+`repro_http_rejects_total{tenant,code}` (401/403/429 by structured
+error code), and a `repro_http_request_seconds{tenant}` latency
+histogram, followed by the flattened `/stats` counters
+(`repro_evaluations`, `repro_cache_ram_hits`,
+`repro_sweep_points_done{sweep}` per in-flight sweep,
+per-worker cluster gauges, ...).  `--no-metrics` disables the
+endpoint.
+
+**Rolling restarts (drain runbook).**  To replace cluster workers
+without losing a running sweep:
+
+1. `repro admin drain --port 8787 --api-key <admin-key>` (or
+   `curl -X POST .../cluster/drain` with the bearer key).  The
+   coordinator bumps its worker **generation** and answers with
+   `draining_workers` / `leases_outstanding`.
+2. Old-generation workers finish (or re-queue via lease expiry) their
+   in-flight blocks — completions are still accepted, nothing is lost
+   or double-counted — and their next lease poll answers
+   `{"stop": true, "reason": "drained"}`; parked long-pollers are
+   woken immediately.  Each worker exits 0.
+3. Start replacement workers (`repro worker --host H --port P`); they
+   register into the new generation and take over the queue
+   mid-sweep.  `tests/test_service_ops.py` pins the end-to-end bar: a
+   2-worker drain mid-sweep finishes bit-identical to a local
+   evaluation.
+4. Watch `/stats`: `cluster.generation`, `cluster.drains`, and
+   `workers.current_generation` confirm the fleet rolled.
+
+`repro admin ops` prints the `ops` section of `/stats` (admission
+counters, tenant registry state, request totals) for a quick
+operator check without a metrics stack."""
+
+
+#: the static documentation sections, in document order: the contracts
+#: of the query stack, written once here and rendered into EXPERIMENTS.md
+#: and the full report next to the numbers they serve
+DOCUMENTATION_SECTIONS = (
+    _API_DOC,
+    _SERVING_DOC,
+    _STREAMING_DOC,
+    _CLUSTER_DOC,
+    _STORE_DOC,
+    _ADAPTIVE_DOC,
+    _AXIS_REGISTRY_DOC,
+    _OPERATIONS_DOC,
+)
+
+
+def documentation_sections() -> List[str]:
+    """Every static documentation section, in document order."""
+    return list(DOCUMENTATION_SECTIONS)
 
 
 def build_markdown(
@@ -292,6 +835,5 @@ def build_markdown(
     if include_design_space:
         lines.extend(design_space_section(design_space_result))
         lines.extend(architecture_sweep_section())
-        lines.extend(api_section())
-        lines.extend(serving_section())
+        lines.extend(documentation_sections())
     return "\n".join(lines) + "\n"

@@ -53,6 +53,7 @@ from __future__ import annotations
 import difflib
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -378,6 +379,11 @@ class SweepGrid:
         yield from itertools.product(*axes)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)  # eq=False: ndarray fields break ==/hash
 class SweepResult:
     """Dense evaluation of a (resolved) :class:`SweepGrid`.
@@ -403,23 +409,25 @@ class SweepResult:
     area_overhead_pct: np.ndarray
     power_overhead_pct: np.ndarray
 
-    @property
+    # derived arrays: computed once per (frozen) result on first access
+    # and read-only, like the fields they derive from
+    @cached_property
     def speedup(self) -> np.ndarray:
-        return self.baseline_ms / self.accelerated_ms
+        return _frozen(self.baseline_ms / self.accelerated_ms)
 
-    @property
+    @cached_property
     def fps(self) -> np.ndarray:
-        return 1000.0 / self.accelerated_ms
+        return _frozen(1000.0 / self.accelerated_ms)
 
-    @property
+    @cached_property
     def train_steps_per_s(self) -> np.ndarray:
         """Derived training throughput (steps/s), shaped ``grid.shape``.
 
-        Computed on demand from ``accelerated_ms`` — never persisted, so
-        the metric can evolve without invalidating stores.  See
-        :func:`train_steps_per_s_batch` for the model.
+        Computed from ``accelerated_ms`` on first access — never
+        persisted, so the metric can evolve without invalidating stores.
+        See :func:`train_steps_per_s_batch` for the model.
         """
-        return train_steps_per_s_batch(self.grid, self.accelerated_ms)
+        return _frozen(train_steps_per_s_batch(self.grid, self.accelerated_ms))
 
     # -- indexing -----------------------------------------------------------
     def index(
@@ -1424,15 +1432,42 @@ def front(area4: np.ndarray, benefit: np.ndarray, valid=None) -> List[Tuple]:
     allowed to compete, so a dense sweep and a partially evaluated one
     share this code.  The ranking is :func:`pareto_front`'s, including
     its lowest-flat-index tie-break; cells come back in front order.
+
+    Cells sharing a cost cell differ only in their batch, so all but the
+    first best of them are dominated or tied at a higher flat index
+    (batch is the last axis): each cost cell is reduced to that one
+    batch before ranking, which sorts |B|x fewer keys.
     """
-    costs = np.broadcast_to(area4[..., None], benefit.shape).reshape(-1)
-    values = benefit.reshape(-1)
+    value, batch = reduce_batches(benefit, valid)
+    cells = np.flatnonzero(batch.reshape(-1) >= 0)
+    keep = cells[
+        pareto_front(area4.reshape(-1)[cells], value.reshape(-1)[cells])
+    ]
+    return [
+        np.unravel_index(int(flat), area4.shape) + (int(batch.flat[flat]),)
+        for flat in keep
+    ]
+
+
+def reduce_batches(benefit: np.ndarray, valid=None):
+    """Per cost cell, the best valid benefit and its first batch index.
+
+    Returns ``(value, batch)`` shaped ``benefit.shape[:-1]``; ``batch``
+    is -1 where no batch of the cell is valid (its ``value`` is then
+    meaningless).  Ties resolve to the lowest batch index, the
+    :func:`pareto_front` tie-break within one cost cell.
+    """
     if valid is None or valid.all():
-        keep = pareto_front(costs, values)
+        batch = benefit.argmax(axis=-1)
     else:
-        index_map = np.flatnonzero(valid.reshape(-1))
-        keep = index_map[pareto_front(costs[index_map], values[index_map])]
-    return [np.unravel_index(int(flat), benefit.shape) for flat in keep]
+        masked = np.where(valid, benefit, -np.inf)
+        best = masked.max(axis=-1, keepdims=True)
+        hits = valid & (masked == best)
+        batch = np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
+    value = np.take_along_axis(
+        benefit, np.maximum(batch, 0)[..., None], axis=-1
+    )[..., 0]
+    return value, batch
 
 
 def front_points(

@@ -78,6 +78,7 @@ from repro.core.dse import (
     run_plan,
     shard_plan,
     task_shape,
+    window_major,
 )
 from repro.errors import BackendUnavailableError
 from repro.service.errors import ServiceError, as_service_error
@@ -274,7 +275,11 @@ class ShardCoordinator:
         get more, smaller blocks keep every worker busy through uneven
         tails and interleaved adaptive-refinement rounds — while never
         dropping below the static floor or above the
-        :data:`MAX_BLOCK_BYTES` transport ceiling.
+        :data:`MAX_BLOCK_BYTES` transport ceiling.  Blocks are leased
+        window-major (:func:`~repro.core.dse.window_major`), so a
+        streamed sweep's first exact partial front lands after
+        ``apps × schemes`` blocks; assembly goes by placement, so the
+        order never changes the result.
         """
         n_workers = max(1, sum(w.alive for w in self._workers.values()))
         n_blocks = self.blocks_per_worker * n_workers
@@ -284,7 +289,7 @@ class ShardCoordinator:
             n_blocks = max(n_blocks, -(-grid.size // block_points))
         point_bytes = 8 * len(_TIMING_FIELDS)
         min_blocks = -(-grid.size * point_bytes // MAX_BLOCK_BYTES)
-        return shard_plan(grid, max(n_blocks, int(min_blocks)))
+        return window_major(shard_plan(grid, max(n_blocks, int(min_blocks))))
 
     async def submit(
         self,

@@ -277,7 +277,9 @@ def _encode_raw_response(
     data: bytes,
     keep_alive: bool,
     extra_headers: Optional[Dict[str, str]] = None,
-) -> bytes:
+) -> Tuple[bytes, bytes]:
+    """One response as ``(head, body)``, written as two buffers so a
+    large body (a result frame) is never copied into a concatenation."""
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
         f"Content-Type: {content_type}\r\n"
@@ -286,7 +288,7 @@ def _encode_raw_response(
     )
     for name, value in (extra_headers or {}).items():
         head += f"{name}: {value}\r\n"
-    return (head + "\r\n").encode("latin-1") + data
+    return (head + "\r\n").encode("latin-1"), data
 
 
 def _encode_response(
@@ -294,7 +296,7 @@ def _encode_response(
     body: Dict,
     keep_alive: bool,
     extra_headers: Optional[Dict[str, str]] = None,
-) -> bytes:
+) -> Tuple[bytes, bytes]:
     # every envelope — success or error — carries the served schema
     # version so clients can detect an incompatible server generation
     body.setdefault("schema_version", PAYLOAD_SCHEMA_VERSION)
@@ -476,7 +478,9 @@ async def _serve_stream(
         if stream is not None:
             await stream.aclose()
         error = as_service_error(exc)
-        writer.write(_encode_response(error.status, error.to_payload(), False))
+        writer.writelines(
+            _encode_response(error.status, error.to_payload(), False)
+        )
         await writer.drain()
         return
     eof_watch = None
@@ -570,10 +574,12 @@ async def _handle_connection(
         tasks.add(asyncio.current_task())
     n_requests = 0
 
-    async def send(encoded: bytes) -> bool:
-        """Write one response; False when the peer is gone (stop serving)."""
+    async def send(encoded: Tuple[bytes, bytes]) -> bool:
+        """Write one ``(head, body)`` response; False when the peer is
+        gone (stop serving)."""
         try:
-            writer.write(encoded)
+            for part in encoded:
+                writer.write(part)
             await writer.drain()
         except (ConnectionError, RuntimeError, OSError):
             return False
@@ -688,7 +694,7 @@ async def _handle_connection(
                     status, response = error.status, error.to_payload()
                     err_code = error.code
                     extra_headers = _error_headers(error)
-                if isinstance(response, bytes):
+                if isinstance(response, (bytes, bytearray)):
                     encoded = _encode_raw_response(
                         status, FRAME_CONTENT_TYPE, response, keep_alive
                     )

@@ -21,6 +21,16 @@ each front is exact over the evaluated subset, fronts only ever refine,
 and the moment the last block lands the partial front is the dense
 result's front bit for bit (a dense sweep is the all-valid case of the
 same code).
+
+A stream does not re-rank the partial grid on every tick: since
+front(A ∪ B) = front(front(A) ∪ B), each tick gathers only the cells
+that became complete since the last one (:meth:`PartialSweep.gather`,
+O(block) under the lock), reduces them over the batch axis
+(:func:`~repro.core.dse.reduce_batches`) and merges them into the
+running front with :func:`~repro.core.dse.pareto_front`, outside the
+lock.  Candidates are ranked in flat-index order, so the merge keeps
+the dense front's lowest-flat-index tie-break and equals
+:meth:`PartialSweep.pareto_front` after the same blocks.
 """
 
 from __future__ import annotations
@@ -36,9 +46,14 @@ import numpy as np
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
     DesignPoint,
+    QuerySlice,
     SweepGrid,
+    axis_index,
+    design_point,
     front_points,
+    pareto_front,
     query_slice,
+    reduce_batches,
     validate_selectors,
 )
 from repro.core.area_power import ngpc_area_power_batch
@@ -58,6 +73,8 @@ class PartialSweep:
         # grids — paid before the first block, i.e. on the latency path)
         self._speedup = np.zeros(grid.shape)
         self._valid = np.zeros(grid.shape, dtype=bool)
+        #: placements in record order (what :meth:`gather` walks)
+        self._recorded: List[Tuple] = []
         # the exact cost arrays are free: they depend only on the grid
         # axes, identically to finalize_sweep_result's attach
         cost = ngpc_area_power_batch(
@@ -83,7 +100,41 @@ class PartialSweep:
                 / np.asarray(block["accelerated_ms"])
             )
             self._valid[dest] = True
+            self._recorded.append(placement)
         return fresh
+
+    def gather(self, query: QuerySlice, cursor: int, merged: np.ndarray):
+        """The query-plane cells complete since block ``cursor``.
+
+        ``merged`` (the plane's (scale, clock, SRAM, engines, batches)
+        shape) marks the cells a caller already holds; the cells
+        gathered here are marked in it.  Returns the new cursor and one
+        ``(box, fresh, speedup)`` per recorded block that completed
+        cells of the plane: ``box`` its plane slices, ``fresh`` the
+        newly complete cells in the box and ``speedup`` a copy of every
+        app's speedup there.  O(recorded blocks) under the lock.
+        """
+        with self._lock:
+            placements = self._recorded[cursor:]
+            gathered = []
+            for _, j, windows in placements:
+                k, p, c, g, e, b = windows[:6]
+                if j != query.scheme or not all(
+                    lo <= pos < hi
+                    for pos, (lo, hi) in zip(
+                        (query.pixels,) + query.enc, (p,) + windows[6:]
+                    )
+                ):
+                    continue
+                box = tuple(slice(lo, hi) for lo, hi in (k, c, g, e, b))
+                index = (slice(None), j, box[0], query.pixels) + box[1:] \
+                    + query.enc
+                fresh = self._valid[index].all(axis=0) & ~merged[box]
+                if not fresh.any():
+                    continue
+                merged[box] |= fresh
+                gathered.append((box, fresh, self._speedup[index].copy()))
+            return cursor + len(placements), gathered
 
     def validate_selectors(
         self,
@@ -109,6 +160,8 @@ class PartialSweep:
         be complete).  Same selectors, arithmetic and tie-breaks as
         :meth:`repro.core.dse.SweepResult.pareto_front`, so with every
         block recorded the output is bit-identical to the dense front.
+        Ranks the whole plane under the lock: streams merge the same
+        front block by block instead, and this is their reference.
         """
         query = query_slice(self.grid, scheme, n_pixels, **selectors)
         with self._lock:
@@ -117,6 +170,77 @@ class PartialSweep:
                 self._speedup[query.index], query.enc, app,
                 valid=self._valid[query.index],
             )
+
+
+class _RunningFront:
+    """One stream's exact partial front, merged block by block.
+
+    Holds the front's cells in front order — flat index over the query
+    plane's (scale, clock, SRAM, engines, batches) shape, benefit, and
+    every app's speedup — and :meth:`advance` folds in the cells
+    completed since its last call.
+    """
+
+    def __init__(self, partial: PartialSweep, scheme, n_pixels, app,
+                 selectors):
+        grid = partial.grid
+        self.partial = partial
+        self.query = query_slice(grid, scheme, n_pixels, **selectors)
+        self.app = None if app is None else axis_index("app", app, grid.apps)
+        self.shape = grid.shape[2:3] + grid.shape[4:8]
+        self.merged = np.zeros(self.shape, dtype=bool)
+        self.cursor = 0
+        self.flat = np.empty(0, dtype=np.intp)
+        self.value = np.empty(0)
+        self.speedups = np.empty((0, len(grid.apps)))
+
+    def advance(self) -> bool:
+        """Merge the newly complete cells; True when the front changed."""
+        self.cursor, gathered = self.partial.gather(
+            self.query, self.cursor, self.merged
+        )
+        if not gathered:
+            return False
+        flats, values, speedups = [self.flat], [self.value], [self.speedups]
+        for box, fresh, speedup in gathered:
+            benefit = (
+                speedup.mean(axis=0) if self.app is None
+                else speedup[self.app]
+            )
+            value, batch = reduce_batches(benefit, fresh)
+            cells = np.nonzero(batch >= 0)
+            local = cells + (batch[cells],)
+            flats.append(np.ravel_multi_index(
+                tuple(pos + part.start for pos, part in zip(local, box)),
+                self.shape,
+            ))
+            values.append(value[cells])
+            speedups.append(speedup[(slice(None),) + local].T)
+        # flat-index order: pareto_front's lowest-input-index tie-break
+        # is then the dense front's lowest-flat-index one
+        flat = np.concatenate(flats)
+        order = np.argsort(flat)
+        flat = flat[order]
+        cost = self.partial.area_overhead_pct.reshape(-1)[
+            flat // self.shape[-1]
+        ]
+        value = np.concatenate(values)[order]
+        keep = pareto_front(cost, value)
+        changed = not np.array_equal(flat[keep], self.flat)
+        self.flat, self.value = flat[keep], value[keep]
+        self.speedups = np.concatenate(speedups)[order][keep]
+        return changed
+
+    def points(self) -> List[DesignPoint]:
+        partial = self.partial
+        return [
+            design_point(
+                partial.grid, partial.area_overhead_pct,
+                partial.power_overhead_pct,
+                np.unravel_index(flat, self.shape) + self.query.enc, speedups,
+            )
+            for flat, speedups in zip(self.flat, self.speedups)
+        ]
 
 
 class SweepProgress:
@@ -263,7 +387,7 @@ def progress_events(
     no block ran, ``elapsed_s``, and the dense ``result_obj`` for
     in-process consumers) — and stops.  A failed sweep raises its error.
     """
-    last_front = None
+    running = None
     while True:
         snapshot = progress.snapshot()
         result, error = progress.state()
@@ -283,14 +407,12 @@ def progress_events(
             yield events
             return
         if snapshot["points_done"]:
-            front = [
-                p.to_dict()
-                for p in progress.partial.pareto_front(
-                    scheme, n_pixels=n_pixels, app=app, **selectors
+            if running is None:
+                running = _RunningFront(
+                    progress.partial, scheme, n_pixels, app, selectors
                 )
-            ]
-            if front and front != last_front:
-                last_front = front
+            if running.advance() and running.flat.size:
                 events.append({"event": "front", "final": False,
-                               "points": front})
+                               "points": [p.to_dict()
+                                          for p in running.points()]})
         yield events

@@ -152,10 +152,11 @@ class SweepService:
     shard cluster's :meth:`~repro.service.cluster.ShardCoordinator.sweep_fn`,
     or a counting or artificially slow test wrapper.  It is called as
     ``sweep_fn(grid, engine=, ngpc=, on_block=)`` and must report every
-    landed block to ``on_block(placement, block)`` when one is given
-    (that is what streams see).  With a ``store`` it keeps the disk
-    tiers: a persisted sweep never reaches it, and its result is
-    persisted whole; only the built-in plan reuses persisted blocks.
+    landed block to ``on_block(placement, block)`` (that is what
+    streams see, and what the ladder counts as its plan size).  With a
+    ``store`` it keeps the disk tiers: a persisted sweep never reaches
+    it, and its result is persisted whole; only the built-in plan
+    reuses persisted blocks.
     """
 
     def __init__(
@@ -344,8 +345,9 @@ class SweepService:
         """Run the tier ladder in an executor thread.
 
         Only a watched sweep reports its blocks (the ladder then runs the
-        stream plan); a built-in plan always announces its size, so a
-        stream that joins an unwatched sweep ends on the true count.
+        stream plan); the ladder always announces the size of the plan
+        that evaluated, so a stream that joins an unwatched sweep ends on
+        the true count.
         """
         loop = asyncio.get_running_loop()
         future, progress = inflight.future, inflight.progress

@@ -145,10 +145,13 @@ def tiered_sweep(
     window-major :func:`~repro.core.dse.stream_plan` when blocks are
     watched, one block per (app, scheme) pair when not.  An injected
     ``sweep_fn`` (the shard cluster, test fakes) replaces the block
-    plan and is called as ``sweep_fn(grid, engine=, ngpc=, on_block=)``.
-    ``on_plan(n_blocks)`` announces a built-in plan's size and
-    ``on_block(placement, block)`` reports every landed block, cached
-    or evaluated, on the thread that delivers it.
+    plan and is called as ``sweep_fn(grid, engine=, ngpc=, on_block=)``;
+    it always gets an ``on_block``, which counts its blocks.
+    ``on_plan(n_blocks)`` announces the size of the plan that evaluated
+    (a built-in plan's before it runs, a ``sweep_fn``'s reported blocks
+    when it returns; never called when a persisted sweep answers), and
+    ``on_block(placement, block)`` reports every landed block, cached or
+    evaluated, on the thread that delivers it.
     """
     if store is not None:
         fingerprint = sweep_fingerprint(grid, ngpc)
@@ -158,7 +161,16 @@ def tiered_sweep(
             return result
     _bump(counters, "evaluations")
     if sweep_fn is not None:
-        result = sweep_fn(grid, engine=engine, ngpc=ngpc, on_block=on_block)
+        landed = []
+
+        def count(placement, block):
+            landed.append(placement)
+            if on_block is not None:
+                on_block(placement, block)
+
+        result = sweep_fn(grid, engine=engine, ngpc=ngpc, on_block=count)
+        if on_plan is not None:
+            on_plan(len(landed))
     else:
         if store is not None:
             plan = window_major(store_block_plan(grid))

@@ -85,30 +85,29 @@ def encode_frame(
     meta: Any,
     columns: Union[Mapping[str, np.ndarray],
                    Iterable[Tuple[str, np.ndarray]]] = (),
-) -> bytes:
-    """Pack ``meta`` (JSON-safe) and named arrays into one frame."""
+) -> bytearray:
+    """Pack ``meta`` (JSON-safe) and named arrays into one frame.
+
+    The frame is built in one preallocated buffer: each column is copied
+    into it once, and nothing is concatenated.
+    """
     if isinstance(columns, Mapping):
         columns = columns.items()
     table = []
-    buffers = []
+    arrays = []
     offset = 0
     for name, array in columns:
         array = _wire_ready(array, name)
-        pad = (-offset) % _ALIGN
-        if pad:
-            buffers.append(b"\x00" * pad)
-            offset += pad
-        nbytes = array.nbytes
+        offset += (-offset) % _ALIGN
         table.append({
             "name": str(name),
             "dtype": array.dtype.str,
             "shape": list(array.shape),
             "offset": offset,
-            "nbytes": nbytes,
+            "nbytes": array.nbytes,
         })
-        buffers.append(array.tobytes())
-        offset += nbytes
-    payload = b"".join(buffers)
+        arrays.append(array)
+        offset += array.nbytes
     try:
         meta_bytes = json.dumps(
             {"meta": meta, "columns": table},
@@ -116,12 +115,19 @@ def encode_frame(
         ).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise FrameError(f"frame meta is not JSON-serializable: {exc}")
-    crc = zlib.crc32(payload, zlib.crc32(meta_bytes))
-    header = _HEADER.pack(
-        FRAME_MAGIC, FRAME_VERSION, len(table),
-        len(meta_bytes), len(payload), crc,
+    start = _HEADER.size + len(meta_bytes)
+    frame = bytearray(start + offset)  # zero-filled: the padding
+    view = memoryview(frame)
+    view[_HEADER.size:start] = meta_bytes
+    for entry, array in zip(table, arrays):
+        at = start + entry["offset"]
+        view[at:at + entry["nbytes"]] = array.reshape(-1).view(np.uint8)
+    crc = zlib.crc32(view[start:], zlib.crc32(meta_bytes))
+    _HEADER.pack_into(
+        frame, 0, FRAME_MAGIC, FRAME_VERSION, len(table),
+        len(meta_bytes), offset, crc,
     )
-    return header + meta_bytes + payload
+    return frame
 
 
 def decode_frame(data: Union[bytes, bytearray, memoryview]):

@@ -116,7 +116,7 @@ def _decode_ngpc(fields: Any) -> NGPCConfig:
         raise FrameError(f"__ngpc payload rejected: {exc}")
 
 
-def encode_message(payload: Any) -> bytes:
+def encode_message(payload: Any) -> bytearray:
     """Serialize one cluster protocol message into a binary frame."""
     columns: List[np.ndarray] = []
     meta = _to_wire(payload, columns)

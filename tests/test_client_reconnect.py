@@ -176,6 +176,7 @@ class TestSyncReconnectMatrix:
         client = SyncServiceClient(port=server.port)
         first = client.request("GET", "/stats")
         second = client.request("GET", "/stats")  # stale drop -> reconnect
+        client.close()
         assert first["result"]["pong"] and second["result"]["pong"]
         assert client.connections_opened == 2
         assert client.reuses == 0  # both answers arrived on fresh conns

@@ -58,7 +58,7 @@ from repro.service import (
 from repro.service.client import SyncServiceClient
 from repro.service.ops import OpsLayer
 from repro.service.progress import PartialSweep
-from repro.transport import FRAME_CONTENT_TYPE, decode_frame
+from repro.transport import FRAME_CONTENT_TYPE, decode_frame, encode_frame
 
 RTOL = 1e-9
 
@@ -410,6 +410,7 @@ class TestStructuredErrors:
                     )
                 return excinfo.value
             finally:
+                await client.close()
                 await server.close()
 
         error = asyncio.run(run())
@@ -442,6 +443,7 @@ class TestStructuredErrors:
                     await client.sweep({"bogus_axis": [1, 2]})
                 return not_on_grid.value, unknown.value, bad_grid.value
             finally:
+                await client.close()
                 await server.close()
 
         not_on_grid, unknown, bad_grid = asyncio.run(run())
@@ -586,6 +588,7 @@ class TestHTTPEndToEnd:
                 return (health, summary, front, cheapest, point, records,
                         fetched, stats)
             finally:
+                await client.close()
                 await server.close()
 
         (health, summary, front, cheapest, point, records,
@@ -620,6 +623,7 @@ class TestHTTPEndToEnd:
             try:
                 return await client.fetch_result(report_grid)
             finally:
+                await client.close()
                 await server.close()
 
         served = asyncio.run(run())
@@ -732,7 +736,45 @@ class GatedSweep(CountingSweep):
         return super().__call__(grid, engine, ngpc, on_block)
 
 
+#: a frame of fixed meta and columns (padding, a big-endian column, an
+#: empty one), byte for byte as the concatenating encoder wrote it
+FIXED_FRAME_HEX = (
+    "5250524601000600c6010000600000000000000011328e687b226d657461223a"
+    "7b22736368656d615f76657273696f6e223a322c226e616d65223a2266697865"
+    "64222c2278223a5b312c322e355d7d2c22636f6c756d6e73223a5b7b226e616d"
+    "65223a226638222c226474797065223a223c6638222c227368617065223a5b32"
+    "2c335d2c226f6666736574223a302c226e6279746573223a34387d2c7b226e61"
+    "6d65223a226931222c226474797065223a227c6931222c227368617065223a5b"
+    "335d2c226f6666736574223a34382c226e6279746573223a337d2c7b226e616d"
+    "65223a226265222c226474797065223a223c6934222c227368617065223a5b33"
+    "5d2c226f6666736574223a35362c226e6279746573223a31327d2c7b226e616d"
+    "65223a2262222c226474797065223a227c6231222c227368617065223a5b325d"
+    "2c226f6666736574223a37322c226e6279746573223a327d2c7b226e616d6522"
+    "3a227532222c226474797065223a223c7532222c227368617065223a5b355d2c"
+    "226f6666736574223a38302c226e6279746573223a31307d2c7b226e616d6522"
+    "3a22656d707479222c226474797065223a223c6638222c227368617065223a5b"
+    "302c325d2c226f6666736574223a39362c226e6279746573223a307d5d7d0000"
+    "000000000000922449922449c23f922449922449d23fdbb66ddbb66ddb3f9224"
+    "49922449e23fb76ddbb66ddbe63f01fe03000000000000000000010000000200"
+    "000000000000010000000000000000000100020003000400000000000000"
+)
+
+
 class TestResultFrames:
+    def test_frame_bytes_are_unchanged(self):
+        columns = [
+            ("f8", np.arange(6.0).reshape(2, 3) / 7.0),
+            ("i1", np.array([1, -2, 3], dtype=np.int8)),
+            ("be", np.arange(3, dtype=">i4")),
+            ("b", np.array([True, False])),
+            ("u2", np.arange(5, dtype=np.uint16)),
+            ("empty", np.zeros((0, 2))),
+        ]
+        frame = encode_frame(
+            {"schema_version": 2, "name": "fixed", "x": [1, 2.5]}, columns
+        )
+        assert bytes(frame) == bytes.fromhex(FIXED_FRAME_HEX)
+
     @pytest.mark.parametrize("grid", [PARITY_GRID, HASHGRID_GRID],
                              ids=["parity", "hashgrid"])
     def test_frame_and_json_arrays_are_bit_identical(self, grid):

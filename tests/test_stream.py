@@ -19,6 +19,7 @@ Covers the streaming result path end to end:
 import asyncio
 import http.client
 import json
+import sys
 import threading
 import time
 
@@ -35,6 +36,7 @@ from repro.core.dse import (
     pareto_front,
     shard_plan,
     sweep_grid,
+    task_shape,
     window_major,
 )
 from repro.core.emulator import emulate_batch
@@ -45,7 +47,7 @@ from repro.service import (
     start_http_server,
 )
 from repro.service.client import SyncServiceClient
-from repro.service.progress import PartialSweep
+from repro.service.progress import PartialSweep, SweepProgress, progress_events
 
 SCHEME = "multi_res_hashgrid"
 
@@ -205,6 +207,135 @@ class TestPartialSweep:
             partial.validate_selectors("not-a-scheme")
         with pytest.raises(NotOnGridError):
             partial.validate_selectors(SCHEME, app="not-an-app")
+
+
+#: a grid whose longest axis is the batch axis, so stream blocks split
+#: every cost cell's batches across blocks
+BATCH_GRID = SweepGrid(
+    apps=("nerf", "gia", "nsdf"),
+    schemes=(SCHEME,),
+    scale_factors=(8, 16, 32),
+    clocks_ghz=(1.0, 1.695),
+    n_batches=(1, 2, 4, 8, 16, 32, 64),
+)
+
+
+#: clock is free in area, so cells differing only in clock tie on cost
+TIE_GRID = SweepGrid(
+    apps=("nerf", "gia"),
+    schemes=(SCHEME,),
+    scale_factors=(8, 16),
+    clocks_ghz=(0.8, 1.0, 1.2),
+    n_batches=(1, 2, 4, 8),
+)
+
+
+class TestIncrementalFronts:
+    @pytest.mark.parametrize("grid, encoding", [
+        (GRID, {}),
+        (BATCH_GRID, {}),
+        (EXTENDED_GRID, {"gridtype": "tiled", "log2_hashmap_size": 19}),
+    ], ids=["seed", "split-batches", "extended-tiled-19"])
+    @pytest.mark.parametrize("app", [None, "nerf"])
+    @pytest.mark.parametrize("n_blocks", [8, 40])
+    def test_every_streamed_front_is_the_partial_front_of_its_prefix(
+        self, grid, encoding, app, n_blocks
+    ):
+        """The merged front a stream emits after each block is
+        :meth:`PartialSweep.pareto_front` over the same blocks, in any
+        landing order, with the batch axis split across blocks."""
+        resolved = grid.resolve()
+        plan = shard_plan(resolved, n_blocks)
+        np.random.default_rng(n_blocks).shuffle(plan)
+        progress = SweepProgress(resolved, None)
+        reference = PartialSweep(resolved, None)
+        events = progress_events(progress, SCHEME, app=app, **encoding)
+        emitted = None
+        for placement, task in plan:
+            block = evaluate_block(task)
+            progress.record(placement, block)
+            reference.record(placement, block)
+            want = [p.to_dict() for p in reference.pareto_front(
+                SCHEME, app=app, **encoding
+            )]
+            fronts = [e for e in next(events) if e["event"] == "front"]
+            if fronts:
+                assert not fronts[0]["final"]
+                assert fronts[0]["points"] == want != emitted
+                emitted = want
+            else:
+                assert want == (emitted or [])
+        assert emitted is not None
+        progress.finish(sweep_grid(resolved, use_cache=False))
+        final = next(events)
+        assert final[-2]["final"] and final[-2]["points"] == emitted
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ties_merge_to_the_lowest_flat_index(self, seed):
+        """Blocks of small integer speedups force exact (cost, benefit)
+        ties across cells and batches; the merged front still picks the
+        partial front's lowest-flat-index representative."""
+        rng = np.random.default_rng(seed)
+        grid = TIE_GRID.resolve()
+        plan = shard_plan(grid, 12)
+        rng.shuffle(plan)
+        progress = SweepProgress(grid, None)
+        reference = PartialSweep(grid, None)
+        app = (None, "gia")[seed % 2]
+        events = progress_events(progress, SCHEME, app=app)
+        emitted = []
+        for placement, task in plan:
+            shape = task_shape(task)
+            block = {"baseline_ms": rng.integers(1, 4, shape).astype(float),
+                     "accelerated_ms": np.ones(shape)}
+            progress.record(placement, block)
+            reference.record(placement, block)
+            want = [p.to_dict()
+                    for p in reference.pareto_front(SCHEME, app=app)]
+            for event in next(events):
+                if event["event"] == "front":
+                    emitted = event["points"]
+            assert emitted == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocks_recorded_during_merges_are_never_lost(self, seed):
+        """Four producer threads record blocks while a consumer merges
+        fronts; once every block is in, one more merge must reach the
+        dense front (a block the cursor skipped would be missing)."""
+        grid = BATCH_GRID.resolve()
+        plan = shard_plan(grid, 60)
+        np.random.default_rng(seed).shuffle(plan)
+        blocks = [(placement, evaluate_block(task)) for placement, task in plan]
+        progress = SweepProgress(grid, None)
+        events = progress_events(progress, SCHEME)
+        emitted = []
+
+        def pull():
+            for event in next(events):
+                if event["event"] == "front":
+                    emitted[:] = event["points"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            producers = [
+                threading.Thread(target=lambda share: [
+                    progress.record(*item) for item in share
+                ], args=(blocks[n::4],))
+                for n in range(4)
+            ]
+            for thread in producers:
+                thread.start()
+            while any(thread.is_alive() for thread in producers):
+                pull()
+            for thread in producers:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        pull()
+        dense = sweep_grid(grid, use_cache=False)
+        assert emitted == [p.to_dict() for p in dense.pareto_front(SCHEME)]
 
 
 def _restricted_front(dense, covered, app, encoding):
@@ -829,3 +960,98 @@ class TestOneEventSchema:
                 "progress", "front", "complete"
             ], name
             assert cached[-1]["cached"] is True, name
+
+
+#: four apps, each cut into four windows by a one-worker cluster leasing
+#: sixteen blocks
+CLUSTER_GRID = SweepGrid(
+    apps=("nerf", "gia", "nsdf", "nvr"),
+    schemes=(SCHEME,),
+    scale_factors=(8, 16, 32, 64),
+    clocks_ghz=(0.8, 1.0, 1.2, 1.4, 1.6),
+    n_batches=(4, 8, 16, 32),
+)
+
+
+class TestClusterStreams:
+    def test_first_partial_front_lands_within_the_first_window(
+        self, monkeypatch
+    ):
+        """Cluster leases are window-major: one block per (app, scheme)
+        pair covers a window, so the first exact partial front follows
+        at most ``apps × schemes`` blocks."""
+        from repro.api import DistributedBackend
+
+        grid = CLUSTER_GRID.resolve()
+        n_pairs = len(grid.apps) * len(grid.schemes)
+        front_seen = threading.Event()
+        record = SweepProgress.record
+
+        def held_after_one_window(self, placement, block):
+            record(self, placement, block)
+            if self.blocks_done == n_pairs:
+                # hold the producer until the stream has looked, so the
+                # first front is read at exactly this many blocks
+                front_seen.wait(timeout=30)
+
+        monkeypatch.setattr(SweepProgress, "record", held_after_one_window)
+        backend = DistributedBackend(workers=1)
+        backend.coordinator.blocks_per_worker = 4 * n_pairs
+        try:
+            events = []
+            for event in backend.stream_events(grid, scheme=SCHEME):
+                events.append(event)
+                if event["event"] == "front":
+                    front_seen.set()
+        finally:
+            backend.close()
+        assert events[-3]["blocks_total"] == 4 * n_pairs
+        first = next(
+            i for i, e in enumerate(events)
+            if e["event"] == "front" and not e["final"]
+        )
+        assert events[first - 1]["event"] == "progress"
+        assert events[first - 1]["blocks_done"] <= n_pairs
+
+    def test_stream_joining_an_unwatched_cluster_sweep_counts_its_blocks(
+        self, monkeypatch
+    ):
+        from repro.api import DistributedBackend
+
+        backend = DistributedBackend(workers=1)
+        evaluate = backend.service._sweep_fn
+        started, subscribed = threading.Event(), threading.Event()
+
+        def held_until_subscribed(grid, **kwargs):
+            started.set()
+            assert subscribed.wait(timeout=60)
+            return evaluate(grid, **kwargs)
+
+        subscribe = SweepProgress.subscribe
+
+        def announced_subscribe(self):
+            queue = subscribe(self)
+            subscribed.set()
+            return queue
+
+        backend.service._sweep_fn = held_until_subscribed
+        monkeypatch.setattr(SweepProgress, "subscribe", announced_subscribe)
+        swept = []
+        sweeper = threading.Thread(
+            target=lambda: swept.append(backend.sweep(SCHEMA_GRID))
+        )
+        try:
+            sweeper.start()
+            assert started.wait(timeout=60)
+            events = list(backend.stream_events(SCHEMA_GRID, scheme=SCHEME))
+            sweeper.join(timeout=60)
+            stats = backend.service.stats()
+        finally:
+            backend.close()
+        assert swept and stats["coalesced"] == 1
+        assert stats["cache"]["evaluations"] == 1
+        progress, front, complete = events[-3:]
+        assert complete["cached"] is False
+        assert progress["blocks_done"] == progress["blocks_total"] > 0
+        # the sweep ran unwatched: no partial front, only the final one
+        assert [e["final"] for e in events if e["event"] == "front"] == [True]

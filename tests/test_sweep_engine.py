@@ -22,6 +22,7 @@ from repro.core.dse import (
     LocalBlockRunner,
     SweepGrid,
     cheapest_meeting_fps,
+    front,
     pareto_front,
     run_plan,
     shard_plan,
@@ -554,6 +555,75 @@ class TestParetoFront:
         assert areas == sorted(areas)
         speeds = [p.average_speedup for p in front]
         assert speeds == sorted(speeds)  # on this grid: bigger buys more
+
+
+def _unreduced_front(area4, benefit, valid=None):
+    """The masked front as it ranked every (cell, batch) key before the
+    batch reduction — kept here as the reference."""
+    costs = np.broadcast_to(area4[..., None], benefit.shape).reshape(-1)
+    values = benefit.reshape(-1)
+    if valid is None or valid.all():
+        keep = pareto_front(costs, values)
+    else:
+        index_map = np.flatnonzero(valid.reshape(-1))
+        keep = index_map[pareto_front(costs[index_map], values[index_map])]
+    return [np.unravel_index(int(flat), benefit.shape) for flat in keep]
+
+
+@st.composite
+def _front_inputs(draw):
+    """(area4, benefit, valid) over a small (K, C, G, E, B) plane, with
+    costs and values drawn from tiny integer sets so exact ties are
+    common; ``valid`` is None, all True, or a mask that leaves some
+    batch rows partly valid and some cost cells fully masked."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=5, max_size=5)))
+    size = int(np.prod(shape))
+    area4 = np.array(draw(st.lists(
+        st.integers(0, 3), min_size=size // shape[-1],
+        max_size=size // shape[-1],
+    )), dtype=float).reshape(shape[:-1])
+    benefit = np.array(draw(st.lists(
+        st.integers(0, 4), min_size=size, max_size=size,
+    )), dtype=float).reshape(shape)
+    mode = draw(st.sampled_from(["none", "all", "mask"]))
+    if mode == "none":
+        return area4, benefit, None
+    if mode == "all":
+        return area4, benefit, np.ones(shape, dtype=bool)
+    valid = np.array(draw(st.lists(
+        st.booleans(), min_size=size, max_size=size,
+    ))).reshape(shape)
+    masked_cells = draw(st.lists(
+        st.integers(0, size // shape[-1] - 1), max_size=3,
+    ))
+    for cell in masked_cells:
+        valid[np.unravel_index(cell, shape[:-1])] = False
+    return area4, benefit, valid
+
+
+class TestReducedFront:
+    @given(_front_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_reduced_front_equals_the_unreduced_front(self, inputs):
+        area4, benefit, valid = inputs
+        reduced = [tuple(map(int, cell)) for cell in front(area4, benefit, valid)]
+        reference = [
+            tuple(map(int, cell))
+            for cell in _unreduced_front(area4, benefit, valid)
+        ]
+        assert reduced == reference
+
+    def test_fully_masked_plane_has_no_front(self):
+        area4 = np.zeros((2, 1, 1, 1))
+        benefit = np.ones((2, 1, 1, 1, 3))
+        assert front(area4, benefit, np.zeros(benefit.shape, bool)) == []
+
+    def test_derived_arrays_are_computed_once_and_read_only(self):
+        result = sweep_grid(use_cache=False)
+        for name in ("speedup", "fps", "train_steps_per_s"):
+            array = getattr(result, name)
+            assert getattr(result, name) is array
+            assert not array.flags.writeable
 
 
 class TestConstraintQueries:

@@ -36,12 +36,11 @@ Reading notes:
 
 def main() -> None:
     from repro.analysis.report import (
-        api_section,
         architecture_sweep_section,
         design_space_section,
+        documentation_sections,
         experiments_section,
         sensitivity_section,
-        serving_section,
     )
 
     lines = [HEADER]
@@ -49,8 +48,7 @@ def main() -> None:
     lines.extend(sensitivity_section())
     lines.extend(design_space_section())
     lines.extend(architecture_sweep_section())
-    lines.extend(api_section())
-    lines.extend(serving_section())
+    lines.extend(documentation_sections())
     text = "\n".join(lines) + "\n"
     with open("EXPERIMENTS.md", "w") as f:
         f.write(text)

@@ -58,6 +58,9 @@
 # stream-event builder: `.load_sweep(`/`.save_sweep(` are called only
 # in src/repro/store/tiered.py (once each, by `tiered_sweep`), and the
 # literal `"event": "complete"` appears exactly once under src/repro.
+# The service and reconnect suites run again under `python -X dev` and
+# fail on any unclosed-socket ResourceWarning, and EXPERIMENTS.md must
+# equal a fresh run of tools/generate_experiments_md.py byte for byte.
 #
 # Every section runs even when an earlier one fails; each failing
 # section is recorded, and the script exits non-zero at the end with
@@ -82,6 +85,36 @@ fail() {
 
 section "tier-1 tests"
 python -m pytest -x -q || fail
+
+section "no unclosed sockets (service + reconnect tests under -X dev)"
+# every client and connection these suites open must be closed: under
+# python -X dev an unclosed socket or transport is a ResourceWarning,
+# and any one of them fails the section
+dev_log=$(python -X dev -m pytest -q -p no:cacheprovider \
+    tests/test_service.py tests/test_client_reconnect.py 2>&1)
+dev_status=$?
+printf '%s\n' "$dev_log" | tail -n 1
+if [ "$dev_status" -ne 0 ] \
+   || printf '%s\n' "$dev_log" | grep -q 'ResourceWarning: unclosed'; then
+    printf '%s\n' "$dev_log" | grep -B1 'ResourceWarning: unclosed' >&2
+    fail
+fi
+
+section "EXPERIMENTS.md regenerates byte for byte"
+# the generator (tools/generate_experiments_md.py, from the experiment
+# registry and src/repro/analysis/report.py) is its only source
+regen_dir=$(mktemp -d)
+root=$PWD
+if (cd "$regen_dir" \
+        && PYTHONPATH="$root/src" python "$root/tools/generate_experiments_md.py") \
+   && cmp "$regen_dir/EXPERIMENTS.md" EXPERIMENTS.md; then
+    echo "EXPERIMENTS.md is what the generator writes"
+else
+    diff "$regen_dir/EXPERIMENTS.md" EXPERIMENTS.md | head -n 20 >&2
+    echo "FAIL: EXPERIMENTS.md differs from its regeneration" >&2
+    fail
+fi
+rm -rf "$regen_dir"
 
 section "result store suite (warm restart, delta, corruption)"
 python -m pytest tests/test_store.py tests/test_model_cache.py -q || fail
