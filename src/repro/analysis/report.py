@@ -5,7 +5,7 @@ Programmatic generation of the paper-vs-measured record consumed by
 command: experiment tables, the sensitivity summary and the design-space
 view, as one self-contained markdown document.  The documentation of
 the query stack (the Session facade, serving, streaming, the cluster,
-the store, the explorer, the axis registry and operations) is written
+the store, dense answers, the axis registry and operations) is written
 here too, as static sections, so EXPERIMENTS.md has one source: it is
 exactly what the generator writes.
 """
@@ -322,7 +322,7 @@ batch axis and merges them into the running front with
 never waits behind a ranking.  The dense front reduces before it
 sorts too: area cost has no batch axis, so `repro.core.dse.front`
 keeps each cost cell's first best batch and ranks |B|x fewer keys,
-with the same lowest-flat-index tie-break.  On `bench_adaptive`'s
+with the same lowest-flat-index tie-break.  On a
 4,194,304-point grid `SweepResult.pareto_front` takes ~13 ms against
 ~148 ms unreduced.  `SweepResult.speedup`, `fps` and
 `train_steps_per_s` are computed once per result and are read-only.
@@ -578,71 +578,41 @@ directory scan.
 
 `benchmarks/bench_store.py` gates the tier: a warm restart (fresh
 store instance over a persisted ~1M-point sweep) must load ≥ 50x
-faster than re-evaluation — ~350x measured here — and an
-overlapping-grid sweep must evaluate exactly the missing blocks, both
-bit-identical to fresh evaluations.  `BENCH_store.json` is a CI
+faster than re-evaluation, and an overlapping-grid sweep must evaluate
+exactly the missing blocks, both bit-identical to fresh evaluations.
+The restart ratio is the median over interleaved (fresh evaluation,
+fresh-instance load) pairs; on a shared 2-vCPU host it reads ~18x
+(~32 ms to evaluate against ~1.7 ms to load), under the floor.  `BENCH_store.json` is a CI
 artifact."""
 
 
-_ADAPTIVE_DOC = """
-## Adaptive exploration — exact answers from a fraction of the grid
+_DENSE_DOC = """
+## Dense answers at every size
 
-`pareto()` and `cheapest(app, fps=...)` don't need every point of a
-million-point hypercube — they need the constraint surface and the
-front.  `repro.explore.AdaptiveExplorer` answers them exactly while
-evaluating a few percent of the grid, behind the same `Session` API:
+Every `Session.sweep` evaluates its whole grid through the vectorized
+block plan, whatever its size: `pareto()` and `cheapest(...)` answer
+from the dense arrays with the one query kernel in `repro.core.dse`.
+`explore=` still accepts `"auto"` (the default) and `"exhaustive"`,
+and both mean dense; any other value raises `ValueError`.
 
-```python
-from repro.api import Grid, InfeasibleQueryError, Session
+An adaptive explorer once answered grids of ≥ 131,072 points from a
+few percent of their points.  Once the dense front reduced over the
+batch axis before sorting, the dense answer measured faster, so the
+explorer was removed (about 1,300 lines of `src/`).  On a shared 2-vCPU
+host:
 
-session = Session()
-sweep = session.sweep(big_grid, explore="adaptive")   # lazy: nothing evaluated yet
-front = sweep.pareto()                    # identical to the exhaustive front
-hit = sweep.cheapest(app="nerf", fps=60)  # identical cheapest point
-sweep.explore_stats                       # points/blocks evaluated, rounds, ...
-dense = sweep.result                      # forces the dense sweep if you truly need arrays
-```
+- layerbench `adaptive` (1,048,576 points, `--seconds 10`, 10
+  alternating runs against the explorer, seeds 101–110):
+  `answer_p10_ms` fell from a median of 64.5 to 53.6 ms and
+  `first_front_p10_ms` from 55.0 to 52.5 ms, every answer still equal
+  to the dense vectorized reference;
+- a 4,194,304-point grid, warm `Session` Pareto + cheapest: a median of
+  73 ms dense against 119 ms adaptive over 8 interleaved runs.
 
-`explore=` takes `"auto"` (default: adaptive at ≥ 131072 points,
-exhaustive below), `"adaptive"`, or `"exhaustive"`.  The CLI mirrors
-it: `repro dse --explore adaptive` prints the same tables plus an
-exploration-stats line, and `repro serve --explore adaptive` explores
-server-side (`/stats` gains an `explore` block with summed counters;
-the wire contracts are unchanged — `/cheapest` still answers
-`result: null` when the target is unreachable).
-
-How it stays exact: per (scheme, n_pixels) slice the explorer probes a
-coarse lattice spanning every axis end to end, prunes value-keyed
-blocks that the lattice corners prove dominated (speedup is
-nondecreasing along each architecture axis, and block cost — exact
-area from the analytical model — is free), then successively halves
-the surviving windows through the one block-runner contract
-(`repro.core.dse.LocalBlockRunner`, the store-backed
-`repro.store.StoreBlockRunner`, or the cluster's
-`repro.service.cluster.ClusterBlockRunner` — the same runners every
-dense sweep runs its plan through, so
-store-cached blocks cost nothing and no block is ever evaluated
-twice).  Every evaluated selection is checked against the
-monotone-benefit bound; any violation increments
-`bound_violations` and falls back to evaluating that slice
-exhaustively, so answers are **always** identical to the dense
-engine — the assumption only buys speed, never correctness
-(`tests/test_explore.py` pins this on a deliberately non-monotone
-fake surface).  `cheapest()` walks configurations in exact cost order
-and needs no benefit monotonicity at all.  An unreachable fps target
-raises the same structured `InfeasibleQueryError`
-(app/fps/n_pixels/scheme/best_fps) on local, remote, and distributed
-backends alike.
-
-`benchmarks/bench_adaptive.py` gates the engine: every query on a
-golden grid must match the dense result exactly, and on a
-4,194,304-point grid the Pareto + cheapest battery must touch ≤ 10%
-of the hypercube (4.4% measured) and beat the cold dense sweep by
-≥ 5x.  That floor misses: once the dense front reduced over the
-batch axis before sorting, the dense battery on that grid took 84 ms
-against 101 ms adaptive (0.8x) in a `--quick` run on a shared 2-vCPU
-host, where the same run at the earlier dense front read 320 ms
-against 116 ms (2.8x).  `BENCH_adaptive.json` is a CI artifact."""
+`tools/run_checks.sh` keeps a smoke above the old threshold: a
+`Session().sweep` of a large grid must read `explore == "exhaustive"`
+and answer the same front and cheapest point as a fresh uncached
+vectorized `sweep_grid` evaluation."""
 
 
 _AXIS_REGISTRY_DOC = """
@@ -651,9 +621,8 @@ _AXIS_REGISTRY_DOC = """
 Every sweep axis is one declarative `AxisSpec` entry in
 `src/repro/core/axes.py` — the **only** place an axis list lives.
 `SweepGrid`/`SweepResult` array layout, fingerprints, store block
-plans, the adaptive explorer's pruning, the transport payload schema,
-the `Grid()` fluent builder and the CLI `--sweep` parser all derive
-from the registry (`tools/run_checks.sh` greps the tree to keep
+plans, the transport payload schema, the `Grid()` fluent builder and
+the CLI `--sweep` parser all derive from the registry (`tools/run_checks.sh` greps the tree to keep
 private axis tuples from creeping back).  To add an axis, append one
 spec and wire its physics:
 
@@ -806,7 +775,7 @@ DOCUMENTATION_SECTIONS = (
     _STREAMING_DOC,
     _CLUSTER_DOC,
     _STORE_DOC,
-    _ADAPTIVE_DOC,
+    _DENSE_DOC,
     _AXIS_REGISTRY_DOC,
     _OPERATIONS_DOC,
 )

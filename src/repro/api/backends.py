@@ -53,7 +53,6 @@ from repro.core.dse import (
     _SWEEP_CACHE,
     _SWEEP_CACHE_MAX_POINTS,
     EmulationResult,
-    LocalBlockRunner,
     SweepGrid,
     SweepResult,
     sweep_fingerprint,
@@ -62,13 +61,11 @@ from repro.core.dse import (
 from repro.core.emulator import emulate, emulate_with_config
 from repro.errors import BackendUnavailableError
 from repro.service.client import SyncServiceClient
-from repro.service.cluster import ClusterBlockRunner
 from repro.service.errors import ServiceError
 from repro.service.progress import SweepProgress, progress_events
 from repro.store import (
     STORE_ENGINE,
     ResultStore,
-    StoreBlockRunner,
     new_tier_counters,
     tiered_sweep,
 )
@@ -118,17 +115,6 @@ class Backend:
 
     def stats(self) -> Dict:
         raise NotImplementedError
-
-    def block_runner(self):
-        """A block runner for adaptive exploration, or None.
-
-        Backends that can evaluate value-keyed block tasks on demand
-        (local engines, the shard cluster) return a runner with an
-        ``evaluate(tasks)`` method; backends that only ship whole dense
-        results (the remote HTTP backend) return None, and
-        :meth:`Session.sweep` falls back to exhaustive evaluation.
-        """
-        return None
 
     def stream_events(
         self,
@@ -218,13 +204,6 @@ class LocalBackend(Backend):
             return emulate(app, scheme, scale_factor, n_pixels)
         config = replace(self.ngpc, scale_factor=scale_factor)
         return emulate_with_config(app, scheme, config, n_pixels)
-
-    def block_runner(self):
-        """In-process block evaluation; store-tiered when one is attached."""
-        runner = LocalBlockRunner(self.ngpc)
-        if self.store is not None:
-            runner = StoreBlockRunner(runner, self.store, self.ngpc)
-        return runner
 
     def stream_events(
         self,
@@ -547,15 +526,6 @@ class DistributedBackend(Backend):
 
     def sweep(self, grid: SweepGrid) -> SweepResult:
         return self._run(lambda: self.service.sweep(grid))
-
-    def block_runner(self):
-        """Adaptive refinement rounds leased to the worker cluster.
-
-        Each round's block tasks become one coordinator job, riding the
-        same lease/expiry machinery as full sweeps — worker deaths
-        re-queue blocks, throughput EWMAs size them.
-        """
-        return ClusterBlockRunner(self.coordinator, self.ngpc)
 
     def stream_events(
         self,

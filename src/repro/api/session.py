@@ -26,7 +26,6 @@ a swept axis without a selector, on either backend.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional
 
 from repro.api.backends import (
@@ -43,32 +42,22 @@ from repro.core.dse import (
     SweepResult,
     axis_index,
     query_slice,
-    sweep_fingerprint,
     validate_selectors,
 )
 from repro.errors import infeasible_query, infeasible_train_query
-from repro.explore import AdaptiveExplorer
 from repro.gpu.baseline import FHD_PIXELS
 
-#: ``explore="auto"`` switches to adaptive exploration at this grid
-#: size: below it the exhaustive vectorized sweep is effectively free,
-#: above it most queries touch a few percent of the hypercube
-ADAPTIVE_MIN_POINTS = 1 << 17
-
-_EXPLORE_MODES = ("auto", "adaptive", "exhaustive")
+#: the accepted ``explore=`` values; both evaluate the grid densely
+_EXPLORE_MODES = ("auto", "exhaustive")
 
 
 class Sweep:
-    """Handle over one design space — dense arrays or adaptive explorer.
+    """Handle over one densely evaluated design space.
 
-    Exhaustive sweeps hold a dense :class:`~repro.core.dse.SweepResult`
-    up front; adaptive sweeps hold an
-    :class:`~repro.explore.AdaptiveExplorer` and evaluate only the
-    blocks each query needs.  The query surface and the answers are
-    identical either way (held to bit-equality by the test suite) —
-    only the amount of emulation differs.  Accessing ``.result`` on an
-    adaptive sweep forces the exhaustive evaluation for array-level
-    consumers (the report renderer, NumPy analysis).
+    Holds the dense :class:`~repro.core.dse.SweepResult` — up front, or
+    on first use for a lazy sweep (whose :meth:`watch` streams exact
+    partial fronts while it evaluates).  Every query answers from those
+    arrays through the one query kernel in :mod:`repro.core.dse`.
     """
 
     def __init__(
@@ -77,13 +66,11 @@ class Sweep:
         backend: str,
         *,
         grid=None,
-        explorer: Optional[AdaptiveExplorer] = None,
         backend_obj: Optional[Backend] = None,
     ):
         self._result = result
         #: name of the backend that evaluates this sweep
         self.backend = backend
-        self._explorer = explorer
         self._grid = grid if grid is not None else result.grid
         self._backend_obj = backend_obj
 
@@ -99,30 +86,20 @@ class Sweep:
 
     @property
     def explore(self) -> str:
-        """``"adaptive"`` or ``"exhaustive"`` — how queries evaluate."""
-        return "adaptive" if self._explorer is not None else "exhaustive"
+        """Always ``"exhaustive"``: every sweep evaluates densely."""
+        return "exhaustive"
 
     @property
-    def explore_stats(self) -> Optional[Dict]:
-        """Adaptive exploration counters, or None on exhaustive sweeps.
-
-        ``points_evaluated / points_total`` is the evaluated fraction of
-        the hypercube across every query answered so far (explorers are
-        shared per grid fingerprint within a session, so the counters
-        accumulate across ``session.sweep()`` calls too).
-        """
-        if self._explorer is None:
-            return None
-        return self._explorer.stats.to_dict()
+    def explore_stats(self) -> None:
+        """Always None (no sweep evaluates a partial grid)."""
+        return None
 
     @property
     def result(self) -> SweepResult:
         """The dense :class:`~repro.core.dse.SweepResult`.
 
-        On an adaptive sweep this **forces exhaustive evaluation** of
-        the whole grid (once; the result is kept) — queries keep
-        answering adaptively, but array-level consumers get the full
-        dense arrays they expect.
+        A lazy sweep evaluates here on first use (once; the result is
+        kept).
         """
         if self._result is None:
             self._result = self._backend_obj.sweep(self._grid)
@@ -130,10 +107,7 @@ class Sweep:
 
     def __repr__(self) -> str:
         if self._result is None:
-            return (
-                f"Sweep({self.size} points, backend={self.backend!r}, "
-                f"explore={self.explore!r})"
-            )
+            return f"Sweep({self.size} points, backend={self.backend!r}, lazy)"
         return (
             f"Sweep({self.size} points, backend={self.backend!r}, "
             f"engine={self._result.engine!r})"
@@ -157,11 +131,9 @@ class Sweep:
         rule and pin the front to one encoding variant.  Any other name
         raises :class:`~repro.errors.UnknownAxisError`.
         """
-        target = (
-            self._explorer.pareto if self._explorer is not None
-            else self.result.pareto_front
+        return self.result.pareto_front(
+            scheme, n_pixels=n_pixels, app=app, **selectors
         )
-        return target(scheme, n_pixels=n_pixels, app=app, **selectors)
 
     def cheapest(
         self,
@@ -184,7 +156,7 @@ class Sweep:
         Raises :class:`~repro.errors.InfeasibleQueryError` when no
         point on the grid reaches the target — the identical structured
         error (message, query echo, achievable ``best_fps`` /
-        ``best_rate``) on every backend and explore mode, so callers
+        ``best_rate``) on every backend, so callers
         can relax the constraint programmatically.
         """
         if fps is not None and train_steps_per_s is not None:
@@ -197,10 +169,6 @@ class Sweep:
                 app, train_steps_per_s, n_pixels, scheme, selectors
             )
         fps = 60.0 if fps is None else fps
-        if self._explorer is not None:
-            return self._explorer.cheapest(
-                app, fps, n_pixels=n_pixels, scheme=scheme, **selectors
-            )
         result = self.result
         hit = result.cheapest_point_meeting_fps(
             app, fps, n_pixels=n_pixels, scheme=scheme, **selectors
@@ -218,28 +186,16 @@ class Sweep:
     def _cheapest_train(
         self, app, steps_per_s, n_pixels, scheme, selectors
     ) -> DesignPoint:
-        """Cheapest config training at ``steps_per_s``; raises infeasible.
-
-        Both explore modes answer from the same feasibility boundary
-        (the explorer's predicate replicates the dense metric's exact
-        arithmetic); an infeasible adaptive query falls back to the
-        dense result once to report the achievable rate.
-        """
-        if self._explorer is not None:
-            hit = self._explorer.cheapest_train(
-                app, steps_per_s, n_pixels=n_pixels, scheme=scheme,
-                **selectors,
-            )
-        else:
-            hit = self.result.cheapest_point_meeting_train_rate(
-                app, steps_per_s, n_pixels=n_pixels, scheme=scheme,
-                **selectors,
-            )
+        """Cheapest config training at ``steps_per_s``; raises infeasible."""
+        result = self.result
+        hit = result.cheapest_point_meeting_train_rate(
+            app, steps_per_s, n_pixels=n_pixels, scheme=scheme, **selectors,
+        )
         if hit is not None:
             return hit
         grid = self.grid
         query = query_slice(grid, scheme, n_pixels, **selectors)
-        rates = self.result.train_steps_per_s[query.index][grid.apps.index(app)]
+        rates = result.train_steps_per_s[query.index][grid.apps.index(app)]
         raise infeasible_train_query(
             app, steps_per_s, grid.pixel_counts[query.pixels],
             grid.schemes[query.scheme], float(rates.max()),
@@ -261,8 +217,9 @@ class Sweep:
         singleton rule; an unregistered name raises
         :class:`~repro.errors.UnknownAxisError`.
         """
-        target = self._explorer if self._explorer is not None else self.result
-        return target.point(app, scheme, scale_factor, n_pixels, **selectors)
+        return self.result.point(
+            app, scheme, scale_factor, n_pixels, **selectors
+        )
 
     def watch(
         self,
@@ -279,9 +236,9 @@ class Sweep:
         and the last one is the dense result's front, bit-identical to
         :meth:`pareto` with the same arguments (``selectors`` as there,
         checked before anything evaluates).  On a sweep that is
-        already evaluated (or an adaptive one), the final front is
-        yielded once.  Backends that cannot stream fall back to one
-        dense evaluation and a single yield.  Abandoning the generator
+        already evaluated, the final front is yielded once.  Backends
+        that cannot stream fall back to one dense evaluation and a
+        single yield.  Abandoning the generator
         early is safe: in-process evaluation stops with it, a service
         keeps evaluating for its other subscribers.
 
@@ -291,8 +248,7 @@ class Sweep:
         """
         validate_selectors(self.grid, scheme, n_pixels, app, **selectors)
         stream = None
-        if self._result is None and self._explorer is None \
-                and self._backend_obj is not None:
+        if self._result is None and self._backend_obj is not None:
             stream = self._backend_obj.stream_events(
                 self._grid, scheme=scheme, n_pixels=n_pixels, app=app,
                 **selectors,
@@ -340,10 +296,6 @@ class Session:
         if store is not None:
             backend = LocalBackend(store=store)
         self.backend = backend or LocalBackend()
-        # adaptive explorers, keyed by grid fingerprint: repeated
-        # sweep() calls over one design space share partial evaluations
-        self._explorers: Dict[str, AdaptiveExplorer] = {}
-        self._explorers_lock = threading.Lock()
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -416,14 +368,12 @@ class Session:
 
     # -- evaluation ----------------------------------------------------------
     def sweep(self, grid=None, explore: str = "auto", lazy: bool = False) -> Sweep:
-        """Evaluate (or lazily explore) a design space; returns the handle.
+        """Evaluate a design space densely; returns the handle.
 
         ``lazy=True`` returns the handle *without* evaluating anything:
         iterate :meth:`Sweep.watch` to stream exact partial Pareto
         fronts while the grid evaluates block by block, or touch any
-        dense query/``.result`` to force the ordinary evaluation.
-        (Adaptive sweeps are already lazy; the flag matters for
-        exhaustive ones.)
+        query/``.result`` to force the ordinary evaluation.
 
         ``grid`` may be a :class:`~repro.api.grid.Grid` builder, a
         :class:`~repro.core.dse.SweepGrid`, a JSON axis dict, or None
@@ -436,55 +386,22 @@ class Session:
         backend.  Read axis orderings off ``sweep.grid``, not off the
         spelling you passed in.
 
-        ``explore`` picks the evaluation strategy:
-
-        - ``"exhaustive"`` — evaluate the whole grid now (dense arrays);
-        - ``"adaptive"`` — evaluate nothing now; each Pareto/cheapest
-          query adaptively evaluates only the blocks it needs (typically
-          a few percent of the hypercube) with answers identical to the
-          exhaustive sweep's;
-        - ``"auto"`` (default) — adaptive for grids of at least
-          ``ADAPTIVE_MIN_POINTS`` points, exhaustive below (small grids
-          are effectively free to evaluate densely).
-
-        Adaptive exploration runs wherever the backend can evaluate
-        blocks: in-process (through the persistent store when the
-        session has one) or on the distributed shard cluster.  The
-        remote backend keeps ``"auto"`` exhaustive client-side — the
-        service explores server-side when started with
-        ``repro serve --explore adaptive`` — and rejects an explicit
-        ``explore="adaptive"`` with :class:`ValueError`.
+        ``explore`` is ``"auto"`` (default) or ``"exhaustive"``; both
+        evaluate the whole grid, at any size.  The adaptive explorer
+        that once answered large grids from a few percent of their
+        points was removed once the dense path measured faster, and
+        ``explore="adaptive"`` (or any other value) raises
+        :class:`ValueError`.
         """
         if explore not in _EXPLORE_MODES:
             raise ValueError(
-                f"explore must be one of {_EXPLORE_MODES}, got {explore!r}"
+                f"explore must be one of {_EXPLORE_MODES}, got {explore!r}: "
+                "the adaptive explorer was removed and every sweep "
+                "evaluates densely"
             )
-        # the grid the backend sweeps: resolved against the backend's base
-        # config once that is known, never for a remote request (the
-        # service resolves against its own)
+        # resolved against the backend's base config for a lazy handle,
+        # never for a remote request (the service resolves against its own)
         target = as_sweep_grid(grid).normalized()
-        if explore != "exhaustive":
-            runner = self.backend.block_runner()
-            if runner is None:
-                if explore == "adaptive":
-                    raise ValueError(
-                        f"explore='adaptive' is not available on the "
-                        f"{self.backend.name!r} backend; start the service "
-                        "with 'repro serve --explore adaptive' to explore "
-                        "server-side"
-                    )
-            else:
-                ngpc = getattr(self.backend, "ngpc", None)
-                target = target.resolve(ngpc).normalized()
-                if explore == "adaptive" or target.size >= ADAPTIVE_MIN_POINTS:
-                    explorer = self._explorer_for(target, runner, ngpc)
-                    return Sweep(
-                        None,
-                        self.backend.name,
-                        grid=explorer.grid,
-                        explorer=explorer,
-                        backend_obj=self.backend,
-                    )
         if lazy:
             ngpc = getattr(self.backend, "ngpc", None)
             return Sweep(
@@ -495,21 +412,6 @@ class Session:
             )
         result = self.backend.sweep(target)
         return Sweep(result, backend=self.backend.name)
-
-    def _explorer_for(self, resolved, runner, ngpc) -> AdaptiveExplorer:
-        """One shared explorer per resolved grid (fingerprint-keyed).
-
-        Sharing means a re-sweep of the same design space — any spelling
-        of it — reuses every block already evaluated by earlier queries;
-        the explorer's own dedup guarantees no block evaluates twice.
-        """
-        key = sweep_fingerprint(resolved, ngpc)
-        with self._explorers_lock:
-            explorer = self._explorers.get(key)
-            if explorer is None:
-                explorer = AdaptiveExplorer(resolved, runner=runner, ngpc=ngpc)
-                self._explorers[key] = explorer
-            return explorer
 
     def point(
         self,

@@ -180,18 +180,13 @@ def cmd_dse(args: argparse.Namespace) -> int:
     axes = _merge_sweep_axes(args, "repro dse")
     session = Session.local(engine=args.engine, store=args.store)
     grid_spec = SweepGrid(apps=APP_NAMES, schemes=(args.scheme,), **axes)
-    if args.follow and args.explore == "adaptive":
-        raise SystemExit(
-            "repro dse: error: --follow streams the dense block-by-block "
-            "evaluation and is not available with --explore adaptive"
-        )
     if args.follow:
         import time
 
         # lazy sweep + watch(): exact partial Pareto fronts stream in as
         # blocks evaluate; the loop's last front is the final one, and
         # the handle holds the dense result for the tables below
-        sweep = session.sweep(grid_spec, explore="exhaustive", lazy=True)
+        sweep = session.sweep(grid_spec, lazy=True)
         n_pixels = sweep.grid.pixel_counts[0]
         started = time.perf_counter()
         for n, front in enumerate(
@@ -204,10 +199,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
                   f"(cheapest +{best:.2f}% area)")
         print()
     else:
-        sweep = session.sweep(grid_spec, explore=args.explore)
+        sweep = session.sweep(grid_spec)
     grid = sweep.grid  # resolved + normalized axes
     n_pixels = grid.pixel_counts[0]
-    adaptive = sweep.explore == "adaptive"
     # anything beyond the classic scale ladder is "architectural": the
     # registry knows every CLI-sweepable axis, so a newly registered
     # axis lands in the N-dimensional display with no CLI edit
@@ -235,16 +229,10 @@ def cmd_dse(args: argparse.Namespace) -> int:
         enc_combos = [{}]
     front_points = sweep.pareto(scheme=args.scheme, n_pixels=n_pixels,
                                 **enc_combos[0])
-    if adaptive:
-        # adaptive sweeps have no dense result to tabulate; the Pareto
-        # front (exact, partially evaluated) is the headline either way
-        title = (f"Design space, {args.scheme} @ {n_pixels:,} px "
-                 f"({grid.size} points, explore=adaptive)")
-    else:
-        result = sweep.result
-        title = (f"Design space, {args.scheme} @ {n_pixels:,} px "
-                 f"({result.grid.size} points, engine={result.engine})")
-    if not architectural and not adaptive:
+    result = sweep.result
+    title = (f"Design space, {args.scheme} @ {n_pixels:,} px "
+             f"({result.grid.size} points, engine={result.engine})")
+    if not architectural:
         front = {p.scale_factor for p in front_points}
         rows = []
         for k, scale in enumerate(grid.scale_factors):
@@ -311,13 +299,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
                     print(f"  {app:5s}: {hit.describe()} "
                           f"(+{hit.area_overhead_pct:.2f}% area, "
                           f"{hit.speedups[app]:.2f}x speedup)")
-    if adaptive:
-        s = sweep.explore_stats
-        frac = s["points_evaluated"] / max(1, s["points_total"])
-        print(f"\nexplored {s['points_evaluated']:,} of "
-              f"{s['points_total']:,} points ({100 * frac:.1f}%) in "
-              f"{s['rounds']} rounds; {s['blocks_cached']} cached blocks, "
-              f"{s['bound_violations']} bound violations")
     return 0
 
 
@@ -336,12 +317,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cold_queue_depth=args.cold_queue_depth,
     )
     if args.engine == "cluster":
-        if args.explore == "adaptive":
-            raise SystemExit(
-                "repro serve: error: --explore adaptive is not available "
-                "with --engine cluster (the cluster evaluates whole sweeps; "
-                "use Session.distributed() for adaptive cluster queries)"
-            )
         # distributed evaluation: the same port serves the JSON API to
         # clients and the /cluster/* lease protocol to workers (local
         # spawned ones and any remote `repro worker` that joins)
@@ -362,7 +337,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         engine=args.engine,
         max_cached_sweeps=args.cache_size,
         store=args.store,
-        explore=args.explore,
     )
     return run_server(service, args.host, args.port,
                       max_body_bytes=args.max_body_mb * 1024 * 1024,
@@ -607,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  repro dse --sweep clock=0.8:1.2:1.695,sram=512:1024\n"
             "  repro dse --sweep engines=8:16:32 --sweep batches=4:8:16:32\n"
             "  repro dse --sweep scale=8:16:32:64,clock=1.2:1.695 --fps 60\n"
-            "  repro dse --sweep sram=256:512:1024:2048 --explore adaptive\n"
+            "  repro dse --sweep sram=256:512:1024:2048 --follow\n"
             "  repro dse --sweep gridtype=hash:tiled,loghash=14:19:24\n"
         ),
     )
@@ -625,15 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "memory-mapped when previously evaluated (by any "
                         "process sharing DIR) and cold grids reuse every "
                         "persisted block")
-    p.add_argument("--explore", choices=("auto", "adaptive", "exhaustive"),
-                   default="exhaustive",
-                   help="'adaptive' answers the Pareto/cheapest queries by "
-                        "evaluating only the blocks they need (typically a "
-                        "few percent of large grids, identical answers); "
-                        "'auto' switches to adaptive on large grids")
     p.add_argument("--follow", action="store_true",
                    help="stream exact partial Pareto fronts while the grid "
-                        "evaluates block by block (exhaustive sweeps only)")
+                        "evaluates block by block")
     p.set_defaults(func=cmd_dse)
 
     p = sub.add_parser(
@@ -669,12 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "LRU: a restarted service serves persisted sweeps "
                         "warm, and replicas sharing DIR evaluate each "
                         "sweep once")
-    p.add_argument("--explore", choices=("exhaustive", "adaptive"),
-                   default="exhaustive",
-                   help="'adaptive' answers pareto/cheapest/point requests "
-                        "by partial exploration instead of dense sweeps "
-                        "(identical answers; /stats reports the evaluated "
-                        "fraction); not available with --engine cluster")
     p.add_argument("--max-body-mb", type=int, default=64,
                    help="largest accepted request body in MiB (bigger "
                         "bodies get a structured 413 before they are read)")

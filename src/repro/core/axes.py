@@ -5,10 +5,10 @@ Every axis of the sweep space is declared exactly once, here, as an
 fingerprint salt and block-plan role.  Everything that used to carry a
 private copy of the axis list (``SweepGrid``/``SweepResult`` in
 :mod:`repro.core.dse`, the fingerprint scheme, the store block plans,
-the adaptive explorer, the transport payload schema, the ``Grid()``
-builder and the CLI ``--sweep`` parser) derives its view from this
-registry, so registering a new axis is one entry in :data:`AXES` plus
-the model hook it feeds — not a six-subsystem lockstep edit.
+the transport payload schema, the ``Grid()`` builder and the CLI
+``--sweep`` parser) derives its view from this registry, so
+registering a new axis is one entry in :data:`AXES` plus the model hook
+it feeds — not a lockstep edit across every subsystem.
 
 Two invariants keep old artifacts valid:
 
@@ -190,7 +190,6 @@ class AxisSpec:
     inherit: Optional[Callable] = None
     sentinel: Optional[object] = None
     legacy: bool = True
-    refine: bool = False
     block_role: str = "windowed"
     batch_kwarg: Optional[str] = None
     builder: str = ""
@@ -249,7 +248,6 @@ AXES: Tuple[AxisSpec, ...] = (
         canon=int,
         validate=_validate_scale,
         default=SCALE_FACTORS,
-        refine=True,
         builder="scale",
         cli="scale",
         cli_cast=int,
@@ -274,7 +272,6 @@ AXES: Tuple[AxisSpec, ...] = (
         canon=float,
         validate=_validate_clock,
         inherit=lambda base: base.nfp.clock_ghz,
-        refine=True,
         batch_kwarg="clocks_ghz",
         builder="clock",
         cli="clock",
@@ -288,7 +285,6 @@ AXES: Tuple[AxisSpec, ...] = (
         canon=int,
         validate=_validate_sram,
         inherit=lambda base: base.nfp.grid_sram_kb_per_engine,
-        refine=True,
         batch_kwarg="grid_sram_kb",
         builder="sram",
         cli="sram",
@@ -302,7 +298,6 @@ AXES: Tuple[AxisSpec, ...] = (
         canon=int,
         validate=_validate_engines,
         inherit=lambda base: base.nfp.n_encoding_engines,
-        refine=True,
         batch_kwarg="n_engines",
         builder="engines",
         cli="engines",
@@ -381,8 +376,6 @@ EXTENSION_AXIS_FIELDS = tuple(spec.name for spec in AXES if not spec.legacy)
 CONFIG_AXIS_FIELDS = tuple(
     spec.name for spec in AXES if spec.block_role == "windowed"
 )
-#: the adaptive explorer's refinement candidates (array order)
-REFINE_AXIS_FIELDS = tuple(spec.name for spec in AXES if spec.refine)
 #: emulate_batch keywords of the task fields after (scales, pixels),
 #: in task-tuple order
 TASK_BATCH_KWARGS = tuple(

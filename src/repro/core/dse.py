@@ -19,11 +19,11 @@ query over the full N-dimensional cartesian space of
   equivalence harness in ``tests/test_sweep_engine.py`` enforces it, and
   ``tests/test_golden_values.py`` pins the absolute values.
 - One block executor.  Every evaluation path — a dense sweep, the
-  streaming service, the result store, the adaptive explorer and the
-  shard cluster — cuts the grid into value-keyed block tasks
-  (:func:`shard_plan`, :func:`store_block_plan`), evaluates them
-  through a block runner (:class:`LocalBlockRunner` in-process, the
-  store's :class:`~repro.store.StoreBlockRunner`, the cluster's
+  streaming service, the result store and the shard cluster — cuts the
+  grid into value-keyed block tasks (:func:`shard_plan`,
+  :func:`store_block_plan`), evaluates them through a block runner
+  (:class:`LocalBlockRunner` in-process, the store's
+  :class:`~repro.store.StoreBlockRunner`, the cluster's
   :class:`~repro.service.cluster.ClusterBlockRunner`) and assembles and
   finalizes the result in :func:`run_plan`.  :func:`evaluate_block` is
   the only place a block meets the batched emulator.
@@ -39,12 +39,11 @@ query over the full N-dimensional cartesian space of
   :func:`encoding_slice`, :func:`query_slice`), the masked front
   (:func:`front`) and the :class:`DesignPoint` builder
   (:func:`design_point`, :func:`config_axes`) are shared by the dense
-  :class:`SweepResult`, the streamed
-  :class:`~repro.service.progress.PartialSweep` and the adaptive
-  :class:`~repro.explore.AdaptiveExplorer`, so every path answers with
-  the same arithmetic and the same errors.  Selectors arrive as keyword
-  arguments keyed by the registry's query names and are read only here;
-  a name the query does not accept raises
+  :class:`SweepResult` and the streamed
+  :class:`~repro.service.progress.PartialSweep`, so every path answers
+  with the same arithmetic and the same errors.  Selectors arrive as
+  keyword arguments keyed by the registry's query names and are read
+  only here; a name the query does not accept raises
   :class:`~repro.errors.UnknownAxisError`.
 """
 
@@ -71,7 +70,6 @@ from repro.core.axes import (
     LEGACY_AXIS_FIELDS,
     LOG2_HASHMAP_INHERIT,
     PER_LEVEL_SCALE_INHERIT,
-    REFINE_AXIS_FIELDS,
     TASK_BATCH_KWARGS,
     EncodingVariant,
     axis as axis_spec,
@@ -905,10 +903,10 @@ def evaluate_block(
 ) -> Dict[str, np.ndarray]:
     """Evaluate one block task through the batched emulator.
 
-    ``task`` is a :func:`shard_plan`/:func:`store_block_plan`/
-    :func:`selection_task` work unit: ``(app, scheme, scales, pixels,
-    clocks, srams, engines, batches)``, optionally extended with the
-    three encoding-axis windows.  This is the one place a block meets
+    ``task`` is a :func:`shard_plan`/:func:`store_block_plan` work
+    unit: ``(app, scheme, scales, pixels, clocks, srams, engines,
+    batches)``, optionally extended with the three encoding-axis
+    windows.  This is the one place a block meets
     :func:`~repro.core.emulator.emulate_batch`: in-process runners,
     the result store and shard-cluster workers all evaluate here.
     ``task[4:]`` pairs up with :data:`repro.core.axes.TASK_BATCH_KWARGS`
@@ -961,7 +959,7 @@ class LocalBlockRunner:
 
     The inline implementation of the block-runner contract every
     evaluation path shares: ``evaluate(tasks, on_block=None)`` returns
-    one ``(block, cached)`` pair per task, in task order, and calls
+    one block per task, in task order, and calls
     ``on_block(index, block)`` as each block lands.  ``engine`` picks
     the vectorized fast path (:func:`evaluate_block`) or the scalar
     reference loop.  The store's :class:`~repro.store.StoreBlockRunner`
@@ -978,13 +976,13 @@ class LocalBlockRunner:
         self.ngpc = ngpc
         self._evaluate = _scalar_block if engine == "scalar" else evaluate_block
 
-    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Tuple[Dict, bool]]:
+    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Dict]:
         out = []
         for index, task in enumerate(tasks):
             block = self._evaluate(task, self.ngpc)
             if on_block is not None:
                 on_block(index, block)
-            out.append((block, False))
+            out.append(block)
         return out
 
 
@@ -1139,11 +1137,8 @@ def run_plan(
         def report(index, block):
             on_block(plan[index][0], block)
 
-    evaluated = runner.evaluate([task for _, task in plan], report)
-    placed = [
-        (placement, block)
-        for (placement, _), (block, _) in zip(plan, evaluated)
-    ]
+    blocks = runner.evaluate([task for _, task in plan], report)
+    placed = [(placement, block) for (placement, _), block in zip(plan, blocks)]
     return finalize_sweep_result(
         grid, engine, ngpc, assemble_shard_blocks(grid, placed)
     )
@@ -1223,7 +1218,7 @@ def pareto_front(costs, values) -> List[int]:
     pairs resolve deterministically to the **lowest input index** — one
     representative per frontier point, so fronts computed over
     different supersets of the same points never flap on ties
-    (adaptive refinement compares fronts across rounds).  Returned
+    (streamed partial fronts compare fronts across blocks).  Returned
     indices are sorted by ascending cost (ties: by descending value).
     Fully vectorized — a 100k-point front resolves in milliseconds
     (``benchmarks/bench_sweep_scaling.py`` gates the sub-second floor).
@@ -1263,7 +1258,7 @@ def axis_index(axis: str, value, values: Tuple) -> int:
     swept one it raises :class:`AmbiguousAxisError`.  A value absent
     from the axis raises :class:`~repro.errors.NotOnGridError` carrying
     the axis name and its values.  Every query path (dense, streamed,
-    adaptive, the Session facade and the sweep service) applies it.
+    the Session facade and the sweep service) applies it.
     """
     if value is None:
         if len(values) == 1:
@@ -1497,142 +1492,6 @@ def front_points(
     ]
 
 
-# ---------------------------------------------------------------------------
-# adaptive refinement planner (consumed by repro.explore)
-# ---------------------------------------------------------------------------
-
-# REFINE_AXIS_FIELDS — the candidate axes of a Pareto/cheapest query, in
-# array order: the axes adaptive refinement windows and splits (the
-# batch axis is always carried whole: cost is batch-independent, so a
-# batch column is one value-keyed unit of work; encoding axes are
-# sliced, never refined) — is declared in the registry and re-exported
-# here for the explorer.
-
-
-def refinement_lattice(length: int, segments: int) -> Tuple[int, ...]:
-    """~``segments + 1`` evenly spaced boundary indices over one axis.
-
-    Always includes both endpoints (0 and ``length - 1``), so every
-    :func:`refinement_plan` block has all its corners on the lattice.
-    """
-    if length <= 0:
-        raise ValueError("axis length must be positive")
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
-    bounds = np.linspace(0, length - 1, min(segments, length - 1) + 1)
-    return tuple(sorted({int(round(b)) for b in bounds}))
-
-
-def refinement_plan(
-    grid: SweepGrid, segments: int = 3
-) -> Tuple[Tuple[Tuple[int, ...], ...], List[Tuple[Tuple[int, int], ...]]]:
-    """The coarse subsample + initial block partition of adaptive search.
-
-    Returns ``(lattice, blocks)`` over the four refinement axes
-    (:data:`REFINE_AXIS_FIELDS`, in array order):
-
-    - ``lattice`` — per-axis boundary index tuples; their cross product
-      is the coarse subsample a first round evaluates (one
-      :func:`selection_task` per app).
-    - ``blocks`` — per-axis ``(lo, hi)`` half-open index windows between
-      consecutive boundaries, *inclusive of both* (adjacent blocks share
-      their boundary cells), so every block's corner cells — the cells
-      its dominance bounds read — are already evaluated by the lattice.
-
-    ``grid`` must be resolved.  Singleton axes yield the trivial lattice
-    ``(0,)`` and window ``(0, 1)``.
-    """
-    lattice = []
-    per_axis_windows = []
-    for name in REFINE_AXIS_FIELDS:
-        length = len(getattr(grid, name))
-        bounds = refinement_lattice(length, segments)
-        lattice.append(bounds)
-        if length == 1:
-            per_axis_windows.append([(0, 1)])
-        else:
-            per_axis_windows.append(
-                [(lo, hi + 1) for lo, hi in zip(bounds[:-1], bounds[1:])]
-            )
-    blocks = [tuple(w) for w in itertools.product(*per_axis_windows)]
-    return tuple(lattice), blocks
-
-
-def selection_task(
-    grid: SweepGrid,
-    app: str,
-    scheme: str,
-    n_pixels: int,
-    selection: Tuple[Tuple[int, ...], ...],
-    encoding: Optional[Tuple[int, int, int]] = None,
-) -> Tuple:
-    """Build an :func:`evaluate_block` work unit from axis indices.
-
-    ``selection`` holds one sorted index tuple per refinement axis
-    (scale, clock, SRAM, engines), plus an optional fifth tuple of batch
-    indices (the full batch axis when omitted); the task spans their
-    cross product — value-keyed exactly like :func:`shard_plan` tasks,
-    so :func:`block_fingerprint` / the persistent store dedup it across
-    rounds, sessions and processes.  On extended grids, ``encoding``
-    names the (gridtype, log2_hashmap_size, per_level_scale) index
-    triple the task is pinned to — the explorer treats the encoding
-    axes as slices, one task per encoding point.  ``grid`` must be
-    resolved.
-    """
-    ks, cs, gs, es = selection[:4]
-    if len(selection) > 4:
-        batches = tuple(grid.n_batches[b] for b in selection[4])
-    else:
-        batches = grid.n_batches
-    task = (
-        app,
-        scheme,
-        tuple(grid.scale_factors[k] for k in ks),
-        (n_pixels,),
-        tuple(grid.clocks_ghz[c] for c in cs),
-        tuple(grid.grid_sram_kb[g] for g in gs),
-        tuple(grid.n_engines[e] for e in es),
-        batches,
-    )
-    if grid.is_extended:
-        t, h, r = encoding if encoding is not None else (0, 0, 0)
-        task += (
-            (grid.gridtypes[t],),
-            (grid.log2_hashmap_sizes[h],),
-            (grid.per_level_scales[r],),
-        )
-    return task
-
-
-def dominance_prune(
-    point_costs, point_values, block_min_costs, block_value_ubs
-) -> np.ndarray:
-    """Which blocks may still hold a frontier point (True = keep).
-
-    ``point_costs``/``point_values`` are the evaluated points so far;
-    each block contributes its exact minimum cost and an upper bound on
-    the value of any cell inside it.  A block is pruned only when some
-    already-evaluated point has cost <= the block's minimum cost and
-    value **strictly** above the block's bound: every cell of such a
-    block is strictly dominated, so it can appear on no exhaustive
-    front — and, because the inequality is strict, it can also not be an
-    exact (cost, value) duplicate of a frontier point, keeping the
-    lowest-flat-index tie-break of :func:`pareto_front` intact.
-    """
-    point_costs = np.asarray(point_costs, dtype=np.float64)
-    point_values = np.asarray(point_values, dtype=np.float64)
-    block_min_costs = np.asarray(block_min_costs, dtype=np.float64)
-    block_value_ubs = np.asarray(block_value_ubs, dtype=np.float64)
-    if point_costs.size == 0:
-        return np.ones(block_min_costs.shape, dtype=bool)
-    order = np.argsort(point_costs, kind="stable")
-    sorted_costs = point_costs[order]
-    best_below = np.maximum.accumulate(point_values[order])
-    pos = np.searchsorted(sorted_costs, block_min_costs, side="right")
-    best_at = np.where(pos > 0, best_below[np.maximum(pos - 1, 0)], -np.inf)
-    return best_at <= block_value_ubs
-
-
 #: arithmetic of one optimizer step relative to pure inference over the
 #: same samples: forward pass + ~2x for the backward pass (the standard
 #: fwd:bwd FLOP ratio the training benchmark assumes)
@@ -1675,21 +1534,11 @@ def train_steps_per_s_batch(
             config = get_config(app, scheme)
             for l, n_pixels in enumerate(grid.pixel_counts):
                 samples = samples_per_frame(config, n_pixels)
-                out[i, j, :, l] = train_rate(
-                    samples, accelerated_ms[i, j, :, l], batch
+                out[i, j, :, l] = (
+                    (samples / accelerated_ms[i, j, :, l]) * 1000.0
+                    / (batch * TRAIN_STEP_FLOP_FACTOR)
                 )
     return out
-
-
-def train_rate(samples, accelerated_ms, batch: int):
-    """Optimizer steps/s of ``batch``-sample steps at a frame time.
-
-    ``samples`` are the samples of one frame and ``accelerated_ms`` its
-    accelerated time; see :func:`train_steps_per_s_batch` for the model.
-    The one spelling of the expression, so the dense metric and the
-    explorer's feasibility predicate agree bit for bit.
-    """
-    return (samples / accelerated_ms) * 1000.0 / (batch * TRAIN_STEP_FLOP_FACTOR)
 
 
 def cheapest_meeting_fps(

@@ -112,10 +112,10 @@ def infeasible_query(
 ) -> InfeasibleQueryError:
     """The one spelling of "no config reaches that fps".
 
-    Both the adaptive explorer and the dense-result path (local, remote
-    and distributed backends alike) build the error here, so the class,
-    message and structured attributes are identical across execution
-    paths — the parity suite pins them equal.
+    Every backend's dense-result path (local, remote and distributed
+    alike) builds the error here, so the class, message and structured
+    attributes are identical across execution paths — the parity suite
+    pins them equal.
     """
     return InfeasibleQueryError(
         f"no configuration on the grid reaches {fps:g} fps for "

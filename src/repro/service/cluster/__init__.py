@@ -2,10 +2,10 @@
 
 The block task tuples of :func:`repro.core.dse.shard_plan` are
 self-contained, value-keyed work units; this package ships them across
-hosts.  A :class:`ShardCoordinator` queues a sweep's blocks (or an
-adaptive-refinement round's, through a :class:`ClusterBlockRunner`) and
-leases them over HTTP (``/cluster/*`` endpoints, mounted next to the JSON
-service by :mod:`repro.service.http`) to any number of
+hosts.  A :class:`ShardCoordinator` queues a sweep's blocks (through a
+:class:`ClusterBlockRunner`) and leases them over HTTP (``/cluster/*``
+endpoints, mounted next to the JSON service by
+:mod:`repro.service.http`) to any number of
 ``python -m repro worker`` processes — local or remote — which install
 calibration once per generation, evaluate blocks vectorized, and
 stream the dense arrays back; :func:`repro.core.dse.run_plan` assembles

@@ -96,8 +96,8 @@ MAX_BLOCK_BYTES = 4 * 1024 * 1024
 #: adaptive block-sizing target: once per-worker throughput has been
 #: observed from completed leases, sweeps are cut so one block costs a
 #: worker about this long — long enough to amortize an HTTP round trip,
-#: short enough that an uneven tail (or an adaptive-refinement round
-#: arriving mid-sweep) never idles the other workers for long
+#: short enough that an uneven tail (or a second sweep arriving
+#: mid-sweep) never idles the other workers for long
 TARGET_BLOCK_SECONDS = 0.25
 
 _PENDING, _LEASED, _DONE = 0, 1, 2
@@ -109,9 +109,8 @@ _UNSET_TIMEOUT = object()
 class _Job:
     """One submitted list of block tasks and its completion state.
 
-    Every job — a full sweep's plan or an adaptive-refinement round —
-    resolves to its evaluated blocks in task order; the caller
-    assembles them.
+    Every job — one sweep's block plan — resolves to its evaluated
+    blocks in task order; the caller assembles them.
     """
 
     def __init__(self, job_id: int, ngpc: Optional[NGPCConfig],
@@ -273,7 +272,7 @@ class ShardCoordinator:
         reported blocks, the plan targets
         :data:`TARGET_BLOCK_SECONDS`-sized blocks instead — fast workers
         get more, smaller blocks keep every worker busy through uneven
-        tails and interleaved adaptive-refinement rounds — while never
+        tails and interleaved sweeps — while never
         dropping below the static floor or above the
         :data:`MAX_BLOCK_BYTES` transport ceiling.  Blocks are leased
         window-major (:func:`~repro.core.dse.window_major`), so a
@@ -301,10 +300,10 @@ class ShardCoordinator:
         """Lease a list of block tasks; the blocks return in task order.
 
         ``tasks`` are :func:`~repro.core.dse.evaluate_block` work units —
-        a sweep's :func:`~repro.core.dse.shard_plan` tasks or an adaptive
-        refinement round.  Every registered worker pulls them, a worker
-        death re-queues its blocks, and lease timings feed the
-        throughput EWMAs that size later sweeps.  ``on_block`` (if
+        a sweep's :func:`~repro.core.dse.shard_plan` tasks.  Every
+        registered worker pulls them, a worker death re-queues its
+        blocks, and lease timings feed the throughput EWMAs that size
+        later sweeps.  ``on_block`` (if
         given) is called as ``on_block(task_id, block)`` on the
         coordinator loop for every accepted block — the streaming
         progress hook; listener exceptions never fail the job.
@@ -384,6 +383,8 @@ class ShardCoordinator:
         """
         ngpc = ngpc if ngpc is not None else self.ngpc
         resolved = grid.resolve(ngpc)
+        if timeout_s is _UNSET_TIMEOUT:
+            timeout_s = self.sweep_timeout_s
 
         async def plan():
             return self._plan(resolved)
@@ -731,24 +732,17 @@ class ClusterBlockRunner:
     one job from the calling thread and blocks until every block is
     back (in task order), relaying ``on_block(index, block)`` from the
     coordinator loop as blocks land.  :meth:`ShardCoordinator.
-    sweep_blocking` runs sweeps through it, and the
-    :class:`~repro.api.backends.DistributedBackend` hands one to the
-    adaptive explorer.  ``timeout_s`` left unset falls back to the
-    coordinator's ``sweep_timeout_s``.
+    sweep_blocking` runs every cluster sweep through it; ``timeout_s``
+    bounds the whole job (None waits without bound).
     """
 
     def __init__(self, coordinator: ShardCoordinator,
-                 ngpc: Optional[NGPCConfig] = None,
-                 timeout_s=_UNSET_TIMEOUT):
+                 ngpc: Optional[NGPCConfig], timeout_s: Optional[float]):
         self.coordinator = coordinator
         self.ngpc = ngpc
         self.timeout_s = timeout_s
 
-    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Tuple[Dict, bool]]:
-        timeout_s = self.timeout_s
-        if timeout_s is _UNSET_TIMEOUT:
-            timeout_s = self.coordinator.sweep_timeout_s
-        blocks = self.coordinator._call(lambda: self.coordinator.submit(
-            tasks, ngpc=self.ngpc, timeout_s=timeout_s, on_block=on_block,
+    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Dict]:
+        return self.coordinator._call(lambda: self.coordinator.submit(
+            tasks, ngpc=self.ngpc, timeout_s=self.timeout_s, on_block=on_block,
         ))
-        return [(block, False) for block in blocks]

@@ -12,7 +12,7 @@ Two sources feed one scrape:
 - **The live ``/stats`` tree**, flattened mechanically: every numeric
   leaf becomes ``repro_<path_joined_by_underscores>`` (e.g.
   ``stats()["cache"]["ram_hits"]`` → ``repro_cache_ram_hits``), so any
-  counter a past PR added — cache tiers, coalescing, explore,
+  counter the stack keeps — cache tiers, coalescing, progress,
   cluster — is a first-class metric without anyone remembering to wire
   it.  Two shapes get labels instead of name explosions: per-sweep
   progress counters (``progress.<digest>.<field>`` →

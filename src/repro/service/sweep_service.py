@@ -55,7 +55,6 @@ from repro.core.dse import (
     PAYLOAD_SCHEMA_VERSION,
     DesignPoint,
     EmulationResult,
-    LocalBlockRunner,
     SweepGrid,
     SweepResult,
     point_index,
@@ -63,16 +62,9 @@ from repro.core.dse import (
     validate_selectors,
 )
 from repro.core.config import NGPCConfig
-from repro.errors import InfeasibleQueryError
-from repro.explore import AdaptiveExplorer, ExplorationStats
 from repro.service.errors import as_service_error
 from repro.service.progress import SweepProgress, progress_events
-from repro.store import (
-    ResultStore,
-    StoreBlockRunner,
-    new_tier_counters,
-    tiered_sweep,
-)
+from repro.store import ResultStore, new_tier_counters, tiered_sweep
 
 GridLike = Union[SweepGrid, Dict, None]
 
@@ -166,27 +158,12 @@ class SweepService:
         max_cached_sweeps: int = 32,
         sweep_fn=None,
         store: Union[ResultStore, str, None] = None,
-        explore: str = "exhaustive",
     ):
         # an injected sweep_fn may carry its own engine label (the shard
         # cluster registers as "cluster"); the built-in path must name a
         # real local engine
         if sweep_fn is None and engine not in _ENGINES:
             raise ValueError(f"unknown engine {engine!r}; choose from {_ENGINES}")
-        if explore not in ("exhaustive", "adaptive"):
-            raise ValueError(
-                f"explore must be 'exhaustive' or 'adaptive', got {explore!r}"
-            )
-        if explore == "adaptive" and sweep_fn is not None:
-            raise ValueError(
-                "explore='adaptive' evaluates blocks in-process and cannot "
-                "route through an injected sweep_fn (e.g. a shard cluster); "
-                "run the cluster exhaustive or drop sweep_fn"
-            )
-        #: ``"adaptive"`` answers /pareto, /cheapest and /point by partial
-        #: exploration (``/sweep`` itself stays dense — its payload is the
-        #: whole hypercube by definition)
-        self.explore = explore
         self.engine = engine
         self.ngpc = ngpc
         self._sweep_fn = sweep_fn
@@ -206,10 +183,6 @@ class SweepService:
         # guards the dict, each entry synchronizes itself
         self._progress: Dict[Hashable, SweepProgress] = {}
         self._progress_lock = threading.Lock()
-        # adaptive explorers per grid fingerprint (same key space as the
-        # result LRU); the lock guards creation from executor threads
-        self._explorers: Dict[Hashable, AdaptiveExplorer] = {}
-        self._explorers_lock = threading.Lock()
         self._tasks: Set[asyncio.Task] = set()
         self.coalesced = 0
         # filled in by the HTTP layer: keep-alive connection accounting
@@ -430,36 +403,6 @@ class SweepService:
         finally:
             progress.unsubscribe(queue)
 
-    # -- adaptive exploration ------------------------------------------------
-    def _explorer_for(self, grid: GridLike) -> AdaptiveExplorer:
-        """One shared explorer per grid fingerprint.
-
-        Blocks evaluate through the persistent store when one is
-        attached (hits are free and flagged cached), and the explorer's
-        own dedup guarantees no block ever evaluates twice across the
-        queries and requests that share it.
-        """
-        resolved = _as_grid(grid).resolve(self.ngpc).normalized()
-        key = sweep_fingerprint(resolved, self.ngpc)
-        with self._explorers_lock:
-            explorer = self._explorers.get(key)
-            if explorer is None:
-                runner = LocalBlockRunner(self.ngpc)
-                if self.store is not None:
-                    runner = StoreBlockRunner(runner, self.store, self.ngpc)
-                explorer = AdaptiveExplorer(
-                    resolved, runner=runner, ngpc=self.ngpc
-                )
-                self._explorers[key] = explorer
-            return explorer
-
-    async def _explore(self, fn, *args, **kwargs):
-        """Run an explorer query off-loop (it may emulate blocks)."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, functools.partial(fn, *args, **kwargs)
-        )
-
     # -- queries -------------------------------------------------------------
     def _validated(self, grid: GridLike, scheme, n_pixels, app, **selectors):
         """The normalized grid, once :func:`validate_selectors` passed."""
@@ -476,11 +419,6 @@ class SweepService:
         **selectors,
     ) -> List[DesignPoint]:
         """Non-dominated (area, speedup) configurations of the grid."""
-        if self.explore == "adaptive":
-            return await self._explore(
-                self._explorer_for(grid).pareto, scheme, n_pixels=n_pixels,
-                app=app, **selectors,
-            )
         grid = self._validated(grid, scheme, n_pixels, app, **selectors)
         result = await self.sweep(grid)
         return result.pareto_front(
@@ -498,20 +436,12 @@ class SweepService:
     ) -> Optional[DesignPoint]:
         """Cheapest-area configuration hitting ``fps``, or None.
 
-        Both explore modes keep this endpoint's None-on-infeasible
-        contract (the wire payload is ``result: null``); the
+        The endpoint keeps a None-on-infeasible contract (the wire
+        payload is ``result: null``); the
         :class:`~repro.errors.InfeasibleQueryError` contract lives in
         the client-side facade, which reconstructs the structured error
         from the dense result it fetched.
         """
-        if self.explore == "adaptive":
-            try:
-                return await self._explore(
-                    self._explorer_for(grid).cheapest, app, fps,
-                    n_pixels=n_pixels, scheme=scheme, **selectors,
-                )
-            except InfeasibleQueryError:
-                return None
         grid = self._validated(grid, scheme, n_pixels, app, **selectors)
         result = await self.sweep(grid)
         return result.cheapest_point_meeting_fps(
@@ -533,11 +463,6 @@ class SweepService:
         :meth:`cheapest_point_meeting_fps`, with the same
         None-on-infeasible wire contract.
         """
-        if self.explore == "adaptive":
-            return await self._explore(
-                self._explorer_for(grid).cheapest_train, app, steps_per_s,
-                n_pixels=n_pixels, scheme=scheme, **selectors,
-            )
         grid = self._validated(grid, scheme, n_pixels, app, **selectors)
         result = await self.sweep(grid)
         return result.cheapest_point_meeting_train_rate(
@@ -558,11 +483,6 @@ class SweepService:
         Every selector follows the ambiguity rule: optional when its
         axis is a singleton, a structured 400 naming the axis otherwise.
         """
-        if self.explore == "adaptive":
-            return await self._explore(
-                self._explorer_for(grid).point,
-                app, scheme, scale_factor, n_pixels, **selectors,
-            )
         grid = _as_grid(grid).resolve(self.ngpc).normalized()
         point_index(
             grid, app=app, scheme=scheme, scale_factor=scale_factor,
@@ -595,7 +515,6 @@ class SweepService:
                 "evaluations": self.tier["evaluations"],
             },
             "http": dict(self.http),
-            "explore": self._explore_stats(),
             "progress": self._progress_stats(),
         }
         if self.store is not None:
@@ -622,27 +541,3 @@ class SweepService:
             hashlib.sha256(repr(key).encode()).hexdigest()[:12]: p.snapshot()
             for key, p in entries
         }
-
-    def _explore_stats(self) -> Dict:
-        """The ``explore`` section of :meth:`stats`.
-
-        In adaptive mode, the exploration counters summed over every
-        grid explored so far — ``points_evaluated / points_total`` is
-        the service-wide evaluated fraction of all queried hypercubes.
-        """
-        out: Dict = {"mode": self.explore}
-        if self.explore != "adaptive":
-            return out
-        totals = ExplorationStats()
-        with self._explorers_lock:
-            out["grids"] = len(self._explorers)
-            for explorer in self._explorers.values():
-                s = explorer.stats
-                for name in (
-                    "rounds", "blocks_total", "blocks_evaluated",
-                    "blocks_cached", "blocks_pruned", "points_total",
-                    "points_evaluated", "bound_violations",
-                ):
-                    setattr(totals, name, getattr(totals, name) + getattr(s, name))
-        out.update(totals.to_dict())
-        return out

@@ -15,7 +15,7 @@ replica mounting one directory:
   (``Session(store=...)``) alike.
 - :class:`StoreBlockRunner` — the persistent tier as a block runner
   (cached blocks are free), decorating the in-process runner for the
-  store ladder and the adaptive explorer.
+  store ladder.
 
 Wire format and keys are shared with the rest of the stack:
 :func:`~repro.core.dse.sweep_fingerprint` and

@@ -78,11 +78,11 @@ def _bump(counters: Optional[Dict[str, int]], name: str, n: int = 1) -> None:
 class StoreBlockRunner:
     """Persistent-store tier over another block runner.
 
-    Hits load memory-mapped from the store (flagged cached, reported
-    first); misses evaluate through ``inner`` and are persisted as each
-    one lands, so a crash mid-sweep still banks the blocks already
-    evaluated and re-running the same work — even in a fresh process —
-    reuses every block.  ``counters`` (optional) accumulates the
+    Hits load memory-mapped from the store (reported first); misses
+    evaluate through ``inner`` and are persisted as each one lands, so
+    a crash mid-sweep still banks the blocks already evaluated and
+    re-running the same work — even in a fresh process — reuses every
+    block.  ``counters`` (optional) accumulates the
     ``blocks_total``/``blocks_cached``/``blocks_evaluated`` tier
     counters.
     """
@@ -95,8 +95,8 @@ class StoreBlockRunner:
         self.ngpc = ngpc
         self.counters = counters
 
-    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Tuple[Dict, bool]]:
-        out: List[Optional[Tuple[Dict, bool]]] = [None] * len(tasks)
+    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Dict]:
+        out: List[Optional[Dict]] = [None] * len(tasks)
         keys = [block_fingerprint(task, self.ngpc) for task in tasks]
         missing = []
         for index, task in enumerate(tasks):
@@ -104,7 +104,7 @@ class StoreBlockRunner:
             if block is None:
                 missing.append(index)
                 continue
-            out[index] = (block, True)
+            out[index] = block
             if on_block is not None:
                 on_block(index, block)
         _bump(self.counters, "blocks_total", len(tasks))
@@ -121,8 +121,8 @@ class StoreBlockRunner:
             evaluated = self.inner.evaluate(
                 [tasks[index] for index in missing], landed
             )
-            for index, result in zip(missing, evaluated):
-                out[index] = result
+            for index, block in zip(missing, evaluated):
+                out[index] = block
         return out
 
 

@@ -20,6 +20,9 @@ The acceptance surface of the API redesign:
   grid, and invalid axes fail at the call site.
 - **Facade purity**: the CLI's design-space commands import only
   ``repro.api`` — never ``sweep_grid``/``ServiceClient`` directly.
+- **Dense at every size**: a grid past the old adaptive threshold is
+  evaluated densely by the default ``explore="auto"`` and answers
+  exactly as ``sweep_grid`` does; ``explore="adaptive"`` is rejected.
 
 No pytest-asyncio in the image: the remote service runs on its own
 event-loop thread (module-scoped), and sessions talk to it through the
@@ -675,6 +678,247 @@ class TestExceptionHierarchy:
     def test_unknown_engine_fails_at_construction(self):
         with pytest.raises(ValueError, match="unknown engine"):
             Session.local(engine="gpu")
+
+
+HASHGRID = "multi_res_hashgrid"
+
+#: (path, query, args, kwargs, axis): one off-grid selector per case, on
+#: the dense, streamed (partial) and Session facade query paths
+OFF_GRID_QUERIES = [
+    ("dense", "pareto_front", ("bogus",), {}, "scheme"),
+    ("dense", "pareto_front", (HASHGRID,), {"app": "bogus"}, "app"),
+    ("dense", "pareto_front", (HASHGRID,), {"n_pixels": 7}, "n_pixels"),
+    ("dense", "cheapest_point_meeting_fps", ("bogus", 60.0),
+     {"scheme": HASHGRID}, "app"),
+    ("partial", "pareto_front", ("bogus",), {}, "scheme"),
+    ("partial", "pareto_front", (HASHGRID,), {"app": "bogus"}, "app"),
+    ("partial", "validate_selectors", (HASHGRID,), {"n_pixels": 7},
+     "n_pixels"),
+    ("session", "pareto", ("bogus",), {}, "scheme"),
+    ("session", "pareto", (HASHGRID,), {"app": "bogus"}, "app"),
+    ("session", "pareto", (HASHGRID,), {"n_pixels": 7}, "n_pixels"),
+    ("session", "cheapest", ("bogus", 60.0), {"scheme": HASHGRID}, "app"),
+]
+
+
+class TestOffGridSelectors:
+    @pytest.mark.parametrize(
+        "path, query, args, kwargs, axis", OFF_GRID_QUERIES,
+        ids=[f"{c[0]}-{c[1]}-{c[4]}" for c in OFF_GRID_QUERIES],
+    )
+    def test_structured_not_on_grid_error(self, path, query, args, kwargs,
+                                          axis):
+        from repro.api import NotOnGridError
+        from repro.core.dse import sweep_grid
+        from repro.service.progress import PartialSweep
+
+        # normalized: the layout the Session facade answers in
+        grid = PARITY_GRID.resolve().normalized()
+        target = {
+            "dense": lambda: sweep_grid(grid),
+            "partial": lambda: PartialSweep(grid, None),
+            "session": lambda: Session.local().sweep(grid),
+        }[path]()
+        with pytest.raises(NotOnGridError) as err:
+            getattr(target, query)(*args, **kwargs)
+        assert err.value.axis == axis
+        assert err.value.values == {
+            "scheme": grid.schemes, "app": grid.apps,
+            "n_pixels": grid.pixel_counts,
+        }[axis]
+        assert str(err.value).startswith(f"{axis}=")
+
+
+# ---------------------------------------------------------------------------
+# dense answers at every grid size
+# ---------------------------------------------------------------------------
+
+
+#: 131,072 points: the size at which explore="auto" used to stop
+#: evaluating densely
+BIG_GRID = SweepGrid(
+    scale_factors=tuple(2 ** i for i in range(8)),
+    clocks_ghz=tuple(0.5 + 0.05 * i for i in range(8)),
+    grid_sram_kb=tuple(2 ** (4 + i) for i in range(8)),
+    n_engines=tuple(2 ** i for i in range(8)),
+    n_batches=tuple(2 ** i for i in range(8)),
+)
+
+
+class TestDenseAtEverySize:
+    @pytest.fixture(scope="class")
+    def big(self):
+        from repro.core.dse import sweep_grid
+
+        sweep = Session().sweep(BIG_GRID)  # default explore="auto"
+        return sweep, sweep_grid(sweep.grid, use_cache=False)
+
+    def test_large_default_sweep_is_dense(self, big):
+        sweep, _ = big
+        assert sweep.size >= 131_072
+        assert sweep.explore == "exhaustive"
+        assert sweep.explore_stats is None
+        assert isinstance(sweep.result, SweepResult)
+
+    def test_answers_equal_the_dense_reference(self, big):
+        sweep, ref = big
+        grid = sweep.grid
+        for app in (None,) + grid.apps:
+            assert [p.to_dict() for p in sweep.pareto(app=app)] == \
+                [p.to_dict() for p in ref.pareto_front(HASHGRID, app=app)]
+        for app in grid.apps:
+            assert sweep.cheapest(app=app, fps=30.0).to_dict() == \
+                ref.cheapest_point_meeting_fps(app, 30.0).to_dict()
+            assert sweep.cheapest(app=app, train_steps_per_s=1.0).to_dict() \
+                == ref.cheapest_point_meeting_train_rate(app, 1.0).to_dict()
+        axes = dict(scale_factor=16, clock_ghz=grid.clocks_ghz[3],
+                    grid_sram_kb=256, n_engines=8, n_batches=4)
+        assert sweep.point(app="gia", **axes) == ref.point(
+            "gia", HASHGRID, n_pixels=FHD_PIXELS, **axes
+        )
+
+    def test_unreachable_fps_raises_structured_error(self, big):
+        sweep, ref = big
+        with pytest.raises(InfeasibleQueryError) as excinfo:
+            sweep.cheapest(app="nerf", fps=10.0 ** 9)
+        exc = excinfo.value
+        best = float(1000.0 / ref.accelerated_ms[ref.grid.apps.index("nerf")]
+                     .min())
+        assert (exc.app, exc.fps, exc.n_pixels, exc.scheme, exc.best_fps) \
+            == ("nerf", 10.0 ** 9, FHD_PIXELS, HASHGRID, best)
+        assert str(exc).startswith("no configuration on the grid reaches")
+
+    @pytest.mark.parametrize("mode", ["adaptive", "greedy"])
+    def test_any_other_explore_mode_is_rejected(self, mode):
+        for session in (Session(), Session.remote(port=1)):  # no IO yet
+            with session, pytest.raises(
+                ValueError, match="adaptive explorer was removed"
+            ):
+                session.sweep(PARITY_GRID, explore=mode)
+
+    def test_exhaustive_is_the_same_dense_sweep(self, local_session):
+        auto = local_session.sweep(PARITY_GRID)
+        exhaustive = local_session.sweep(PARITY_GRID, explore="exhaustive")
+        assert auto.result is exhaustive.result
+
+
+#: multi-app, multi-scheme, tie-rich: every query kind has something to
+#: bite through the facade
+GOLDEN_GRID = SweepGrid(
+    apps=("nerf", "gia"),
+    schemes=(HASHGRID, "multi_res_densegrid"),
+    scale_factors=(8, 16, 32, 64),
+    clocks_ghz=(0.8, 1.695),
+    grid_sram_kb=(512, 1024),
+    n_batches=(8, 16),
+)
+
+#: reachable, marginal and unreachable rendering targets
+FPS_TARGETS = (1.0, 30.0, 60.0, 240.0, 10.0 ** 9)
+
+
+def points_dicts(points):
+    return [p.to_dict() for p in points]
+
+
+class TestDenseGoldenEquality:
+    """Every Session answer equals the dense ``sweep_grid`` reference,
+    tie-breaks and the structured infeasible error included."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        from repro.core.dse import sweep_grid
+
+        sweep = Session.local(engine="vectorized").sweep(GOLDEN_GRID)
+        return sweep, sweep_grid(sweep.grid, use_cache=False)
+
+    @pytest.mark.parametrize("scheme", GOLDEN_GRID.schemes)
+    def test_pareto_fronts_identical(self, golden, scheme):
+        sweep, ref = golden
+        for n_pixels in ref.grid.pixel_counts:
+            for app in (None,) + ref.grid.apps:
+                got = sweep.pareto(scheme=scheme, n_pixels=n_pixels, app=app)
+                want = ref.pareto_front(scheme, n_pixels=n_pixels, app=app)
+                assert points_dicts(got) == points_dicts(want), (n_pixels, app)
+
+    @pytest.mark.parametrize("fps", FPS_TARGETS)
+    def test_cheapest_identical_including_infeasible(self, golden, fps):
+        sweep, ref = golden
+        grid = ref.grid
+        for i, app in enumerate(grid.apps):
+            for j, scheme in enumerate(grid.schemes):
+                want = ref.cheapest_point_meeting_fps(app, fps, scheme=scheme)
+                if want is not None:
+                    got = sweep.cheapest(app=app, fps=fps, scheme=scheme)
+                    assert got.to_dict() == want.to_dict(), (app, scheme)
+                    continue
+                with pytest.raises(InfeasibleQueryError) as excinfo:
+                    sweep.cheapest(app=app, fps=fps, scheme=scheme)
+                exc = excinfo.value
+                assert (exc.app, exc.fps, exc.n_pixels, exc.scheme) == \
+                    (app, fps, FHD_PIXELS, scheme)
+                # best_fps is the exact dense maximum (same float)
+                assert exc.best_fps == float(ref.fps[i, j, :, 0].max())
+
+    def test_point_identical(self, golden):
+        sweep, ref = golden
+        axes = dict(clock_ghz=1.695, grid_sram_kb=512, n_batches=8)
+        got = sweep.point(app="gia", scheme="multi_res_densegrid",
+                          scale_factor=16, **axes)
+        want = ref.point("gia", "multi_res_densegrid", 16,
+                         ref.grid.pixel_counts[0], **axes)
+        assert got == want
+
+    def test_lazy_result_equals_the_dense_reference(self, golden):
+        _, ref = golden
+        lazy = Session.local(engine="vectorized").sweep(GOLDEN_GRID, lazy=True)
+        np.testing.assert_array_equal(lazy.result.accelerated_ms,
+                                      ref.accelerated_ms)
+        assert lazy.records(limit=5) == ref.to_records(limit=5)
+
+    def test_infeasible_error_identical_across_explore_modes(self):
+        session = Session.local(engine="vectorized")
+        payloads = []
+        for mode in ("auto", "exhaustive"):
+            sweep = session.sweep(GOLDEN_GRID, explore=mode)
+            with pytest.raises(InfeasibleQueryError) as excinfo:
+                sweep.cheapest(app="gia", fps=10.0 ** 9, scheme=HASHGRID)
+            exc = excinfo.value
+            payloads.append((str(exc), exc.app, exc.fps, exc.n_pixels,
+                             exc.scheme, exc.best_fps))
+        assert payloads[0] == payloads[1]
+
+    def test_respelled_grid_shares_one_evaluation(self, local_session):
+        respelled = SweepGrid(
+            apps=tuple(reversed(GOLDEN_GRID.apps)),
+            schemes=tuple(reversed(GOLDEN_GRID.schemes)),
+            scale_factors=(64, 8, 32, 16),
+            clocks_ghz=(1.695, 0.8),
+            grid_sram_kb=GOLDEN_GRID.grid_sram_kb,
+            n_batches=GOLDEN_GRID.n_batches,
+        )
+        sweep = local_session.sweep(GOLDEN_GRID)
+        again = local_session.sweep(respelled)
+        assert again.grid == sweep.grid
+        assert again.result is sweep.result
+
+    def test_fresh_session_over_warm_store_evaluates_nothing(self, tmp_path):
+        store_dir = str(tmp_path / "results")
+        warm = Session.local(use_cache=False, store=store_dir)
+        sweep = warm.sweep(GOLDEN_GRID)
+        front = points_dicts(sweep.pareto(scheme=HASHGRID))
+        hit = sweep.cheapest(app="nerf", fps=60.0, scheme=HASHGRID).to_dict()
+        assert warm.stats()["cache"]["evaluations"] == 1
+
+        # a new session over the same directory answers identically from
+        # the persisted sweep alone
+        cold = Session.local(use_cache=False, store=store_dir)
+        sweep2 = cold.sweep(GOLDEN_GRID)
+        assert points_dicts(sweep2.pareto(scheme=HASHGRID)) == front
+        assert sweep2.cheapest(app="nerf", fps=60.0,
+                               scheme=HASHGRID).to_dict() == hit
+        cache = cold.stats()["cache"]
+        assert (cache["evaluations"], cache["disk_hits"]) == (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,16 @@ class TestDseCommand:
         with pytest.raises(SystemExit, match="--engine cluster only"):
             main(["serve", "--workers", "2"])
 
+    def test_explore_flag_is_gone(self, capsys):
+        # every sweep evaluates densely; the adaptive explorer's flag is
+        # an argparse error on both commands
+        for command in ("dse", "serve"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--explore", "adaptive"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --explore adaptive" in \
+                capsys.readouterr().err
+
     @pytest.mark.parametrize("fps", ("0", "-5"))
     def test_rejects_non_positive_fps(self, fps):
         with pytest.raises(SystemExit):

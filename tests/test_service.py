@@ -45,7 +45,6 @@ from repro.core.dse import (
     sweep_grid,
 )
 from repro.errors import NotOnGridError, UnknownAxisError
-from repro.explore import AdaptiveExplorer
 from repro.gpu.baseline import FHD_PIXELS
 from repro.service import (
     ServiceClient,
@@ -485,14 +484,14 @@ MISSPELLED_QUERIES = {
         "nerf", SCHEME, 8, FHD_PIXELS, clock_gz=1.0),
     ("partial", "plane"): lambda g: PartialSweep(g, None).pareto_front(
         SCHEME, **PLANE_TYPO),
-    ("adaptive", "plane"): lambda g: AdaptiveExplorer(g).pareto(
-        SCHEME, **PLANE_TYPO),
-    ("adaptive", "point"): lambda g: AdaptiveExplorer(g).point(
-        "nerf", SCHEME, 8, FHD_PIXELS, clock_gz=1.0),
     ("session", "plane"): lambda g: Session.local().sweep(g).pareto(
         **PLANE_TYPO),
     ("session", "point"): lambda g: Session.local().sweep(g).point(
         **POINT_TYPO),
+    ("session-exhaustive", "plane"): lambda g: Session.local().sweep(
+        g, explore="exhaustive").pareto(**PLANE_TYPO),
+    ("session-exhaustive", "point"): lambda g: Session.local().sweep(
+        g, explore="exhaustive").point(**POINT_TYPO),
     ("session-watch", "plane"): lambda g: next(
         Session.local().sweep(g, lazy=True).watch(**PLANE_TYPO)),
     ("service", "plane"): lambda g: asyncio.run(
@@ -529,6 +528,18 @@ class TestUnknownSelectors:
             "plane": ("gridtyp", "gridtype"),
             "point": ("clock_gz", "clock_ghz"),
         }[kind]
+
+
+class TestDenseOnlyService:
+    """Every service sweep evaluates densely: no explore mode to pick."""
+
+    def test_stats_have_no_explore_block(self):
+        stats = SweepService(engine="vectorized").stats()
+        assert "explore" not in stats
+
+    def test_explore_option_is_gone(self):
+        with pytest.raises(TypeError, match="explore"):
+            SweepService(explore="adaptive")
 
 
 class TestSelectorsBeforeSweep:

@@ -25,13 +25,12 @@
 # block-delta evaluation, corruption quarantine) and the store
 # benchmark gates (warm load >= 50x re-evaluation, overlap evaluates
 # only the missing blocks, bit-identity) run in --quick mode, emitting
-# BENCH_store.json.  The adaptive exploration engine gets an
-# exact-answer smoke (Session explore='adaptive' parity vs exhaustive,
-# including the structured infeasible error, plus a CLI
-# `repro dse --explore adaptive` run) and its acceptance gates
-# (bench_adaptive --quick: golden equality, <= 10% of a multi-million
-# point hypercube evaluated, >= 5x cold wall clock, emitting
-# BENCH_adaptive.json).  The streaming result path gets a pickle ban
+# BENCH_store.json.  A dense-answers smoke sweeps a grid above the
+# size where an adaptive explorer used to take over and requires the
+# Session's front and cheapest point to equal a fresh vectorized
+# sweep's (the one-block-path grep gate keeps the removed explorer,
+# its refinement planner and the backends' block_runner() out of
+# src/).  The streaming result path gets a pickle ban
 # (no `import pickle` / `pickle.` call anywhere under
 # src/repro/service — the versioned binary frame transport replaced
 # it on the wire) and its acceptance gates (bench_stream --quick:
@@ -53,7 +52,7 @@
 # `DesignPoint(` is constructed in exactly one place.  A third keeps one
 # selector mapping: no encoding selector name (`gridtype`,
 # `log2_hashmap_size`, `per_level_scale`) appears in the Session, the
-# backends, the service or the explorer — they forward selectors as
+# backends or the service — they forward selectors as
 # keywords to the query kernel.  A fourth keeps one tier ladder and one
 # stream-event builder: `.load_sweep(`/`.save_sweep(` are called only
 # in src/repro/store/tiered.py (once each, by `tiered_sweep`), and the
@@ -145,12 +144,19 @@ if [ "$(printf '%s\n' "$kernel_calls" | grep -c .)" != 1 ] \
 else
     echo "one block executor: $kernel_calls"
 fi
+# one evaluation strategy: every sweep is dense, so the adaptive
+# explorer, its refinement planner and the backends' block runners
+# for it stay deleted
+if grep -rnE --include='*.py' \
+    'repro\.explore|AdaptiveExplorer|refinement_plan|block_runner' src/; then
+    echo "FAIL: the adaptive explorer (or a piece of it) is back under src/" >&2
+    fail
+fi
 
 section "one query kernel (grep gate)"
 # the selector rule, the encoding slice, the swept-axis list and the
-# DesignPoint builder are defined once, in repro.core.dse; dense,
-# streamed and adaptive queries, the Session facade and the service
-# all call them
+# DesignPoint builder are defined once, in repro.core.dse; dense and
+# streamed queries, the Session facade and the service all call them
 if grep -rnE --include='*.py' \
     'def (_axis_index|_encoding_slice|_encoding_index|_config_axes|_pick|_pick_encoding)\(' \
     src/repro; then
@@ -174,7 +180,7 @@ section "one selector mapping (grep gate)"
 # builder in api/grid.py is a grid axis, not a selector, and not scanned)
 if grep -rnwE --include='*.py' 'gridtype|log2_hashmap_size|per_level_scale' \
     src/repro/api/session.py src/repro/api/backends.py \
-    src/repro/service/ src/repro/explore/; then
+    src/repro/service/; then
     echo "FAIL: a hand-threaded encoding selector is back above the query kernel" >&2
     fail
 else
@@ -240,54 +246,33 @@ python benchmarks/bench_service.py --quick || fail
 section "Session facade overhead gate (smoke)"
 python benchmarks/bench_api.py --quick || fail
 
-section "adaptive exploration smoke (parity + structured infeasible)"
+section "dense answers at any grid size"
 python - <<'PY' || fail
-from repro.api import InfeasibleQueryError, Session, SweepGrid
+from repro.api import Session, SweepGrid
+from repro.core.dse import sweep_grid
 
+# 262,144 points, twice the size at which explore="auto" used to hand
+# the grid to the adaptive explorer
 grid = SweepGrid(
-    apps=("nerf", "gia"),
-    scale_factors=(8, 16, 32, 64),
-    clocks_ghz=(0.8, 1.2, 1.695),
-    n_batches=(8, 16),
+    scale_factors=tuple(2 ** i for i in range(8)),
+    clocks_ghz=tuple(0.5 + 0.05 * i for i in range(8)),
+    grid_sram_kb=tuple(2 ** (4 + i) for i in range(8)),
+    n_engines=tuple(2 ** i for i in range(8)),
+    n_batches=tuple(2 ** i for i in range(16)),
 )
-session = Session.local(engine="vectorized")
-adaptive = session.sweep(grid, explore="adaptive")
-dense = session.sweep(grid, explore="exhaustive")
-assert adaptive.explore == "adaptive", adaptive.explore
-assert [p.to_dict() for p in adaptive.pareto()] == \
-       [p.to_dict() for p in dense.pareto()]
-assert adaptive.cheapest(app="nerf", fps=60.0).to_dict() == \
-       dense.cheapest(app="nerf", fps=60.0).to_dict()
-try:
-    adaptive.cheapest(app="gia", fps=10.0**9)
-except InfeasibleQueryError as exc:
-    try:
-        dense.cheapest(app="gia", fps=10.0**9)
-    except InfeasibleQueryError as exc2:
-        assert str(exc) == str(exc2) and exc.best_fps == exc2.best_fps
-    else:
-        raise AssertionError("dense path did not raise")
-else:
-    raise AssertionError("adaptive path did not raise")
-stats = adaptive.explore_stats
-assert stats["points_evaluated"] <= stats["points_total"], stats
-assert stats["bound_violations"] == 0, stats
-print(f"adaptive smoke ok: parity on {adaptive.size} points "
-      f"({stats['points_evaluated']} evaluated in {stats['rounds']} "
-      f"rounds), structured infeasible error identical across modes")
+assert grid.size > 131_072, grid.size
+sweep = Session().sweep(grid)
+assert sweep.explore == "exhaustive", sweep.explore
+assert sweep.explore_stats is None, sweep.explore_stats
+ref = sweep_grid(sweep.grid, engine="vectorized", use_cache=False)
+front = [p.to_dict() for p in sweep.pareto()]
+assert front == [p.to_dict() for p in ref.pareto_front("multi_res_hashgrid")]
+hit = sweep.cheapest(app="nerf", fps=60.0)
+assert hit.to_dict() == ref.cheapest_point_meeting_fps("nerf", 60.0).to_dict()
+print(f"dense answers ok: {sweep.size}-point Session sweep, front of "
+      f"{len(front)} configs and cheapest@60fps={hit.describe()} equal to "
+      f"a fresh vectorized sweep")
 PY
-
-section "CLI adaptive exploration smoke (repro dse --explore adaptive)"
-if python -m repro dse --explore adaptive \
-    --sweep scale=8:16:32:64,clock=0.8:1.2:1.695,batches=8:16 \
-    --fps 60 > /dev/null; then
-    echo "repro dse --explore adaptive ok"
-else
-    fail
-fi
-
-section "adaptive exploration gates (smoke)"
-python benchmarks/bench_adaptive.py --quick || fail
 
 section "axis-registry gate (no private axis tuples)"
 # every axis list must derive from repro.core.axes: two adjacent
@@ -304,13 +289,13 @@ else
     echo "axis lists derive from repro.core.axes only"
 fi
 
-section "hash-grid axes parity (local / store / cluster / adaptive)"
+section "hash-grid axes parity (local / store / cluster)"
 python - <<'PY' || fail
 import tempfile
 
 import numpy as np
 
-from repro.api import DistributedBackend, Session, SweepGrid
+from repro.api import DistributedBackend, SweepGrid
 from repro.core.dse import sweep_grid
 from repro.store import ResultStore, tiered_sweep
 
@@ -327,21 +312,6 @@ assert vec.accelerated_ms.ndim == 11, vec.accelerated_ms.shape
 stored = tiered_sweep(grid, store=ResultStore(tempfile.mkdtemp()))
 np.testing.assert_array_equal(stored.accelerated_ms, vec.accelerated_ms)
 
-session = Session.local(engine="vectorized")
-adaptive = session.sweep(grid, explore="adaptive")
-dense = session.sweep(grid, explore="exhaustive")
-for sel in (
-    {"gridtype": "hash", "log2_hashmap_size": 14, "per_level_scale": 2.0},
-    {"gridtype": "tiled", "log2_hashmap_size": 19, "per_level_scale": 1.5},
-):
-    assert [p.to_dict() for p in adaptive.pareto(**sel)] == \
-           [p.to_dict() for p in dense.pareto(**sel)]
-    assert adaptive.cheapest(app="nerf", fps=30.0, **sel).to_dict() == \
-           dense.cheapest(app="nerf", fps=30.0, **sel).to_dict()
-    assert adaptive.cheapest(app="nerf", train_steps_per_s=1.0, **sel) \
-        .to_dict() == \
-        dense.cheapest(app="nerf", train_steps_per_s=1.0, **sel).to_dict()
-
 backend = DistributedBackend(workers=2)
 try:
     cluster = backend.sweep(grid)
@@ -349,7 +319,7 @@ try:
 finally:
     backend.close()
 print(f"hash-grid parity ok: {grid.size}-point extended sweep bit-identical "
-      f"across local, store-backed, cluster and adaptive paths")
+      f"across local, store-backed and cluster paths")
 PY
 
 section "pickle ban (the frame transport owns the wire)"
