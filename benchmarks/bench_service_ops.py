@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Load probe of the service ops layer: quota fairness under a flood.
 
-One misbehaving tenant fires hundreds of concurrent requests — cold
-sweeps that saturate the global cold-evaluation cap and its bounded
-queue — while a well-behaved tenant keeps issuing cached pareto
-queries against the same server.  Three gates guard the multi-tenant
-acceptance bar:
+One misbehaving tenant fires hundreds of requests from a pool of
+``FLOOD_THREADS`` concurrent clients — cold sweeps that saturate the
+global cold-evaluation cap and its bounded queue — while a well-behaved
+tenant keeps issuing cached pareto queries against the same server (the
+clients run on threads beside the server's event loop).  Three gates
+guard the multi-tenant acceptance bar:
 
 1. **Isolation**: the well-behaved tenant's cached-query p99 stays
    under the ceiling *while the flood is in flight* — a hostile
@@ -36,18 +37,18 @@ import argparse
 import asyncio
 import json
 import os
-import statistics
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.dse import SweepGrid, sweep_grid
 from repro.service import (
     JsonLogger,
     OpsLayer,
-    ServiceClient,
     ServiceError,
     SweepService,
+    SyncServiceClient,
 )
 from repro.service.http import start_http_server
 
@@ -59,6 +60,9 @@ CACHED_P99_CEILING_S = 0.250
 #: how long each cold evaluation is pinned in the executor, so the
 #: flood reliably saturates the single cold slot for the whole probe
 COLD_FLOOR_S = 0.25
+
+#: concurrent flood clients (one blocking connection each)
+FLOOD_THREADS = 32
 
 TENANTS = {
     "tenants": [
@@ -93,9 +97,63 @@ def quantile(samples, q: float) -> float:
     return ordered[index]
 
 
-async def probe(quick: bool, tenants_path: str) -> dict:
+def flood_one(port: int, grid) -> tuple:
+    """One hog request: its outcome and whether a 429 lacked a retry hint."""
+    with SyncServiceClient(port=port, api_key="ak-hog") as client:
+        try:
+            client.sweep_summary(grid.to_dict())
+        except ServiceError as error:
+            if error.code in ("overloaded", "rate-limited"):
+                return (error.code.replace("-", "_"),
+                        not error.details.get("retry_after_s"))
+            return "other", False
+    return "completed", False
+
+
+def probe(port: int, quick: bool) -> dict:
+    """Flood the server on ``port`` while timing the steady tenant."""
     n_flood = 120 if quick else 400
     n_steady = 40 if quick else 100
+    with SyncServiceClient(port=port, api_key="ak-steady") as steady, \
+            ThreadPoolExecutor(FLOOD_THREADS) as pool:
+        # warm the steady tenant's query grid before the flood starts
+        steady.sweep_summary(QUERY_GRID.to_dict())
+
+        flood = [pool.submit(flood_one, port, grid)
+                 for grid in cold_grids(n_flood)]
+        time.sleep(0.05)  # the flood owns the cold slot + queue
+
+        latencies = []
+        for _ in range(n_steady):
+            start = time.perf_counter()
+            front = steady.pareto_front(QUERY_GRID.to_dict())
+            latencies.append(time.perf_counter() - start)
+            assert front, "cached pareto answered nothing"
+        flood_live = sum(1 for future in flood if not future.done())
+        settled = [future.result() for future in flood]
+
+        stats = steady.stats()
+    outcomes = {"completed": 0, "overloaded": 0,
+                "rate_limited": 0, "other": 0}
+    for outcome, _ in settled:
+        outcomes[outcome] += 1
+    return {
+        "n_flood_requests": n_flood,
+        "n_steady_queries": n_steady,
+        "query_grid_points": QUERY_GRID.size,
+        "steady_query_s_p50": quantile(latencies, 0.50),
+        "steady_query_s_p99": quantile(latencies, 0.99),
+        "steady_query_s_max": max(latencies),
+        "flood_outcomes": outcomes,
+        "flood_live_during_queries": flood_live,
+        "missing_retry_hints": sum(missing for _, missing in settled),
+        "admission": stats["ops"]["admission"],
+        "http_metrics": stats["ops"]["http_metrics"],
+    }
+
+
+async def serve_and_probe(quick: bool, tenants_path: str) -> dict:
+    """Run :func:`probe` on a worker thread against a live server."""
 
     def slow_cold(grid, engine="vectorized", ngpc=None, on_block=None):
         result = sweep_grid(grid, engine="vectorized", ngpc=ngpc,
@@ -108,61 +166,9 @@ async def probe(quick: bool, tenants_path: str) -> dict:
     ops = OpsLayer(tenants_path=tenants_path,
                    logger=JsonLogger(level="error"))
     server = await start_http_server(service, "127.0.0.1", 0, ops=ops)
-    steady = ServiceClient("127.0.0.1", server.port, api_key="ak-steady")
     try:
-        # warm the steady tenant's query grid before the flood starts
-        await steady.sweep(QUERY_GRID.to_dict())
-
-        outcomes = {"completed": 0, "overloaded": 0,
-                    "rate_limited": 0, "other": 0}
-        missing_retry_hints = 0
-
-        async def flood_one(grid) -> None:
-            client = ServiceClient("127.0.0.1", server.port,
-                                   api_key="ak-hog")
-            try:
-                await client.sweep(grid.to_dict())
-                outcomes["completed"] += 1
-            except ServiceError as error:
-                nonlocal missing_retry_hints
-                if error.code in ("overloaded", "rate-limited"):
-                    outcomes[error.code.replace("-", "_")] += 1
-                    if not error.details.get("retry_after_s"):
-                        missing_retry_hints += 1
-                else:
-                    outcomes["other"] += 1
-            finally:
-                await client.close()
-
-        flood = [asyncio.ensure_future(flood_one(grid))
-                 for grid in cold_grids(n_flood)]
-        await asyncio.sleep(0.05)  # the flood owns the cold slot + queue
-
-        latencies = []
-        for _ in range(n_steady):
-            start = time.perf_counter()
-            front = await steady.pareto_front(QUERY_GRID.to_dict())
-            latencies.append(time.perf_counter() - start)
-            assert front, "cached pareto answered nothing"
-        flood_live = sum(1 for task in flood if not task.done())
-        await asyncio.gather(*flood)
-
-        stats = await steady.stats()
-        return {
-            "n_flood_requests": n_flood,
-            "n_steady_queries": n_steady,
-            "query_grid_points": QUERY_GRID.size,
-            "steady_query_s_p50": quantile(latencies, 0.50),
-            "steady_query_s_p99": quantile(latencies, 0.99),
-            "steady_query_s_max": max(latencies),
-            "flood_outcomes": outcomes,
-            "flood_live_during_queries": flood_live,
-            "missing_retry_hints": missing_retry_hints,
-            "admission": stats["ops"]["admission"],
-            "http_metrics": stats["ops"]["http_metrics"],
-        }
+        return await asyncio.to_thread(probe, server.port, quick)
     finally:
-        await steady.close()
         await server.close()
 
 
@@ -176,11 +182,12 @@ def main() -> int:
         tenants_path = os.path.join(tmp, "tenants.json")
         with open(tenants_path, "w") as handle:
             json.dump(TENANTS, handle)
-        results = asyncio.run(probe(args.quick, tenants_path))
+        results = asyncio.run(serve_and_probe(args.quick, tenants_path))
     results["quick"] = args.quick
 
     outcomes = results["flood_outcomes"]
-    print(f"flood: {results['n_flood_requests']} concurrent cold sweeps -> "
+    print(f"flood: {results['n_flood_requests']} cold sweeps from "
+          f"{FLOOD_THREADS} concurrent clients -> "
           f"{outcomes['completed']} completed, "
           f"{outcomes['overloaded']} overloaded, "
           f"{outcomes['rate_limited']} rate-limited, "

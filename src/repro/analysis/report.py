@@ -229,8 +229,8 @@ runs one block per (app, scheme) pair.
 `/result` is JSON by default and a binary frame on request.  A
 client sending `Accept: application/x-repro-frame` gets a finished
 result as one CRC-checked `repro.transport` frame of the raw
-float64 arrays; without the header (curl, the async
-`ServiceClient`, `request_json`) the JSON body is unchanged.
+float64 arrays; without the header (curl, `request_json`) the
+JSON body is unchanged.
 Errors and 202 long-poll bodies are JSON either way.  The
 `repro.api` remote backend (and so `repro query`) asks for frames:
 on the 10,240-point grid of `bench_service.py`'s wire gate a
@@ -282,9 +282,14 @@ which does it from a frame), and pass it to
 `design_space_section(result=...)`.
 
 Connections are keep-alive: clients (the `repro.api` remote
-backend, `repro query`) reuse one socket across requests, and
-`/stats` counts `http.connections` / `http.requests` /
-`http.reused`.  Payloads are versioned: every response envelope
+backend, `repro query`, cluster workers) reuse one socket across
+requests, and `/stats` counts `http.connections` / `http.requests` /
+`http.reused`.  Every client connection runs on one routine,
+`repro.service.client.KeepAliveClient`: the service client re-sends
+a request only when a reused connection died before one response
+byte, so a sweep is never dispatched twice, while the worker's
+at-least-once `/cluster/*` client re-sends once after any failure
+on a reused connection.  Payloads are versioned: every response envelope
 carries `schema_version`, clients advertise the version they
 speak in each request body, and an unsupported version is a
 structured 400 (`error.code == "unsupported-schema"`).  Request

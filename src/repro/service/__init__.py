@@ -3,14 +3,15 @@
 The step from batch tool toward a serving system: a coalescing,
 LRU-cached asyncio front end (:class:`SweepService`) exposed in-process
 and over a stdlib HTTP JSON API (:mod:`repro.service.http`), with a
-matching client (:mod:`repro.service.client`) and a multi-host shard
+blocking keep-alive client (:mod:`repro.service.client`, the one HTTP
+client routine the cluster workers run on too) and a multi-host shard
 cluster (:mod:`repro.service.cluster`) that leases block tasks to
 worker processes on any machine.  CLI entry points: ``python -m repro
 serve`` (``--engine cluster`` mounts a coordinator), ``repro worker``
 and ``python -m repro query``.
 """
 
-from repro.service.client import ServiceClient, SyncServiceClient, request_json
+from repro.service.client import SyncServiceClient, request_json
 from repro.service.cluster import ShardCoordinator, run_worker
 from repro.service.errors import ServiceError, as_service_error
 from repro.service.http import SweepHTTPServer, run_server, start_http_server
@@ -27,7 +28,6 @@ __all__ = [
     "AdmissionController",
     "JsonLogger",
     "OpsLayer",
-    "ServiceClient",
     "ServiceError",
     "ShardCoordinator",
     "SweepHTTPServer",

@@ -1,43 +1,48 @@
 """Clients for the sweep service's HTTP API (JSON, plus result frames).
 
-Three flavours, all stdlib-only, all keep-alive:
+Every client-side HTTP connection of the package runs through one
+stdlib routine, :class:`KeepAliveClient`: one persistent
+:mod:`http.client` connection with one open/send/read/reconnect loop,
+one header builder and one spelling of
+:class:`~repro.errors.BackendUnavailableError`.  Its callers:
 
-- :class:`ServiceClient` — asyncio client; holds one connection open
-  across requests (reconnecting transparently when the server or an
-  idle timeout dropped it) so a query session pays the TCP handshake
-  once, not per call.  Used by the test harness and any async embedder.
-- :class:`SyncServiceClient` — synchronous twin over
-  :mod:`http.client`, with the same persistent-connection semantics;
-  powers :class:`repro.api.RemoteBackend` and therefore the
+- :class:`SyncServiceClient` — the service client; powers
+  :class:`repro.api.RemoteBackend` and therefore the
   ``python -m repro query`` subcommand and the CI smoke; it asks for a
-  finished ``/result`` as one binary :mod:`repro.transport` frame.
-- :func:`request_json` — one-shot synchronous helper (opens and closes
-  a connection per call) for fire-and-forget scripts.
+  finished ``/result`` as one binary :mod:`repro.transport` frame and
+  reads ``/sweep/stream`` as ndjson events;
+- :class:`repro.service.cluster.worker.ClusterClient` — the worker's
+  framed ``/cluster/*`` client;
+- :func:`request_json` — one-shot helper (opens and closes a connection
+  per call) for fire-and-forget scripts.
 
 Non-2xx responses raise :class:`~repro.service.errors.ServiceError`
 rebuilt from the structured body, so an ambiguous-axis 400 surfaces
-client-side with its ``.details["axis"]`` intact.  Transport failures
-(nothing listening, connection dropped mid-response) raise
-:class:`~repro.errors.BackendUnavailableError`.  Both derive from
-:class:`~repro.errors.ReproError`, the facade's one exception base.
+client-side with its ``.details["axis"]`` intact; an error response
+without that envelope keeps its HTTP status, and a body that is not a
+JSON object (a proxy's HTML error page) is a 502 ``bad-response``.
+Transport failures (nothing listening, connection dropped
+mid-response) raise :class:`~repro.errors.BackendUnavailableError`.
+Both derive from :class:`~repro.errors.ReproError`, the facade's one
+exception base.
 
 Clients negotiate the payload schema: every POST body carries the
 ``schema_version`` this build speaks, and every response's stamped
 version is validated before the payload is interpreted.
 
 Against a server running with a tenants file (``repro serve --tenants``)
-every flavour authenticates by bearer key: pass ``api_key`` and each
-request carries ``Authorization: Bearer <key>``.  Rejections surface as
-the server's structured errors — 401 ``unauthenticated``, 403
-``forbidden``, 429 ``rate-limited``/``overloaded`` with a
+the service client authenticates by bearer key: pass ``api_key`` and
+each request carries ``Authorization: Bearer <key>``.  Rejections
+surface as the server's structured errors — 401 ``unauthenticated``,
+403 ``forbidden``, 429 ``rate-limited``/``overloaded`` with a
 ``retry_after_s`` detail.
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
+import socket
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.dse import (
@@ -58,13 +63,34 @@ def _check_response_schema(payload: Dict[str, Any]) -> None:
         raise ServiceError(502, "unsupported-schema", str(exc))
 
 
+def _json_object(data: bytes) -> Dict[str, Any]:
+    """One JSON object: a response body or one ndjson stream line.
+
+    Anything else — a proxy's HTML error page, a truncated line — is a
+    structured 502 ``bad-response``, never a raw decode error.
+    """
+    try:
+        payload = json.loads(data or b"{}")
+    except ValueError:  # also UnicodeDecodeError
+        payload = None
+    if not isinstance(payload, dict):
+        raise ServiceError(
+            502, "bad-response",
+            f"expected a JSON object, got {bytes(data[:80])!r}",
+        )
+    return payload
+
+
 def _decoded(status: int, data: bytes) -> Dict[str, Any]:
-    """A JSON response's envelope; a non-2xx one raises its error."""
-    payload = json.loads(data or b"{}")
+    """A JSON response's envelope; a non-2xx one raises its error, which
+    keeps the HTTP status when the body names none."""
+    payload = _json_object(data)
     _check_response_schema(payload)
     if 200 <= status < 300 and payload.get("ok", True):
         return payload
-    raise ServiceError.from_payload(payload)
+    error = dict(payload.get("error") or {})
+    error.setdefault("status", status)
+    raise ServiceError.from_payload({"error": error})
 
 
 def _frame_result(data: bytes) -> SweepResult:
@@ -85,57 +111,31 @@ def _negotiated(payload: Optional[Dict]) -> Dict:
     return body
 
 
-def request_json(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    payload: Optional[Dict] = None,
-    timeout: float = 60.0,
-    api_key: Optional[str] = None,
-) -> Tuple[int, Dict[str, Any]]:
-    """One synchronous JSON round trip; returns (status, decoded body).
+class KeepAliveClient:
+    """One persistent :mod:`http.client` connection and its reconnect loop.
 
-    The connection is closed on *every* exit path — including
-    ``connect``/``request``/``getresponse`` raising (e.g. a connection
-    refused, a timeout waiting for the response) — so a script
-    hammering this helper in a loop can never leak sockets;
-    ``tests/test_client_reconnect.py`` pins this contract.
-    """
-    connection = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        body = None if payload is None else json.dumps(payload)
-        headers = {"Content-Type": "application/json", "Connection": "close"}
-        if api_key is not None:
-            headers["Authorization"] = f"Bearer {api_key}"
-        connection.request(method, path, body=body, headers=headers)
-        response = connection.getresponse()
-        data = response.read()
-        return response.status, json.loads(data or b"{}")
-    finally:
-        connection.close()
+    The first request opens the connection (``TCP_NODELAY``: requests
+    are latency-bound small messages); later requests reuse it until the
+    server closes it.  A failure on a *fresh* connection is fatal —
+    there is no stale connection to blame.  On a *reused* connection the
+    class fixes the policy through :attr:`resend_after_any_failure`:
 
+    - False (the service client): re-send once only when the connection
+      died before one response byte, the signature of a keep-alive
+      connection the server or an idle timeout closed between requests.
+      Timeouts and mid-response drops are fatal, so a dispatched request
+      — a slow sweep — is never dispatched twice;
+    - True (the cluster worker): re-send once after any failure, for a
+      protocol that is at-least-once by design.
 
-class _StaleConnection(Exception):
-    """A reused connection died before one response byte arrived.
-
-    The signature of a keep-alive connection the server (or an idle
-    timeout) closed between requests — the only failure the clients
-    retry, by reconnecting once.  Timeouts and mid-response drops are
-    never retried, so a slow in-flight evaluation is not re-dispatched.
+    A re-sent request that fails again is fatal.
     """
 
-
-class SyncServiceClient:
-    """Blocking client with one persistent keep-alive connection.
-
-    The first request opens the connection; subsequent requests reuse
-    it (the server's ``/stats`` counts the reuses under ``http``).  A
-    reused connection that turns out stale — it drops before a single
-    response byte — is re-opened and the request re-sent once; a
-    timeout or a mid-response failure raises immediately instead, so a
-    merely-slow query is never dispatched twice.
-    """
+    #: re-send once after any failure on a reused connection, not only
+    #: after the pre-response stale keep-alive signature
+    resend_after_any_failure = False
+    #: the server, as transport errors name it
+    peer = "sweep service"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
                  timeout: float = 120.0, api_key: Optional[str] = None):
@@ -156,11 +156,107 @@ class SyncServiceClient:
             self._connection.close()
             self._connection = None
 
-    def __enter__(self) -> "SyncServiceClient":
+    def __enter__(self) -> "KeepAliveClient":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def _unavailable(self, exc: BaseException,
+                     what: str = "unavailable") -> BackendUnavailableError:
+        return BackendUnavailableError(
+            f"{self.peer} at {self.host}:{self.port} {what} ({exc})",
+            host=self.host, port=self.port,
+        )
+
+    def _round_trip(
+        self, method: str, path: str, body, content_type: str,
+        accept: Optional[str] = None, stream: bool = False,
+    ) -> Tuple[http.client.HTTPResponse, Optional[bytes]]:
+        """One request; returns the response and its body bytes.
+
+        With ``stream`` the request asks ``Connection: close`` and the
+        body is left unread on the returned response, which then owns
+        the socket: the caller iterates it and closes it.
+        """
+        headers = {"Content-Type": content_type,
+                   "Connection": "close" if stream else "keep-alive"}
+        if accept is not None:
+            headers["Accept"] = accept
+        if self.api_key is not None:
+            headers["Authorization"] = f"Bearer {self.api_key}"
+        for _ in (0, 1):  # a failed attempt closes: the second is fresh
+            fresh = self._connection is None
+            if fresh:
+                self._connection = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout
+                )
+            response = None
+            try:
+                if fresh:
+                    self._connection.connect()
+                    self._connection.sock.setsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+                    )
+                self._connection.request(method, path, body=body,
+                                         headers=headers)
+                response = self._connection.getresponse()
+                data = None if stream else response.read()
+            except (http.client.HTTPException, OSError) as exc:
+                self.close()
+                stale = response is None and isinstance(
+                    exc, (ConnectionResetError, BrokenPipeError)
+                )
+                if fresh or not (stale or self.resend_after_any_failure):
+                    raise self._unavailable(
+                        exc, "unavailable" if response is None
+                        else "dropped the connection mid-response",
+                    ) from exc
+                continue  # reconnect and re-send once
+            if fresh:
+                self.connections_opened += 1
+            else:
+                self.reuses += 1
+            if response.will_close and not stream:
+                self.close()
+            return response, data
+        raise AssertionError("unreachable")  # pragma: no cover
+
+
+def request_json(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    payload: Optional[Dict] = None,
+    timeout: float = 60.0,
+    api_key: Optional[str] = None,
+) -> Tuple[int, Dict[str, Any]]:
+    """One synchronous JSON round trip; returns (status, decoded body).
+
+    The connection is closed on *every* exit path — including
+    ``connect``/``request``/``getresponse`` raising (e.g. a connection
+    refused, a timeout waiting for the response) — so a script
+    hammering this helper in a loop can never leak sockets;
+    ``tests/test_client_reconnect.py`` pins this contract.
+    """
+    with KeepAliveClient(host, port, timeout, api_key) as client:
+        body = None if payload is None else json.dumps(payload)
+        response, data = client._round_trip(method, path, body,
+                                            "application/json")
+        return response.status, _json_object(data)
+
+
+class SyncServiceClient(KeepAliveClient):
+    """Blocking service client on one persistent keep-alive connection.
+
+    The first request opens the connection; subsequent requests reuse
+    it (the server's ``/stats`` counts the reuses under ``http``).  A
+    reused connection that turns out stale — it drops before a single
+    response byte — is re-opened and the request re-sent once; a
+    timeout or a mid-response failure raises immediately instead, so a
+    merely-slow query is never dispatched twice.
+    """
 
     def request(
         self, method: str, path: str, payload: Optional[Dict] = None
@@ -172,57 +268,13 @@ class SyncServiceClient:
         ``/result``: this client accepts them).
         """
         body = None if payload is None else json.dumps(_negotiated(payload))
-        headers = {"Content-Type": "application/json",
-                   "Accept": f"{FRAME_CONTENT_TYPE}, application/json",
-                   "Connection": "keep-alive"}
-        if self.api_key is not None:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        for attempt in (0, 1):
-            fresh = self._connection is None
-            if fresh:
-                self._connection = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout
-                )
-            try:
-                self._connection.request(method, path, body=body, headers=headers)
-                response = self._connection.getresponse()
-            except (ConnectionResetError, BrokenPipeError) as exc:
-                # no response byte arrived: the stale keep-alive signature
-                self.close()
-                if fresh or attempt:
-                    raise BackendUnavailableError(
-                        f"sweep service at {self.host}:{self.port} "
-                        f"unavailable ({exc})",
-                        host=self.host, port=self.port,
-                    ) from exc
-                continue  # reconnect and re-send once
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                # timeouts and transport failures: never re-dispatch
-                self.close()
-                raise BackendUnavailableError(
-                    f"sweep service at {self.host}:{self.port} "
-                    f"unavailable ({exc})",
-                    host=self.host, port=self.port,
-                ) from exc
-            try:
-                data = response.read()
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                self.close()
-                raise BackendUnavailableError(
-                    f"sweep service at {self.host}:{self.port} dropped "
-                    f"the connection mid-response ({exc})",
-                    host=self.host, port=self.port,
-                ) from exc
-            if not fresh:
-                self.reuses += 1
-            else:
-                self.connections_opened += 1
-            if response.will_close:
-                self.close()
-            if response.getheader("Content-Type") == FRAME_CONTENT_TYPE:
-                return {"ok": True, "result": _frame_result(data)}
-            return _decoded(response.status, data)
-        raise AssertionError("unreachable")  # pragma: no cover
+        response, data = self._round_trip(
+            method, path, body, "application/json",
+            accept=f"{FRAME_CONTENT_TYPE}, application/json",
+        )
+        if response.getheader("Content-Type") == FRAME_CONTENT_TYPE:
+            return {"ok": True, "result": _frame_result(data)}
+        return _decoded(response.status, data)
 
     # -- endpoint wrappers ---------------------------------------------------
     def healthz(self) -> Dict:
@@ -303,262 +355,38 @@ class SyncServiceClient:
         fields = dict(scheme=scheme, n_pixels=n_pixels, app=app, **selectors)
         payload: Dict[str, Any] = {"grid": grid or {}}
         payload.update((k, v) for k, v in fields.items() if v is not None)
-        body = json.dumps(_negotiated(payload)).encode("utf-8")
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        stream_headers = {"Content-Type": "application/json",
-                          "Connection": "close"}
-        if self.api_key is not None:
-            stream_headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            try:
-                connection.request(
-                    "POST", "/sweep/stream", body=body,
-                    headers=stream_headers,
-                )
-                response = connection.getresponse()
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                raise BackendUnavailableError(
-                    f"sweep service at {self.host}:{self.port} "
-                    f"unavailable ({exc})",
-                    host=self.host, port=self.port,
-                ) from exc
-            encoding = (response.getheader("Transfer-Encoding") or "").lower()
-            if encoding != "chunked":
-                # pre-stream failure: an ordinary structured JSON response
-                _decoded(response.status, response.read())
-                raise ServiceError(
-                    502, "bad-response",
-                    "expected a chunked ndjson stream from /sweep/stream",
-                )
-            try:
-                # http.client undoes the chunking; iteration yields lines
-                for raw in response:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    event = json.loads(line)
-                    if event.get("event") == "error":
-                        raise ServiceError.from_payload(
-                            {"ok": False, "error": event["error"]}
-                        )
-                    yield event
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                raise BackendUnavailableError(
-                    f"sweep service at {self.host}:{self.port} dropped "
-                    f"the stream ({exc})",
-                    host=self.host, port=self.port,
-                ) from exc
-        finally:
-            connection.close()
-
-
-class ServiceClient:
-    """Asyncio client mirroring the service's request/response endpoints.
-
-    ``/sweep/stream`` has one client-side reader,
-    :meth:`SyncServiceClient.stream_pareto` (what the remote backend's
-    ``Sweep.watch()`` runs).
-
-    Keep-alive: one ``asyncio.open_connection`` stream is reused across
-    requests until the server closes it (then the next request
-    reconnects).  Concurrent ``request()`` calls on one instance are
-    safe — they serialize on an internal lock, since a single stream
-    can carry one in-flight request at a time.  Call :meth:`close` — or
-    use ``async with`` — when done so the server's handler can finish
-    promptly.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 8787,
-                 api_key: Optional[str] = None):
-        self.host = host
-        self.port = port
-        #: bearer key sent as ``Authorization: Bearer <key>`` (multi-
-        #: tenant servers; None against an open server)
-        self.api_key = api_key
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._lock = asyncio.Lock()
-        self.connections_opened = 0
-        self.reuses = 0
-
-    async def close(self) -> None:
-        if self._writer is None:
-            return
-        writer, self._reader, self._writer = self._writer, None, None
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def __aenter__(self) -> "ServiceClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    async def _round_trip(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, bytes, bool]:
-        """Write one request and read one response on the open stream."""
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: keep-alive\r\n"
-        )
-        if self.api_key is not None:
-            head += f"Authorization: Bearer {self.api_key}\r\n"
-        head += "\r\n"
-        try:
-            self._writer.write(head.encode("latin-1") + body)
-            await self._writer.drain()
-            status_line = await self._reader.readline()
-        except (ConnectionError, OSError) as exc:
-            raise _StaleConnection() from exc
-        if not status_line:
-            raise _StaleConnection()
-        # a response has started: any failure past here is fatal (the
-        # request was dispatched — it must not be re-sent)
-        parts = status_line.decode("latin-1").split()
-        if len(parts) < 2:
-            raise ServiceError(502, "bad-response", "malformed status line")
-        status = int(parts[1])
-        length = None
-        server_keeps = True
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            name = name.strip().lower()
-            if name == "content-length":
-                length = int(value.strip())
-            elif name == "connection":
-                server_keeps = value.strip().lower() != "close"
-        if length is None:
-            if 200 <= status < 300:
-                # a success response this client cannot frame: reading
-                # zero bytes would silently decode to {} and corrupt the
-                # stream for the next request — fail structured instead
-                await self.close()
-                raise ServiceError(
-                    502, "bad-response",
-                    f"{status} response carries no Content-Length; "
-                    "the body cannot be framed",
-                    status_line=status_line.decode("latin-1").strip(),
-                )
-            length = 0
-        data = await self._reader.readexactly(length) if length else b""
-        return status, data, server_keeps
-
-    async def request(
-        self, method: str, path: str, payload: Optional[Dict] = None
-    ) -> Dict[str, Any]:
-        """One JSON round trip; raises :class:`ServiceError` on failure."""
-        body = (
-            b"" if payload is None
-            else json.dumps(_negotiated(payload)).encode("utf-8")
-        )
-        async with self._lock:  # one in-flight request per stream
-            return await self._request_locked(method, path, body)
-
-    async def _request_locked(
-        self, method: str, path: str, body: bytes
-    ) -> Dict[str, Any]:
-        for attempt in (0, 1):
-            fresh = self._writer is None
-            if fresh:
+        body = json.dumps(_negotiated(payload))
+        with KeepAliveClient(self.host, self.port, self.timeout,
+                             self.api_key) as stream:
+            response, _ = stream._round_trip(
+                "POST", "/sweep/stream", body, "application/json", stream=True
+            )
+            # the response owns the socket: close it on every exit,
+            # including a consumer abandoning the generator early
+            with response:
                 try:
-                    self._reader, self._writer = await asyncio.open_connection(
-                        self.host, self.port
-                    )
-                except (ConnectionError, OSError) as exc:
-                    raise BackendUnavailableError(
-                        f"sweep service at {self.host}:{self.port} "
-                        f"unavailable ({exc})",
-                        host=self.host, port=self.port,
-                    ) from exc
-                self.connections_opened += 1
-            try:
-                status, data, server_keeps = await self._round_trip(
-                    method, path, body
-                )
-            except _StaleConnection as exc:
-                # no response byte arrived: reconnect and re-send once
-                await self.close()
-                if fresh or attempt:
-                    raise BackendUnavailableError(
-                        f"sweep service at {self.host}:{self.port} "
-                        f"unavailable ({exc.__cause__ or 'connection closed'})",
-                        host=self.host, port=self.port,
-                    ) from exc
-                continue
-            except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
-                # the response started and died: never re-dispatch
-                await self.close()
-                raise BackendUnavailableError(
-                    f"sweep service at {self.host}:{self.port} dropped "
-                    f"the connection mid-response ({exc})",
-                    host=self.host, port=self.port,
-                ) from exc
-            if not fresh:
-                self.reuses += 1
-            if not server_keeps:
-                await self.close()
-            return _decoded(status, data)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    # -- endpoint wrappers ---------------------------------------------------
-    async def healthz(self) -> Dict:
-        return await self.request("GET", "/healthz")
-
-    async def stats(self) -> Dict:
-        return (await self.request("GET", "/stats"))["result"]
-
-    async def sweep(self, grid: Optional[Dict] = None) -> Dict:
-        return (await self.request("POST", "/sweep", {"grid": grid or {}}))["result"]
-
-    async def pareto_front(self, grid: Optional[Dict] = None, **query) -> list:
-        body = {"grid": grid or {}, **query}
-        return (await self.request("POST", "/pareto", body))["result"]
-
-    async def cheapest_point_meeting_fps(
-        self, grid: Optional[Dict], app: Optional[str], fps: float, **query
-    ) -> Optional[Dict]:
-        body = {"grid": grid or {}, "app": app, "fps": fps, **query}
-        return (await self.request("POST", "/cheapest", body))["result"]
-
-    async def cheapest_point_meeting_train_rate(
-        self, grid: Optional[Dict], app: Optional[str], steps_per_s: float,
-        **query,
-    ) -> Optional[Dict]:
-        body = {"grid": grid or {}, "app": app,
-                "train_steps_per_s": steps_per_s, **query}
-        return (await self.request("POST", "/cheapest", body))["result"]
-
-    async def point(self, grid: Optional[Dict] = None, **selectors) -> Dict:
-        body = {"grid": grid or {}, **selectors}
-        return (await self.request("POST", "/point", body))["result"]
-
-    async def fetch_result(self, grid: Optional[Dict] = None) -> SweepResult:
-        """Fetch and rebuild a full :class:`SweepResult` (served arrays)."""
-        payload = (await self.request("POST", "/result", {"grid": grid or {}}))[
-            "result"
-        ]
-        return SweepResult.from_payload(payload)
-
-    async def result_wait(self, grid: Optional[Dict] = None,
-                          wait_s: float = 0.0) -> Dict:
-        """Long-poll ``/result?wait=``; returns the full envelope.
-
-        ``{"ok": true, "result": {...}}`` when the sweep finished inside
-        the wait window, ``{"ok": true, "pending": true, "progress":
-        {...}}`` (HTTP 202) when it is still evaluating.
-        """
-        return await self.request(
-            "POST", f"/result?wait={wait_s:g}", {"grid": grid or {}}
-        )
+                    encoding = (response.getheader("Transfer-Encoding")
+                                or "").lower()
+                    if encoding != "chunked":
+                        # pre-stream failure: an ordinary structured JSON
+                        # response
+                        _decoded(response.status, response.read())
+                        raise ServiceError(
+                            502, "bad-response",
+                            "expected a chunked ndjson stream from "
+                            "/sweep/stream",
+                        )
+                    # http.client undoes the chunking; iteration yields lines
+                    for raw in response:
+                        line = raw.strip()
+                        if not line:
+                            continue
+                        event = _json_object(line)
+                        if event.get("event") == "error":
+                            raise ServiceError.from_payload(
+                                {"ok": False, "error": event["error"]}
+                            )
+                        yield event
+                except (http.client.HTTPException, OSError) as exc:
+                    raise stream._unavailable(
+                        exc, "dropped the stream") from exc

@@ -102,10 +102,6 @@ TARGET_BLOCK_SECONDS = 0.25
 
 _PENDING, _LEASED, _DONE = 0, 1, 2
 
-#: sentinel distinguishing "no timeout named" from an explicit None
-_UNSET_TIMEOUT = object()
-
-
 class _Job:
     """One submitted list of block tasks and its completion state.
 
@@ -191,8 +187,8 @@ class ShardCoordinator:
         self.lease_timeout_s = float(lease_timeout_s)
         self.poll_timeout_s = float(poll_timeout_s)
         self.blocks_per_worker = int(blocks_per_worker)
-        #: default bound on one submit (sweep_fn/sweep_blocking callers
-        #: that name no timeout); None waits forever
+        #: bound on one cluster sweep (sweep_fn/sweep_blocking); None
+        #: waits forever
         self.sweep_timeout_s = sweep_timeout_s
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._jobs: Dict[int, _Job] = {}
@@ -361,7 +357,6 @@ class ShardCoordinator:
         self,
         grid: SweepGrid,
         ngpc: Optional[NGPCConfig] = None,
-        timeout_s=_UNSET_TIMEOUT,
         on_block: Optional[Callable] = None,
     ) -> SweepResult:
         """Distribute one sweep across the workers (the cluster's entry).
@@ -376,23 +371,20 @@ class ShardCoordinator:
         :func:`~repro.core.dse.run_plan`, so it is assembled and finalized
         on this thread by the same code as a local evaluation.
         ``on_block(placement, block)`` is the streaming progress hook.
-        An unspecified ``timeout_s`` falls back to the coordinator's
-        ``sweep_timeout_s``, so a sweep with no live workers fails
-        structured instead of parking the thread forever; pass ``None``
-        explicitly to wait without bound.
+        The coordinator's ``sweep_timeout_s`` bounds the sweep, so one
+        with no live workers fails structured instead of parking the
+        thread forever.
         """
         ngpc = ngpc if ngpc is not None else self.ngpc
         resolved = grid.resolve(ngpc)
-        if timeout_s is _UNSET_TIMEOUT:
-            timeout_s = self.sweep_timeout_s
 
         async def plan():
             return self._plan(resolved)
 
         return run_plan(
             resolved, self._call(plan),
-            ClusterBlockRunner(self, ngpc, timeout_s), "cluster", ngpc,
-            on_block,
+            ClusterBlockRunner(self, ngpc, self.sweep_timeout_s), "cluster",
+            ngpc, on_block,
         )
 
     def sweep_fn(self, grid, engine: str = "cluster",

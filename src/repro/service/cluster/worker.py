@@ -16,9 +16,10 @@ cluster`` or an embedded :class:`~repro.api.DistributedBackend`):
    pickle anywhere on the wire) and immediately polls for the next
    lease.
 
-The worker holds one keep-alive connection (``TCP_NODELAY``: leases and
-completions are latency-bound small messages).  A dropped connection or
-an unregistered-worker response re-registers and retries; after
+The worker holds one keep-alive connection (the service client's
+:class:`~repro.service.client.KeepAliveClient` routine) and re-sends a
+request once after any failure on a reused connection.  An
+unregistered-worker response re-registers and retries; after
 ``max_failures`` consecutive transport failures the worker exits — the
 coordinator's lease timeout re-queues anything it still held, so a
 worker death never loses work.
@@ -30,7 +31,6 @@ long enough to kill the worker mid-sweep; it is off in production.
 
 from __future__ import annotations
 
-import http.client
 import os
 import socket
 import time
@@ -38,71 +38,41 @@ from typing import Dict, Optional
 
 from repro.core.dse import evaluate_block, install_worker_state
 from repro.errors import BackendUnavailableError
+from repro.service.client import KeepAliveClient
 from repro.service.errors import ServiceError
 from repro.transport import FRAME_CONTENT_TYPE, decode_message, encode_message
 
 
-class ClusterClient:
-    """Blocking keep-alive client for the framed ``/cluster/*`` protocol.
+class ClusterClient(KeepAliveClient):
+    """Blocking client for the framed ``/cluster/*`` protocol.
 
-    Deliberately *not* the JSON :class:`~repro.service.client.
-    SyncServiceClient` transport: that client must never re-dispatch a
-    request (a retried sweep could evaluate twice), so it retries only
-    the pre-response stale-keep-alive signature.  The cluster protocol
-    is at-least-once by design — register/lease/complete are safe to
-    repeat (a lost lease response merely expires and re-queues; a
-    repeated completion is ignored as stale) — so this client retries
-    any transport failure once, which is what lets workers ride out a
-    coordinator hiccup instead of dying.
+    Runs on the service client's keep-alive connection
+    (:class:`~repro.service.client.KeepAliveClient`) with an
+    at-least-once policy: register/lease/complete are safe to repeat (a
+    lost lease response merely expires and re-queues; a repeated
+    completion is ignored as stale), so any failure on a reused
+    connection — a stale keep-alive, a timeout, a drop mid-response — is
+    re-sent once, which is what lets workers ride out a coordinator
+    hiccup instead of dying.  A failure on a fresh connection raises
+    :class:`~repro.errors.BackendUnavailableError` for
+    :func:`run_worker`'s back-off.
     """
 
-    def __init__(self, host: str, port: int, timeout: float = 120.0):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._connection: Optional[http.client.HTTPConnection] = None
+    resend_after_any_failure = True
+    peer = "coordinator"
 
-    def close(self) -> None:
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+    def __init__(self, host: str, port: int, timeout: float = 120.0):
+        super().__init__(host, port, timeout)
 
     def call(self, path: str, payload: Dict, method: str = "POST") -> Dict:
-        """One framed round trip; retries once on a stale keep-alive."""
-        body = encode_message(payload)
-        headers = {"Content-Type": FRAME_CONTENT_TYPE,
-                   "Connection": "keep-alive"}
-        for attempt in (0, 1):
-            fresh = self._connection is None
-            if fresh:
-                self._connection = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout
-                )
-            try:
-                if fresh:
-                    self._connection.connect()
-                    self._connection.sock.setsockopt(
-                        socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                    )
-                self._connection.request(method, path, body=body, headers=headers)
-                response = self._connection.getresponse()
-                data = response.read()
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                self.close()
-                if fresh or attempt:
-                    raise BackendUnavailableError(
-                        f"coordinator at {self.host}:{self.port} "
-                        f"unavailable ({exc})",
-                        host=self.host, port=self.port,
-                    ) from exc
-                continue  # stale keep-alive: reconnect and re-send once
-            if response.will_close:
-                self.close()
-            decoded = decode_message(data)
-            if isinstance(decoded, dict) and decoded.get("ok") is False:
-                raise ServiceError.from_payload(decoded)
-            return decoded
-        raise AssertionError("unreachable")  # pragma: no cover
+        """One framed round trip; a structured error raises ServiceError."""
+        _, data = self._round_trip(
+            method, path, encode_message(payload), FRAME_CONTENT_TYPE
+        )
+        decoded = decode_message(data)
+        if isinstance(decoded, dict) and decoded.get("ok") is False:
+            raise ServiceError.from_payload(decoded)
+        return decoded
 
 
 def run_worker(

@@ -478,34 +478,6 @@ class TestKeepAlive:
         finally:
             session.close()
 
-    def test_async_client_counts_reuses(self, live_service):
-        from repro.service.client import ServiceClient
-
-        async def run():
-            async with ServiceClient("127.0.0.1", live_service["port"]) as c:
-                await c.healthz()
-                await c.stats()
-                await c.stats()
-                return c.connections_opened, c.reuses
-
-        opened, reuses = asyncio.run(run())
-        assert opened == 1
-        assert reuses == 2
-
-    def test_async_client_serializes_concurrent_requests(self, live_service):
-        """gather() on one keep-alive client must not interleave streams."""
-        from repro.service.client import ServiceClient
-
-        async def run():
-            async with ServiceClient("127.0.0.1", live_service["port"]) as c:
-                return await asyncio.gather(
-                    *(c.stats() for _ in range(8)), c.healthz()
-                )
-
-        *stats, health = asyncio.run(run())
-        assert health["status"] == "healthy"
-        assert all(s["engine"] == "vectorized" for s in stats)
-
     def test_unavailable_backend_raises_structured_error(self):
         session = Session.remote(port=1)  # nothing listens on port 1
         with pytest.raises(BackendUnavailableError) as excinfo:

@@ -1,7 +1,9 @@
-"""Stale keep-alive reconnect matrix for both service clients.
+"""Reconnect matrices for the one keep-alive HTTP client routine.
 
-Both :class:`SyncServiceClient` and the async :class:`ServiceClient`
-promise the same retry contract on their one persistent connection:
+:class:`SyncServiceClient` and the worker's :class:`ClusterClient` run
+on the same connection loop (:class:`KeepAliveClient`) under two retry
+policies, each fixed by the client class.  The service client must
+never dispatch a request twice:
 
 - **fresh-fail**: a *fresh* connection that drops before one response
   byte is fatal immediately — there is no stale connection to blame;
@@ -14,16 +16,20 @@ promise the same retry contract on their one persistent connection:
   fatal with no retry at all — the request was dispatched and must not
   be re-dispatched (a slow sweep must never run twice).
 
+The cluster protocol is at-least-once, so its client re-sends once
+after *any* failure on a reused connection, a mid-response drop
+included; a fresh connection's failure and a second failure stay fatal.
+
 Each case runs against a scripted TCP server whose per-connection
-behaviour is canned, so the matrix asserts not just the raised error
+behaviour is canned, so the matrices assert not just the raised error
 but how many connections and requests the server actually saw, plus
 the client's ``connections_opened``/``reuses`` counters.  The scripted
-server also serves the malformed-response regression: a 2xx response
-without ``Content-Length`` must raise a structured 502 from the async
-client instead of silently decoding an empty body as ``{}``.
+server also serves malformed responses, which must surface as
+structured :class:`ServiceError`s: a body that is not a JSON object is
+a 502 ``bad-response``, and an error without a structured body keeps
+its HTTP status.
 """
 
-import asyncio
 import http.client
 import json
 import socket
@@ -32,12 +38,10 @@ import threading
 import pytest
 
 from repro.errors import BackendUnavailableError
-from repro.service.client import (
-    ServiceClient,
-    SyncServiceClient,
-    request_json,
-)
+from repro.service.client import SyncServiceClient, request_json
+from repro.service.cluster.worker import ClusterClient
 from repro.service.errors import ServiceError
+from repro.transport import FRAME_CONTENT_TYPE, encode_message
 
 OK_BODY = json.dumps({"ok": True, "schema_version": 1,
                       "result": {"pong": True}}).encode()
@@ -62,6 +66,35 @@ NO_LENGTH_RESPONSE = (
     b"Connection: close\r\n"
     b"\r\n" + OK_BODY
 )
+FRAME_BODY = bytes(encode_message({"ok": True, "pong": True}))
+FRAME_RESPONSE = (
+    b"HTTP/1.1 200 OK\r\n"
+    b"Content-Type: " + FRAME_CONTENT_TYPE.encode() + b"\r\n"
+    b"Content-Length: " + str(len(FRAME_BODY)).encode() + b"\r\n"
+    b"Connection: keep-alive\r\n"
+    b"\r\n" + FRAME_BODY
+)
+
+
+def canned(status_line, body, content_type="text/html"):
+    """A complete ``Connection: close`` response with ``body``."""
+    return (
+        b"HTTP/1.1 " + status_line + b"\r\n"
+        b"Content-Type: " + content_type.encode() + b"\r\n"
+        b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+        b"Connection: close\r\n"
+        b"\r\n" + body
+    )
+
+
+def chunked(*lines):
+    """A chunked ndjson stream response, one chunk per line."""
+    head = (b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Transfer-Encoding: chunked\r\n"
+            b"Connection: close\r\n\r\n")
+    chunks = b"".join(b"%x\r\n%s\r\n" % (len(line), line) for line in lines)
+    return head + chunks + b"0\r\n\r\n"
 
 
 class ScriptedServer:
@@ -73,11 +106,16 @@ class ScriptedServer:
     - ``"ok-then-drop"``  answer the first request, close on the second
     - ``"drop"``          read the request, close without one response byte
     - ``"partial"``       send a truncated response, then close
+    - ``"ok-then-partial"`` answer the first request, truncate the second
     - ``"no-length"``     send a 2xx response without Content-Length
+    - ``bytes``           send these bytes as the response, then close
+
+    ``response`` is the answer of ``"ok"`` (a JSON envelope by default).
     """
 
-    def __init__(self, script):
+    def __init__(self, script, response=OK_RESPONSE):
         self.script = list(script)
+        self.response = response
         self.connections_seen = 0
         self.requests_seen = 0
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -121,11 +159,16 @@ class ScriptedServer:
             with connection:
                 if behaviour == "ok":
                     while self._read_request(connection):
-                        connection.sendall(OK_RESPONSE)
+                        connection.sendall(self.response)
                 elif behaviour == "ok-then-drop":
                     if self._read_request(connection):
-                        connection.sendall(OK_RESPONSE)
+                        connection.sendall(self.response)
                     self._read_request(connection)  # then drop it on the floor
+                elif behaviour == "ok-then-partial":
+                    if self._read_request(connection):
+                        connection.sendall(self.response)
+                    if self._read_request(connection):
+                        connection.sendall(PARTIAL_RESPONSE)
                 elif behaviour == "drop":
                     self._read_request(connection)
                 elif behaviour == "partial":
@@ -134,6 +177,9 @@ class ScriptedServer:
                 elif behaviour == "no-length":
                     if self._read_request(connection):
                         connection.sendall(NO_LENGTH_RESPONSE)
+                elif isinstance(behaviour, bytes):
+                    if self._read_request(connection):
+                        connection.sendall(behaviour)
         self._listener.close()
 
     def close(self) -> None:
@@ -144,8 +190,8 @@ class ScriptedServer:
 def scripted():
     servers = []
 
-    def start(*script):
-        server = ScriptedServer(script)
+    def start(*script, response=OK_RESPONSE):
+        server = ScriptedServer(script, response)
         servers.append(server)
         return server
 
@@ -213,114 +259,148 @@ class TestSyncReconnectMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the asyncio client
+# the cluster worker's client: at-least-once
 # ---------------------------------------------------------------------------
 
 
-def _async_requests(port, n):
-    """Run n sequential requests on one ServiceClient; return outcomes."""
-
-    async def run():
-        outcomes = []
-        async with ServiceClient("127.0.0.1", port) as client:
-            for _ in range(n):
-                try:
-                    outcomes.append(await client.request("GET", "/stats"))
-                except Exception as exc:
-                    outcomes.append(exc)
-            return outcomes, client.connections_opened, client.reuses
-
-    return asyncio.run(run())
-
-
-class TestAsyncReconnectMatrix:
-    def test_fresh_connection_drop_is_fatal_no_retry(self, scripted):
-        server = scripted("drop", "ok")
-        outcomes, opened, reuses = _async_requests(server.port, 1)
-        assert isinstance(outcomes[0], BackendUnavailableError)
-        assert server.connections_seen == 1
-        assert (opened, reuses) == (1, 0)  # opened, but never answered
-
-    def test_stale_reused_connection_retries_exactly_once_and_succeeds(
-        self, scripted
-    ):
-        server = scripted("ok-then-drop", "ok")
-        outcomes, opened, reuses = _async_requests(server.port, 2)
-        assert all(o["result"]["pong"] for o in outcomes)
-        assert opened == 2
-        assert reuses == 0
-        assert server.connections_seen == 2
-        assert server.requests_seen == 3
-
-    def test_stale_retry_that_also_drops_is_fatal(self, scripted):
-        server = scripted("ok-then-drop", "drop", "ok")
-        outcomes, opened, _ = _async_requests(server.port, 2)
-        assert outcomes[0]["result"]["pong"]
-        assert isinstance(outcomes[1], BackendUnavailableError)
-        assert server.connections_seen == 2
-        assert opened == 2
-
-    def test_mid_response_drop_is_fatal_and_never_redispatches(self, scripted):
-        server = scripted("partial", "ok")
-        outcomes, _, _ = _async_requests(server.port, 1)
-        assert isinstance(outcomes[0], BackendUnavailableError)
-        assert "mid-response" in str(outcomes[0])
-        assert server.connections_seen == 1
+class TestClusterReconnectMatrix:
+    @pytest.mark.parametrize("failure", ["drop", "partial"])
+    def test_fresh_connection_failure_is_fatal_no_retry(self, scripted,
+                                                        failure):
+        server = scripted(failure, "ok", response=FRAME_RESPONSE)
+        client = ClusterClient("127.0.0.1", server.port)
+        with pytest.raises(BackendUnavailableError, match="coordinator"):
+            client.call("/cluster/lease", {"worker_id": "w"})
+        assert server.connections_seen == 1  # the "ok" script never ran
         assert server.requests_seen == 1
+        assert client.connections_opened == 0
+
+    @pytest.mark.parametrize("failure", ["ok-then-drop", "ok-then-partial"])
+    def test_reused_connection_failure_is_retried_exactly_once(
+        self, scripted, failure
+    ):
+        server = scripted(failure, "ok", response=FRAME_RESPONSE)
+        client = ClusterClient("127.0.0.1", server.port)
+        try:
+            first = client.call("/cluster/lease", {"worker_id": "w"})
+            second = client.call("/cluster/lease", {"worker_id": "w"})
+        finally:
+            client.close()
+        assert first == second == {"ok": True, "pong": True}
+        assert server.connections_seen == 2
+        assert server.requests_seen == 3  # the failed request was re-sent
+        assert client.connections_opened == 2
+        assert client.reuses == 0
+
+    @pytest.mark.parametrize("failure", ["drop", "partial"])
+    def test_second_failure_is_fatal(self, scripted, failure):
+        server = scripted("ok-then-drop", failure, "ok",
+                          response=FRAME_RESPONSE)
+        client = ClusterClient("127.0.0.1", server.port)
+        client.call("/cluster/lease", {"worker_id": "w"})
+        with pytest.raises(BackendUnavailableError):
+            client.call("/cluster/lease", {"worker_id": "w"})
+        assert server.connections_seen == 2  # one retry, never a second
+        assert server.requests_seen == 3
+        assert client.connections_opened == 1
 
     def test_reuse_counters_on_a_healthy_connection(self, scripted):
-        server = scripted("ok")
-        outcomes, opened, reuses = _async_requests(server.port, 3)
-        assert all(o["result"]["pong"] for o in outcomes)
-        assert (opened, reuses) == (1, 2)
-        assert server.requests_seen == 3
+        server = scripted("ok", response=FRAME_RESPONSE)
+        client = ClusterClient("127.0.0.1", server.port)
+        try:
+            for _ in range(3):
+                assert client.call("/cluster/lease", {}) == {
+                    "ok": True, "pong": True}
+        finally:
+            client.close()
+        assert (client.connections_opened, client.reuses) == (1, 2)
+        assert (server.connections_seen, server.requests_seen) == (1, 3)
+
+    def test_service_client_never_resends_a_mid_response_drop(self, scripted):
+        """The same drop the cluster client re-sends is fatal for the
+        service client: its request was dispatched once and stays so."""
+        server = scripted("ok-then-partial", "ok")
+        client = SyncServiceClient(port=server.port)
+        client.request("GET", "/stats")
+        with pytest.raises(BackendUnavailableError, match="mid-response"):
+            client.request("GET", "/stats")
+        assert server.connections_seen == 1
+        assert server.requests_seen == 2
 
 
 # ---------------------------------------------------------------------------
-# malformed 2xx responses (the silent empty-body regression)
+# malformed responses: structured errors from the one decode path
 # ---------------------------------------------------------------------------
+
+HTML_502 = canned(b"502 Bad Gateway", b"<html><body>Bad Gateway</body></html>")
+NOT_AN_OBJECT = {
+    "proxy-html-502": HTML_502,
+    "text-200": canned(b"200 OK", b"pong", content_type="text/plain"),
+    "json-array-200": canned(b"200 OK", b"[1, 2]",
+                             content_type="application/json"),
+}
+
+
+def _stream(client):
+    return list(client.stream_pareto({"apps": ["nerf"]}))
 
 
 class TestMalformedResponses:
-    def test_2xx_without_content_length_is_a_structured_502(self, scripted):
-        """The async client must not read a missing body as ``{}``."""
+    def test_2xx_without_content_length_reads_to_eof(self, scripted):
+        """``Connection: close`` frames the body: it ends at EOF."""
         server = scripted("no-length")
-        outcomes, _, _ = _async_requests(server.port, 1)
-        error = outcomes[0]
-        assert isinstance(error, ServiceError), error
-        assert error.status == 502
-        assert error.code == "bad-response"
-        assert "Content-Length" in str(error)
-        assert server.requests_seen == 1  # structured failure, no retry
+        with SyncServiceClient(port=server.port) as client:
+            assert client.request("GET", "/stats")["result"]["pong"]
+        assert server.requests_seen == 1
 
-    def test_error_response_without_content_length_keeps_old_semantics(self):
-        """Non-2xx without Content-Length still maps to a service error
-        (read as an empty error payload), not to the 502 framing error."""
+    def test_bare_error_response_keeps_its_http_status(self, scripted):
+        """A non-2xx without a body is an empty error payload with the
+        response's own status, not a framing error and not a 500."""
+        server = scripted(b"HTTP/1.1 503 Unavailable\r\n"
+                          b"Connection: close\r\n\r\n")
+        with SyncServiceClient(port=server.port) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.request("GET", "/stats")
+        assert excinfo.value.code == "internal"
+        assert excinfo.value.status == 503
 
-        async def run():
-            async def handler(reader, writer):
-                await reader.readline()
-                while (await reader.readline()).strip():
-                    pass
-                writer.write(
-                    b"HTTP/1.1 503 Unavailable\r\nConnection: close\r\n\r\n"
-                )
-                await writer.drain()
-                writer.close()
+    def test_structured_error_keeps_its_own_status(self, scripted):
+        body = json.dumps({"ok": False, "error": {
+            "status": 404, "code": "not-on-grid", "message": "no",
+            "axis": "app"}}).encode()
+        server = scripted(canned(b"400 Bad Request", body,
+                                 content_type="application/json"))
+        with SyncServiceClient(port=server.port) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.request("GET", "/stats")
+        error = excinfo.value
+        assert (error.status, error.code) == (404, "not-on-grid")
+        assert error.details == {"axis": "app"}
 
-            inline = await asyncio.start_server(handler, "127.0.0.1", 0)
-            port = inline.sockets[0].getsockname()[1]
-            try:
-                async with ServiceClient("127.0.0.1", port) as client:
-                    with pytest.raises(ServiceError) as excinfo:
-                        await client.request("GET", "/stats")
-                    return excinfo.value
-            finally:
-                inline.close()
-                await inline.wait_closed()
+    @pytest.mark.parametrize("call", [
+        lambda client: client.request("GET", "/stats"), _stream,
+    ], ids=["request", "stream"])
+    @pytest.mark.parametrize("response", list(NOT_AN_OBJECT.values()),
+                             ids=list(NOT_AN_OBJECT))
+    def test_body_that_is_not_a_json_object_is_a_502(self, scripted,
+                                                     response, call):
+        server = scripted(response)
+        with SyncServiceClient(port=server.port) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                call(client)
+        assert (excinfo.value.status, excinfo.value.code) == (
+            502, "bad-response")
 
-        error = asyncio.run(run())
-        assert error.code == "internal"  # empty error payload, not framing
+    def test_malformed_stream_line_is_a_502(self, scripted):
+        server = scripted(chunked(b'{"event": "progress"}\n',
+                                  b"<html>oops</html>\n"))
+        with SyncServiceClient(port=server.port) as client:
+            events = client.stream_pareto({"apps": ["nerf"]})
+            assert next(events) == {"event": "progress"}
+            with pytest.raises(ServiceError) as excinfo:
+                next(events)
+        assert (excinfo.value.status, excinfo.value.code) == (
+            502, "bad-response")
 
 
 # ---------------------------------------------------------------------------

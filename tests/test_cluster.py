@@ -301,20 +301,22 @@ class TestLifecycle:
     def test_unmounted_cluster_endpoint_is_a_structured_404(self):
         """A plain (non-cluster) server rejects /cluster/* requests."""
         from repro.service import SweepService, start_http_server
-        from repro.service.client import ServiceClient
+        from repro.service.client import SyncServiceClient
         from repro.service.errors import ServiceError
 
         async def run():
             service = SweepService(engine="vectorized")
             server = await start_http_server(service, "127.0.0.1", 0)
-            client = ServiceClient("127.0.0.1", server.port)
             try:
-                with pytest.raises(ServiceError) as excinfo:
-                    await client.request("POST", "/cluster/register", {})
-                return excinfo.value
+                return await asyncio.to_thread(register, server.port)
             finally:
-                await client.close()
                 await server.close()
+
+        def register(port):
+            with SyncServiceClient(port=port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.request("POST", "/cluster/register", {})
+                return excinfo.value
 
         error = asyncio.run(run())
         assert error.status == 404

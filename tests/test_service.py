@@ -47,14 +47,13 @@ from repro.core.dse import (
 from repro.errors import NotOnGridError, UnknownAxisError
 from repro.gpu.baseline import FHD_PIXELS
 from repro.service import (
-    ServiceClient,
     ServiceError,
     SweepService,
+    SyncServiceClient,
     as_service_error,
     request_json,
     start_http_server,
 )
-from repro.service.client import SyncServiceClient
 from repro.service.ops import OpsLayer
 from repro.service.progress import PartialSweep
 from repro.transport import FRAME_CONTENT_TYPE, decode_frame, encode_frame
@@ -392,13 +391,10 @@ class TestStructuredErrors:
         assert excinfo.value.values == BIG_GRID.clocks_ghz
 
     def test_http_400_payload_names_the_ambiguous_axis(self):
-        async def run():
-            service = SweepService(engine="vectorized")
-            server = await start_http_server(service, "127.0.0.1", 0)
-            client = ServiceClient("127.0.0.1", server.port)
-            try:
+        def run(port):
+            with SyncServiceClient(port=port) as client:
                 with pytest.raises(ServiceError) as excinfo:
-                    await client.point(
+                    client.point(
                         BIG_GRID.to_dict(),
                         app="nerf",
                         scale_factor=8,
@@ -408,11 +404,8 @@ class TestStructuredErrors:
                         n_batches=16,
                     )
                 return excinfo.value
-            finally:
-                await client.close()
-                await server.close()
 
-        error = asyncio.run(run())
+        error = serve_and(run)
         assert error.status == 400
         assert error.code == "ambiguous-axis"
         assert error.details["axis"] == "clock_ghz"
@@ -427,25 +420,19 @@ class TestStructuredErrors:
         assert as_service_error(NotOnGridError("bare")).details == {}
 
     def test_not_on_grid_and_unknown_endpoint(self):
-        async def run():
-            service = SweepService(engine="vectorized")
-            server = await start_http_server(service, "127.0.0.1", 0)
-            client = ServiceClient("127.0.0.1", server.port)
-            try:
+        def run(port):
+            with SyncServiceClient(port=port) as client:
                 with pytest.raises(ServiceError) as not_on_grid:
-                    await client.cheapest_point_meeting_fps(
+                    client.cheapest_point_meeting_fps(
                         SMALL_GRID.to_dict(), app="bogus", fps=60.0
                     )
                 with pytest.raises(ServiceError) as unknown:
-                    await client.request("POST", "/nonsense", {})
+                    client.request("POST", "/nonsense", {})
                 with pytest.raises(ServiceError) as bad_grid:
-                    await client.sweep({"bogus_axis": [1, 2]})
+                    client.sweep_summary({"bogus_axis": [1, 2]})
                 return not_on_grid.value, unknown.value, bad_grid.value
-            finally:
-                await client.close()
-                await server.close()
 
-        not_on_grid, unknown, bad_grid = asyncio.run(run())
+        not_on_grid, unknown, bad_grid = serve_and(run)
         assert not_on_grid.status == 404
         assert not_on_grid.code == "not-on-grid"
         assert not_on_grid.details["axis"] == "app"
@@ -462,18 +449,11 @@ POINT_TYPO = {"app": "nerf", "scale_factor": 8, "clock_gz": 1.0}
 
 def _over_http(query):
     """Run ``query(client)`` against a fresh served ``SweepService``."""
-    async def run():
-        server = await start_http_server(
-            SweepService(engine="vectorized"), "127.0.0.1", 0
-        )
-        client = ServiceClient("127.0.0.1", server.port)
-        try:
-            await query(client)
-        finally:
-            await client.close()
-            await server.close()
+    def run(port):
+        with SyncServiceClient(port=port) as client:
+            query(client)
 
-    asyncio.run(run())
+    serve_and(run)
 
 
 #: (path, query kind) -> a call carrying one misspelled selector
@@ -577,33 +557,25 @@ class TestHTTPEndToEnd:
     def test_full_protocol_round_trip(self):
         grid = SMALL_GRID.to_dict()
 
-        async def run():
-            service = SweepService(engine="vectorized")
-            server = await start_http_server(service, "127.0.0.1", 0)
-            client = ServiceClient("127.0.0.1", server.port)
-            try:
-                health = await client.healthz()
-                summary = await client.sweep(grid)
-                front = await client.pareto_front(grid)
-                cheapest = await client.cheapest_point_meeting_fps(
+        def run(port):
+            with SyncServiceClient(port=port) as client:
+                health = client.healthz()
+                summary = client.sweep_summary(grid)
+                front = client.pareto_front(grid)
+                cheapest = client.cheapest_point_meeting_fps(
                     grid, app="nerf", fps=60.0
                 )
-                point = await client.point(grid, app="nerf", scale_factor=8)
-                records = (
-                    await client.request(
-                        "POST", "/records", {"grid": grid, "limit": 3}
-                    )
+                point = client.point(grid, app="nerf", scale_factor=8)
+                records = client.request(
+                    "POST", "/records", {"grid": grid, "limit": 3}
                 )["result"]
-                fetched = await client.fetch_result(grid)
-                stats = await client.stats()
+                fetched = client.fetch_result(grid)
+                stats = client.stats()
                 return (health, summary, front, cheapest, point, records,
                         fetched, stats)
-            finally:
-                await client.close()
-                await server.close()
 
         (health, summary, front, cheapest, point, records,
-         fetched, stats) = asyncio.run(run())
+         fetched, stats) = serve_and(run)
         assert health["ok"] is True
         assert summary["size"] == SMALL_GRID.size
         assert summary["grid"]["scale_factors"] == [8, 16, 32, 64]
@@ -627,17 +599,11 @@ class TestHTTPEndToEnd:
 
         report_grid = SweepGrid(schemes=(SCHEME,)).to_dict()
 
-        async def run():
-            service = SweepService(engine="vectorized")
-            server = await start_http_server(service, "127.0.0.1", 0)
-            client = ServiceClient("127.0.0.1", server.port)
-            try:
-                return await client.fetch_result(report_grid)
-            finally:
-                await client.close()
-                await server.close()
+        def run(port):
+            with SyncServiceClient(port=port) as client:
+                return client.fetch_result(report_grid)
 
-        served = asyncio.run(run())
+        served = serve_and(run)
         served_lines = design_space_section(result=served)
         direct_lines = design_space_section()
         # identical content; app-row order may differ (normalized axes)

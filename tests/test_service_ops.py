@@ -33,6 +33,7 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -41,9 +42,9 @@ from repro.core.dse import SweepGrid, sweep_grid
 from repro.gpu.baseline import FHD_PIXELS
 from repro.service import (
     OpsLayer,
-    ServiceClient,
     ServiceError,
     SweepService,
+    SyncServiceClient,
     request_json,
     start_http_server,
 )
@@ -397,12 +398,15 @@ class TestHTTPAuth:
     def test_sweep_through_auth_is_bit_identical_to_anonymous(self, tmp_path):
         tenants = write_tenants(tmp_path / "tenants.json")
 
+        def fetch(port, api_key):
+            with SyncServiceClient(port=port, api_key=api_key) as client:
+                return client.fetch_result(SMALL_GRID.to_dict())
+
         async def serve(ops, api_key):
             service = SweepService(engine="vectorized")
             server = await start_http_server(service, "127.0.0.1", 0, ops=ops)
-            client = ServiceClient("127.0.0.1", server.port, api_key=api_key)
             try:
-                return await client.fetch_result(SMALL_GRID.to_dict())
+                return await asyncio.to_thread(fetch, server.port, api_key)
             finally:
                 await server.close()
 
@@ -508,36 +512,37 @@ class TestQuotaFairness:
             time.sleep(0.4)
             return result
 
+        def cold(port, grid):
+            with SyncServiceClient(port=port) as other:
+                return other.sweep_summary(grid.to_dict())
+
+        def flood_and_query(port):
+            warm = SMALL_GRID.to_dict()
+            with SyncServiceClient(port=port) as client, \
+                    ThreadPoolExecutor(len(cold_grids)) as pool:
+                # warm the query grid before the flood (pays one slow cold)
+                client.sweep_summary(warm)
+                flood = []
+                for grid in cold_grids:  # staggered: slot, queue, reject
+                    flood.append(pool.submit(cold, port, grid))
+                    time.sleep(0.05)
+                start = time.perf_counter()
+                front = client.pareto_front(warm)
+                cached_s = time.perf_counter() - start
+                outcomes = [future.exception() or future.result()
+                            for future in flood]
+                return cached_s, front, outcomes
+
         async def run():
             service = SweepService(engine="vectorized", sweep_fn=slow_cold)
             ops = OpsLayer(max_cold_sweeps=1, cold_queue_depth=1)
             server = await start_http_server(service, "127.0.0.1", 0, ops=ops)
-            client = ServiceClient("127.0.0.1", server.port)
             try:
-                warm = SMALL_GRID.to_dict()
-                # warm the query grid before the flood (pays one slow cold)
-                await client.sweep(warm)
-
-                async def cold(grid):
-                    other = ServiceClient("127.0.0.1", server.port)
-                    try:
-                        return await other.sweep(grid.to_dict())
-                    finally:
-                        await other.close()
-
-                flood = []
-                for grid in cold_grids:  # staggered: slot, queue, reject
-                    flood.append(asyncio.ensure_future(cold(grid)))
-                    await asyncio.sleep(0.05)
-                start = time.perf_counter()
-                front = await client.pareto_front(warm)
-                cached_s = time.perf_counter() - start
-                outcomes = await asyncio.gather(
-                    *flood, return_exceptions=True
+                cached_s, front, outcomes = await asyncio.to_thread(
+                    flood_and_query, server.port
                 )
                 return cached_s, front, outcomes, service.stats()
             finally:
-                await client.close()
                 await server.close()
 
         cached_s, front, outcomes, stats = asyncio.run(run())

@@ -57,9 +57,13 @@
 # stream-event builder: `.load_sweep(`/`.save_sweep(` are called only
 # in src/repro/store/tiered.py (once each, by `tiered_sweep`), and the
 # literal `"event": "complete"` appears exactly once under src/repro.
-# The service and reconnect suites run again under `python -X dev` and
-# fail on any unclosed-socket ResourceWarning, and EXPERIMENTS.md must
-# equal a fresh run of tools/generate_experiments_md.py byte for byte.
+# A fifth keeps one HTTP client: no `asyncio.open_connection` under
+# src/, `http.client.HTTPConnection(` only in
+# src/repro/service/client.py, and no `class ServiceClient`.
+# The service, reconnect, ops and Session suites run again under
+# `python -X dev` and fail on any unclosed-socket ResourceWarning, and
+# EXPERIMENTS.md must equal a fresh run of
+# tools/generate_experiments_md.py byte for byte.
 #
 # Every section runs even when an earlier one fails; each failing
 # section is recorded, and the script exits non-zero at the end with
@@ -85,12 +89,13 @@ fail() {
 section "tier-1 tests"
 python -m pytest -x -q || fail
 
-section "no unclosed sockets (service + reconnect tests under -X dev)"
+section "no unclosed sockets (service, reconnect, ops + Session tests under -X dev)"
 # every client and connection these suites open must be closed: under
 # python -X dev an unclosed socket or transport is a ResourceWarning,
 # and any one of them fails the section
 dev_log=$(python -X dev -m pytest -q -p no:cacheprovider \
-    tests/test_service.py tests/test_client_reconnect.py 2>&1)
+    tests/test_service.py tests/test_client_reconnect.py \
+    tests/test_service_ops.py tests/test_api_session.py 2>&1)
 dev_status=$?
 printf '%s\n' "$dev_log" | tail -n 1
 if [ "$dev_status" -ne 0 ] \
@@ -203,6 +208,25 @@ if [ -n "$ladder_calls" ] \
 else
     echo "one tier ladder, one event builder: $complete_sites"
 fi
+
+section "one HTTP client (grep gate)"
+# every client-side HTTP connection runs on the one keep-alive routine
+# in repro.service.client (KeepAliveClient): the service client, the
+# cluster worker's client and request_json
+if grep -rn --include='*.py' 'asyncio\.open_connection' src/; then
+    echo "FAIL: an asyncio client connection is back under src/" >&2
+    fail
+fi
+if grep -rn --include='*.py' 'http\.client\.HTTPConnection(' src/ \
+    | grep -v '^src/repro/service/client\.py:'; then
+    echo "FAIL: an HTTP connection is opened outside src/repro/service/client.py" >&2
+    fail
+fi
+if grep -rn --include='*.py' 'class ServiceClient\b' src/ tests/ benchmarks/ tools/; then
+    echo "FAIL: the asyncio ServiceClient is back" >&2
+    fail
+fi
+echo "one HTTP client: $(grep -rn --include='*.py' 'http\.client\.HTTPConnection(' src/)"
 
 section "shard cluster smoke (2 workers, sweep via DistributedBackend)"
 python - <<'PY' || fail
