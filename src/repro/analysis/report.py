@@ -229,8 +229,10 @@ runs one block per (app, scheme) pair.
 `/result` is JSON by default and a binary frame on request.  A
 client sending `Accept: application/x-repro-frame` gets a finished
 result as one CRC-checked `repro.transport` frame of the raw
-float64 arrays; without the header (curl, `request_json`) the
-JSON body is unchanged.
+float64 columns, each timing field at its compact rank (extent 1
+along the axes it does not vary along, `repro.core.dse.TIMING_AXES`);
+without the header (curl, `request_json`) the JSON body is unchanged:
+dense, `schema_version` 2.
 Errors and 202 long-poll bodies are JSON either way.  The
 `repro.api` remote backend (and so `repro query`) asks for frames:
 on the 10,240-point grid of `bench_service.py`'s wire gate a
@@ -245,7 +247,7 @@ bit-identical arrays.  A corrupt frame raises `ServiceError` 502
 | `GET /metrics` | — | Prometheus text metrics (see "Operating the service") |
 | `GET /stats` | — | cache hits/misses, coalesced, evaluations, `ops` section |
 | `POST /sweep` | `{"grid": {...}}` | evaluation summary |
-| `POST /result` | `{"grid": {...}}` | full SweepResult: the JSON payload by default; one binary `repro.transport` frame (meta `schema_version`/`grid`/`engine`, one column per array) with `Accept: application/x-repro-frame` |
+| `POST /result` | `{"grid": {...}}` | full SweepResult: the dense JSON payload by default; one binary `repro.transport` frame (meta `schema_version`/`grid`/`engine`, one column per array, timing columns compact) with `Accept: application/x-repro-frame` |
 | `POST /records` | `{"grid", "limit"?}` | flat per-point records |
 | `POST /pareto` | `{"grid", "scheme"?, "n_pixels"?, "app"?}` | Pareto front |
 | `POST /cheapest` | `{"grid", "app", "fps", ...}` | cheapest config meeting FPS |
@@ -534,8 +536,15 @@ and skipped when already present, so replicas racing to persist the
 same sweep converge harmlessly.  Loads are genuinely memory-mapped
 (the store parses the zip/npy headers itself and hands back
 `np.memmap` views — NumPy's `np.load` ignores `mmap_mode` for zips),
-so serving a 50 MB persisted sweep costs milliseconds of header
-parsing, not an array copy.
+so serving a persisted sweep costs milliseconds of header parsing,
+not an array copy.  Sweep and block entries hold the compact timing
+columns, as result frames do: the 1,048,576-point grid of
+layerbench's `adaptive` workload persists 10.0 MB where the dense
+layout held 51.4 MB (six 8.4 MB timing arrays plus the cost
+arrays).  Entries written with dense columns before the layout
+changed still load: every reader accepts a timing column at its
+compact or its dense shape and nothing else, and the fingerprints
+(which address values, not layout) are unchanged.
 
 Attach the tier anywhere an evaluation path exists:
 

@@ -392,7 +392,7 @@ class DistributedBackend(Backend):
     swapped for the cluster's: the grid's contiguous vectorized block
     tasks are leased to workers (re-leased on worker death or lease
     timeout), evaluated with calibration installed once per worker
-    generation, and the dense float64 arrays stream back for assembly
+    generation, and the float64 block columns stream back for assembly
     into one :class:`SweepResult` — so results are bit-identical to a
     local evaluation.  Persistent workers amortize interpreter/NumPy
     startup across sweeps.  Streams follow the service's

@@ -53,7 +53,10 @@ import difflib
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -82,7 +85,7 @@ from repro.core.cache import (
 from repro.core.config import NFPConfig, NGPCConfig, SCALE_FACTORS
 from repro.core.emulator import (
     EmulationResult,
-    emulate_batch,
+    emulate_batch_columns,
     emulate_with_config,
 )
 from repro.gpu.baseline import FHD_PIXELS
@@ -377,35 +380,154 @@ class SweepGrid:
         yield from itertools.product(*axes)
 
 
+_TIMING_FIELDS = (
+    "baseline_ms",
+    "accelerated_ms",
+    "encoding_engine_ms",
+    "mlp_engine_ms",
+    "dma_ms",
+    "fused_rest_ms",
+)
+
+#: the timing fields that vary along each configuration axis; every
+#: field also varies along apps and schemes.  Along any other axis a
+#: field is constant, and its column holds extent 1 there: the rank at
+#: which kernels return it, blocks and results carry it, and frames and
+#: store entries ship it (a query broadcasts it to ``grid.shape``).
+#: Structural, from :func:`~repro.core.emulator.emulate_batch_columns`;
+#: ``tests/test_result_layout.py`` pins it against the dense kernel and
+#: the scalar emulator.  A newly registered axis needs a row here.
+_VARYING_ALONG = {
+    "scale_factors": (
+        "accelerated_ms", "encoding_engine_ms", "mlp_engine_ms", "dma_ms",
+    ),
+    "pixel_counts": _TIMING_FIELDS,
+    "clocks_ghz": ("accelerated_ms", "encoding_engine_ms", "mlp_engine_ms"),
+    "grid_sram_kb": ("accelerated_ms", "encoding_engine_ms"),
+    "n_engines": ("accelerated_ms", "encoding_engine_ms"),
+    "n_batches": ("accelerated_ms",),
+    "gridtypes": ("accelerated_ms", "encoding_engine_ms"),
+    "log2_hashmap_sizes": ("accelerated_ms", "encoding_engine_ms"),
+    "per_level_scales": ("accelerated_ms", "encoding_engine_ms"),
+}
+
+#: the same table by field: the configuration axes each timing field
+#: varies along, in array order
+TIMING_AXES = {
+    name: tuple(
+        axis for axis in CONFIG_AXIS_FIELDS if name in _VARYING_ALONG[axis]
+    )
+    for name in _TIMING_FIELDS
+}
+
+#: the arrays of one evaluated block: the timings plus the (app, scheme)
+#: Amdahl bound
+_BLOCK_FIELDS = _TIMING_FIELDS + ("amdahl_bound",)
+
+#: every array field of :class:`SweepResult`, in dataclass order — the
+#: payload schema of :meth:`SweepResult.to_payload`
+RESULT_ARRAY_FIELDS = _TIMING_FIELDS + (
+    "amdahl_bound",
+    "area_mm2_7nm",
+    "power_w_7nm",
+    "area_overhead_pct",
+    "power_overhead_pct",
+)
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
 
 
+class _ResultArray:
+    """One :class:`SweepResult` array, read from its stored column.
+
+    A timing field reads as its compact column broadcast to
+    ``grid.shape`` — a read-only view, no copy — so every query indexes
+    it exactly as a dense array; the other fields are stored at their
+    own shape and read as they are.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+        self.broadcast = name in TIMING_AXES
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return self
+        column = result.columns[self.name]
+        if self.broadcast:
+            return np.broadcast_to(column, result.grid.shape)
+        return column
+
+
 @dataclass(frozen=True, eq=False)  # eq=False: ndarray fields break ==/hash
 class SweepResult:
-    """Dense evaluation of a (resolved) :class:`SweepGrid`.
+    """Evaluation of a (resolved) :class:`SweepGrid`.
 
-    Timing arrays are shaped ``grid.shape`` = (apps, schemes, scales,
-    pixel_counts, clocks, srams, engines, batches); ``amdahl_bound`` is
-    (apps, schemes); the area/power arrays are (scales, clocks, srams,
-    engines) — cost depends only on the hardware configuration, not on
-    the workload or the pipeline batching.
+    Every array reads shaped for queries: the timing fields as
+    ``grid.shape`` = (apps, schemes, scales, pixel_counts, clocks,
+    srams, engines, batches[, gridtypes, log2_hashmap_sizes,
+    per_level_scales]); ``amdahl_bound`` as (apps, schemes); the
+    area/power arrays as (scales, clocks, srams, engines) — cost
+    depends only on the hardware configuration, not on the workload or
+    the pipeline batching.
+
+    Storage is compact: :attr:`columns` holds each timing field only
+    along the axes :data:`TIMING_AXES` says it varies along (extent 1
+    elsewhere), and the timing attributes are read-only broadcast views
+    of those columns.  Serializers that keep the layout — result
+    frames, store entries — write :attr:`columns`; :meth:`to_payload`
+    writes the dense JSON.
     """
 
     grid: SweepGrid
     engine: str
-    baseline_ms: np.ndarray
-    accelerated_ms: np.ndarray
-    encoding_engine_ms: np.ndarray
-    mlp_engine_ms: np.ndarray
-    dma_ms: np.ndarray
-    fused_rest_ms: np.ndarray
-    amdahl_bound: np.ndarray
-    area_mm2_7nm: np.ndarray
-    power_w_7nm: np.ndarray
-    area_overhead_pct: np.ndarray
-    power_overhead_pct: np.ndarray
+    #: every :data:`RESULT_ARRAY_FIELDS` array at its stored shape
+    #: (:func:`result_array_shapes`), read-only
+    columns: Mapping[str, np.ndarray]
+
+    baseline_ms = _ResultArray()
+    accelerated_ms = _ResultArray()
+    encoding_engine_ms = _ResultArray()
+    mlp_engine_ms = _ResultArray()
+    dma_ms = _ResultArray()
+    fused_rest_ms = _ResultArray()
+    amdahl_bound = _ResultArray()
+    area_mm2_7nm = _ResultArray()
+    power_w_7nm = _ResultArray()
+    area_overhead_pct = _ResultArray()
+    power_overhead_pct = _ResultArray()
+
+    @classmethod
+    def from_arrays(
+        cls, grid: SweepGrid, engine: str, arrays: Mapping[str, np.ndarray]
+    ) -> "SweepResult":
+        """A result from deserialized arrays, validated against ``grid``.
+
+        The one check every reader runs (served JSON and frames, store
+        entries), so a truncated or hand-edited artifact fails here
+        rather than with an off-by-one deep inside a query.  A timing
+        array may come compact or dense (:func:`_timing_column`); every
+        other array must have its exact shape.  ``grid`` must be
+        resolved.  Raises :class:`ValueError`.
+        """
+        expected = result_array_shapes(grid)
+        columns = {}
+        for name in RESULT_ARRAY_FIELDS:
+            if name not in arrays:
+                raise ValueError(f"missing array {name!r}")
+            array = np.asarray(arrays[name])
+            if name in TIMING_AXES:
+                array = _timing_column(name, array, expected[name], grid.shape)
+            elif array.shape != expected[name]:
+                raise ValueError(
+                    f"array {name!r} has shape {array.shape}, "
+                    f"expected {expected[name]}"
+                )
+            columns[name] = _frozen(array)
+        return cls(grid=grid, engine=engine, columns=MappingProxyType(columns))
 
     # derived arrays: computed once per (frozen) result on first access
     # and read-only, like the fields they derive from
@@ -478,8 +600,12 @@ class SweepResult:
             if limit < 0:
                 raise ValueError("limit must be non-negative")
         records = []
+        baseline_ms = self.baseline_ms
+        accelerated_ms = self.accelerated_ms
         speedup = self.speedup
         fps = self.fps
+        area_overhead_pct = self.area_overhead_pct
+        power_overhead_pct = self.power_overhead_pct
         grid = self.grid
         fields = grid.axis_fields
         for idx in np.ndindex(*grid.shape):
@@ -492,13 +618,13 @@ class SweepResult:
             k, c, g, e = idx[2], idx[4], idx[5], idx[6]
             record.update(
                 {
-                    "baseline_ms": float(self.baseline_ms[idx]),
-                    "accelerated_ms": float(self.accelerated_ms[idx]),
+                    "baseline_ms": float(baseline_ms[idx]),
+                    "accelerated_ms": float(accelerated_ms[idx]),
                     "speedup": float(speedup[idx]),
                     "fps": float(fps[idx]),
-                    "area_overhead_pct": float(self.area_overhead_pct[k, c, g, e]),
+                    "area_overhead_pct": float(area_overhead_pct[k, c, g, e]),
                     "power_overhead_pct": float(
-                        self.power_overhead_pct[k, c, g, e]
+                        power_overhead_pct[k, c, g, e]
                     ),
                 }
             )
@@ -529,29 +655,23 @@ class SweepResult:
     def from_payload(cls, payload: Dict) -> "SweepResult":
         """Rebuild a result from :meth:`to_payload` output.
 
-        Array shapes are validated against the payload's grid so a
-        truncated or hand-edited payload fails here rather than with an
-        off-by-one deep inside a query.  A payload without a
-        ``schema_version`` is read as version 1 (the pre-versioning
-        wire format, which is identical); an unsupported version fails
-        loudly instead of misinterpreting arrays.
+        Array shapes are validated against the payload's grid
+        (:meth:`from_arrays`); timing arrays may be dense, as JSON
+        carries them, or compact, as a result frame does.  A payload
+        without a ``schema_version`` is read as version 1 (the
+        pre-versioning wire format, which is identical); an unsupported
+        version fails loudly instead of misinterpreting arrays.
         """
         check_schema_version(payload.get("schema_version"))
         grid = SweepGrid.from_dict(payload["grid"]).resolve()
-        expected = result_array_shapes(grid)
-        arrays = {}
-        for name in RESULT_ARRAY_FIELDS:
-            if name not in payload:
-                raise ValueError(f"payload is missing array {name!r}")
-            array = np.asarray(payload[name], dtype=np.float64)
-            if array.shape != expected[name]:
-                raise ValueError(
-                    f"payload array {name!r} has shape {array.shape}, "
-                    f"expected {expected[name]}"
-                )
-            array.setflags(write=False)
-            arrays[name] = array
-        return cls(grid=grid, engine=str(payload.get("engine", "served")), **arrays)
+        arrays = {
+            name: np.asarray(payload[name], dtype=np.float64)
+            for name in RESULT_ARRAY_FIELDS
+            if name in payload
+        }
+        return cls.from_arrays(
+            grid, str(payload.get("engine", "served")), arrays
+        )
 
     # -- queries ------------------------------------------------------------
     def pareto_front(
@@ -668,37 +788,16 @@ class SweepResult:
 # engines
 # ---------------------------------------------------------------------------
 
-# bounded: each entry holds dense float64 arrays for a whole grid
+# bounded: each entry holds the float64 columns of a whole grid
 _SWEEP_CACHE = ModelCache("sweep_grid", maxsize=128)
-#: grids larger than this are never memoized (a 65k-point result is ~4 MB
-#: of float64; the cache is for the report/CLI-sized grids, not for the
-#: 100k+-point exploration sweeps)
+#: grids larger than this are never memoized (a 65k-point result holds
+#: 0.5-1 MB: the full-rank accelerated_ms column plus the compact rest,
+#: of which only encoding_engine_ms can approach its size; the cache is
+#: for the report/CLI-sized grids, not for the 100k+-point exploration
+#: sweeps)
 _SWEEP_CACHE_MAX_POINTS = 1 << 16
 
 _ENGINES = ("vectorized", "scalar")
-
-_TIMING_FIELDS = (
-    "baseline_ms",
-    "accelerated_ms",
-    "encoding_engine_ms",
-    "mlp_engine_ms",
-    "dma_ms",
-    "fused_rest_ms",
-)
-
-#: the arrays of one evaluated block: the timings plus the (app, scheme)
-#: Amdahl bound
-_BLOCK_FIELDS = _TIMING_FIELDS + ("amdahl_bound",)
-
-#: every array field of :class:`SweepResult`, in dataclass order — the
-#: payload schema of :meth:`SweepResult.to_payload`
-RESULT_ARRAY_FIELDS = _TIMING_FIELDS + (
-    "amdahl_bound",
-    "area_mm2_7nm",
-    "power_w_7nm",
-    "area_overhead_pct",
-    "power_overhead_pct",
-)
 
 #: version stamped into every :meth:`SweepResult.to_payload` payload and
 #: every HTTP response envelope; bump when the array schema changes.
@@ -781,17 +880,38 @@ def sweep_fingerprint(
     )
 
 
-def result_array_shapes(grid: SweepGrid) -> Dict[str, Tuple[int, ...]]:
-    """Expected shape of every :class:`SweepResult` array for ``grid``.
+def block_array_shapes(shape: Tuple[int, ...]) -> Dict[str, Tuple[int, ...]]:
+    """Stored shape of each timing column of a block.
 
-    The one schema both deserializers validate against —
-    :meth:`SweepResult.from_payload` (served JSON) and the persistent
-    result store (npz columns) — so a truncated or hand-edited artifact
-    fails at the boundary instead of with an off-by-one deep inside a
-    query.  ``grid`` must be resolved.
+    ``shape`` is the block's configuration hypercube
+    (:func:`task_shape`); a column keeps its extent along the axes
+    :data:`TIMING_AXES` says it varies along and holds 1 elsewhere —
+    by the table, never by the extent, so a 1-wide window of a varying
+    axis stays that axis's window.
     """
-    expected = {name: grid.shape for name in _TIMING_FIELDS}
-    expected["amdahl_bound"] = grid.shape[:2]
+    axes = CONFIG_AXIS_FIELDS[:len(shape)]
+    return {
+        name: tuple(n if axis in varies else 1 for axis, n in zip(axes, shape))
+        for name, varies in TIMING_AXES.items()
+    }
+
+
+def result_array_shapes(grid: SweepGrid) -> Dict[str, Tuple[int, ...]]:
+    """Stored shape of every :class:`SweepResult` array for ``grid``.
+
+    The timing columns follow :func:`block_array_shapes` over the
+    grid's configuration axes (apps and schemes in front); the Amdahl
+    bound is (apps, schemes) and the cost arrays (scales, clocks,
+    srams, engines).  The one schema every deserializer validates
+    against (:meth:`SweepResult.from_arrays`).  ``grid`` must be
+    resolved.
+    """
+    pairs = grid.shape[:2]
+    expected = {
+        name: pairs + shape
+        for name, shape in block_array_shapes(grid.shape[2:]).items()
+    }
+    expected["amdahl_bound"] = pairs
     cost_shape = (
         len(grid.scale_factors), len(grid.clocks_ghz),
         len(grid.grid_sram_kb), len(grid.n_engines),
@@ -800,6 +920,46 @@ def result_array_shapes(grid: SweepGrid) -> Dict[str, Tuple[int, ...]]:
                  "area_overhead_pct", "power_overhead_pct"):
         expected[name] = cost_shape
     return expected
+
+
+def _timing_column(
+    name: str, array, shape: Tuple[int, ...], dense_shape: Tuple[int, ...]
+) -> np.ndarray:
+    """One timing array read at its stored ``shape``.
+
+    A compact column passes as it is; a legacy dense one (``dense_shape``,
+    as JSON payloads and stores written before compact columns carry
+    it) is sliced down to ``shape`` without a copy — the field is
+    constant along the axes cut.  Any other shape raises
+    :class:`ValueError`.
+    """
+    array = np.asarray(array)
+    if array.shape == shape:
+        return array
+    if array.shape != dense_shape:
+        raise ValueError(
+            f"array {name!r} has shape {array.shape}, expected {shape} "
+            f"(or dense {dense_shape})"
+        )
+    return array[tuple(
+        slice(None) if n == dense else slice(0, 1)
+        for n, dense in zip(shape, dense_shape)
+    )]
+
+
+def block_columns(block, shape: Tuple[int, ...]) -> Dict[str, np.ndarray]:
+    """A block's timing columns, each read by :func:`_timing_column`.
+
+    ``shape`` is the block's :func:`task_shape`.  The check the
+    coordinator, the store and assembly share; raises
+    :class:`ValueError` on a wrong shape, :class:`KeyError` on a
+    missing field.
+    """
+    expected = block_array_shapes(shape)
+    return {
+        name: _timing_column(name, block[name], expected[name], shape)
+        for name in _TIMING_FIELDS
+    }
 
 
 def block_fingerprint(task: Tuple, ngpc: Optional[NGPCConfig] = None):
@@ -906,19 +1066,20 @@ def evaluate_block(
     ``task`` is a :func:`shard_plan`/:func:`store_block_plan` work
     unit: ``(app, scheme, scales, pixels, clocks, srams, engines,
     batches)``, optionally extended with the three encoding-axis
-    windows.  This is the one place a block meets
-    :func:`~repro.core.emulator.emulate_batch`: in-process runners,
-    the result store and shard-cluster workers all evaluate here.
-    ``task[4:]`` pairs up with :data:`repro.core.axes.TASK_BATCH_KWARGS`
-    in order, so 8-field (seed) and 11-field (extended) tasks route
-    through one code path.
+    windows.  This is the one place a block meets the batched
+    emulator (:func:`~repro.core.emulator.emulate_batch_columns`):
+    in-process runners, the result store and shard-cluster workers all
+    evaluate here.  ``task[4:]`` pairs up with
+    :data:`repro.core.axes.TASK_BATCH_KWARGS` in order, so 8-field
+    (seed) and 11-field (extended) tasks route through one code path.
+    The block holds each timing field at its stored rank
+    (:func:`block_array_shapes`) plus the scalar ``amdahl_bound``.
     """
     app, scheme, scales, pixels = task[:4]
-    block = emulate_batch(
+    return emulate_batch_columns(
         app, scheme, scales, pixels, ngpc,
         **dict(zip(TASK_BATCH_KWARGS, task[4:])),
     )
-    return {name: block[name] for name in _BLOCK_FIELDS}
 
 
 def _scalar_block(
@@ -950,6 +1111,7 @@ def _scalar_block(
         )
         for name in _TIMING_FIELDS:
             out[name][idx] = getattr(r, name)
+    out = block_columns(out, shape)
     out["amdahl_bound"] = r.amdahl_bound  # per (app, scheme): any point's
     return out
 
@@ -1061,21 +1223,29 @@ def install_worker_state(calibration: Tuple) -> None:
 def assemble_shard_blocks(
     grid: SweepGrid, placed_blocks
 ) -> Dict[str, np.ndarray]:
-    """Scatter evaluated shard blocks back into dense grid arrays.
+    """Scatter evaluated shard blocks back into the grid's columns.
 
     ``placed_blocks`` yields ``(placement, block)`` pairs — the
     placement from :func:`shard_plan`, the block from
     :func:`evaluate_block`.  Every grid point must be covered by
     exactly one block (guaranteed when the placements come from one
-    plan over the same grid).
+    plan over the same grid).  Each timing field lands in its column
+    (:func:`result_array_shapes`): a block's window along the axes the
+    field varies along, index 0 along the rest.
     """
-    shape = grid.shape
-    out = {name: np.empty(shape) for name in _TIMING_FIELDS}
-    out["amdahl_bound"] = np.empty(shape[:2])
+    shapes = result_array_shapes(grid)
+    out = {name: np.empty(shapes[name]) for name in _BLOCK_FIELDS}
+    varies = {
+        name: [axis in TIMING_AXES[name] for axis in CONFIG_AXIS_FIELDS]
+        for name in _TIMING_FIELDS
+    }
     for (i, j, windows), block in placed_blocks:
-        dest = (i, j) + tuple(slice(lo, hi) for lo, hi in windows)
-        for name in _TIMING_FIELDS:
-            out[name][dest] = block[name]
+        columns = block_columns(block, tuple(hi - lo for lo, hi in windows))
+        for name, column in columns.items():
+            out[name][(i, j) + tuple(
+                slice(lo, hi) if along else slice(0, 1)
+                for along, (lo, hi) in zip(varies[name], windows)
+            )] = column
         out["amdahl_bound"][i, j] = block["amdahl_bound"]
     return out
 
@@ -1107,11 +1277,12 @@ def finalize_sweep_result(
         area_overhead_pct=cost["area_overhead_pct"],
         power_overhead_pct=cost["power_overhead_pct"],
     )
-    for array in arrays.values():
-        # the result object is shared on cache hits: freeze the arrays so
-        # one consumer's mutation cannot poison every later cached query
-        array.setflags(write=False)
-    return SweepResult(grid=grid, engine=engine, **arrays)
+    # the result object is shared on cache hits: freeze the arrays so
+    # one consumer's mutation cannot poison every later cached query
+    columns = {name: _frozen(arrays[name]) for name in RESULT_ARRAY_FIELDS}
+    return SweepResult(
+        grid=grid, engine=engine, columns=MappingProxyType(columns)
+    )
 
 
 def run_plan(

@@ -219,6 +219,62 @@ def emulate_batch(
     ``ngpc`` supplies the remaining architecture parameters (MAC
     geometry, spill penalty, defaults for unswept axes); its own
     ``scale_factor`` is ignored in favour of the ``scale_factors`` axis.
+
+    This is the dense view of :func:`emulate_batch_columns`: each
+    timing field is its compact column broadcast (read-only, no copy)
+    to the hypercube, plus the derived ``speedup``.
+    """
+    axes = dict(
+        clocks_ghz=clocks_ghz, grid_sram_kb=grid_sram_kb,
+        n_engines=n_engines, n_batches=n_batches, gridtypes=gridtypes,
+        log2_hashmap_sizes=log2_hashmap_sizes,
+        per_level_scales=per_level_scales,
+    )
+    out = emulate_batch_columns(
+        app, scheme, scale_factors, n_pixels, ngpc, fuse_rest, overlap,
+        **axes,
+    )
+    bound = out.pop("amdahl_bound")
+    full = out["accelerated_ms"].shape
+    # the classic call squeezes the singleton axes back to (S, P)
+    shape = full[:2] if all(v is None for v in axes.values()) else full
+    out = {
+        name: np.broadcast_to(column, full).reshape(shape)
+        for name, column in out.items()
+    }
+    out["speedup"] = out["baseline_ms"] / out["accelerated_ms"]
+    out["amdahl_bound"] = bound
+    return out
+
+
+def emulate_batch_columns(
+    app: str,
+    scheme: str,
+    scale_factors=(8, 16, 32, 64),
+    n_pixels=FHD_PIXELS,
+    ngpc: Optional[NGPCConfig] = None,
+    fuse_rest: bool = True,
+    overlap: bool = True,
+    clocks_ghz=None,
+    grid_sram_kb=None,
+    n_engines=None,
+    n_batches=None,
+    gridtypes=None,
+    log2_hashmap_sizes=None,
+    per_level_scales=None,
+) -> Dict[str, np.ndarray]:
+    """The batched emulator's timing fields, each at its own rank.
+
+    Same arguments and arithmetic as :func:`emulate_batch`, always over
+    the N-dimensional hypercube (S, P, C, G, E, B), extended by
+    (T, H, R) when an encoding axis is passed.  Each timing field keeps
+    extent 1 along the axes it does not vary along, the layout
+    :data:`repro.core.dse.TIMING_AXES` names: ``accelerated_ms`` is
+    full rank, ``encoding_engine_ms`` (S, P, C, G, E, 1[, T, H, R]),
+    ``mlp_engine_ms`` (S, P, C, 1, ...), ``dma_ms`` (S, P, 1, ...), and
+    ``baseline_ms`` and ``fused_rest_ms`` (1, P, 1, ...).  Nothing is
+    broadcast to the hypercube and no ``speedup`` is formed; the
+    block path (:func:`repro.core.dse.evaluate_block`) reads this.
     """
     if app not in APP_NAMES:
         raise ValueError(f"unknown app {app!r}")
@@ -241,17 +297,11 @@ def emulate_batch(
         and log2_hashmap_sizes is None
         and per_level_scales is None
     )
-    architectural = extension or not (
-        clocks_ghz is None
-        and grid_sram_kb is None
-        and n_engines is None
-        and n_batches is None
-    )
 
     baseline = baseline_kernel_times_ms(app, scheme, pixels)  # (P,) arrays
     # -- N-dimensional architecture hypercube ------------------------------
     # (the classic (S, P) call is the same computation with singleton
-    # architecture axes, squeezed at the end)
+    # architecture axes, which emulate_batch squeezes)
     clocks = tuple(
         float(c)
         for c in np.asarray(
@@ -356,38 +406,18 @@ def emulate_batch(
         np.expand_dims(ngpc_time, 5), rest_nd, batches_nd
     )  # (S, P, C, G, E, B[, T, H, R])
 
-    shape = (
-        len(scales), len(pixels), len(clocks), len(srams), len(engines),
-        len(batches),
-    )
-    if extension:
-        shape = shape + (len(gts), len(log2_ts), len(plscales))
-    baseline_total = np.broadcast_to(
-        np.asarray(baseline["total"]).reshape(
-            (1, -1) + (1,) * (len(shape) - 2)
-        ),
-        shape,
-    )
-    total = np.ascontiguousarray(np.broadcast_to(total, shape))
-    out = {
-        "baseline_ms": np.ascontiguousarray(baseline_total),
+    # every field at the hypercube's rank; the batch axis sits at
+    # position 5, so the fields that do not see it hold extent 1 there
+    per_pixel = (1, -1) + (1,) * (nd - 1)
+    return {
+        "baseline_ms": np.asarray(baseline["total"]).reshape(per_pixel),
         "accelerated_ms": total,
-        "encoding_engine_ms": np.ascontiguousarray(
-            np.broadcast_to(np.expand_dims(enc, 5), shape)
-        ),
-        "mlp_engine_ms": np.ascontiguousarray(
-            np.broadcast_to(np.expand_dims(mlp, 5), shape)
-        ),
-        "dma_ms": np.ascontiguousarray(
-            np.broadcast_to(np.expand_dims(dma, 5), shape)
-        ),
-        "fused_rest_ms": np.ascontiguousarray(np.broadcast_to(rest_nd, shape)),
-        "speedup": baseline_total / total,
+        "encoding_engine_ms": np.expand_dims(enc, 5),
+        "mlp_engine_ms": np.expand_dims(mlp, 5),
+        "dma_ms": np.expand_dims(dma, 5),
+        "fused_rest_ms": rest_nd,
+        "amdahl_bound": amdahl_bound(app, scheme),
     }
-    if not architectural:  # classic call: squeeze back to the (S, P) plane
-        out = {name: arr.reshape(shape[:2]) for name, arr in out.items()}
-    out["amdahl_bound"] = amdahl_bound(app, scheme)
-    return out
 
 
 def speedup_table(scheme: str, n_pixels: int = FHD_PIXELS) -> Dict[int, Dict[str, float]]:

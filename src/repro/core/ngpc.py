@@ -193,10 +193,20 @@ def pipeline_total_ms_batch(ngpc_time_ms, rest_time_ms, n_batches):
     n_batches = np.asarray(n_batches)
     if np.any(n_batches < 1):
         raise ValueError("need at least one batch")
+    # batch counts are exact in float64, so dividing by the float is
+    # dividing by the integer; converting once keeps the full-size
+    # operations on one dtype
+    n_batches = n_batches.astype(np.float64)
     ngpc_batch = ngpc_time_ms / n_batches
     rest_batch = rest_time_ms / n_batches
-    bottleneck = np.maximum(ngpc_batch, rest_batch)
-    return ngpc_batch + (n_batches - 1) * bottleneck + rest_batch
+    # ngpc_batch + (n_batches - 1) * bottleneck + rest_batch, in place
+    # on the one full-size temporary: the swapped operands of + and *
+    # commute exactly, so the bits are the scalar makespan's
+    total = np.maximum(ngpc_batch, rest_batch)
+    total *= n_batches - 1.0
+    total += ngpc_batch
+    total += rest_batch
+    return total
 
 
 class NGPC:

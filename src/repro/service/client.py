@@ -52,7 +52,7 @@ from repro.core.dse import (
 )
 from repro.errors import BackendUnavailableError
 from repro.service.errors import ServiceError
-from repro.transport import FRAME_CONTENT_TYPE, FrameError, decode_frame
+from repro.transport import FRAME_CONTENT_TYPE, decode_frame
 
 
 def _check_response_schema(payload: Dict[str, Any]) -> None:
@@ -95,13 +95,15 @@ def _decoded(status: int, data: bytes) -> Dict[str, Any]:
 
 def _frame_result(data: bytes) -> SweepResult:
     """A ``/result`` frame as a :class:`SweepResult`, validated exactly as
-    a JSON payload is; a corrupt frame is a 502 ``bad-frame``."""
+    a JSON payload is; a corrupt frame, or a column whose shape the grid
+    does not admit, is a 502 ``bad-frame``."""
     try:
         meta, columns = decode_frame(data)
-    except FrameError as exc:
+        payload = dict(meta, **columns)
+        _check_response_schema(payload)
+        return SweepResult.from_payload(payload)
+    except (KeyError, TypeError, ValueError) as exc:  # FrameError included
         raise ServiceError(502, "bad-frame", str(exc))
-    _check_response_schema(meta)
-    return SweepResult.from_payload(dict(meta, **columns))
 
 
 def _negotiated(payload: Optional[Dict]) -> Dict:

@@ -8,7 +8,7 @@ endpoints, mounted next to the JSON service by
 :mod:`repro.service.http`) to any number of
 ``python -m repro worker`` processes — local or remote — which install
 calibration once per generation, evaluate blocks vectorized, and
-stream the dense arrays back; :func:`repro.core.dse.run_plan` assembles
+stream the block columns back; :func:`repro.core.dse.run_plan` assembles
 them into one :class:`~repro.core.dse.SweepResult` exactly as it does a
 local evaluation.  Leases expire and re-queue on
 worker death, so a sweep survives losing workers mid-flight.  Every

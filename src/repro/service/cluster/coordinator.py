@@ -52,7 +52,7 @@ submitted under, and workers reinstall them only when they change,
 keeping blocks bit-identical to a local evaluation.
 
 Bodies and responses are versioned binary frames
-(:mod:`repro.transport`): dense float64 blocks round-trip exactly and
+(:mod:`repro.transport`): float64 block columns round-trip exactly and
 decode zero-copy on the receiving side via ``np.frombuffer``, and —
 unlike the pickle wire this replaced — a frame can never execute code
 on decode, so a stray byte reaching the port yields a structured 400
@@ -75,6 +75,7 @@ from repro.core.dse import (
     _TIMING_FIELDS,
     SweepGrid,
     SweepResult,
+    block_columns,
     run_plan,
     shard_plan,
     task_shape,
@@ -541,17 +542,10 @@ class ShardCoordinator:
 
     def _validate_block(self, job: _Job, task_id: int, block) -> None:
         """Reject (and re-queue) a malformed block before it poisons a job."""
-        expected = task_shape(job.tasks[task_id])
         try:
             if not isinstance(block, dict):
                 raise ValueError(f"block must be a dict, got {type(block).__name__}")
-            for name in _TIMING_FIELDS:
-                array = np.asarray(block[name])
-                if array.shape != expected:
-                    raise ValueError(
-                        f"block array {name!r} has shape {array.shape}, "
-                        f"expected {expected}"
-                    )
+            block_columns(block, task_shape(job.tasks[task_id]))
             float(np.asarray(block["amdahl_bound"]))
         except (KeyError, TypeError, ValueError) as exc:
             job.states[task_id] = _PENDING

@@ -11,7 +11,7 @@ cluster`` or an embedded :class:`~repro.api.DistributedBackend`):
    task is evaluated with the job's base config through the vectorized
    block path (:func:`repro.core.dse.evaluate_block`) after
    reinstalling calibration if the job's generation changed;
-3. **complete** — streams the dense float64 block arrays back as one
+3. **complete** — streams the block's float64 timing columns back as one
    binary frame body (:mod:`repro.transport` — zero-copy columns, no
    pickle anywhere on the wire) and immediately polls for the next
    lease.
@@ -38,9 +38,14 @@ from typing import Dict, Optional
 
 from repro.core.dse import evaluate_block, install_worker_state
 from repro.errors import BackendUnavailableError
-from repro.service.client import KeepAliveClient
+from repro.service.client import KeepAliveClient, _decoded
 from repro.service.errors import ServiceError
-from repro.transport import FRAME_CONTENT_TYPE, decode_message, encode_message
+from repro.transport import (
+    FRAME_CONTENT_TYPE,
+    FrameError,
+    decode_message,
+    encode_message,
+)
 
 
 class ClusterClient(KeepAliveClient):
@@ -65,11 +70,22 @@ class ClusterClient(KeepAliveClient):
         super().__init__(host, port, timeout)
 
     def call(self, path: str, payload: Dict, method: str = "POST") -> Dict:
-        """One framed round trip; a structured error raises ServiceError."""
-        _, data = self._round_trip(
+        """One framed round trip; a structured error raises ServiceError.
+
+        A response that is not a frame — the JSON 404 ``no-cluster`` of
+        a server without a coordinator, a proxy's error page — goes
+        through the service client's JSON decoding, so it raises the
+        same structured error; a corrupt frame is a 502 ``bad-frame``.
+        """
+        response, data = self._round_trip(
             method, path, encode_message(payload), FRAME_CONTENT_TYPE
         )
-        decoded = decode_message(data)
+        if response.getheader("Content-Type") != FRAME_CONTENT_TYPE:
+            return _decoded(response.status, data)
+        try:
+            decoded = decode_message(data)
+        except FrameError as exc:
+            raise ServiceError(502, "bad-frame", str(exc))
         if isinstance(decoded, dict) and decoded.get("ok") is False:
             raise ServiceError.from_payload(decoded)
         return decoded
@@ -87,7 +103,8 @@ def run_worker(
 
     Exits 0 on a coordinator-requested stop or after ``max_idle_s``
     without work, 1 after ``max_failures`` consecutive transport
-    failures (coordinator gone).
+    failures (coordinator gone) or when the server refuses the worker
+    protocol (no coordinator mounted).
     """
     client = ClusterClient(host, port)
     worker_id = None
@@ -121,7 +138,12 @@ def run_worker(
                 if exc.code == "unknown-worker":  # coordinator restarted
                     worker_id = None
                     continue
-                raise
+                # no coordinator there (a 404 no-cluster), or a reply
+                # this worker cannot read: nothing to retry
+                log(f"repro worker: http://{host}:{port} refused the "
+                    f"worker ({exc.status} {exc.code}: {exc}); exiting",
+                    flush=True)
+                return 1
             if lease.get("stop"):
                 reason = lease.get("reason", "coordinator stopped")
                 log(f"repro worker: stopping ({reason}); exiting", flush=True)

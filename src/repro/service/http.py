@@ -97,7 +97,6 @@ from typing import Dict, Optional, Set, Tuple
 from repro._version import __version__
 from repro.core.dse import (
     PAYLOAD_SCHEMA_VERSION,
-    RESULT_ARRAY_FIELDS,
     SUPPORTED_SCHEMA_VERSIONS,
     SweepResult,
     check_schema_version,
@@ -108,7 +107,7 @@ from repro.service.sweep_service import SweepService
 from repro.transport import FRAME_CONTENT_TYPE, encode_frame
 
 #: default request-body cap; grid specs are tiny, but cluster workers
-#: POST dense block arrays on the same port, so the ceiling is generous.
+#: POST block arrays on the same port, so the ceiling is generous.
 #: Configurable per server (``start_http_server(max_body_bytes=...)`` /
 #: ``repro serve --max-body-mb``).
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -151,16 +150,15 @@ async def _handle_result(service: SweepService, payload: Dict) -> SweepResult:
 
 
 def _result_body(result: SweepResult, frame: bool):
-    """A finished sweep's 200 body: a binary frame when the client asked
-    for one (``Accept: application/x-repro-frame``), else the JSON
+    """A finished sweep's 200 body: a binary frame of the result's stored
+    columns (timings compact) when the client asked for one
+    (``Accept: application/x-repro-frame``), else the dense JSON
     envelope around :meth:`~repro.core.dse.SweepResult.to_payload`."""
     if not frame:
         return {"ok": True, "result": result.to_payload()}
     meta = {"schema_version": PAYLOAD_SCHEMA_VERSION,
             "grid": result.grid.to_dict(), "engine": result.engine}
-    return encode_frame(
-        meta, [(name, getattr(result, name)) for name in RESULT_ARRAY_FIELDS]
-    )
+    return encode_frame(meta, result.columns)
 
 
 async def _handle_records(service: SweepService, payload: Dict) -> list:

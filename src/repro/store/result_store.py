@@ -44,13 +44,12 @@ from typing import Dict, Hashable, Optional, Tuple
 import numpy as np
 
 from repro.core.dse import (
-    _TIMING_FIELDS,
+    _BLOCK_FIELDS,
     PAYLOAD_SCHEMA_VERSION,
-    RESULT_ARRAY_FIELDS,
     SweepGrid,
     SweepResult,
+    block_columns,
     check_schema_version,
-    result_array_shapes,
 )
 from repro.store.npz_io import (
     StoreIntegrityError,
@@ -59,7 +58,7 @@ from repro.store.npz_io import (
 )
 
 #: array fields persisted per block (the shard-task evaluation output)
-BLOCK_ARRAY_FIELDS = _TIMING_FIELDS + ("amdahl_bound",)
+BLOCK_ARRAY_FIELDS = _BLOCK_FIELDS
 
 #: the npz member carrying the entry's JSON metadata
 _META_MEMBER = "__meta__"
@@ -317,12 +316,11 @@ class ResultStore:
                 "grid": result.grid.to_dict(),
                 "engine": result.engine,
             }
-            # np.asarray, not ascontiguousarray: the latter promotes the
-            # 0-d Amdahl scalars of block entries to 1-d and breaks the
-            # round trip; np.savez copies to contiguous itself
+            # the stored columns (timings compact); np.savez copies
+            # each to contiguous itself
             arrays = {
-                name: np.asarray(getattr(result, name), dtype=np.float64)
-                for name in RESULT_ARRAY_FIELDS
+                name: np.asarray(column, dtype=np.float64)
+                for name, column in result.columns.items()
             }
             arrays[_META_MEMBER] = _meta_array(meta)
             write_arrays_atomic(path, arrays)
@@ -337,8 +335,9 @@ class ResultStore:
         """Reconstruct a persisted sweep, or None (miss / corrupt entry).
 
         Arrays are memory-mapped read-only views over the npz, so the
-        load cost is header parsing, not a copy; validation mirrors
-        :meth:`~repro.core.dse.SweepResult.from_payload` so a truncated
+        load cost is header parsing, not a copy; validation is
+        :meth:`~repro.core.dse.SweepResult.from_arrays` (compact timing
+        columns, or the dense ones older entries hold), so a truncated
         entry is caught here and quarantined.
         """
         digest = fingerprint_digest(key)
@@ -351,24 +350,14 @@ class ResultStore:
             meta = self._read_meta(arrays)
             check_schema_version(meta.get("schema_version"))
             grid = SweepGrid.from_dict(meta["grid"]).resolve()
-            expected = result_array_shapes(grid)
-            for name, shape in expected.items():
-                if name not in arrays:
-                    raise ValueError(f"entry is missing array {name!r}")
-                if arrays[name].shape != shape:
+            for name, array in arrays.items():
+                if array.dtype != np.float64:
                     raise ValueError(
-                        f"array {name!r} has shape {arrays[name].shape}, "
-                        f"expected {shape}"
-                    )
-                if arrays[name].dtype != np.float64:
-                    raise ValueError(
-                        f"array {name!r} has dtype {arrays[name].dtype}, "
+                        f"array {name!r} has dtype {array.dtype}, "
                         f"expected float64"
                     )
-            result = SweepResult(
-                grid=grid,
-                engine=str(meta.get("engine", "store")),
-                **{name: arrays[name] for name in RESULT_ARRAY_FIELDS},
+            result = SweepResult.from_arrays(
+                grid, str(meta.get("engine", "store")), arrays
             )
         except (StoreIntegrityError, ValueError, KeyError) as exc:
             self._quarantine("sweep", digest, path, exc)
@@ -386,7 +375,11 @@ class ResultStore:
 
     # -- blocks --------------------------------------------------------------
     def save_block(self, key: Hashable, arrays: Dict[str, np.ndarray]) -> str:
-        """Persist one evaluated block (timing fields + Amdahl bound)."""
+        """Persist one evaluated block (timing columns + Amdahl bound).
+
+        The columns go to disk at the rank the block holds them —
+        compact from :func:`~repro.core.dse.evaluate_block`.
+        """
         digest = fingerprint_digest(key)
         path = os.path.join(self._block_dir, digest + ".npz")
         if not os.path.exists(path):
@@ -405,7 +398,12 @@ class ResultStore:
     def load_block(
         self, key: Hashable, expected_shape: Tuple[int, ...]
     ) -> Optional[Dict[str, np.ndarray]]:
-        """Load one persisted block, or None (miss / corrupt entry)."""
+        """Load one persisted block, or None (miss / corrupt entry).
+
+        ``expected_shape`` is the block's
+        :func:`~repro.core.dse.task_shape`; each timing column is read
+        by :func:`~repro.core.dse.block_columns`, compact or dense.
+        """
         digest = fingerprint_digest(key)
         path = os.path.join(self._block_dir, digest + ".npz")
         if not os.path.exists(path):
@@ -417,18 +415,14 @@ class ResultStore:
             for name in BLOCK_ARRAY_FIELDS:
                 if name not in arrays:
                     raise ValueError(f"entry is missing array {name!r}")
-            for name in _TIMING_FIELDS:
-                if arrays[name].shape != tuple(expected_shape):
-                    raise ValueError(
-                        f"array {name!r} has shape {arrays[name].shape}, "
-                        f"expected {tuple(expected_shape)}"
-                    )
+            block = block_columns(arrays, tuple(expected_shape))
         except (StoreIntegrityError, ValueError, KeyError) as exc:
             self._quarantine("block", digest, path, exc)
             self.counters["block_misses"] += 1
             return None
         self.counters["block_hits"] += 1
-        return {name: arrays[name] for name in BLOCK_ARRAY_FIELDS}
+        block["amdahl_bound"] = arrays["amdahl_bound"]
+        return block
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> Dict:

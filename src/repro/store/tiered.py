@@ -15,7 +15,7 @@ the block runner and the transport.  Cheapest rung first:
    every block already persisted (by *any* previous sweep whose
    hypercube covers it) is loaded, and only the missing blocks
    evaluate, vectorized, before :func:`~repro.core.dse.run_plan`
-   assembles the dense result — bit-identical to a from-scratch
+   assembles the result — bit-identical to a from-scratch
    evaluation, because block arithmetic is the same elementwise NumPy
    broadcasting on the same values.
 4. **Evaluate** — a fully cold grid evaluates block by block (so the

@@ -39,7 +39,7 @@ import pytest
 
 from repro.errors import BackendUnavailableError
 from repro.service.client import SyncServiceClient, request_json
-from repro.service.cluster.worker import ClusterClient
+from repro.service.cluster.worker import ClusterClient, run_worker
 from repro.service.errors import ServiceError
 from repro.transport import FRAME_CONTENT_TYPE, encode_message
 
@@ -401,6 +401,41 @@ class TestMalformedResponses:
                 next(events)
         assert (excinfo.value.status, excinfo.value.code) == (
             502, "bad-response")
+
+
+NO_CLUSTER_404 = canned(
+    b"404 Not Found",
+    json.dumps({"ok": False, "error": {
+        "status": 404, "code": "no-cluster",
+        "message": "this server has no shard coordinator mounted"}}).encode(),
+    content_type="application/json",
+)
+
+
+class TestWorkerAgainstAServerWithoutCluster:
+    """A worker pointed at a server with no coordinator gets a JSON 404,
+    not a frame: the cluster client raises it as the structured error,
+    and the worker exits non-zero with one log line."""
+
+    def test_json_404_is_a_structured_service_error(self, scripted):
+        server = scripted(NO_CLUSTER_404)
+        client = ClusterClient("127.0.0.1", server.port)
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                client.call("/cluster/register", {"host": "h", "pid": 1})
+        finally:
+            client.close()
+        assert (excinfo.value.status, excinfo.value.code) == (
+            404, "no-cluster")
+
+    def test_worker_exits_non_zero_with_one_log_line(self, scripted):
+        server = scripted(NO_CLUSTER_404)
+        lines = []
+        code = run_worker("127.0.0.1", server.port,
+                          log=lambda line, flush=False: lines.append(line))
+        assert code == 1
+        assert len(lines) == 1 and "no-cluster" in lines[0]
+        assert server.requests_seen == 1
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from repro.core.dse import (
     task_shape,
     window_major,
 )
-from repro.core.emulator import emulate_batch
+from repro.core.emulator import emulate_batch, emulate_batch_columns
 from repro.errors import NotOnGridError
 from repro.service import (
     SweepService,
@@ -526,9 +526,9 @@ class TestWatch:
             calls.append(1)
             if len(calls) > 1:
                 time.sleep(1.0)
-            return emulate_batch(*args, **kwargs)
+            return emulate_batch_columns(*args, **kwargs)
 
-        monkeypatch.setattr("repro.core.dse.emulate_batch", held)
+        monkeypatch.setattr("repro.core.dse.emulate_batch_columns", held)
         grid = SweepGrid(
             schemes=(SCHEME,), scale_factors=(8, 16, 32, 64),
             clocks_ghz=(0.9, 1.1, 1.3, 1.5), grid_sram_kb=(256, 512, 1024),
@@ -552,7 +552,7 @@ class TestWatch:
         def broken(*args, **kwargs):
             raise RuntimeError("kernel exploded")
 
-        monkeypatch.setattr("repro.core.dse.emulate_batch", broken)
+        monkeypatch.setattr("repro.core.dse.emulate_batch_columns", broken)
         backend = LocalBackend(engine="vectorized", use_cache=False)
         with pytest.raises(RuntimeError, match="kernel exploded"):
             list(backend.stream_events(GRID, scheme=SCHEME))
@@ -637,9 +637,9 @@ def kernel_calls(monkeypatch, gate=None):
         calls.append(args[:2])
         if gate is not None:
             gate()
-        return emulate_batch(*args, **kwargs)
+        return emulate_batch_columns(*args, **kwargs)
 
-    monkeypatch.setattr("repro.core.dse.emulate_batch", counted)
+    monkeypatch.setattr("repro.core.dse.emulate_batch_columns", counted)
     return calls
 
 

@@ -4,7 +4,7 @@
 # in --quick mode here; run the benchmark without --quick for the full
 # 1000-point gate and the >= 50k-point vectorized-vs-scalar gate), a
 # one-block-path grep gate (no process pool anywhere under src/repro;
-# exactly one block-level `emulate_batch(` call and one
+# exactly one block-level `emulate_batch_columns(` call and one
 # `finalize_sweep_result(` call — every evaluation path runs through
 # repro.core.dse.run_plan), the service latency/coalescing gates
 # (bench_service --quick, including the served-result wire gate: a
@@ -59,7 +59,10 @@
 # literal `"event": "complete"` appears exactly once under src/repro.
 # A fifth keeps one HTTP client: no `asyncio.open_connection` under
 # src/, `http.client.HTTPConnection(` only in
-# src/repro/service/client.py, and no `class ServiceClient`.
+# src/repro/service/client.py, and no `class ServiceClient`.  A sixth
+# keeps result arrays at their true rank: src/repro/core/emulator.py
+# never materializes a broadcast (`ascontiguousarray(np.broadcast_to`)
+# and evaluate_block's output carries no `"speedup"`.
 # The service, reconnect, ops and Session suites run again under
 # `python -X dev` and fail on any unclosed-socket ResourceWarning, and
 # EXPERIMENTS.md must equal a fresh run of
@@ -135,16 +138,22 @@ if grep -rn --include='*.py' 'ProcessPoolExecutor' src/repro; then
          "multi-core and multi-host evaluation)" >&2
     fail
 fi
-# block-level kernel calls: core/energy.py's per-frame energy model
-# calls emulate_batch for its own (non-block) purpose
-kernel_calls=$(grep -rn --include='*.py' 'emulate_batch(' src/repro \
+# block-level kernel calls: the compact core emulate_batch_columns has
+# one caller outside its own module (evaluate_block); its dense wrapper
+# emulate_batch serves core/energy.py's per-frame energy model, never
+# a block
+kernel_calls=$(grep -rn --include='*.py' 'emulate_batch_columns(' src/repro \
+    | grep -v 'def emulate_batch_columns(' \
+    | grep -v '^src/repro/core/emulator\.py:')
+dense_calls=$(grep -rn --include='*.py' 'emulate_batch(' src/repro \
     | grep -v 'def emulate_batch(' | grep -v '^src/repro/core/energy\.py:')
 finalize_calls=$(grep -rn --include='*.py' 'finalize_sweep_result(' src/repro \
     | grep -v 'def finalize_sweep_result(')
 if [ "$(printf '%s\n' "$kernel_calls" | grep -c .)" != 1 ] \
+   || [ -n "$dense_calls" ] \
    || [ "$(printf '%s\n' "$finalize_calls" | grep -c .)" != 1 ]; then
-    printf 'FAIL: want exactly one block-level emulate_batch( call and one finalize_sweep_result( call, found:\n%s\n%s\n' \
-        "$kernel_calls" "$finalize_calls" >&2
+    printf 'FAIL: want exactly one block-level emulate_batch_columns( call, no other emulate_batch( call and one finalize_sweep_result( call, found:\n%s\n%s\n%s\n' \
+        "$kernel_calls" "$dense_calls" "$finalize_calls" >&2
     fail
 else
     echo "one block executor: $kernel_calls"
@@ -155,6 +164,27 @@ fi
 if grep -rnE --include='*.py' \
     'repro\.explore|AdaptiveExplorer|refinement_plan|block_runner' src/; then
     echo "FAIL: the adaptive explorer (or a piece of it) is back under src/" >&2
+    fail
+fi
+
+section "result arrays at their true rank (grep gate)"
+# each timing field stays at the rank repro.core.dse.TIMING_AXES gives
+# it from the kernel to the store; only a query broadcasts it, as a
+# view (tests/test_result_layout.py pins the table in tier-1)
+rank_ok=1
+if grep -n 'ascontiguousarray(np.broadcast_to' src/repro/core/emulator.py; then
+    echo "FAIL: src/repro/core/emulator.py materializes a broadcast" >&2
+    rank_ok=0
+fi
+block_body=$(sed -n '/^def evaluate_block(/,/^def /p' src/repro/core/dse.py
+    sed -n '/^def emulate_batch_columns(/,/^def /p' src/repro/core/emulator.py)
+if printf '%s\n' "$block_body" | grep -n '"speedup"'; then
+    echo "FAIL: evaluate_block's output names a speedup" >&2
+    rank_ok=0
+fi
+if [ "$rank_ok" = 1 ]; then
+    echo "compact kernel output, no materialized broadcast"
+else
     fail
 fi
 
