@@ -7,7 +7,7 @@ Three gates guard the disk tier (the PR-6 acceptance bar):
    from a *fresh* instance (a restarted service process, in miniature)
    >= 50x faster than re-evaluating the grid from scratch.  The grid is
    sized so the vectorized evaluation takes real time (~10^5-10^6
-   points); the load is a memory-mapped npz open, so the ratio grows
+   points); the load is a memory-mapped frame open, so the ratio grows
    with the grid.  Evaluations and loads are timed as interleaved
    pairs (alternating which runs first), and the gate reads the median
    of the per-pair ratios, so drift on a shared host hits both sides

@@ -519,10 +519,15 @@ every evaluated sweep and block, content-addressed:
 
 ```
 <root>/
-  index.db                sqlite catalogue (rebuildable; stats/listing)
-  sweeps/<digest>.npz     one whole SweepResult per entry
-  blocks/<digest>.npz     one vectorized block per entry
+  sweeps/<digest>.frame   one whole SweepResult per entry
+  blocks/<digest>.frame   one vectorized block per entry
 ```
+
+Every entry is one `repro.transport` frame, the format `/result` and
+the cluster already ship: a sweep entry is
+`encode_frame({schema_version, grid, engine}, columns)`, a block entry
+has an empty meta.  The file tree is the index: `stats()` counts and
+sizes the `.frame` files of each directory.
 
 `<digest>` is the SHA-256 of the canonical fingerprint
 (`sweep_fingerprint` for sweeps, `block_fingerprint` for blocks),
@@ -533,11 +538,14 @@ stale entries are simply never addressed again (the nominal entries
 remain, still valid, for the nominal configuration).  Entries are
 written with a same-directory temp file + fsync + atomic `os.replace`
 and skipped when already present, so replicas racing to persist the
-same sweep converge harmlessly.  Loads are genuinely memory-mapped
-(the store parses the zip/npy headers itself and hands back
-`np.memmap` views — NumPy's `np.load` ignores `mmap_mode` for zips),
-so serving a persisted sweep costs milliseconds of header parsing,
-not an array copy.  Sweep and block entries hold the compact timing
+same sweep write identical bytes and converge harmlessly.  A load maps
+the file read-only and runs the frame's structural parse
+(`repro.transport.parse_frame`): the columns are views over the map,
+so serving a persisted sweep costs the frame header and column table,
+not an array copy.  The load skips the frame CRC that every wire
+frame is checked against: computing it faults in every page of the
+map, and on the 9.7 MB entry of `bench_store --quick` it would take
+the load from ~1.8 ms to ~7 ms.  Sweep and block entries hold the compact timing
 columns, as result frames do: the 1,048,576-point grid of
 layerbench's `adaptive` workload persists 10.0 MB where the dense
 layout held 51.4 MB (six 8.4 MB timing arrays plus the cost
@@ -582,21 +590,24 @@ already evaluated are banked.
 
 `/stats` tells the truth about the tiers: `cache` carries
 `ram_hits`/`disk_hits`/`evaluations` next to the LRU's own counters,
-and `store` carries the catalogue (entry counts and bytes by kind) and
+and `store` carries the entry counts and bytes by kind and
 block-reuse counters.  Corruption degrades instead of failing: a
-truncated or garbage entry (or a corrupt `index.db`) emits a
+truncated, garbage or misshapen entry emits a
 `StoreCorruptionWarning`, is quarantined to `*.corrupt`, and the
-caller re-evaluates and re-persists a clean copy — the filesystem is
-the source of truth and the sqlite index is repaired or rebuilt from a
-directory scan.
+caller re-evaluates and re-persists a clean copy.  An `.npz` entry
+left by a store from before entries were frames is never addressed:
+its sweep or block is a plain miss, re-evaluated and persisted as a
+frame.
 
 `benchmarks/bench_store.py` gates the tier: a warm restart (fresh
 store instance over a persisted ~1M-point sweep) must load ≥ 50x
 faster than re-evaluation, and an overlapping-grid sweep must evaluate
 exactly the missing blocks, both bit-identical to fresh evaluations.
 The restart ratio is the median over interleaved (fresh evaluation,
-fresh-instance load) pairs; on a shared 2-vCPU host it reads ~18x
-(~32 ms to evaluate against ~1.7 ms to load), under the floor.  `BENCH_store.json` is a CI
+fresh-instance load) pairs; on a shared 2-vCPU host it reads ~20x
+(~37 ms to evaluate against ~1.8 ms to load), under the floor.  About
+0.6 ms of that load is rebuilding and validating the grid from the
+entry's meta.  `BENCH_store.json` is a CI
 artifact."""
 
 

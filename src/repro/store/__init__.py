@@ -5,9 +5,10 @@ tier under it — persisted :class:`~repro.core.dse.SweepResult`s and
 vectorized blocks keyed on content fingerprints, shareable by every
 replica mounting one directory:
 
-- :class:`ResultStore` — sqlite catalogue + npz columnar arrays,
-  memory-mapped on load, atomic ``os.replace`` writes, corrupt entries
-  quarantined with a :class:`StoreCorruptionWarning` and re-evaluated.
+- :class:`ResultStore` — one :mod:`repro.transport` frame file per
+  entry, memory-mapped on load, atomic ``os.replace`` writes; the file
+  tree is the index, and corrupt entries are quarantined with a
+  :class:`StoreCorruptionWarning` and re-evaluated.
 - :func:`tiered_sweep` — the one evaluation ladder under every RAM
   tier (whole-sweep disk -> block-level disk -> evaluate the delta),
   run by :class:`~repro.service.SweepService` (``SweepService(store=...)``,
@@ -24,11 +25,6 @@ and calibration constants, so invalidation is content addressing —
 perturbed calibration simply addresses different entries.
 """
 
-from repro.store.npz_io import (
-    StoreIntegrityError,
-    read_arrays,
-    write_arrays_atomic,
-)
 from repro.store.result_store import (
     BLOCK_ARRAY_FIELDS,
     ResultStore,
@@ -49,11 +45,8 @@ __all__ = [
     "STORE_ENGINE",
     "StoreBlockRunner",
     "StoreCorruptionWarning",
-    "StoreIntegrityError",
     "TIER_COUNTERS",
     "fingerprint_digest",
     "new_tier_counters",
-    "read_arrays",
     "tiered_sweep",
-    "write_arrays_atomic",
 ]

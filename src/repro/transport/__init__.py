@@ -15,6 +15,7 @@ from repro.transport.frame import (
     FrameError,
     decode_frame,
     encode_frame,
+    parse_frame,
 )
 from repro.transport.messages import decode_message, encode_message
 
@@ -27,4 +28,5 @@ __all__ = [
     "decode_message",
     "encode_frame",
     "encode_message",
+    "parse_frame",
 ]

@@ -47,6 +47,7 @@ __all__ = [
     "FrameError",
     "decode_frame",
     "encode_frame",
+    "parse_frame",
 ]
 
 #: Content-Type header announcing a binary frame body.
@@ -78,7 +79,8 @@ def _wire_ready(array: np.ndarray, name: str) -> np.ndarray:
         )
     if array.dtype.byteorder == ">":
         array = array.astype(array.dtype.newbyteorder("<"))
-    return np.ascontiguousarray(array)
+    # ascontiguousarray promotes a 0-d array to shape (1,)
+    return np.ascontiguousarray(array).reshape(array.shape)
 
 
 def encode_frame(
@@ -131,13 +133,38 @@ def encode_frame(
 
 
 def decode_frame(data: Union[bytes, bytearray, memoryview]):
-    """Unpack one frame into ``(meta, columns)``.
+    """Unpack one frame into ``(meta, columns)``, verifying its CRC.
 
     ``columns`` is an ordered ``{name: ndarray}`` of read-only
     zero-copy views into ``data``.  Raises :class:`FrameError` on any
     corruption: bad magic, unsupported version, length mismatch, CRC
-    failure, out-of-bounds column, or a disallowed dtype.
+    failure, out-of-bounds column, or a disallowed dtype.  Every frame
+    received from a socket goes through here.
     """
+    ncols, meta_bytes, payload, crc = _split(data)
+    actual_crc = zlib.crc32(payload, zlib.crc32(meta_bytes))
+    if actual_crc != crc:
+        raise FrameError(
+            f"frame CRC mismatch (expected {crc:#010x}, got {actual_crc:#010x})"
+        )
+    return _parse_sections(ncols, meta_bytes, payload)
+
+
+def parse_frame(data):
+    """:func:`decode_frame`'s structural parse, without the CRC.
+
+    Every check but the checksum runs, so a truncated or malformed frame
+    still raises :class:`FrameError`; the columns are views into
+    ``data``.  For a memory-mapped file (the result store's entries)
+    this touches only the header and the column table, where the CRC
+    would fault in every page of the map.
+    """
+    ncols, meta_bytes, payload, _ = _split(data)
+    return _parse_sections(ncols, meta_bytes, payload)
+
+
+def _split(data):
+    """Check the header and length: (ncols, meta, payload, crc)."""
     view = memoryview(data)
     if len(view) < _HEADER.size:
         raise FrameError(
@@ -159,11 +186,10 @@ def decode_frame(data: Union[bytes, bytearray, memoryview]):
         )
     meta_bytes = view[_HEADER.size:_HEADER.size + meta_len]
     payload = view[_HEADER.size + meta_len:]
-    actual_crc = zlib.crc32(payload, zlib.crc32(meta_bytes))
-    if actual_crc != crc:
-        raise FrameError(
-            f"frame CRC mismatch (expected {crc:#010x}, got {actual_crc:#010x})"
-        )
+    return ncols, meta_bytes, payload, crc
+
+
+def _parse_sections(ncols: int, meta_bytes: memoryview, payload: memoryview):
     try:
         decoded = json.loads(bytes(meta_bytes).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

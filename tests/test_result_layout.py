@@ -49,8 +49,7 @@ from repro.core.dse import (
 from repro.core.emulator import emulate_batch
 from repro.service.client import _frame_result
 from repro.service.errors import ServiceError
-from repro.store import ResultStore, StoreCorruptionWarning, write_arrays_atomic
-from repro.store.result_store import _META_MEMBER, _meta_array
+from repro.store import ResultStore, StoreCorruptionWarning
 from repro.transport import encode_frame
 
 FHD = 1920 * 1080
@@ -205,16 +204,15 @@ class TestReaders:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_store_sweep(self, reference, layout, tmp_path):
-        store = ResultStore(str(tmp_path / "store"), mmap=False)
+        store = ResultStore(str(tmp_path / "store"))
         key = sweep_fingerprint(GRID)
-        arrays = dict(_arrays(reference, layout))
-        arrays[_META_MEMBER] = _meta_array(_meta())
-        write_arrays_atomic(store.sweep_path(key), arrays)
+        with open(store.sweep_path(key), "wb") as f:
+            f.write(encode_frame(_meta(), _arrays(reference, layout)))
         assert_same_result(store.load_sweep(key), reference)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_store_block(self, layout, tmp_path):
-        store = ResultStore(str(tmp_path / "store"), mmap=False)
+        store = ResultStore(str(tmp_path / "store"))
         key = block_fingerprint(TASK)
         store.save_block(key, _block_arrays(TASK, layout))
         block = store.load_block(key, task_shape(TASK))
@@ -274,18 +272,18 @@ class TestReaders:
         assert (excinfo.value.status, excinfo.value.code) == (502, "bad-frame")
 
     def test_store_quarantines_a_misshapen_sweep(self, reference, tmp_path):
-        store = ResultStore(str(tmp_path / "store"), mmap=False)
+        store = ResultStore(str(tmp_path / "store"))
         key = sweep_fingerprint(GRID)
         path = store.sweep_path(key)
         arrays = _misshapen(_arrays(reference, "compact"))
-        arrays[_META_MEMBER] = _meta_array(_meta())
-        write_arrays_atomic(path, arrays)
+        with open(path, "wb") as f:
+            f.write(encode_frame(_meta(), arrays))
         with pytest.warns(StoreCorruptionWarning):
             assert store.load_sweep(key) is None
         assert os.path.exists(path + ".corrupt")
 
     def test_store_quarantines_a_misshapen_block(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"), mmap=False)
+        store = ResultStore(str(tmp_path / "store"))
         key = block_fingerprint(TASK)
         block = evaluate_block(TASK)
         path = store.save_block(

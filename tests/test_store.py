@@ -10,15 +10,20 @@ The disk tier's contract, end to end:
   the missing ones, and the assembled result is bit-identical to a
   from-scratch evaluation.
 - **Corruption degrades, never fails**: a truncated or garbage entry
-  (or a corrupt sqlite index) emits a :class:`StoreCorruptionWarning`,
-  is quarantined to ``*.corrupt``, and the caller transparently
-  re-evaluates.
+  emits a :class:`StoreCorruptionWarning`, is quarantined to
+  ``*.corrupt``, and the caller transparently re-evaluates; a legacy
+  ``.npz`` entry is a plain miss.
+- **The file tree is the index**: a fresh instance reads the entry
+  counts and bytes from the directories, and two processes saving one
+  sweep at once leave exactly one entry, byte-identical to a
+  single-writer save.
 - **Content addressing**: perturbing the calibration constants changes
   every fingerprint, so stale entries are never addressed again.
 """
 
 import asyncio
 import json
+import multiprocessing
 import os
 import shutil
 import warnings
@@ -41,12 +46,9 @@ from repro.store import (
     BLOCK_ARRAY_FIELDS,
     ResultStore,
     StoreCorruptionWarning,
-    StoreIntegrityError,
     fingerprint_digest,
     new_tier_counters,
-    read_arrays,
     tiered_sweep,
-    write_arrays_atomic,
 )
 from tests.test_service import CountingSweep
 
@@ -202,9 +204,10 @@ class TestDeltaEvaluation:
 # pre-registry warm-store compatibility
 # ---------------------------------------------------------------------------
 
-#: a store written by the pre-axis-registry code (fixture npz + index.db,
-#: committed verbatim) — registering the encoding axes must not change a
-#: single fingerprint, so it reads back hit for hit
+#: a store written by the pre-axis-registry code (its npz entries
+#: rewritten as frames bit for bit, under the same digests; the blocks
+#: keep their dense timing columns) — registering the encoding axes must
+#: not change a single fingerprint, so it reads back hit for hit
 PRE_REGISTRY_STORE = os.path.join(
     os.path.dirname(__file__), "fixtures", "warm_store_pre_registry"
 )
@@ -344,7 +347,7 @@ class TestCorruption:
         placement, task = store_block_plan(grid)[0]
         block_path = os.path.join(
             str(tmp_path / "store"), "blocks",
-            fingerprint_digest(block_fingerprint(task)) + ".npz",
+            fingerprint_digest(block_fingerprint(task)) + ".frame",
         )
         with open(block_path, "wb") as f:
             f.write(b"\x00" * 16)
@@ -359,32 +362,106 @@ class TestCorruption:
         reference = sweep_grid(grid, engine="vectorized", use_cache=False)
         assert_bit_identical(result, reference)
 
-    def test_corrupt_index_is_rebuilt_from_the_files(self, tmp_path):
-        root = str(tmp_path / "store")
-        store = ResultStore(root)
+    def test_legacy_npz_entry_is_a_silent_miss(self, tmp_path):
+        # an entry written before the store moved to frames sits under
+        # the same digest with the old suffix: never addressed, so the
+        # sweep re-evaluates and persists as a frame, warning-free
+        store = ResultStore(str(tmp_path / "store"))
         grid = _resolved()
-        tiered_sweep(grid, store=store)
-        n_blocks = store.stats()["blocks"]["count"]
-        store.close()
-        with open(os.path.join(root, "index.db"), "wb") as f:
-            f.write(b"this is not a sqlite database, not even close")
+        path = _sweep_entry_path(store, grid)
+        legacy = path[:-len(".frame")] + ".npz"
+        with open(legacy, "wb") as f:
+            f.write(b"PK\x03\x04 an npz from an older store")
 
-        with pytest.warns(StoreCorruptionWarning):
-            reopened = ResultStore(root)
-        stats = reopened.stats()
-        assert stats["sweeps"]["count"] == 1
-        assert stats["blocks"]["count"] == n_blocks
-        assert reopened.load_sweep(sweep_fingerprint(grid, None)) is not None
-
-    def test_lost_index_row_is_repaired_on_load(self, tmp_path):
-        root = str(tmp_path / "store")
-        store = ResultStore(root)
-        grid = _resolved()
-        tiered_sweep(grid, store=store)
-        store._forget("sweep", fingerprint_digest(sweep_fingerprint(grid, None)))
-        assert store.stats()["sweeps"]["count"] == 0
+        counters = new_tier_counters()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StoreCorruptionWarning)
+            result = tiered_sweep(grid, store=store, counters=counters)
+        assert counters["disk_hits"] == 0
+        assert counters["evaluations"] == 1
+        assert store.counters["corrupt_dropped"] == 0
+        assert os.path.exists(legacy)
+        assert not os.path.exists(legacy + ".corrupt")
         assert store.load_sweep(sweep_fingerprint(grid, None)) is not None
-        assert store.stats()["sweeps"]["count"] == 1
+        reference = sweep_grid(grid, engine="vectorized", use_cache=False)
+        assert_bit_identical(result, reference)
+
+
+# ---------------------------------------------------------------------------
+# the file tree is the index
+# ---------------------------------------------------------------------------
+
+
+def _save_at_barrier(root, barrier):
+    """One writer process: evaluate, wait for the other, then save."""
+    grid = _resolved()
+    result = sweep_grid(grid, engine="vectorized", use_cache=False)
+    store = ResultStore(root)
+    barrier.wait(timeout=60)
+    store.save_sweep(sweep_fingerprint(grid, None), result)
+
+
+class TestFileTree:
+    def test_fresh_instance_reads_the_same_stats(self, tmp_path):
+        root = str(tmp_path / "store")
+        store = ResultStore(root)
+        tiered_sweep(_resolved(), store=store)
+        written = store.stats()
+        assert written["sweeps"]["count"] == 1
+        assert written["blocks"]["count"] > 0
+
+        # none of these is an entry: a writer's temp file, a quarantined
+        # entry, an entry from before the store moved to frames
+        for kind in ("sweeps", "blocks"):
+            for name in (".tmp-abc123", "f" * 64 + ".frame.corrupt",
+                         "e" * 64 + ".npz"):
+                with open(os.path.join(root, kind, name), "wb") as f:
+                    f.write(b"\x00" * 64)
+
+        fresh = ResultStore(root).stats()
+        for kind in ("sweeps", "blocks"):
+            assert fresh[kind] == written[kind]
+
+    def test_no_temp_file_left_behind(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        grid = _resolved()
+        result = sweep_grid(grid, engine="vectorized", use_cache=False)
+        path = store.save_sweep(sweep_fingerprint(grid, None), result)
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+
+    def test_two_writers_converge_on_identical_bytes(self, tmp_path):
+        grid = _resolved()
+        single = ResultStore(str(tmp_path / "single"))
+        expected_path = single.save_sweep(
+            sweep_fingerprint(grid, None),
+            sweep_grid(grid, engine="vectorized", use_cache=False),
+        )
+
+        root = str(tmp_path / "shared")
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        writers = [
+            context.Process(target=_save_at_barrier, args=(root, barrier))
+            for _ in range(2)
+        ]
+        try:
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=120)
+            assert [writer.exitcode for writer in writers] == [0, 0]
+        finally:
+            for writer in writers:
+                if writer.is_alive():
+                    writer.terminate()
+
+        name = os.path.basename(expected_path)
+        sweeps = os.path.join(root, "sweeps")
+        assert os.listdir(sweeps) == [name]  # one entry, no temp file
+        with open(os.path.join(sweeps, name), "rb") as f:
+            shared_bytes = f.read()
+        with open(expected_path, "rb") as f:
+            assert shared_bytes == f.read()
 
 
 # ---------------------------------------------------------------------------
@@ -430,48 +507,6 @@ class TestContentAddressing:
         store.save_sweep(key, result)  # already on disk: not rewritten
         assert store.counters["sweep_saves"] == 1
         assert store.stats()["sweeps"]["count"] == 1
-
-
-# ---------------------------------------------------------------------------
-# npz I/O layer
-# ---------------------------------------------------------------------------
-
-
-class TestNpzIO:
-    def test_round_trip_mmap_and_eager(self, tmp_path):
-        path = str(tmp_path / "arrays.npz")
-        arrays = {
-            "a": np.arange(24, dtype=np.float64).reshape(2, 3, 4),
-            "scalar": np.float64(3.25),
-        }
-        write_arrays_atomic(path, arrays)
-        for mmap in (True, False):
-            out = read_arrays(path, mmap=mmap)
-            assert np.array_equal(out["a"], arrays["a"])
-            assert out["a"].shape == (2, 3, 4)
-            assert float(out["scalar"]) == 3.25
-            with pytest.raises((ValueError, RuntimeError)):
-                out["a"][0, 0, 0] = 99.0  # read-only, mapped or not
-
-    def test_no_temp_file_left_behind(self, tmp_path):
-        path = str(tmp_path / "arrays.npz")
-        write_arrays_atomic(path, {"a": np.zeros(3)})
-        assert sorted(os.listdir(tmp_path)) == ["arrays.npz"]
-
-    def test_truncated_file_raises_integrity_error(self, tmp_path):
-        path = str(tmp_path / "arrays.npz")
-        write_arrays_atomic(path, {"a": np.arange(1000, dtype=np.float64)})
-        with open(path, "r+b") as f:
-            f.truncate(os.path.getsize(path) - 4000)
-        with pytest.raises(StoreIntegrityError):
-            read_arrays(path)
-
-    def test_garbage_raises_integrity_error(self, tmp_path):
-        path = str(tmp_path / "garbage.npz")
-        with open(path, "wb") as f:
-            f.write(b"PK\x03\x04 but then nonsense")
-        with pytest.raises(StoreIntegrityError):
-            read_arrays(path)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.transport import (
     decode_message,
     encode_frame,
     encode_message,
+    parse_frame,
 )
 from repro.transport.frame import _HEADER
 
@@ -88,6 +89,11 @@ class TestFrameRoundTrip:
             encode_frame(None, {"empty": np.zeros((0, 4))})
         )
         assert columns["empty"].shape == (0, 4)
+
+    def test_zero_dim_column_keeps_its_shape(self):
+        _, columns = decode_frame(encode_frame(None, {"s": np.float64(2.5)}))
+        assert columns["s"].shape == ()
+        assert float(columns["s"]) == 2.5
 
     def test_big_endian_input_normalized(self):
         big = np.arange(5, dtype=">f8")
@@ -194,6 +200,18 @@ class TestCorruptionRejection:
         data[_HEADER.size + 3] ^= 0x01
         with pytest.raises(FrameError, match="CRC"):
             decode_frame(bytes(data))
+
+    def test_parse_frame_skips_only_the_crc(self):
+        data = bytearray(encode_frame({"k": 1}, {"x": np.arange(16.0)}))
+        data[-1] ^= 0x40
+        meta, columns = parse_frame(data)
+        assert meta == {"k": 1}
+        assert columns["x"].shape == (16,)
+        with pytest.raises(FrameError, match="length mismatch"):
+            parse_frame(data[:-8])
+        data[:4] = b"EVIL"
+        with pytest.raises(FrameError, match="magic"):
+            parse_frame(data)
 
     def _forged(self, table, payload=b"", meta=None):
         """A frame with a hand-written column table (valid CRC/header)."""

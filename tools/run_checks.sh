@@ -62,7 +62,10 @@
 # src/repro/service/client.py, and no `class ServiceClient`.  A sixth
 # keeps result arrays at their true rank: src/repro/core/emulator.py
 # never materializes a broadcast (`ascontiguousarray(np.broadcast_to`)
-# and evaluate_block's output carries no `"speedup"`.
+# and evaluate_block's output carries no `"speedup"`.  A seventh keeps
+# one store format: every store entry is a repro.transport frame, so
+# no `sqlite3`, `zipfile`, `np.savez` or `np.load` appears under
+# src/repro/store and src/repro/store/npz_io.py does not exist.
 # The service, reconnect, ops and Session suites run again under
 # `python -X dev` and fail on any unclosed-socket ResourceWarning, and
 # EXPERIMENTS.md must equal a fresh run of
@@ -128,6 +131,19 @@ python -m pytest tests/test_store.py tests/test_model_cache.py -q || fail
 
 section "result store gates (smoke)"
 python benchmarks/bench_store.py --quick || fail
+
+section "one store format (grep gate)"
+# store entries are repro.transport frames and the file tree is the
+# index: no sqlite catalogue, no zip/npz reader or writer
+if grep -rnE --include='*.py' 'sqlite3|zipfile|np\.savez|np\.load' src/repro/store; then
+    echo "FAIL: a second store format is back under src/repro/store" >&2
+    fail
+fi
+if [ -e src/repro/store/npz_io.py ]; then
+    echo "FAIL: src/repro/store/npz_io.py exists" >&2
+    fail
+fi
+echo "one store format: $(ls src/repro/store/*.py | tr '\n' ' ')"
 
 section "sweep-scaling benchmark (smoke)"
 python benchmarks/bench_sweep_scaling.py --quick || fail
