@@ -463,11 +463,11 @@ Topology:
   in `tools/run_checks.sh`).
 - **Workers** — any number of `python -m repro worker --host H
   --port P` processes, on any machine that can reach the
-  coordinator.  A worker registers (receiving the coordinator's
-  calibration constants, installed once per generation, keeping
-  blocks bit-identical to local evaluation), long-polls for
-  leases, evaluates blocks (with the job's base config) through
-  the vectorized batch path, and streams the arrays back.
+  coordinator.  A worker registers, long-polls for leases,
+  evaluates each block through the vectorized batch path with
+  the job's base config and under the calibration its lease
+  names (keeping blocks bit-identical to local evaluation), and
+  streams the arrays back.
 - **Lease semantics / failure handling** — work is pull-based,
   so nothing is ever assigned to a dead worker; a leased block
   whose deadline (`--lease-timeout`, default 10 s) passes is
@@ -532,10 +532,11 @@ sizes the `.frame` files of each directory.
 `<digest>` is the SHA-256 of the canonical fingerprint
 (`sweep_fingerprint` for sweeps, `block_fingerprint` for blocks),
 which hashes the normalized grid axes, the base `NGPCConfig`, **and
-the calibration constants** — so invalidation is content addressing:
-perturbing `repro.calibration.fitted` changes every fingerprint, and
-stale entries are simply never addressed again (the nominal entries
-remain, still valid, for the nominal configuration).  Entries are
+the calibration in use** — so invalidation is content addressing: a
+sweep under a perturbed calibration (`repro.calibration.use`) has its
+own fingerprints, and stale entries are simply never addressed again
+(the nominal entries remain, still valid, for the nominal
+configuration).  Entries are
 written with a same-directory temp file + fsync + atomic `os.replace`
 and skipped when already present, so replicas racing to persist the
 same sweep write identical bytes and converge harmlessly.  A load maps

@@ -3,47 +3,47 @@
 The per-app kernel fractions and DMA overheads are reconstructions of
 unpublished measurements (see :mod:`repro.calibration.fitted`).  This
 module perturbs them and measures how much the Fig. 12 averages move —
-quantifying how robust the reproduction is to those choices.
+quantifying how robust the reproduction is to those choices.  A
+perturbation is a new :class:`~repro.calibration.Calibration` value put
+in use for the ``with`` block (:func:`repro.calibration.use`); nothing
+is mutated, so other threads keep computing with their own calibration.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List
 
-from repro.calibration import fitted
+from repro.calibration import Calibration, current, use
 from repro.core.emulator import speedup_table
 
 
 @contextlib.contextmanager
-def perturbed_overheads(factor: float) -> Iterator[None]:
-    """Temporarily scale every per-app DMA overhead by ``factor``."""
+def perturbed_overheads(factor: float) -> Iterator[Calibration]:
+    """Use the current calibration with every DMA overhead x ``factor``."""
     if factor <= 0:
         raise ValueError("factor must be positive")
-    original = dict(fitted.BATCH_OVERHEAD_MS_FHD_AT64)
-    try:
-        for app in original:
-            fitted.BATCH_OVERHEAD_MS_FHD_AT64[app] = original[app] * factor
-        yield
-    finally:
-        fitted.BATCH_OVERHEAD_MS_FHD_AT64.update(original)
+    base = current()
+    overheads = {app: ms * factor for app, ms in base.dma_overheads.items()}
+    with use(replace(base, dma_overheads=overheads)) as perturbed:
+        yield perturbed
 
 
 @contextlib.contextmanager
-def perturbed_rest_fractions(factor: float) -> Iterator[None]:
-    """Temporarily scale the rest fraction (renormalizing enc/mlp)."""
+def perturbed_rest_fractions(factor: float) -> Iterator[Calibration]:
+    """Use the current calibration with each rest fraction x ``factor``
+    (capped at 0.95; encoding and MLP renormalized to keep the sum 1)."""
     if factor <= 0:
         raise ValueError("factor must be positive")
-    original = dict(fitted.KERNEL_FRACTIONS)
-    try:
-        for key, (enc, mlp, rest) in original.items():
-            new_rest = min(rest * factor, 0.95)
-            scale = (1.0 - new_rest) / (enc + mlp)
-            fitted.KERNEL_FRACTIONS[key] = (enc * scale, mlp * scale, new_rest)
-        yield
-    finally:
-        fitted.KERNEL_FRACTIONS.update(original)
+    base = current()
+    fractions = {}
+    for key, (enc, mlp, rest) in base.kernel_fractions.items():
+        new_rest = min(rest * factor, 0.95)
+        scale = (1.0 - new_rest) / (enc + mlp)
+        fractions[key] = (enc * scale, mlp * scale, new_rest)
+    with use(replace(base, kernel_fractions=fractions)) as perturbed:
+        yield perturbed
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ progress, and as received over ``/sweep/stream`` for the remote one.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import threading
 import time
@@ -240,8 +241,11 @@ class LocalBackend(Backend):
                 progress.fail(exc)
 
         ticks = progress.subscribe()
+        # in a copy of this context: the helper evaluates under the
+        # caller's calibration, the one the sweep's keys are taken under
         helper = threading.Thread(
-            target=evaluate, name="repro-local-stream", daemon=True
+            target=contextvars.copy_context().run, args=(evaluate,),
+            name="repro-local-stream", daemon=True,
         )
         helper.start()
         try:
@@ -391,11 +395,13 @@ class DistributedBackend(Backend):
     executor (:func:`~repro.core.dse.run_plan`) with the block runner
     swapped for the cluster's: the grid's contiguous vectorized block
     tasks are leased to workers (re-leased on worker death or lease
-    timeout), evaluated with calibration installed once per worker
-    generation, and the float64 block columns stream back for assembly
-    into one :class:`SweepResult` — so results are bit-identical to a
-    local evaluation.  Persistent workers amortize interpreter/NumPy
-    startup across sweeps.  Streams follow the service's
+    timeout), each evaluated under the calibration its lease names, and
+    the float64 block columns stream back for assembly into one
+    :class:`SweepResult` — so results are bit-identical to a local
+    evaluation.  ``run_coroutine_threadsafe`` runs each call in a copy
+    of the caller's context, so under the caller's calibration.
+    Persistent workers amortize interpreter/NumPy startup across
+    sweeps.  Streams follow the service's
     :class:`~repro.service.progress.SweepProgress`, so they carry the
     same events as a local or remote stream.
 

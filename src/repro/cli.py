@@ -666,9 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Connect to a coordinator-serving instance (`repro serve "
             "--engine cluster`, possibly on another machine), lease "
-            "contiguous vectorized sweep blocks, evaluate them with the "
-            "coordinator's calibration installed once per generation, and "
-            "stream the dense arrays back until stopped."
+            "contiguous vectorized sweep blocks, evaluate each under the "
+            "calibration its lease names, and stream the arrays back "
+            "until stopped."
         ),
     )
     p.add_argument("--host", default="127.0.0.1",

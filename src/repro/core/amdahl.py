@@ -7,12 +7,12 @@ the GPU, frame time cannot drop below the (fused) rest-kernel time.
 
 from __future__ import annotations
 
-from repro.calibration import fitted, paper
+from repro.calibration import current, paper
 
 
 def amdahl_bound(app: str, scheme: str) -> float:
     """Peak speedup with fused rest kernels (the Fig. 12 horizontal lines)."""
-    fractions = fitted.KERNEL_FRACTIONS.get((app, scheme))
+    fractions = current().kernel_fractions.get((app, scheme))
     if fractions is None:
         raise KeyError(f"no kernel fractions for ({app}, {scheme})")
     rest_fraction = fractions[2]
@@ -21,7 +21,7 @@ def amdahl_bound(app: str, scheme: str) -> float:
 
 def amdahl_bound_unfused(app: str, scheme: str) -> float:
     """Peak speedup if the rest kernels were left unfused on the GPU."""
-    fractions = fitted.KERNEL_FRACTIONS.get((app, scheme))
+    fractions = current().kernel_fractions.get((app, scheme))
     if fractions is None:
         raise KeyError(f"no kernel fractions for ({app}, {scheme})")
     return 1.0 / fractions[2]

@@ -1,13 +1,12 @@
 """Memoization layer for the analytic models.
 
 The analytic models are pure functions of (application, encoding scheme,
-:class:`~repro.core.config.NGPCConfig`, pixel count) — *and* of the
-reconstructed calibration constants in :mod:`repro.calibration.fitted`,
-which :mod:`repro.analysis.sensitivity` mutates in place to probe
-robustness.  Every cache key therefore carries a
-:func:`calibration_fingerprint` so a perturbation context never reads a
-stale nominal result, and a perturbed run never poisons the nominal
-cache.
+:class:`~repro.core.config.NGPCConfig`, pixel count) and of the
+calibration in use (:func:`repro.calibration.current`, an immutable
+:class:`~repro.calibration.Calibration`).  Every cache key therefore
+embeds ``current().fingerprint``, taken in the thread or task that
+evaluates, so a perturbed calibration never reads a nominal result and
+never poisons the nominal cache.
 
 All caches register themselves in a module-level registry;
 :func:`clear_model_caches` wipes them in one call (the test suite does
@@ -19,8 +18,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 from typing import Any, Dict, Hashable, List, Optional
-
-from repro.calibration import fitted
 
 
 #: sentinel distinguishing "key absent" from "key holds None" — ``None``
@@ -64,7 +61,7 @@ class ModelCache:
         self.hits = 0
         self.misses = 0
         if register:
-            _register(self)
+            _CACHES.append(self)
 
     def get(self, key: Hashable, default: Any = None) -> Optional[Any]:
         with self._lock:
@@ -117,31 +114,12 @@ class ModelCache:
 
 
 _CACHES: List[ModelCache] = []
-_LRU_CACHES: List[Any] = []
-
-
-def _register(cache: ModelCache) -> None:
-    _CACHES.append(cache)
-
-
-def register_lru_cache(fn):
-    """Enroll an ``functools.lru_cache``-wrapped function in the registry.
-
-    The calibration constants (`_calibrated_lanes`,
-    `_calibrated_parallelism`) are lru-cached on scheme only, so a value
-    computed inside a perturbation context would otherwise survive
-    :func:`clear_model_caches` and poison later nominal runs.
-    """
-    _LRU_CACHES.append(fn)
-    return fn
 
 
 def clear_model_caches() -> None:
     """Empty every registered model cache (and reset its counters)."""
     for cache in _CACHES:
         cache.clear()
-    for fn in _LRU_CACHES:
-        fn.cache_clear()
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:
@@ -157,7 +135,7 @@ def config_fingerprint(config: Any) -> Hashable:
     ones like :class:`~repro.core.config.NGPCConfig` and its NFP — yield
     the same key regardless of object identity.  Non-dataclass values
     pass through unchanged; ``None`` stays ``None`` ("the default
-    config").  Together with :func:`calibration_fingerprint` this is the
+    config").  Together with the calibration's fingerprint this is the
     stable half of every sweep cache key (see
     :func:`repro.core.dse.sweep_fingerprint`).
     """
@@ -167,18 +145,3 @@ def config_fingerprint(config: Any) -> Hashable:
             for f in dataclasses.fields(config)
         )
     return config
-
-
-def calibration_fingerprint() -> Hashable:
-    """Hashable snapshot of the mutable calibration constants.
-
-    Cheap to compute (a few dozen tuple entries) relative to one model
-    evaluation, and changes whenever :mod:`repro.calibration.fitted` is
-    perturbed — the invalidation signal for every model cache.
-    """
-    return (
-        tuple(sorted(fitted.BATCH_OVERHEAD_MS_FHD_AT64.items())),
-        tuple(sorted(fitted.KERNEL_FRACTIONS.items())),
-        tuple(sorted(fitted.SAMPLES_PER_PIXEL.items())),
-        fitted.BATCH_OVERHEAD_SCALE_EXPONENT,
-    )

@@ -61,6 +61,7 @@ from typing import (
 import numpy as np
 
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
+from repro.calibration import current
 from repro.errors import NotOnGridError, ReproError, UnknownAxisError
 from repro.core.area_power import ngpc_area_power_batch
 from repro.core.axes import (
@@ -77,11 +78,7 @@ from repro.core.axes import (
     EncodingVariant,
     axis as axis_spec,
 )
-from repro.core.cache import (
-    ModelCache,
-    calibration_fingerprint,
-    config_fingerprint,
-)
+from repro.core.cache import ModelCache, config_fingerprint
 from repro.core.config import NFPConfig, NGPCConfig, SCALE_FACTORS
 from repro.core.emulator import (
     EmulationResult,
@@ -849,9 +846,11 @@ def sweep_fingerprint(
       any single-axis perturbation produces a distinct one;
     - the **base config** via
       :func:`repro.core.cache.config_fingerprint`;
-    - the **calibration constants** via
-      :func:`repro.core.cache.calibration_fingerprint`, so a perturbed
-      calibration context never reads a stale nominal sweep.
+    - the **calibration** in use, ``current().fingerprint``
+      (:func:`repro.calibration.current`), read in the caller's thread
+      or task — the one the sweep then evaluates under — so a sweep
+      under a perturbed value never reads a nominal one, and a store
+      entry's address names the calibration its numbers came from.
 
     The engine is deliberately *not* part of the key: every engine is
     numerically identical (tests/test_sweep_engine.py enforces 1e-9
@@ -876,7 +875,7 @@ def sweep_fingerprint(
         tag,
         axes,
         config_fingerprint(ngpc),
-        calibration_fingerprint(),
+        current().fingerprint,
     )
 
 
@@ -972,8 +971,8 @@ def block_fingerprint(task: Tuple, ngpc: Optional[NGPCConfig] = None):
     block's exact axes slice (the literal values the block spans, not
     grid indices — two grids sharing a hypercube slice share the key),
     the base config via :func:`config_fingerprint`, and the calibration
-    constants via :func:`calibration_fingerprint`, so a perturbed
-    calibration context can never read a stale persisted block.  This is
+    in use (``current().fingerprint``), so a block evaluated under one
+    calibration is never read under another.  This is
     the key the persistent result store files blocks under
     (:mod:`repro.store`).  8-field (seed) tasks keep the exact
     ``block/v1`` keys they had before the registry; 11-field tasks hash
@@ -984,7 +983,7 @@ def block_fingerprint(task: Tuple, ngpc: Optional[NGPCConfig] = None):
     return (
         (tag, app, scheme)
         + tuple(tuple(axis) for axis in task[2:])
-        + (config_fingerprint(ngpc), calibration_fingerprint())
+        + (config_fingerprint(ngpc), current().fingerprint)
     )
 
 
@@ -1199,25 +1198,6 @@ def shard_plan(grid: SweepGrid, n_blocks: int) -> List[Tuple[Tuple, Tuple]]:
                 )
                 tasks.append(((i, j, windows), (app, scheme) + sub))
     return tasks
-
-
-def install_worker_state(calibration: Tuple) -> None:
-    """Install a coordinator's calibration constants into this process.
-
-    ``calibration`` is a :func:`calibration_fingerprint` tuple.
-    Shard-cluster workers call this once per calibration generation so
-    their blocks agree bit-for-bit with the coordinator's.
-    """
-    from repro.calibration import fitted
-
-    overheads, fractions, samples, exponent = calibration
-    fitted.BATCH_OVERHEAD_MS_FHD_AT64.clear()
-    fitted.BATCH_OVERHEAD_MS_FHD_AT64.update(dict(overheads))
-    fitted.KERNEL_FRACTIONS.clear()
-    fitted.KERNEL_FRACTIONS.update(dict(fractions))
-    fitted.SAMPLES_PER_PIXEL.clear()
-    fitted.SAMPLES_PER_PIXEL.update(dict(samples))
-    fitted.BATCH_OVERHEAD_SCALE_EXPONENT = exponent
 
 
 def assemble_shard_blocks(

@@ -8,22 +8,16 @@ over the GPU baseline, and the per-stage decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES, get_config
+from repro.calibration import current
 from repro.core.amdahl import amdahl_bound
-from repro.core.axes import (
-    DEFAULT_ENCODING,
-    GRIDTYPE_AUTO,
-    LOG2_HASHMAP_INHERIT,
-    PER_LEVEL_SCALE_INHERIT,
-    EncodingVariant,
-    axis as axis_spec,
-)
-from repro.core.cache import ModelCache, calibration_fingerprint
+from repro.core.axes import DEFAULT_ENCODING, EncodingVariant, axis as axis_spec
+from repro.core.cache import ModelCache
 from repro.core.config import NGPCConfig
 from repro.core.encoding_engine import (
     encoding_engine_time_ms,
@@ -135,13 +129,13 @@ def emulate_with_config(
 
     The cache key is the full architecture configuration — scale factor,
     NFP geometry (clock, SRAM sizes, engine count), pipeline batch
-    count and encoding-axis variant — plus a fingerprint of the mutable
-    calibration constants, so architecture-axis sweeps and the
-    perturbation contexts of :mod:`repro.analysis.sensitivity` each see
-    exactly their own results.  Cache hits return the identical (frozen)
-    result object.
+    count and encoding-axis variant — plus the fingerprint of the
+    calibration in use (:func:`repro.calibration.current`), so
+    architecture-axis sweeps and the perturbed calibrations of
+    :mod:`repro.analysis.sensitivity` each see exactly their own
+    results.  Cache hits return the identical (frozen) result object.
     """
-    key = (app, scheme, config, n_pixels, encoding, calibration_fingerprint())
+    key = (app, scheme, config, n_pixels, encoding, current().fingerprint)
     cached = _EMULATE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -158,9 +152,9 @@ def emulate(
 ) -> EmulationResult:
     """Convenience wrapper: one emulator run, memoized.
 
-    Results are cached on ``(app, scheme, NGPCConfig, n_pixels)`` plus a
-    fingerprint of the mutable calibration constants, so the perturbation
-    contexts of :mod:`repro.analysis.sensitivity` always see fresh
+    Results are cached on ``(app, scheme, NGPCConfig, n_pixels)`` plus
+    the fingerprint of the calibration in use, so a perturbed
+    calibration (:mod:`repro.analysis.sensitivity`) always sees its own
     values.  Cache hits return the identical (frozen) result object.
     """
     return emulate_with_config(
@@ -281,15 +275,6 @@ def emulate_batch_columns(
     if scheme not in ENCODING_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     base = ngpc or NGPCConfig()
-    scales = tuple(int(s) for s in np.asarray(scale_factors).reshape(-1))
-    for scale in scales:
-        # reuse the scalar path's validation (power of two, >= 1)
-        NGPCConfig(
-            scale_factor=scale,
-            nfp=base.nfp,
-            n_pipeline_batches=base.n_pipeline_batches,
-            l2_spill_penalty=base.l2_spill_penalty,
-        )
     pixels = np.asarray(n_pixels).reshape(-1)
     config = get_config(app, scheme)
     extension = not (
@@ -297,85 +282,36 @@ def emulate_batch_columns(
         and log2_hashmap_sizes is None
         and per_level_scales is None
     )
-
-    baseline = baseline_kernel_times_ms(app, scheme, pixels)  # (P,) arrays
-    # -- N-dimensional architecture hypercube ------------------------------
-    # (the classic (S, P) call is the same computation with singleton
-    # architecture axes, which emulate_batch squeezes)
-    clocks = tuple(
-        float(c)
-        for c in np.asarray(
-            clocks_ghz if clocks_ghz is not None else (base.nfp.clock_ghz,)
-        ).reshape(-1)
-    )
-    srams = tuple(
-        int(g)
-        for g in np.asarray(
-            grid_sram_kb
-            if grid_sram_kb is not None
-            else (base.nfp.grid_sram_kb_per_engine,)
-        ).reshape(-1)
-    )
-    engines = tuple(
-        int(e)
-        for e in np.asarray(
-            n_engines if n_engines is not None else (base.nfp.n_encoding_engines,)
-        ).reshape(-1)
-    )
     if not overlap:
         if n_batches is not None:
             raise ValueError(
                 "overlap=False (one batch, no pipelining) conflicts with "
                 "an explicit n_batches axis"
             )
-        batches = (1,)
-    else:
-        batches = tuple(
-            int(b)
-            for b in np.asarray(
-                n_batches if n_batches is not None else (base.n_pipeline_batches,)
-            ).reshape(-1)
-        )
-    # reuse the scalar path's validation, one axis value at a time
-    for clock in clocks:
-        replace(base.nfp, clock_ghz=clock)
-    for kb in srams:
-        replace(base.nfp, grid_sram_kb_per_engine=kb)
-    for n_eng in engines:
-        replace(base.nfp, n_encoding_engines=n_eng)
-    for n_b in batches:
-        replace(base, n_pipeline_batches=n_b)
-    # the encoding axes, validated through their registry specs
-    gts = tuple(
-        str(t)
-        for t in np.asarray(
-            gridtypes if gridtypes is not None else (GRIDTYPE_AUTO,)
-        ).reshape(-1)
+        n_batches = (1,)
+    # every axis through its registry spec: an unswept axis holds its
+    # inherited value (the base config's, or the encoding sentinel), and
+    # each value gets the validation (and message) SweepGrid gives it
+    given = dict(
+        scale_factors=scale_factors, clocks_ghz=clocks_ghz,
+        grid_sram_kb=grid_sram_kb, n_engines=n_engines, n_batches=n_batches,
+        gridtypes=gridtypes, log2_hashmap_sizes=log2_hashmap_sizes,
+        per_level_scales=per_level_scales,
     )
-    log2_ts = tuple(
-        int(h)
-        for h in np.asarray(
-            log2_hashmap_sizes
-            if log2_hashmap_sizes is not None
-            else (LOG2_HASHMAP_INHERIT,)
-        ).reshape(-1)
-    )
-    plscales = tuple(
-        float(r)
-        for r in np.asarray(
-            per_level_scales
-            if per_level_scales is not None
-            else (PER_LEVEL_SCALE_INHERIT,)
-        ).reshape(-1)
-    )
-    for name, values in (
-        ("gridtypes", gts),
-        ("log2_hashmap_sizes", log2_ts),
-        ("per_level_scales", plscales),
-    ):
-        for value in values:
-            axis_spec(name).validate(value)
+    axes = []
+    for name, values in given.items():
+        spec = axis_spec(name)
+        if values is None:
+            values = (spec.inherit(base),)
+        axes.append(tuple(spec.canon(v) for v in np.asarray(values).reshape(-1)))
+        for value in axes[-1]:
+            spec.validate(value)
+    scales, clocks, srams, engines, batches, gts, log2_ts, plscales = axes
 
+    baseline = baseline_kernel_times_ms(app, scheme, pixels)  # (P,) arrays
+    # -- N-dimensional architecture hypercube ------------------------------
+    # (the classic (S, P) call is the same computation with singleton
+    # architecture axes, which emulate_batch squeezes)
     enc = encoding_engine_time_ms_batch(
         config, pixels, scales, base,
         clocks_ghz=clocks, grid_sram_kb=srams, n_engines=engines,

@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.params import APP_NAMES, AppConfig, get_config
-from repro.calibration import paper
-from repro.core.cache import register_lru_cache
+from repro.calibration import DEFAULT, paper, use
 from repro.core.config import NGPCConfig
 from repro.gpu.baseline import FHD_PIXELS, baseline_kernel_times_ms
 from repro.gpu.kernels import samples_per_frame
@@ -53,20 +52,23 @@ def mlp_engine_cycles(
     return cycles + ngpc.nfp.pipeline_fill_cycles
 
 
-@register_lru_cache
 @lru_cache(maxsize=None)
 def _calibrated_parallelism(scheme: str) -> float:
-    """Samples/cycle/NFP so the four-app mean speedup at 64 matches Fig. 13."""
+    """Samples/cycle/NFP so the four-app mean speedup at 64 matches Fig. 13.
+
+    Fitted once against the nominal calibration, like the encoding
+    engine's lanes (:func:`repro.core.encoding_engine._calibrated_lanes`)."""
     target = paper.FIG13_KERNEL_SPEEDUPS_AT_64[scheme]["mlp"]
     ngpc = NGPCConfig(scale_factor=64)
     unit = []
-    for app in APP_NAMES:
-        config = get_config(app, scheme)
-        samples = samples_per_frame(config, FHD_PIXELS)
-        cycles = samples * weight_matrices(config) / ngpc.n_nfps
-        time_unit = cycles / ngpc.nfp.cycles_per_ms
-        base = baseline_kernel_times_ms(app, scheme, FHD_PIXELS)["mlp"]
-        unit.append(base / time_unit)
+    with use(DEFAULT):
+        for app in APP_NAMES:
+            config = get_config(app, scheme)
+            samples = samples_per_frame(config, FHD_PIXELS)
+            cycles = samples * weight_matrices(config) / ngpc.n_nfps
+            time_unit = cycles / ngpc.nfp.cycles_per_ms
+            base = baseline_kernel_times_ms(app, scheme, FHD_PIXELS)["mlp"]
+            unit.append(base / time_unit)
     return target / (sum(unit) / len(unit))
 
 

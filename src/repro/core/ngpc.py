@@ -16,7 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.apps.params import APP_NAMES, AppConfig, get_config
-from repro.calibration import fitted, paper
+from repro.calibration import current, paper
 from repro.core.axes import DEFAULT_ENCODING, EncodingVariant
 from repro.core.config import NGPCConfig
 from repro.core.encoding_engine import encoding_engine_time_ms
@@ -172,10 +172,11 @@ def dma_overhead_ms_batch(app: str, n_pixels, scale_factors) -> np.ndarray:
     pixels = np.asarray(n_pixels, dtype=np.float64).reshape(1, -1)
     if np.any(pixels <= 0):
         raise ValueError("n_pixels must be positive")
-    base = fitted.BATCH_OVERHEAD_MS_FHD_AT64[app]
+    calibration = current()
+    base = calibration.dma_overheads[app]
     growth = np.array(
         [
-            (64.0 / float(scale)) ** fitted.BATCH_OVERHEAD_SCALE_EXPONENT
+            (64.0 / float(scale)) ** calibration.overhead_scale_exponent
             for scale in np.asarray(scale_factors).reshape(-1)
         ],
         dtype=np.float64,
@@ -227,8 +228,9 @@ class NGPC:
         pixels and inversely with the scaling factor, since more NFPs keep
         more batches in flight over the same L2 interface.
         """
-        base = fitted.BATCH_OVERHEAD_MS_FHD_AT64[app]
-        growth = (64.0 / self.scale_factor) ** fitted.BATCH_OVERHEAD_SCALE_EXPONENT
+        calibration = current()
+        base = calibration.dma_overheads[app]
+        growth = (64.0 / self.scale_factor) ** calibration.overhead_scale_exponent
         return base * growth * (n_pixels / FHD_PIXELS)
 
     def engine_fusion_penalty_ms(self, app_config: AppConfig, n_pixels: int) -> float:

@@ -16,7 +16,7 @@ from typing import Dict
 import numpy as np
 
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
-from repro.calibration import fitted, paper
+from repro.calibration import current, paper
 
 FHD_PIXELS = 1920 * 1080
 
@@ -43,8 +43,9 @@ def baseline_frame_time_ms(app: str, scheme: str, n_pixels=FHD_PIXELS) -> float:
     if scheme == _HASH:
         total_fhd = hash_total
     else:
-        rest_abs = hash_total * fitted.KERNEL_FRACTIONS[(app, _HASH)][2]
-        total_fhd = rest_abs / fitted.KERNEL_FRACTIONS[(app, scheme)][2]
+        fractions = current().kernel_fractions
+        rest_abs = hash_total * fractions[(app, _HASH)][2]
+        total_fhd = rest_abs / fractions[(app, scheme)][2]
     return total_fhd * (n_pixels / FHD_PIXELS)
 
 
@@ -56,7 +57,7 @@ def baseline_kernel_times_ms(
     Accepts scalar or array ``n_pixels`` (values broadcast elementwise).
     """
     total = baseline_frame_time_ms(app, scheme, n_pixels)
-    enc_f, mlp_f, rest_f = fitted.KERNEL_FRACTIONS[(app, scheme)]
+    enc_f, mlp_f, rest_f = current().kernel_fractions[(app, scheme)]
     return {
         "encoding": total * enc_f,
         "mlp": total * mlp_f,

@@ -23,7 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.apps.params import AppConfig
-from repro.calibration import fitted, paper
+from repro.calibration import current, paper
 
 BYTES_PER_FEATURE = 2  # fp16 feature storage, as in instant-ngp
 BYTES_PER_ACTIVATION = 2
@@ -81,7 +81,7 @@ def samples_per_frame(config: AppConfig, n_pixels) -> float:
     """
     if np.any(np.asarray(n_pixels) <= 0):
         raise ValueError("n_pixels must be positive")
-    return n_pixels * fitted.SAMPLES_PER_PIXEL[config.app]
+    return n_pixels * current().samples_per_pixel[config.app]
 
 
 def encoding_workload_per_sample(config: AppConfig) -> Tuple[float, float]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
-from repro.calibration import fitted, paper
+from repro.calibration import current, paper
 
 # ---------------------------------------------------------------------------
 # Figure 5
@@ -23,9 +23,10 @@ from repro.calibration import fitted, paper
 
 def kernel_breakdown(app: str, scheme: str) -> Dict[str, float]:
     """Percent of application cycles per kernel class (Fig. 5 bars)."""
-    if (app, scheme) not in fitted.KERNEL_FRACTIONS:
+    fractions = current().kernel_fractions
+    if (app, scheme) not in fractions:
         raise KeyError(f"no breakdown for ({app}, {scheme})")
-    enc, mlp, rest = fitted.KERNEL_FRACTIONS[(app, scheme)]
+    enc, mlp, rest = fractions[(app, scheme)]
     return {"encoding": enc * 100, "mlp": mlp * 100, "rest": rest * 100}
 
 

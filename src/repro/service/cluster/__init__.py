@@ -6,8 +6,8 @@ hosts.  A :class:`ShardCoordinator` queues a sweep's blocks (through a
 :class:`ClusterBlockRunner`) and leases them over HTTP (``/cluster/*``
 endpoints, mounted next to the JSON service by
 :mod:`repro.service.http`) to any number of
-``python -m repro worker`` processes — local or remote — which install
-calibration once per generation, evaluate blocks vectorized, and
+``python -m repro worker`` processes — local or remote — which
+evaluate each block vectorized under the calibration its lease names and
 stream the block columns back; :func:`repro.core.dse.run_plan` assembles
 them into one :class:`~repro.core.dse.SweepResult` exactly as it does a
 local evaluation.  Leases expire and re-queue on

@@ -13,8 +13,8 @@ caller's thread:
 ====================== ====================================================
 endpoint               body / result (binary frames, :mod:`repro.transport`)
 ====================== ====================================================
-``POST /cluster/register``  ``{host?, pid?}`` -> ``{worker_id,
-                            calibration, ngpc, lease_timeout_s}``
+``POST /cluster/register``  ``{host?, pid?}`` -> ``{worker_id, ngpc,
+                            lease_timeout_s, generation}``
 ``POST /cluster/lease``     ``{worker_id}`` -> long-poll; one of
                             ``{job_id, task_id, task, ngpc,
                             calibration}``, ``{empty: true}`` (poll
@@ -46,9 +46,9 @@ Lease semantics (the failure model):
   ``stale_completions``), so re-leasing never double-counts a block in
   the stats or clobbers the new holder's lease.
 
-Workers evaluate with the coordinator's calibration constants: every
-lease carries the calibration fingerprint and base config the job was
-submitted under, and workers reinstall them only when they change,
+Every lease carries the base config and calibration fingerprint its
+job was submitted under (:class:`ClusterBlockRunner` copies the
+caller's), and the worker evaluates the block under that calibration,
 keeping blocks bit-identical to a local evaluation.
 
 Bodies and responses are versioned binary frames
@@ -69,7 +69,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cache import calibration_fingerprint
+from repro.calibration import current, use
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
     _TIMING_FIELDS,
@@ -297,7 +297,8 @@ class ShardCoordinator:
         """Lease a list of block tasks; the blocks return in task order.
 
         ``tasks`` are :func:`~repro.core.dse.evaluate_block` work units —
-        a sweep's :func:`~repro.core.dse.shard_plan` tasks.  Every
+        a sweep's :func:`~repro.core.dse.shard_plan` tasks, evaluated
+        under the calibration current in this task.  Every
         registered worker pulls them, a worker death re-queues its
         blocks, and lease timings feed the throughput EWMAs that size
         later sweeps.  ``on_block`` (if
@@ -314,7 +315,7 @@ class ShardCoordinator:
         job = _Job(
             job_id=self.jobs_submitted,
             ngpc=ngpc if ngpc is not None else self.ngpc,
-            calibration=calibration_fingerprint(),
+            calibration=current().fingerprint,
             tasks=list(tasks),
             future=self._loop.create_future(),
             on_block=on_block,
@@ -406,7 +407,6 @@ class ShardCoordinator:
         self._workers[worker.worker_id] = worker
         return {
             "worker_id": worker.worker_id,
-            "calibration": calibration_fingerprint(),
             "ngpc": self.ngpc,
             "lease_timeout_s": self.lease_timeout_s,
             "generation": self.generation,
@@ -717,9 +717,11 @@ class ClusterBlockRunner:
     runner contract: ``evaluate(tasks, on_block)`` submits the tasks as
     one job from the calling thread and blocks until every block is
     back (in task order), relaying ``on_block(index, block)`` from the
-    coordinator loop as blocks land.  :meth:`ShardCoordinator.
-    sweep_blocking` runs every cluster sweep through it; ``timeout_s``
-    bounds the whole job (None waits without bound).
+    coordinator loop as blocks land.  The job carries the calibration
+    current on the calling thread, so its workers evaluate under it.
+    :meth:`ShardCoordinator.sweep_blocking` runs every cluster sweep
+    through it; ``timeout_s`` bounds the whole job (None waits without
+    bound).
     """
 
     def __init__(self, coordinator: ShardCoordinator,
@@ -729,6 +731,13 @@ class ClusterBlockRunner:
         self.timeout_s = timeout_s
 
     def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Dict]:
-        return self.coordinator._call(lambda: self.coordinator.submit(
-            tasks, ngpc=self.ngpc, timeout_s=self.timeout_s, on_block=on_block,
-        ))
+        calibration = current()
+
+        async def submit():
+            with use(calibration):
+                return await self.coordinator.submit(
+                    tasks, ngpc=self.ngpc, timeout_s=self.timeout_s,
+                    on_block=on_block,
+                )
+
+        return self.coordinator._call(submit)

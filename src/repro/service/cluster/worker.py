@@ -4,13 +4,13 @@ A worker is one blocking process (``python -m repro worker``) that
 connects to a coordinator-serving instance (``repro serve --engine
 cluster`` or an embedded :class:`~repro.api.DistributedBackend`):
 
-1. **register** — receives its worker id plus the coordinator's
-   calibration constants, installed once via
-   :func:`repro.core.dse.install_worker_state`;
+1. **register** — receives its worker id;
 2. **lease** — long-polls ``/cluster/lease``; an empty poll loops, a
-   task is evaluated with the job's base config through the vectorized
-   block path (:func:`repro.core.dse.evaluate_block`) after
-   reinstalling calibration if the job's generation changed;
+   task is evaluated through the vectorized block path
+   (:func:`repro.core.dse.evaluate_block`) with the job's base config,
+   under the calibration the lease names
+   (``use(Calibration.from_fingerprint(lease["calibration"]))``) — the
+   lease, not process state, decides what the worker computes;
 3. **complete** — streams the block's float64 timing columns back as one
    binary frame body (:mod:`repro.transport` — zero-copy columns, no
    pickle anywhere on the wire) and immediately polls for the next
@@ -36,7 +36,8 @@ import socket
 import time
 from typing import Dict, Optional
 
-from repro.core.dse import evaluate_block, install_worker_state
+from repro.calibration import Calibration, use
+from repro.core.dse import evaluate_block
 from repro.errors import BackendUnavailableError
 from repro.service.client import KeepAliveClient, _decoded
 from repro.service.errors import ServiceError
@@ -108,7 +109,6 @@ def run_worker(
     """
     client = ClusterClient(host, port)
     worker_id = None
-    installed = None  # the calibration currently live in this process
     idle_since = time.monotonic()
     failures = 0
     blocks = 0
@@ -120,8 +120,6 @@ def run_worker(
                         "host": socket.gethostname(), "pid": os.getpid(),
                     })
                     worker_id = registration["worker_id"]
-                    installed = registration["calibration"]
-                    install_worker_state(installed)
                     log(f"repro worker: registered as {worker_id[:8]} "
                         f"with http://{host}:{port}", flush=True)
                 lease = client.call("/cluster/lease", {"worker_id": worker_id})
@@ -161,14 +159,12 @@ def run_worker(
                 "task_id": lease["task_id"],
             }
             try:
-                if lease["calibration"] != installed:  # new generation
-                    install_worker_state(lease["calibration"])
-                    installed = lease["calibration"]
                 if block_delay_s:
                     time.sleep(block_delay_s)
-                completion["arrays"] = evaluate_block(
-                    lease["task"], lease["ngpc"]
-                )
+                with use(Calibration.from_fingerprint(lease["calibration"])):
+                    completion["arrays"] = evaluate_block(
+                        lease["task"], lease["ngpc"]
+                    )
             except Exception as exc:
                 # report the failure instead of dying: an unreported crash
                 # would re-lease the same poison block around the cluster

@@ -44,7 +44,6 @@ to a structured 400 naming the axis.
 from __future__ import annotations
 
 import asyncio
-import functools
 import hashlib
 import threading
 from typing import AsyncIterator, Dict, Hashable, List, Optional, Set, Union
@@ -317,21 +316,19 @@ class SweepService:
     ) -> None:
         """Run the tier ladder in an executor thread.
 
-        Only a watched sweep reports its blocks (the ladder then runs the
-        stream plan); the ladder always announces the size of the plan
-        that evaluated, so a stream that joins an unwatched sweep ends on
-        the true count.
+        ``asyncio.to_thread`` carries this task's context over, so the
+        sweep evaluates under the calibration its ``key`` was taken
+        under (:func:`repro.calibration.current`).  Only a watched sweep
+        reports its blocks (the ladder then runs the stream plan); the
+        ladder always announces the size of the plan that evaluated, so
+        a stream that joins an unwatched sweep ends on the true count.
         """
-        loop = asyncio.get_running_loop()
         future, progress = inflight.future, inflight.progress
         try:
-            result = await loop.run_in_executor(
-                None,
-                functools.partial(
-                    tiered_sweep, grid, self.ngpc, self.store, self.tier,
-                    progress.set_plan, progress.record if watched else None,
-                    engine=self.engine, sweep_fn=self._sweep_fn,
-                ),
+            result = await asyncio.to_thread(
+                tiered_sweep, grid, self.ngpc, self.store, self.tier,
+                progress.set_plan, progress.record if watched else None,
+                engine=self.engine, sweep_fn=self._sweep_fn,
             )
         except Exception as exc:  # served to every coalesced awaiter
             progress.fail(exc)

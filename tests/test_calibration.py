@@ -1,9 +1,12 @@
 """Tests for the calibration datasets: internal consistency with the paper."""
 
+import threading
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
-from repro.calibration import fitted, paper
+from repro.calibration import DEFAULT, Calibration, current, fitted, paper, use
 
 
 class TestPaperDataset:
@@ -86,3 +89,47 @@ class TestFittedConstants:
         assert spp["nerf"] > spp["nsdf"] > spp["nvr"] >= 1.0 or (
             spp["nerf"] > spp["nsdf"] and spp["nerf"] > spp["nvr"]
         )
+
+
+class TestCalibrationValue:
+    def test_views_are_read_only(self):
+        with pytest.raises(TypeError):
+            fitted.KERNEL_FRACTIONS[("nerf", "multi_res_hashgrid")] = (1, 0, 0)
+        with pytest.raises(TypeError):
+            fitted.BATCH_OVERHEAD_SCALE_EXPONENT = 1.0
+        with pytest.raises(TypeError):
+            fitted.SAMPLES_PER_PIXEL = {}
+        assert fitted.KERNEL_FRACTIONS == DEFAULT.kernel_fractions
+
+    def test_fingerprint_round_trips_and_keys_equality(self):
+        again = Calibration.from_fingerprint(DEFAULT.fingerprint)
+        assert again == DEFAULT and hash(again) == hash(DEFAULT)
+        steeper = replace(DEFAULT, overhead_scale_exponent=0.75)
+        assert steeper != DEFAULT
+        assert steeper.fingerprint[:3] == DEFAULT.fingerprint[:3]
+
+    def test_use_sets_current_and_restores(self):
+        steeper = replace(DEFAULT, overhead_scale_exponent=0.75)
+        assert current() is DEFAULT
+        with use(steeper):
+            assert current() is steeper
+        assert current() is DEFAULT
+        with pytest.raises(TypeError):
+            with use(DEFAULT.fingerprint):
+                pass
+
+    def test_use_in_one_thread_leaves_another_alone(self):
+        steeper = replace(DEFAULT, overhead_scale_exponent=0.75)
+        inside, seen = threading.Event(), []
+
+        def other_thread():
+            inside.wait(timeout=10)
+            seen.append(current())
+
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        with use(steeper):
+            inside.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [DEFAULT]

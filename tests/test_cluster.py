@@ -25,11 +25,14 @@ import asyncio
 import signal
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.api import DistributedBackend, Session, SweepGrid
+from repro.calibration import DEFAULT, use
+from repro.core.dse import RESULT_ARRAY_FIELDS, sweep_grid
 from repro.errors import BackendUnavailableError, ReproError
 from repro.gpu.baseline import FHD_PIXELS
 
@@ -120,6 +123,42 @@ class TestDistributedParity:
         assert health["ok"] is True
         assert health["backend"] == "distributed"
         assert health["workers_alive"] >= 2
+
+
+class TestLeaseCalibration:
+    def test_each_lease_evaluates_under_its_own_calibration(self):
+        """The lease, not the worker's process state, picks the numbers.
+
+        The backend's own sweep runs on its loop in a copy of the
+        caller's context, so it too evaluates under the caller's value.
+        """
+        steeper = replace(
+            DEFAULT,
+            overhead_scale_exponent=DEFAULT.overhead_scale_exponent + 0.125,
+        )
+        grid = SweepGrid(
+            apps=("nerf", "gia"), scale_factors=(8, 64), clocks_ghz=(0.8, 1.2)
+        ).resolve().normalized()
+        backend = DistributedBackend(workers=1)
+        try:
+            served = {}
+            for calibration in (DEFAULT, steeper):
+                with use(calibration):
+                    cluster = backend.coordinator.sweep_blocking(grid)
+                    session = backend.sweep(grid)
+                    local = sweep_grid(grid, use_cache=False)
+                for name in RESULT_ARRAY_FIELDS:
+                    for served_result in (cluster, session):
+                        np.testing.assert_array_equal(
+                            getattr(served_result, name), getattr(local, name),
+                            err_msg=name,
+                        )
+                served[calibration] = cluster
+        finally:
+            backend.close()
+        assert not np.array_equal(
+            served[DEFAULT].dma_ms, served[steeper].dma_ms
+        )
 
 
 class TestCrossClientCoalescing:

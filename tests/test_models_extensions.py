@@ -13,7 +13,7 @@ from repro.analysis.sensitivity import (
 )
 from repro.apps import GIAApp, NSDFApp, NVRApp, NeRFApp
 from repro.apps.evaluation import evaluate
-from repro.calibration import fitted
+from repro.calibration import current
 from repro.core.interconnect import interconnect_report, max_fps_within_port
 from repro.gpu.occupancy_model import occupancy_report, table2_occupancy
 
@@ -119,16 +119,16 @@ class TestEvaluationHarness:
 
 class TestSensitivity:
     def test_perturbation_context_restores(self):
-        original = dict(fitted.BATCH_OVERHEAD_MS_FHD_AT64)
+        original = dict(current().dma_overheads)
         with perturbed_overheads(2.0):
-            assert fitted.BATCH_OVERHEAD_MS_FHD_AT64["nerf"] == pytest.approx(
+            assert current().dma_overheads["nerf"] == pytest.approx(
                 2 * original["nerf"]
             )
-        assert fitted.BATCH_OVERHEAD_MS_FHD_AT64 == original
+        assert current().dma_overheads == original
 
     def test_rest_fraction_perturbation_keeps_sum_one(self):
         with perturbed_rest_fractions(1.2):
-            for fractions in fitted.KERNEL_FRACTIONS.values():
+            for fractions in current().kernel_fractions.values():
                 assert sum(fractions) == pytest.approx(1.0)
 
     def test_larger_overheads_reduce_speedup(self):

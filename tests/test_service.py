@@ -26,6 +26,7 @@ import http.client
 import json
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
-from repro.calibration import fitted
+from repro.calibration import DEFAULT, use
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
     PAYLOAD_SCHEMA_VERSION,
@@ -1010,12 +1011,9 @@ class TestFingerprintProperties:
 
     def test_calibration_change_splits_the_key(self):
         key = sweep_fingerprint(SMALL_GRID)
-        original = fitted.BATCH_OVERHEAD_SCALE_EXPONENT
-        try:
-            fitted.BATCH_OVERHEAD_SCALE_EXPONENT = original + 0.125
+        exponent = DEFAULT.overhead_scale_exponent + 0.125
+        with use(replace(DEFAULT, overhead_scale_exponent=exponent)):
             assert sweep_fingerprint(SMALL_GRID) != key
-        finally:
-            fitted.BATCH_OVERHEAD_SCALE_EXPONENT = original
         assert sweep_fingerprint(SMALL_GRID) == key
 
     def test_base_config_change_splits_the_key(self):

@@ -27,14 +27,16 @@ import multiprocessing
 import os
 import shutil
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.calibration import fitted
+from repro.calibration import DEFAULT, use
 from repro.core.dse import (
     RESULT_ARRAY_FIELDS,
     SweepGrid,
+    assemble_shard_blocks,
     block_fingerprint,
     store_block_plan,
     sweep_fingerprint,
@@ -57,6 +59,12 @@ GRID = SweepGrid(
     scale_factors=(8, 16),
     clocks_ghz=(0.8, 1.2),
     n_engines=(16, 32),
+)
+
+
+#: the nominal calibration with a steeper DMA-overhead scaling
+PERTURBED = replace(
+    DEFAULT, overhead_scale_exponent=DEFAULT.overhead_scale_exponent + 0.125
 )
 
 
@@ -481,9 +489,7 @@ class TestContentAddressing:
         store = ResultStore(str(tmp_path / "store"))
         grid = _resolved()
         tiered_sweep(grid, store=store)
-        original = fitted.BATCH_OVERHEAD_SCALE_EXPONENT
-        try:
-            fitted.BATCH_OVERHEAD_SCALE_EXPONENT = original + 0.125
+        with use(PERTURBED):
             counters = new_tier_counters()
             tiered_sweep(grid, store=store, counters=counters)
             # nothing persisted under the nominal calibration is
@@ -491,8 +497,6 @@ class TestContentAddressing:
             assert counters["disk_hits"] == 0
             assert counters["blocks_cached"] == 0
             assert counters["blocks_evaluated"] == counters["blocks_total"]
-        finally:
-            fitted.BATCH_OVERHEAD_SCALE_EXPONENT = original
         # and the nominal entries are still there, untouched
         counters = new_tier_counters()
         tiered_sweep(grid, store=store, counters=counters)
@@ -507,6 +511,62 @@ class TestContentAddressing:
         store.save_sweep(key, result)  # already on disk: not rewritten
         assert store.counters["sweep_saves"] == 1
         assert store.stats()["sweeps"]["count"] == 1
+
+
+class TestConcurrentCalibrations:
+    """One service and store, sweeps under two calibrations at once."""
+
+    OTHER_GRID = SweepGrid(
+        apps=("gia",), scale_factors=(16, 32), n_batches=(4, 8)
+    )
+
+    def test_every_entry_holds_what_its_address_names(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        service = SweepService(engine="vectorized", store=store)
+        grids = (_resolved(), _resolved(self.OTHER_GRID))
+        calibrations = (DEFAULT, PERTURBED)
+
+        async def one(i):
+            with use(calibrations[i % 2]):
+                return await service.sweep(grids[i // 2 % 2])
+
+        async def run():
+            return await asyncio.gather(*(one(i) for i in range(8)))
+
+        served = asyncio.run(run())
+
+        sweep_files, block_files = set(), set()
+        for calibration in calibrations:
+            with use(calibration):
+                for grid in grids:
+                    reference = sweep_grid(
+                        grid, engine="vectorized", use_cache=False
+                    )
+                    key = sweep_fingerprint(grid)
+                    sweep_files.add(os.path.basename(store.sweep_path(key)))
+                    assert_bit_identical(store.load_sweep(key), reference)
+                    placed = []
+                    for placement, task in store_block_plan(grid):
+                        key = block_fingerprint(task)
+                        block_files.add(fingerprint_digest(key) + ".frame")
+                        placed.append(
+                            (placement, store.load_block(key, task_shape(task)))
+                        )
+                    assembled = assemble_shard_blocks(grid, placed)
+                    for name, column in assembled.items():
+                        assert np.array_equal(
+                            column, reference.columns[name]
+                        ), name
+                    for i in range(8):
+                        if (calibrations[i % 2], grids[i // 2 % 2]) == (
+                            calibration, grid
+                        ):
+                            assert_bit_identical(served[i], reference)
+        # every persisted entry is one of those, and the two
+        # calibrations computed different numbers
+        assert set(os.listdir(os.path.join(store.root, "sweeps"))) == sweep_files
+        assert set(os.listdir(os.path.join(store.root, "blocks"))) == block_files
+        assert not np.array_equal(served[0].dma_ms, served[1].dma_ms)
 
 
 # ---------------------------------------------------------------------------

@@ -722,6 +722,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="power of two"):
             SweepGrid(scale_factors=(24,))
 
+    @pytest.mark.parametrize("axis, value", [
+        ("scale_factors", 12),
+        ("scale_factors", 0),
+        ("clocks_ghz", 0.0),
+        ("grid_sram_kb", 768),
+        ("n_engines", 0),
+        ("n_batches", 0),
+    ])
+    def test_batch_path_raises_the_grid_message(self, axis, value):
+        """Each architecture axis rejects a value with SweepGrid's words."""
+        with pytest.raises(ValueError) as grid_error:
+            SweepGrid(**{axis: (value,)})
+        with pytest.raises(ValueError) as batch_error:
+            emulate_batch("nerf", "multi_res_hashgrid", **{axis: (value,)})
+        assert str(batch_error.value) == str(grid_error.value)
+
 
 class TestSweepGrid:
     def test_shape_size_points(self):

@@ -65,7 +65,11 @@
 # and evaluate_block's output carries no `"speedup"`.  A seventh keeps
 # one store format: every store entry is a repro.transport frame, so
 # no `sqlite3`, `zipfile`, `np.savez` or `np.load` appears under
-# src/repro/store and src/repro/store/npz_io.py does not exist.
+# src/repro/store and src/repro/store/npz_io.py does not exist.  An
+# eighth keeps the calibration a value: `install_worker_state`,
+# `register_lru_cache` and `calibration_fingerprint` appear nowhere
+# under src/, and no code outside tests/ assigns to `fitted.<NAME>` or
+# `fitted.<NAME>[...]` or calls `.update`/`.clear`/`.pop` on one.
 # The service, reconnect, ops and Session suites run again under
 # `python -X dev` and fail on any unclosed-socket ResourceWarning, and
 # EXPERIMENTS.md must equal a fresh run of
@@ -273,6 +277,28 @@ if grep -rn --include='*.py' 'class ServiceClient\b' src/ tests/ benchmarks/ too
     fail
 fi
 echo "one HTTP client: $(grep -rn --include='*.py' 'http\.client\.HTTPConnection(' src/)"
+
+section "calibration is a value (grep gate)"
+# the calibration is one immutable repro.calibration.Calibration that
+# the models read through current(): nothing installs it into process
+# state, flushes caches keyed without it, or mutates the fitted views
+calibration_ok=1
+if grep -rnE --include='*.py' \
+    'install_worker_state|register_lru_cache|calibration_fingerprint' src/; then
+    echo "FAIL: a mutable-calibration helper is back under src/" >&2
+    calibration_ok=0
+fi
+if grep -rnE --include='*.py' --exclude-dir=tests --exclude-dir=.git \
+    'fitted\.[A-Za-z0-9_]+(\[[^]]*\])?[[:space:]]*([-+*/]?=[^=])|fitted\.[A-Za-z0-9_]+\.(update|clear|pop)\(' \
+    .; then
+    echo "FAIL: code outside tests/ assigns to or mutates repro.calibration.fitted" >&2
+    calibration_ok=0
+fi
+if [ "$calibration_ok" = 1 ]; then
+    echo "calibration is a value: no install step, no flush registry, no fitted.* writes"
+else
+    fail
+fi
 
 section "shard cluster smoke (2 workers, sweep via DistributedBackend)"
 python - <<'PY' || fail
