@@ -638,7 +638,24 @@ host:
 `tools/run_checks.sh` keeps a smoke above the old threshold: a
 `Session().sweep` of a large grid must read `explore == "exhaustive"`
 and answer the same front and cheapest point as a fresh uncached
-vectorized `sweep_grid` evaluation."""
+vectorized `sweep_grid` evaluation.
+
+**The result is the only grid-sized allocation of a dense answer.**
+`run_plan` allocates the result's columns once and hands each block
+its slot of `accelerated_ms`; the makespan kernel
+(`pipeline_total_ms_batch`) writes into that slot one slab of at most
+65,536 elements at a time, with a slab-sized temporary, and assembly
+copies only what is not already in place (stored and cluster blocks).
+`pareto_front` and the cheapest-point queries read the plane's stored
+`baseline_ms`/`accelerated_ms` one slab at a time, reduce each slab's
+cost cells over batches, and rank the cells once; they never build the
+cached `speedup`, `fps` or `train_steps_per_s` arrays.  The bits do
+not change.  `tests/test_dense_allocation.py` bounds the `tracemalloc`
+peak on an `adaptive`-shaped 1,048,576-point grid, as a multiple of
+its 8.4 MB `accelerated_ms`: an uncached `sweep_grid` reads 1.30x
+(bound 1.5x; 2.29x before), `pareto_front` 0.35x (bound 0.5x; 1.75x
+before) and `cheapest_point_meeting_fps` 0.07x (bound 0.25x; 1.06x
+before, on a fresh result)."""
 
 
 _AXIS_REGISTRY_DOC = """
@@ -710,7 +727,10 @@ _OPERATIONS_DOC = """
 `repro serve` ships with an operations layer that is on for every
 server: structured JSON logs on stdout (one object per line; the
 startup record's `message` keeps the `listening on http://host:port`
-text for humans and init scripts), `GET /healthz` liveness with
+text for humans and init scripts; the workers' `/cluster/*` RPCs log
+their access lines at debug, and an embedded `Session.distributed()`
+logs to stderr at warning, so it writes nothing to the caller's
+stdout), `GET /healthz` liveness with
 `version`/`uptime_s`/`ready` (add `?ready=1` for a readiness probe
 that 503s until the engine — and, with `--engine cluster`, the
 coordinator — can actually serve), Prometheus metrics at

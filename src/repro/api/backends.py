@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -408,6 +409,9 @@ class DistributedBackend(Backend):
     ``lease_timeout_s`` bounds how long a dead worker can strand a
     block; ``block_delay_s`` is the fault-injection knob forwarded to
     spawned workers (tests/chaos only).
+
+    The embedded service logs to stderr at warning and writes nothing
+    to the caller's stdout; ``repro serve`` keeps the operator log.
     """
 
     name = "distributed"
@@ -432,6 +436,8 @@ class DistributedBackend(Backend):
             spawn_local_workers,
             terminate_workers,
         )
+        from repro.service.ops import OpsLayer
+        from repro.service.ops.logging import JsonLogger
 
         self._terminate_workers = terminate_workers
         self.ngpc = ngpc
@@ -454,7 +460,10 @@ class DistributedBackend(Backend):
             async def main():
                 try:
                     self._server = await start_http_server(
-                        self.service, host, port, cluster=self.coordinator
+                        self.service, host, port, cluster=self.coordinator,
+                        ops=OpsLayer(logger=JsonLogger(
+                            stream=sys.stderr, level="warning"
+                        )),
                     )
                 except Exception as exc:
                     startup_error.append(exc)

@@ -85,6 +85,7 @@ from repro.core.emulator import (
     emulate_batch_columns,
     emulate_with_config,
 )
+from repro.core.ngpc import slabs
 from repro.gpu.baseline import FHD_PIXELS
 
 
@@ -671,6 +672,10 @@ class SweepResult:
         )
 
     # -- queries ------------------------------------------------------------
+    # Queries read the plane's stored columns one slab at a time and
+    # never build a grid-sized derived array (speedup, fps, training
+    # rate): each slab reduces its cost cells over batches, and the
+    # cost cells are ranked once.
     def pareto_front(
         self,
         scheme: str,
@@ -685,33 +690,69 @@ class SweepResult:
         Benefit is the speedup of ``app``, or the all-apps average when
         ``app`` is None (the Fig. 12 "average" bars).  ``scheme``,
         ``n_pixels`` and the encoding-axis ``selectors`` pick the plane
-        (:func:`query_slice`); :func:`front_points` ranks it.
+        (:func:`query_slice`); each :func:`~repro.core.ngpc.slabs` slab
+        of it is reduced over batches (:func:`reduce_batches`) and
+        :func:`ranked_cells` ranks the reduced cells, exactly as
+        :func:`front` ranks a whole benefit plane.
         """
-        query = query_slice(self.grid, scheme, n_pixels, **selectors)
-        return front_points(
-            self.grid, self.area_overhead_pct, self.power_overhead_pct,
-            self.speedup[query.index], query.enc, app,
-        )
+        grid = self.grid
+        query = query_slice(grid, scheme, n_pixels, **selectors)
+        a = None if app is None else axis_index("app", app, grid.apps)
+        baseline, accelerated = self._plane(query)
+        value = np.empty(accelerated.shape[1:-1])
+        batch = np.empty(value.shape, dtype=np.intp)
+        for index in slabs(accelerated.shape, keep=1, tail=1):
+            speedup = baseline[index] / accelerated[index]
+            benefit = speedup.mean(axis=0) if a is None else speedup[a]
+            cells = index[1:-1]
+            value[cells], batch[cells] = reduce_batches(benefit)
+        area4 = self.area_overhead_pct
+        cells = ranked_cells(area4, value, batch)
+        speedups = _cell_speedups(baseline, accelerated, cells)
+        return [
+            design_point(
+                grid, area4, self.power_overhead_pct, cell + query.enc,
+                speedups[:, n],
+            )
+            for n, cell in enumerate(cells)
+        ]
+
+    def _plane(self, query: QuerySlice) -> Tuple[np.ndarray, np.ndarray]:
+        """The (apps, scale, clock, SRAM, engines, batches) plane of
+        ``baseline_ms`` and ``accelerated_ms``: views of the columns."""
+        return self.baseline_ms[query.index], self.accelerated_ms[query.index]
 
     def _cheapest_point(
-        self, app, feasible_of, metric: np.ndarray, query: QuerySlice
+        self, app, feasible_of, query: QuerySlice
     ) -> Optional[DesignPoint]:
-        """Cheapest-area cell of ``app`` whose ``metric`` is feasible.
+        """Cheapest-area cell of ``app`` meeting a throughput target.
 
-        ``feasible_of`` maps the (K, C, G, E, B) metric slice to a bool
-        mask; ties resolve to the lowest flat index (``np.argmin``).
+        ``feasible_of`` maps a slab of ``app``'s (K, C, G, E, B)
+        ``accelerated_ms`` plane to a bool mask.  Cost does not depend on
+        the batch, so each cost cell keeps its first feasible batch, and
+        the cheapest feasible cell wins; ties resolve to the lowest flat
+        index, as ``np.argmin`` over the masked plane would.
         """
-        values = metric[query.index][axis_index("app", app, self.grid.apps)]
-        feasible = feasible_of(values)
-        if not feasible.any():
+        grid = self.grid
+        baseline, accelerated = self._plane(query)
+        metric = accelerated[axis_index("app", app, grid.apps)]
+        area4 = self.area_overhead_pct
+        first = np.empty(area4.shape, dtype=np.intp)
+        for index in slabs(metric.shape, tail=1):
+            feasible = feasible_of(metric[index])
+            first[index[:-1]] = np.where(
+                feasible.any(axis=-1), feasible.argmax(axis=-1), -1
+            )
+        met = first >= 0
+        if not met.any():
             return None
-        cost = np.broadcast_to(self.area_overhead_pct[..., None], values.shape)
         cell = np.unravel_index(
-            int(np.argmin(np.where(feasible, cost, np.inf))), values.shape
+            int(np.argmin(np.where(met, area4, np.inf))), area4.shape
         )
+        cell = tuple(int(i) for i in cell) + (int(first[cell]),)
         return design_point(
-            self.grid, self.area_overhead_pct, self.power_overhead_pct,
-            cell + query.enc, self.speedup[query.index][(slice(None),) + cell],
+            grid, area4, self.power_overhead_pct, cell + query.enc,
+            _cell_speedups(baseline, accelerated, [cell])[:, 0],
         )
 
     def cheapest_point_meeting_fps(
@@ -735,9 +776,7 @@ class SweepResult:
             raise ValueError("fps must be positive")
         budget_ms = 1000.0 / fps
         query = query_slice(self.grid, scheme, n_pixels, **selectors)
-        return self._cheapest_point(
-            app, lambda ms: ms <= budget_ms, self.accelerated_ms, query
-        )
+        return self._cheapest_point(app, lambda ms: ms <= budget_ms, query)
 
     def cheapest_point_meeting_train_rate(
         self,
@@ -756,9 +795,15 @@ class SweepResult:
         """
         if steps_per_s <= 0:
             raise ValueError("steps_per_s must be positive")
-        query = query_slice(self.grid, scheme, n_pixels, **selectors)
+        grid = self.grid
+        query = query_slice(grid, scheme, n_pixels, **selectors)
+        samples = _samples_per_frame(
+            app, grid.schemes[query.scheme], grid.pixel_counts[query.pixels]
+        )
+        batch = _train_batch()
         return self._cheapest_point(
-            app, lambda rate: rate >= steps_per_s, self.train_steps_per_s,
+            app,
+            lambda ms: _steps_per_s(samples, batch, ms) >= steps_per_s,
             query,
         )
 
@@ -1058,7 +1103,7 @@ def task_shape(task: Tuple) -> Tuple[int, ...]:
 
 
 def evaluate_block(
-    task: Tuple, ngpc: Optional[NGPCConfig] = None
+    task: Tuple, ngpc: Optional[NGPCConfig] = None, out=None
 ) -> Dict[str, np.ndarray]:
     """Evaluate one block task through the batched emulator.
 
@@ -1073,22 +1118,30 @@ def evaluate_block(
     (seed) and 11-field (extended) tasks route through one code path.
     The block holds each timing field at its stored rank
     (:func:`block_array_shapes`) plus the scalar ``amdahl_bound``.
+    ``out`` (optional, the task's :func:`task_shape`) is where the
+    kernel writes ``accelerated_ms``: :func:`run_plan` passes the
+    block's slot of the result column.
     """
     app, scheme, scales, pixels = task[:4]
     return emulate_batch_columns(
         app, scheme, scales, pixels, ngpc,
-        **dict(zip(TASK_BATCH_KWARGS, task[4:])),
+        **dict(zip(TASK_BATCH_KWARGS, task[4:])), out=out,
     )
 
 
 def _scalar_block(
-    task: Tuple, ngpc: Optional[NGPCConfig] = None
+    task: Tuple, ngpc: Optional[NGPCConfig] = None, out=None
 ) -> Dict[str, np.ndarray]:
-    """Evaluate one block task point by point on the memoized scalar path."""
+    """Evaluate one block task point by point on the memoized scalar path.
+
+    ``out`` receives ``accelerated_ms`` as in :func:`evaluate_block`.
+    """
     app, scheme = task[:2]
     axes = task[2:]
     shape = task_shape(task)
-    out = {name: np.empty(shape) for name in _TIMING_FIELDS}
+    columns = {name: np.empty(shape) for name in _TIMING_FIELDS}
+    if out is not None:
+        columns["accelerated_ms"] = out
     for idx in np.ndindex(*shape):
         named = {
             name: axis[pos]
@@ -1109,20 +1162,24 @@ def _scalar_block(
             named["n_engines"], named["n_batches"], encoding,
         )
         for name in _TIMING_FIELDS:
-            out[name][idx] = getattr(r, name)
-    out = block_columns(out, shape)
-    out["amdahl_bound"] = r.amdahl_bound  # per (app, scheme): any point's
-    return out
+            columns[name][idx] = getattr(r, name)
+    block = block_columns(columns, shape)
+    block["amdahl_bound"] = r.amdahl_bound  # per (app, scheme): any point's
+    return block
 
 
 class LocalBlockRunner:
     """Evaluate block tasks in-process, one after another.
 
     The inline implementation of the block-runner contract every
-    evaluation path shares: ``evaluate(tasks, on_block=None)`` returns
-    one block per task, in task order, and calls
-    ``on_block(index, block)`` as each block lands.  ``engine`` picks
-    the vectorized fast path (:func:`evaluate_block`) or the scalar
+    evaluation path shares: ``evaluate(tasks, on_block=None,
+    slots=None)`` returns one block per task, in task order, and calls
+    ``on_block(index, block)`` as each block lands.  ``slots`` (from
+    :func:`run_plan`) holds, per task, its slot of the result's
+    ``accelerated_ms`` column; a runner that evaluates in-process
+    writes the block's ``accelerated_ms`` there and returns the slot
+    itself, which assembly then does not copy.  ``engine`` picks the
+    vectorized fast path (:func:`evaluate_block`) or the scalar
     reference loop.  The store's :class:`~repro.store.StoreBlockRunner`
     decorates a runner with the persistent tier; the cluster's
     :class:`~repro.service.cluster.ClusterBlockRunner` leases tasks to
@@ -1137,10 +1194,13 @@ class LocalBlockRunner:
         self.ngpc = ngpc
         self._evaluate = _scalar_block if engine == "scalar" else evaluate_block
 
-    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Dict]:
+    def evaluate(
+        self, tasks: List[Tuple], on_block=None, slots=None
+    ) -> List[Dict]:
         out = []
         for index, task in enumerate(tasks):
-            block = self._evaluate(task, self.ngpc)
+            slot = None if slots is None else slots[index]
+            block = self._evaluate(task, self.ngpc, slot)
             if on_block is not None:
                 on_block(index, block)
             out.append(block)
@@ -1200,8 +1260,22 @@ def shard_plan(grid: SweepGrid, n_blocks: int) -> List[Tuple[Tuple, Tuple]]:
     return tasks
 
 
+def _column_index(name: str, placement: Tuple) -> Tuple:
+    """Where a placed block's ``name`` column lands in the result's.
+
+    The block's window along the axes the field varies along
+    (:data:`TIMING_AXES`), index 0 along the rest.
+    """
+    i, j, windows = placement
+    varies = TIMING_AXES[name]
+    return (i, j) + tuple(
+        slice(lo, hi) if axis in varies else slice(0, 1)
+        for axis, (lo, hi) in zip(CONFIG_AXIS_FIELDS, windows)
+    )
+
+
 def assemble_shard_blocks(
-    grid: SweepGrid, placed_blocks
+    grid: SweepGrid, placed_blocks, out=None
 ) -> Dict[str, np.ndarray]:
     """Scatter evaluated shard blocks back into the grid's columns.
 
@@ -1211,23 +1285,28 @@ def assemble_shard_blocks(
     exactly one block (guaranteed when the placements come from one
     plan over the same grid).  Each timing field lands in its column
     (:func:`result_array_shapes`): a block's window along the axes the
-    field varies along, index 0 along the rest.
+    field varies along, index 0 along the rest.  ``out`` holds the
+    columns to fill (allocated when None, :func:`run_plan` passes its
+    own); a block column that is a view of its ``out`` column is the
+    slot :func:`run_plan` handed that block, already written in place
+    by the kernel, and is not copied.
     """
-    shapes = result_array_shapes(grid)
-    out = {name: np.empty(shapes[name]) for name in _BLOCK_FIELDS}
-    varies = {
-        name: [axis in TIMING_AXES[name] for axis in CONFIG_AXIS_FIELDS]
-        for name in _TIMING_FIELDS
-    }
-    for (i, j, windows), block in placed_blocks:
+    if out is None:
+        out = _empty_columns(grid)
+    for placement, block in placed_blocks:
+        i, j, windows = placement
         columns = block_columns(block, tuple(hi - lo for lo, hi in windows))
         for name, column in columns.items():
-            out[name][(i, j) + tuple(
-                slice(lo, hi) if along else slice(0, 1)
-                for along, (lo, hi) in zip(varies[name], windows)
-            )] = column
+            if column.base is not out[name]:
+                out[name][_column_index(name, placement)] = column
         out["amdahl_bound"][i, j] = block["amdahl_bound"]
     return out
+
+
+def _empty_columns(grid: SweepGrid) -> Dict[str, np.ndarray]:
+    """Uninitialized block-field columns of ``grid``'s result."""
+    shapes = result_array_shapes(grid)
+    return {name: np.empty(shapes[name]) for name in _BLOCK_FIELDS}
 
 
 def finalize_sweep_result(
@@ -1282,16 +1361,26 @@ def run_plan(
     cluster's.  ``on_block(placement, block)`` is called as each block
     lands, on whatever thread the runner delivers it, which is how
     streaming progress is fed.  ``engine`` labels the result.
+
+    The result's columns are allocated once, up front, and the runner
+    gets each block's slot of ``accelerated_ms``: an in-process block
+    is written there by the kernel, so the result is the only
+    grid-sized allocation of a local sweep.
     """
     report = None
     if on_block is not None:
         def report(index, block):
             on_block(plan[index][0], block)
 
-    blocks = runner.evaluate([task for _, task in plan], report)
+    columns = _empty_columns(grid)
+    slots = [
+        columns["accelerated_ms"][_column_index("accelerated_ms", placement)]
+        for placement, _ in plan
+    ]
+    blocks = runner.evaluate([task for _, task in plan], report, slots)
     placed = [(placement, block) for (placement, _), block in zip(plan, blocks)]
     return finalize_sweep_result(
-        grid, engine, ngpc, assemble_shard_blocks(grid, placed)
+        grid, engine, ngpc, assemble_shard_blocks(grid, placed, columns)
     )
 
 
@@ -1575,16 +1664,28 @@ def front(area4: np.ndarray, benefit: np.ndarray, valid=None) -> List[Tuple]:
     ``benefit`` holds one value per (scale, clock, SRAM, engines,
     batches) cell; the cost of a cell is its batch-independent ``area4``
     entry.  ``valid`` (benefit-shaped, or None for all) masks the cells
-    allowed to compete, so a dense sweep and a partially evaluated one
-    share this code.  The ranking is :func:`pareto_front`'s, including
-    its lowest-flat-index tie-break; cells come back in front order.
+    allowed to compete (a partially evaluated sweep's).  The ranking is
+    :func:`pareto_front`'s, including its lowest-flat-index tie-break;
+    cells come back in front order.
 
     Cells sharing a cost cell differ only in their batch, so all but the
     first best of them are dominated or tied at a higher flat index
     (batch is the last axis): each cost cell is reduced to that one
-    batch before ranking, which sorts |B|x fewer keys.
+    batch (:func:`reduce_batches`) before ranking
+    (:func:`ranked_cells`), which sorts |B|x fewer keys.  The dense
+    :meth:`SweepResult.pareto_front` runs the same two steps, reducing
+    its plane slab by slab.
     """
-    value, batch = reduce_batches(benefit, valid)
+    return ranked_cells(area4, *reduce_batches(benefit, valid))
+
+
+def ranked_cells(area4: np.ndarray, value: np.ndarray, batch: np.ndarray):
+    """The :func:`front` of batch-reduced cells, in front order.
+
+    ``value`` and ``batch`` are :func:`reduce_batches`'s output over the
+    ``area4`` cost cells (``batch`` -1 where a cell does not compete);
+    each front cell comes back as its cost-cell index plus its batch.
+    """
     cells = np.flatnonzero(batch.reshape(-1) >= 0)
     keep = cells[
         pareto_front(area4.reshape(-1)[cells], value.reshape(-1)[cells])
@@ -1593,6 +1694,22 @@ def front(area4: np.ndarray, benefit: np.ndarray, valid=None) -> List[Tuple]:
         np.unravel_index(int(flat), area4.shape) + (int(batch.flat[flat]),)
         for flat in keep
     ]
+
+
+def _cell_speedups(
+    baseline: np.ndarray, accelerated: np.ndarray, cells: List[Tuple]
+) -> np.ndarray:
+    """Every app's speedup at ``cells`` of a query plane, (apps, cells).
+
+    ``baseline``/``accelerated`` are the (apps, scale, clock, SRAM,
+    engines, batches) planes and each cell a (scale, clock, SRAM,
+    engines, batches) index: the division :attr:`SweepResult.speedup`
+    makes, at those cells only.
+    """
+    at = (slice(None),) + tuple(
+        np.array(cells, dtype=np.intp).reshape(len(cells), -1).T
+    )
+    return baseline[at] / accelerated[at]
 
 
 def reduce_batches(benefit: np.ndarray, valid=None):
@@ -1671,25 +1788,41 @@ def train_steps_per_s_batch(
     without invalidating any store or payload, and costs one broadcast
     over an array the sweep already holds.
     """
-    from repro.apps.params import get_config
-    from repro.apps.trainer import TrainerConfig
-    from repro.gpu.kernels import samples_per_frame
-
-    batch = int(batch_size) if batch_size is not None else TrainerConfig().batch_size
-    if batch <= 0:
-        raise ValueError("batch_size must be positive")
+    batch = _train_batch(batch_size)
     accelerated_ms = np.asarray(accelerated_ms, dtype=np.float64)
     out = np.empty(accelerated_ms.shape)
     for i, app in enumerate(grid.apps):
         for j, scheme in enumerate(grid.schemes):
-            config = get_config(app, scheme)
             for l, n_pixels in enumerate(grid.pixel_counts):
-                samples = samples_per_frame(config, n_pixels)
-                out[i, j, :, l] = (
-                    (samples / accelerated_ms[i, j, :, l]) * 1000.0
-                    / (batch * TRAIN_STEP_FLOP_FACTOR)
+                samples = _samples_per_frame(app, scheme, n_pixels)
+                out[i, j, :, l] = _steps_per_s(
+                    samples, batch, accelerated_ms[i, j, :, l]
                 )
     return out
+
+
+def _train_batch(batch_size: Optional[int] = None) -> int:
+    """The optimizer batch of the training metric (trainer default)."""
+    from repro.apps.trainer import TrainerConfig
+
+    batch = int(batch_size) if batch_size is not None else TrainerConfig().batch_size
+    if batch <= 0:
+        raise ValueError("batch_size must be positive")
+    return batch
+
+
+def _samples_per_frame(app: str, scheme: str, n_pixels: int) -> float:
+    from repro.apps.params import get_config
+    from repro.gpu.kernels import samples_per_frame
+
+    return samples_per_frame(get_config(app, scheme), n_pixels)
+
+
+def _steps_per_s(samples, batch: int, accelerated_ms) -> np.ndarray:
+    """Training steps/s at ``accelerated_ms`` (the one formula)."""
+    return (
+        (samples / accelerated_ms) * 1000.0 / (batch * TRAIN_STEP_FLOP_FACTOR)
+    )
 
 
 def cheapest_meeting_fps(

@@ -256,6 +256,7 @@ def emulate_batch_columns(
     gridtypes=None,
     log2_hashmap_sizes=None,
     per_level_scales=None,
+    out=None,
 ) -> Dict[str, np.ndarray]:
     """The batched emulator's timing fields, each at its own rank.
 
@@ -269,13 +270,16 @@ def emulate_batch_columns(
     ``baseline_ms`` and ``fused_rest_ms`` (1, P, 1, ...).  Nothing is
     broadcast to the hypercube and no ``speedup`` is formed; the
     block path (:func:`repro.core.dse.evaluate_block`) reads this.
+    ``out`` (optional, float64, ``accelerated_ms``'s shape) receives
+    the makespan in place (:func:`~repro.core.ngpc.pipeline_total_ms_batch`)
+    and is returned as ``accelerated_ms``: a caller passes its slot of
+    an assembled result and no block-sized copy is made.
     """
     if app not in APP_NAMES:
         raise ValueError(f"unknown app {app!r}")
     if scheme not in ENCODING_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     base = ngpc or NGPCConfig()
-    pixels = np.asarray(n_pixels).reshape(-1)
     config = get_config(app, scheme)
     extension = not (
         gridtypes is None
@@ -293,9 +297,10 @@ def emulate_batch_columns(
     # inherited value (the base config's, or the encoding sentinel), and
     # each value gets the validation (and message) SweepGrid gives it
     given = dict(
-        scale_factors=scale_factors, clocks_ghz=clocks_ghz,
-        grid_sram_kb=grid_sram_kb, n_engines=n_engines, n_batches=n_batches,
-        gridtypes=gridtypes, log2_hashmap_sizes=log2_hashmap_sizes,
+        scale_factors=scale_factors, pixel_counts=n_pixels,
+        clocks_ghz=clocks_ghz, grid_sram_kb=grid_sram_kb,
+        n_engines=n_engines, n_batches=n_batches, gridtypes=gridtypes,
+        log2_hashmap_sizes=log2_hashmap_sizes,
         per_level_scales=per_level_scales,
     )
     axes = []
@@ -303,10 +308,17 @@ def emulate_batch_columns(
         spec = axis_spec(name)
         if values is None:
             values = (spec.inherit(base),)
-        axes.append(tuple(spec.canon(v) for v in np.asarray(values).reshape(-1)))
-        for value in axes[-1]:
+        values = np.asarray(values).reshape(-1)
+        # pixel counts keep their input dtype: the models compute with
+        # them as given
+        if name != "pixel_counts":
+            values = tuple(spec.canon(v) for v in values)
+        axes.append(values)
+        for value in values:
             spec.validate(value)
-    scales, clocks, srams, engines, batches, gts, log2_ts, plscales = axes
+    scales, pixels, clocks, srams, engines, batches, gts, log2_ts, plscales = (
+        axes
+    )
 
     baseline = baseline_kernel_times_ms(app, scheme, pixels)  # (P,) arrays
     # -- N-dimensional architecture hypercube ------------------------------
@@ -339,7 +351,7 @@ def emulate_batch_columns(
         (1, 1, 1, 1, 1, -1) + (1,) * (nd - 5)
     )
     total = pipeline_total_ms_batch(
-        np.expand_dims(ngpc_time, 5), rest_nd, batches_nd
+        np.expand_dims(ngpc_time, 5), rest_nd, batches_nd, out=out
     )  # (S, P, C, G, E, B[, T, H, R])
 
     # every field at the hypercube's rank; the batch axis sits at

@@ -10,8 +10,9 @@ pays to read inputs from and write outputs to GPU memory (Table III).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -184,12 +185,65 @@ def dma_overhead_ms_batch(app: str, n_pixels, scale_factors) -> np.ndarray:
     return (base * growth) * (pixels / FHD_PIXELS)
 
 
-def pipeline_total_ms_batch(ngpc_time_ms, rest_time_ms, n_batches):
+#: most elements one slab of a slabbed elementwise pass holds (512 KB of
+#: float64): its temporaries stay in cache and in reused heap memory,
+#: where a grid-sized temporary is fresh pages on every call
+SLAB_POINTS = 1 << 16
+
+
+def slabs(shape, keep: int = 0, tail: int = 0):
+    """Index tuples cutting an array of ``shape`` into slabs.
+
+    Each slab holds at most :data:`SLAB_POINTS` elements (more only when
+    the axes kept whole exceed it on their own).  The first ``keep`` and
+    the last ``tail`` axes are kept whole, and so is every axis after
+    the cut axis; the cut axis is taken in windows, the axes between
+    ``keep`` and it one index at a time (as 1-wide slices, so every slab
+    keeps the array's rank and broadcasts as the whole array does).
+    Slabs come in C order and cover the array exactly once.
+    """
+    shape = tuple(int(n) for n in shape)
+    middle = shape[keep:len(shape) - tail]
+    whole = (slice(None),) * len(shape)
+    size = math.prod(shape)
+    if size <= SLAB_POINTS or not middle:
+        yield whole
+        return
+    lead, trail = whole[:keep], whole[:tail]
+    cut = 0
+    behind = size // middle[0]  # elements per index of the cut axis
+    while cut < len(middle) - 1 and behind > SLAB_POINTS:
+        cut += 1
+        behind //= middle[cut]
+    # the cut axis's window: as many of its indices as fit next to the
+    # axes behind it
+    step = max(1, SLAB_POINTS // behind)
+    for outer in np.ndindex(*middle[:cut]):
+        index = lead + tuple(slice(i, i + 1) for i in outer)
+        for lo in range(0, middle[cut], step):
+            yield index + (slice(lo, lo + step),) + trail
+
+
+def _slab_of(array: np.ndarray, index: Tuple) -> np.ndarray:
+    """``array``'s part of a slab of the shape it broadcasts to.
+
+    ``array`` has the slab's rank; along an axis where it holds extent
+    1 it is taken whole, as broadcasting would read it.
+    """
+    return array[tuple(
+        part if n != 1 else slice(None) for part, n in zip(index, array.shape)
+    )]
+
+
+def pipeline_total_ms_batch(ngpc_time_ms, rest_time_ms, n_batches, out=None):
     """Vectorized :attr:`PipelineSchedule.total_ms` (elementwise makespan).
 
     ``n_batches`` may be a scalar or an integer array (a swept pipeline
     axis); it broadcasts elementwise against the stage times with the
-    same arithmetic as the scalar makespan.
+    same arithmetic as the scalar makespan.  The makespan is written
+    into ``out`` (a float64 array of the broadcast shape; allocated when
+    None) one :func:`slabs` slab at a time, so the only temporary is
+    slab-sized; returns ``out``.
     """
     n_batches = np.asarray(n_batches)
     if np.any(n_batches < 1):
@@ -198,16 +252,29 @@ def pipeline_total_ms_batch(ngpc_time_ms, rest_time_ms, n_batches):
     # dividing by the integer; converting once keeps the full-size
     # operations on one dtype
     n_batches = n_batches.astype(np.float64)
-    ngpc_batch = ngpc_time_ms / n_batches
-    rest_batch = rest_time_ms / n_batches
-    # ngpc_batch + (n_batches - 1) * bottleneck + rest_batch, in place
-    # on the one full-size temporary: the swapped operands of + and *
-    # commute exactly, so the bits are the scalar makespan's
-    total = np.maximum(ngpc_batch, rest_batch)
-    total *= n_batches - 1.0
-    total += ngpc_batch
-    total += rest_batch
-    return total
+    operands = [np.asarray(ngpc_time_ms), np.asarray(rest_time_ms), n_batches]
+    shape = np.broadcast(*operands).shape
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    ngpc, rest, batches = (
+        a if a.ndim == len(shape)
+        else a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
+        for a in operands
+    )
+    for index in slabs(shape):
+        slab_batches = _slab_of(batches, index)
+        ngpc_batch = _slab_of(ngpc, index) / slab_batches
+        rest_batch = _slab_of(rest, index) / slab_batches
+        # ngpc_batch + (n_batches - 1) * bottleneck + rest_batch, in
+        # place on the output slab: the swapped operands of + and *
+        # commute exactly, so the bits are the scalar makespan's
+        total = np.maximum(ngpc_batch, rest_batch, out=out[index + (...,)])
+        total *= slab_batches - 1.0
+        total += ngpc_batch
+        total += rest_batch
+    return out
 
 
 class NGPC:

@@ -721,7 +721,8 @@ class ClusterBlockRunner:
     current on the calling thread, so its workers evaluate under it.
     :meth:`ShardCoordinator.sweep_blocking` runs every cluster sweep
     through it; ``timeout_s`` bounds the whole job (None waits without
-    bound).
+    bound).  ``slots`` is ignored: blocks come back as decoded frames,
+    which assembly copies into the result.
     """
 
     def __init__(self, coordinator: ShardCoordinator,
@@ -730,7 +731,9 @@ class ClusterBlockRunner:
         self.ngpc = ngpc
         self.timeout_s = timeout_s
 
-    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Dict]:
+    def evaluate(
+        self, tasks: List[Tuple], on_block=None, slots=None
+    ) -> List[Dict]:
         calibration = current()
 
         async def submit():

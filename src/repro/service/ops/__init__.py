@@ -197,13 +197,20 @@ class OpsLayer:
         code: Optional[str] = None,
         **fields,
     ) -> None:
-        """Record one served request: metrics sample + access-log line."""
+        """Record one served request: metrics sample + access-log line.
+
+        The line is at info, except for the workers' ``/cluster/*``
+        RPCs (register, lease, complete), which are the cluster's own
+        traffic and log at debug.
+        """
         if self.metrics is not None:
             self.metrics.observe(tenant.name, status, wall_s, code=code)
         if code is not None:
             fields["code"] = code
+        level = "debug" if path.startswith("/cluster/") else "info"
         self.logger.request(
-            tenant.name, method, path, status, wall_s * 1000.0, **fields
+            tenant.name, method, path, status, wall_s * 1000.0, level=level,
+            **fields,
         )
 
     # -- rendering ---------------------------------------------------------------

@@ -93,11 +93,12 @@ class JsonLogger:
         path: str,
         status: int,
         wall_ms: float,
+        level: str = "info",
         **fields: Any,
     ) -> None:
         """One access-log line per served request (event ``http.request``)."""
         self.log(
-            "info", "http.request",
+            level, "http.request",
             tenant=tenant, method=method, path=path,
             status=int(status), wall_ms=round(float(wall_ms), 3),
             **fields,

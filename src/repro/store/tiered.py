@@ -82,7 +82,9 @@ class StoreBlockRunner:
     evaluate through ``inner`` and are persisted as each one lands, so
     a crash mid-sweep still banks the blocks already evaluated and
     re-running the same work — even in a fresh process — reuses every
-    block.  ``counters`` (optional) accumulates the
+    block.  The misses' ``slots`` go to ``inner``, so an evaluated block
+    lands in the result in place; a loaded one is copied there.
+    ``counters`` (optional) accumulates the
     ``blocks_total``/``blocks_cached``/``blocks_evaluated`` tier
     counters.
     """
@@ -95,7 +97,9 @@ class StoreBlockRunner:
         self.ngpc = ngpc
         self.counters = counters
 
-    def evaluate(self, tasks: List[Tuple], on_block=None) -> List[Dict]:
+    def evaluate(
+        self, tasks: List[Tuple], on_block=None, slots=None
+    ) -> List[Dict]:
         out: List[Optional[Dict]] = [None] * len(tasks)
         keys = [block_fingerprint(task, self.ngpc) for task in tasks]
         missing = []
@@ -119,7 +123,8 @@ class StoreBlockRunner:
 
         if missing:
             evaluated = self.inner.evaluate(
-                [tasks[index] for index in missing], landed
+                [tasks[index] for index in missing], landed,
+                None if slots is None else [slots[index] for index in missing],
             )
             for index, block in zip(missing, evaluated):
                 out[index] = block

@@ -309,6 +309,31 @@ class TestJsonLogger:
         assert len(records) == 1
         assert json.loads(records[0])["event"] == "boom"
 
+    def test_cluster_rpcs_log_at_debug(self):
+        stream = io.StringIO()
+        ops = OpsLayer(logger=JsonLogger(stream=stream, level="debug"))
+        for path in ("/cluster/register", "/cluster/lease",
+                     "/cluster/complete", "/pareto"):
+            ops.observe(ANONYMOUS, "POST", path, 200, 0.001)
+        levels = {
+            record["path"]: record["level"]
+            for record in map(json.loads, stream.getvalue().splitlines())
+        }
+        assert levels == {
+            "/cluster/register": "debug", "/cluster/lease": "debug",
+            "/cluster/complete": "debug", "/pareto": "info",
+        }
+
+    def test_embedded_distributed_session_writes_nothing(self, capfd):
+        from repro.api import Session
+
+        with Session.distributed(workers=1) as session:
+            sweep = session.sweep(SweepGrid(apps=("gia",), scale_factors=(8, 64)))
+            assert sweep.pareto()
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert "http.request" not in captured.err
+
 
 # ---------------------------------------------------------------------------
 # HTTP end to end: auth, headers, fidelity, metrics, healthz

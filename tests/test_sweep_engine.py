@@ -738,6 +738,15 @@ class TestConfigValidation:
             emulate_batch("nerf", "multi_res_hashgrid", **{axis: (value,)})
         assert str(batch_error.value) == str(grid_error.value)
 
+    def test_batch_path_raises_the_grid_pixel_message(self):
+        """Pixel counts are checked by the registry too, in its words."""
+        with pytest.raises(ValueError) as grid_error:
+            SweepGrid(pixel_counts=(0,))
+        with pytest.raises(ValueError) as batch_error:
+            emulate_batch("nerf", "multi_res_hashgrid", (8,), (0,))
+        assert str(batch_error.value) == str(grid_error.value)
+        assert str(grid_error.value) == "pixel counts must be positive"
+
 
 class TestSweepGrid:
     def test_shape_size_points(self):

@@ -48,8 +48,10 @@
 # requires a clean SIGINT shutdown.  A second grep gate keeps one query
 # kernel: no private selector/encoding-slice/config-axes helper
 # (`_axis_index`, `_encoding_slice`, `_encoding_index`, `_config_axes`,
-# `_pick`, `_pick_encoding`) is defined under src/repro, and
-# `DesignPoint(` is constructed in exactly one place.  A third keeps one
+# `_pick`, `_pick_encoding`) is defined under src/repro,
+# `DesignPoint(` is constructed in exactly one place, and SweepResult's
+# query methods read no grid-sized derived array (`self.speedup`,
+# `self.fps`, `self.train_steps_per_s`).  A third keeps one
 # selector mapping: no encoding selector name (`gridtype`,
 # `log2_hashmap_size`, `per_level_scale`) appears in the Session, the
 # backends or the service — they forward selectors as
@@ -225,6 +227,19 @@ if [ "$(printf '%s\n' "$point_sites" | grep -c .)" != 1 ]; then
     fail
 else
     echo "one query kernel: $point_sites"
+fi
+# SweepResult's queries read the stored columns in slabs: the lines from
+# its "# -- queries" marker to the next module section of core/dse.py
+derived_reads=$(awk '/^    # -- queries/ {on = 1} /^# ---/ {on = 0} on' \
+    src/repro/core/dse.py \
+    | grep -nE 'self\.(speedup|fps|train_steps_per_s)\b')
+if [ -n "$derived_reads" ] \
+   || ! grep -q '^    # -- queries' src/repro/core/dse.py; then
+    printf 'FAIL: a SweepResult query reads a grid-sized derived array:\n%s\n' \
+        "$derived_reads" >&2
+    fail
+else
+    echo "SweepResult queries read no grid-sized derived array"
 fi
 
 section "one selector mapping (grep gate)"
