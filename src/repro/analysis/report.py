@@ -644,7 +644,7 @@ vectorized `sweep_grid` evaluation.
 `run_plan` allocates the result's columns once and hands each block
 its slot of `accelerated_ms`; the makespan kernel
 (`pipeline_total_ms_batch`) writes into that slot one slab of at most
-65,536 elements at a time, with a slab-sized temporary, and assembly
+16,384 elements at a time, with slab-sized temporaries, and assembly
 copies only what is not already in place (stored and cluster blocks).
 `pareto_front` and the cheapest-point queries read the plane's stored
 `baseline_ms`/`accelerated_ms` one slab at a time, reduce each slab's
@@ -653,9 +653,33 @@ cached `speedup`, `fps` or `train_steps_per_s` arrays.  The bits do
 not change.  `tests/test_dense_allocation.py` bounds the `tracemalloc`
 peak on an `adaptive`-shaped 1,048,576-point grid, as a multiple of
 its 8.4 MB `accelerated_ms`: an uncached `sweep_grid` reads 1.30x
-(bound 1.5x; 2.29x before), `pareto_front` 0.35x (bound 0.5x; 1.75x
+(bound 1.5x; 2.29x before), `pareto_front` 0.38x (bound 0.5x; 1.75x
 before) and `cheapest_point_meeting_fps` 0.07x (bound 0.25x; 1.06x
-before, on a fresh result)."""
+before, on a fresh result).
+
+**The dense answer's two inner loops run long.** With the batch axis
+last, each pass of the makespan kernel used to run a ufunc inner loop
+over one cell's 16 batch counts.  The kernel now treats the batch axis
+and the axes behind it as a row and cuts slabs of whole rows, a quarter
+of `SLAB_POINTS` so that its five live operands stay in a core's L2.
+The batch counts, and a rest time that is the same in every row, are
+tiled over a slab once per call, and dividing the per-cell stage time
+by the tiled counts repeats it along the batch axis, so every later
+pass is one contiguous loop over the slab.  `pareto_front` sorts the
+costs once, stably, and ranks each distinct cost by the running max of
+its values, where it used to sort every (cost, -value) pair: the
+`adaptive` plane's 32,768 cost cells hold only 184 distinct areas,
+because area does not vary along clock.  Both return what they
+replaced bit for bit and index for index;
+`tests/test_contiguous_kernels.py` pins them to copies of the old
+code.  On a shared 2-vCPU host, one 524,288-point `adaptive` block's
+kernel takes 2.8–3.1 ms against 3.8–4.3 ms before, and the front's
+ranking 0.8–1.0 ms against 2.6–3.3 ms (medians of 21–31).  Layerbench
+`adaptive` (`--seconds 10`, 10 alternating pairs, every answer correct):
+`answer_p10_ms` fell from a median of 17.77 to 14.58 ms and
+`first_front_p10_ms` from 16.05 to 12.87 ms, better in every
+pair.  `served` stayed flat (7.19 against 7.17 ms) and `cluster_stream`
+read 58.5 against 56.0 ms."""
 
 
 _AXIS_REGISTRY_DOC = """

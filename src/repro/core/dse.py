@@ -1454,14 +1454,17 @@ def pareto_front(costs, values) -> List[int]:
     """Indices of the non-dominated (min cost, max value) points.
 
     A point is dominated when another has cost <= and value >= with at
-    least one strict inequality.  Exactly-duplicated (cost, value)
-    pairs resolve deterministically to the **lowest input index** — one
-    representative per frontier point, so fronts computed over
-    different supersets of the same points never flap on ties
-    (streamed partial fronts compare fronts across blocks).  Returned
-    indices are sorted by ascending cost (ties: by descending value).
-    Fully vectorized — a 100k-point front resolves in milliseconds
-    (``benchmarks/bench_sweep_scaling.py`` gates the sub-second floor).
+    least one strict inequality, so each distinct cost puts at most one
+    point on the front: its points are ranked once, by their max value,
+    which opens the front when it beats every cheaper cost's.  The
+    point kept is the **lowest input index** holding that max, so
+    exactly duplicated (cost, value) pairs resolve deterministically and
+    fronts over different supersets of the same points never flap on
+    ties (streamed partial fronts compare fronts across blocks).
+    Indices come back by ascending cost.  A NaN in ``costs`` or
+    ``values`` raises ``ValueError``; infinities are ordinary values.
+    One stable sort of the costs (``benchmarks/bench_sweep_scaling.py``
+    gates the sub-second floor on a 100k cloud and a tie-heavy plane).
     """
     costs = np.asarray(costs, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -1469,17 +1472,22 @@ def pareto_front(costs, values) -> List[int]:
         raise ValueError("costs and values must be 1-D arrays of equal length")
     if costs.size == 0:
         return []
-    order = np.lexsort((-values, costs))  # cost ascending, value descending
-    sorted_values = values[order]
-    # a point opens the frontier when its value beats every earlier
-    # value; within a run of exact (cost, value) duplicates only the run
-    # leader opens, and lexsort stability makes that leader the
-    # lowest-index duplicate — the deterministic tie-break
-    prev_max = np.empty_like(sorted_values)
-    prev_max[0] = -np.inf
-    np.maximum.accumulate(sorted_values[:-1], out=prev_max[1:])
-    opens = sorted_values > prev_max
-    return [int(i) for i in order[opens]]
+    order = costs.argsort(kind="stable")  # equal costs by input index
+    sorted_costs = costs[order]
+    # running[i]: the best value among sorted points 0..i.  A NaN cost
+    # sorts last, and a NaN value poisons every running max after it
+    running = np.maximum.accumulate(values[order])
+    for name, last in (("costs", sorted_costs[-1]), ("values", running[-1])):
+        if np.isnan(last):
+            raise ValueError(f"{name} holds a NaN")
+    last = np.empty(costs.size, dtype=bool)  # each cost's last point
+    np.not_equal(sorted_costs[1:], sorted_costs[:-1], out=last[:-1])
+    last[-1] = True
+    best = running[last]  # per cost, cheapest first
+    opens = best > np.concatenate(([-np.inf], best[:-1]))
+    # an opening cost's best beats every cheaper point, so the first
+    # point the running max reaches it at is its lowest-index holder
+    return order[running.searchsorted(best[opens])].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1671,8 +1679,8 @@ def front(area4: np.ndarray, benefit: np.ndarray, valid=None) -> List[Tuple]:
     Cells sharing a cost cell differ only in their batch, so all but the
     first best of them are dominated or tied at a higher flat index
     (batch is the last axis): each cost cell is reduced to that one
-    batch (:func:`reduce_batches`) before ranking
-    (:func:`ranked_cells`), which sorts |B|x fewer keys.  The dense
+    batch (:func:`reduce_batches`), then :func:`ranked_cells` ranks each
+    distinct area once over the |B|x fewer cells.  The dense
     :meth:`SweepResult.pareto_front` runs the same two steps, reducing
     its plane slab by slab.
     """
@@ -1685,6 +1693,9 @@ def ranked_cells(area4: np.ndarray, value: np.ndarray, batch: np.ndarray):
     ``value`` and ``batch`` are :func:`reduce_batches`'s output over the
     ``area4`` cost cells (``batch`` -1 where a cell does not compete);
     each front cell comes back as its cost-cell index plus its batch.
+    Many cells share an area (it does not vary along clock), and
+    :func:`pareto_front` ranks each distinct area once, keeping its
+    lowest-index best cell.
     """
     cells = np.flatnonzero(batch.reshape(-1) >= 0)
     keep = cells[

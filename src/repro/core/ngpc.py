@@ -187,37 +187,40 @@ def dma_overhead_ms_batch(app: str, n_pixels, scale_factors) -> np.ndarray:
 
 #: most elements one slab of a slabbed elementwise pass holds (512 KB of
 #: float64): its temporaries stay in cache and in reused heap memory,
-#: where a grid-sized temporary is fresh pages on every call
+#: where a grid-sized temporary is fresh pages on every call (the
+#: makespan kernel, with five operands live, cuts a quarter of it)
 SLAB_POINTS = 1 << 16
 
 
-def slabs(shape, keep: int = 0, tail: int = 0):
+def slabs(shape, keep: int = 0, tail: int = 0, points: Optional[int] = None):
     """Index tuples cutting an array of ``shape`` into slabs.
 
-    Each slab holds at most :data:`SLAB_POINTS` elements (more only when
-    the axes kept whole exceed it on their own).  The first ``keep`` and
-    the last ``tail`` axes are kept whole, and so is every axis after
-    the cut axis; the cut axis is taken in windows, the axes between
-    ``keep`` and it one index at a time (as 1-wide slices, so every slab
-    keeps the array's rank and broadcasts as the whole array does).
+    Each slab holds at most ``points`` elements (:data:`SLAB_POINTS`
+    when None; more only when the axes kept whole exceed it on their
+    own).  The first ``keep`` and the last ``tail`` axes are kept whole,
+    and so is every axis after the cut axis; the cut axis is taken in
+    windows, the axes between ``keep`` and it one index at a time (as
+    1-wide slices, so every slab keeps the array's rank and broadcasts
+    as the whole array does).
     Slabs come in C order and cover the array exactly once.
     """
+    points = SLAB_POINTS if points is None else points
     shape = tuple(int(n) for n in shape)
     middle = shape[keep:len(shape) - tail]
     whole = (slice(None),) * len(shape)
     size = math.prod(shape)
-    if size <= SLAB_POINTS or not middle:
+    if size <= points or not middle:
         yield whole
         return
     lead, trail = whole[:keep], whole[:tail]
     cut = 0
     behind = size // middle[0]  # elements per index of the cut axis
-    while cut < len(middle) - 1 and behind > SLAB_POINTS:
+    while cut < len(middle) - 1 and behind > points:
         cut += 1
         behind //= middle[cut]
     # the cut axis's window: as many of its indices as fit next to the
     # axes behind it
-    step = max(1, SLAB_POINTS // behind)
+    step = max(1, points // behind)
     for outer in np.ndindex(*middle[:cut]):
         index = lead + tuple(slice(i, i + 1) for i in outer)
         for lo in range(0, middle[cut], step):
@@ -241,12 +244,19 @@ def pipeline_total_ms_batch(ngpc_time_ms, rest_time_ms, n_batches, out=None):
     ``n_batches`` may be a scalar or an integer array (a swept pipeline
     axis); it broadcasts elementwise against the stage times with the
     same arithmetic as the scalar makespan.  The makespan is written
-    into ``out`` (a float64 array of the broadcast shape; allocated when
-    None) one :func:`slabs` slab at a time, so the only temporary is
-    slab-sized; returns ``out``.
+    into ``out`` (float64, the broadcast shape, possibly a strided slot;
+    allocated when None); returns ``out``.  A row is the batch axis (the
+    first one ``n_batches`` varies along) and the axes behind it; slabs
+    of rows are built one at a time over contiguous operands: the batch
+    counts, and a stage time equal in every row divided by them, are
+    tiled over a slab once per call, and dividing a stage time that
+    varies by row by the tiled counts repeats it along the batch axis.
+    Each later pass is one long inner loop, not a few batches per cell;
+    the passes are the scalar makespan's in its order, so the bits are
+    too.
     """
     n_batches = np.asarray(n_batches)
-    if np.any(n_batches < 1):
+    if (n_batches < 1).any():
         raise ValueError("need at least one batch")
     # batch counts are exact in float64, so dividing by the float is
     # dividing by the integer; converting once keeps the full-size
@@ -259,19 +269,40 @@ def pipeline_total_ms_batch(ngpc_time_ms, rest_time_ms, n_batches, out=None):
     elif out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, expected {shape}")
     ngpc, rest, batches = (
-        a if a.ndim == len(shape)
-        else a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
-        for a in operands
+        a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in operands
     )
-    for index in slabs(shape):
-        slab_batches = _slab_of(batches, index)
-        ngpc_batch = _slab_of(ngpc, index) / slab_batches
-        rest_batch = _slab_of(rest, index) / slab_batches
+    axis = next((i for i, n in enumerate(batches.shape) if n != 1), len(shape))
+    run = shape[axis:]
+    # five slab-sized operands are live at once, so the kernel's slab is
+    # a quarter of the queries' and stays in a core's L2
+    rows = max(1, min(
+        math.prod(shape[:axis]), SLAB_POINTS // 4 // max(1, math.prod(run))
+    ))
+
+    def tiled(a: np.ndarray) -> np.ndarray:  # a is the same in every row
+        laid = np.empty((rows,) + run)
+        laid[...] = a[(0,) * axis]
+        return laid.reshape(-1)
+
+    counts = tiled(batches)
+    counts_less_one = counts - 1.0
+    stages = [
+        (a, tiled(a) / counts if math.prod(a.shape[:axis]) == 1 else None)
+        for a in (ngpc, rest)
+    ]
+    for index in slabs(shape, tail=len(run), points=rows * math.prod(run)):
+        total = out[index + (...,)]
+        n = total.size
+        ngpc_batch, rest_batch = (
+            _slab_of(a, index) / counts[:n].reshape(total.shape)
+            if per_batch is None else per_batch[:n].reshape(total.shape)
+            for a, per_batch in stages
+        )
         # ngpc_batch + (n_batches - 1) * bottleneck + rest_batch, in
         # place on the output slab: the swapped operands of + and *
         # commute exactly, so the bits are the scalar makespan's
-        total = np.maximum(ngpc_batch, rest_batch, out=out[index + (...,)])
-        total *= slab_batches - 1.0
+        np.maximum(ngpc_batch, rest_batch, out=total)
+        total *= counts_less_one[:n].reshape(total.shape)
         total += ngpc_batch
         total += rest_batch
     return out

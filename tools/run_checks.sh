@@ -51,8 +51,9 @@
 # `_pick`, `_pick_encoding`) is defined under src/repro,
 # `DesignPoint(` is constructed in exactly one place, and SweepResult's
 # query methods read no grid-sized derived array (`self.speedup`,
-# `self.fps`, `self.train_steps_per_s`).  A third keeps one
-# selector mapping: no encoding selector name (`gridtype`,
+# `self.fps`, `self.train_steps_per_s`); no `lexsort` appears under
+# src/repro (`pareto_front` ranks each distinct cost once).  A third
+# keeps one selector mapping: no encoding selector name (`gridtype`,
 # `log2_hashmap_size`, `per_level_scale`) appears in the Session, the
 # backends or the service — they forward selectors as
 # keywords to the query kernel.  A fourth keeps one tier ladder and one
@@ -240,6 +241,14 @@ if [ -n "$derived_reads" ] \
     fail
 else
     echo "SweepResult queries read no grid-sized derived array"
+fi
+# pareto_front ranks each distinct cost once after one stable argsort;
+# the (cost, -value) lexsort that sorted every point is gone for good
+if grep -rn --include='*.py' 'lexsort' src/repro; then
+    echo "FAIL: a lexsort is back under src/repro (pareto_front ranks each cost once)" >&2
+    fail
+else
+    echo "no lexsort under src/repro"
 fi
 
 section "one selector mapping (grep gate)"
