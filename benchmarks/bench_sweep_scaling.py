@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Wall-clock scaling of the batched DSE engine vs the naive loop.
 
-Three acceptance gates guard the sweep engine:
+Four acceptance gates guard the sweep engine:
 
 1. On a >= 1000-point (app x scheme x scale x pixels) workload grid the
    vectorized engine must beat the per-point scalar loop by >= 10x
@@ -17,6 +17,12 @@ Three acceptance gates guard the sweep engine:
    ``log2_hashmap_sizes`` encoding axis — the vectorized fast path must
    still beat the scalar engine by >= 10x (>= 5x in --quick), proving
    axes registered through ``repro.core.axes`` ride the batched paths.
+4. The fixed costs a small sweep pays per call: the median of
+   :func:`repro.core.dse.evaluate_block` on a 1-point block must stay
+   <= 0.08 ms, and of ``SweepGrid.from_dict(d).resolve()`` on
+   ``bench_store``'s warm-restart grid <= 0.1 ms.  --quick reports the
+   two medians without gating them, so a slow shared host cannot fail
+   the smoke run.
 
 Both sides agree to 1e-9 relative (the correctness net is
 ``tests/test_golden_values`` + ``tests/test_sweep_engine``; this file
@@ -44,8 +50,12 @@ import numpy as np
 
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
 from repro.core.config import SCALE_FACTORS
-from repro.core.dse import SweepGrid, pareto_front, sweep_grid
+from repro.core.dse import (
+    SweepGrid, evaluate_block, pareto_front, shard_plan, sweep_grid,
+)
 from repro.core.emulator import emulate_uncached
+
+from bench_store import build_restart_grid
 
 #: wall-clock floor for the full >= 1000-point vectorized gate
 SPEEDUP_FLOOR = 10.0
@@ -58,6 +68,12 @@ ARCH_SPEEDUP_FLOOR = 10.0
 PARETO_100K_CEILING_S = 1.0
 #: distinct costs of the tie-heavy plane (the ``adaptive`` plane's areas)
 PARETO_TIES_DISTINCT_COSTS = 184
+#: ceilings on the median fixed cost of one 1-point block and of one
+#: grid rebuilt from its JSON axes (full mode only)
+BLOCK_1PT_CEILING_MS = 0.08
+GRID_FROM_DICT_CEILING_MS = 0.1
+#: timed calls behind each fixed-cost median
+FIXED_COST_CALLS = 1000
 
 
 def build_grid(n_pixel_steps: int) -> SweepGrid:
@@ -161,6 +177,34 @@ def time_pareto_ties() -> float:
     elapsed = time.perf_counter() - start
     assert front, "front of a random plane is never empty"
     return elapsed
+
+
+def median_call_ms(fn, calls: int = FIXED_COST_CALLS) -> float:
+    """Median wall time of one ``fn()`` call, over ``calls`` timed calls."""
+    for _ in range(calls // 10):  # warm
+        fn()
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times)) * 1e3
+
+
+def time_fixed_costs(quick: bool) -> dict:
+    """Medians of the two per-call costs every small sweep pays."""
+    one_point = SweepGrid(
+        apps=("nerf",), schemes=("multi_res_hashgrid",), scale_factors=(8,),
+    ).resolve()
+    ((_, task),) = shard_plan(one_point, 1)
+    axes = build_restart_grid(quick).resolve().to_dict()
+    return {
+        "evaluate_block_1pt_ms": median_call_ms(lambda: evaluate_block(task)),
+        "grid_from_dict_resolve_ms": median_call_ms(
+            lambda: SweepGrid.from_dict(axes).resolve()
+        ),
+        "calls": FIXED_COST_CALLS,
+    }
 
 
 def check_sample_agreement(result) -> None:
@@ -325,7 +369,7 @@ def main(argv=None) -> int:
             f"scalar (< {enc_floor:.0f}x)"
         )
 
-    # -- gate 4: vectorized pareto fronts: a 100k cloud, a tie-heavy plane
+    # -- gate 2 (cont.): pareto fronts: a 100k cloud, a tie-heavy plane
     results["pareto_100k_ceiling_s"] = PARETO_100K_CEILING_S
     for key, label, timer in (
         ("pareto_100k_s", "100k random points", time_pareto_100k),
@@ -339,6 +383,25 @@ def main(argv=None) -> int:
         if pareto_s >= PARETO_100K_CEILING_S:
             failures.append(
                 f"pareto_front on {label} took {pareto_s:.2f}s (>= 1s)"
+            )
+
+    # -- gate 4: the fixed costs of a small sweep (reported in --quick) ---
+    fixed = time_fixed_costs(args.quick)
+    fixed["gated"] = not args.quick
+    results["fixed_costs"] = fixed
+    print(f"\nfixed costs, median of {FIXED_COST_CALLS} calls"
+          f"{' (reported only, --quick)' if args.quick else ''}:")
+    for key, label, ceiling in (
+        ("evaluate_block_1pt_ms", "evaluate_block, 1-point block",
+         BLOCK_1PT_CEILING_MS),
+        ("grid_from_dict_resolve_ms", "SweepGrid.from_dict(d).resolve()",
+         GRID_FROM_DICT_CEILING_MS),
+    ):
+        fixed[key.replace("_ms", "_ceiling_ms")] = ceiling
+        print(f"  {label:34s}: {fixed[key]:.4f} ms (ceiling {ceiling} ms)")
+        if not args.quick and fixed[key] > ceiling:
+            failures.append(
+                f"{label} takes {fixed[key]:.4f} ms (> {ceiling} ms)"
             )
 
     print("\nagreement: batched == scalar to 1e-9 rel (10-point sample)")

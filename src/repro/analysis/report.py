@@ -607,8 +607,8 @@ exactly the missing blocks, both bit-identical to fresh evaluations.
 The restart ratio is the median over interleaved (fresh evaluation,
 fresh-instance load) pairs; on a shared 2-vCPU host it reads ~20x
 (~37 ms to evaluate against ~1.8 ms to load), under the floor.  About
-0.6 ms of that load is rebuilding and validating the grid from the
-entry's meta.  `BENCH_store.json` is a CI
+0.04 ms of that load (once 0.6 ms) is rebuilding and validating the
+grid from the entry's meta.  `BENCH_store.json` is a CI
 artifact."""
 
 
@@ -679,7 +679,22 @@ ranking 0.8–1.0 ms against 2.6–3.3 ms (medians of 21–31).  Layerbench
 `answer_p10_ms` fell from a median of 17.77 to 14.58 ms and
 `first_front_p10_ms` from 16.05 to 12.87 ms, better in every
 pair.  `served` stayed flat (7.19 against 7.17 ms) and `cluster_stream`
-read 58.5 against 56.0 ms."""
+read 58.5 against 56.0 ms.
+
+**The fixed cost of a small sweep.** Axis values are validated once,
+where they enter: a `SweepGrid` built from arguments or JSON, and the
+public `emulate_batch`.  The validators are the config dataclasses' own
+range checks, so no config is built per value; `resolve()`,
+`normalized()` and the block path re-check nothing, the per-level table
+bytes are built once per (app, encoding variant), and a sweep nobody
+watches builds no `PartialSweep`.  The bits do not change.  On a shared
+2-vCPU host `evaluate_block` on a 1-point block reads 0.09–0.11 ms
+against ~0.23 ms before, and `SweepGrid.from_dict(d).resolve()` on
+`bench_store`'s grid ~0.03 ms against ~0.35 ms.  Layerbench `served`
+(`--seconds 15`, 10 alternating pairs): `answer_p10_ms` fell from a
+median of 6.81 to 5.20 ms, better in every pair; `adaptive` fell from
+14.49 to 12.92 ms (every pair) and `cluster_stream` from 59.8 to
+56.8 ms (9 of 10 pairs)."""
 
 
 _AXIS_REGISTRY_DOC = """

@@ -29,11 +29,20 @@ Two invariants keep old artifacts valid:
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+import numpy as np
+
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
-from repro.core.config import NFPConfig, NGPCConfig, SCALE_FACTORS
+from repro.core.config import (
+    SCALE_FACTORS,
+    check_clock,
+    check_grid_sram_kb,
+    check_n_batches,
+    check_n_engines,
+    check_scale_factor,
+)
 from repro.gpu.baseline import FHD_PIXELS
 
 # ---------------------------------------------------------------------------
@@ -78,8 +87,10 @@ DEFAULT_ENCODING = EncodingVariant()
 
 
 # ---------------------------------------------------------------------------
-# axis validators (reuse the config dataclasses' own validation where one
-# exists, so an axis value is legal iff the equivalent scalar config is)
+# axis validators: the architecture axes use the config dataclasses' own
+# range checks (repro.core.config), called directly, so an axis value is
+# legal iff the equivalent scalar config is, with the same message, and
+# no config is built per value
 # ---------------------------------------------------------------------------
 
 
@@ -93,29 +104,9 @@ def _validate_scheme(scheme: str) -> None:
         raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _validate_scale(scale: int) -> None:
-    NGPCConfig(scale_factor=scale)  # power-of-two validation
-
-
 def _validate_pixels(n_pixels: int) -> None:
     if n_pixels <= 0:
         raise ValueError("pixel counts must be positive")
-
-
-def _validate_clock(clock: float) -> None:
-    NFPConfig(clock_ghz=clock)
-
-
-def _validate_sram(kb: int) -> None:
-    NFPConfig(grid_sram_kb_per_engine=kb)
-
-
-def _validate_engines(n_eng: int) -> None:
-    NFPConfig(n_encoding_engines=n_eng)
-
-
-def _validate_batches(n_b: int) -> None:
-    NGPCConfig(n_pipeline_batches=n_b)
 
 
 def _validate_gridtype(gridtype: str) -> None:
@@ -204,6 +195,14 @@ class AxisSpec:
         if not self.builder:
             object.__setattr__(self, "builder", self.query_name)
 
+    def checked(self, values) -> Tuple:
+        """``values`` (one value or any sequence), flattened, canonical
+        and each validated: the check and message a grid gives them."""
+        values = tuple(self.canon(v) for v in np.asarray(values).reshape(-1))
+        for value in values:
+            self.validate(value)
+        return values
+
     def is_active(self, values: Optional[Tuple]) -> bool:
         """Does this axis contribute array dimensions beyond the seed 8?
 
@@ -246,7 +245,7 @@ AXES: Tuple[AxisSpec, ...] = (
         query_name="scale_factor",
         kind="workload",
         canon=int,
-        validate=_validate_scale,
+        validate=check_scale_factor,
         default=SCALE_FACTORS,
         builder="scale",
         cli="scale",
@@ -270,7 +269,7 @@ AXES: Tuple[AxisSpec, ...] = (
         query_name="clock_ghz",
         kind="arch",
         canon=float,
-        validate=_validate_clock,
+        validate=check_clock,
         inherit=lambda base: base.nfp.clock_ghz,
         batch_kwarg="clocks_ghz",
         builder="clock",
@@ -283,7 +282,7 @@ AXES: Tuple[AxisSpec, ...] = (
         query_name="grid_sram_kb",
         kind="arch",
         canon=int,
-        validate=_validate_sram,
+        validate=check_grid_sram_kb,
         inherit=lambda base: base.nfp.grid_sram_kb_per_engine,
         batch_kwarg="grid_sram_kb",
         builder="sram",
@@ -296,7 +295,7 @@ AXES: Tuple[AxisSpec, ...] = (
         query_name="n_engines",
         kind="arch",
         canon=int,
-        validate=_validate_engines,
+        validate=check_n_engines,
         inherit=lambda base: base.nfp.n_encoding_engines,
         batch_kwarg="n_engines",
         builder="engines",
@@ -309,7 +308,7 @@ AXES: Tuple[AxisSpec, ...] = (
         query_name="n_batches",
         kind="arch",
         canon=int,
-        validate=_validate_batches,
+        validate=check_n_batches,
         inherit=lambda base: base.n_pipeline_batches,
         batch_kwarg="n_batches",
         builder="batches",

@@ -10,6 +10,50 @@ from repro.utils.math import is_power_of_two
 SCALE_FACTORS: Tuple[int, ...] = (8, 16, 32, 64)
 
 
+# the range checks of the swept parameters, shared with the sweep-axis
+# registry (repro.core.axes), which validates axis values with them
+# without building a config per value
+
+
+def check_scale_factor(scale: int) -> None:
+    if scale < 1:
+        raise ValueError("scale_factor must be >= 1")
+    # NFPs are paired into power-of-two trees on the L2 interconnect;
+    # every paper configuration (NGPC-8 ... NGPC-64) is a power of two
+    if not is_power_of_two(scale):
+        raise ValueError(
+            f"scale_factor must be a power of two (got {scale}); "
+            f"the paper evaluates {SCALE_FACTORS}"
+        )
+
+
+def check_clock(clock_ghz: float) -> None:
+    if clock_ghz <= 0:
+        raise ValueError("clock must be positive")
+
+
+def check_grid_sram_kb(kb: int) -> None:
+    if kb < 1:
+        raise ValueError("SRAM sizes must be positive")
+    # the encoding datapath indexes its SRAMs with shift/mask arithmetic
+    # (Section V), so sizes must be powers of two — fail here with a
+    # clear message instead of deep inside encoding_engine
+    if not is_power_of_two(kb):
+        raise ValueError(
+            f"grid_sram_kb_per_engine must be a power of two (got {kb} KB)"
+        )
+
+
+def check_n_engines(n_engines: int) -> None:
+    if n_engines < 1:
+        raise ValueError("need at least one encoding engine")
+
+
+def check_n_batches(n_batches: int) -> None:
+    if n_batches < 1:
+        raise ValueError("need at least one pipeline batch")
+
+
 @dataclass(frozen=True)
 class NFPConfig:
     """One Neural Fields Processor (Fig. 9).
@@ -29,20 +73,11 @@ class NFPConfig:
     pipeline_fill_cycles: int = 24
 
     def __post_init__(self):
-        if self.clock_ghz <= 0:
-            raise ValueError("clock must be positive")
-        if self.n_encoding_engines < 1:
-            raise ValueError("need at least one encoding engine")
-        if self.grid_sram_kb_per_engine < 1 or self.activation_sram_kb < 1:
+        check_clock(self.clock_ghz)
+        check_n_engines(self.n_encoding_engines)
+        if self.activation_sram_kb < 1:
             raise ValueError("SRAM sizes must be positive")
-        # the encoding datapath indexes its SRAMs with shift/mask arithmetic
-        # (Section V), so sizes must be powers of two — fail here with a
-        # clear message instead of deep inside encoding_engine
-        if not is_power_of_two(self.grid_sram_kb_per_engine):
-            raise ValueError(
-                f"grid_sram_kb_per_engine must be a power of two "
-                f"(got {self.grid_sram_kb_per_engine} KB)"
-            )
+        check_grid_sram_kb(self.grid_sram_kb_per_engine)
         if not is_power_of_two(self.activation_sram_kb):
             raise ValueError(
                 f"activation_sram_kb must be a power of two "
@@ -82,17 +117,8 @@ class NGPCConfig:
     l2_spill_penalty: float = 3.0  # slowdown of lookups when a level spills
 
     def __post_init__(self):
-        if self.scale_factor < 1:
-            raise ValueError("scale_factor must be >= 1")
-        # NFPs are paired into power-of-two trees on the L2 interconnect;
-        # every paper configuration (NGPC-8 ... NGPC-64) is a power of two
-        if not is_power_of_two(self.scale_factor):
-            raise ValueError(
-                f"scale_factor must be a power of two (got {self.scale_factor}); "
-                f"the paper evaluates {SCALE_FACTORS}"
-            )
-        if self.n_pipeline_batches < 1:
-            raise ValueError("need at least one pipeline batch")
+        check_scale_factor(self.scale_factor)
+        check_n_batches(self.n_pipeline_batches)
         if self.l2_spill_penalty < 1.0:
             raise ValueError("spill penalty must be >= 1 (a slowdown)")
 

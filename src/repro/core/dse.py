@@ -60,7 +60,7 @@ from typing import (
 
 import numpy as np
 
-from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
+from repro.apps.params import APP_NAMES
 from repro.calibration import current
 from repro.errors import NotOnGridError, ReproError, UnknownAxisError
 from repro.core.area_power import ngpc_area_power_batch
@@ -69,7 +69,6 @@ from repro.core.axes import (
     AXIS_FIELDS,
     CONFIG_AXIS_FIELDS,
     EXTENSION_AXES,
-    EXTENSION_AXIS_FIELDS,
     GRIDTYPE_AUTO,
     LEGACY_AXIS_FIELDS,
     LOG2_HASHMAP_INHERIT,
@@ -79,7 +78,7 @@ from repro.core.axes import (
     axis as axis_spec,
 )
 from repro.core.cache import ModelCache, config_fingerprint
-from repro.core.config import NFPConfig, NGPCConfig, SCALE_FACTORS
+from repro.core.config import NGPCConfig, SCALE_FACTORS
 from repro.core.emulator import (
     EmulationResult,
     emulate_batch_columns,
@@ -245,6 +244,14 @@ class SweepGrid:
             for value in values:
                 spec.validate(value)
 
+    @classmethod
+    def _of_valid(cls, axes: Dict[str, Optional[Tuple]]) -> "SweepGrid":
+        """A grid of canonical values a valid grid or config already
+        holds, built without re-checking them (:meth:`__post_init__`)."""
+        grid = object.__new__(cls)
+        grid.__dict__.update(axes)
+        return grid
+
     @property
     def is_resolved(self) -> bool:
         """True once every default-None axis holds concrete values."""
@@ -280,13 +287,14 @@ class SweepGrid:
         if self.is_resolved:
             return self
         base = ngpc or NGPCConfig()
-        kwargs = {}
+        axes = {}
         for spec in AXES:
             values = getattr(self, spec.name)
             if values is None and spec.inherit is not None:
-                values = (spec.inherit(base),)
-            kwargs[spec.name] = values
-        return SweepGrid(**kwargs)
+                # the base config validated its own values
+                values = (spec.canon(spec.inherit(base)),)
+            axes[spec.name] = values
+        return SweepGrid._of_valid(axes)
 
     def normalized(self) -> "SweepGrid":
         """Canonical axis ordering: sorted, de-duplicated values per axis.
@@ -302,8 +310,8 @@ class SweepGrid:
 
         axes = {name: canon(getattr(self, name)) for name in AXIS_FIELDS}
         if all(axes[name] == getattr(self, name) for name in AXIS_FIELDS):
-            return self  # already canonical: skip the re-validation
-        return SweepGrid(**axes)
+            return self
+        return SweepGrid._of_valid(axes)
 
     def to_dict(self) -> Dict[str, list]:
         """JSON-safe axis mapping.

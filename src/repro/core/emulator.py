@@ -23,7 +23,7 @@ from repro.core.encoding_engine import (
     encoding_engine_time_ms,
     encoding_engine_time_ms_batch,
 )
-from repro.core.fusion import fused_rest_time_ms
+from repro.core.fusion import DEFAULT_FUSION
 from repro.core.mlp_engine import mlp_engine_time_ms, mlp_engine_time_ms_batch
 from repro.core.ngpc import (
     NGPC,
@@ -172,6 +172,11 @@ def emulate_uncached(
     return Emulator(NGPCConfig(scale_factor=scale_factor)).run(app, scheme, n_pixels)
 
 
+#: the base configuration of a kernel call given none (frozen, so one
+#: instance serves every call)
+_DEFAULT_NGPC = NGPCConfig()
+
+
 def emulate_batch(
     app: str,
     scheme: str,
@@ -216,7 +221,9 @@ def emulate_batch(
 
     This is the dense view of :func:`emulate_batch_columns`: each
     timing field is its compact column broadcast (read-only, no copy)
-    to the hypercube, plus the derived ``speedup``.
+    to the hypercube, plus the derived ``speedup``.  Every value given
+    is validated here first, with the registry's validator and message
+    (the ones :class:`~repro.core.dse.SweepGrid` raises).
     """
     axes = dict(
         clocks_ghz=clocks_ghz, grid_sram_kb=grid_sram_kb,
@@ -224,9 +231,20 @@ def emulate_batch(
         log2_hashmap_sizes=log2_hashmap_sizes,
         per_level_scales=per_level_scales,
     )
+    axis_spec("apps").checked(app)
+    axis_spec("schemes").checked(scheme)
+    scales = axis_spec("scale_factors").checked(scale_factors)
+    # pixel counts keep their input dtype: the models compute with them
+    # as given
+    pixels = np.asarray(n_pixels).reshape(-1)
+    for n in pixels:
+        axis_spec("pixel_counts").validate(n)
+    axes = {
+        name: None if values is None else axis_spec(name).checked(values)
+        for name, values in axes.items()
+    }
     out = emulate_batch_columns(
-        app, scheme, scale_factors, n_pixels, ngpc, fuse_rest, overlap,
-        **axes,
+        app, scheme, scales, pixels, ngpc, fuse_rest, overlap, **axes
     )
     bound = out.pop("amdahl_bound")
     full = out["accelerated_ms"].shape
@@ -275,11 +293,7 @@ def emulate_batch_columns(
     and is returned as ``accelerated_ms``: a caller passes its slot of
     an assembled result and no block-sized copy is made.
     """
-    if app not in APP_NAMES:
-        raise ValueError(f"unknown app {app!r}")
-    if scheme not in ENCODING_SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    base = ngpc or NGPCConfig()
+    base = ngpc or _DEFAULT_NGPC
     config = get_config(app, scheme)
     extension = not (
         gridtypes is None
@@ -293,77 +307,65 @@ def emulate_batch_columns(
                 "an explicit n_batches axis"
             )
         n_batches = (1,)
-    # every axis through its registry spec: an unswept axis holds its
-    # inherited value (the base config's, or the encoding sentinel), and
-    # each value gets the validation (and message) SweepGrid gives it
+    # the values are trusted: evaluate_block's come from a SweepGrid,
+    # which validated them once, where they entered the program, and
+    # emulate_batch validates its own.  An unswept architecture axis
+    # holds the base config's value (an unswept encoding axis, its
+    # sentinel, is filled in by the spill model).
     given = dict(
-        scale_factors=scale_factors, pixel_counts=n_pixels,
         clocks_ghz=clocks_ghz, grid_sram_kb=grid_sram_kb,
-        n_engines=n_engines, n_batches=n_batches, gridtypes=gridtypes,
-        log2_hashmap_sizes=log2_hashmap_sizes,
-        per_level_scales=per_level_scales,
+        n_engines=n_engines, n_batches=n_batches,
     )
-    axes = []
-    for name, values in given.items():
-        spec = axis_spec(name)
-        if values is None:
-            values = (spec.inherit(base),)
-        values = np.asarray(values).reshape(-1)
-        # pixel counts keep their input dtype: the models compute with
-        # them as given
-        if name != "pixel_counts":
-            values = tuple(spec.canon(v) for v in values)
-        axes.append(values)
-        for value in values:
-            spec.validate(value)
-    scales, pixels, clocks, srams, engines, batches, gts, log2_ts, plscales = (
-        axes
+    clocks, srams, engines, batches = (
+        (axis_spec(name).inherit(base),) if values is None else values
+        for name, values in given.items()
     )
+    pixels = np.asarray(n_pixels).reshape(-1)
 
     baseline = baseline_kernel_times_ms(app, scheme, pixels)  # (P,) arrays
     # -- N-dimensional architecture hypercube ------------------------------
     # (the classic (S, P) call is the same computation with singleton
     # architecture axes, which emulate_batch squeezes)
     enc = encoding_engine_time_ms_batch(
-        config, pixels, scales, base,
+        config, pixels, scale_factors, base,
         clocks_ghz=clocks, grid_sram_kb=srams, n_engines=engines,
-        gridtypes=gts if extension else None,
-        log2_hashmap_sizes=log2_ts if extension else None,
-        per_level_scales=plscales if extension else None,
+        gridtypes=gridtypes, log2_hashmap_sizes=log2_hashmap_sizes,
+        per_level_scales=per_level_scales,
     )  # (S, P, C, G, E) or (S, P, C, G, E, T, H, R)
     mlp = mlp_engine_time_ms_batch(
-        config, pixels, scales, base, clocks_ghz=clocks
+        config, pixels, scale_factors, base, clocks_ghz=clocks
     )  # (S, P, C, 1, 1)
-    dma = dma_overhead_ms_batch(app, pixels, scales)  # (S, P)
+    dma = dma_overhead_ms_batch(app, pixels, scale_factors)  # (S, P)
     nd = 8 if extension else 5  # hypercube rank before the batch axis
-    mlp = mlp.reshape(mlp.shape + (1,) * (nd - mlp.ndim))
-    dma = dma.reshape(dma.shape + (1,) * (nd - dma.ndim))
-    ngpc_time = enc + mlp + dma
-    if fuse_rest:
-        rest = np.asarray(fused_rest_time_ms(app, scheme, pixels))
-    else:
-        rest = np.asarray(baseline["rest"])
-    # the batch axis broadcasts in at position 5 (after the arch axes,
-    # before any encoding axes) — elementwise, so its position cannot
-    # perturb the arithmetic
-    rest_nd = np.expand_dims(rest.reshape((1, -1) + (1,) * (nd - 2)), 5)
+
+    def at_rank(a: np.ndarray) -> np.ndarray:
+        # the hypercube's rank, extent 1 along the axes ``a`` lacks; the
+        # batch axis broadcasts in at position 5 (after the arch axes,
+        # before any encoding axes) — elementwise, so its position
+        # cannot perturb the arithmetic
+        shape = a.shape + (1,) * (nd - a.ndim)
+        return a.reshape(shape[:5] + (1,) + shape[5:])
+
+    enc, mlp, dma = at_rank(enc), at_rank(mlp), at_rank(dma)
+    rest = baseline["rest"]
+    if fuse_rest:  # fused_rest_time_ms, on the baseline already at hand
+        rest = DEFAULT_FUSION.fused(rest)
+    rest = at_rank(np.asarray(rest).reshape(1, -1))
     batches_nd = np.asarray(batches, dtype=np.int64).reshape(
         (1, 1, 1, 1, 1, -1) + (1,) * (nd - 5)
     )
     total = pipeline_total_ms_batch(
-        np.expand_dims(ngpc_time, 5), rest_nd, batches_nd, out=out
+        enc + mlp + dma, rest, batches_nd, out=out
     )  # (S, P, C, G, E, B[, T, H, R])
-
-    # every field at the hypercube's rank; the batch axis sits at
-    # position 5, so the fields that do not see it hold extent 1 there
-    per_pixel = (1, -1) + (1,) * (nd - 1)
+    # every field at the hypercube's rank, extent 1 along the axes it
+    # does not vary along
     return {
-        "baseline_ms": np.asarray(baseline["total"]).reshape(per_pixel),
+        "baseline_ms": at_rank(np.asarray(baseline["total"]).reshape(1, -1)),
         "accelerated_ms": total,
-        "encoding_engine_ms": np.expand_dims(enc, 5),
-        "mlp_engine_ms": np.expand_dims(mlp, 5),
-        "dma_ms": np.expand_dims(dma, 5),
-        "fused_rest_ms": rest_nd,
+        "encoding_engine_ms": enc,
+        "mlp_engine_ms": mlp,
+        "dma_ms": dma,
+        "fused_rest_ms": rest,
         "amdahl_bound": amdahl_bound(app, scheme),
     }
 

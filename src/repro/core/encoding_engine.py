@@ -150,18 +150,14 @@ def parallel_inputs(n_levels: int, n_engines=16):
 
     ``n_engines`` may be an integer or an integer array (the batched
     sweep engine's engine-count axis); the scalar form returns a plain
-    ``int``, the array form an elementwise ``int64`` array.
+    ``int``, the array form an elementwise ``int64`` array.  Engine
+    counts are checked where they enter (``NFPConfig``, the axis
+    registry), not here.
     """
-    engines = np.asarray(n_engines)
-    if n_levels < 1 or np.any(engines < 1):
+    if n_levels < 1:
         raise ValueError("levels and engines must be positive")
-    par = np.maximum(1, engines // n_levels)
+    par = np.maximum(1, np.asarray(n_engines) // n_levels)
     return int(par) if np.isscalar(n_engines) else par
-
-
-def _level_entries(config: AppConfig, level: int) -> int:
-    """Feature-table entries the hardware must hold for one level."""
-    return _level_entries_variant(config, level, DEFAULT_ENCODING)
 
 
 def _level_entries_variant(
@@ -191,20 +187,39 @@ def _level_entries_variant(
     return _tiled_entries(config, level, variant)
 
 
+@lru_cache(maxsize=1024)
+def level_bytes(
+    config: AppConfig, variant: EncodingVariant = DEFAULT_ENCODING
+) -> np.ndarray:
+    """Hardware feature-table bytes of each level, an (L,) int64 array.
+
+    A pure function of the Table I parameters and the encoding-axis
+    variant (no calibration constant enters), so it is built once per
+    (config, variant) and shared read-only by every block.
+    """
+    grid = config.grid
+    table = np.asarray(
+        [
+            _level_entries_variant(config, level, variant)
+            * grid.n_features
+            * HW_BYTES_PER_FEATURE
+            for level in range(grid.n_levels)
+        ],
+        dtype=np.int64,
+    )
+    table.setflags(write=False)
+    return table
+
+
 def level_spill_fraction(
     config: AppConfig,
     ngpc: NGPCConfig,
     variant: EncodingVariant = DEFAULT_ENCODING,
 ) -> float:
     """Fraction of levels whose table exceeds the per-engine grid SRAM."""
-    grid = config.grid
     sram = ngpc.nfp.grid_sram_bytes_per_engine
-    spilled = 0
-    for level in range(grid.n_levels):
-        entries = _level_entries_variant(config, level, variant)
-        if entries * grid.n_features * HW_BYTES_PER_FEATURE > sram:
-            spilled += 1
-    return spilled / grid.n_levels
+    spilled = int(np.count_nonzero(level_bytes(config, variant) > sram))
+    return spilled / config.grid.n_levels
 
 
 def level_spill_fraction_batch(
@@ -216,30 +231,22 @@ def level_spill_fraction_batch(
 ) -> np.ndarray:
     """Vectorized :func:`level_spill_fraction` over per-engine SRAM sizes.
 
-    ``grid_sram_kb`` is an array of SRAM sizes in KB; without encoding
+    ``grid_sram_kb`` is an array of SRAM sizes in KB (validated where
+    they enter: ``NFPConfig``, the axis registry); without encoding
     axes the result has the same shape.  Passing any of the encoding
     axes ``gridtypes`` (length T), ``log2_hashmap_sizes`` (length H) or
     ``per_level_scales`` (length R) switches to the extended path:
     ``grid_sram_kb`` is flattened to length G and the result is the
     (G, T, H, R) hypercube, axes not supplied taken (length 1) from the
-    inherit sentinels.  The per-level byte counts are integers in both
-    paths, so the comparison (and the spilled/levels division) matches
-    the scalar path bit for bit.
+    inherit sentinels.  The per-level byte counts (:func:`level_bytes`)
+    are integers in both paths, so the comparison (and the
+    spilled/levels division) matches the scalar path bit for bit.
     """
-    grid = config.grid
+    n_levels = config.grid.n_levels
     sram_bytes = np.asarray(grid_sram_kb, dtype=np.int64) * 1024
-    if np.any(sram_bytes < 1024):
-        raise ValueError("SRAM sizes must be positive")
     if gridtypes is None and log2_hashmap_sizes is None and per_level_scales is None:
-        level_bytes = np.asarray(
-            [
-                _level_entries(config, level) * grid.n_features * HW_BYTES_PER_FEATURE
-                for level in range(grid.n_levels)
-            ],
-            dtype=np.int64,
-        ).reshape((-1,) + (1,) * sram_bytes.ndim)
-        spilled = np.sum(level_bytes > sram_bytes, axis=0)
-        return spilled / grid.n_levels
+        table = level_bytes(config).reshape((-1,) + (1,) * sram_bytes.ndim)
+        return (table > sram_bytes).sum(axis=0) / n_levels
     gts = tuple(gridtypes) if gridtypes is not None else (GRIDTYPE_AUTO,)
     hs = (
         tuple(int(h) for h in log2_hashmap_sizes)
@@ -256,18 +263,9 @@ def level_spill_fraction_batch(
     for t, gridtype in enumerate(gts):
         for h, log2_t in enumerate(hs):
             for r, pls in enumerate(rs):
-                variant = EncodingVariant(gridtype, log2_t, pls)
-                level_bytes = np.asarray(
-                    [
-                        _level_entries_variant(config, level, variant)
-                        * grid.n_features
-                        * HW_BYTES_PER_FEATURE
-                        for level in range(grid.n_levels)
-                    ],
-                    dtype=np.int64,
-                )
-                spilled = np.sum(level_bytes[:, None] > srams[None, :], axis=0)
-                out[:, t, h, r] = spilled / grid.n_levels
+                table = level_bytes(config, EncodingVariant(gridtype, log2_t, pls))
+                spilled = (table[:, None] > srams[None, :]).sum(axis=0)
+                out[:, t, h, r] = spilled / n_levels
     return out
 
 
@@ -373,7 +371,9 @@ def encoding_engine_time_ms_batch(
     (S, P, C, G, E, T, H, R) hypercube (the extension enters through
     the grid-SRAM spill model only).  All paths mirror the scalar
     arithmetic operation for operation, so batched == scalar bit for
-    bit.
+    bit.  Axis values are not re-checked here: they are validated where
+    they enter (:class:`~repro.core.dse.SweepGrid`,
+    :func:`~repro.core.emulator.emulate_batch`, ``NGPCConfig``).
     """
     ngpc = ngpc or NGPCConfig()
     extension = not (
@@ -407,25 +407,12 @@ def encoding_engine_time_ms_batch(
     engines = np.asarray(n_engines, dtype=np.int64).reshape(
         (1, 1, 1, 1, -1) + trail
     )
-    if np.any(scales < 1):
-        raise ValueError("scale factors must be >= 1")
-    if np.any(pixels <= 0):
-        raise ValueError("n_pixels must be positive")
-    if np.any(clocks <= 0):
-        raise ValueError("clock must be positive")
-    if np.any(engines < 1):
-        raise ValueError("need at least one encoding engine")
-    for kb in srams.reshape(-1):
-        if not is_power_of_two(int(kb)):
-            raise ValueError(
-                f"grid_sram_kb_per_engine must be a power of two (got {int(kb)} KB)"
-            )
     lanes = _calibrated_lanes(config.grid.scheme)
     par = parallel_inputs(config.grid.n_levels, engines)
     if extension:
         spill = level_spill_fraction_batch(
             config,
-            np.asarray(grid_sram_kb, dtype=np.int64).reshape(-1),
+            srams.reshape(-1),
             gridtypes=gridtypes,
             log2_hashmap_sizes=log2_hashmap_sizes,
             per_level_scales=per_level_scales,

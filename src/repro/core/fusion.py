@@ -38,6 +38,10 @@ class FusionModel:
     def speedup(self) -> float:
         return self.launch_reduction * self.traffic_reduction
 
+    def fused(self, rest_ms):
+        """The fused kernel's time for ``rest_ms`` of unfused rest kernels."""
+        return rest_ms / self.speedup
+
 
 DEFAULT_FUSION = FusionModel()
 
@@ -49,8 +53,7 @@ def fused_rest_time_ms(
     fusion: FusionModel = DEFAULT_FUSION,
 ) -> float:
     """Time of the fused rest kernels for one frame (ms)."""
-    rest = baseline_kernel_times_ms(app, scheme, n_pixels)["rest"]
-    return rest / fusion.speedup
+    return fusion.fused(baseline_kernel_times_ms(app, scheme, n_pixels)["rest"])
 
 
 def check_fusion_matches_paper(tolerance: float = 0.02) -> None:

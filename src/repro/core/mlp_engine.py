@@ -103,7 +103,9 @@ def mlp_engine_time_ms_batch(
     encoding engine's (S, P, C, G, E) hypercube (the MLP engine does not
     see the grid-SRAM or encoding-engine-count axes).  Both paths mirror
     the scalar arithmetic operation for operation so batched == scalar
-    bit for bit.
+    bit for bit.  Axis values are validated where they enter
+    (:class:`~repro.core.dse.SweepGrid`,
+    :func:`~repro.core.emulator.emulate_batch`), not re-checked here.
     """
     ngpc = ngpc or NGPCConfig()
     legacy = clocks_ghz is None
@@ -113,12 +115,6 @@ def mlp_engine_time_ms_batch(
         clocks_ghz if clocks_ghz is not None else (ngpc.nfp.clock_ghz,),
         dtype=np.float64,
     ).reshape(1, 1, -1, 1, 1)
-    if np.any(scales < 1):
-        raise ValueError("scale factors must be >= 1")
-    if np.any(pixels <= 0):
-        raise ValueError("n_pixels must be positive")
-    if np.any(clocks <= 0):
-        raise ValueError("clock must be positive")
     batch_parallelism = _calibrated_parallelism(config.grid.scheme)
     samples = samples_per_frame(config, pixels)
     passes = weight_matrices(config)

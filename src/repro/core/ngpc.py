@@ -166,13 +166,13 @@ def dma_overhead_ms_batch(app: str, n_pixels, scale_factors) -> np.ndarray:
 
     Returns an (S, P) array.  The per-scale growth factor is computed
     with scalar Python ``**`` (one call per scale) so the result matches
-    the scalar path bit for bit.
+    the scalar path bit for bit.  Pixel counts are validated where they
+    enter (:class:`~repro.core.dse.SweepGrid`,
+    :func:`~repro.core.emulator.emulate_batch`), not re-checked here.
     """
     if app not in APP_NAMES:
         raise ValueError(f"unknown app {app!r}")
     pixels = np.asarray(n_pixels, dtype=np.float64).reshape(1, -1)
-    if np.any(pixels <= 0):
-        raise ValueError("n_pixels must be positive")
     calibration = current()
     base = calibration.dma_overheads[app]
     growth = np.array(

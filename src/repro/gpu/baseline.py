@@ -37,7 +37,7 @@ def baseline_frame_time_ms(app: str, scheme: str, n_pixels=FHD_PIXELS) -> float:
     are linear in pixels, so the result broadcasts elementwise.
     """
     _check(app, scheme)
-    if np.any(np.asarray(n_pixels) <= 0):
+    if (np.asarray(n_pixels) <= 0).any():
         raise ValueError("n_pixels must be positive")
     hash_total = paper.BASELINE_FHD_MS[app]
     if scheme == _HASH:

@@ -79,7 +79,7 @@ def samples_per_frame(config: AppConfig, n_pixels) -> float:
     engine broadcasts over pixel counts); the return value has the same
     shape.
     """
-    if np.any(np.asarray(n_pixels) <= 0):
+    if (np.asarray(n_pixels) <= 0).any():
         raise ValueError("n_pixels must be positive")
     return n_pixels * current().samples_per_pixel[config.app]
 

@@ -254,12 +254,14 @@ class SweepProgress:
     are cheap notifications — subscribers read counters through
     :meth:`snapshot` and compute fronts from :attr:`partial` at their
     own pace, so a slow consumer coalesces ticks instead of queueing
-    work.
+    work.  The :class:`PartialSweep` is built only for a watcher, on
+    the first :meth:`record` or read of :attr:`partial`.
     """
 
     def __init__(self, grid: SweepGrid, ngpc: Optional[NGPCConfig],
                  loop=None):
-        self.partial = PartialSweep(grid, ngpc)
+        self._grid, self._ngpc = grid, ngpc
+        self._partial: Optional[PartialSweep] = None
         self._lock = threading.Lock()
         self._loop = loop
         self._queues: set = set()
@@ -270,6 +272,13 @@ class SweepProgress:
         self.started_at = time.monotonic()
         self.result = None
         self.error: Optional[BaseException] = None
+
+    @property
+    def partial(self) -> PartialSweep:
+        with self._lock:
+            if self._partial is None:
+                self._partial = PartialSweep(self._grid, self._ngpc)
+            return self._partial
 
     # -- producer side -------------------------------------------------------
     def set_plan(self, n_blocks: int) -> None:

@@ -535,7 +535,14 @@ class TestCompletionReferences:
                 )
                 rejected.append((status, decode_message(body)))
             stats = coordinator.stats()
-            # the genuine completions still land and finish the job
+            # the genuine completions still land and finish the job: the
+            # first lease's (so the job need not wait out its expiry),
+            # then every later one
+            reply = await coordinator._complete({
+                "worker_id": worker, "job_id": lease["job_id"],
+                "task_id": lease["task_id"], "arrays": arrays,
+            })
+            assert reply == {"ok": True, "accepted": True}
             while not job.done():
                 lease = await coordinator._lease({"worker_id": worker})
                 if "task" not in lease:
