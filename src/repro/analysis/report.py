@@ -218,7 +218,8 @@ calibration fingerprint (`repro.core.dse.sweep_fingerprint`), so
 any spelling of the same design space — reordered or repeated
 axis values included — maps to one cache entry.  Concurrent
 identical requests coalesce into a single in-flight evaluation
-(single-flight futures), and evaluation runs off the event loop
+(each waits on the sweep's one progress record; a cancelled request
+only stops waiting), and evaluation runs off the event loop
 on an executor thread, so cached queries answer in milliseconds
 while a cold 50k-point sweep is in progress
 (`benchmarks/bench_service.py` gates < 50 ms).  A sweep started by
@@ -405,8 +406,9 @@ the full result as soon as the sweep lands, or — after `S`
 seconds — a 202 whose body carries the per-sweep progress
 counters (`points_done/points_total`, `blocks_done/blocks_total`,
 `subscribers`, `elapsed_s`; the same counters appear per in-flight
-sweep under `/stats` as `progress`).  A sweep the long-poll starts
-is watched like a stream's, so `points_done` climbs block by block.
+sweep under `/stats` as `progress`).  A finished sweep answers at
+once, `wait=0` included.  A sweep the long-poll starts is watched
+like a stream's, so `points_done` climbs block by block.
 Both clients wrap it as `result_wait(grid, wait_s=...)`.
 
 `benchmarks/bench_stream.py` gates the two acceptance bars (CI

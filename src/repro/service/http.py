@@ -92,7 +92,7 @@ import json
 import signal
 import time
 import urllib.parse
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple, Union
 
 from repro._version import __version__
 from repro.core.dse import (
@@ -112,6 +112,7 @@ from repro.transport import FRAME_CONTENT_TYPE, encode_frame
 #: ``repro serve --max-body-mb``).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 MAX_HEADERS = 100
+JSON_CONTENT_TYPE = "application/json"
 
 _STATUS_TEXT = {
     200: "OK",
@@ -150,15 +151,15 @@ async def _handle_result(service: SweepService, payload: Dict) -> SweepResult:
 
 
 def _result_body(result: SweepResult, frame: bool):
-    """A finished sweep's 200 body: a binary frame of the result's stored
-    columns (timings compact) when the client asked for one
-    (``Accept: application/x-repro-frame``), else the dense JSON
+    """A finished sweep's 200 ``(body, content_type)``: a binary frame of
+    the result's stored columns (timings compact) when the client asked
+    for one (``Accept: application/x-repro-frame``), else the dense JSON
     envelope around :meth:`~repro.core.dse.SweepResult.to_payload`."""
     if not frame:
-        return {"ok": True, "result": result.to_payload()}
+        return {"ok": True, "result": result.to_payload()}, JSON_CONTENT_TYPE
     meta = {"schema_version": PAYLOAD_SCHEMA_VERSION,
             "grid": result.grid.to_dict(), "engine": result.engine}
-    return encode_frame(meta, result.columns)
+    return encode_frame(meta, result.columns), FRAME_CONTENT_TYPE
 
 
 async def _handle_records(service: SweepService, payload: Dict) -> list:
@@ -269,39 +270,32 @@ async def _read_request(
     return method, path, headers, body, query
 
 
-def _encode_raw_response(
+def _encode_response(
     status: int,
-    content_type: str,
-    data: bytes,
+    body: Union[Dict, bytes],
     keep_alive: bool,
+    content_type: str = JSON_CONTENT_TYPE,
     extra_headers: Optional[Dict[str, str]] = None,
 ) -> Tuple[bytes, bytes]:
     """One response as ``(head, body)``, written as two buffers so a
-    large body (a result frame) is never copied into a concatenation."""
+    large body (a result frame) is never copied into a concatenation.
+
+    A dict ``body`` is a JSON envelope; every envelope — success or
+    error — carries the served schema version so clients can detect an
+    incompatible server generation.  Any other body is sent as is.
+    """
+    if isinstance(body, dict):
+        body.setdefault("schema_version", PAYLOAD_SCHEMA_VERSION)
+        body = json.dumps(body).encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
         f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(data)}\r\n"
+        f"Content-Length: {len(body)}\r\n"
         f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
     )
     for name, value in (extra_headers or {}).items():
         head += f"{name}: {value}\r\n"
-    return (head + "\r\n").encode("latin-1"), data
-
-
-def _encode_response(
-    status: int,
-    body: Dict,
-    keep_alive: bool,
-    extra_headers: Optional[Dict[str, str]] = None,
-) -> Tuple[bytes, bytes]:
-    # every envelope — success or error — carries the served schema
-    # version so clients can detect an incompatible server generation
-    body.setdefault("schema_version", PAYLOAD_SCHEMA_VERSION)
-    data = json.dumps(body).encode("utf-8")
-    return _encode_raw_response(
-        status, "application/json", data, keep_alive, extra_headers
-    )
+    return (head + "\r\n").encode("latin-1"), body
 
 
 def _error_headers(error: ServiceError) -> Optional[Dict[str, str]]:
@@ -358,7 +352,9 @@ async def _handle_result_wait(
     they land; on timeout the evaluation keeps running and the reply is
     a 202 carrying the live progress counters, so a client can poll
     ``/result?wait=`` in a loop and watch ``points_done`` climb until
-    the 200 with the full result.
+    the 200 with the full result.  A finished sweep answers at once,
+    whatever the window (``wait=0`` included): 200, or its failure's
+    structured error.
     """
     try:
         wait_s = float(wait)
@@ -366,18 +362,22 @@ async def _handle_result_wait(
         raise ServiceError(
             400, "bad-request", f"wait={wait!r} is not a number of seconds"
         )
-    if wait_s < 0:
+    if not wait_s >= 0:  # NaN too
         raise ServiceError(400, "bad-request", "wait must be non-negative")
     progress = await service.sweep_progress(payload.get("grid"))
-    try:
-        result = await asyncio.wait_for(progress.wait(), wait_s)
-    except asyncio.TimeoutError:
-        return 202, {
-            "ok": True,
-            "pending": True,
-            "progress": progress.snapshot(),
-        }
-    return 200, _result_body(result, frame)
+    result, error = progress.state()
+    if error is not None:
+        raise error
+    if result is None:
+        try:
+            result = await asyncio.wait_for(progress.wait(), wait_s)
+        except asyncio.TimeoutError:
+            return 202, {
+                "ok": True,
+                "pending": True,
+                "progress": progress.snapshot(),
+            }, JSON_CONTENT_TYPE
+    return (200, *_result_body(result, frame))
 
 
 async def _dispatch(
@@ -385,30 +385,32 @@ async def _dispatch(
     method: str,
     path: str,
     body: bytes,
-    query: Optional[Dict[str, str]] = None,
-    ops: Optional[OpsLayer] = None,
-    cluster=None,
-    frame: bool = False,
+    query: Dict[str, str],
+    ops: OpsLayer,
+    cluster,
+    frame: bool,
 ):
-    """Route one request; returns (status, body).
+    """Route one request other than ``/sweep/stream``; returns
+    ``(status, body, content_type)``.
 
-    The body is a JSON envelope, or the encoded frame of a finished
-    ``/result`` when ``frame`` (the client accepts frames).
+    The body is a JSON envelope (a dict), or bytes sent as they are:
+    the encoded frame of a finished ``/result`` when ``frame`` (the
+    client accepts frames), the ``/metrics`` text, or a ``/cluster/*``
+    worker-protocol frame.  A failure raises; the caller answers it as
+    a structured JSON error.
     """
-    query = query or {}
     if method == "GET" and path == "/healthz":
         # liveness by default; ``?ready=1`` makes it a readiness probe
         # (503 until the engine/coordinator can actually serve sweeps)
-        if ops is None:
-            return 200, {
-                "ok": True, "status": "healthy", "version": __version__,
-            }
         health = ops.healthz(__version__)
         if query.get("ready") and not health["ready"]:
-            return 503, health
-        return 200, health
+            return 503, health, JSON_CONTENT_TYPE
+        return 200, health, JSON_CONTENT_TYPE
     if method == "GET" and path == "/stats":
-        return 200, {"ok": True, "result": service.stats()}
+        return 200, {"ok": True, "result": service.stats()}, JSON_CONTENT_TYPE
+    if method == "GET" and path == "/metrics" and ops.metrics is not None:
+        data = ops.render_metrics().encode("utf-8")
+        return 200, data, METRICS_CONTENT_TYPE
     if path == "/cluster/drain":
         # the one JSON (non-frame) /cluster/ endpoint: an operator verb,
         # not part of the worker wire protocol
@@ -416,16 +418,20 @@ async def _dispatch(
             raise ServiceError(
                 405, "method-not-allowed", f"{method} {path} not allowed"
             )
-        if ops is not None:
-            ops.require_admin(
-                CURRENT_TENANT.get() or ANONYMOUS, "POST /cluster/drain"
-            )
+        ops.require_admin(CURRENT_TENANT.get(), "POST /cluster/drain")
+    if path.startswith("/cluster/"):
         if cluster is None:
             raise ServiceError(
                 404, "no-cluster",
                 "this server has no shard coordinator mounted",
             )
-        return 200, {"ok": True, "result": await cluster.drain()}
+        if path == "/cluster/drain":
+            result = await cluster.drain()
+            return 200, {"ok": True, "result": result}, JSON_CONTENT_TYPE
+        # the shard-cluster worker protocol: binary frame bodies
+        # (:mod:`repro.transport`), answered by the mounted coordinator
+        status, data = await cluster.handle_http(method, path, body)
+        return status, data, cluster.content_type
     handler = _POST_ROUTES.get(path)
     if handler is None and path not in ("/healthz", "/stats"):
         raise ServiceError(404, "unknown-endpoint", f"no endpoint {path!r}")
@@ -436,8 +442,8 @@ async def _dispatch(
         return await _handle_result_wait(service, payload, query["wait"], frame)
     result = await handler(service, payload)
     if path == "/result":
-        return 200, _result_body(result, frame)
-    return 200, {"ok": True, "result": result}
+        return (200, *_result_body(result, frame))
+    return 200, {"ok": True, "result": result}, JSON_CONTENT_TYPE
 
 
 async def _serve_stream(
@@ -541,11 +547,11 @@ async def _handle_connection(
     service: SweepService,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
-    connections: Optional[Set[asyncio.StreamWriter]] = None,
-    cluster=None,
-    tasks: Optional[Set] = None,
-    max_body_bytes: int = MAX_BODY_BYTES,
-    ops: Optional[OpsLayer] = None,
+    connections: Set[asyncio.StreamWriter],
+    cluster,
+    tasks: Set[asyncio.Task],
+    max_body_bytes: int,
+    ops: OpsLayer,
 ) -> None:
     """Serve one client connection; loops over keep-alive requests.
 
@@ -553,23 +559,24 @@ async def _handle_connection(
     in the service's ``/stats`` (``http.reused``), so the saving from a
     connection-pooling client is observable server-side.
 
-    With an :class:`~repro.service.ops.OpsLayer` mounted every request
-    runs the full ops path: authenticate (bearer key -> tenant, 401/403)
-    -> admit (token-bucket debit, 429 + ``Retry-After``) -> handler ->
-    observe (per-tenant metrics sample + one structured access-log
-    line).  The resolved tenant rides the request's context
-    (``CURRENT_TENANT``), which is how a cold sweep's admission slot
-    gets attributed without threading tenant objects through the
-    service API.
+    Every request runs one path: authenticate (bearer key -> tenant,
+    401/403) -> admit (token-bucket debit, 429 + ``Retry-After``) ->
+    :func:`_dispatch`, any failure becoming a structured JSON error ->
+    one write -> observe (per-tenant metrics sample + one structured
+    access-log line).  A rejected or failed request leaves the
+    connection usable (a 429'd client retries on the same socket after
+    ``Retry-After``).  ``/sweep/stream`` alone writes its own chunked
+    response, always the connection's last.  The resolved tenant rides
+    the request's context (``CURRENT_TENANT``), which is how a cold
+    sweep's admission slot gets attributed without threading tenant
+    objects through the service API.
     """
     service.http["connections"] += 1
-    if connections is not None:
-        connections.add(writer)
-    if tasks is not None:
-        # registered so a closing server can await in-flight handlers
-        # (long-polling workers) instead of leaving them to be cancelled
-        # noisily at loop shutdown
-        tasks.add(asyncio.current_task())
+    connections.add(writer)
+    # registered so a closing server can await in-flight handlers
+    # (long-polling workers) instead of leaving them to be cancelled
+    # noisily at loop shutdown
+    tasks.add(asyncio.current_task())
     n_requests = 0
 
     async def send(encoded: Tuple[bytes, bytes]) -> bool:
@@ -608,116 +615,45 @@ async def _handle_connection(
             n_requests += 1
             keep_alive = headers.get("connection", "keep-alive").lower() != "close"
             started = time.monotonic()
-            tenant = ANONYMOUS
-            if ops is not None:
-                try:
-                    tenant = ops.authenticate(method, path, headers)
-                    ops.admit(tenant, method, path)
-                except ServiceError as exc:
-                    # auth/quota rejections are ordinary responses: the
-                    # connection stays usable (a 429'd client retries on
-                    # the same socket after Retry-After)
-                    sent = await send(_encode_response(
-                        exc.status, exc.to_payload(), keep_alive,
-                        _error_headers(exc),
-                    ))
-                    ops.observe(
-                        tenant, method, path, exc.status,
-                        time.monotonic() - started, code=exc.code,
-                    )
-                    if not sent or not keep_alive:
-                        break
-                    continue
-            token = CURRENT_TENANT.set(tenant) if ops is not None else None
+            tenant, streamed, code, extra_headers = ANONYMOUS, False, None, None
             try:
-                if path == "/sweep/stream":
-                    # chunked ndjson: its own writer path, and always the
-                    # connection's last exchange (Connection: close)
-                    await _serve_stream(service, method, body, reader, writer)
-                    if ops is not None:
-                        ops.observe(
-                            tenant, method, path, 200,
-                            time.monotonic() - started, streamed=True,
-                        )
-                    break
-                if method == "GET" and path == "/metrics" and ops is not None \
-                        and ops.metrics is not None:
-                    data = ops.render_metrics().encode("utf-8")
-                    sent = await send(_encode_raw_response(
-                        200, METRICS_CONTENT_TYPE, data, keep_alive
-                    ))
-                    ops.observe(
-                        tenant, method, path, 200, time.monotonic() - started
-                    )
-                    if not sent or not keep_alive:
-                        break
-                    continue
-                if path.startswith("/cluster/") and path != "/cluster/drain":
-                    # the shard-cluster worker protocol: binary frame bodies
-                    # (:mod:`repro.transport`), routed to the mounted
-                    # coordinator (404 when none)
-                    if cluster is None:
-                        error = ServiceError(
-                            404, "no-cluster",
-                            "this server has no shard coordinator mounted",
-                        )
-                        status = error.status
-                        encoded = _encode_response(
-                            error.status, error.to_payload(), keep_alive
-                        )
-                    else:
-                        status, data = await cluster.handle_http(method, path, body)
-                        encoded = _encode_raw_response(
-                            status, cluster.content_type, data, keep_alive
-                        )
-                    sent = await send(encoded)
-                    if ops is not None:
-                        ops.observe(
-                            tenant, method, path, status,
-                            time.monotonic() - started,
-                        )
-                    if not sent or not keep_alive:
-                        break
-                    continue
-                err_code = None
-                extra_headers = None
-                try:
-                    status, response = await _dispatch(
-                        service, method, path, body, query,
-                        ops=ops, cluster=cluster,
+                tenant = ops.authenticate(method, path, headers)
+                ops.admit(tenant, method, path)
+                # this connection's task owns its context: every request
+                # sets its own tenant before anything reads it
+                CURRENT_TENANT.set(tenant)
+                streamed = path == "/sweep/stream"
+                if not streamed:
+                    status, response, content_type = await _dispatch(
+                        service, method, path, body, query, ops, cluster,
                         frame=FRAME_CONTENT_TYPE in headers.get("accept", ""),
                     )
-                except Exception as exc:  # every failure ships as structured JSON
-                    error = as_service_error(exc)
-                    status, response = error.status, error.to_payload()
-                    err_code = error.code
-                    extra_headers = _error_headers(error)
-                if isinstance(response, (bytes, bytearray)):
-                    encoded = _encode_raw_response(
-                        status, FRAME_CONTENT_TYPE, response, keep_alive
-                    )
-                else:
-                    encoded = _encode_response(
-                        status, response, keep_alive, extra_headers
-                    )
-                sent = await send(encoded)
-                if ops is not None:
-                    ops.observe(
-                        tenant, method, path, status,
-                        time.monotonic() - started, code=err_code,
-                    )
-                if not sent:
-                    break
-                if not keep_alive:
-                    break
-            finally:
-                if token is not None:
-                    CURRENT_TENANT.reset(token)
+            except Exception as exc:  # every failure ships as structured JSON
+                error = as_service_error(exc)
+                status, response = error.status, error.to_payload()
+                content_type, code = JSON_CONTENT_TYPE, error.code
+                extra_headers = _error_headers(error)
+            if streamed:
+                # chunked ndjson: its own writer, and always the
+                # connection's last exchange (Connection: close)
+                await _serve_stream(service, method, body, reader, writer)
+                ops.observe(
+                    tenant, method, path, 200, time.monotonic() - started,
+                    streamed=True,
+                )
+                break
+            sent = await send(_encode_response(
+                status, response, keep_alive, content_type, extra_headers
+            ))
+            ops.observe(
+                tenant, method, path, status, time.monotonic() - started,
+                code=code,
+            )
+            if not sent or not keep_alive:
+                break
     finally:
-        if connections is not None:
-            connections.discard(writer)
-        if tasks is not None:
-            tasks.discard(asyncio.current_task())
+        connections.discard(writer)
+        tasks.discard(asyncio.current_task())
         writer.close()
         try:
             await writer.wait_closed()

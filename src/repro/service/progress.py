@@ -344,7 +344,8 @@ class SweepProgress:
         """The finished result, awaited on the progress's event loop.
 
         A failed sweep raises its error.  Cancelling the wait (a
-        long-poll window closing) only unsubscribes.
+        long-poll window closing, a coalesced request going away) only
+        unsubscribes; the evaluation is not this wait's to stop.
         """
         queue = self.subscribe()
         try:

@@ -13,9 +13,11 @@ properties make it safe to put in front of many concurrent users:
   service rather than being pinned by the global cache registry.
 - **Single-flight coalescing.**  Concurrent requests for the same
   fingerprint — dense or streamed — attach to one in-flight
-  :class:`asyncio.Future`; exactly one evaluation runs no matter how
-  many clients ask (``tests/test_service.py`` asserts 32 concurrent
-  requests -> 1 evaluation on a 10k-point grid).
+  :class:`~repro.service.progress.SweepProgress`, the sweep's only
+  record of its result or error; exactly one evaluation runs no matter
+  how many clients ask (``tests/test_service.py`` asserts 32 concurrent
+  requests -> 1 evaluation on a 10k-point grid), and a cancelled
+  request only stops waiting.
 - **Off-loop evaluation down the one tier ladder.**  A RAM miss runs
   :func:`~repro.store.tiered_sweep` — the ladder every backend shares —
   in an executor thread: the event loop keeps serving cached queries
@@ -71,36 +73,6 @@ GridLike = Union[SweepGrid, Dict, None]
 _PROGRESS_RETAIN = 8
 
 
-class _Inflight:
-    """One in-flight evaluation: its future plus live-awaiter accounting.
-
-    ``waiters`` counts coroutines currently awaiting the (shielded)
-    future.  When an evaluation fails after every awaiter has been
-    cancelled, nobody ever retrieves the exception — asyncio would log
-    an "exception was never retrieved" warning at GC time for a failure
-    that was handled by design.  Whichever side observes the
-    no-awaiters-and-failed state last (the evaluator setting the
-    exception, or the final awaiter leaving) marks the exception
-    retrieved.
-    """
-
-    __slots__ = ("future", "progress", "waiters")
-
-    def __init__(self, future: asyncio.Future, progress: SweepProgress):
-        self.future = future
-        #: the evaluation's streaming progress (what streams subscribe to)
-        self.progress = progress
-        self.waiters = 0
-
-    def mark_retrieved_if_abandoned(self) -> None:
-        if (
-            self.waiters == 0
-            and self.future.done()
-            and not self.future.cancelled()
-        ):
-            self.future.exception()  # mark retrieved; returns None on success
-
-
 def _as_grid(grid: GridLike) -> SweepGrid:
     if grid is None:
         return SweepGrid()
@@ -114,7 +86,11 @@ class SweepService:
 
     All public query methods are coroutines; each validates its
     selectors, then ensures the named grid is evaluated
-    (``await self.sweep(grid)``) and answers from the dense result.
+    (``await self.sweep(grid)``) and answers from the dense result.  An
+    in-flight sweep is recorded once, as its
+    :class:`~repro.service.progress.SweepProgress`: every coalesced
+    request awaits :meth:`SweepProgress.wait`, which the one evaluation
+    task finishes or fails, and a cancelled request only unsubscribes.
     Counters:
 
     - ``evaluations``: sweeps that reached the evaluate rung of the
@@ -175,7 +151,9 @@ class SweepService:
         self._cache = ModelCache(
             "sweep_service", maxsize=max_cached_sweeps, lru=True, register=False
         )
-        self._inflight: Dict[Hashable, _Inflight] = {}
+        #: the progress of each in-flight sweep: its only record of the
+        #: result or error every coalesced request waits on
+        self._inflight: Dict[Hashable, SweepProgress] = {}
         # streaming progress per grid fingerprint: one live entry per
         # in-flight sweep plus a short tail of finished ones (late
         # long-poll 202 bodies and /stats still see them); the lock
@@ -212,8 +190,10 @@ class SweepService:
         to one cache entry and one in-flight evaluation.
         """
         joined = await self._join_or_start(grid, watched=False)
-        if isinstance(joined, _Inflight):
-            return await self._await_inflight(joined)
+        if isinstance(joined, SweepProgress):
+            # cancelling this wait only unsubscribes: the evaluation runs
+            # on for every other request and still lands in the cache
+            return await joined.wait()
         return joined
 
     async def sweep_progress(self, grid: GridLike = None) -> SweepProgress:
@@ -222,8 +202,8 @@ class SweepService:
         simply already finished.  What every stream and long-poll
         follows; a sweep started here is watched."""
         joined = await self._join_or_start(grid, watched=True)
-        if isinstance(joined, _Inflight):
-            return joined.progress
+        if isinstance(joined, SweepProgress):
+            return joined
         progress = SweepProgress(
             joined.grid, self.ngpc, loop=asyncio.get_running_loop()
         )
@@ -231,7 +211,7 @@ class SweepService:
         return progress
 
     async def _join_or_start(self, grid: GridLike, watched: bool):
-        """The cached result, or the in-flight evaluation to attach to.
+        """The cached result, or the in-flight sweep's progress to attach to.
 
         Coalesces onto an in-flight evaluation of ``grid`` (``coalesced``),
         serves a completed one from the LRU (``ram_hits``), or takes a
@@ -241,8 +221,8 @@ class SweepService:
         """
         grid = _as_grid(grid).resolve(self.ngpc).normalized()
         key = sweep_fingerprint(grid, self.ngpc)
-        inflight = self._inflight.get(key)
-        if inflight is None:
+        progress = self._inflight.get(key)
+        if progress is None:
             cached = self._cache.get(key)
             if cached is not None:
                 self.tier["ram_hits"] += 1
@@ -256,8 +236,8 @@ class SweepService:
                 release = await self.admission.acquire_cold()
             if release is None or not getattr(release, "queued", False):
                 return self._start_evaluation(key, grid, release, watched)
-            inflight = self._inflight.get(key)
-            if inflight is None:
+            progress = self._inflight.get(key)
+            if progress is None:
                 cached = self._cache.get(key)
                 if cached is None:
                     return self._start_evaluation(key, grid, release, watched)
@@ -266,12 +246,12 @@ class SweepService:
                 return cached
             release()
         self.coalesced += 1
-        return inflight
+        return progress
 
     def _start_evaluation(
         self, key: Hashable, grid: SweepGrid, release, watched: bool
-    ) -> _Inflight:
-        """Launch one evaluation task; its progress rides on the entry.
+    ) -> SweepProgress:
+        """Launch one evaluation task; return its progress.
 
         Must run on the service loop with no in-flight entry under
         ``key``.  The progress is also kept (with a short tail of
@@ -279,8 +259,7 @@ class SweepService:
         """
         loop = asyncio.get_running_loop()
         progress = SweepProgress(grid, self.ngpc, loop=loop)
-        inflight = _Inflight(loop.create_future(), progress)
-        self._inflight[key] = inflight
+        self._inflight[key] = progress
         with self._progress_lock:
             self._progress[key] = progress
             finished = [
@@ -290,27 +269,17 @@ class SweepService:
             for stale in finished[: max(0, len(finished) - _PROGRESS_RETAIN)]:
                 del self._progress[stale]
         task = loop.create_task(
-            self._evaluate(key, grid, inflight, release, watched)
+            self._evaluate(key, grid, progress, release, watched)
         )
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
-        return inflight
-
-    async def _await_inflight(self, inflight: _Inflight) -> SweepResult:
-        inflight.waiters += 1
-        try:
-            # shield: one awaiter's cancellation must not kill the shared
-            # evaluation the other awaiters are attached to
-            return await asyncio.shield(inflight.future)
-        finally:
-            inflight.waiters -= 1
-            inflight.mark_retrieved_if_abandoned()
+        return progress
 
     async def _evaluate(
         self,
         key: Hashable,
         grid: SweepGrid,
-        inflight: _Inflight,
+        progress: SweepProgress,
         release,
         watched: bool,
     ) -> None:
@@ -322,27 +291,20 @@ class SweepService:
         reports its blocks (the ladder then runs the stream plan); the
         ladder always announces the size of the plan that evaluated, so
         a stream that joins an unwatched sweep ends on the true count.
+        The result or error goes to ``progress``, which wakes every
+        request waiting on it; a failure is not cached.
         """
-        future, progress = inflight.future, inflight.progress
         try:
             result = await asyncio.to_thread(
                 tiered_sweep, grid, self.ngpc, self.store, self.tier,
                 progress.set_plan, progress.record if watched else None,
                 engine=self.engine, sweep_fn=self._sweep_fn,
             )
-        except Exception as exc:  # served to every coalesced awaiter
+        except Exception as exc:  # raised to every coalesced request
             progress.fail(exc)
-            if not future.cancelled():
-                future.set_exception(exc)
-                # every awaiter may already have been cancelled — then the
-                # exception is handled by design, not lost; keep asyncio
-                # from warning "exception was never retrieved" at GC time
-                inflight.mark_retrieved_if_abandoned()
         else:
-            progress.finish(result)
             self._cache.put(key, result)
-            if not future.cancelled():
-                future.set_result(result)
+            progress.finish(result)
         finally:
             self._inflight.pop(key, None)
             if release is not None:

@@ -56,7 +56,7 @@ from repro.service import (
     start_http_server,
 )
 from repro.service.ops import OpsLayer
-from repro.service.progress import PartialSweep
+from repro.service.progress import PartialSweep, SweepProgress
 from repro.transport import FRAME_CONTENT_TYPE, decode_frame, encode_frame
 
 RTOL = 1e-9
@@ -129,6 +129,34 @@ class TestCoalescing:
         assert again is results[0]
         assert counting.calls == 1
         assert service.stats()["cache"]["hits"] == 1
+
+    def test_cancelling_one_awaiter_leaves_the_other_its_result(self):
+        """A cancelled coalesced request only stops waiting: the other
+        still gets the one evaluation's result, and it lands in the
+        cache."""
+        gated = GatedSweep()
+        service = SweepService(engine="vectorized", sweep_fn=gated)
+
+        async def run():
+            first = asyncio.ensure_future(service.sweep(SMALL_GRID))
+            second = asyncio.ensure_future(service.sweep(SMALL_GRID))
+            while service.coalesced < 1:  # both attached to one evaluation
+                await asyncio.sleep(0.005)
+            first.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await first
+            gated.release.set()
+            result = await second
+            again = await service.sweep(SMALL_GRID)
+            return result, again
+
+        result, again = asyncio.run(run())
+        assert isinstance(result, SweepResult)
+        assert again is result
+        assert gated.calls == 1
+        assert service.evaluations == 1
+        assert service.stats()["cache"]["ram_hits"] == 1
+        assert service.stats()["inflight"] == 0
 
     def test_served_result_matches_direct_library_call(self):
         service = SweepService(engine="vectorized")
@@ -893,6 +921,53 @@ class TestResultFrames:
         assert status == 200 and content_type == FRAME_CONTENT_TYPE
         assert decode_frame(body)[1]["accelerated_ms"].size == SMALL_GRID.size
         assert gated.calls == 1
+
+    def test_long_poll_wait_zero_answers_a_finished_sweep(self):
+        """``wait=0`` on a finished sweep is its 200, not a 202 that a
+        ``wait=0`` poller would see forever."""
+        grid = SMALL_GRID.to_dict()
+
+        def run(port):
+            swept = post(port, "/sweep", {"grid": grid})
+            framed = [post(port, "/result?wait=0", {"grid": grid},
+                           accept=FRAME_CONTENT_TYPE) for _ in range(2)]
+            return swept, framed, post(port, "/result?wait=0", {"grid": grid})
+
+        swept, framed, plain = serve_and(run)
+        assert swept[0] == 200
+        for status, content_type, body in framed:
+            assert status == 200 and content_type == FRAME_CONTENT_TYPE
+            assert decode_frame(body)[1]["accelerated_ms"].size \
+                == SMALL_GRID.size
+        status, content_type, body = plain
+        assert status == 200 and content_type == "application/json"
+        payload = json.loads(body)
+        assert payload["ok"] and "pending" not in payload
+        assert payload["result"]["grid"] == \
+            SMALL_GRID.resolve().normalized().to_dict()
+
+    def test_long_poll_wait_zero_on_a_failed_sweep_raises_its_error(self):
+        from repro.service.http import _handle_result_wait
+
+        progress = SweepProgress(SMALL_GRID.resolve(), None)
+        progress.fail(NotOnGridError("no such point", axis="app"))
+
+        class Failed:
+            async def sweep_progress(self, grid):
+                return progress
+
+        with pytest.raises(NotOnGridError) as err:
+            asyncio.run(_handle_result_wait(Failed(), {}, "0", False))
+        error = as_service_error(err.value)
+        assert (error.status, error.code) == (404, "not-on-grid")
+
+    @pytest.mark.parametrize("wait", ["nan", "-1", "soon"])
+    def test_long_poll_rejects_a_bad_window(self, wait):
+        status, _, body = serve_and(lambda port: post(
+            port, f"/result?wait={wait}", {"grid": SMALL_GRID.to_dict()}
+        ))
+        assert status == 400
+        assert json.loads(body)["error"]["code"] == "bad-request"
 
     def test_flipped_byte_is_a_502_bad_frame(self, monkeypatch):
         from repro.service import http as service_http

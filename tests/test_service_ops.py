@@ -480,6 +480,102 @@ class TestHTTPAuth:
         assert rotated == 200
 
 
+def keep_alive_exchanges(ops, requests):
+    """Serve ``requests`` ((method, path, headers, body) tuples) in order
+    on one keep-alive connection; returns the (status, Content-Type)
+    replies, whether every one came back on the first socket, and the
+    server's ``http`` counters."""
+    import http.client
+
+    service = SweepService(engine="vectorized")
+
+    def exchange(port):
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        replies, sockets = [], []
+        try:
+            for method, path, headers, body in requests:
+                connection.request(method, path, body, headers)
+                response = connection.getresponse()
+                response.read()
+                replies.append(
+                    (response.status, response.getheader("Content-Type"))
+                )
+                sockets.append(connection.sock)  # None once closed
+        finally:
+            connection.close()
+        return replies, all(sock is sockets[0] for sock in sockets) \
+            and sockets[0] is not None
+
+    async def run():
+        server = await start_http_server(service, "127.0.0.1", 0, ops=ops)
+        try:
+            return await asyncio.to_thread(exchange, server.port)
+        finally:
+            await server.close()
+
+    replies, same_socket = asyncio.run(run())
+    return replies, same_socket, dict(service.http)
+
+
+class TestOneResponseWriter:
+    def test_each_response_kind_logs_one_line_and_keeps_the_socket(
+        self, tmp_path
+    ):
+        from repro.transport import FRAME_CONTENT_TYPE
+
+        stream = io.StringIO()
+        ops = OpsLayer(
+            tenants_path=write_tenants(tmp_path / "tenants.json"),
+            logger=JsonLogger(stream=stream, level="debug"),
+        )
+        body = json.dumps({"grid": SMALL_GRID.to_dict()})
+        acme = {"Authorization": "Bearer ak-acme"}
+        requests = [
+            ("POST", "/pareto", {}, body),
+            ("POST", "/pareto", acme, body),
+            ("POST", "/result", {**acme, "Accept": FRAME_CONTENT_TYPE}, body),
+            ("GET", "/metrics", {}, None),
+            ("POST", "/cluster/lease", {}, b""),
+        ]
+        replies, same_socket, counters = keep_alive_exchanges(ops, requests)
+        assert [status for status, _ in replies] == [401, 200, 200, 200, 404]
+        assert replies[2][1] == FRAME_CONTENT_TYPE
+        assert replies[3][1].startswith("text/plain; version=0.0.4")
+        assert same_socket
+        assert counters == {"connections": 1, "requests": 5, "reused": 4}
+        lines = [
+            record for record in map(json.loads, stream.getvalue().splitlines())
+            if record["event"] == "http.request"
+        ]
+        assert [
+            (r["path"], r["status"], r.get("code")) for r in lines
+        ] == [
+            ("/pareto", 401, "unauthenticated"),
+            ("/pareto", 200, None),
+            ("/result", 200, None),
+            ("/metrics", 200, None),
+            ("/cluster/lease", 404, "no-cluster"),
+        ]
+
+    def test_disabled_metrics_is_one_logged_404(self):
+        stream = io.StringIO()
+        ops = OpsLayer(
+            metrics_enabled=False, logger=JsonLogger(stream=stream),
+        )
+        body = json.dumps({"grid": SMALL_GRID.to_dict()})
+        replies, same_socket, counters = keep_alive_exchanges(ops, [
+            ("GET", "/metrics", {}, None),
+            ("POST", "/pareto", {}, body),
+        ])
+        assert [status for status, _ in replies] == [404, 200]
+        assert same_socket
+        assert counters == {"connections": 1, "requests": 2, "reused": 1}
+        lines = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert [
+            (r["path"], r["status"], r.get("code")) for r in lines
+        ] == [("/metrics", 404, "unknown-endpoint"), ("/pareto", 200, None)]
+
+
 class TestRateLimitHTTP:
     def test_429_carries_retry_after_header(self, tmp_path):
         tenants = write_tenants(tmp_path / "tenants.json")

@@ -72,7 +72,13 @@
 # eighth keeps the calibration a value: `install_worker_state`,
 # `register_lru_cache` and `calibration_fingerprint` appear nowhere
 # under src/, and no code outside tests/ assigns to `fitted.<NAME>` or
-# `fitted.<NAME>[...]` or calls `.update`/`.clear`/`.pop` on one.
+# `fitted.<NAME>[...]` or calls `.update`/`.clear`/`.pop` on one.  A
+# ninth keeps one request path through the service: an in-flight
+# sweep's SweepProgress is its only record (no `class _Inflight` or
+# `asyncio.shield(` in src/repro/service/sweep_service.py), and every
+# HTTP response leaves through one writer (no `ops is not None` in
+# src/repro/service/http.py, and exactly two `ops.observe(` calls
+# there: the stream's and the one response writer's).
 # The service, reconnect, ops and Session suites run again under
 # `python -X dev` and fail on any unclosed-socket ResourceWarning, and
 # EXPERIMENTS.md must equal a fresh run of
@@ -301,6 +307,19 @@ if grep -rn --include='*.py' 'class ServiceClient\b' src/ tests/ benchmarks/ too
     fail
 fi
 echo "one HTTP client: $(grep -rn --include='*.py' 'http\.client\.HTTPConnection(' src/)"
+
+section "one request path (grep gate)"
+# a sweep's completion is recorded once, on its SweepProgress, and the
+# HTTP layer always has its ops layer and writes each response once
+observe_calls=$(grep -c 'ops\.observe(' src/repro/service/http.py)
+if grep -nE 'class _Inflight|asyncio\.shield\(' src/repro/service/sweep_service.py \
+   || grep -n 'ops is not None' src/repro/service/http.py \
+   || [ "$observe_calls" != 2 ]; then
+    echo "FAIL: want no _Inflight/asyncio.shield( in sweep_service.py, no 'ops is not None' and exactly two ops.observe( in http.py (found $observe_calls)" >&2
+    fail
+else
+    echo "one request path: in-flight record = SweepProgress, $observe_calls ops.observe( sites in http.py"
+fi
 
 section "calibration is a value (grep gate)"
 # the calibration is one immutable repro.calibration.Calibration that
