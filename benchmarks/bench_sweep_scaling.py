@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Wall-clock scaling of the batched DSE engine vs the naive loop.
 
-Four acceptance gates guard the sweep engine:
+Five acceptance gates guard the sweep engine:
 
 1. On a >= 1000-point (app x scheme x scale x pixels) workload grid the
    vectorized engine must beat the per-point scalar loop by >= 10x
@@ -23,6 +23,13 @@ Four acceptance gates guard the sweep engine:
    ``bench_store``'s warm-restart grid <= 0.1 ms.  --quick reports the
    two medians without gating them, so a slow shared host cannot fail
    the smoke run.
+5. The dense queries at the kernel's speed: on a 1,048,576-point grid
+   shaped like layerbench's ``adaptive`` question, the median
+   ``SweepResult.pareto_front`` (all-apps average) must stay <= 0.8x
+   the median dense ``sweep_grid`` of the same grid, timed in
+   interleaved rounds (sweep, front, cheapest point at 60 FPS) on each
+   round's fresh result.  ``cheapest_point_meeting_fps`` is reported
+   beside it; --quick reports both without gating.
 
 Both sides agree to 1e-9 relative (the correctness net is
 ``tests/test_golden_values`` + ``tests/test_sweep_engine``; this file
@@ -74,6 +81,12 @@ BLOCK_1PT_CEILING_MS = 0.08
 GRID_FROM_DICT_CEILING_MS = 0.1
 #: timed calls behind each fixed-cost median
 FIXED_COST_CALLS = 1000
+#: ceiling on the dense front's median over the dense sweep's (full mode)
+FRONT_OVER_SWEEP_CEILING = 0.8
+#: interleaved (sweep, front, cheapest) rounds behind the query medians
+QUERY_ROUNDS = 41
+QUERY_SCHEME = "multi_res_hashgrid"
+FHD = 1920 * 1080
 
 
 def build_grid(n_pixel_steps: int) -> SweepGrid:
@@ -205,6 +218,52 @@ def time_fixed_costs(quick: bool) -> dict:
         ),
         "calls": FIXED_COST_CALLS,
     }
+
+
+def build_adaptive_grid() -> SweepGrid:
+    """The shape of layerbench's ``adaptive`` question: 1,048,576 points,
+    2 apps x 8 scales x 32 clocks x 16 SRAM sizes x 8 engine counts x
+    16 batch counts (32,768 cost cells)."""
+    return SweepGrid(
+        apps=("nerf", "gia"), schemes=(QUERY_SCHEME,),
+        scale_factors=tuple(2 ** i for i in range(8)), pixel_counts=(FHD,),
+        clocks_ghz=tuple(float(c) for c in np.linspace(0.5, 2.1, 32)),
+        grid_sram_kb=tuple(2 ** (4 + i) for i in range(16)),
+        n_engines=tuple(2 ** i for i in range(8)),
+        n_batches=tuple(2 ** i for i in range(16)),
+    )
+
+
+def time_query_costs() -> dict:
+    """Medians of the dense sweep, its front and its cheapest point.
+
+    Each round sweeps the grid afresh and asks both queries of that
+    result, so the three medians share the host's state.
+    """
+    grid = build_adaptive_grid()
+    times = {"sweep_ms": [], "pareto_front_ms": [], "cheapest_ms": []}
+    sweep_grid(grid, use_cache=False)  # warm
+    for _ in range(QUERY_ROUNDS):
+        start = time.perf_counter()
+        result = sweep_grid(grid, use_cache=False)
+        swept = time.perf_counter()
+        front = result.pareto_front(QUERY_SCHEME, n_pixels=FHD)
+        fronted = time.perf_counter()
+        hit = result.cheapest_point_meeting_fps(
+            "nerf", 60.0, n_pixels=FHD, scheme=QUERY_SCHEME
+        )
+        done = time.perf_counter()
+        assert front and hit is not None
+        times["sweep_ms"].append(swept - start)
+        times["pareto_front_ms"].append(fronted - swept)
+        times["cheapest_ms"].append(done - fronted)
+    costs = {key: float(np.median(ts)) * 1e3 for key, ts in times.items()}
+    costs.update(
+        points=grid.size, rounds=QUERY_ROUNDS,
+        front_over_sweep=costs["pareto_front_ms"] / costs["sweep_ms"],
+        front_over_sweep_ceiling=FRONT_OVER_SWEEP_CEILING,
+    )
+    return costs
 
 
 def check_sample_agreement(result) -> None:
@@ -403,6 +462,28 @@ def main(argv=None) -> int:
             failures.append(
                 f"{label} takes {fixed[key]:.4f} ms (> {ceiling} ms)"
             )
+
+    # -- gate 5: the dense queries against the dense sweep (reported in
+    # --quick)
+    costs = time_query_costs()
+    costs["gated"] = not args.quick
+    results["query_costs"] = costs
+    ratio = costs["front_over_sweep"]
+    print(f"\ndense queries, {costs['points']:,}-point adaptive-shaped grid, "
+          f"medians of {QUERY_ROUNDS} interleaved rounds"
+          f"{' (reported only, --quick)' if args.quick else ''}:")
+    print(f"  sweep_grid                        : "
+          f"{costs['sweep_ms']:.2f} ms")
+    print(f"  pareto_front (all-apps average)   : "
+          f"{costs['pareto_front_ms']:.2f} ms ({ratio:.2f}x the sweep, "
+          f"ceiling {FRONT_OVER_SWEEP_CEILING}x)")
+    print(f"  cheapest_point_meeting_fps        : "
+          f"{costs['cheapest_ms']:.2f} ms")
+    if not args.quick and ratio > FRONT_OVER_SWEEP_CEILING:
+        failures.append(
+            f"pareto_front takes {ratio:.2f}x the dense sweep "
+            f"(> {FRONT_OVER_SWEEP_CEILING}x)"
+        )
 
     print("\nagreement: batched == scalar to 1e-9 rel (10-point sample)")
     results["failures"] = failures

@@ -649,15 +649,39 @@ its slot of `accelerated_ms`; the makespan kernel
 16,384 elements at a time, with slab-sized temporaries, and assembly
 copies only what is not already in place (stored and cluster blocks).
 `pareto_front` and the cheapest-point queries read the plane's stored
-`baseline_ms`/`accelerated_ms` one slab at a time, reduce each slab's
-cost cells over batches, and rank the cells once; they never build the
-cached `speedup`, `fps` or `train_steps_per_s` arrays.  The bits do
-not change.  `tests/test_dense_allocation.py` bounds the `tracemalloc`
-peak on an `adaptive`-shaped 1,048,576-point grid, as a multiple of
-its 8.4 MB `accelerated_ms`: an uncached `sweep_grid` reads 1.30x
-(bound 1.5x; 2.29x before), `pareto_front` 0.38x (bound 0.5x; 1.75x
-before) and `cheapest_point_meeting_fps` 0.07x (bound 0.25x; 1.06x
-before, on a fresh result).
+`baseline_ms`/`accelerated_ms` one slab at a time and never build the
+cached `speedup`, `fps` or `train_steps_per_s` arrays.  Each slab's
+cost cells are reduced over batches by a running elementwise max (the
+front's benefit) or `fmin` (the cheapest point's time) across the
+batch columns: one long ufunc call per batch, where an `argmax` along
+the 16-value batch axis ran one short loop per cell.  The front divides
+each app's speedup into one of two slab buffers allocated once per
+query and sums them in app order, as `mean(axis=0)` does; the maxima
+are divided by the app count once, which keeps the max because the
+divisor is positive.  Every cost cell is ranked once, and only the
+cells returned look up their batch: a front cell its first best one,
+the cheapest cell its first feasible one (a cell meets a target when
+its fastest batch does, since `ms <= budget` and the training rate
+only turn false as the time grows).  The bits do not change.
+`tests/test_dense_allocation.py` bounds the `tracemalloc` peak on an
+`adaptive`-shaped 1,048,576-point grid, as a multiple of its 8.4 MB
+`accelerated_ms`: an uncached `sweep_grid` reads 1.30x (bound 1.5x;
+2.29x before), `pareto_front` 0.22x (bound 0.5x; 0.38x with a
+per-slab `argmax`, 1.75x over whole planes) and
+`cheapest_point_meeting_fps` 0.07x (bound 0.25x; 1.06x before, on a
+fresh result).  `tests/test_batch_reducers.py` pins both queries and
+`reduce_batches` to whole-plane `argmax`/`argmin` references, ties,
+infinities and NaN included, and gate 5 of
+`benchmarks/bench_sweep_scaling.py` holds the front to <= 0.8x the
+dense sweep of the same grid.  On a shared 2-vCPU host (medians of 41
+rounds interleaved with that sweep) the front takes 3.1–3.3 ms against
+4.4 ms with a per-slab `argmax` (0.63–0.67x the sweep against
+0.91–0.96x) and `cheapest_point_meeting_fps` 0.96–1.03 ms against
+1.31 ms.  Layerbench `adaptive` (`--seconds 15`, 10 alternating
+pairs, every answer correct): `answer_p10_ms` fell from a median of
+11.96 to 10.08 ms and `first_front_p10_ms` from 10.45 to 8.96 ms,
+better in every pair; `served` read 3.81 against 3.72 ms and
+`cluster_stream` 51.0 against 51.4 ms.
 
 **The dense answer's two inner loops run long.** With the batch axis
 last, each pass of the makespan kernel used to run a ufunc inner loop

@@ -40,6 +40,9 @@ from repro.core.dse import (
     DesignPoint,
     EmulationResult,
     SweepResult,
+    _samples_per_frame,
+    _steps_per_s,
+    _train_batch,
     axis_index,
     query_slice,
     validate_selectors,
@@ -195,10 +198,15 @@ class Sweep:
             return hit
         grid = self.grid
         query = query_slice(grid, scheme, n_pixels, **selectors)
-        rates = result.train_steps_per_s[query.index][grid.apps.index(app)]
+        scheme = grid.schemes[query.scheme]
+        n_pixels = grid.pixel_counts[query.pixels]
+        ms = result.accelerated_ms[query.index][grid.apps.index(app)]
+        # the rate falls as the time grows: the best is the fastest point's
+        best_rate = _steps_per_s(
+            _samples_per_frame(app, scheme, n_pixels), _train_batch(), ms.min()
+        )
         raise infeasible_train_query(
-            app, steps_per_s, grid.pixel_counts[query.pixels],
-            grid.schemes[query.scheme], float(rates.max()),
+            app, steps_per_s, n_pixels, scheme, float(best_rate),
         )
 
     def point(

@@ -682,8 +682,9 @@ class SweepResult:
     # -- queries ------------------------------------------------------------
     # Queries read the plane's stored columns one slab at a time and
     # never build a grid-sized derived array (speedup, fps, training
-    # rate): each slab reduces its cost cells over batches, and the
-    # cost cells are ranked once.
+    # rate): a running max or min over each slab's batch columns
+    # (:func:`_fold_batches`) reduces its cost cells, the cells are
+    # ranked once, and only the cells returned look up their batch.
     def pareto_front(
         self,
         scheme: str,
@@ -698,31 +699,47 @@ class SweepResult:
         Benefit is the speedup of ``app``, or the all-apps average when
         ``app`` is None (the Fig. 12 "average" bars).  ``scheme``,
         ``n_pixels`` and the encoding-axis ``selectors`` pick the plane
-        (:func:`query_slice`); each :func:`~repro.core.ngpc.slabs` slab
-        of it is reduced over batches (:func:`reduce_batches`) and
-        :func:`ranked_cells` ranks the reduced cells, exactly as
-        :func:`front` ranks a whole benefit plane.
+        (:func:`query_slice`).  Per slab, the apps' speedups are summed
+        in app order into a buffer reused by every slab (the sum
+        ``mean(axis=0)`` takes) and folded to each cost cell's max, and
+        the maxima are divided by the app count once.  Each front cell's
+        batch is its first best one, as :func:`front` picks it.  A NaN
+        speedup raises ``ValueError``.
         """
         grid = self.grid
         query = query_slice(grid, scheme, n_pixels, **selectors)
         a = None if app is None else axis_index("app", app, grid.apps)
+        first, *rest = range(len(grid.apps)) if a is None else (a,)
         baseline, accelerated = self._plane(query)
         value = np.empty(accelerated.shape[1:-1])
-        batch = np.empty(value.shape, dtype=np.intp)
-        for index in slabs(accelerated.shape, keep=1, tail=1):
-            speedup = baseline[index] / accelerated[index]
-            benefit = speedup.mean(axis=0) if a is None else speedup[a]
-            cells = index[1:-1]
-            value[cells], batch[cells] = reduce_batches(benefit)
+        plane = list(slabs(accelerated.shape, keep=1, tail=1))
+        rows = max(value[index[1:-1]].size for index in plane)
+        total, part = np.empty((2, rows, accelerated.shape[-1]))
+        for index in plane:
+            cells, at = value[index[1:-1]], index[1:]
+            benefit = total[:cells.size].reshape(accelerated[first][at].shape)
+            speedup = part[:cells.size].reshape(benefit.shape)
+            np.divide(baseline[first][at], accelerated[first][at], out=benefit)
+            for i in rest:
+                np.divide(baseline[i][at], accelerated[i][at], out=speedup)
+                benefit += speedup
+            _fold_batches(np.maximum, benefit, cells)
+        if a is None:
+            value /= len(grid.apps)
         area4 = self.area_overhead_pct
-        cells = ranked_cells(area4, value, batch)
-        speedups = _cell_speedups(baseline, accelerated, cells)
+        keep = pareto_front(area4.reshape(-1), value.reshape(-1))
+        at = (slice(None),) + np.unravel_index(keep, area4.shape)
+        speedups = baseline[at] / accelerated[at]  # (apps, cells, batches)
+        batches = (
+            speedups.mean(axis=0) if a is None else speedups[a]
+        ).argmax(axis=-1)
         return [
             design_point(
-                grid, area4, self.power_overhead_pct, cell + query.enc,
-                speedups[:, n],
+                grid, area4, self.power_overhead_pct,
+                np.unravel_index(flat, area4.shape) + (int(b),) + query.enc,
+                speedups[:, n, b],
             )
-            for n, cell in enumerate(cells)
+            for n, (flat, b) in enumerate(zip(keep, batches))
         ]
 
     def _plane(self, query: QuerySlice) -> Tuple[np.ndarray, np.ndarray]:
@@ -735,32 +752,33 @@ class SweepResult:
     ) -> Optional[DesignPoint]:
         """Cheapest-area cell of ``app`` meeting a throughput target.
 
-        ``feasible_of`` maps a slab of ``app``'s (K, C, G, E, B)
-        ``accelerated_ms`` plane to a bool mask.  Cost does not depend on
-        the batch, so each cost cell keeps its first feasible batch, and
-        the cheapest feasible cell wins; ties resolve to the lowest flat
-        index, as ``np.argmin`` over the masked plane would.
+        ``feasible_of`` maps ``accelerated_ms`` values to a bool mask
+        that only turns false as a positive time grows (IEEE rounding
+        keeps ``ms <= budget`` and the training rate monotone), so a
+        cost cell meets the target when its fastest batch does: a
+        running ``np.fmin`` over the batch columns, which skips a NaN.
+        The cheapest met cell wins, ties to the lowest flat index as
+        ``np.argmin`` over the masked area, and only its first feasible
+        batch is looked up.
         """
         grid = self.grid
         baseline, accelerated = self._plane(query)
         metric = accelerated[axis_index("app", app, grid.apps)]
         area4 = self.area_overhead_pct
-        first = np.empty(area4.shape, dtype=np.intp)
+        fastest = np.empty(area4.shape)
         for index in slabs(metric.shape, tail=1):
-            feasible = feasible_of(metric[index])
-            first[index[:-1]] = np.where(
-                feasible.any(axis=-1), feasible.argmax(axis=-1), -1
-            )
-        met = first >= 0
+            _fold_batches(np.fmin, metric[index], fastest[index[:-1]])
+        met = feasible_of(fastest)
         if not met.any():
             return None
         cell = np.unravel_index(
             int(np.argmin(np.where(met, area4, np.inf))), area4.shape
         )
-        cell = tuple(int(i) for i in cell) + (int(first[cell]),)
+        cell += (feasible_of(metric[cell]).argmax(),)
+        at = (slice(None),) + cell
         return design_point(
             grid, area4, self.power_overhead_pct, cell + query.enc,
-            _cell_speedups(baseline, accelerated, [cell])[:, 0],
+            baseline[at] / accelerated[at],
         )
 
     def cheapest_point_meeting_fps(
@@ -1689,8 +1707,8 @@ def front(area4: np.ndarray, benefit: np.ndarray, valid=None) -> List[Tuple]:
     (batch is the last axis): each cost cell is reduced to that one
     batch (:func:`reduce_batches`), then :func:`ranked_cells` ranks each
     distinct area once over the |B|x fewer cells.  The dense
-    :meth:`SweepResult.pareto_front` runs the same two steps, reducing
-    its plane slab by slab.
+    :meth:`SweepResult.pareto_front` folds the same maxima slab by slab
+    and looks up the batch of its front cells only.
     """
     return ranked_cells(area4, *reduce_batches(benefit, valid))
 
@@ -1715,40 +1733,48 @@ def ranked_cells(area4: np.ndarray, value: np.ndarray, batch: np.ndarray):
     ]
 
 
-def _cell_speedups(
-    baseline: np.ndarray, accelerated: np.ndarray, cells: List[Tuple]
-) -> np.ndarray:
-    """Every app's speedup at ``cells`` of a query plane, (apps, cells).
+def _fold_batches(ufunc, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = binary ``ufunc`` folded over the last (batch) axis of
+    ``columns``, in batch order.
 
-    ``baseline``/``accelerated`` are the (apps, scale, clock, SRAM,
-    engines, batches) planes and each cell a (scale, clock, SRAM,
-    engines, batches) index: the division :attr:`SweepResult.speedup`
-    makes, at those cells only.
+    One call per batch column, each over every cell of ``columns``: long
+    inner loops, where a reduction along the short batch axis runs one
+    short loop per cell.
     """
-    at = (slice(None),) + tuple(
-        np.array(cells, dtype=np.intp).reshape(len(cells), -1).T
-    )
-    return baseline[at] / accelerated[at]
+    np.copyto(out, columns[..., 0])
+    for b in range(1, columns.shape[-1]):
+        ufunc(out, columns[..., b], out=out)
+    return out
 
 
 def reduce_batches(benefit: np.ndarray, valid=None):
     """Per cost cell, the best valid benefit and its first batch index.
 
     Returns ``(value, batch)`` shaped ``benefit.shape[:-1]``; ``batch``
-    is -1 where no batch of the cell is valid (its ``value`` is then
-    meaningless).  Ties resolve to the lowest batch index, the
-    :func:`pareto_front` tie-break within one cost cell.
+    is -1 where the benefit-shaped ``valid`` (None for all) holds no
+    batch of the cell (``value`` is then meaningless).  Ties go to the
+    lowest batch, the :func:`pareto_front` tie-break within one cost
+    cell; a NaN ranks first, as ``argmax`` ranks it, unless ``valid``
+    masks part of the plane (its cell then gets -1).  Per cache-sized
+    slab: a running max over the batch columns (:func:`_fold_batches`),
+    then a walk back to the first column holding it.
     """
-    if valid is None or valid.all():
-        batch = benefit.argmax(axis=-1)
-    else:
-        masked = np.where(valid, benefit, -np.inf)
-        best = masked.max(axis=-1, keepdims=True)
-        hits = valid & (masked == best)
-        batch = np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
-    value = np.take_along_axis(
-        benefit, np.maximum(batch, 0)[..., None], axis=-1
-    )[..., 0]
+    if valid is not None and valid.all():
+        valid = None
+    value = np.empty(benefit.shape[:-1])
+    batch = np.full(value.shape, -1, dtype=np.intp)
+    for index in slabs(benefit.shape, tail=1):
+        slab, best, first = benefit[index], value[index[:-1]], batch[index[:-1]]
+        if valid is not None:
+            slab = np.where(valid[index], slab, -np.inf)
+        _fold_batches(np.maximum, slab, best)
+        hits = slab == best[..., None]
+        if valid is not None:
+            hits &= valid[index]
+        elif np.isnan(best).any():
+            hits |= np.isnan(slab)
+        for b in range(slab.shape[-1] - 1, -1, -1):
+            np.copyto(first, b, where=hits[..., b])
     return value, batch
 
 
