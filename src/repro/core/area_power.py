@@ -183,10 +183,16 @@ def ngpc_area_power_batch(
         nfp.macs, grid_sram_mb, act_sram_mb, clocks
     )["total"]
 
-    area45 = area_total * scales
-    power45 = power_total * scales
-    area7 = area45 * AREA_SCALE_45_TO_7
-    power7 = power45 * POWER_SCALE_45_TO_7
+    # in place: (x * scale) * k, then (100 * x) / d, element by element,
+    # with one array per quantity rather than one per step
+    area7 = area_total * scales
+    area7 *= AREA_SCALE_45_TO_7
+    power7 = power_total * scales
+    power7 *= POWER_SCALE_45_TO_7
+    area_pct = 100.0 * area7
+    area_pct /= RTX3090.die_area_mm2
+    power_pct = 100.0 * power7
+    power_pct /= RTX3090.tdp_w
     # area does not depend on the clock axis; broadcast both quantities to
     # the same full (K, C, G, E) hypercube so consumers can index uniformly
     full = np.broadcast_shapes(area7.shape, power7.shape)
@@ -194,10 +200,10 @@ def ngpc_area_power_batch(
         "area_mm2_7nm": np.ascontiguousarray(np.broadcast_to(area7, full)),
         "power_w_7nm": np.ascontiguousarray(np.broadcast_to(power7, full)),
         "area_overhead_pct": np.ascontiguousarray(
-            np.broadcast_to(100.0 * area7 / RTX3090.die_area_mm2, full)
+            np.broadcast_to(area_pct, full)
         ),
         "power_overhead_pct": np.ascontiguousarray(
-            np.broadcast_to(100.0 * power7 / RTX3090.tdp_w, full)
+            np.broadcast_to(power_pct, full)
         ),
     }
     if legacy:  # classic call: arrays shaped like the ``scale_factors`` input

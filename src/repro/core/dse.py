@@ -36,12 +36,15 @@ query over the full N-dimensional cartesian space of
   configuration hitting a frame-rate target), both exposed through the
   CLI (``python -m repro dse``) and :mod:`repro.analysis.report`.
 - One query kernel.  The selector rule (:func:`axis_index`,
-  :func:`encoding_slice`, :func:`query_slice`), the masked front
-  (:func:`front`) and the :class:`DesignPoint` builder
+  :func:`encoding_slice`, :func:`query_slice`), the batch reduction
+  (:func:`reduce_batches`, over :func:`_fold_batches`), the ranking
+  (:func:`pareto_front`) and the :class:`DesignPoint` builder
   (:func:`design_point`, :func:`config_axes`) are shared by the dense
   :class:`SweepResult` and the streamed
   :class:`~repro.service.progress.PartialSweep`, so every path answers
-  with the same arithmetic and the same errors.  Selectors arrive as
+  with the same arithmetic and the same errors.  A partial front has
+  one algorithm: the running merge of complete windows in
+  :mod:`repro.service.progress`.  Selectors arrive as
   keyword arguments keyed by the registry's query names and are read
   only here; a name the query does not accept raises
   :class:`~repro.errors.UnknownAxisError`.
@@ -703,8 +706,8 @@ class SweepResult:
         in app order into a buffer reused by every slab (the sum
         ``mean(axis=0)`` takes) and folded to each cost cell's max, and
         the maxima are divided by the app count once.  Each front cell's
-        batch is its first best one, as :func:`front` picks it.  A NaN
-        speedup raises ``ValueError``.
+        batch is its first best one, as :func:`reduce_batches` picks it.
+        A NaN speedup raises ``ValueError``.
         """
         grid = self.grid
         query = query_slice(grid, scheme, n_pixels, **selectors)
@@ -999,9 +1002,9 @@ def _timing_column(
 
     A compact column passes as it is; a legacy dense one (``dense_shape``,
     as JSON payloads and stores written before compact columns carry
-    it) is sliced down to ``shape`` without a copy — the field is
-    constant along the axes cut.  Any other shape raises
-    :class:`ValueError`.
+    it) is sliced down to ``shape`` without a copy, once it is checked
+    to be constant along the axes cut.  Any other shape, or a dense
+    array that varies along a cut axis, raises :class:`ValueError`.
     """
     array = np.asarray(array)
     if array.shape == shape:
@@ -1011,10 +1014,17 @@ def _timing_column(
             f"array {name!r} has shape {array.shape}, expected {shape} "
             f"(or dense {dense_shape})"
         )
-    return array[tuple(
+    column = array[tuple(
         slice(None) if n == dense else slice(0, 1)
         for n, dense in zip(shape, dense_shape)
     )]
+    if not np.array_equal(np.broadcast_to(column, dense_shape), array,
+                          equal_nan=True):
+        raise ValueError(
+            f"dense array {name!r} varies along an axis {name} is "
+            f"constant along; store it at its shape {shape}"
+        )
+    return column
 
 
 def block_columns(block, shape: Tuple[int, ...]) -> Dict[str, np.ndarray]:
@@ -1692,47 +1702,6 @@ def design_point(
     )
 
 
-def front(area4: np.ndarray, benefit: np.ndarray, valid=None) -> List[Tuple]:
-    """Cells of the exact (min area, max benefit) Pareto front.
-
-    ``benefit`` holds one value per (scale, clock, SRAM, engines,
-    batches) cell; the cost of a cell is its batch-independent ``area4``
-    entry.  ``valid`` (benefit-shaped, or None for all) masks the cells
-    allowed to compete (a partially evaluated sweep's).  The ranking is
-    :func:`pareto_front`'s, including its lowest-flat-index tie-break;
-    cells come back in front order.
-
-    Cells sharing a cost cell differ only in their batch, so all but the
-    first best of them are dominated or tied at a higher flat index
-    (batch is the last axis): each cost cell is reduced to that one
-    batch (:func:`reduce_batches`), then :func:`ranked_cells` ranks each
-    distinct area once over the |B|x fewer cells.  The dense
-    :meth:`SweepResult.pareto_front` folds the same maxima slab by slab
-    and looks up the batch of its front cells only.
-    """
-    return ranked_cells(area4, *reduce_batches(benefit, valid))
-
-
-def ranked_cells(area4: np.ndarray, value: np.ndarray, batch: np.ndarray):
-    """The :func:`front` of batch-reduced cells, in front order.
-
-    ``value`` and ``batch`` are :func:`reduce_batches`'s output over the
-    ``area4`` cost cells (``batch`` -1 where a cell does not compete);
-    each front cell comes back as its cost-cell index plus its batch.
-    Many cells share an area (it does not vary along clock), and
-    :func:`pareto_front` ranks each distinct area once, keeping its
-    lowest-index best cell.
-    """
-    cells = np.flatnonzero(batch.reshape(-1) >= 0)
-    keep = cells[
-        pareto_front(area4.reshape(-1)[cells], value.reshape(-1)[cells])
-    ]
-    return [
-        np.unravel_index(int(flat), area4.shape) + (int(batch.flat[flat]),)
-        for flat in keep
-    ]
-
-
 def _fold_batches(ufunc, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out`` = binary ``ufunc`` folded over the last (batch) axis of
     ``columns``, in batch order.
@@ -1747,62 +1716,27 @@ def _fold_batches(ufunc, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def reduce_batches(benefit: np.ndarray, valid=None):
-    """Per cost cell, the best valid benefit and its first batch index.
+def reduce_batches(benefit: np.ndarray):
+    """Per cost cell, the best benefit and its first batch index.
 
-    Returns ``(value, batch)`` shaped ``benefit.shape[:-1]``; ``batch``
-    is -1 where the benefit-shaped ``valid`` (None for all) holds no
-    batch of the cell (``value`` is then meaningless).  Ties go to the
-    lowest batch, the :func:`pareto_front` tie-break within one cost
-    cell; a NaN ranks first, as ``argmax`` ranks it, unless ``valid``
-    masks part of the plane (its cell then gets -1).  Per cache-sized
-    slab: a running max over the batch columns (:func:`_fold_batches`),
-    then a walk back to the first column holding it.
+    Returns ``(value, batch)`` shaped ``benefit.shape[:-1]``.  Ties go
+    to the lowest batch, the :func:`pareto_front` tie-break within one
+    cost cell; a NaN ranks first, as ``argmax`` ranks it.  Per
+    cache-sized slab: a running max over the batch columns
+    (:func:`_fold_batches`), then a walk back to the first column
+    holding it.
     """
-    if valid is not None and valid.all():
-        valid = None
     value = np.empty(benefit.shape[:-1])
-    batch = np.full(value.shape, -1, dtype=np.intp)
+    batch = np.empty(value.shape, dtype=np.intp)
     for index in slabs(benefit.shape, tail=1):
         slab, best, first = benefit[index], value[index[:-1]], batch[index[:-1]]
-        if valid is not None:
-            slab = np.where(valid[index], slab, -np.inf)
         _fold_batches(np.maximum, slab, best)
         hits = slab == best[..., None]
-        if valid is not None:
-            hits &= valid[index]
-        elif np.isnan(best).any():
+        if np.isnan(best).any():
             hits |= np.isnan(slab)
         for b in range(slab.shape[-1] - 1, -1, -1):
             np.copyto(first, b, where=hits[..., b])
     return value, batch
-
-
-def front_points(
-    grid: SweepGrid, area4: np.ndarray, power4: np.ndarray,
-    speedup: np.ndarray, enc: Tuple = (), app: Optional[str] = None,
-    valid=None,
-) -> List[DesignPoint]:
-    """The Pareto front of one :class:`QuerySlice` plane, as design points.
-
-    ``speedup`` is the (apps, scale, clock, SRAM, engines, batches)
-    plane and ``enc`` its encoding indices.  Benefit is ``app``'s
-    speedup, or the all-apps mean when ``app`` is None.  ``valid``
-    (speedup-shaped) marks the evaluated entries of a partial sweep: a
-    cell competes once every app's entry there is evaluated.
-    """
-    a = None if app is None else axis_index("app", app, grid.apps)
-    if valid is not None:
-        valid = valid.all(axis=0)
-        if not valid.any():
-            return []
-    benefit = speedup.mean(axis=0) if a is None else speedup[a]
-    return [
-        design_point(
-            grid, area4, power4, cell + enc, speedup[(slice(None),) + cell]
-        )
-        for cell in front(area4, benefit, valid)
-    ]
 
 
 #: arithmetic of one optimizer step relative to pure inference over the

@@ -1,4 +1,4 @@
-"""Per-sweep streaming progress: partial arrays, fronts, subscribers.
+"""Per-sweep streaming progress: landed blocks, fronts, subscribers.
 
 One :class:`SweepProgress` exists per streamed sweep — in flight in a
 :class:`~repro.service.sweep_service.SweepService` or on a local
@@ -10,27 +10,28 @@ thread completes a block; a streaming consumer subscribes, and on each
 tick asks :func:`progress_events`, the one event builder, for the
 events of the current state.
 
-:class:`PartialSweep` holds dense speedup arrays that blocks scatter
-into, plus a validity mask of the evaluated entries, and answers
-**exact partial Pareto fronts** through the query kernel of
-:mod:`repro.core.dse`: :func:`~repro.core.dse.query_slice` applies the
-selector rule and :func:`~repro.core.dse.front_points` ranks the plane
-with the mask as :func:`~repro.core.dse.front`'s ``valid`` argument.  A
-grid point competes only once every app's entry at it is evaluated, so
-each front is exact over the evaluated subset, fronts only ever refine,
-and the moment the last block lands the partial front is the dense
-result's front bit for bit (a dense sweep is the all-valid case of the
-same code).
+:class:`PartialSweep` keeps each landed block's timing columns as they
+arrived, filed under its configuration window by app; nothing
+grid-shaped is allocated.  A window is complete once every app has a
+block there — every plan (:func:`~repro.core.dse.shard_plan`,
+:func:`~repro.core.dse.stream_plan`,
+:func:`~repro.core.dse.store_block_plan`, the cluster's window-major
+shard plan) cuts each (app, scheme) pair into the same windows — so a
+grid point competes exactly when its window is complete, each front is
+exact over the evaluated subset, fronts only ever refine, and the
+moment the last block lands the partial front is the dense result's
+front bit for bit.
 
-A stream does not re-rank the partial grid on every tick: since
-front(A ∪ B) = front(front(A) ∪ B), each tick gathers only the cells
-that became complete since the last one (:meth:`PartialSweep.gather`,
-O(block) under the lock), reduces them over the batch axis
-(:func:`~repro.core.dse.reduce_batches`) and merges them into the
-running front with :func:`~repro.core.dse.pareto_front`, outside the
-lock.  Candidates are ranked in flat-index order, so the merge keeps
-the dense front's lowest-flat-index tie-break and equals
-:meth:`PartialSweep.pareto_front` after the same blocks.
+A partial front has one algorithm, the running merge: since
+front(A ∪ B) = front(front(A) ∪ B), each tick gathers only the windows
+completed since the last one (:meth:`PartialSweep.gather`; the walk
+runs under the lock, each app's speedup ``baseline / accelerated`` at
+the query plane is divided outside it), reduces them over the batch
+axis (:func:`~repro.core.dse.reduce_batches`) and merges them into the
+running front with :func:`~repro.core.dse.pareto_front`.  Candidates
+are ranked in flat-index order, so the merge keeps the dense front's
+lowest-flat-index tie-break.  :meth:`PartialSweep.pareto_front` is a
+fresh running front advanced once over every complete window.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from repro.core.dse import (
     SweepGrid,
     axis_index,
     design_point,
-    front_points,
     pareto_front,
     query_slice,
     reduce_batches,
@@ -62,18 +62,15 @@ __all__ = ["PartialSweep", "SweepProgress", "progress_events"]
 
 
 class PartialSweep:
-    """Dense partial speedup arrays a sweep's blocks scatter into."""
+    """The landed blocks of one sweep, filed by configuration window."""
 
     def __init__(self, grid: SweepGrid, ngpc: Optional[NGPCConfig]):
         self.grid = grid
         self._lock = threading.Lock()
-        # zero-initialized, not NaN: every read is masked by _valid, and
-        # np.zeros gets lazily mapped pages where a NaN fill would write
-        # the whole array up front (milliseconds on multi-million-point
-        # grids — paid before the first block, i.e. on the latency path)
-        self._speedup = np.zeros(grid.shape)
-        self._valid = np.zeros(grid.shape, dtype=bool)
-        #: placements in record order (what :meth:`gather` walks)
+        #: (scheme, windows) -> {app index: (baseline_ms, accelerated_ms)}
+        self._blocks: Dict[Tuple, Dict[int, Tuple]] = {}
+        #: complete (scheme, windows) keys in completion order (what
+        #: :meth:`gather` walks)
         self._recorded: List[Tuple] = []
         # the exact cost arrays are free: they depend only on the grid
         # axes, identically to finalize_sweep_result's attach
@@ -88,53 +85,58 @@ class PartialSweep:
         self.power_overhead_pct = cost["power_overhead_pct"]
 
     def record(self, placement: Tuple, block: Dict[str, np.ndarray]) -> int:
-        """Scatter one evaluated block; returns the newly covered points."""
+        """File one evaluated block; returns the newly covered points.
+
+        The block's timing columns are kept as they landed.  A window
+        is complete once every app has a block there: every plan cuts
+        each (app, scheme) pair into the same windows.
+        """
         i, j, windows = placement
-        dest = (i, j) + tuple(slice(lo, hi) for lo, hi in windows)
+        columns = (np.asarray(block["baseline_ms"]),
+                   np.asarray(block["accelerated_ms"]))
         with self._lock:
-            fresh = int(np.count_nonzero(~self._valid[dest]))
-            # element-wise division is what SweepResult.speedup computes
-            # over the dense arrays, so the values land bit-identical
-            self._speedup[dest] = (
-                np.asarray(block["baseline_ms"])
-                / np.asarray(block["accelerated_ms"])
-            )
-            self._valid[dest] = True
-            self._recorded.append(placement)
-        return fresh
+            apps = self._blocks.setdefault((j, windows), {})
+            if i in apps:
+                return 0
+            apps[i] = columns
+            if len(apps) == len(self.grid.apps):
+                self._recorded.append((j, windows))
+        return int(np.prod([hi - lo for lo, hi in windows]))
 
-    def gather(self, query: QuerySlice, cursor: int, merged: np.ndarray):
-        """The query-plane cells complete since block ``cursor``.
+    def gather(self, query: QuerySlice, cursor: int):
+        """The query plane's windows completed since window ``cursor``.
 
-        ``merged`` (the plane's (scale, clock, SRAM, engines, batches)
-        shape) marks the cells a caller already holds; the cells
-        gathered here are marked in it.  Returns the new cursor and one
-        ``(box, fresh, speedup)`` per recorded block that completed
-        cells of the plane: ``box`` its plane slices, ``fresh`` the
-        newly complete cells in the box and ``speedup`` a copy of every
-        app's speedup there.  O(recorded blocks) under the lock.
+        Returns the new cursor and one ``(corner, speedup)`` per window
+        holding the plane: ``corner`` the window's first (scale, clock,
+        SRAM, engines, batches) plane index and ``speedup`` every app's
+        speedup over the window.  Only the walk runs under the lock.
         """
         with self._lock:
-            placements = self._recorded[cursor:]
-            gathered = []
-            for _, j, windows in placements:
-                k, p, c, g, e, b = windows[:6]
-                if j != query.scheme or not all(
-                    lo <= pos < hi
-                    for pos, (lo, hi) in zip(
-                        (query.pixels,) + query.enc, (p,) + windows[6:]
-                    )
-                ):
-                    continue
-                box = tuple(slice(lo, hi) for lo, hi in (k, c, g, e, b))
-                index = (slice(None), j, box[0], query.pixels) + box[1:] \
-                    + query.enc
-                fresh = self._valid[index].all(axis=0) & ~merged[box]
-                if not fresh.any():
-                    continue
-                merged[box] |= fresh
-                gathered.append((box, fresh, self._speedup[index].copy()))
-            return cursor + len(placements), gathered
+            keys = self._recorded[cursor:]
+            landed = [(windows, self._blocks[(j, windows)])
+                      for j, windows in keys if j == query.scheme]
+        # the plane's position along each configuration axis, None
+        # along the axes it spans
+        plane = (None, query.pixels) + (None,) * 4 + query.enc
+        gathered = []
+        for windows, apps in landed:
+            spans = list(zip(plane, windows))
+            if any(pos is not None and not lo <= pos < hi
+                   for pos, (lo, hi) in spans):
+                continue
+            shape = tuple(hi - lo for lo, hi in windows)
+            local = tuple(slice(None) if pos is None else pos - lo
+                          for pos, (lo, _) in spans)
+            box = [(lo, hi) for pos, (lo, hi) in spans if pos is None]
+            speedup = np.empty((len(apps),) + tuple(hi - lo for lo, hi in box))
+            for a, (baseline, accelerated) in apps.items():
+                # element-wise division, as SweepResult.speedup divides
+                # the dense arrays, so the values are bit-identical
+                np.divide(np.broadcast_to(baseline, shape)[local],
+                          np.broadcast_to(accelerated, shape)[local],
+                          out=speedup[a])
+            gathered.append((tuple(lo for lo, _ in box), speedup))
+        return cursor + len(keys), gathered
 
     def validate_selectors(
         self,
@@ -155,29 +157,25 @@ class PartialSweep:
     ) -> List[DesignPoint]:
         """Exact Pareto front over the fully evaluated grid points.
 
-        A point is a candidate once *every* app's slice at its
-        configuration is evaluated (the returned ``speedups`` dict must
+        A point is a candidate once *every* app's block at its
+        configuration has landed (the returned ``speedups`` dict must
         be complete).  Same selectors, arithmetic and tie-breaks as
         :meth:`repro.core.dse.SweepResult.pareto_front`, so with every
         block recorded the output is bit-identical to the dense front.
-        Ranks the whole plane under the lock: streams merge the same
-        front block by block instead, and this is their reference.
+        A stream's running front advanced once over every complete
+        window: streams merge the same front window by window.
         """
-        query = query_slice(self.grid, scheme, n_pixels, **selectors)
-        with self._lock:
-            return front_points(
-                self.grid, self.area_overhead_pct, self.power_overhead_pct,
-                self._speedup[query.index], query.enc, app,
-                valid=self._valid[query.index],
-            )
+        running = _RunningFront(self, scheme, n_pixels, app, selectors)
+        running.advance()
+        return running.points()
 
 
 class _RunningFront:
-    """One stream's exact partial front, merged block by block.
+    """One stream's exact partial front, merged window by window.
 
     Holds the front's cells in front order — flat index over the query
     plane's (scale, clock, SRAM, engines, batches) shape, benefit, and
-    every app's speedup — and :meth:`advance` folds in the cells
+    every app's speedup — and :meth:`advance` folds in the windows
     completed since its last call.
     """
 
@@ -188,33 +186,30 @@ class _RunningFront:
         self.query = query_slice(grid, scheme, n_pixels, **selectors)
         self.app = None if app is None else axis_index("app", app, grid.apps)
         self.shape = grid.shape[2:3] + grid.shape[4:8]
-        self.merged = np.zeros(self.shape, dtype=bool)
         self.cursor = 0
         self.flat = np.empty(0, dtype=np.intp)
         self.value = np.empty(0)
         self.speedups = np.empty((0, len(grid.apps)))
 
     def advance(self) -> bool:
-        """Merge the newly complete cells; True when the front changed."""
-        self.cursor, gathered = self.partial.gather(
-            self.query, self.cursor, self.merged
-        )
+        """Merge the newly complete windows; True when the front changed."""
+        self.cursor, gathered = self.partial.gather(self.query, self.cursor)
         if not gathered:
             return False
         flats, values, speedups = [self.flat], [self.value], [self.speedups]
-        for box, fresh, speedup in gathered:
+        for corner, speedup in gathered:
             benefit = (
                 speedup.mean(axis=0) if self.app is None
                 else speedup[self.app]
             )
-            value, batch = reduce_batches(benefit, fresh)
-            cells = np.nonzero(batch >= 0)
-            local = cells + (batch[cells],)
+            value, batch = reduce_batches(benefit)
+            # every cell of the window, with its best batch
+            local = np.unravel_index(np.arange(batch.size), batch.shape) \
+                + (batch.reshape(-1),)
             flats.append(np.ravel_multi_index(
-                tuple(pos + part.start for pos, part in zip(local, box)),
-                self.shape,
+                tuple(pos + lo for pos, lo in zip(local, corner)), self.shape
             ))
-            values.append(value[cells])
+            values.append(value.reshape(-1))
             speedups.append(speedup[(slice(None),) + local].T)
         # flat-index order: pareto_front's lowest-input-index tie-break
         # is then the dense front's lowest-flat-index one

@@ -10,7 +10,7 @@ formulation over the whole plane:
   :func:`pareto_front`;
 - the cheapest point with ``np.argmin`` over the area masked by the
   target, batch included;
-- :func:`reduce_batches` with a per-cell loop over the valid batches.
+- :func:`reduce_batches` with ``argmax`` plus ``take_along_axis``.
 
 Results come from :meth:`SweepResult.from_arrays` with edited timing
 planes: ties across batches, infinities, NaN batches, a 3-app grid (the
@@ -311,20 +311,6 @@ class TestCheapest:
                 == TWO_APPS.n_batches[1]
 
 
-def _reference_reduce(benefit, valid):
-    value = np.empty(benefit.shape[:-1])
-    batch = np.full(benefit.shape[:-1], -1, dtype=np.intp)
-    for cell in np.ndindex(*benefit.shape[:-1]):
-        options = [b for b in range(benefit.shape[-1]) if valid[cell + (b,)]]
-        if options:
-            best = max(benefit[cell + (b,)] for b in options)
-            batch[cell] = next(
-                b for b in options if benefit[cell + (b,)] == best
-            )
-            value[cell] = best
-    return value, batch
-
-
 class TestReduceBatches:
     def _benefit(self, rng, shape):
         # few distinct values, so many cells tie across batches
@@ -338,42 +324,15 @@ class TestReduceBatches:
         benefit = self._benefit(rng, (3, 4, 5, 16))
         batch = benefit.argmax(axis=-1)
         value = np.take_along_axis(benefit, batch[..., None], axis=-1)[..., 0]
-        for valid in (None, np.ones(benefit.shape, bool)):
-            got_value, got_batch = reduce_batches(benefit, valid)
-            np.testing.assert_array_equal(got_batch, batch)
-            assert got_value.tobytes() == value.tobytes()
+        got_value, got_batch = reduce_batches(benefit)
+        np.testing.assert_array_equal(got_batch, batch)
+        assert got_value.tobytes() == value.tobytes()
 
     def test_nan(self):
         benefit = np.arange(24, dtype=float).reshape(2, 3, 4)
         benefit[0, 1, 2] = benefit[0, 1, 3] = np.nan
         benefit[1, 2, 1] = np.nan
-        # unmasked, a NaN ranks first, as argmax ranks it
+        # a NaN ranks first, as argmax ranks it
         value, batch = reduce_batches(benefit)
         assert batch[0, 1] == 2 and np.isnan(value[0, 1])
         assert batch[1, 2] == 1 and np.isnan(value[1, 2])
-        # a masked-out NaN is ignored; a valid one leaves the cell out
-        valid = np.ones(benefit.shape, bool)
-        valid[1, 2, 1] = valid[0, 0, 0] = False
-        value, batch = reduce_batches(benefit, valid)
-        assert batch[1, 2] == 3 and value[1, 2] == benefit[1, 2, 3]
-        assert batch[0, 1] == -1
-        assert batch[0, 0] == 3 and batch[1, 0] == 3
-
-    def test_partial_masks(self):
-        rng = np.random.default_rng(2)
-        benefit = self._benefit(rng, (3, 4, 5, 8))
-        valid = rng.random(benefit.shape) < 0.5
-        valid[0, 0, 0] = False  # a fully masked cell
-        # a valid cell whose only valid benefit is -inf, behind an
-        # invalid -inf batch
-        valid[0, 0, 1] = False
-        benefit[0, 0, 1, :3] = -np.inf
-        valid[0, 0, 1, 2] = True
-        value, batch = reduce_batches(benefit, valid)
-        expected_value, expected_batch = _reference_reduce(benefit, valid)
-        np.testing.assert_array_equal(batch, expected_batch)
-        np.testing.assert_array_equal(
-            value[batch >= 0], expected_value[batch >= 0]
-        )
-        assert batch[0, 0, 0] == -1
-        assert batch[0, 0, 1] == 2 and value[0, 0, 1] == -np.inf

@@ -12,7 +12,8 @@
 - :func:`repro.core.dse.pareto_front` ranks each distinct cost once.
   Its indices must equal the ``np.lexsort`` ranking it replaced, copied
   here as :func:`_lexsort_front`, on tie-heavy random points and on the
-  ``adaptive``-shaped plane through :func:`ranked_cells`; a NaN raises.
+  ``adaptive``-shaped plane's batch-reduced cells
+  (:func:`~repro.core.dse.reduce_batches`); a NaN raises.
 """
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.core.dse import (
     evaluate_block,
     pareto_front,
     query_slice,
-    ranked_cells,
     reduce_batches,
     shard_plan,
     sweep_grid,
@@ -265,28 +265,14 @@ class TestParetoRanker:
             pareto_front(costs, values)
 
     def test_adaptive_plane_through_ranked_cells(self):
+        """The batch-reduced cells of the ``adaptive`` plane, ranked."""
         result = sweep_grid(ADAPTIVE_GRID, use_cache=False)
         query = query_slice(ADAPTIVE_GRID, SCHEME)
         speedup = result.speedup[query.index]
-        area4 = result.area_overhead_pct
-        # a partial sweep's mask: a quarter of the cells hold no valid
-        # batch and drop out before the ranking
-        rng = np.random.default_rng(3)
-        valid = (rng.random(speedup.shape[1:-1]) >= 0.25)[..., None] \
-            & (rng.random(speedup.shape[1:]) < 0.7)
-        for benefit, mask in (
-            (speedup.mean(axis=0), None), (speedup[0], None),
-            (speedup[1], valid),
-        ):
-            value, batch = reduce_batches(benefit, mask)
-            cells = np.flatnonzero(batch.reshape(-1) >= 0)
-            keep = cells[_lexsort_front(
-                area4.reshape(-1)[cells], value.reshape(-1)[cells]
-            )]
-            expected = [
-                np.unravel_index(int(flat), area4.shape)
-                + (int(batch.flat[flat]),)
-                for flat in keep
-            ]
-            assert ranked_cells(area4, value, batch) == expected
+        costs = result.area_overhead_pct.reshape(-1)
+        for benefit in (speedup.mean(axis=0), speedup[0], speedup[1]):
+            value, _ = reduce_batches(benefit)
+            values = value.reshape(-1)
+            expected = _lexsort_front(costs, values)
+            assert pareto_front(costs, values) == expected
             assert expected

@@ -15,7 +15,10 @@ rate arrays.  Pinned here:
   spans many slabs, and on a grid with more scale rows than one slab at
   the real size;
 - ``tracemalloc`` peaks on an ``adaptive``-shaped 1,048,576-point grid,
-  as multiples of ``accelerated_ms.nbytes``: no timing involved.
+  as multiples of ``accelerated_ms.nbytes``: no timing involved; and
+  on a ``cluster_stream``-shaped grid, a streamed sweep's
+  :class:`~repro.service.progress.PartialSweep` built and fed its first
+  block below an eighth of ``accelerated_ms.nbytes``.
 """
 
 import tracemalloc
@@ -31,14 +34,16 @@ from repro.core.dse import (
     block_fingerprint,
     design_point,
     evaluate_block,
-    front,
+    pareto_front,
     query_slice,
     run_plan,
     shard_plan,
     store_block_plan,
+    stream_plan,
     sweep_grid,
     task_shape,
 )
+from repro.service.progress import PartialSweep
 from repro.store import ResultStore, tiered_sweep
 from tests.test_stream import BATCH_GRID, EXTENDED_GRID, GRID, SCHEME, TIE_GRID
 
@@ -53,6 +58,17 @@ ADAPTIVE_GRID = SweepGrid(
     grid_sram_kb=tuple(2 ** (4 + i) for i in range(16)),
     n_engines=tuple(2 ** i for i in range(8)),
     n_batches=tuple(2 ** i for i in range(16)),
+)
+
+#: the shape of layerbench's ``cluster_stream`` question: 4 apps x 4
+#: scales x 2 pixel counts x 64 clocks x 12 SRAM sizes x 6 engine counts
+#: x 6 batch counts, 884,736 points streamed in 128 blocks
+CLUSTER_STREAM_GRID = SweepGrid(
+    apps=("nerf", "gia", "nsdf", "nvr"), schemes=(SCHEME,),
+    scale_factors=(8, 16, 32, 64), pixel_counts=(1_000_000, FHD),
+    clocks_ghz=tuple(float(c) for c in np.linspace(0.6, 1.8, 64)),
+    grid_sram_kb=tuple(16 << k for k in range(12)),
+    n_engines=(2, 4, 8, 16, 32, 64), n_batches=(1, 2, 4, 8, 16, 32),
 )
 
 #: 65,536 points (both apps) per scale row: a slab holds one scale row,
@@ -134,20 +150,25 @@ class TestInPlaceBlocks:
 
 
 def _whole_plane_front(result, query, app):
-    """``front(area4, speedup[plane].mean(0))``, as design points."""
+    """``argmax`` + ``take_along_axis`` over the whole speedup plane,
+    ranked by :func:`pareto_front`, as design points."""
     grid = result.grid
     speedup = result.speedup[query.index]
     benefit = (
         speedup.mean(axis=0) if app is None
         else speedup[axis_index("app", app, grid.apps)]
     )
-    return [
-        design_point(
-            grid, result.area_overhead_pct, result.power_overhead_pct,
-            cell + query.enc, speedup[(slice(None),) + cell],
-        )
-        for cell in front(result.area_overhead_pct, benefit)
-    ]
+    batch = benefit.argmax(axis=-1)
+    value = np.take_along_axis(benefit, batch[..., None], axis=-1)[..., 0]
+    area4 = result.area_overhead_pct
+    points = []
+    for flat in pareto_front(area4.reshape(-1), value.reshape(-1)):
+        cell = np.unravel_index(flat, area4.shape) + (int(batch.flat[flat]),)
+        points.append(design_point(
+            grid, area4, result.power_overhead_pct, cell + query.enc,
+            speedup[(slice(None),) + cell],
+        ))
+    return points
 
 
 def _whole_plane_cheapest(result, query, feasible):
@@ -267,3 +288,22 @@ class TestAllocationBounds:
         )
         assert hit is not None
         assert peak <= 0.25 * nbytes
+
+    def test_partial_sweep_keeps_blocks_not_a_grid(self):
+        """A stream's partial sweep files landed blocks: building it and
+        recording the first block allocates no grid-sized array."""
+        grid = CLUSTER_STREAM_GRID.resolve()
+        plan = stream_plan(grid)
+        assert (grid.size, len(plan)) == (884_736, 128)
+        placement, task = plan[0]
+        block = evaluate_block(task)
+        PartialSweep(grid, None).record(placement, block)  # warm caches
+
+        def build_and_record():
+            partial = PartialSweep(grid, None)
+            return partial.record(placement, block)
+
+        fresh, peak = _peak_bytes(build_and_record)
+        assert fresh == int(np.prod(task_shape(task)))
+        nbytes = grid.size * np.dtype(np.float64).itemsize  # accelerated_ms
+        assert peak < nbytes / 8

@@ -12,7 +12,8 @@ reads it broadcast to ``grid.shape``.  Pinned here:
 - every reader (payload and frame decode, store sweeps and blocks, the
   coordinator's block check) loads a compact and a legacy dense column
   to bit-identical results, and rejects any other shape with its usual
-  error;
+  error, and a dense column that varies along an axis its field is
+  constant along with a ``ValueError`` naming the field;
 - the size of an ``adaptive``-shaped 1,048,576-point result.
 """
 
@@ -264,6 +265,22 @@ class TestReaders:
         })
         with pytest.raises(ValueError, match="'mlp_engine_ms' has shape"):
             SweepResult.from_payload(payload)
+
+    def test_from_arrays_rejects_an_edited_dense_column(self, reference):
+        """A dense ``baseline_ms`` edited along clocks, an axis it is
+        constant along, would read back unedited from index 0."""
+        arrays = _arrays(reference, "dense")
+        assert "clocks_ghz" not in TIMING_AXES["baseline_ms"]
+        baseline = arrays["baseline_ms"].copy()
+        baseline[0, 0, 0, 0, 1] *= 2.0  # app, scheme, scale, pixels, clock
+        with pytest.raises(ValueError, match="'baseline_ms' varies along"):
+            SweepResult.from_arrays(
+                GRID, "vectorized", dict(arrays, baseline_ms=baseline)
+            )
+        # the unedited dense column still loads
+        assert_same_result(
+            SweepResult.from_arrays(GRID, "vectorized", arrays), reference
+        )
 
     def test_frame_rejects_a_misshapen_column_as_a_502(self, reference):
         frame = encode_frame(_meta(), _misshapen(_arrays(reference, "compact")))

@@ -3,7 +3,12 @@
 Covers the streaming result path end to end:
 
 - :class:`PartialSweep` fronts are exact — at full coverage they are
-  bit-identical to the dense :meth:`SweepResult.pareto_front`;
+  bit-identical to the dense :meth:`SweepResult.pareto_front`, and
+  every streamed front equals an independent unreduced front over the
+  landed cells;
+- every plan cuts each (app, scheme) pair into the same disjoint,
+  covering windows, which a partial sweep's window completeness
+  relies on;
 - ``SweepService.sweep_stream`` emits ordered progress/front/complete
   events whose final front matches the dense ``/pareto`` answer;
 - ``Sweep.watch()`` streams refining fronts and leaves the handle
@@ -35,6 +40,8 @@ from repro.core.dse import (
     finalize_sweep_result,
     pareto_front,
     shard_plan,
+    store_block_plan,
+    stream_plan,
     sweep_grid,
     task_shape,
     window_major,
@@ -336,6 +343,75 @@ class TestIncrementalFronts:
         pull()
         dense = sweep_grid(grid, use_cache=False)
         assert emitted == [p.to_dict() for p in dense.pareto_front(SCHEME)]
+
+    @pytest.mark.parametrize("grid, encoding", [
+        (BATCH_GRID, {}),
+        (EXTENDED_GRID, {"gridtype": "tiled", "log2_hashmap_size": 19}),
+    ], ids=["split-batches", "extended-tiled-19"])
+    @pytest.mark.parametrize("app", [None, "nerf"])
+    @pytest.mark.parametrize("n_blocks", [8, 40])
+    def test_every_streamed_front_is_the_restricted_dense_front(
+        self, grid, encoding, app, n_blocks
+    ):
+        """An independent reference: after each block, the stream's
+        front is the unreduced front of the dense result over the cells
+        every app has landed."""
+        resolved = grid.resolve()
+        dense = sweep_grid(resolved, use_cache=False)
+        plan = shard_plan(resolved, n_blocks)
+        np.random.default_rng(n_blocks + 1).shuffle(plan)
+        progress = SweepProgress(resolved, None)
+        events = progress_events(progress, SCHEME, app=app, **encoding)
+        covered = np.zeros(resolved.shape, dtype=bool)
+        emitted = []
+        for placement, task in plan:
+            progress.record(placement, evaluate_block(task))
+            i, j, windows = placement
+            covered[(i, j) + tuple(slice(lo, hi) for lo, hi in windows)] = True
+            for event in next(events):
+                if event["event"] == "front":
+                    emitted = [
+                        (p["scale_factor"], p["area_overhead_pct"],
+                         p["power_overhead_pct"], p["speedups"])
+                        for p in event["points"]
+                    ]
+            assert emitted == _restricted_front(dense, covered, app, encoding)
+        assert covered.all() and emitted
+
+
+class TestPlanWindows:
+    """A partial sweep counts a window complete once every app has a
+    block there; that is exact because every plan cuts each (app,
+    scheme) pair into the same windows."""
+
+    @pytest.mark.parametrize("grid", [GRID, BATCH_GRID, EXTENDED_GRID],
+                             ids=["seed", "split-batches", "extended"])
+    def test_every_pair_gets_the_same_disjoint_covering_windows(self, grid):
+        from repro.service.cluster import ShardCoordinator
+
+        resolved = grid.resolve()
+        plans = {
+            **{f"shard_plan({n})": shard_plan(resolved, n)
+               for n in (1, 3, 8, 40, 1000)},
+            "stream_plan": stream_plan(resolved),
+            "store_block_plan": store_block_plan(resolved),
+            **{f"coordinator({n} per worker)": ShardCoordinator(
+                blocks_per_worker=n)._plan(resolved) for n in (1, 7)},
+        }
+        for name, plan in plans.items():
+            by_pair = {}
+            for (i, j, windows), _ in plan:
+                by_pair.setdefault((i, j), []).append(windows)
+            pairs = {(i, j) for i in range(len(resolved.apps))
+                     for j in range(len(resolved.schemes))}
+            assert set(by_pair) == pairs, name
+            windows = sorted(by_pair[0, 0])
+            for pair, cut in by_pair.items():
+                assert sorted(cut) == windows, (name, pair)
+            hits = np.zeros(resolved.shape[2:], dtype=int)
+            for cut in windows:
+                hits[tuple(slice(lo, hi) for lo, hi in cut)] += 1
+            assert (hits == 1).all(), name
 
 
 def _restricted_front(dense, covered, app, encoding):

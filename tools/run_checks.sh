@@ -78,7 +78,12 @@
 # `asyncio.shield(` in src/repro/service/sweep_service.py), and every
 # HTTP response leaves through one writer (no `ops is not None` in
 # src/repro/service/http.py, and exactly two `ops.observe(` calls
-# there: the stream's and the one response writer's).
+# there: the stream's and the one response writer's).  A tenth keeps
+# one partial front: streams keep their landed blocks and merge one
+# running front, so no `def front(`, `def ranked_cells(` or
+# `def front_points(` (the masked whole-plane front) is defined under
+# src/repro, and src/repro/service/progress.py holds no `np.zeros(`
+# scratch grid.
 # The service, reconnect, ops and Session suites run again under
 # `python -X dev` and fail on any unclosed-socket ResourceWarning, and
 # EXPERIMENTS.md must equal a fresh run of
@@ -319,6 +324,18 @@ if grep -nE 'class _Inflight|asyncio\.shield\(' src/repro/service/sweep_service.
     fail
 else
     echo "one request path: in-flight record = SweepProgress, $observe_calls ops.observe( sites in http.py"
+fi
+
+section "one partial front (grep gate)"
+# a partial sweep files its landed blocks by window, and every partial
+# front is the running merge in repro.service.progress: no masked
+# whole-plane front, no dense scratch grid
+if grep -rnE --include='*.py' 'def (front|ranked_cells|front_points)\(' src/repro \
+   || grep -n 'np\.zeros(' src/repro/service/progress.py; then
+    echo "FAIL: a masked whole-plane front or a dense partial grid is back" >&2
+    fail
+else
+    echo "one partial front: landed blocks, one running merge"
 fi
 
 section "calibration is a value (grep gate)"
