@@ -1082,23 +1082,22 @@ def store_block_plan(grid: SweepGrid) -> List[Tuple[Tuple, Tuple]]:
     identical blocks for the overlap and hits their persisted entries;
     only the genuinely new hypercube slices evaluate.  ``grid`` must be
     resolved.  On extended grids each task also carries the full
-    encoding sub-grid as three extra value windows.
+    encoding sub-grid as three extra value windows.  Blocks come
+    window-major, like :func:`shard_plan`'s: (scale, pixel count)
+    outermost, then app, then scheme.
     """
     arch_axes = tuple(
         getattr(grid, name) for name in grid.axis_fields[4:]
     )
     full_windows = tuple((0, len(axis)) for axis in arch_axes)
     tasks = []
-    for i, app in enumerate(grid.apps):
-        for j, scheme in enumerate(grid.schemes):
-            for k, scale in enumerate(grid.scale_factors):
-                for l, n_pixels in enumerate(grid.pixel_counts):
-                    placement = (
-                        i, j,
-                        ((k, k + 1), (l, l + 1)) + full_windows,
-                    )
+    for k, scale in enumerate(grid.scale_factors):
+        for l, n_pixels in enumerate(grid.pixel_counts):
+            windows = ((k, k + 1), (l, l + 1)) + full_windows
+            for i, app in enumerate(grid.apps):
+                for j, scheme in enumerate(grid.schemes):
                     task = (app, scheme, (scale,), (n_pixels,)) + arch_axes
-                    tasks.append((placement, task))
+                    tasks.append(((i, j, windows), task))
     return tasks
 
 
@@ -1260,6 +1259,13 @@ def shard_plan(grid: SweepGrid, n_blocks: int) -> List[Tuple[Tuple, Tuple]]:
     :func:`run_plan` and the multi-host shard cluster
     (:mod:`repro.service.cluster`); :func:`assemble_shard_blocks` is its
     inverse, scattering evaluated blocks back into dense grid arrays.
+
+    Blocks come window-major: configuration windows outermost (in
+    ascending order), then app, then scheme.  A streamed sweep's first
+    fully covered window — and so its first exact partial Pareto
+    front — then lands after ``apps x schemes`` blocks rather than at
+    the very end; assembly goes by placement, so the order never
+    changes the result.
     """
     axes = tuple(getattr(grid, name) for name in grid.axis_fields[2:])
     lengths = [len(axis) for axis in axes]
@@ -1286,12 +1292,10 @@ def shard_plan(grid: SweepGrid, n_blocks: int) -> List[Tuple[Tuple, Tuple]]:
         )
     ]
     tasks = []
-    for i, app in enumerate(grid.apps):
-        for j, scheme in enumerate(grid.schemes):
-            for windows in itertools.product(*windows_per_axis):
-                sub = tuple(
-                    axis[lo:hi] for axis, (lo, hi) in zip(axes, windows)
-                )
+    for windows in itertools.product(*windows_per_axis):
+        sub = tuple(axis[lo:hi] for axis, (lo, hi) in zip(axes, windows))
+        for i, app in enumerate(grid.apps):
+            for j, scheme in enumerate(grid.schemes):
                 tasks.append(((i, j, windows), (app, scheme) + sub))
     return tasks
 
@@ -1427,25 +1431,13 @@ _STREAM_WINDOWS = 32
 _STREAM_MIN_BLOCK = 256
 
 
-def window_major(plan: List[Tuple[Tuple, Tuple]]) -> List[Tuple[Tuple, Tuple]]:
-    """Order a plan window by window across every (app, scheme) pair.
-
-    The first fully covered configuration windows — and hence the first
-    exact partial Pareto points — then land after ``apps x schemes``
-    blocks rather than at the very end of a streamed sweep.
-    """
-    return sorted(
-        plan, key=lambda entry: (entry[0][2], entry[0][0], entry[0][1])
-    )
-
-
 def stream_plan(grid: SweepGrid) -> List[Tuple[Tuple, Tuple]]:
-    """The window-major :func:`shard_plan` a streamed sweep evaluates."""
+    """The :func:`shard_plan` a streamed sweep evaluates."""
     n_pairs = max(1, len(grid.apps) * len(grid.schemes))
     windows = max(
         1, min(_STREAM_WINDOWS, grid.size // (_STREAM_MIN_BLOCK * n_pairs))
     )
-    return window_major(shard_plan(grid, windows * n_pairs))
+    return shard_plan(grid, windows * n_pairs)
 
 
 def sweep_grid(

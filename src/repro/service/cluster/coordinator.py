@@ -31,6 +31,11 @@ by the HTTP layer, not this adapter: it is an admin-authenticated
 operator verb calling :meth:`ShardCoordinator.drain` for rolling
 worker-generation restarts, not part of the worker wire protocol.)
 
+A sweep is cut into :data:`BLOCKS_PER_WORKER` blocks per alive worker —
+more only when a block's arrays would outgrow :data:`MAX_BLOCK_BYTES` —
+ordered window-major by :func:`~repro.core.dse.shard_plan`; pull-based
+leasing hands faster workers more of them.
+
 Lease semantics (the failure model):
 
 - Work is **pull-based**: nothing is ever assigned to a worker that did
@@ -79,13 +84,12 @@ from repro.core.dse import (
     run_plan,
     shard_plan,
     task_shape,
-    window_major,
 )
 from repro.errors import BackendUnavailableError
 from repro.service.errors import ServiceError, as_service_error
 from repro.transport import FRAME_CONTENT_TYPE, decode_message, encode_message
 
-#: blocks handed to each worker per cold sweep (few, big blocks: HTTP
+#: blocks cut per alive worker for each sweep (few, big blocks: HTTP
 #: round trips cost more than queue pops)
 BLOCKS_PER_WORKER = 2
 
@@ -93,13 +97,6 @@ BLOCKS_PER_WORKER = 2
 #: timing arrays fit (6 float64 arrays), keeping completions well under
 #: the HTTP layer's request-size limit
 MAX_BLOCK_BYTES = 4 * 1024 * 1024
-
-#: adaptive block-sizing target: once per-worker throughput has been
-#: observed from completed leases, sweeps are cut so one block costs a
-#: worker about this long — long enough to amortize an HTTP round trip,
-#: short enough that an uneven tail (or a second sweep arriving
-#: mid-sweep) never idles the other workers for long
-TARGET_BLOCK_SECONDS = 0.25
 
 _PENDING, _LEASED, _DONE = 0, 1, 2
 
@@ -148,18 +145,6 @@ class _Worker:
         self.alive = True
         self.last_seen = last_seen
         self.blocks_completed = 0
-        #: EWMA of observed evaluation throughput (grid points per
-        #: second, lease-to-completion) — drives adaptive block sizing
-        self.points_per_s: Optional[float] = None
-
-    def observe(self, n_points: int, elapsed_s: float) -> None:
-        if elapsed_s <= 0.0 or n_points <= 0:
-            return
-        rate = n_points / elapsed_s
-        if self.points_per_s is None:
-            self.points_per_s = rate
-        else:  # EWMA: responsive to host load changes, stable per block
-            self.points_per_s = 0.5 * self.points_per_s + 0.5 * rate
 
 
 class ShardCoordinator:
@@ -181,21 +166,19 @@ class ShardCoordinator:
         ngpc: Optional[NGPCConfig] = None,
         lease_timeout_s: float = 10.0,
         poll_timeout_s: float = 30.0,
-        blocks_per_worker: int = BLOCKS_PER_WORKER,
         sweep_timeout_s: Optional[float] = 600.0,
     ):
         self.ngpc = ngpc
         self.lease_timeout_s = float(lease_timeout_s)
         self.poll_timeout_s = float(poll_timeout_s)
-        self.blocks_per_worker = int(blocks_per_worker)
         #: bound on one cluster sweep (sweep_fn/sweep_blocking); None
         #: waits forever
         self.sweep_timeout_s = sweep_timeout_s
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._jobs: Dict[int, _Job] = {}
         self._queue: List[Tuple[int, int]] = []  # FIFO of (job_id, task_id)
-        # (job_id, task_id) -> (worker_id, deadline, lease_start)
-        self._leases: Dict[Tuple[int, int], Tuple[str, float, float]] = {}
+        # (job_id, task_id) -> (worker_id, deadline)
+        self._leases: Dict[Tuple[int, int], Tuple[str, float]] = {}
         self._workers: Dict[str, _Worker] = {}
         self._work_cond: Optional[asyncio.Condition] = None
         self._reaper: Optional[asyncio.Task] = None
@@ -250,42 +233,18 @@ class ShardCoordinator:
                 self._work_cond.notify_all()
 
     # -- submission ----------------------------------------------------------
-    @property
-    def observed_points_per_s(self) -> Optional[float]:
-        """Mean per-worker throughput over live workers, or None (cold)."""
-        rates = [
-            w.points_per_s for w in self._workers.values()
-            if w.alive and w.points_per_s
-        ]
-        if not rates:
-            return None
-        return sum(rates) / len(rates)
-
     def _plan(self, grid: SweepGrid) -> List[Tuple[Tuple, Tuple]]:
-        """Cut a sweep into blocks, sized from observed throughput.
+        """Cut a sweep into :data:`BLOCKS_PER_WORKER` blocks per alive worker.
 
-        Cold (no completed leases yet) the cut is the static
-        ``blocks_per_worker × alive workers``.  Once workers have
-        reported blocks, the plan targets
-        :data:`TARGET_BLOCK_SECONDS`-sized blocks instead — fast workers
-        get more, smaller blocks keep every worker busy through uneven
-        tails and interleaved sweeps — while never
-        dropping below the static floor or above the
-        :data:`MAX_BLOCK_BYTES` transport ceiling.  Blocks are leased
-        window-major (:func:`~repro.core.dse.window_major`), so a
-        streamed sweep's first exact partial front lands after
-        ``apps × schemes`` blocks; assembly goes by placement, so the
-        order never changes the result.
+        More blocks only when a block's timing arrays would outgrow
+        :data:`MAX_BLOCK_BYTES`.  :func:`~repro.core.dse.shard_plan`
+        orders them window-major, so a streamed sweep's first exact
+        partial front lands after ``apps × schemes`` blocks.
         """
-        n_workers = max(1, sum(w.alive for w in self._workers.values()))
-        n_blocks = self.blocks_per_worker * n_workers
-        rate = self.observed_points_per_s
-        if rate is not None:
-            block_points = max(1, int(rate * TARGET_BLOCK_SECONDS))
-            n_blocks = max(n_blocks, -(-grid.size // block_points))
+        n_blocks = BLOCKS_PER_WORKER * max(1, self.n_alive_workers)
         point_bytes = 8 * len(_TIMING_FIELDS)
         min_blocks = -(-grid.size * point_bytes // MAX_BLOCK_BYTES)
-        return window_major(shard_plan(grid, max(n_blocks, int(min_blocks))))
+        return shard_plan(grid, max(n_blocks, min_blocks))
 
     async def submit(
         self,
@@ -299,12 +258,11 @@ class ShardCoordinator:
         ``tasks`` are :func:`~repro.core.dse.evaluate_block` work units —
         a sweep's :func:`~repro.core.dse.shard_plan` tasks, evaluated
         under the calibration current in this task.  Every
-        registered worker pulls them, a worker death re-queues its
-        blocks, and lease timings feed the throughput EWMAs that size
-        later sweeps.  ``on_block`` (if
-        given) is called as ``on_block(task_id, block)`` on the
-        coordinator loop for every accepted block — the streaming
-        progress hook; listener exceptions never fail the job.
+        registered worker pulls them and a worker death re-queues its
+        blocks.  ``on_block`` (if given) is called as
+        ``on_block(task_id, block)`` on the coordinator loop for every
+        accepted block — the streaming progress hook; listener
+        exceptions never fail the job.
         """
         if self._closing:
             raise BackendUnavailableError("shard coordinator is shut down")
@@ -369,7 +327,7 @@ class ShardCoordinator:
         coalescing and LRU in front of the cluster.  The grid is resolved
         against the job's base config exactly as
         :func:`~repro.core.dse.sweep_grid` resolves it, planned on the
-        loop from observed worker throughput, and run through
+        loop from the alive worker count (:meth:`_plan`), and run through
         :func:`~repro.core.dse.run_plan`, so it is assembled and finalized
         on this thread by the same code as a local evaluation.
         ``on_block(placement, block)`` is the streaming progress hook.
@@ -447,9 +405,9 @@ class ShardCoordinator:
                     job_id, task_id = ref
                     job = self._jobs[job_id]
                     job.states[task_id] = _LEASED
-                    now = self._loop.time()
                     self._leases[ref] = (
-                        worker.worker_id, now + self.lease_timeout_s, now,
+                        worker.worker_id,
+                        self._loop.time() + self.lease_timeout_s,
                     )
                     self.blocks_dispatched += 1
                     return {
@@ -521,9 +479,6 @@ class ShardCoordinator:
                 self._work_cond.notify_all()
             raise
         self._leases.pop((job_id, task_id), None)
-        if lease is not None:  # the gate above ensured it is ours
-            n_points = int(np.prod(task_shape(job.tasks[task_id])))
-            worker.observe(n_points, self._loop.time() - lease[2])
         job.states[task_id] = _DONE
         job.blocks[task_id] = block
         job.remaining -= 1
@@ -579,7 +534,7 @@ class ShardCoordinator:
                 del self._workers[worker_id]
             expired = [
                 (ref, worker_id)
-                for ref, (worker_id, deadline, _start) in self._leases.items()
+                for ref, (worker_id, deadline) in self._leases.items()
                 if deadline <= now
             ]
             if not expired:
@@ -684,12 +639,6 @@ class ShardCoordinator:
                     w.worker_id[:8]: w.blocks_completed
                     for w in self._workers.values()
                 },
-                "points_per_s": {
-                    w.worker_id[:8]: w.points_per_s
-                    for w in self._workers.values()
-                    if w.points_per_s is not None
-                },
-                "mean_points_per_s": self.observed_points_per_s,
             },
             "jobs": {
                 "submitted": self.jobs_submitted,

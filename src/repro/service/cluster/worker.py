@@ -124,15 +124,59 @@ def run_worker(
                         f"with http://{host}:{port}", flush=True)
                 lease = client.call("/cluster/lease", {"worker_id": worker_id})
                 failures = 0
+                if lease.get("stop"):
+                    reason = lease.get("reason", "coordinator stopped")
+                    log(f"repro worker: stopping ({reason}); exiting",
+                        flush=True)
+                    return 0
+                if "task" not in lease:  # empty poll
+                    if (max_idle_s is not None
+                            and time.monotonic() - idle_since > max_idle_s):
+                        log(f"repro worker: idle for {max_idle_s:g}s; "
+                            f"exiting", flush=True)
+                        return 0
+                    continue
+                completion = {
+                    "worker_id": worker_id,
+                    "job_id": lease["job_id"],
+                    "task_id": lease["task_id"],
+                }
+                try:
+                    if block_delay_s:
+                        time.sleep(block_delay_s)
+                    with use(Calibration.from_fingerprint(
+                            lease["calibration"])):
+                        completion["arrays"] = evaluate_block(
+                            lease["task"], lease["ngpc"]
+                        )
+                except Exception as exc:
+                    # report the failure instead of dying: an unreported
+                    # crash would re-lease the same poison block around
+                    # the cluster while the client waits out its full
+                    # sweep timeout
+                    completion["error"] = f"{type(exc).__name__}: {exc}"
+                    log(f"repro worker: block evaluation failed "
+                        f"({completion['error']})", flush=True)
+                try:
+                    client.call("/cluster/complete", completion)
+                except ServiceError as exc:
+                    # bad-block (shape drift) or stale job: drop and move
+                    # on — the coordinator already re-queued or finished
+                    # the block
+                    log(f"repro worker: completion rejected ({exc.code}): "
+                        f"{exc}", flush=True)
+                blocks += 1
+                idle_since = time.monotonic()
             except BackendUnavailableError as exc:
+                # coordinator gone or hiccuping — also mid-completion,
+                # where the lease will expire and re-queue the block
                 failures += 1
                 if failures >= max_failures:
                     log(f"repro worker: giving up after {failures} "
                         f"failures ({exc})", flush=True)
                     return 1
                 time.sleep(min(2.0 ** failures * 0.1, 5.0))
-                continue
-            except ServiceError as exc:
+            except ServiceError as exc:  # from register or lease
                 if exc.code == "unknown-worker":  # coordinator restarted
                     worker_id = None
                     continue
@@ -142,56 +186,6 @@ def run_worker(
                     f"worker ({exc.status} {exc.code}: {exc}); exiting",
                     flush=True)
                 return 1
-            if lease.get("stop"):
-                reason = lease.get("reason", "coordinator stopped")
-                log(f"repro worker: stopping ({reason}); exiting", flush=True)
-                return 0
-            if "task" not in lease:  # empty poll
-                if (max_idle_s is not None
-                        and time.monotonic() - idle_since > max_idle_s):
-                    log(f"repro worker: idle for {max_idle_s:g}s; exiting",
-                        flush=True)
-                    return 0
-                continue
-            completion = {
-                "worker_id": worker_id,
-                "job_id": lease["job_id"],
-                "task_id": lease["task_id"],
-            }
-            try:
-                if block_delay_s:
-                    time.sleep(block_delay_s)
-                with use(Calibration.from_fingerprint(lease["calibration"])):
-                    completion["arrays"] = evaluate_block(
-                        lease["task"], lease["ngpc"]
-                    )
-            except Exception as exc:
-                # report the failure instead of dying: an unreported crash
-                # would re-lease the same poison block around the cluster
-                # while the client waits out its full sweep timeout
-                completion["error"] = f"{type(exc).__name__}: {exc}"
-                log(f"repro worker: block evaluation failed "
-                    f"({completion['error']})", flush=True)
-            try:
-                client.call("/cluster/complete", completion)
-            except ServiceError as exc:
-                # bad-block (shape drift) or stale job: drop and move on —
-                # the coordinator already re-queued or finished the block
-                log(f"repro worker: completion rejected ({exc.code}): {exc}",
-                    flush=True)
-            except BackendUnavailableError as exc:
-                # coordinator hiccup mid-completion: the lease will expire
-                # and re-queue this block — back off like any transport
-                # failure instead of dying with the result in hand
-                failures += 1
-                if failures >= max_failures:
-                    log(f"repro worker: giving up after {failures} "
-                        f"failures ({exc})", flush=True)
-                    return 1
-                time.sleep(min(2.0 ** failures * 0.1, 5.0))
-                continue
-            blocks += 1
-            idle_since = time.monotonic()
     except KeyboardInterrupt:
         log(f"repro worker: interrupted after {blocks} blocks", flush=True)
         return 0

@@ -13,14 +13,13 @@ events of the current state.
 :class:`PartialSweep` keeps each landed block's timing columns as they
 arrived, filed under its configuration window by app; nothing
 grid-shaped is allocated.  A window is complete once every app has a
-block there — every plan (:func:`~repro.core.dse.shard_plan`,
-:func:`~repro.core.dse.stream_plan`,
-:func:`~repro.core.dse.store_block_plan`, the cluster's window-major
-shard plan) cuts each (app, scheme) pair into the same windows — so a
-grid point competes exactly when its window is complete, each front is
-exact over the evaluated subset, fronts only ever refine, and the
-moment the last block lands the partial front is the dense result's
-front bit for bit.
+block there — every plan (:func:`~repro.core.dse.shard_plan`, which
+:func:`~repro.core.dse.stream_plan` and the cluster cut with, and
+:func:`~repro.core.dse.store_block_plan`) cuts each (app, scheme) pair
+into the same windows — so a grid point competes exactly when its
+window is complete, each front is exact over the evaluated subset,
+fronts only ever refine, and the moment the last block lands the
+partial front is the dense result's front bit for bit.
 
 A partial front has one algorithm, the running merge: since
 front(A ∪ B) = front(front(A) ∪ B), each tick gathers only the windows
@@ -54,7 +53,6 @@ from repro.core.dse import (
     pareto_front,
     query_slice,
     reduce_batches,
-    validate_selectors,
 )
 from repro.core.area_power import ngpc_area_power_batch
 
@@ -137,16 +135,6 @@ class PartialSweep:
                           out=speedup[a])
             gathered.append((tuple(lo for lo, _ in box), speedup))
         return cursor + len(keys), gathered
-
-    def validate_selectors(
-        self,
-        scheme: str,
-        n_pixels: Optional[int] = None,
-        app: Optional[str] = None,
-        **selectors,
-    ) -> None:
-        """Raise the same structured errors a dense front query would."""
-        validate_selectors(self.grid, scheme, n_pixels, app, **selectors)
 
     def pareto_front(
         self,

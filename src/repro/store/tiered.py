@@ -47,7 +47,6 @@ from repro.core.dse import (
     stream_plan,
     sweep_fingerprint,
     task_shape,
-    window_major,
 )
 from repro.store.result_store import ResultStore
 
@@ -144,11 +143,12 @@ def tiered_sweep(
 ) -> SweepResult:
     """Evaluate a resolved ``grid`` down the ladder below the RAM rung.
 
-    With a ``store``: the persisted sweep, else the window-major
+    With a ``store``: the persisted sweep, else
     :func:`~repro.core.dse.store_block_plan` through a
-    :class:`StoreBlockRunner`, persisted whole.  Without one: the
-    window-major :func:`~repro.core.dse.stream_plan` when blocks are
-    watched, one block per (app, scheme) pair when not.  An injected
+    :class:`StoreBlockRunner`, persisted whole.  Without one:
+    :func:`~repro.core.dse.stream_plan` when blocks are watched, one
+    block per (app, scheme) pair when not.  Every plan comes
+    window-major from its planner.  An injected
     ``sweep_fn`` (the shard cluster, test fakes) replaces the block
     plan and is called as ``sweep_fn(grid, engine=, ngpc=, on_block=)``;
     it always gets an ``on_block``, which counts its blocks.
@@ -178,7 +178,7 @@ def tiered_sweep(
             on_plan(len(landed))
     else:
         if store is not None:
-            plan = window_major(store_block_plan(grid))
+            plan = store_block_plan(grid)
             runner = StoreBlockRunner(
                 LocalBlockRunner(ngpc), store, ngpc, counters
             )

@@ -10,7 +10,6 @@ from repro.workloads.sweep import (
     SweepPoint,
     full_sweep,
     full_sweep_batched,
-    grid_sweep,
     scale_sweep,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "SweepPoint",
     "full_sweep",
     "full_sweep_batched",
-    "grid_sweep",
     "scale_sweep",
 ]

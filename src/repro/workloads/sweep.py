@@ -6,13 +6,12 @@ Two ways to sweep:
   yield one :class:`SweepPoint` per memoized scalar
   :func:`~repro.core.emulator.emulate` call — convenient for streaming
   consumption;
-- the batched engine via the :mod:`repro.api` Session facade:
-  :func:`grid_sweep` evaluates a whole
-  :class:`~repro.core.dse.SweepGrid` in one vectorized call and returns
-  a :class:`~repro.core.dse.SweepResult` of dense arrays, and
-  :func:`full_sweep_batched` is a drop-in replacement for
-  :func:`full_sweep` backed by that engine (same points, one NumPy
-  evaluation instead of a Python loop per point).
+- :func:`full_sweep_batched`, a drop-in replacement for
+  :func:`full_sweep` served by the batched engine through the
+  :mod:`repro.api` Session facade (same points, one NumPy evaluation
+  instead of a Python loop per point).  A whole
+  :class:`~repro.core.dse.SweepGrid` is swept with ``Session().sweep``
+  or, keeping the caller's axis order, ``LocalBackend().sweep``.
 
 Both paths are numerically identical; ``tests/test_sweep_engine.py``
 enforces the equivalence.
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from repro.api import LocalBackend, Session, SweepGrid, SweepResult, as_sweep_grid
+from repro.api import Session, SweepGrid
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
 from repro.core.config import SCALE_FACTORS
 from repro.core.emulator import EmulationResult, emulate
@@ -65,20 +64,6 @@ def full_sweep(
     for scheme in schemes or ENCODING_SCHEMES:
         for app in APP_NAMES:
             yield from scale_sweep(app, scheme, scales, n_pixels)
-
-
-def grid_sweep(
-    grid: Optional[SweepGrid] = None,
-    engine: str = "vectorized",
-) -> SweepResult:
-    """Evaluate a whole :class:`SweepGrid` in one batched call.
-
-    Unlike :meth:`Session.sweep`, the caller's axis order is preserved
-    (no normalization): the returned arrays index in the order the grid
-    spelled its values, the :func:`~repro.core.dse.sweep_grid`
-    contract pre-facade callers rely on.
-    """
-    return LocalBackend(engine=engine).sweep(as_sweep_grid(grid))
 
 
 def full_sweep_batched(

@@ -664,8 +664,7 @@ OFF_GRID_QUERIES = [
      {"scheme": HASHGRID}, "app"),
     ("partial", "pareto_front", ("bogus",), {}, "scheme"),
     ("partial", "pareto_front", (HASHGRID,), {"app": "bogus"}, "app"),
-    ("partial", "validate_selectors", (HASHGRID,), {"n_pixels": 7},
-     "n_pixels"),
+    ("partial", "pareto_front", (HASHGRID,), {"n_pixels": 7}, "n_pixels"),
     ("session", "pareto", ("bogus",), {}, "scheme"),
     ("session", "pareto", (HASHGRID,), {"app": "bogus"}, "app"),
     ("session", "pareto", (HASHGRID,), {"n_pixels": 7}, "n_pixels"),

@@ -202,9 +202,10 @@ def _lease_age_s(backend, pid):
     async def collect():
         coordinator = backend.coordinator
         now = coordinator._loop.time()
+        # a lease is taken lease_timeout_s before its deadline
         ages = [
-            now - start
-            for worker_id, _deadline, start in coordinator._leases.values()
+            now - (deadline - coordinator.lease_timeout_s)
+            for worker_id, deadline in coordinator._leases.values()
             if getattr(coordinator._workers.get(worker_id), "pid", None) == pid
         ]
         return min(ages) if ages else None
@@ -635,6 +636,38 @@ class TestShardPlanning:
         for (i, j, windows), _ in coordinator._plan(grid):
             covered[(i, j) + tuple(slice(lo, hi) for lo, hi in windows)] += 1
         assert covered.min() == covered.max() == 1
+
+    def test_a_finished_sweep_leaves_the_plan_as_it_was(self):
+        """The plan depends on the grid and the alive workers alone: a
+        slow worker's finished sweep does not re-cut the next one, and
+        ``/cluster/stats`` reports no measured speed."""
+        from repro.transport import decode_message
+
+        grid = SweepGrid(
+            apps=("nerf",), scale_factors=(8, 16),
+            clocks_ghz=(0.8, 1.2, 1.4, 1.695),
+        ).resolve()
+        backend = DistributedBackend(workers=1, block_delay_s=0.3)
+        coordinator = backend.coordinator
+        try:
+            async def placements():
+                return [placement for placement, _ in coordinator._plan(grid)]
+
+            async def cluster_stats():
+                return await coordinator.handle_http(
+                    "GET", "/cluster/stats", b""
+                )
+
+            cold = backend._run(placements)
+            assert len(cold) == 2
+            backend.sweep(grid)
+            assert backend._run(placements) == cold
+            status, body = backend._run(cluster_stats)
+            stats = decode_message(body)["result"]
+            assert status == 200 and stats["blocks"]["completed"] == 2
+            assert not [key for key in stats["workers"] if "per_s" in key]
+        finally:
+            backend.close()
 
 
 class TestErrorParity:

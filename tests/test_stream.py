@@ -44,7 +44,7 @@ from repro.core.dse import (
     stream_plan,
     sweep_grid,
     task_shape,
-    window_major,
+    validate_selectors,
 )
 from repro.core.emulator import emulate_batch, emulate_batch_columns
 from repro.errors import NotOnGridError
@@ -106,7 +106,7 @@ class BlockwiseSweep:
         with self._lock:
             self.calls += 1
         resolved = grid.resolve(ngpc)
-        plan = window_major(shard_plan(resolved, self.n_shards))
+        plan = shard_plan(resolved, self.n_shards)
         placed = []
         for placement, task in plan:
             if self.block_delay:
@@ -140,7 +140,7 @@ class TestPartialSweep:
         resolved = GRID.resolve()
         dense = sweep_grid(resolved, engine="vectorized", use_cache=False)
         partial = PartialSweep(resolved, None)
-        for placement, task in window_major(shard_plan(resolved, 8)):
+        for placement, task in shard_plan(resolved, 8):
             app, scheme, scales, pixels, clocks, srams, engines, batches = task
             raw = emulate_batch(app, scheme, scales, pixels, None,
                                 clocks_ghz=clocks, grid_sram_kb=srams,
@@ -163,7 +163,7 @@ class TestPartialSweep:
         resolved = GRID.resolve()
         partial = PartialSweep(resolved, None)
         assert partial.pareto_front(SCHEME) == []
-        plan = window_major(shard_plan(resolved, 8))
+        plan = shard_plan(resolved, 8)
         n_pairs = len(resolved.apps) * len(resolved.schemes)
         covered = 0
         for i, (placement, task) in enumerate(plan):
@@ -193,7 +193,7 @@ class TestPartialSweep:
         dense = sweep_grid(resolved, engine="vectorized", use_cache=False)
         partial = PartialSweep(resolved, None)
         covered = np.zeros(resolved.shape, dtype=bool)
-        for placement, task in window_major(shard_plan(resolved, 8)):
+        for placement, task in shard_plan(resolved, 8):
             partial.record(placement, evaluate_block(task))
             i, j, windows = placement
             covered[(i, j) + tuple(slice(lo, hi) for lo, hi in windows)] = True
@@ -211,9 +211,9 @@ class TestPartialSweep:
     def test_selector_validation(self):
         partial = PartialSweep(GRID.resolve(), None)
         with pytest.raises(NotOnGridError):
-            partial.validate_selectors("not-a-scheme")
+            validate_selectors(partial.grid, "not-a-scheme")
         with pytest.raises(NotOnGridError):
-            partial.validate_selectors(SCHEME, app="not-an-app")
+            validate_selectors(partial.grid, SCHEME, app="not-an-app")
 
 
 #: a grid whose longest axis is the batch axis, so stream blocks split
@@ -389,14 +389,20 @@ class TestPlanWindows:
     def test_every_pair_gets_the_same_disjoint_covering_windows(self, grid):
         from repro.service.cluster import ShardCoordinator
 
+        def coordinator_of(n_workers):
+            coordinator = ShardCoordinator()
+            for _ in range(n_workers):
+                coordinator._register({})
+            return coordinator
+
         resolved = grid.resolve()
         plans = {
             **{f"shard_plan({n})": shard_plan(resolved, n)
                for n in (1, 3, 8, 40, 1000)},
             "stream_plan": stream_plan(resolved),
             "store_block_plan": store_block_plan(resolved),
-            **{f"coordinator({n} per worker)": ShardCoordinator(
-                blocks_per_worker=n)._plan(resolved) for n in (1, 7)},
+            **{f"coordinator({n} workers)": coordinator_of(n)._plan(resolved)
+               for n in (1, 7)},
         }
         for name, plan in plans.items():
             by_pair = {}
@@ -1071,8 +1077,10 @@ class TestClusterStreams:
                 front_seen.wait(timeout=30)
 
         monkeypatch.setattr(SweepProgress, "record", held_after_one_window)
+        monkeypatch.setattr(
+            "repro.service.cluster.coordinator.BLOCKS_PER_WORKER", 4 * n_pairs
+        )
         backend = DistributedBackend(workers=1)
-        backend.coordinator.blocks_per_worker = 4 * n_pairs
         try:
             events = []
             for event in backend.stream_events(grid, scheme=SCHEME):

@@ -365,7 +365,8 @@ python - <<'PY' || fail
 import numpy as np
 
 from repro.api import DistributedBackend, SweepGrid
-from repro.core.dse import sweep_grid
+from repro.core.dse import shard_plan, sweep_grid
+from repro.service.cluster import BLOCKS_PER_WORKER
 
 grid = SweepGrid(
     apps=("nerf", "gia"),
@@ -383,7 +384,9 @@ try:
     )
     stats = backend.coordinator.stats()
     assert stats["workers"]["registered"] == 2, stats
-    assert stats["blocks"]["completed"] >= 1, stats
+    # the plan is sized from the grid and the worker count alone
+    plan = shard_plan(grid.resolve().normalized(), BLOCKS_PER_WORKER * 2)
+    assert stats["blocks"]["completed"] == len(plan), stats
 finally:
     backend.close()
 workers = backend._workers
